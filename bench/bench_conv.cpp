@@ -1,5 +1,5 @@
 // Channel-packed encrypted convolution: naive per-window rotation fan
-// (force_conv_n1 = 0, no hoisting — the im2col baseline, one rotation per
+// (force_n1 = 0, no hoisting — the im2col baseline, one rotation per
 // distinct window/channel shift) vs the planner's hoisted channel-offset
 // BSGS split, per channel count. Reports rotation counts (the BSGS win),
 // plaintext-mask counts, wall time (min over interleaved repeats) and parity
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     };
     std::vector<Candidate> candidates(2);
     candidates[0].name = "naive-fan";
-    candidates[0].opts.force_conv_n1 = 0;
+    candidates[0].opts.force_n1 = 0;
     candidates[0].opts.force_hoist = false;
     candidates[1].name = "packed-bsgs";
 
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
       Row row;
       row.channels = ch;
       row.plan = cand.name;
-      row.conv_n1 = plans.back().stages[0].conv_n1;
+      row.conv_n1 = plans.back().stages[0].n1;
       rows.push_back(row);
     }
     std::printf("[bench] %dch %dx%d k%d ready (N=%zu, conv n1=%d, %zu rotation keys)\n",

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     };
     std::vector<Candidate> candidates(2);
     candidates[0].name = "naive-diagonal";
-    candidates[0].opts.force_matmul_n1 = 1;
+    candidates[0].opts.force_n1 = 1;
     candidates[0].opts.force_hoist = false;
     candidates[1].name = "hoisted-bsgs";
 
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       row.rows = dim.rows;
       row.cols = dim.cols;
       row.plan = cand.name;
-      row.n1 = plans.back().stages[0].bsgs_n1;
+      row.n1 = plans.back().stages[0].n1;
       rows.push_back(row);
     }
     std::printf("[bench] %dx%d ready (N=%zu, bsgs n1=%d, %zu rotation keys)\n",

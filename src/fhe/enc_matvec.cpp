@@ -1,7 +1,6 @@
 #include "fhe/enc_matvec.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/check.h"
 
@@ -22,89 +21,36 @@ Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
 }
 
 EncDiagMatVec EncDiagMatVec::encrypt(const CkksContext& ctx, const Encoder& enc,
-                                     Encryptor& encryptor,
-                                     const DiagMatVecPlan& plan,
-                                     const std::vector<double>& weights,
-                                     std::size_t tile, double scale) {
-  sp::check(!plan.diag_steps.empty(),
-            "EncDiagMatVec: plan has no nonzero diagonals");
+                                     Encryptor& encryptor, const LtSchedule& schedule,
+                                     const std::vector<double>& weights, int rows,
+                                     int cols, std::size_t tile, double scale) {
+  sp::check(!schedule.terms.empty(), "EncDiagMatVec: schedule has no nonzero diagonals");
+  sp::check(weights.size() == static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
+            "EncDiagMatVec: weights must be row-major rows x cols");
   const std::size_t slots = enc.slot_count();
-  const std::size_t t = tile == 0 ? slots : tile;
-  sp::check(weights.size() == static_cast<std::size_t>(plan.rows) *
-                                  static_cast<std::size_t>(plan.cols),
-            "EncDiagMatVec: weights must be row-major plan.rows x plan.cols");
   EncDiagMatVec out;
-  out.plan_ = plan;
-  out.diags_.reserve(plan.diag_steps.size());
-  for (int s : plan.diag_steps) {
-    const int g = DiagMatVecPlan::giant_of(s, plan.n1);
+  out.schedule_ = schedule;
+  out.diags_.reserve(schedule.terms.size());
+  for (const LtSchedule::Term& t : schedule.terms)
     out.diags_.push_back(encryptor.encrypt(enc.encode(
-        extended_diagonal_slots(weights, plan.rows, plan.cols, s, g, t, slots),
+        extended_diagonal_slots(weights, rows, cols, t.giant + t.baby, t.giant,
+                                tile == 0 ? slots : tile, slots),
         scale, ctx.q_count())));
-  }
   return out;
 }
 
-Ciphertext EncDiagMatVec::apply(Evaluator& ev, const Ciphertext& v,
-                                const GaloisKeys& gk, const KSwitchKey& relin,
-                                bool hoist_babies) const {
-  sp::check(v.size() == 2, "EncDiagMatVec::apply: input must be 2-part");
+Ciphertext EncDiagMatVec::apply(Evaluator& ev, const Ciphertext& v, const GaloisKeys& gk,
+                                const KSwitchKey& relin, bool hoist_babies) const {
   sp::check(!diags_.empty(), "EncDiagMatVec::apply: no diagonals packed");
   // Meet at the lower of the two chains, and keep one level for the rescale.
   const int qc = std::min(v.q_count(), diags_.front().q_count());
   sp::check(qc >= 2, "EncDiagMatVec::apply: no level left for the rescale");
   Ciphertext x = v;
   ev.drop_to_level(x, qc - 1);
-
-  // Baby fan: rot(x, b) for every distinct nonzero baby step; b = 0 is x.
-  std::vector<Ciphertext> rotated;
-  if (!plan_.baby_steps.empty()) {
-    if (hoist_babies) {
-      rotated = ev.rotate_hoisted(x, plan_.baby_steps, gk);
-    } else {
-      rotated.reserve(plan_.baby_steps.size());
-      for (int b : plan_.baby_steps) rotated.push_back(ev.rotate(x, b, gk));
-    }
-  }
-  const auto baby = [&](int b) -> const Ciphertext& {
-    if (b == 0) return x;
-    const auto it =
-        std::lower_bound(plan_.baby_steps.begin(), plan_.baby_steps.end(), b);
-    return rotated[static_cast<std::size_t>(it - plan_.baby_steps.begin())];
-  };
-
-  // Giant groups, ascending step order. Each group's inner sum accumulates
-  // raw 3-part products (every term sits at scale diag.scale * x.scale, so
-  // the adds are exact) and pays ONE relinearization at the group join —
-  // mandatory before the giant rotation, which only 2-part ciphertexts
-  // support. One rescale at the final join consumes the level.
-  const std::vector<int>& steps = plan_.diag_steps;
-  std::optional<Ciphertext> total;
-  std::size_t i = 0;
-  while (i < steps.size()) {
-    const int g = DiagMatVecPlan::giant_of(steps[i], plan_.n1);
-    std::optional<Ciphertext> acc;
-    for (; i < steps.size() && DiagMatVecPlan::giant_of(steps[i], plan_.n1) == g;
-         ++i) {
-      Ciphertext d = diags_[i];
-      ev.drop_to_level(d, qc - 1);
-      Ciphertext term = ev.multiply_no_relin(d, baby(steps[i] - g));
-      if (!acc) {
-        acc = std::move(term);
-      } else {
-        ev.add_inplace(*acc, term);
-      }
-    }
-    ev.relinearize_inplace(*acc, relin);
-    Ciphertext out_g = g == 0 ? std::move(*acc) : ev.rotate(*acc, g, gk);
-    if (!total) {
-      total = std::move(out_g);
-    } else {
-      ev.add_inplace(*total, out_g);
-    }
-  }
-  ev.rescale_inplace(*total);
-  return std::move(*total);
+  LinearTransform lt(1, 1, schedule_.n1);
+  lt.schedule = schedule_;
+  for (const Ciphertext& d : diags_) lt.masks.push_back(LtMask::of_cipher(d));
+  return std::move(lt.apply(ev, {x}, gk, hoist_babies, nullptr, 0.0, &relin)[0]);
 }
 
 }  // namespace sp::fhe

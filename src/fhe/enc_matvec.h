@@ -2,9 +2,9 @@
 
 #include <vector>
 
-#include "fhe/diag_matvec.h"
 #include "fhe/encryptor.h"
 #include "fhe/keys.h"
+#include "fhe/linear_transform.h"
 
 namespace sp::fhe {
 
@@ -27,40 +27,34 @@ Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
 /// extended diagonals of X are ciphertexts (the training batch — the server
 /// must never see the data) and v is a ciphertext (the weights).
 ///
-/// The schedule is the same BSGS split DiagonalMatVec runs, with plaintext
-/// multiplications upgraded to ciphertext x ciphertext: the client packs
-/// diagonal s pre-rotated by -giant_of(s, n1) at encryption time (free, it
-/// has the plaintext), the server computes
-///   y = sum_g rot( sum_b  ct_diag[g+b] * rot(v, b),  g )
-/// keeping each giant group's inner sum 3-part (lazy relinearization) and
-/// paying ONE relinearization per giant group, right before the giant
-/// rotation — 3-part ciphertexts cannot rotate. One rescale at the join;
-/// the product consumes exactly one level.
+/// The client packs diagonal s pre-rotated by -giant_of(s, n1) at
+/// encryption time (free, it has the plaintext); the server runs the same
+/// LinearTransform executor as the plaintext matmul with ciphertext masks:
+/// each giant group's inner sum stays 3-part and pays ONE relinearization
+/// right before its giant rotation, and one rescale closes the product.
 class EncDiagMatVec {
  public:
-  /// @brief Packs and encrypts the extended diagonals of `weights` under
-  /// `plan` (row-major plan.rows x plan.cols; every plan.diag_steps entry
-  /// becomes one ciphertext, pre-rotated exactly like the plaintext path).
+  /// @brief Packs and encrypts the extended diagonals of the row-major
+  /// `rows` x `cols` matrix `weights` under `schedule` (one ciphertext per
+  /// term, pre-rotated by the term's giant step).
   /// @param tile  slot-layout repeat stride; 0 = one layout over all slots
   static EncDiagMatVec encrypt(const CkksContext& ctx, const Encoder& enc,
-                               Encryptor& encryptor, const DiagMatVecPlan& plan,
-                               const std::vector<double>& weights,
+                               Encryptor& encryptor, const LtSchedule& schedule,
+                               const std::vector<double>& weights, int rows, int cols,
                                std::size_t tile, double scale);
 
-  const DiagMatVecPlan& plan() const { return plan_; }
-  const std::vector<Ciphertext>& diagonals() const { return diags_; }
-  std::vector<Ciphertext>& diagonals() { return diags_; }
+  const LtSchedule& schedule() const { return schedule_; }
 
   /// @brief y = X v, one level below min(level(v), level(diagonals)).
-  /// @param v      2-part weight ciphertext (data in slots [0, plan.cols))
-  /// @param gk     rotation keys covering plan().steps()
+  /// @param v      2-part weight ciphertext (data in slots [0, cols))
+  /// @param gk     rotation keys covering schedule().steps()
   /// @param relin  relinearization key (one use per giant group)
   Ciphertext apply(Evaluator& ev, const Ciphertext& v, const GaloisKeys& gk,
                    const KSwitchKey& relin, bool hoist_babies = true) const;
 
  private:
-  DiagMatVecPlan plan_;
-  std::vector<Ciphertext> diags_;  ///< parallel to plan_.diag_steps
+  LtSchedule schedule_;
+  std::vector<Ciphertext> diags_;  ///< parallel to schedule_.terms
 };
 
 }  // namespace sp::fhe

@@ -126,6 +126,35 @@ smartpaf::LinearStage read_linear_stage(WireReader& r) {
   return lin;
 }
 
+void write_layout(WireWriter& w, const smartpaf::StageLayout& l) {
+  w.u8(static_cast<std::uint8_t>(l.kind));
+  w.u64(l.width);
+  w.i32(l.blocks);
+  w.u64(l.block_width);
+  for (int v : {l.channels, l.height, l.width_px, l.ch_stride, l.row_stride,
+                l.elem_stride, l.chans_per_block})
+    w.i32(v);
+}
+
+smartpaf::StageLayout read_layout(WireReader& r) {
+  smartpaf::StageLayout l;
+  const std::uint8_t kind = r.u8();
+  sp::check(kind <= 1, "wire: unknown stage layout kind tag");
+  l.kind = static_cast<smartpaf::StageLayout::Kind>(kind);
+  l.width = r.u64();
+  l.blocks = r.i32();
+  l.block_width = r.u64();
+  for (int* v : {&l.channels, &l.height, &l.width_px, &l.ch_stride, &l.row_stride,
+                 &l.elem_stride, &l.chans_per_block})
+    *v = r.i32();
+  sp::check(l.blocks >= 1, "wire: stage layout needs at least one block");
+  if (l.kind == smartpaf::StageLayout::Kind::Grid)
+    sp::check(l.channels >= 1 && l.height >= 1 && l.width_px >= 1 && l.ch_stride >= 1 &&
+                  l.row_stride >= 1 && l.elem_stride >= 1 && l.chans_per_block >= 1,
+              "wire: grid layout dimensions and strides must be positive");
+  return l;
+}
+
 std::vector<std::uint8_t> finish(WireWriter& w) { return w.take(); }
 
 }  // namespace
@@ -380,10 +409,12 @@ std::vector<std::uint8_t> serialize(const smartpaf::Plan& plan,
     w.boolean(st.hoist_fan);
     w.i32_vec(st.rotation_steps);
     w.i32_vec(st.giant_steps);
-    w.i32(st.bsgs_n1);
+    w.i32(st.n1);
     w.i32(st.diag_mults);
     w.u64(st.width_in);
     w.u64(st.width_out);
+    write_layout(w, st.layout_in);
+    write_layout(w, st.layout_out);
     w.i32(st.ops.ct_mults);
     w.i32(st.ops.relins);
     w.i32(st.ops.rescales);
@@ -422,10 +453,13 @@ smartpaf::Plan deserialize_plan(const std::vector<std::uint8_t>& bytes,
     st.hoist_fan = r.boolean();
     st.rotation_steps = r.i32_vec();
     st.giant_steps = r.i32_vec();
-    st.bsgs_n1 = r.i32();
+    st.n1 = r.i32();
+    sp::check(st.n1 >= -1, "wire: stage split n1 must be >= -1");
     st.diag_mults = r.i32();
     st.width_in = r.u64();
     st.width_out = r.u64();
+    st.layout_in = read_layout(r);
+    st.layout_out = read_layout(r);
     st.ops.ct_mults = r.i32();
     st.ops.relins = r.i32();
     st.ops.rescales = r.i32();

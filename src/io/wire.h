@@ -28,7 +28,9 @@ constexpr std::uint32_t kMagic = 0x42575053u;  // 'S','P','W','B' little-endian
 ///
 /// v2: BlobKind::TrainingState added (encrypted-training checkpoints) and
 /// the length-prefixed raw-blob helper it nests ciphertexts with.
-constexpr std::uint16_t kVersion = 2;
+/// v3: Plan stages carry the unified rotation-sum split `n1` and both
+/// StageLayouts (a v2 plan dropped conv schedules and grid layouts).
+constexpr std::uint16_t kVersion = 3;
 
 /// Payload type tag carried in every header, so a blob handed to the wrong
 /// deserializer fails loudly instead of misparsing.

@@ -7,8 +7,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "fhe/conv2d_fan.h"
-#include "fhe/diag_matvec.h"
 #include "nn/layers.h"
 #include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline_planner.h"
@@ -27,18 +25,6 @@ bool linear_has_bias(const LinearStage& lin) {
 
 namespace {
 
-/// Rotation fan of `steps` over one source: hoisted (one shared digit
-/// decomposition) or naive per-step rotations, per the plan.
-std::vector<fhe::Ciphertext> rotate_fan(fhe::Evaluator& ev, const fhe::Ciphertext& ct,
-                                        const std::vector<int>& steps,
-                                        const fhe::GaloisKeys& gk, bool hoist) {
-  if (hoist) return ev.rotate_hoisted(ct, steps, gk);
-  std::vector<fhe::Ciphertext> rotated;
-  rotated.reserve(steps.size());
-  for (int s : steps) rotated.push_back(ev.rotate(ct, s, gk));
-  return rotated;
-}
-
 std::string paf_label(const char* kind, const PafStage& paf) {
   std::ostringstream os;
   os << kind << "[";
@@ -46,18 +32,6 @@ std::string paf_label(const char* kind, const PafStage& paf) {
   if (!paf.paf.name().empty()) os << paf.paf.name() << " ";
   os << "d" << paf.paf.mult_depth() << "]";
   return os.str();
-}
-
-/// Content key for a compaction mask in the encoder's plaintext cache.
-std::uint64_t compact_mask_key(std::size_t width, int stride, std::size_t tile,
-                               std::size_t i) {
-  std::uint64_t h = sp::fnv_mix(sp::kFnvOffset, 0x636f6d7061637421ULL);  // "compact!"
-  for (std::uint64_t v : {static_cast<std::uint64_t>(width),
-                          static_cast<std::uint64_t>(stride),
-                          static_cast<std::uint64_t>(tile),
-                          static_cast<std::uint64_t>(i)})
-    h = sp::fnv_mix(h, v);
-  return h;
 }
 
 /// Content key for a per-slot linear coefficient vector: the stage executes
@@ -183,6 +157,7 @@ std::vector<double> unpack_layout(const std::vector<std::vector<double>>& blocks
 
 std::vector<MatMulStage> split_matmul_blocks(const MatMulStage& mm,
                                              const StageLayout& in) {
+  if (in.kind == StageLayout::Kind::Dense && in.blocks == 1) return {mm};
   sp::check(static_cast<std::size_t>(mm.cols) == in.width,
             "split_matmul_blocks: matmul cols must match the layout width");
   std::vector<MatMulStage> out(static_cast<std::size_t>(in.blocks));
@@ -208,6 +183,201 @@ std::vector<MatMulStage> split_matmul_blocks(const MatMulStage& mm,
   }
   out[0].bias = mm.bias;  // partial sums join once; the bias rides block 0
   return out;
+}
+
+// ---------------------------------------------------- Rotation-sum generators --
+
+namespace {
+
+std::uint64_t fnv_ints(std::uint64_t h, std::initializer_list<std::int64_t> vs) {
+  for (std::int64_t v : vs) h = sp::fnv_mix(h, static_cast<std::uint64_t>(v));
+  return h;
+}
+
+/// Cache key of the next term's mask: the term index mixed once into a
+/// content hash of everything the generator reads. One mix is a bijection,
+/// so the masks of one transform never alias each other.
+std::uint64_t next_key(const fhe::LinearTransform& lt, std::uint64_t content) {
+  return sp::fnv_mix(content, lt.schedule.terms.size());
+}
+
+bool any_nonzero(const std::vector<double>& v) {
+  return std::any_of(v.begin(), v.end(), [](double x) { return x != 0.0; });
+}
+
+/// Writes `value` at slot `at` (mod tile) of every tile of `v`.
+void put_tiled(std::vector<double>& v, std::size_t tile, std::int64_t at, double value) {
+  const auto t = static_cast<std::int64_t>(tile);
+  for (std::size_t base = 0; base < v.size(); base += tile)
+    v[base + static_cast<std::size_t>((at % t + t) % t)] = value;
+}
+
+/// The validated grid geometry of `cv` over its input layout.
+fhe::ConvGeom conv_geom(const ConvStage& cv, const StageLayout& in) {
+  fhe::ConvGeom g;
+  g.in_channels = cv.in_channels;
+  g.out_channels = cv.out_channels;
+  g.height = cv.height;
+  g.width = cv.width;
+  g.kernel = cv.kernel;
+  g.stride = cv.stride;
+  g.ch_stride = in.ch_stride;
+  g.row_stride = in.row_stride;
+  g.elem_stride = in.elem_stride;
+  g.validate();
+  return g;
+}
+
+/// Window: tap t reads rot(x, t) under the scalar mask taps[t].
+void window_terms(fhe::LinearTransform& lt, const WindowStage& win) {
+  for (std::size_t t = 0; t < win.taps.size(); ++t)
+    lt.add(0, 0, 0, static_cast<int>(t), fhe::LtMask::of_scalar(win.taps[t]));
+  if (win.bias != 0.0) lt.bias = {fhe::LtMask::of_scalar(win.bias)};
+}
+
+/// Compact: output slot i reads rot(x, i * (stride - 1)) under a one-hot
+/// mask at slot i of every tile.
+void compact_terms(fhe::LinearTransform& lt, const CompactStage& cp, std::size_t width,
+                   std::size_t tile, std::size_t slots) {
+  const std::uint64_t key = fnv_ints(0x636f6d7061637421ULL,  // "compact!"
+                                     {cp.stride, static_cast<std::int64_t>(tile)});
+  for (std::size_t i = 0; i < width / static_cast<std::size_t>(cp.stride); ++i)
+    lt.add(0, 0, 0, static_cast<int>(i) * (cp.stride - 1),
+           fhe::LtMask::of_slots(next_key(lt, key), [=] {
+             std::vector<double> m(slots, 0.0);
+             put_tiled(m, tile, static_cast<std::int64_t>(i), 1.0);
+             return m;
+           }));
+}
+
+/// Matmul: one extended diagonal per nonzero step of every input block's
+/// column slice, split on the step; every block feeds output block 0.
+void matmul_terms(fhe::LinearTransform& lt, const MatMulStage& mm,
+                  const StageLayout& in, int n1, std::size_t tile, std::size_t slots) {
+  const std::vector<MatMulStage> split = split_matmul_blocks(mm, in);
+  for (std::size_t b = 0; b < split.size(); ++b) {
+    const auto blk = std::make_shared<const MatMulStage>(split[b]);
+    const std::uint64_t key = sp::fnv_doubles(
+        fnv_ints(0x6d61746d756c21ULL,  // "matmul!"
+                 {blk->rows, blk->cols, n1, static_cast<std::int64_t>(tile)}),
+        blk->weights);
+    for (int s : fhe::diagonal_steps(blk->weights, blk->rows, blk->cols)) {
+      const int g = fhe::giant_of(s, n1);
+      lt.add(static_cast<int>(b), 0, g, s - g,
+             fhe::LtMask::of_slots(next_key(lt, key), [=] {
+               return fhe::extended_diagonal_slots(blk->weights, blk->rows, blk->cols,
+                                                   s, g, tile, slots);
+             }));
+    }
+  }
+  if (any_nonzero(mm.bias)) {
+    const auto bias = std::make_shared<const std::vector<double>>(mm.bias);
+    lt.bias = {fhe::LtMask::of_slots(
+        sp::fnv_doubles(fnv_ints(0x62696173ULL, {static_cast<std::int64_t>(tile)}), *bias),
+        [=] {
+          std::vector<double> v(slots, 0.0);
+          for (std::size_t j = 0; j < bias->size(); ++j)
+            put_tiled(v, tile, static_cast<std::int64_t>(j), (*bias)[j]);
+          return v;
+        })};
+  }
+}
+
+/// Conv: per (output block, input block) pair, one term per channel offset
+/// c and kernel tap with a nonzero weight, split on c (giant =
+/// giant_of(c, n1) * ch_stride). Its mask carries w[oc][oc + c][dy][dx] at
+/// every output anchor of channel oc, pre-rotated by the giant.
+void conv_terms(fhe::LinearTransform& lt, const ConvStage& cv, const StageLayout& in,
+                int n1, std::size_t tile, std::size_t slots) {
+  const fhe::ConvGeom g = conv_geom(cv, in);
+  const int cpb = in.chans_per_block;
+  // Every output anchor of local channel ol at `offset` (mod tile) gets `w`.
+  const auto put_anchors = [g](std::vector<double>& v, std::size_t tile_, int ol,
+                               int offset, double w) {
+    for (int oy = 0; oy < g.out_h(); ++oy)
+      for (int ox = 0; ox < g.out_w(); ++ox)
+        put_tiled(v, tile_,
+                  ol * g.ch_stride + oy * g.out_row_stride() + ox * g.out_elem_stride() +
+                      offset,
+                  w);
+  };
+  const auto w = std::make_shared<const std::vector<double>>(cv.weights);
+  const auto weight = [w, g](int oc, int ic, int dy, int dx) {
+    return (*w)[((static_cast<std::size_t>(oc) * g.in_channels + ic) * g.kernel + dy) *
+                    g.kernel + dx];
+  };
+  const std::uint64_t key = sp::fnv_doubles(
+      fnv_ints(0x636f6e7621ULL,  // "conv!"
+               {g.in_channels, g.out_channels, g.height, g.width, g.kernel, g.stride,
+                g.ch_stride, g.row_stride, g.elem_stride, cpb, n1,
+                static_cast<std::int64_t>(tile)}),
+      cv.weights);
+
+  for (int bo = 0; bo < lt.schedule.blocks_out; ++bo)
+    for (int bi = 0; bi < lt.schedule.blocks_in; ++bi) {
+      const int oc0 = bo * cpb, ic0 = bi * cpb;
+      const int nout = std::min(cv.out_channels, oc0 + cpb) - oc0;
+      const int nin = std::min(cv.in_channels, ic0 + cpb) - ic0;
+      // Ascending c keeps each giant group contiguous (giant_of is monotone).
+      for (int c = -(nout - 1); c < nin; ++c) {
+        const int giant = fhe::giant_of(c, n1) * g.ch_stride;
+        const int ol_lo = std::max(0, -c), ol_hi = std::min(nout, nin - c);
+        for (int dy = 0; dy < g.kernel; ++dy)
+          for (int dx = 0; dx < g.kernel; ++dx) {
+            bool nonzero = false;
+            for (int ol = ol_lo; ol < ol_hi && !nonzero; ++ol)
+              nonzero = weight(oc0 + ol, ic0 + ol + c, dy, dx) != 0.0;
+            if (!nonzero) continue;
+            const int baby =
+                c * g.ch_stride + dy * g.row_stride + dx * g.elem_stride - giant;
+            lt.add(bi, bo, giant, baby,
+                   fhe::LtMask::of_slots(next_key(lt, key), [=] {
+                     std::vector<double> m(slots, 0.0);
+                     for (int ol = ol_lo; ol < ol_hi; ++ol)
+                       put_anchors(m, tile, ol, giant,
+                                   weight(oc0 + ol, ic0 + ol + c, dy, dx));
+                     return m;
+                   }));
+          }
+      }
+    }
+
+  if (any_nonzero(cv.bias)) {
+    const auto bias = std::make_shared<const std::vector<double>>(cv.bias);
+    const std::uint64_t bkey = sp::fnv_doubles(fnv_ints(key, {0x62696173}), *bias);
+    for (int bo = 0; bo < lt.schedule.blocks_out; ++bo) {
+      const int nout = std::min(cv.out_channels, (bo + 1) * cpb) - bo * cpb;
+      lt.bias.push_back(fhe::LtMask::of_slots(
+          sp::fnv_mix(bkey, static_cast<std::uint64_t>(bo)), [=] {
+            std::vector<double> v(slots, 0.0);
+            for (int ol = 0; ol < nout; ++ol)
+              put_anchors(v, tile, ol, 0, (*bias)[static_cast<std::size_t>(bo * cpb + ol)]);
+            return v;
+          }));
+    }
+  }
+}
+
+}  // namespace
+
+std::optional<fhe::LinearTransform> stage_transform(const Stage& stage,
+                                                    const StageLayout& in,
+                                                    const StageLayout& out, int n1,
+                                                    std::size_t tile, std::size_t slots) {
+  if (std::holds_alternative<LinearStage>(stage.op) ||
+      std::holds_alternative<PafStage>(stage.op))
+    return std::nullopt;
+  fhe::LinearTransform lt(in.blocks, out.blocks, n1);
+  if (const auto* win = std::get_if<WindowStage>(&stage.op)) {
+    window_terms(lt, *win);
+  } else if (const auto* cp = std::get_if<CompactStage>(&stage.op)) {
+    compact_terms(lt, *cp, in.width, tile, slots);
+  } else if (const auto* mm = std::get_if<MatMulStage>(&stage.op)) {
+    matmul_terms(lt, *mm, in, n1, tile, slots);
+  } else {
+    conv_terms(lt, std::get<ConvStage>(stage.op), in, n1, tile, slots);
+  }
+  return lt;
 }
 
 // ------------------------------------------------------------------ Builder --
@@ -489,18 +659,6 @@ int stage_levels(const Stage& stage) {
   return paf.kind == SiteKind::MaxPool ? (paf.pool_window - 1) * per_act : per_act;
 }
 
-std::vector<int> stage_rotation_steps(const Stage& stage) {
-  std::vector<int> steps;
-  if (const auto* win = std::get_if<WindowStage>(&stage.op)) {
-    for (std::size_t t = 1; t < win->taps.size(); ++t)
-      steps.push_back(static_cast<int>(t));
-  } else if (const auto* paf = std::get_if<PafStage>(&stage.op)) {
-    if (paf->kind == SiteKind::MaxPool)
-      for (int t = 1; t < paf->pool_window; ++t) steps.push_back(t);
-  }
-  return steps;
-}
-
 int FhePipeline::mult_depth() const {
   int total = 0;
   for (const Stage& s : stages_) total += stage_levels(s);
@@ -618,19 +776,9 @@ std::vector<std::pair<StageLayout, StageLayout>> FhePipeline::stage_layouts(
                     "Planner: '", st.label, "' expects input grid ",
                     cv.in_channels, "x", cv.height, "x", cv.width,
                     " but the tracked layout is ", cur.describe());
-      // Geometry sanity (collision-free strides, kernel fits) — the same
-      // checks ConvChannelFan performs at execution time.
-      fhe::ConvGeom geom;
-      geom.in_channels = cv.in_channels;
-      geom.out_channels = cv.out_channels;
-      geom.height = cv.height;
-      geom.width = cv.width;
-      geom.kernel = cv.kernel;
-      geom.stride = cv.stride;
-      geom.ch_stride = cur.ch_stride;
-      geom.row_stride = cur.row_stride;
-      geom.elem_stride = cur.elem_stride;
-      geom.validate();
+      // Geometry sanity (collision-free strides, kernel fits), the same
+      // checks the conv generator performs at execution time.
+      (void)conv_geom(cv, cur);
       cur = StageLayout::grid(cv.out_channels, cv.out_h(), cv.out_w(),
                               cur.ch_stride, cur.row_stride * cv.stride,
                               cur.elem_stride * cv.stride, extent);
@@ -662,20 +810,15 @@ std::vector<double> FhePipeline::reference(const std::vector<double>& slots,
     if (const auto* mm = std::get_if<MatMulStage>(&st.op)) {
       // Per-tile product, mirroring run()'s replicated diagonals. A grid
       // input routes through the same column scatter the executor uses.
-      const MatMulStage* eff = mm;
-      MatMulStage scattered;
-      if (layout_in.kind == StageLayout::Kind::Grid) {
-        scattered = std::move(split_matmul_blocks(*mm, layout_in)[0]);
-        eff = &scattered;
-      }
-      sp::check(static_cast<std::size_t>(eff->cols) <= tile,
+      const MatMulStage eff = std::move(split_matmul_blocks(*mm, layout_in)[0]);
+      sp::check(static_cast<std::size_t>(eff.cols) <= tile,
                 "FhePipeline::reference: matmul wider than the slot layout");
       std::vector<double> y(w, 0.0);
       for (std::size_t base = 0; base < w; base += tile)
-        for (int i = 0; i < eff->rows; ++i) {
-          double acc = eff->bias.empty() ? 0.0 : eff->bias[static_cast<std::size_t>(i)];
-          for (int c = 0; c < eff->cols; ++c)
-            acc += eff->weights[static_cast<std::size_t>(i) * eff->cols + c] *
+        for (int i = 0; i < eff.rows; ++i) {
+          double acc = eff.bias.empty() ? 0.0 : eff.bias[static_cast<std::size_t>(i)];
+          for (int c = 0; c < eff.cols; ++c)
+            acc += eff.weights[static_cast<std::size_t>(i) * eff.cols + c] *
                    v[base + static_cast<std::size_t>(c)];
           y[base + static_cast<std::size_t>(i)] = acc;
         }
@@ -796,6 +939,7 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
   fhe::PafEvaluator& pe = rt.paf_evaluator();
   fhe::Encoder& enc = rt.encoder();
   const double delta = rt.ctx().scale();
+  const std::size_t tile = plan.pack_stride != 0 ? plan.pack_stride : rt.ctx().slot_count();
   PafEvalGuard guard(pe);
 
   std::vector<fhe::Ciphertext> blocks = in;
@@ -838,120 +982,11 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
       continue;
     }
 
-    if (const auto* mm = std::get_if<MatMulStage>(&st.op)) {
+    if (const auto lt = stage_transform(st, sp_.layout_in, sp_.layout_out, sp_.n1,
+                                        tile, rt.ctx().slot_count())) {
       std::vector<int> steps = sp_.rotation_steps;
       steps.insert(steps.end(), sp_.giant_steps.begin(), sp_.giant_steps.end());
-      const auto gk = rt.rotation_keys(steps);
-      const int n1 = sp_.bsgs_n1 > 0 ? sp_.bsgs_n1 : 1;
-      if (sp_.layout_in.kind == StageLayout::Kind::Dense &&
-          sp_.layout_in.blocks == 1) {
-        const fhe::DiagonalMatVec mv(enc, mm->weights, mm->rows, mm->cols,
-                                     mm->bias, n1, plan.pack_stride);
-        blocks = {mv.apply(ev, blocks[0], *gk, sp_.hoist_fan, delta)};
-      } else {
-        // Column-split product: one scattered diagonal matmul per input
-        // block, partial sums joined by ciphertext addition (every block
-        // rescales once, so the summands share level and scale).
-        const std::vector<MatMulStage> split =
-            split_matmul_blocks(*mm, sp_.layout_in);
-        fhe::Ciphertext acc;
-        for (std::size_t b = 0; b < split.size(); ++b) {
-          const MatMulStage& mb = split[b];
-          const fhe::DiagonalMatVec mv(enc, mb.weights, mb.rows, mb.cols,
-                                       mb.bias, n1, plan.pack_stride);
-          fhe::Ciphertext y = mv.apply(ev, blocks[b], *gk, sp_.hoist_fan, delta);
-          if (b == 0) {
-            acc = std::move(y);
-          } else {
-            ev.add_inplace(acc, y);
-          }
-        }
-        blocks = {std::move(acc)};
-      }
-      continue;
-    }
-
-    if (const auto* cv = std::get_if<ConvStage>(&st.op)) {
-      fhe::ConvGeom geom;
-      geom.in_channels = cv->in_channels;
-      geom.out_channels = cv->out_channels;
-      geom.height = cv->height;
-      geom.width = cv->width;
-      geom.kernel = cv->kernel;
-      geom.stride = cv->stride;
-      geom.ch_stride = sp_.layout_in.ch_stride;
-      geom.row_stride = sp_.layout_in.row_stride;
-      geom.elem_stride = sp_.layout_in.elem_stride;
-      const fhe::ConvChannelFan fan(enc, cv->weights, cv->bias, geom,
-                                    sp_.conv_n1 > 0 ? sp_.conv_n1 : 0,
-                                    plan.pack_stride, sp_.layout_in.chans_per_block);
-      std::vector<int> steps = sp_.rotation_steps;
-      steps.insert(steps.end(), sp_.giant_steps.begin(), sp_.giant_steps.end());
-      blocks = fan.apply(ev, blocks, *rt.rotation_keys(steps), sp_.hoist_fan, delta);
-      continue;
-    }
-
-    // The remaining stage kinds are cyclic over one ciphertext (compact,
-    // window, PAF-max) or apply independently per block (PAF-ReLU); the
-    // planner's layout validation guarantees blocks.size() == 1 for the
-    // cyclic kinds.
-    fhe::Ciphertext& cur = blocks[0];
-
-    if (const auto* cp = std::get_if<CompactStage>(&st.op)) {
-      // Masked selection fan: output slot i takes x[i * stride], i.e. the
-      // term rot(x, i * (stride - 1)) under the one-hot mask at slot i; all
-      // terms share the Delta mask scale, so one rescale closes the stage.
-      const std::size_t tile =
-          plan.pack_stride != 0 ? plan.pack_stride : rt.ctx().slot_count();
-      const auto stride = static_cast<std::size_t>(cp->stride);
-      const std::size_t count = sp_.width_in / stride;
-      std::vector<fhe::Ciphertext> rotated;
-      if (!sp_.rotation_steps.empty())
-        rotated = rotate_fan(ev, cur, sp_.rotation_steps,
-                             *rt.rotation_keys(sp_.rotation_steps), sp_.hoist_fan);
-      const auto mask = [&](std::size_t i) {
-        return enc.encode_cached(
-            compact_mask_key(sp_.width_in, cp->stride, tile, i), delta,
-            cur.q_count(), [&] {
-              std::vector<double> m(rt.ctx().slot_count(), 0.0);
-              for (std::size_t base = 0; base < m.size(); base += tile)
-                m[base + i] = 1.0;
-              return m;
-            });
-      };
-      fhe::Ciphertext acc = cur;
-      ev.multiply_plain_inplace(acc, *mask(0));
-      for (std::size_t i = 1; i < count; ++i) {
-        fhe::Ciphertext& term = rotated[i - 1];
-        ev.multiply_plain_inplace(term, *mask(i));
-        ev.add_inplace(acc, term);
-      }
-      ev.rescale_inplace(acc);
-      cur = std::move(acc);
-      continue;
-    }
-
-    if (const auto* win = std::get_if<WindowStage>(&st.op)) {
-      // acc = sum_t w[t] * rot(x, t); tap 0 needs no rotation, all taps are
-      // scaled identically so one rescale returns the sum to ~Delta.
-      std::vector<fhe::Ciphertext> rotated;
-      if (!sp_.rotation_steps.empty())
-        rotated = rotate_fan(ev, cur, sp_.rotation_steps,
-                             *rt.rotation_keys(sp_.rotation_steps), sp_.hoist_fan);
-      fhe::Ciphertext acc = cur;
-      ev.multiply_plain_inplace(acc,
-                                enc.encode_scalar(win->taps[0], delta, acc.q_count()));
-      for (std::size_t t = 1; t < win->taps.size(); ++t) {
-        fhe::Ciphertext& term = rotated[t - 1];
-        ev.multiply_plain_inplace(
-            term, enc.encode_scalar(win->taps[t], delta, term.q_count()));
-        ev.add_inplace(acc, term);
-      }
-      ev.rescale_inplace(acc);
-      if (win->bias != 0.0)
-        ev.add_plain_inplace(acc,
-                             enc.encode_scalar(win->bias, acc.scale, acc.q_count()));
-      cur = std::move(acc);
+      blocks = lt->apply(ev, blocks, *rt.rotation_keys(steps), sp_.hoist_fan, &enc, delta);
       continue;
     }
 
@@ -965,12 +1000,18 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
         blk = pe.relu(ev, blk, paf.paf, paf.input_scale, stats, nullptr,
                       nullptr, sp_.pre_factor);
     } else {
-      // Cyclic pairwise tournament: the fan rotates the STAGE INPUT once
-      // (hoisted when the plan says so), then folds PAF-max left to right —
-      // the same order as PafMaxPool1d and reference().
-      std::vector<fhe::Ciphertext> rotated =
-          rotate_fan(ev, cur, sp_.rotation_steps,
-                     *rt.rotation_keys(sp_.rotation_steps), sp_.hoist_fan);
+      // Cyclic pairwise tournament over one ciphertext (layout validation):
+      // the fan rotates the STAGE INPUT once (hoisted when the plan says so),
+      // then folds PAF-max left to right — the same order as PafMaxPool1d
+      // and reference().
+      fhe::Ciphertext& cur = blocks[0];
+      const auto gk = rt.rotation_keys(sp_.rotation_steps);
+      std::vector<fhe::Ciphertext> rotated;
+      if (sp_.hoist_fan) {
+        rotated = ev.rotate_hoisted(cur, sp_.rotation_steps, *gk);
+      } else {
+        for (int step : sp_.rotation_steps) rotated.push_back(ev.rotate(cur, step, *gk));
+      }
       fhe::Ciphertext m = cur;
       for (fhe::Ciphertext& v : rotated)
         m = pe.max(ev, m, v, paf.paf, paf.input_scale, stats, nullptr, nullptr,

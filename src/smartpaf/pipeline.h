@@ -1,10 +1,12 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "approx/composite.h"
+#include "fhe/linear_transform.h"
 #include "fhe/poly_eval.h"
 #include "smartpaf/replace.h"
 
@@ -38,8 +40,9 @@ struct LinearStage {
 };
 
 /// Rotation-fan stage: y[j] = bias + sum_t taps[t] * x[j + t] (cyclic over
-/// all slots — a 1-D convolution realized as a fan of slot rotations whose
-/// key-switch decomposition the plan may hoist). Consumes one level.
+/// all slots — a 1-D convolution realized as a fan of slot rotations under
+/// scalar masks, whose key-switch decomposition the plan may hoist).
+/// Consumes one level.
 struct WindowStage {
   std::vector<double> taps;
   double bias = 0.0;
@@ -47,11 +50,11 @@ struct WindowStage {
 
 /// General dense matrix-vector stage (Halevi–Shoup diagonal method): the
 /// input vector occupies slots [0, cols) of its layout and the product
-/// y = W x (+ bias) lands in slots [0, rows), zero elsewhere. Executed as a
-/// baby-step/giant-step rotation fan over the matrix's extended diagonals
-/// (fhe::DiagonalMatVec); the planner picks the n1 x n2 split from the cost
-/// table. Consumes one level, no relinearizations. This is what nn::Linear
-/// lowers to.
+/// y = W x (+ bias) lands in slots [0, rows), zero elsewhere. Executed as an
+/// fhe::LinearTransform over the matrix's extended diagonals, split into
+/// baby and giant steps on the diagonal step; the planner picks the split
+/// from the cost table. Consumes one level, no relinearizations. This is
+/// what nn::Linear lowers to.
 struct MatMulStage {
   int rows = 0;                 ///< output dimension
   int cols = 0;                 ///< input dimension (must match the tracked width)
@@ -64,7 +67,7 @@ struct MatMulStage {
 /// pipeline tracks per stage (see StageLayout): element (c, y, x) lives at
 /// slot c * ch_stride + y * row_stride + x * elem_stride, split across
 /// ciphertext "column blocks" of chans_per_block channels when the image is
-/// wider than the slot extent. Executed as fhe::ConvChannelFan — an
+/// wider than the slot extent. Executed as an fhe::LinearTransform — an
 /// im2col-style rotation fan (or a BSGS split over the channel offset, the
 /// planner's fan-vs-diagonal choice) with one cached weight mask per term,
 /// partial-sum joins across input blocks and one rescale per output block —
@@ -333,9 +336,10 @@ class FhePipeline {
 
   /// @brief Multi-ciphertext run(): executes a planned pipeline over the
   /// input's column blocks (plan.stages.front().layout_in.blocks ciphertexts
-  /// packed via pack_layout) and returns the output blocks. Partial sums
-  /// join inside MatMul/Conv stages; every other stage applies per block.
-  /// run() is the single-block convenience wrapper.
+  /// packed via pack_layout) and returns the output blocks. Window, compact,
+  /// matmul and conv stages run their stage_transform() — partial sums join
+  /// inside it — and every other stage applies per block. run() is the
+  /// single-block convenience wrapper.
   std::vector<fhe::Ciphertext> run_blocks(FheRuntime& rt, const Plan& plan,
                                           const std::vector<fhe::Ciphertext>& in,
                                           fhe::EvalStats* stats = nullptr) const;
@@ -365,16 +369,21 @@ int stage_levels(const Stage& stage);
 /// block-extent) matrix per input block of `in` — column j of the logical
 /// matrix lands at layout_slot(in, j), zero columns fill the layout's gap
 /// slots — so y = sum_b W_b x_b reproduces W x by partial-sum joins. The
-/// bias rides block 0 only. Shared by the Planner (schedule costing),
-/// run_blocks (execution) and reference() (the plaintext mirror), so the
-/// three can never disagree on the split.
+/// bias rides block 0 only; a single-ciphertext dense input is the identity
+/// split. Shared by the Planner, run_blocks and reference() (the plaintext
+/// mirror), so the three can never disagree on the split.
 std::vector<MatMulStage> split_matmul_blocks(const MatMulStage& mm,
                                              const StageLayout& in);
 
-/// @brief Slot-rotation steps the stage's fan needs (1..k-1 for window and
-/// MaxPool stages; empty otherwise — MatMul and Compact fans depend on the
-/// BSGS split / tracked width, which the Planner resolves into
-/// StagePlan::rotation_steps / giant_steps).
-std::vector<int> stage_rotation_steps(const Stage& stage);
+/// @brief The masked rotation-sum a window, compact, matmul or conv stage
+/// executes from layout `in` to layout `out`, split at `n1` (0 = pure fan;
+/// window and compact are always pure fans), with masks repeating every
+/// `tile` of `slots` slots; nullopt for linear and PAF stages. Masks build
+/// lazily, so the Planner prices candidate splits from the same term list
+/// run_blocks executes.
+std::optional<fhe::LinearTransform> stage_transform(const Stage& stage,
+                                                    const StageLayout& in,
+                                                    const StageLayout& out, int n1,
+                                                    std::size_t tile, std::size_t slots);
 
 }  // namespace sp::smartpaf

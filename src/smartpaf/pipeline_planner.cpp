@@ -12,8 +12,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/timer.h"
-#include "fhe/conv2d_fan.h"
-#include "fhe/diag_matvec.h"
 #include "smartpaf/fhe_deploy.h"
 
 namespace sp::smartpaf {
@@ -213,16 +211,8 @@ std::string Plan::describe() const {
       }
       os << (s.hoist_fan ? " hoisted" : " naive");
     }
-    if (s.bsgs_n1 > 0) {
-      os << "  bsgs n1=" << s.bsgs_n1 << " giants=" << s.giant_steps.size()
-         << " diags=" << s.diag_mults;
-    }
-    if (s.conv_n1 == 0) {
-      os << "  conv fan masks=" << s.diag_mults;
-    } else if (s.conv_n1 > 0) {
-      os << "  conv bsgs n1=" << s.conv_n1 << " giants=" << s.giant_steps.size()
-         << " masks=" << s.diag_mults;
-    }
+    if (s.n1 > 0) os << "  bsgs n1=" << s.n1 << " giants=" << s.giant_steps.size();
+    if (s.n1 >= 0) os << "  masks=" << s.diag_mults;
     if (s.merged_linear) os << "  (executes a merged linear run)";
     if (s.ops.ct_mults > 0) {
       os << "  " << (s.strategy == fhe::PafEvaluator::Strategy::BSGS ? "BSGS" : "Ladder")
@@ -272,6 +262,66 @@ LinearStage compose_linear(const LinearStage& first, const LinearStage& second) 
   if (std::all_of(out.bias.begin(), out.bias.end(), [](double b) { return b == 0.0; }))
     out.bias.clear();  // keeps the merged stage foldable into a PAF envelope
   return out;
+}
+
+/// Split candidates of one rotation-sum stage: matmul 1..n1_max (split on
+/// the diagonal step), conv 0..n1_max (0 = the im2col fan; split on the
+/// channel offset), window and compact the plain fan only. n1_max caps near
+/// 2 sqrt(span), past which giants stop shrinking.
+std::vector<int> split_candidates(const Stage& st, const StageLayout& in,
+                                  const PlanOptions& opts) {
+  int span = 0, lo = 0;
+  if (const auto* mm = std::get_if<MatMulStage>(&st.op)) {
+    for (const MatMulStage& b : split_matmul_blocks(*mm, in))
+      span = std::max(span, b.rows + b.cols - 1);
+    lo = 1;
+  } else if (const auto* cv = std::get_if<ConvStage>(&st.op)) {
+    span = std::min(in.chans_per_block, cv->in_channels) +
+           std::min(in.chans_per_block, cv->out_channels) - 1;
+  } else {
+    return {0};
+  }
+  if (opts.force_n1) {
+    sp::check(*opts.force_n1 >= 0, "Planner: force_n1 must be >= 0");
+    return {*opts.force_n1};
+  }
+  const int n1_max = std::min(
+      span, 2 * static_cast<int>(std::ceil(std::sqrt(static_cast<double>(span)))) + 1);
+  std::vector<int> out;
+  for (int n1 = lo; n1 <= n1_max; ++n1) out.push_back(n1);
+  return out;
+}
+
+/// Prices one rotation-sum schedule into `sp_`: per input block a baby fan
+/// (hoisted when the table says it pays, unless pinned), one naive rotation
+/// per nonzero giant group, one plaintext mult per mask and one rescale per
+/// output block.
+void price_schedule(const fhe::LtSchedule& s, const CostModel& cost,
+                    std::optional<bool> force_hoist, StagePlan& sp_) {
+  std::set<int> babies;
+  int fan_rots = 0;
+  double rot_cost = 0.0;
+  sp_.hoist_fan = false;
+  for (int bi = 0; bi < s.blocks_in; ++bi) {
+    const std::vector<int> fan = s.fan_steps(bi);
+    const int n = static_cast<int>(fan.size());
+    const bool h =
+        n > 0 && force_hoist.value_or(cost.fan_cost(n, true) <= cost.fan_cost(n, false));
+    sp_.hoist_fan = sp_.hoist_fan || h;
+    rot_cost += cost.fan_cost(n, h);
+    fan_rots += n;
+    babies.insert(fan.begin(), fan.end());
+  }
+  rot_cost += static_cast<double>(s.rotations() - fan_rots) * cost.rotate_ms;
+  sp_.n1 = s.n1;
+  sp_.rotation_steps.assign(babies.begin(), babies.end());
+  sp_.giant_steps = s.giant_steps();
+  sp_.diag_mults = static_cast<int>(s.terms.size());
+  sp_.ops = fhe::SchedulePrediction{};
+  sp_.ops.plain_mults = s.mask_mults();
+  sp_.ops.rescales = s.blocks_out;
+  sp_.ops.levels = 1;
+  sp_.predicted_cost = cost.eval_cost(sp_.ops) + rot_cost;
 }
 
 }  // namespace
@@ -414,12 +464,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       continue;
     }
 
-    sp_.rotation_steps = stage_rotation_steps(st);
-    const int fan = static_cast<int>(sp_.rotation_steps.size());
-    if (fan > 0)
-      sp_.hoist_fan =
-          opts.force_hoist.value_or(cost.fan_cost(fan, true) <= cost.fan_cost(fan, false));
-
     if (const auto* lin = std::get_if<LinearStage>(&st.op)) {
       if (merged[i]) sp_.merged_linear = merged[i];
       const LinearStage& eff = sp_.merged_linear ? *sp_.merged_linear : *lin;
@@ -429,200 +473,16 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
         sp_.ops.levels = 1;
       }
       sp_.predicted_cost = cost.eval_cost(sp_.ops);
-    } else if (const auto* mm = std::get_if<MatMulStage>(&st.op)) {
-      // Column-split view: a grid or multi-ciphertext input scatters the
-      // matrix columns into one dense matrix per input block (the same
-      // split run_blocks and reference() use, so the three cannot
-      // disagree); a single-block dense input is the identity split.
-      std::vector<MatMulStage> split;
-      if (sp_.layout_in.kind == StageLayout::Kind::Dense &&
-          sp_.layout_in.blocks == 1) {
-        split.push_back(*mm);
-      } else {
-        split = split_matmul_blocks(*mm, sp_.layout_in);
-      }
-      // BSGS split selection: pick the baby block size n1 minimizing the
-      // cost of (hoistable baby fan) + (naive giant rotations) + (one
-      // plaintext mult per nonzero extended diagonal) under the table,
-      // summed across column blocks. n1=1 is the naive per-diagonal
-      // rotation loop; the sweep caps near 2 sqrt(span), past which giants
-      // stop shrinking.
-      std::vector<std::vector<int>> dsteps;
-      int span = 1;
-      for (const MatMulStage& mb : split) {
-        dsteps.push_back(
-            fhe::DiagMatVecPlan::nonzero_steps(mb.weights, mb.rows, mb.cols));
-        span = std::max(span, mb.rows + mb.cols - 1);
-      }
-      std::vector<int> candidates;
-      if (opts.force_matmul_n1) {
-        sp::check(*opts.force_matmul_n1 >= 1, "Planner: force_matmul_n1 must be >= 1");
-        candidates.push_back(*opts.force_matmul_n1);
-      } else {
-        const int n1_max = std::min(
-            span, 2 * static_cast<int>(std::ceil(std::sqrt(static_cast<double>(span)))) + 1);
-        for (int n1 = 1; n1 <= n1_max; ++n1) candidates.push_back(n1);
-      }
-      bool first = true;
-      for (const int n1 : candidates) {
-        std::set<int> babies_u, giants_u;
-        int diags = 0;
-        int plain = 0;
-        double rot_cost = 0.0;
-        bool hoist = false;
-        for (std::size_t b = 0; b < split.size(); ++b) {
-          const fhe::DiagMatVecPlan dplan = fhe::DiagMatVecPlan::group(
-              dsteps[b], split[b].rows, split[b].cols, n1);
-          const int babies = static_cast<int>(dplan.baby_steps.size());
-          const bool h =
-              babies > 0 &&
-              opts.force_hoist.value_or(cost.fan_cost(babies, true) <=
-                                        cost.fan_cost(babies, false));
-          hoist = hoist || h;
-          rot_cost += cost.fan_cost(babies, h) +
-                      static_cast<double>(dplan.giant_steps.size()) * cost.rotate_ms;
-          // An all-zero block still pays one mask multiply for the schedule
-          // shape (see DiagonalMatVec::apply).
-          plain += std::max(1, dplan.nonzero_diagonals);
-          diags += dplan.nonzero_diagonals;
-          babies_u.insert(dplan.baby_steps.begin(), dplan.baby_steps.end());
-          giants_u.insert(dplan.giant_steps.begin(), dplan.giant_steps.end());
-        }
-        fhe::SchedulePrediction ops;
-        ops.plain_mults = plain;
-        ops.rescales = static_cast<int>(split.size());
-        ops.levels = 1;
-        const double c = cost.eval_cost(ops) + rot_cost;
-        if (first || c < sp_.predicted_cost) {
-          sp_.bsgs_n1 = n1;
-          sp_.rotation_steps.assign(babies_u.begin(), babies_u.end());
-          sp_.giant_steps.assign(giants_u.begin(), giants_u.end());
-          sp_.diag_mults = diags;
-          sp_.hoist_fan = hoist;
-          sp_.ops = ops;
-          sp_.predicted_cost = c;
-          first = false;
-        }
-      }
-    } else if (const auto* cv = std::get_if<ConvStage>(&st.op)) {
-      // Fan-vs-diagonal choice: n1 == 0 executes the im2col-style rotation
-      // fan (every distinct term shift a hoistable baby rotation); n1 >= 1
-      // runs BSGS over the channel offset, trading encode-time mask
-      // pre-rotations for fewer live rotations. Candidates are priced per
-      // (output, input) block pair and the cheapest wins under the table.
-      const StageLayout& lay = sp_.layout_in;
-      fhe::ConvGeom geom;
-      geom.in_channels = cv->in_channels;
-      geom.out_channels = cv->out_channels;
-      geom.height = cv->height;
-      geom.width = cv->width;
-      geom.kernel = cv->kernel;
-      geom.stride = cv->stride;
-      geom.ch_stride = lay.ch_stride;
-      geom.row_stride = lay.row_stride;
-      geom.elem_stride = lay.elem_stride;
-      const int cpb = lay.chans_per_block;
-      const int blocks_in = lay.blocks;
-      const int blocks_out = sp_.layout_out.blocks;
-      const int span =
-          std::min(cpb, cv->in_channels) + std::min(cpb, cv->out_channels) - 1;
-      std::vector<int> candidates;
-      if (opts.force_conv_n1) {
-        sp::check(*opts.force_conv_n1 >= 0, "Planner: force_conv_n1 must be >= 0");
-        candidates.push_back(*opts.force_conv_n1);
-      } else {
-        candidates.push_back(0);
-        const int n1_max = std::min(
-            span, 2 * static_cast<int>(std::ceil(std::sqrt(static_cast<double>(span)))) + 1);
-        for (int n1 = 1; n1 <= n1_max; ++n1) candidates.push_back(n1);
-      }
-      bool first = true;
-      for (const int n1 : candidates) {
-        // Pair schedules, row-major over (bo, bi) exactly like ConvChannelFan.
-        std::vector<fhe::Conv2dFanPlan> pairs;
-        pairs.reserve(static_cast<std::size_t>(blocks_out * blocks_in));
-        for (int bo = 0; bo < blocks_out; ++bo)
-          for (int bi = 0; bi < blocks_in; ++bi)
-            pairs.push_back(fhe::Conv2dFanPlan::make(
-                cv->weights, geom, bo * cpb,
-                std::min((bo + 1) * cpb, cv->out_channels), bi * cpb,
-                std::min((bi + 1) * cpb, cv->in_channels), n1));
-        std::set<int> babies_u, giants_u;
-        int masks = 0;
-        int giant_rots = 0;
-        double rot_cost = 0.0;
-        bool hoist = false;
-        for (int bi = 0; bi < blocks_in; ++bi) {
-          // One hoisted decomposition per input block serves the union of
-          // its pairs' baby fans across every output block it feeds.
-          std::set<int> fan_u;
-          for (int bo = 0; bo < blocks_out; ++bo) {
-            const fhe::Conv2dFanPlan& p = pairs[static_cast<std::size_t>(
-                bo * blocks_in + bi)];
-            fan_u.insert(p.baby_steps.begin(), p.baby_steps.end());
-            giant_rots += static_cast<int>(p.giant_steps.size());
-            giants_u.insert(p.giant_steps.begin(), p.giant_steps.end());
-            masks += p.mask_mults;
-          }
-          const int fan_n = static_cast<int>(fan_u.size());
-          const bool h = fan_n > 0 &&
-                         opts.force_hoist.value_or(cost.fan_cost(fan_n, true) <=
-                                                   cost.fan_cost(fan_n, false));
-          hoist = hoist || h;
-          rot_cost += cost.fan_cost(fan_n, h);
-          babies_u.insert(fan_u.begin(), fan_u.end());
-        }
-        rot_cost += static_cast<double>(giant_rots) * cost.rotate_ms;
-        // An output block no pair feeds still pays the zero-mask multiply
-        // that manufactures a ciphertext of the right shape.
-        int plain = masks;
-        for (int bo = 0; bo < blocks_out; ++bo) {
-          bool any = false;
-          for (int bi = 0; bi < blocks_in; ++bi)
-            any = any ||
-                  pairs[static_cast<std::size_t>(bo * blocks_in + bi)].mask_mults > 0;
-          if (!any) plain += 1;
-        }
-        fhe::SchedulePrediction ops;
-        ops.plain_mults = plain;
-        ops.rescales = blocks_out;
-        ops.levels = 1;
-        const double c = cost.eval_cost(ops) + rot_cost;
-        if (first || c < sp_.predicted_cost) {
-          sp_.conv_n1 = n1;
-          sp_.rotation_steps.assign(babies_u.begin(), babies_u.end());
-          sp_.giant_steps.assign(giants_u.begin(), giants_u.end());
-          sp_.diag_mults = masks;
-          sp_.hoist_fan = hoist;
-          sp_.ops = ops;
-          sp_.predicted_cost = c;
-          first = false;
-        }
-      }
-    } else if (const auto* cp = std::get_if<CompactStage>(&st.op)) {
-      // Selection-mask fan: output slot i takes x[i * stride] via the step
-      // i * (stride - 1); one mask multiply per kept slot, one rescale.
-      const std::size_t count = sp_.width_in / static_cast<std::size_t>(cp->stride);
-      sp_.rotation_steps.clear();
-      for (std::size_t k = 1; k < count; ++k)
-        sp_.rotation_steps.push_back(static_cast<int>(k) * (cp->stride - 1));
-      const int cfan = static_cast<int>(sp_.rotation_steps.size());
-      sp_.hoist_fan = cfan > 0 && opts.force_hoist.value_or(
-                                      cost.fan_cost(cfan, true) <=
-                                      cost.fan_cost(cfan, false));
-      sp_.ops.plain_mults = static_cast<int>(count);
-      sp_.ops.rescales = 1;
-      sp_.ops.levels = 1;
-      sp_.predicted_cost = cost.eval_cost(sp_.ops) + cost.fan_cost(cfan, sp_.hoist_fan);
-    } else if (const auto* win = std::get_if<WindowStage>(&st.op)) {
-      sp_.ops.plain_mults = static_cast<int>(win->taps.size());
-      sp_.ops.rescales = 1;
-      sp_.ops.levels = 1;
-      sp_.predicted_cost = cost.eval_cost(sp_.ops) + cost.fan_cost(fan, sp_.hoist_fan);
-    } else {
-      const auto& paf = std::get<PafStage>(st.op);
-      const int per_act_levels = paf.paf.mult_depth() + 2;
-      const int acts = paf.kind == SiteKind::MaxPool ? paf.pool_window - 1 : 1;
+    } else if (const auto* paf = std::get_if<PafStage>(&st.op)) {
+      const int per_act_levels = paf->paf.mult_depth() + 2;
+      const int acts = paf->kind == SiteKind::MaxPool ? paf->pool_window - 1 : 1;
+      // A MaxPool tournament fans the stage input out over the window taps.
+      if (paf->kind == SiteKind::MaxPool)
+        for (int t = 1; t < paf->pool_window; ++t) sp_.rotation_steps.push_back(t);
+      const int fan = static_cast<int>(sp_.rotation_steps.size());
+      if (fan > 0)
+        sp_.hoist_fan =
+            opts.force_hoist.value_or(cost.fan_cost(fan, true) <= cost.fan_cost(fan, false));
       // Pick the cheaper schedule under the cost table; BSGS first so it
       // wins ties (both consume identical levels by construction).
       const std::vector<fhe::PafEvaluator::Strategy> candidates =
@@ -635,13 +495,13 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       bool first = true;
       for (const auto cand : candidates) {
         fhe::SchedulePrediction pred =
-            fhe::PafEvaluator::predict_composite(paf.paf, cand);
+            fhe::PafEvaluator::predict_composite(paf->paf, cand);
         // The Static-Scaling envelope per activation: input scaling + final
         // product (ReLU) or the tournament's d*p product + 0.5-halvings (max).
         pred.ct_mults += 1;
         pred.relins += 1;
         pred.rescales += 1;
-        pred.plain_mults += paf.kind == SiteKind::MaxPool ? 3 : 2;
+        pred.plain_mults += paf->kind == SiteKind::MaxPool ? 3 : 2;
         pred.levels = per_act_levels;
         if (acts > 1) {
           fhe::SchedulePrediction one = pred;
@@ -657,6 +517,23 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
         }
       }
       sp_.pre_factor = pre_factor[i];
+    } else {
+      // Window, compact, matmul and conv are one masked rotation-sum each:
+      // one sweep over the stage's split candidates, each priced from the
+      // term list run_blocks would execute; the first cheapest wins.
+      StagePlan best;
+      bool first = true;
+      for (const int n1 : split_candidates(st, sp_.layout_in, opts)) {
+        StagePlan cand = sp_;
+        price_schedule(
+            stage_transform(st, sp_.layout_in, sp_.layout_out, n1, extent, slots)->schedule,
+            cost, opts.force_hoist, cand);
+        if (first || cand.predicted_cost < best.predicted_cost) {
+          best = std::move(cand);
+          first = false;
+        }
+      }
+      sp_ = std::move(best);
     }
 
     level -= sp_.ops.levels;

@@ -80,16 +80,17 @@ struct StagePlan {
   fhe::PafEvaluator::Strategy strategy = fhe::PafEvaluator::Strategy::BSGS;
   bool lazy_relin = true;
   bool hoist_fan = true;           ///< rotation fans share one decomposition
-  /// Hoistable fan from the stage input (window/pool taps, compact masks,
-  /// matmul BSGS baby steps).
+  /// Hoistable fan from the stage input (pool taps, and the baby steps of
+  /// every input block of a rotation-sum stage).
   std::vector<int> rotation_steps;
-  /// MatMul/Conv: naive giant-step rotations of the BSGS block sums.
+  /// Rotation-sum stages: naive giant-step rotations of the group sums.
   std::vector<int> giant_steps;
-  int bsgs_n1 = 0;                 ///< MatMul only: chosen baby block size
-  /// Conv only: chosen channel-offset BSGS block size (0 = pure rotation
-  /// fan, the im2col-style baseline; >= 1 = giant steps over ch_stride).
-  int conv_n1 = -1;
-  /// MatMul: nonzero diagonal count; Conv: plaintext mask count.
+  /// Rotation-sum stages (window, compact, matmul, conv): the split of the
+  /// stage's fhe::LinearTransform — 0 = pure rotation fan, >= 1 = baby block
+  /// size (matmul splits the diagonal step, conv the channel offset).
+  /// -1 for linear and PAF stages.
+  int n1 = -1;
+  /// Rotation-sum stages: plaintext mask multiplications (one per term).
   int diag_mults = 0;
   std::size_t width_in = 0;        ///< tracked slot-layout width entering
   std::size_t width_out = 0;       ///< ... and leaving the stage
@@ -131,14 +132,11 @@ struct PlanOptions {
   std::optional<fhe::PafEvaluator::Strategy> force_strategy;
   /// Pins fan hoisting; unset = hoist when the cost model says it pays.
   std::optional<bool> force_hoist;
-  /// Pins every MatMul stage's BSGS baby block size (1 = the naive
-  /// per-diagonal rotation loop, benchmark baseline); unset = pick the n1
-  /// minimizing rotate/hoist/plain-mult cost under the cost table.
-  std::optional<int> force_matmul_n1;
-  /// Pins every Conv stage's channel-offset block size (0 = the pure
-  /// rotation fan, the naive im2col baseline); unset = pick the cheaper of
-  /// fan and BSGS under the cost table.
-  std::optional<int> force_conv_n1;
+  /// Pins every MatMul and Conv stage's split (0 = the pure rotation fan,
+  /// the im2col baseline; 1 = one giant rotation per diagonal, the naive
+  /// diagonal loop); unset = pick the n1 minimizing rotate/hoist/mask-mult
+  /// cost under the cost table. Window and compact stages are pure fans.
+  std::optional<int> force_n1;
   /// Slot-layout repeat stride for packed batches (0 = whole slot vector):
   /// widths are validated against it and MatMul/Compact plaintexts
   /// replicate per request. BatchRunner passes its input_size here.
@@ -159,11 +157,11 @@ class Planner {
   /// level breakdown in the error message.
   /// Decisions: adjacent-linear merging (one rescale per run),
   /// scalar-linear folding (RescalePolicy), Ladder-vs-BSGS per PAF stage,
-  /// the MatMul BSGS n1 split, hoisted-vs-naive rotation fans, lazy-relin
-  /// joins — all by `cost.eval_cost`/`fan_cost`, so a calibrated table
-  /// plans from measured latencies instead of op counts. Planning is
-  /// deterministic: the same pipeline and cost table always produce the
-  /// same plan.
+  /// the n1 split of every matmul/conv rotation-sum, hoisted-vs-naive
+  /// rotation fans, lazy-relin joins — all by `cost.eval_cost`/`fan_cost`,
+  /// so a calibrated table plans from measured latencies instead of op
+  /// counts. Planning is deterministic: the same pipeline and cost table
+  /// always produce the same plan.
   /// @param pipe  the stage graph
   /// @param ctx   parameter set to validate against (no keys needed)
   /// @param cost  heuristic or calibrated cost table

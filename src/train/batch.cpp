@@ -41,9 +41,9 @@ EncryptedBatch EncryptedBatch::pack(const MiniBatch& mb, const TrainPlan& plan,
   const auto& ctx = rt.ctx();
   EncryptedBatch out{
       fhe::EncDiagMatVec::encrypt(ctx, rt.encoder(), rt.encryptor(), plan.forward,
-                                  mb.x, 0, ctx.scale()),
+                                  mb.x, b, d, 0, ctx.scale()),
       fhe::EncDiagMatVec::encrypt(ctx, rt.encoder(), rt.encryptor(), plan.transpose,
-                                  xt, 0, ctx.scale()),
+                                  xt, d, b, 0, ctx.scale()),
       fhe::Ciphertext{}};
 
   std::vector<double> yb(static_cast<std::size_t>(b));

@@ -53,18 +53,14 @@ TrainPlan TrainPlan::plan(const TrainConfig& cfg, const fhe::CkksContext& ctx) {
   // BSGS schedules for the two dense matvecs of one step. X is B x d, X^T is
   // d x B: the transpose's steps are the forward's negated, so a client packs
   // X^T's diagonals directly at encrypt time (no homomorphic repacking).
-  const std::vector<int> fwd_steps = dense_steps(cfg.batch, cfg.features);
-  const std::vector<int> t_steps = fhe::DiagMatVecPlan::transpose_steps(fwd_steps);
-  const int fwd_n1 = cfg.matvec_n1 > 0
-                         ? cfg.matvec_n1
-                         : fhe::DiagMatVecPlan::best_n1(fwd_steps, cfg.batch,
-                                                        cfg.features);
-  const int t_n1 = cfg.matvec_n1 > 0
-                       ? cfg.matvec_n1
-                       : fhe::DiagMatVecPlan::best_n1(t_steps, cfg.features,
-                                                      cfg.batch);
-  p.forward = fhe::DiagMatVecPlan::group(fwd_steps, cfg.batch, cfg.features, fwd_n1);
-  p.transpose = fhe::DiagMatVecPlan::group(t_steps, cfg.features, cfg.batch, t_n1);
+  const auto schedule = [&](int rows, int cols) {
+    const std::vector<int> steps = dense_steps(rows, cols);
+    return fhe::diagonal_schedule(
+        steps, cfg.matvec_n1 > 0 ? cfg.matvec_n1
+                                 : fhe::fewest_rotations_n1(steps, rows + cols));
+  };
+  p.forward = schedule(cfg.batch, cfg.features);
+  p.transpose = schedule(cfg.features, cfg.batch);
 
   // Per-step depth breakdown. Every entry is a rescale the step cannot avoid;
   // the optimizer updates themselves ride along at the levels already paid
@@ -118,9 +114,9 @@ std::string TrainPlan::describe() const {
        << " " << per_step[i].levels
        << (per_step[i].levels == 1 ? " level" : " levels") << "\n";
   }
-  os << "  forward  " << forward.rows << "x" << forward.cols << " n1="
+  os << "  forward  " << config.batch << "x" << config.features << " n1="
      << forward.n1 << " rot=" << forward.rotations() << "\n";
-  os << "  gradient " << transpose.rows << "x" << transpose.cols << " n1="
+  os << "  gradient " << config.features << "x" << config.batch << " n1="
      << transpose.n1 << " rot=" << transpose.rotations() << "\n";
   os << "  sigmoid deg " << sigmoid.degree << " on [-" << sigmoid.range << ", "
      << sigmoid.range << "], minimax err " << std::scientific

@@ -5,7 +5,7 @@
 
 #include "approx/presets.h"
 #include "fhe/context.h"
-#include "fhe/diag_matvec.h"
+#include "fhe/linear_transform.h"
 
 namespace sp::train {
 
@@ -54,8 +54,8 @@ struct TrainPlan {
   int levels_per_step = 0;            ///< sum of per_step
   int chain_levels = 0;               ///< levels the prime chain offers
   int levels_used = 0;                ///< iterations * levels_per_step
-  fhe::DiagMatVecPlan forward;        ///< z = X w      (B x d, dense)
-  fhe::DiagMatVecPlan transpose;      ///< grad = X^T e (d x B, dense)
+  fhe::LtSchedule forward;            ///< z = X w      (B x d, dense)
+  fhe::LtSchedule transpose;          ///< grad = X^T e (d x B, dense)
   approx::SigmoidPaf sigmoid;         ///< fitted once per plan
   approx::InvSqrtPaf invsqrt;         ///< Adam only (default-initialized otherwise)
 

@@ -1,6 +1,6 @@
-// Channel-packed convolution lowering: Conv2dFanPlan index math (fan vs
-// channel-offset BSGS), grid layout pack/unpack round trips, the
-// split_matmul_blocks column scatter, encrypted parity for single conv
+// Channel-packed convolution lowering: ConvGeom stride validation, grid
+// layout pack/unpack round trips, the split_matmul_blocks column scatter,
+// encrypted parity for single conv
 // stages / conv->conv compositions / strided convs / packed batches, the
 // LeNet-small zoo model end to end under FHE in single-ciphertext AND
 // column-split (multi-ciphertext) layouts at < 2^-20 parity, planner
@@ -20,7 +20,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "fhe/conv2d_fan.h"
+#include "fhe/linear_transform.h"
 #include "models/zoo.h"
 #include "nn/container.h"
 #include "nn/layers.h"
@@ -95,59 +95,6 @@ TEST(ConvGeom, ValidatesCollisionFreeStrides) {
   ConvGeom kernel_too_big = g;
   kernel_too_big.kernel = 5;
   EXPECT_THROW(kernel_too_big.validate(), sp::Error);
-}
-
-TEST(Conv2dFanPlan, FanModeEnumeratesEveryTermShift) {
-  const ConvGeom g = small_geom();
-  // All-nonzero 2x2x3x3 kernel: span(c) = {-1, 0, 1}, 9 taps each.
-  std::vector<double> w(2 * 2 * 3 * 3, 0.25);
-  const auto plan = Conv2dFanPlan::make(w, g, 0, 2, 0, 2, /*n1=*/0);
-  EXPECT_EQ(plan.n1, 0);
-  EXPECT_EQ(plan.terms.size(), 27u);  // 3 offsets x 9 taps
-  EXPECT_EQ(plan.mask_mults, 27);
-  EXPECT_TRUE(plan.giant_steps.empty());  // pure fan: everything is a baby
-  // shift = c*16 + dy*4 + dx; only (0,0,0) needs no rotation.
-  EXPECT_EQ(plan.baby_steps.size(), 26u);
-  EXPECT_EQ(plan.rotations(), 26);
-  for (const ConvTerm& t : plan.terms) {
-    EXPECT_EQ(t.giant, 0);
-    EXPECT_EQ(t.shift, t.c * 16 + t.dy * 4 + t.dx);
-  }
-}
-
-TEST(Conv2dFanPlan, BsgsModeSharesBabiesAcrossChannelGroups) {
-  const ConvGeom g = small_geom();
-  std::vector<double> w(2 * 2 * 3 * 3, 0.25);
-  const auto plan = Conv2dFanPlan::make(w, g, 0, 2, 0, 2, /*n1=*/2);
-  // c = -1 -> g = -2, b = 1; c in {0, 1} -> g = 0, b = c. Babies are
-  // b*16 + taps: 8 nonzero taps at b = 0 plus 9 at b = 1 = 17; one giant.
-  EXPECT_EQ(plan.baby_steps.size(), 17u);
-  EXPECT_EQ(plan.giant_steps, (std::vector<int>{-32}));
-  EXPECT_EQ(plan.rotations(), 18);
-  EXPECT_LT(plan.rotations(), 26);  // strictly fewer than the fan
-  // Terms arrive grouped by giant, ascending, with every baby in the fan.
-  int prev = plan.terms.front().giant;
-  for (const ConvTerm& t : plan.terms) {
-    EXPECT_GE(t.giant, prev);
-    prev = t.giant;
-    EXPECT_TRUE(t.giant == 0 || t.giant == -32);
-    const int baby = t.shift - t.giant;
-    EXPECT_TRUE(baby == 0 ||
-                std::find(plan.baby_steps.begin(), plan.baby_steps.end(), baby) !=
-                    plan.baby_steps.end())
-        << "baby " << baby;
-  }
-}
-
-TEST(Conv2dFanPlan, SkipsAllZeroTerms) {
-  const ConvGeom g = small_geom();
-  // Depthwise identity-ish kernel: only (oc == ic, dy = dx = 0) nonzero.
-  std::vector<double> w(2 * 2 * 3 * 3, 0.0);
-  w[0] = 1.0;                  // oc 0, ic 0, tap (0,0)
-  w[(1 * 2 + 1) * 9] = 1.0;    // oc 1, ic 1, tap (0,0)
-  const auto plan = Conv2dFanPlan::make(w, g, 0, 2, 0, 2, /*n1=*/0);
-  EXPECT_EQ(plan.terms.size(), 1u);  // both pairs share offset c = 0, tap 0
-  EXPECT_EQ(plan.rotations(), 0);
 }
 
 // --------------------------------------------------------- layouts (no FHE) --
@@ -283,7 +230,7 @@ TEST_F(ConvFheTest, SingleConvStageParityVsReference) {
   const auto plan =
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   EXPECT_EQ(plan.levels_used, 1);
-  EXPECT_GE(plan.stages[0].conv_n1, 0);
+  EXPECT_GE(plan.stages[0].n1, 0);
   EXPECT_EQ(plan.stages[0].layout_in.describe(), "grid 2x8x8 s(64,8,1)");
   EXPECT_EQ(plan.stages[0].layout_out.describe(), "grid 3x6x6 s(64,8,1)");
 
@@ -327,16 +274,16 @@ TEST_F(ConvFheTest, ConvOpCountsMatchThePlanAndBeatTheNaiveFan) {
   const auto plan =
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   smartpaf::PlanOptions naive_opts;
-  naive_opts.force_conv_n1 = 0;
+  naive_opts.force_n1 = 0;
   naive_opts.force_hoist = false;
   const auto naive = smartpaf::Planner::plan(pipe, rt_->ctx(),
                                              smartpaf::CostModel::heuristic(), naive_opts);
-  EXPECT_GT(plan.stages[0].conv_n1, 0);
-  EXPECT_EQ(naive.stages[0].conv_n1, 0);
+  EXPECT_GT(plan.stages[0].n1, 0);
+  EXPECT_EQ(naive.stages[0].n1, 0);
   EXPECT_LT(plan.stages[0].rotation_steps.size() + plan.stages[0].giant_steps.size(),
             naive.stages[0].rotation_steps.size());
-  EXPECT_NE(plan.describe().find("conv bsgs"), std::string::npos);
-  EXPECT_NE(naive.describe().find("conv fan"), std::string::npos);
+  EXPECT_NE(plan.describe().find("bsgs n1="), std::string::npos);
+  EXPECT_EQ(naive.describe().find("bsgs n1="), std::string::npos);
 
   const std::vector<double> x =
       random_values(static_cast<std::size_t>(ch) * img * img, 41);
@@ -513,7 +460,7 @@ TEST_F(ConvFheTest, WideDenseMatmulSplitsIntoColumnBlocks) {
       smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
   EXPECT_EQ(plan.stages[0].layout_in.blocks, 2);
   EXPECT_EQ(plan.stages[0].layout_out.blocks, 1);
-  EXPECT_EQ(plan.stages[0].ops.rescales, 2);  // one per column block
+  EXPECT_EQ(plan.stages[0].ops.rescales, 1);  // partial sums join, then rescale once
 
   const std::vector<double> x = random_values(static_cast<std::size_t>(cols), 82);
   const auto got = run_logical(rt, pipe, plan, x);

@@ -1,10 +1,12 @@
-// Masked rotation-sum pins: golden ciphertext digests (FNV over every
-// residue of every output part, plus the scale) and evaluator op counts for
-// every stage kind that lowers to a Halevi–Shoup rotation-sum — window
-// (hoisted and naive), compact, single-block matmul (planner split and
-// forced n1 = 1), packed matmul, conv (fan and BSGS), lenet_small in one
-// and in four ciphertexts, the 320-wide column-split matmul, and the
-// encrypted-matrix matvec forward and transpose.
+// fhe::LinearTransform: the schedule's index math (diagonal and conv term
+// grouping, fan vs. BSGS rotation counts, zero-term skipping), and golden
+// ciphertext digests (FNV over every residue of every output part, plus the
+// scale) with evaluator op counts for every stage kind that lowers to the
+// masked rotation-sum — window (hoisted and naive), compact, single-block
+// matmul (planner split and forced n1 = 1), packed matmul, conv (fan and
+// BSGS), lenet_small in one and in four ciphertexts, the 320-wide
+// column-split matmul, and the encrypted-matrix matvec forward and
+// transpose.
 //
 // Each pin builds its own seeded runtime and mints every rotation key up
 // front from the plan's sorted step union, so a digest depends only on the
@@ -13,6 +15,7 @@
 // row in table syntax.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -21,6 +24,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "fhe/linear_transform.h"
 #include "models/zoo.h"
 #include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline.h"
@@ -39,6 +43,9 @@ struct Pin {
   std::size_t rotations, hoisted, plain_mults, rescales, adds, ct_mults, relins;
 };
 
+// lenet_4ct and matmul_320_split feed a matmul from several ciphertexts:
+// their partial sums join before ONE rescale (one per column block before
+// the executors were unified), so they pin the unified join.
 // clang-format off
 const Pin kPins[] = {
     {"window_hoisted", 0x48c93937d73b9d0dULL, 4, 4, 5, 1, 5, 0, 0},
@@ -50,12 +57,101 @@ const Pin kPins[] = {
     {"conv_fan", 0xb9e4acca5a041b29ULL, 134, 134, 135, 1, 135, 0, 0},
     {"conv_bsgs", 0xe91e29923a3f189fULL, 24, 17, 135, 1, 135, 0, 0},
     {"lenet_1ct", 0x9581fd21bad42448ULL, 56, 32, 279, 18, 271, 6, 6},
-    {"lenet_4ct", 0x6a8978ebf800e828ULL, 108, 84, 396, 72, 367, 24, 24},
-    {"matmul_320_split", 0xaae52a1946c7a67eULL, 50, 30, 338, 2, 338, 0, 0},
+    {"lenet_4ct", 0x39b778f54c45954eULL, 108, 84, 396, 69, 367, 24, 24},
+    {"matmul_320_split", 0x9c6ea67692ce1de2ULL, 50, 30, 338, 1, 338, 0, 0},
     {"encmat_forward", 0x8935d1be25ce225cULL, 6, 4, 0, 1, 11, 12, 3},
     {"encmat_transpose", 0x649487953385f4beULL, 5, 3, 0, 1, 11, 12, 3},
 };
 // clang-format on
+
+// ------------------------------------------- schedule (pure index math) --
+
+TEST(LtSchedule, DiagonalGroupsExtendedDiagonals) {
+  // W = [[1, 2], [3, 4]]: diagonals at s = -1 (3), s = 0 (1, 4), s = 1 (2).
+  const std::vector<double> w{1, 2, 3, 4};
+  const auto steps = fhe::diagonal_steps(w, 2, 2);
+  EXPECT_EQ(steps, (std::vector<int>{-1, 0, 1}));
+
+  const auto naive = fhe::diagonal_schedule(steps, /*n1=*/1);
+  EXPECT_TRUE(naive.fan_steps(0).empty());
+  EXPECT_EQ(naive.giant_steps(), (std::vector<int>{-1, 1}));
+  EXPECT_EQ(naive.mask_mults(), 3);
+  EXPECT_EQ(naive.rotations(), 2);
+
+  const auto bsgs = fhe::diagonal_schedule(steps, /*n1=*/2);
+  // s = -1 -> g = -2, b = 1; s = 0 -> (0, 0); s = 1 -> (0, 1).
+  EXPECT_EQ(bsgs.fan_steps(0), (std::vector<int>{1}));
+  EXPECT_EQ(bsgs.giant_steps(), (std::vector<int>{-2}));
+  EXPECT_EQ(bsgs.rotations(), 2);
+  EXPECT_EQ(bsgs.steps(), (std::vector<int>{-2, 1}));
+}
+
+TEST(LtSchedule, DiagonalSkipsZeroDiagonals) {
+  // Identity-like: only the main diagonal is nonzero, no rotations at all.
+  const auto s = fhe::diagonal_schedule(fhe::diagonal_steps({1, 0, 0, 1}, 2, 2), 4);
+  EXPECT_EQ(s.terms.size(), 1u);
+  EXPECT_EQ(s.rotations(), 0);
+}
+
+TEST(LtSchedule, GiantOfFloorsNegativeSteps) {
+  EXPECT_EQ(fhe::giant_of(5, 4), 4);
+  EXPECT_EQ(fhe::giant_of(-1, 4), -4);
+  EXPECT_EQ(fhe::giant_of(-4, 4), -4);
+  EXPECT_EQ(fhe::giant_of(-7, 0), 0);  // pure fan
+}
+
+/// Schedule of a 2 -> 2 channel, 4x4, k3 conv on a 16-slot channel plane
+/// (row stride 4) under split n1 — one block each side.
+fhe::LtSchedule conv_schedule(const std::vector<double>& w, int n1) {
+  smartpaf::Stage st;
+  st.op = smartpaf::ConvStage{2, 2, 4, 4, 3, 1, w, {}};
+  const auto in = smartpaf::StageLayout::grid(2, 4, 4, 16, 4, 1, 32);
+  const auto out = smartpaf::StageLayout::grid(2, 2, 2, 16, 4, 1, 32);
+  return smartpaf::stage_transform(st, in, out, n1, 32, 32)->schedule;
+}
+
+TEST(LtSchedule, ConvFanEnumeratesEveryTermShift) {
+  // All-nonzero 2x2x3x3 kernel: channel offsets {-1, 0, 1}, 9 taps each.
+  const auto s = conv_schedule(std::vector<double>(36, 0.25), /*n1=*/0);
+  EXPECT_EQ(s.terms.size(), 27u);
+  EXPECT_EQ(s.mask_mults(), 27);
+  EXPECT_TRUE(s.giant_steps().empty());  // pure fan: everything is a baby
+  // shift = c*16 + dy*4 + dx; only (0,0,0) needs no rotation.
+  EXPECT_EQ(s.fan_steps(0).size(), 26u);
+  EXPECT_EQ(s.rotations(), 26);
+  for (const auto& t : s.terms) EXPECT_EQ(t.giant, 0);
+}
+
+TEST(LtSchedule, ConvBsgsSharesBabiesAcrossChannelGroups) {
+  const auto s = conv_schedule(std::vector<double>(36, 0.25), /*n1=*/2);
+  // c = -1 -> g = -2, b = 1; c in {0, 1} -> g = 0, b = c. Babies are
+  // b*16 + taps: 8 nonzero taps at b = 0 plus 9 at b = 1 = 17; one giant.
+  const std::vector<int> fan = s.fan_steps(0);
+  EXPECT_EQ(fan.size(), 17u);
+  EXPECT_EQ(s.giant_steps(), (std::vector<int>{-32}));
+  EXPECT_EQ(s.rotations(), 18);
+  // Terms arrive grouped by giant, ascending, with every baby in the fan.
+  int prev = s.terms.front().giant;
+  for (const auto& t : s.terms) {
+    EXPECT_GE(t.giant, prev);
+    prev = t.giant;
+    EXPECT_TRUE(t.giant == 0 || t.giant == -32);
+    EXPECT_TRUE(t.baby == 0 || std::find(fan.begin(), fan.end(), t.baby) != fan.end())
+        << "baby " << t.baby;
+  }
+}
+
+TEST(LtSchedule, ConvSkipsAllZeroTerms) {
+  // Depthwise identity-ish kernel: only (oc == ic, dy = dx = 0) nonzero.
+  std::vector<double> w(36, 0.0);
+  w[0] = 1.0;               // oc 0, ic 0, tap (0,0)
+  w[(1 * 2 + 1) * 9] = 1.0;  // oc 1, ic 1, tap (0,0)
+  const auto s = conv_schedule(w, /*n1=*/0);
+  EXPECT_EQ(s.terms.size(), 1u);  // both pairs share offset c = 0, tap 0
+  EXPECT_EQ(s.rotations(), 0);
+}
+
+// ------------------------------------------------------ golden digests ------
 
 std::uint64_t digest(const std::vector<fhe::Ciphertext>& cts) {
   std::uint64_t h = kFnvOffset;
@@ -162,10 +258,10 @@ TEST(LinearTransformPins, SingleBlockMatmulPlannedAndForced) {
                         .build();
   const auto x = random_values(cols, 5);
   const auto planned = plan_of(pipe, rt.ctx());
-  EXPECT_GT(planned.stages[0].bsgs_n1, 1);
+  EXPECT_GT(planned.stages[0].n1, 1);
   run_pinned("matmul_planned", rt, pipe, planned, x);
   smartpaf::PlanOptions opts;
-  opts.force_matmul_n1 = 1;
+  opts.force_n1 = 1;
   run_pinned("matmul_n1_1", rt, pipe, plan_of(pipe, rt.ctx(), opts), x);
 }
 
@@ -199,10 +295,10 @@ TEST(LinearTransformPins, ConvFanAndBsgs) {
                         .build();
   const auto x = random_values(ch * img * img, 11);
   smartpaf::PlanOptions fan;
-  fan.force_conv_n1 = 0;
+  fan.force_n1 = 0;
   run_pinned("conv_fan", rt, pipe, plan_of(pipe, rt.ctx(), fan), x);
   const auto bsgs = plan_of(pipe, rt.ctx());
-  EXPECT_GT(bsgs.stages[0].conv_n1, 0);
+  EXPECT_GT(bsgs.stages[0].n1, 0);
   run_pinned("conv_bsgs", rt, pipe, bsgs, x);
 }
 

@@ -1,6 +1,6 @@
-// Diagonal-method matmul + slot compaction net: DiagMatVecPlan grouping
-// math, encrypted parity vs nn::Linear::forward for square/non-square
-// shapes (dimensions that do not divide the slot count included), BSGS
+// Diagonal-method matmul + slot compaction net: encrypted parity vs
+// nn::Linear::forward for square/non-square shapes (dimensions that do not
+// divide the slot count included), BSGS
 // rotation counts pinned against the plan the CostModel chose,
 // hoisted-vs-naive bit identity, CompactStage parity, the adjacent-linear
 // merge pass (saved level pinned), slot-width tracking / BatchRunner output
@@ -14,7 +14,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "fhe/diag_matvec.h"
 #include "models/zoo.h"
 #include "nn/container.h"
 #include "nn/layers.h"
@@ -45,38 +44,6 @@ std::vector<double> random_matrix(int rows, int cols, std::uint64_t seed,
   std::vector<double> w(static_cast<std::size_t>(rows) * cols);
   for (auto& v : w) v = rng.uniform(-magnitude, magnitude);
   return w;
-}
-
-// ------------------------------------------------------- plan (pure index math)
-
-TEST(DiagMatVecPlan, GroupsExtendedDiagonals) {
-  // W = [[1, 2], [3, 4]]: diagonals at s = -1 (3), s = 0 (1, 4), s = 1 (2).
-  const std::vector<double> w{1, 2, 3, 4};
-  const auto steps = DiagMatVecPlan::nonzero_steps(w, 2, 2);
-  EXPECT_EQ(steps, (std::vector<int>{-1, 0, 1}));
-
-  const auto naive = DiagMatVecPlan::group(steps, 2, 2, /*n1=*/1);
-  EXPECT_TRUE(naive.baby_steps.empty());
-  EXPECT_EQ(naive.giant_steps, (std::vector<int>{-1, 1}));
-  EXPECT_EQ(naive.giant_groups, 3);
-  EXPECT_EQ(naive.nonzero_diagonals, 3);
-  EXPECT_EQ(naive.rotations(), 2);
-
-  const auto bsgs = DiagMatVecPlan::group(steps, 2, 2, /*n1=*/2);
-  // s = -1 -> g = -2, b = 1; s = 0 -> (0, 0); s = 1 -> (0, 1).
-  EXPECT_EQ(bsgs.baby_steps, (std::vector<int>{1}));
-  EXPECT_EQ(bsgs.giant_steps, (std::vector<int>{-2}));
-  EXPECT_EQ(bsgs.giant_groups, 2);
-  EXPECT_EQ(bsgs.rotations(), 2);
-  EXPECT_EQ(bsgs.steps(), (std::vector<int>{-2, 1}));
-}
-
-TEST(DiagMatVecPlan, SkipsZeroDiagonals) {
-  // Identity-like: only the main diagonal is nonzero, no rotations at all.
-  const std::vector<double> w{1, 0, 0, 1};
-  const auto plan = DiagMatVecPlan::make(w, 2, 2, /*n1=*/4);
-  EXPECT_EQ(plan.nonzero_diagonals, 1);
-  EXPECT_EQ(plan.rotations(), 0);
 }
 
 // --------------------------------------------------------------- FHE fixture --
@@ -154,7 +121,7 @@ TEST_F(MatMulFheTest, BsgsRotationCountsPinnedToPlan) {
   const auto plan =
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   const auto& sp_ = plan.stages[0];
-  EXPECT_GT(sp_.bsgs_n1, 1);
+  EXPECT_GT(sp_.n1, 1);
   EXPECT_EQ(sp_.diag_mults, 2 * n - 1);  // dense: every extended diagonal
 
   const std::vector<double> slots = random_slots(11);
@@ -176,7 +143,7 @@ TEST_F(MatMulFheTest, BsgsRotationCountsPinnedToPlan) {
   // Naive diagonal loop (n1 = 1, no hoisting): one rotation per nonzero
   // off-diagonal. The BSGS split must be strictly cheaper in rotations.
   smartpaf::PlanOptions naive_opts;
-  naive_opts.force_matmul_n1 = 1;
+  naive_opts.force_n1 = 1;
   naive_opts.force_hoist = false;
   const auto naive = smartpaf::Planner::plan(pipe, rt_->ctx(),
                                              smartpaf::CostModel::heuristic(), naive_opts);
@@ -200,7 +167,7 @@ TEST_F(MatMulFheTest, HoistedAndNaiveBabyFansAreBitIdentical) {
   std::vector<std::vector<double>> outs;
   for (const bool hoist : {true, false}) {
     smartpaf::PlanOptions opts;
-    opts.force_matmul_n1 = 8;
+    opts.force_n1 = 8;
     opts.force_hoist = hoist;
     const auto plan = smartpaf::Planner::plan(pipe, rt_->ctx(),
                                               smartpaf::CostModel::heuristic(), opts);

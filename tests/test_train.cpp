@@ -124,12 +124,13 @@ TEST_F(TrainTest, EncDiagMatVecMatchesPlaintextProduct) {
 
     std::vector<int> steps;
     for (int s = -(rows - 1); s <= cols - 1; ++s) steps.push_back(s);
-    const int n1 = fhe::DiagMatVecPlan::best_n1(steps, rows, cols);
-    const fhe::DiagMatVecPlan plan = fhe::DiagMatVecPlan::group(steps, rows, cols, n1);
+    const fhe::LtSchedule plan =
+        fhe::diagonal_schedule(steps, fhe::fewest_rotations_n1(steps, rows + cols));
     const auto gk = rt_->rotation_keys(plan.steps());
 
-    const fhe::EncDiagMatVec enc = fhe::EncDiagMatVec::encrypt(
-        rt_->ctx(), rt_->encoder(), rt_->encryptor(), plan, w, 0, rt_->ctx().scale());
+    const fhe::EncDiagMatVec enc =
+        fhe::EncDiagMatVec::encrypt(rt_->ctx(), rt_->encoder(), rt_->encryptor(), plan,
+                                    w, rows, cols, 0, rt_->ctx().scale());
     fhe::Ciphertext vx = rt_->encrypt(x);
     const fhe::Ciphertext hoisted =
         enc.apply(rt_->evaluator(), vx, *gk, rt_->relin_key(), /*hoist_babies=*/true);
@@ -151,8 +152,9 @@ TEST_F(TrainTest, EncDiagMatVecMatchesPlaintextProduct) {
 }
 
 TEST_F(TrainTest, TransposePlanMultipliesByTheTranspose) {
-  // Pack X^T's extended diagonals directly (transpose_steps) and check the
-  // product equals X^T e — the trainer's gradient path, no repacking.
+  // Pack X^T's extended diagonals directly (the forward steps negated) and
+  // check the product equals X^T e — the trainer's gradient path, no
+  // repacking.
   sp::Rng rng(405);
   const int rows = 8, cols = 4;  // X is rows x cols; X^T is cols x rows
   std::vector<double> xmat(static_cast<std::size_t>(rows) * cols);
@@ -160,11 +162,10 @@ TEST_F(TrainTest, TransposePlanMultipliesByTheTranspose) {
   for (auto& v : xmat) v = rng.uniform(-1.0, 1.0);
   for (auto& v : e) v = rng.uniform(-1.0, 1.0);
 
-  std::vector<int> fwd;
-  for (int s = -(rows - 1); s <= cols - 1; ++s) fwd.push_back(s);
-  const std::vector<int> tsteps = fhe::DiagMatVecPlan::transpose_steps(fwd);
-  const fhe::DiagMatVecPlan plan = fhe::DiagMatVecPlan::group(
-      tsteps, cols, rows, fhe::DiagMatVecPlan::best_n1(tsteps, cols, rows));
+  std::vector<int> tsteps;
+  for (int s = -(cols - 1); s <= rows - 1; ++s) tsteps.push_back(s);
+  const fhe::LtSchedule plan =
+      fhe::diagonal_schedule(tsteps, fhe::fewest_rotations_n1(tsteps, cols + rows));
 
   std::vector<double> xt(static_cast<std::size_t>(cols) * rows);
   for (int i = 0; i < rows; ++i)
@@ -172,8 +173,9 @@ TEST_F(TrainTest, TransposePlanMultipliesByTheTranspose) {
       xt[static_cast<std::size_t>(j) * rows + i] = xmat[static_cast<std::size_t>(i) * cols + j];
 
   const auto gk = rt_->rotation_keys(plan.steps());
-  const fhe::EncDiagMatVec enc = fhe::EncDiagMatVec::encrypt(
-      rt_->ctx(), rt_->encoder(), rt_->encryptor(), plan, xt, 0, rt_->ctx().scale());
+  const fhe::EncDiagMatVec enc =
+      fhe::EncDiagMatVec::encrypt(rt_->ctx(), rt_->encoder(), rt_->encryptor(), plan,
+                                  xt, cols, rows, 0, rt_->ctx().scale());
   const std::vector<double> got =
       rt_->decrypt(enc.apply(rt_->evaluator(), rt_->encrypt(e), *gk, rt_->relin_key()));
   for (int j = 0; j < cols; ++j) {

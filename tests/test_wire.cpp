@@ -2,9 +2,11 @@
 // primitive round trips, bit-identical (de)serialization of polys /
 // plaintexts / ciphertexts / keys / plans at two parameter sets, header
 // rejection diagnostics (magic, version, kind, fingerprint, truncation,
-// trailing bytes, corrupt lengths, out-of-range residues), frame framing,
-// and the serving contract: a keygen-less runtime reconstructed purely from
-// deserialized blobs evaluates a plan bit-identically to the key owner.
+// trailing bytes, corrupt lengths, out-of-range residues, malformed stage
+// layouts), frame framing, and the serving contract: a keygen-less runtime
+// reconstructed purely from deserialized blobs evaluates a plan — a window
+// pipeline and lenet_small's conv/matmul stages — bit-identically to the
+// key owner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +19,11 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "io/serialize.h"
+#include "models/zoo.h"
 #include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline.h"
 #include "smartpaf/pipeline_planner.h"
+#include "smartpaf/replace.h"
 #include "train/checkpoint.h"
 
 namespace {
@@ -62,6 +66,25 @@ bool ciphertexts_equal(const Ciphertext& a, const Ciphertext& b) {
   return true;
 }
 
+/// lenet_small with deg-3 test PAFs at a frozen scale of 2: three conv
+/// stages on grid layouts, two PAF-ReLUs and a matmul — 12 levels.
+smartpaf::FhePipeline lenet_pipeline() {
+  models::LenetConfig cfg;
+  cfg.seed = 6;
+  nn::Model model = models::lenet_small(cfg);
+  for (const auto& site : smartpaf::find_nonpoly_sites(model)) {
+    sp::Rng rng(43 + site.index);
+    std::vector<double> c(4, 0.0);
+    for (int k = 1; k <= 3; k += 2) c[static_cast<std::size_t>(k)] = rng.uniform(-1.0, 1.0) / 6.0;
+    smartpaf::replace_site(model, site, approx::CompositePaf("deg3", {approx::Polynomial(c)}),
+                           smartpaf::ScaleMode::Dynamic);
+  }
+  for (smartpaf::PafLayerBase* p : smartpaf::find_paf_layers(model))
+    p->set_static_scale(2.0f);
+  return smartpaf::FhePipeline::lower(
+      model, smartpaf::GridShape{cfg.in_channels, cfg.image, cfg.image});
+}
+
 /// Shared small runtime: keygen once for the whole suite.
 class WireTest : public ::testing::Test {
  protected:
@@ -91,7 +114,7 @@ std::unique_ptr<smartpaf::FheRuntime> WireTest::rt_;
 // bump sp::io::kVersion and regenerate. Layout: docs/WIRE.md.
 const std::vector<std::uint8_t> kGoldenParamsBlob = {
     0x53, 0x50, 0x57, 0x42,                          // magic "SPWB"
-    0x02, 0x00,                                      // version 2
+    0x03, 0x00,                                      // version 3
     0x01, 0x00,                                      // kind CkksParams
     0x3a, 0x78, 0x92, 0xe6, 0xb8, 0x9b, 0x61, 0x5f,  // params fingerprint
     0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // poly_degree 2048
@@ -129,7 +152,7 @@ TEST(WireGolden, GoldenBlobDeserializes) {
 // which is the signal to bump sp::io::kVersion and regenerate.
 const std::vector<std::uint8_t> kGoldenTrainingStatePrologue = {
     0x53, 0x50, 0x57, 0x42,                          // magic "SPWB"
-    0x02, 0x00,                                      // version 2
+    0x03, 0x00,                                      // version 3
     0x0b, 0x00,                                      // kind TrainingState (11)
     0x3a, 0x78, 0x92, 0xe6, 0xb8, 0x9b, 0x61, 0x5f,  // params fingerprint
     0x00,                                            // optimizer SgdMomentum
@@ -396,6 +419,39 @@ TEST_F(WireTest, PlanRoundTripPreservesSchedule) {
   EXPECT_EQ(back.describe(), plan.describe());
 }
 
+TEST(WirePlan, LenetPlanKeepsSplitsAndLayouts) {
+  // Conv schedules and grid layouts are what run_blocks executes from; a
+  // decoded plan that lost them would run the wrong transform or none.
+  const CkksContext ctx(CkksParams::for_depth(2048, 12, 40));
+  const auto pipe = lenet_pipeline();
+  const smartpaf::Plan plan =
+      smartpaf::Planner::plan(pipe, ctx, smartpaf::CostModel::heuristic());
+  const smartpaf::Plan back = io::deserialize_plan(io::serialize(plan, ctx), ctx);
+  ASSERT_EQ(back.stages.size(), plan.stages.size());
+  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+    EXPECT_EQ(back.stages[i].n1, plan.stages[i].n1) << i;
+    EXPECT_EQ(back.stages[i].giant_steps, plan.stages[i].giant_steps) << i;
+    EXPECT_EQ(back.stages[i].layout_in.describe(), plan.stages[i].layout_in.describe());
+    EXPECT_EQ(back.stages[i].layout_out.describe(), plan.stages[i].layout_out.describe());
+    EXPECT_EQ(back.stages[i].layout_in.chans_per_block,
+              plan.stages[i].layout_in.chans_per_block);
+  }
+  EXPECT_EQ(back.describe(), plan.describe());
+
+  // Malformed layouts are rejected at decode, never run.
+  const auto corrupt = [&](auto&& edit, const char* what) {
+    smartpaf::Plan bad = plan;
+    edit(bad.stages[0].layout_in);
+    expect_error_containing([&] { io::deserialize_plan(io::serialize(bad, ctx), ctx); },
+                            what);
+  };
+  corrupt([](smartpaf::StageLayout& l) { l.kind = static_cast<smartpaf::StageLayout::Kind>(7); },
+          "layout kind");
+  corrupt([](smartpaf::StageLayout& l) { l.blocks = 0; }, "at least one block");
+  corrupt([](smartpaf::StageLayout& l) { l.ch_stride = 0; }, "strides must be positive");
+  corrupt([](smartpaf::StageLayout& l) { l.row_stride = -3; }, "strides must be positive");
+}
+
 // ---------------------------------------------------------------- rejection --
 
 TEST_F(WireTest, RejectsForeignAndCorruptBlobs) {
@@ -462,50 +518,78 @@ TEST_F(WireTest, RejectsForeignAndCorruptBlobs) {
 
 // ----------------------------------------------------------------- serving --
 
+/// Plans `pipe` on the key owner `client`, ships params, public/relin keys,
+/// exactly the plan's Galois keys, the plan and the request blocks as bytes,
+/// runs them on a runtime reconstructed purely from those blobs (fresh
+/// context, no keygen, no secret key), and expects the served blocks to be
+/// BIT-identical to the key owner running the same plan locally. Returns
+/// the served blocks, decoded back on the client.
+std::vector<Ciphertext> expect_served_bit_identical(
+    smartpaf::FheRuntime& client, const smartpaf::FhePipeline& pipe,
+    const std::vector<std::vector<double>>& request_blocks) {
+  const smartpaf::Plan plan =
+      smartpaf::Planner::plan(pipe, client.ctx(), smartpaf::CostModel::heuristic());
+  const auto gk_snapshot = client.rotation_keys(plan.rotation_steps());
+  std::vector<Ciphertext> request;
+  for (const auto& b : request_blocks) request.push_back(client.encrypt(b));
+
+  auto ctx = std::make_unique<CkksContext>(
+      io::deserialize_params(io::serialize(client.ctx().params())));
+  const CkksContext& server_ctx = *ctx;
+  smartpaf::FheRuntime server(
+      std::move(ctx),
+      io::deserialize_public_key(io::serialize(client.public_key()), server_ctx),
+      io::deserialize_kswitch_key(io::serialize(client.relin_key()), server_ctx),
+      io::deserialize_galois_keys(io::serialize(*gk_snapshot), server_ctx));
+  EXPECT_FALSE(server.has_secret_key());
+  const smartpaf::Plan server_plan =
+      io::deserialize_plan(io::serialize(plan, client.ctx()), server.ctx());
+  std::vector<Ciphertext> server_request;
+  for (const Ciphertext& ct : request)
+    server_request.push_back(io::deserialize_ciphertext(io::serialize(ct), server.ctx()));
+
+  const std::vector<Ciphertext> local = pipe.run_blocks(client, plan, request);
+  const std::vector<Ciphertext> served = pipe.run_blocks(server, server_plan, server_request);
+  std::vector<Ciphertext> back;
+  EXPECT_EQ(served.size(), local.size());
+  for (std::size_t i = 0; i < served.size() && i < local.size(); ++i) {
+    back.push_back(io::deserialize_ciphertext(io::serialize(served[i]), client.ctx()));
+    EXPECT_TRUE(ciphertexts_equal(local[i], back.back())) << "block " << i;
+  }
+  return back;
+}
+
 TEST_F(WireTest, KeygenlessRuntimeEvaluatesDeserializedPlanBitIdentically) {
-  // Client side: plan a pipeline, generate exactly the keys it needs.
   const auto pipe = smartpaf::FhePipeline::builder()
                         .window({0.4, 0.3, 0.2})
                         .linear(0.9, 0.05)
                         .build();
-  const smartpaf::Plan plan =
-      smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
-  const auto gk_snapshot = rt_->rotation_keys(plan.rotation_steps());
-  const GaloisKeys& gk = *gk_snapshot;
   const auto slots = random_slots(31);
-  const Ciphertext request = rt_->encrypt(slots);
-
-  // Everything crosses the "boundary" as bytes; the server reconstructs a
-  // runtime purely from blobs (fresh context, no keygen, no secret key).
-  auto ctx = std::make_unique<CkksContext>(
-      io::deserialize_params(io::serialize(rt_->ctx().params())));
-  const CkksContext& server_ctx = *ctx;
-  smartpaf::FheRuntime server(
-      std::move(ctx),
-      io::deserialize_public_key(io::serialize(rt_->public_key()), server_ctx),
-      io::deserialize_kswitch_key(io::serialize(rt_->relin_key()), server_ctx),
-      io::deserialize_galois_keys(io::serialize(gk), server_ctx));
-  EXPECT_FALSE(server.has_secret_key());
-  const smartpaf::Plan server_plan =
-      io::deserialize_plan(io::serialize(plan, rt_->ctx()), server.ctx());
-  const Ciphertext server_request =
-      io::deserialize_ciphertext(io::serialize(request), server.ctx());
-
-  // The served result must be BIT-identical to the key owner evaluating the
-  // same plan locally — proving the blobs carry the full evaluation state.
-  const Ciphertext local = pipe.run(*rt_, plan, request, nullptr);
-  const Ciphertext served = pipe.run(server, server_plan, server_request, nullptr);
-  const Ciphertext served_back =
-      io::deserialize_ciphertext(io::serialize(served), rt_->ctx());
-  EXPECT_TRUE(ciphertexts_equal(local, served_back));
+  const auto served = expect_served_bit_identical(*rt_, pipe, {slots});
+  ASSERT_EQ(served.size(), 1u);
 
   // And it decrypts (client side) to the plaintext reference within 2^-20.
-  const std::vector<double> got = rt_->decrypt(served_back);
+  const std::vector<double> got = rt_->decrypt(served[0]);
   const std::vector<double> ref = pipe.reference(slots);
   double worst = 0.0;
   for (std::size_t j = 0; j < got.size(); ++j)
     worst = std::max(worst, std::abs(got[j] - ref[j]));
   EXPECT_LT(worst, kParityTol);
+}
+
+TEST(WireServing, KeygenlessRuntimeRunsLenetPlanBitIdentically) {
+  // Conv and matmul stages execute from the plan's splits and grid
+  // layouts, so the served run only matches when the blob carries them.
+  smartpaf::FheRuntime client(CkksParams::for_depth(2048, 12, 40), /*seed=*/78);
+  const auto pipe = lenet_pipeline();
+  const auto layouts = pipe.stage_layouts(client.ctx().slot_count());
+  sp::Rng rng(32);
+  std::vector<double> image(144);
+  for (auto& v : image) v = rng.uniform(-1.0, 1.0);
+  const auto served = expect_served_bit_identical(
+      client, pipe,
+      smartpaf::pack_layout(image, layouts.front().first, client.ctx().slot_count()));
+  ASSERT_EQ(served.size(), 1u);
 }
 
 TEST_F(WireTest, KeygenlessRuntimeFailsLoudlyOnMissingCapabilities) {

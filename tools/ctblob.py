@@ -12,14 +12,14 @@ Usage:
   tools/ctblob.py BLOB [BLOB ...]
 
 Exit status: 0 if every file parses as a well-formed header, 1 otherwise.
-The layout contract lives in docs/WIRE.md; this script tracks wire version 2.
+The layout contract lives in docs/WIRE.md; this script tracks wire version 3.
 """
 
 import struct
 import sys
 
 MAGIC = 0x42575053  # "SPWB" little-endian
-SUPPORTED_VERSION = 2
+SUPPORTED_VERSION = 3
 
 KIND_NAMES = {
     1: "CkksParams",
