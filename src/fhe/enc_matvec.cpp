@@ -49,7 +49,7 @@ Ciphertext EncDiagMatVec::apply(Evaluator& ev, const Ciphertext& v, const Galois
   ev.drop_to_level(x, qc - 1);
   LinearTransform lt(1, 1, schedule_.n1);
   lt.schedule = schedule_;
-  for (const Ciphertext& d : diags_) lt.masks.push_back(LtMask::of_cipher(d));
+  for (const Ciphertext& d : diags_) lt.masks.emplace_back(&d);
   return std::move(lt.apply(ev, {x}, gk, hoist_babies, nullptr, 0.0, &relin)[0]);
 }
 

@@ -43,8 +43,6 @@ class EncDiagMatVec {
                                const std::vector<double>& weights, int rows, int cols,
                                std::size_t tile, double scale);
 
-  const LtSchedule& schedule() const { return schedule_; }
-
   /// @brief y = X v, one level below min(level(v), level(diagonals)).
   /// @param v      2-part weight ciphertext (data in slots [0, cols))
   /// @param gk     rotation keys covering schedule().steps()

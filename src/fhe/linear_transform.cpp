@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace sp::fhe {
 namespace {
@@ -18,23 +19,16 @@ void sort_unique(std::vector<int>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-/// baby ⊙ mask at the baby's level: a plaintext product stays 2-part, a
-/// ciphertext mask (dropped to the baby's level) leaves a 3-part product.
-Ciphertext masked(Evaluator& ev, const Encoder* enc, const Ciphertext& baby,
-                  const LtMask& m, double scale) {
-  if (m.kind == LtMask::Kind::Cipher) {
-    Ciphertext d = *m.ct;
-    ev.drop_to_level(d, baby.level());
-    return ev.multiply_no_relin(d, baby);
-  }
-  sp::check(enc != nullptr, "LinearTransform::apply: plaintext masks need an encoder");
-  Ciphertext t = baby;
-  if (m.kind == LtMask::Kind::Scalar) {
-    ev.multiply_plain_inplace(t, enc->encode_scalar(m.scalar, scale, t.q_count()));
-  } else {
-    ev.multiply_plain_inplace(t, *enc->encode_cached(m.key, scale, t.q_count(), m.slots));
-  }
-  return t;
+/// A scalar or slot mask encoded at (scale, q_count); slot vectors go
+/// through the encode cache under `key`.
+std::shared_ptr<const Plaintext> encode(const Encoder* enc, const LtMask& m,
+                                        std::uint64_t key, double scale, int q_count) {
+  sp::check(enc != nullptr && !std::holds_alternative<const Ciphertext*>(m),
+            "LinearTransform::apply: plaintext masks need an encoder");
+  if (const auto* make = std::get_if<SlotMask>(&m))
+    return enc->encode_cached(key, scale, q_count, *make);
+  return std::make_shared<const Plaintext>(
+      enc->encode_scalar(std::get<double>(m), scale, q_count));
 }
 
 }  // namespace
@@ -84,29 +78,6 @@ int LtSchedule::mask_mults() const {
   std::vector<bool> fed(static_cast<std::size_t>(blocks_out), false);
   for (const Term& t : terms) fed[static_cast<std::size_t>(t.out_block)] = true;
   return static_cast<int>(terms.size() + std::count(fed.begin(), fed.end(), false));
-}
-
-// -------------------------------------------------------------------- LtMask --
-
-LtMask LtMask::of_scalar(double v) {
-  LtMask m;
-  m.scalar = v;
-  return m;
-}
-
-LtMask LtMask::of_slots(std::uint64_t key, std::function<std::vector<double>()> make) {
-  LtMask m;
-  m.kind = Kind::Slots;
-  m.key = key;
-  m.slots = std::move(make);
-  return m;
-}
-
-LtMask LtMask::of_cipher(const Ciphertext& ct) {
-  LtMask m;
-  m.kind = Kind::Cipher;
-  m.ct = &ct;
-  return m;
 }
 
 // ----------------------------------------------------------- LinearTransform --
@@ -168,7 +139,18 @@ std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
       // relinearization (3-part sums only) and one giant rotation close it.
       std::optional<Ciphertext> group;
       for (; i < terms.size() && same_group(terms[i], head); ++i) {
-        Ciphertext t = masked(ev, enc, baby(terms[i].baby), masks[i], scale);
+        const Ciphertext& b = baby(terms[i].baby);
+        Ciphertext t;
+        if (const auto* ct = std::get_if<const Ciphertext*>(&masks[i])) {
+          // Encrypted mask, dropped to the baby's level: a 3-part product.
+          Ciphertext d = **ct;
+          ev.drop_to_level(d, b.level());
+          t = ev.multiply_no_relin(d, b);
+        } else {
+          t = b;
+          ev.multiply_plain_inplace(t, *encode(enc, masks[i], fnv_mix(key, i), scale,
+                                               t.q_count()));
+        }
         if (!group) {
           group = std::move(t);
         } else {
@@ -194,22 +176,15 @@ std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
   for (std::size_t bo = 0; bo < acc.size(); ++bo) {
     if (!acc[bo]) {
       // No term feeds this block: a zero mask keeps the one-level shape.
-      sp::check(enc != nullptr, "LinearTransform::apply: unfed output blocks need an encoder");
       acc[bo] = in[0];
-      ev.multiply_plain_inplace(*acc[bo], enc->encode_scalar(0.0, scale, in[0].q_count()));
+      ev.multiply_plain_inplace(
+          *acc[bo], *encode(enc, LtMask{0.0}, 0, scale, in[0].q_count()));
     }
     Ciphertext& y = *acc[bo];
     ev.rescale_inplace(y);
-    if (bo < bias.size() && bias[bo]) {
-      const LtMask& b = *bias[bo];
-      sp::check(enc != nullptr && b.kind != LtMask::Kind::Cipher,
-                "LinearTransform::apply: biases are encoded plaintexts");
-      if (b.kind == LtMask::Kind::Scalar) {
-        ev.add_plain_inplace(y, enc->encode_scalar(b.scalar, y.scale, y.q_count()));
-      } else {
-        ev.add_plain_inplace(y, *enc->encode_cached(b.key, y.scale, y.q_count(), b.slots));
-      }
-    }
+    if (bo < bias.size() && bias[bo])
+      ev.add_plain_inplace(y, *encode(enc, *bias[bo], fnv_mix(key, terms.size() + bo),
+                                      y.scale, y.q_count()));
     out.push_back(std::move(y));
   }
   return out;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "fhe/encoder.h"
@@ -57,24 +58,14 @@ struct LtSchedule {
   int mask_mults() const;
 };
 
-/// One term's mask (or one output block's bias): a broadcast scalar, a
-/// lazily generated slot vector served from Encoder::encode_cached, or a
-/// ciphertext (an encrypted matrix; the product is 3-part and the group sum
-/// relinearizes before its giant rotation).
-struct LtMask {
-  enum class Kind { Scalar, Slots, Cipher };
-  Kind kind = Kind::Scalar;
-  double scalar = 0.0;
-  /// Slots: content key of the generated vector — derive it from everything
-  /// the generator reads, since the cache trusts it.
-  std::uint64_t key = 0;
-  std::function<std::vector<double>()> slots;  ///< Slots: runs on a cache miss
-  const Ciphertext* ct = nullptr;              ///< Cipher: not owned
+/// Slot-vector mask generator; runs only on an Encoder::encode_cached miss.
+using SlotMask = std::function<std::vector<double>()>;
 
-  static LtMask of_scalar(double v);
-  static LtMask of_slots(std::uint64_t key, std::function<std::vector<double>()> make);
-  static LtMask of_cipher(const Ciphertext& ct);
-};
+/// One term's mask (or one output block's bias): a broadcast scalar, a
+/// lazily generated slot vector, or a ciphertext (an encrypted matrix, not
+/// owned; the product is 3-part and the group sum relinearizes before its
+/// giant rotation).
+using LtMask = std::variant<double, SlotMask, const Ciphertext*>;
 
 /// A schedule plus its masks and per-output-block biases, and the one
 /// executor every rotation-fan linear layer runs through (window, compact,
@@ -90,6 +81,11 @@ struct LinearTransform {
   LtSchedule schedule;
   std::vector<LtMask> masks;               ///< parallel to schedule.terms
   std::vector<std::optional<LtMask>> bias;  ///< empty, or one per output block
+  /// Content hash of everything the generator read (weights, geometry,
+  /// tile, split). Term i's slot mask caches under fnv_mix(key, i) and
+  /// output block bo's bias under fnv_mix(key, terms + bo): one mix is a
+  /// bijection, so the plaintexts of one transform never alias.
+  std::uint64_t key = 0;
 
   LinearTransform(int blocks_in, int blocks_out, int n1);
 
@@ -137,11 +133,6 @@ struct ConvGeom {
   int out_w() const { return (width - kernel) / stride + 1; }
   int out_row_stride() const { return row_stride * stride; }
   int out_elem_stride() const { return elem_stride * stride; }
-  /// Slots a `channels`-plane block of this grid spans.
-  int extent(int channels) const {
-    return (channels - 1) * ch_stride + (height - 1) * row_stride +
-           (width - 1) * elem_stride + 1;
-  }
   /// Throws unless the grid is collision-free (rows fit inside a channel
   /// plane, columns inside a row) and the kernel fits the image.
   void validate() const;

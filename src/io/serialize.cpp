@@ -410,7 +410,6 @@ std::vector<std::uint8_t> serialize(const smartpaf::Plan& plan,
     w.i32_vec(st.rotation_steps);
     w.i32_vec(st.giant_steps);
     w.i32(st.n1);
-    w.i32(st.diag_mults);
     w.u64(st.width_in);
     w.u64(st.width_out);
     write_layout(w, st.layout_in);
@@ -455,7 +454,6 @@ smartpaf::Plan deserialize_plan(const std::vector<std::uint8_t>& bytes,
     st.giant_steps = r.i32_vec();
     st.n1 = r.i32();
     sp::check(st.n1 >= -1, "wire: stage split n1 must be >= -1");
-    st.diag_mults = r.i32();
     st.width_in = r.u64();
     st.width_out = r.u64();
     st.layout_in = read_layout(r);

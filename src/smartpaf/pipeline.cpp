@@ -13,15 +13,20 @@
 
 namespace sp::smartpaf {
 
+namespace {
+
+bool any_nonzero(const std::vector<double>& v) {
+  return std::any_of(v.begin(), v.end(), [](double x) { return x != 0.0; });
+}
+
+}  // namespace
+
 bool linear_scale_is_identity(const LinearStage& lin) {
   return std::all_of(lin.scale.begin(), lin.scale.end(),
                      [](double s) { return s == 1.0; });
 }
 
-bool linear_has_bias(const LinearStage& lin) {
-  return std::any_of(lin.bias.begin(), lin.bias.end(),
-                     [](double b) { return b != 0.0; });
-}
+bool linear_has_bias(const LinearStage& lin) { return any_nonzero(lin.bias); }
 
 namespace {
 
@@ -194,17 +199,6 @@ std::uint64_t fnv_ints(std::uint64_t h, std::initializer_list<std::int64_t> vs) 
   return h;
 }
 
-/// Cache key of the next term's mask: the term index mixed once into a
-/// content hash of everything the generator reads. One mix is a bijection,
-/// so the masks of one transform never alias each other.
-std::uint64_t next_key(const fhe::LinearTransform& lt, std::uint64_t content) {
-  return sp::fnv_mix(content, lt.schedule.terms.size());
-}
-
-bool any_nonzero(const std::vector<double>& v) {
-  return std::any_of(v.begin(), v.end(), [](double x) { return x != 0.0; });
-}
-
 /// Writes `value` at slot `at` (mod tile) of every tile of `v`.
 void put_tiled(std::vector<double>& v, std::size_t tile, std::int64_t at, double value) {
   const auto t = static_cast<std::int64_t>(tile);
@@ -228,22 +222,14 @@ fhe::ConvGeom conv_geom(const ConvStage& cv, const StageLayout& in) {
   return g;
 }
 
-/// Window: tap t reads rot(x, t) under the scalar mask taps[t].
-void window_terms(fhe::LinearTransform& lt, const WindowStage& win) {
-  for (std::size_t t = 0; t < win.taps.size(); ++t)
-    lt.add(0, 0, 0, static_cast<int>(t), fhe::LtMask::of_scalar(win.taps[t]));
-  if (win.bias != 0.0) lt.bias = {fhe::LtMask::of_scalar(win.bias)};
-}
-
 /// Compact: output slot i reads rot(x, i * (stride - 1)) under a one-hot
 /// mask at slot i of every tile.
 void compact_terms(fhe::LinearTransform& lt, const CompactStage& cp, std::size_t width,
                    std::size_t tile, std::size_t slots) {
-  const std::uint64_t key = fnv_ints(0x636f6d7061637421ULL,  // "compact!"
-                                     {cp.stride, static_cast<std::int64_t>(tile)});
+  lt.key = fnv_ints(0x636f6d7061637421ULL,  // "compact!"
+                    {cp.stride, static_cast<std::int64_t>(tile)});
   for (std::size_t i = 0; i < width / static_cast<std::size_t>(cp.stride); ++i)
-    lt.add(0, 0, 0, static_cast<int>(i) * (cp.stride - 1),
-           fhe::LtMask::of_slots(next_key(lt, key), [=] {
+    lt.add(0, 0, 0, static_cast<int>(i) * (cp.stride - 1), fhe::SlotMask([=] {
              std::vector<double> m(slots, 0.0);
              put_tiled(m, tile, static_cast<std::int64_t>(i), 1.0);
              return m;
@@ -254,17 +240,16 @@ void compact_terms(fhe::LinearTransform& lt, const CompactStage& cp, std::size_t
 /// column slice, split on the step; every block feeds output block 0.
 void matmul_terms(fhe::LinearTransform& lt, const MatMulStage& mm,
                   const StageLayout& in, int n1, std::size_t tile, std::size_t slots) {
-  const std::vector<MatMulStage> split = split_matmul_blocks(mm, in);
+  lt.key = sp::fnv_doubles(fnv_ints(0x6d61746d756c21ULL,  // "matmul!"
+                                     {n1, static_cast<std::int64_t>(tile)}),
+                           mm.bias);
+  std::vector<MatMulStage> split = split_matmul_blocks(mm, in);
   for (std::size_t b = 0; b < split.size(); ++b) {
-    const auto blk = std::make_shared<const MatMulStage>(split[b]);
-    const std::uint64_t key = sp::fnv_doubles(
-        fnv_ints(0x6d61746d756c21ULL,  // "matmul!"
-                 {blk->rows, blk->cols, n1, static_cast<std::int64_t>(tile)}),
-        blk->weights);
+    const auto blk = std::make_shared<const MatMulStage>(std::move(split[b]));
+    lt.key = sp::fnv_doubles(fnv_ints(lt.key, {blk->rows, blk->cols}), blk->weights);
     for (int s : fhe::diagonal_steps(blk->weights, blk->rows, blk->cols)) {
       const int g = fhe::giant_of(s, n1);
-      lt.add(static_cast<int>(b), 0, g, s - g,
-             fhe::LtMask::of_slots(next_key(lt, key), [=] {
+      lt.add(static_cast<int>(b), 0, g, s - g, fhe::SlotMask([=] {
                return fhe::extended_diagonal_slots(blk->weights, blk->rows, blk->cols,
                                                    s, g, tile, slots);
              }));
@@ -272,14 +257,12 @@ void matmul_terms(fhe::LinearTransform& lt, const MatMulStage& mm,
   }
   if (any_nonzero(mm.bias)) {
     const auto bias = std::make_shared<const std::vector<double>>(mm.bias);
-    lt.bias = {fhe::LtMask::of_slots(
-        sp::fnv_doubles(fnv_ints(0x62696173ULL, {static_cast<std::int64_t>(tile)}), *bias),
-        [=] {
-          std::vector<double> v(slots, 0.0);
-          for (std::size_t j = 0; j < bias->size(); ++j)
-            put_tiled(v, tile, static_cast<std::int64_t>(j), (*bias)[j]);
-          return v;
-        })};
+    lt.bias = {fhe::SlotMask([=] {
+      std::vector<double> v(slots, 0.0);
+      for (std::size_t j = 0; j < bias->size(); ++j)
+        put_tiled(v, tile, static_cast<std::int64_t>(j), (*bias)[j]);
+      return v;
+    })};
   }
 }
 
@@ -306,12 +289,13 @@ void conv_terms(fhe::LinearTransform& lt, const ConvStage& cv, const StageLayout
     return (*w)[((static_cast<std::size_t>(oc) * g.in_channels + ic) * g.kernel + dy) *
                     g.kernel + dx];
   };
-  const std::uint64_t key = sp::fnv_doubles(
-      fnv_ints(0x636f6e7621ULL,  // "conv!"
-               {g.in_channels, g.out_channels, g.height, g.width, g.kernel, g.stride,
-                g.ch_stride, g.row_stride, g.elem_stride, cpb, n1,
-                static_cast<std::int64_t>(tile)}),
-      cv.weights);
+  lt.key = sp::fnv_doubles(
+      sp::fnv_doubles(fnv_ints(0x636f6e7621ULL,  // "conv!"
+                               {g.in_channels, g.out_channels, g.height, g.width,
+                                g.kernel, g.stride, g.ch_stride, g.row_stride,
+                                g.elem_stride, cpb, n1, static_cast<std::int64_t>(tile)}),
+                      cv.weights),
+      cv.bias);
 
   for (int bo = 0; bo < lt.schedule.blocks_out; ++bo)
     for (int bi = 0; bi < lt.schedule.blocks_in; ++bi) {
@@ -330,8 +314,7 @@ void conv_terms(fhe::LinearTransform& lt, const ConvStage& cv, const StageLayout
             if (!nonzero) continue;
             const int baby =
                 c * g.ch_stride + dy * g.row_stride + dx * g.elem_stride - giant;
-            lt.add(bi, bo, giant, baby,
-                   fhe::LtMask::of_slots(next_key(lt, key), [=] {
+            lt.add(bi, bo, giant, baby, fhe::SlotMask([=] {
                      std::vector<double> m(slots, 0.0);
                      for (int ol = ol_lo; ol < ol_hi; ++ol)
                        put_anchors(m, tile, ol, giant,
@@ -344,16 +327,14 @@ void conv_terms(fhe::LinearTransform& lt, const ConvStage& cv, const StageLayout
 
   if (any_nonzero(cv.bias)) {
     const auto bias = std::make_shared<const std::vector<double>>(cv.bias);
-    const std::uint64_t bkey = sp::fnv_doubles(fnv_ints(key, {0x62696173}), *bias);
     for (int bo = 0; bo < lt.schedule.blocks_out; ++bo) {
       const int nout = std::min(cv.out_channels, (bo + 1) * cpb) - bo * cpb;
-      lt.bias.push_back(fhe::LtMask::of_slots(
-          sp::fnv_mix(bkey, static_cast<std::uint64_t>(bo)), [=] {
-            std::vector<double> v(slots, 0.0);
-            for (int ol = 0; ol < nout; ++ol)
-              put_anchors(v, tile, ol, 0, (*bias)[static_cast<std::size_t>(bo * cpb + ol)]);
-            return v;
-          }));
+      lt.bias.push_back(fhe::SlotMask([=] {
+        std::vector<double> v(slots, 0.0);
+        for (int ol = 0; ol < nout; ++ol)
+          put_anchors(v, tile, ol, 0, (*bias)[static_cast<std::size_t>(bo * cpb + ol)]);
+        return v;
+      }));
     }
   }
 }
@@ -369,7 +350,10 @@ std::optional<fhe::LinearTransform> stage_transform(const Stage& stage,
     return std::nullopt;
   fhe::LinearTransform lt(in.blocks, out.blocks, n1);
   if (const auto* win = std::get_if<WindowStage>(&stage.op)) {
-    window_terms(lt, *win);
+    // Tap t reads rot(x, t) under the scalar mask taps[t].
+    for (std::size_t t = 0; t < win->taps.size(); ++t)
+      lt.add(0, 0, 0, static_cast<int>(t), win->taps[t]);
+    if (win->bias != 0.0) lt.bias = {win->bias};
   } else if (const auto* cp = std::get_if<CompactStage>(&stage.op)) {
     compact_terms(lt, *cp, in.width, tile, slots);
   } else if (const auto* mm = std::get_if<MatMulStage>(&stage.op)) {
@@ -650,13 +634,10 @@ FhePipeline FhePipeline::lower(const nn::Model& model, const GridShape& input) {
 int stage_levels(const Stage& stage) {
   if (const auto* lin = std::get_if<LinearStage>(&stage.op))
     return linear_scale_is_identity(*lin) ? 0 : 1;
-  if (std::get_if<WindowStage>(&stage.op) != nullptr) return 1;
-  if (std::get_if<MatMulStage>(&stage.op) != nullptr) return 1;
-  if (std::get_if<CompactStage>(&stage.op) != nullptr) return 1;
-  if (std::get_if<ConvStage>(&stage.op) != nullptr) return 1;
-  const auto& paf = std::get<PafStage>(stage.op);
-  const int per_act = paf.paf.mult_depth() + 2;
-  return paf.kind == SiteKind::MaxPool ? (paf.pool_window - 1) * per_act : per_act;
+  const auto* paf = std::get_if<PafStage>(&stage.op);
+  if (paf == nullptr) return 1;  // a rotation-sum stage: one rescale
+  const int per_act = paf->paf.mult_depth() + 2;
+  return paf->kind == SiteKind::MaxPool ? (paf->pool_window - 1) * per_act : per_act;
 }
 
 int FhePipeline::mult_depth() const {

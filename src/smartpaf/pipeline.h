@@ -40,9 +40,8 @@ struct LinearStage {
 };
 
 /// Rotation-fan stage: y[j] = bias + sum_t taps[t] * x[j + t] (cyclic over
-/// all slots — a 1-D convolution realized as a fan of slot rotations under
-/// scalar masks, whose key-switch decomposition the plan may hoist).
-/// Consumes one level.
+/// all slots — a 1-D convolution realized as a fan of slot rotations whose
+/// key-switch decomposition the plan may hoist). Consumes one level.
 struct WindowStage {
   std::vector<double> taps;
   double bias = 0.0;

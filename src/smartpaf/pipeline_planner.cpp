@@ -212,7 +212,7 @@ std::string Plan::describe() const {
       os << (s.hoist_fan ? " hoisted" : " naive");
     }
     if (s.n1 > 0) os << "  bsgs n1=" << s.n1 << " giants=" << s.giant_steps.size();
-    if (s.n1 >= 0) os << "  masks=" << s.diag_mults;
+    if (s.n1 >= 0) os << "  masks=" << s.ops.plain_mults;
     if (s.merged_linear) os << "  (executes a merged linear run)";
     if (s.ops.ct_mults > 0) {
       os << "  " << (s.strategy == fhe::PafEvaluator::Strategy::BSGS ? "BSGS" : "Ladder")
@@ -316,7 +316,6 @@ void price_schedule(const fhe::LtSchedule& s, const CostModel& cost,
   sp_.n1 = s.n1;
   sp_.rotation_steps.assign(babies.begin(), babies.end());
   sp_.giant_steps = s.giant_steps();
-  sp_.diag_mults = static_cast<int>(s.terms.size());
   sp_.ops = fhe::SchedulePrediction{};
   sp_.ops.plain_mults = s.mask_mults();
   sp_.ops.rescales = s.blocks_out;
@@ -473,51 +472,7 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
         sp_.ops.levels = 1;
       }
       sp_.predicted_cost = cost.eval_cost(sp_.ops);
-    } else if (const auto* paf = std::get_if<PafStage>(&st.op)) {
-      const int per_act_levels = paf->paf.mult_depth() + 2;
-      const int acts = paf->kind == SiteKind::MaxPool ? paf->pool_window - 1 : 1;
-      // A MaxPool tournament fans the stage input out over the window taps.
-      if (paf->kind == SiteKind::MaxPool)
-        for (int t = 1; t < paf->pool_window; ++t) sp_.rotation_steps.push_back(t);
-      const int fan = static_cast<int>(sp_.rotation_steps.size());
-      if (fan > 0)
-        sp_.hoist_fan =
-            opts.force_hoist.value_or(cost.fan_cost(fan, true) <= cost.fan_cost(fan, false));
-      // Pick the cheaper schedule under the cost table; BSGS first so it
-      // wins ties (both consume identical levels by construction).
-      const std::vector<fhe::PafEvaluator::Strategy> candidates =
-          opts.force_strategy
-              ? std::vector<fhe::PafEvaluator::Strategy>{*opts.force_strategy}
-              : std::vector<fhe::PafEvaluator::Strategy>{
-                    fhe::PafEvaluator::Strategy::BSGS,
-                    fhe::PafEvaluator::Strategy::Ladder};
-      double best_cost = 0.0;
-      bool first = true;
-      for (const auto cand : candidates) {
-        fhe::SchedulePrediction pred =
-            fhe::PafEvaluator::predict_composite(paf->paf, cand);
-        // The Static-Scaling envelope per activation: input scaling + final
-        // product (ReLU) or the tournament's d*p product + 0.5-halvings (max).
-        pred.ct_mults += 1;
-        pred.relins += 1;
-        pred.rescales += 1;
-        pred.plain_mults += paf->kind == SiteKind::MaxPool ? 3 : 2;
-        pred.levels = per_act_levels;
-        if (acts > 1) {
-          fhe::SchedulePrediction one = pred;
-          for (int a = 1; a < acts; ++a) pred += one;
-        }
-        const double c = cost.eval_cost(pred) + cost.fan_cost(fan, sp_.hoist_fan);
-        if (first || c < best_cost) {
-          best_cost = c;
-          sp_.strategy = cand;
-          sp_.ops = pred;
-          sp_.predicted_cost = c;
-          first = false;
-        }
-      }
-      sp_.pre_factor = pre_factor[i];
-    } else {
+    } else if (!std::holds_alternative<PafStage>(st.op)) {
       // Window, compact, matmul and conv are one masked rotation-sum each:
       // one sweep over the stage's split candidates, each priced from the
       // term list run_blocks would execute; the first cheapest wins.
@@ -534,6 +489,51 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
         }
       }
       sp_ = std::move(best);
+    } else {
+      const auto& paf = std::get<PafStage>(st.op);
+      const int per_act_levels = paf.paf.mult_depth() + 2;
+      const int acts = paf.kind == SiteKind::MaxPool ? paf.pool_window - 1 : 1;
+      // A MaxPool tournament fans the stage input out over the window taps.
+      if (paf.kind == SiteKind::MaxPool)
+        for (int t = 1; t < paf.pool_window; ++t) sp_.rotation_steps.push_back(t);
+      const int fan = static_cast<int>(sp_.rotation_steps.size());
+      if (fan > 0)
+        sp_.hoist_fan =
+            opts.force_hoist.value_or(cost.fan_cost(fan, true) <= cost.fan_cost(fan, false));
+      // Pick the cheaper schedule under the cost table; BSGS first so it
+      // wins ties (both consume identical levels by construction).
+      const std::vector<fhe::PafEvaluator::Strategy> candidates =
+          opts.force_strategy
+              ? std::vector<fhe::PafEvaluator::Strategy>{*opts.force_strategy}
+              : std::vector<fhe::PafEvaluator::Strategy>{
+                    fhe::PafEvaluator::Strategy::BSGS,
+                    fhe::PafEvaluator::Strategy::Ladder};
+      double best_cost = 0.0;
+      bool first = true;
+      for (const auto cand : candidates) {
+        fhe::SchedulePrediction pred =
+            fhe::PafEvaluator::predict_composite(paf.paf, cand);
+        // The Static-Scaling envelope per activation: input scaling + final
+        // product (ReLU) or the tournament's d*p product + 0.5-halvings (max).
+        pred.ct_mults += 1;
+        pred.relins += 1;
+        pred.rescales += 1;
+        pred.plain_mults += paf.kind == SiteKind::MaxPool ? 3 : 2;
+        pred.levels = per_act_levels;
+        if (acts > 1) {
+          fhe::SchedulePrediction one = pred;
+          for (int a = 1; a < acts; ++a) pred += one;
+        }
+        const double c = cost.eval_cost(pred) + cost.fan_cost(fan, sp_.hoist_fan);
+        if (first || c < best_cost) {
+          best_cost = c;
+          sp_.strategy = cand;
+          sp_.ops = pred;
+          sp_.predicted_cost = c;
+          first = false;
+        }
+      }
+      sp_.pre_factor = pre_factor[i];
     }
 
     level -= sp_.ops.levels;

@@ -90,8 +90,6 @@ struct StagePlan {
   /// size (matmul splits the diagonal step, conv the channel offset).
   /// -1 for linear and PAF stages.
   int n1 = -1;
-  /// Rotation-sum stages: plaintext mask multiplications (one per term).
-  int diag_mults = 0;
   std::size_t width_in = 0;        ///< tracked slot-layout width entering
   std::size_t width_out = 0;       ///< ... and leaving the stage
   StageLayout layout_in;           ///< slot layout entering the stage

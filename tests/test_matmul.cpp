@@ -122,7 +122,7 @@ TEST_F(MatMulFheTest, BsgsRotationCountsPinnedToPlan) {
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   const auto& sp_ = plan.stages[0];
   EXPECT_GT(sp_.n1, 1);
-  EXPECT_EQ(sp_.diag_mults, 2 * n - 1);  // dense: every extended diagonal
+  EXPECT_EQ(sp_.ops.plain_mults, 2 * n - 1);  // dense: every extended diagonal
 
   const std::vector<double> slots = random_slots(11);
   Evaluator& ev = rt_->evaluator();
@@ -135,7 +135,7 @@ TEST_F(MatMulFheTest, BsgsRotationCountsPinnedToPlan) {
   EXPECT_EQ(delta.rotations.load(),
             sp_.rotation_steps.size() + sp_.giant_steps.size());
   EXPECT_EQ(delta.hoisted_rotations.load(), sp_.rotation_steps.size());
-  EXPECT_EQ(delta.plain_mults.load(), static_cast<std::size_t>(sp_.diag_mults));
+  EXPECT_EQ(delta.plain_mults.load(), static_cast<std::size_t>(sp_.ops.plain_mults));
   EXPECT_EQ(delta.rescales.load(), 1u);
   EXPECT_EQ(delta.relins.load(), 0u);
   EXPECT_EQ(delta.ct_mults.load(), 0u);
