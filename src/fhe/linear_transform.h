@@ -99,7 +99,8 @@ struct LinearTransform {
   /// @param enc    encoder for scalar/slot masks and biases (may be null when
   ///               every mask is a ciphertext and every output block is fed)
   /// @param scale  encoding scale of scalar/slot masks (Delta)
-  /// @param relin  relinearization key (ciphertext masks only)
+  /// @param relin  relinearization key (ciphertext masks only; those must sit
+  ///               at or above the inputs' level)
   std::vector<Ciphertext> apply(Evaluator& ev, const std::vector<Ciphertext>& in,
                                 const GaloisKeys& gk, bool hoist, const Encoder* enc,
                                 double scale, const KSwitchKey* relin = nullptr) const;

@@ -44,8 +44,7 @@ struct Pin {
 };
 
 // lenet_4ct and matmul_320_split feed a matmul from several ciphertexts:
-// their partial sums join before ONE rescale (one per column block before
-// the executors were unified), so they pin the unified join.
+// they pin the join, where the partial sums add up before one rescale.
 // clang-format off
 const Pin kPins[] = {
     {"window_hoisted", 0x48c93937d73b9d0dULL, 4, 4, 5, 1, 5, 0, 0},

@@ -154,6 +154,23 @@ TEST_F(MatMulFheTest, BsgsRotationCountsPinnedToPlan) {
   EXPECT_EQ(delta.hoisted_rotations.load(), 0u);
   EXPECT_LT(sp_.rotation_steps.size() + sp_.giant_steps.size(),
             static_cast<std::size_t>(2 * n - 2));
+
+  // Pure fan (n1 = 0): every nonzero off-diagonal, negative steps included,
+  // is a baby of one hoisted fan and no giant rotates.
+  smartpaf::PlanOptions fan_opts;
+  fan_opts.force_n1 = 0;
+  const auto fan = smartpaf::Planner::plan(pipe, rt_->ctx(),
+                                           smartpaf::CostModel::heuristic(), fan_opts);
+  EXPECT_TRUE(fan.stages[0].giant_steps.empty());
+  before = ev.counters;
+  const std::vector<double> got = rt_->decrypt(pipe.run(*rt_, fan, in));
+  delta = ev.counters.delta_since(before);
+  EXPECT_EQ(delta.rotations.load(), static_cast<std::size_t>(2 * n - 2));
+  EXPECT_EQ(delta.hoisted_rotations.load(), static_cast<std::size_t>(2 * n - 2));
+  const std::vector<double> want = pipe.reference(slots);
+  for (int j = 0; j < n; ++j)
+    EXPECT_NEAR(got[static_cast<std::size_t>(j)], want[static_cast<std::size_t>(j)],
+                kParityTol);
 }
 
 TEST_F(MatMulFheTest, HoistedAndNaiveBabyFansAreBitIdentical) {
