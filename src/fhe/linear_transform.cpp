@@ -235,6 +235,17 @@ LtSchedule diagonal_schedule(const std::vector<int>& steps, int n1) {
   return s;
 }
 
+LtSchedule split_schedule(const LtSchedule& fan, int n1, int unit) {
+  LtSchedule s = fan;
+  s.n1 = n1;
+  for (Term& t : s.terms) {
+    sp::check(t.giant == 0, "split_schedule: input must be a pure fan");
+    t.giant = giant_of(t.baby, n1 * unit);
+    t.baby -= t.giant;
+  }
+  return s;
+}
+
 int fewest_rotations_n1(const std::vector<int>& steps, int span) {
   sp::check(!steps.empty(), "fewest_rotations_n1: no nonzero diagonals");
   int best = 1, best_rot = -1, best_groups = -1;

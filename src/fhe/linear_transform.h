@@ -134,6 +134,11 @@ struct ConvGeom {
   int out_w() const { return (width - kernel) / stride + 1; }
   int out_row_stride() const { return row_stride * stride; }
   int out_elem_stride() const { return elem_stride * stride; }
+  /// Slots a `channels`-plane block of this grid spans.
+  int extent(int channels) const {
+    return (channels - 1) * ch_stride + (height - 1) * row_stride +
+           (width - 1) * elem_stride + 1;
+  }
   /// Throws unless the grid is collision-free (rows fit inside a channel
   /// plane, columns inside a row) and the kernel fits the image.
   void validate() const;
@@ -147,6 +152,13 @@ std::vector<int> diagonal_steps(const std::vector<double>& weights, int rows, in
 /// @brief Diagonal-method schedule of `steps` (ascending) from input block
 /// 0 to output block 0, each step split as giant_of(s, n1) + baby.
 LtSchedule diagonal_schedule(const std::vector<int>& steps, int n1);
+
+/// @brief `fan` (a pure-fan schedule: every giant 0) split at n1: a term's
+/// rotation r becomes giant_of(r, n1 * unit) + baby, term order kept. `unit`
+/// is the rotation between adjacent split keys: 1 for matmul diagonals,
+/// ch_stride for conv channel offsets (a kernel tap's offset stays inside
+/// one channel plane, so this is giant_of(c, n1) * ch_stride).
+LtSchedule split_schedule(const LtSchedule& fan, int n1, int unit);
 
 /// @brief The n1 in [1, span] with the fewest rotations, ties broken toward
 /// fewer giant groups, then the smaller n1 (the encrypted trainer's split).

@@ -136,11 +136,15 @@ void write_layout(WireWriter& w, const smartpaf::StageLayout& l) {
     w.i32(v);
 }
 
-smartpaf::StageLayout read_layout(WireReader& r) {
-  smartpaf::StageLayout l;
+/// Reads a stage layout and accepts it only as the layout its defining
+/// fields derive at the plan's slot `extent`: layout_slot() divides by and
+/// indexes with the derived ones (blocks, block width, channels per block).
+smartpaf::StageLayout read_layout(WireReader& r, std::size_t extent) {
+  using smartpaf::StageLayout;
+  StageLayout l;
   const std::uint8_t kind = r.u8();
   sp::check(kind <= 1, "wire: unknown stage layout kind tag");
-  l.kind = static_cast<smartpaf::StageLayout::Kind>(kind);
+  l.kind = static_cast<StageLayout::Kind>(kind);
   l.width = r.u64();
   l.blocks = r.i32();
   l.block_width = r.u64();
@@ -148,10 +152,24 @@ smartpaf::StageLayout read_layout(WireReader& r) {
                  &l.elem_stride, &l.chans_per_block})
     *v = r.i32();
   sp::check(l.blocks >= 1, "wire: stage layout needs at least one block");
-  if (l.kind == smartpaf::StageLayout::Kind::Grid)
+  StageLayout derived;
+  if (l.kind == StageLayout::Kind::Dense) {
+    sp::check(l.width >= 1, "wire: dense layout needs at least one element");
+    derived = StageLayout::dense(l.width, extent);
+  } else {
     sp::check(l.channels >= 1 && l.height >= 1 && l.width_px >= 1 && l.ch_stride >= 1 &&
                   l.row_stride >= 1 && l.elem_stride >= 1 && l.chans_per_block >= 1,
               "wire: grid layout dimensions and strides must be positive");
+    // Every grid the pipeline builds keeps a channel plane's spatial extent
+    // below ch_stride; checked in 64 bits before grid() sums it in int.
+    sp::check(std::int64_t{l.height - 1} * l.row_stride +
+                      std::int64_t{l.width_px - 1} * l.elem_stride <
+                  l.ch_stride,
+              "wire: grid layout rows overrun their channel plane");
+    derived = StageLayout::grid(l.channels, l.height, l.width_px, l.ch_stride,
+                                l.row_stride, l.elem_stride, extent);
+  }
+  sp::check(l == derived, "wire: stage layout disagrees with the plan's slot extent");
   return l;
 }
 
@@ -432,6 +450,10 @@ smartpaf::Plan deserialize_plan(const std::vector<std::uint8_t>& bytes,
   plan.chain_levels = r.i32();
   plan.levels_used = r.i32();
   plan.pack_stride = r.u64();
+  const std::size_t slots = ctx.slot_count();
+  sp::check(plan.pack_stride <= slots && (plan.pack_stride == 0 || slots % plan.pack_stride == 0),
+            "wire: plan pack stride must divide the slot count");
+  const std::size_t extent = plan.pack_stride != 0 ? plan.pack_stride : slots;
   plan.predicted_cost = r.f64();
   plan.measured_costs = r.boolean();
   const std::uint64_t stages = r.u64();
@@ -456,8 +478,8 @@ smartpaf::Plan deserialize_plan(const std::vector<std::uint8_t>& bytes,
     sp::check(st.n1 >= -1, "wire: stage split n1 must be >= -1");
     st.width_in = r.u64();
     st.width_out = r.u64();
-    st.layout_in = read_layout(r);
-    st.layout_out = read_layout(r);
+    st.layout_in = read_layout(r, extent);
+    st.layout_out = read_layout(r, extent);
     st.ops.ct_mults = r.i32();
     st.ops.relins = r.i32();
     st.ops.rescales = r.i32();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -110,6 +111,15 @@ std::string StageLayout::describe() const {
   }
   if (blocks > 1) os << " x" << blocks << "ct";
   return os.str();
+}
+
+bool StageLayout::operator==(const StageLayout& o) const {
+  const auto fields = [](const StageLayout& l) {
+    return std::tie(l.kind, l.width, l.blocks, l.block_width, l.channels, l.height,
+                    l.width_px, l.ch_stride, l.row_stride, l.elem_stride,
+                    l.chans_per_block);
+  };
+  return fields(*this) == fields(o);
 }
 
 std::pair<int, std::size_t> layout_slot(const StageLayout& layout, std::size_t i) {
@@ -245,6 +255,10 @@ void matmul_terms(fhe::LinearTransform& lt, const MatMulStage& mm,
                            mm.bias);
   std::vector<MatMulStage> split = split_matmul_blocks(mm, in);
   for (std::size_t b = 0; b < split.size(); ++b) {
+    sp::check_fmt(static_cast<std::size_t>(split[b].rows) <= tile &&
+                      static_cast<std::size_t>(split[b].cols) <= tile,
+                  "stage_transform: ", split[b].rows, "x", split[b].cols,
+                  " matmul block exceeds the ", tile, "-slot tile");
     const auto blk = std::make_shared<const MatMulStage>(std::move(split[b]));
     lt.key = sp::fnv_doubles(fnv_ints(lt.key, {blk->rows, blk->cols}), blk->weights);
     for (int s : fhe::diagonal_steps(blk->weights, blk->rows, blk->cols)) {
@@ -274,6 +288,11 @@ void conv_terms(fhe::LinearTransform& lt, const ConvStage& cv, const StageLayout
                 int n1, std::size_t tile, std::size_t slots) {
   const fhe::ConvGeom g = conv_geom(cv, in);
   const int cpb = in.chans_per_block;
+  sp::check(cpb >= 1, "stage_transform: conv layout needs >= 1 channel per block");
+  const int widest = std::min(cpb, std::max(g.in_channels, g.out_channels));
+  sp::check_fmt(static_cast<std::size_t>(g.extent(widest)) <= tile, "stage_transform: ",
+                widest, "-channel block spans ", g.extent(widest),
+                " slots but the tile has ", tile);
   // Every output anchor of local channel ol at `offset` (mod tile) gets `w`.
   const auto put_anchors = [g](std::vector<double>& v, std::size_t tile_, int ol,
                                int offset, double w) {
@@ -348,6 +367,9 @@ std::optional<fhe::LinearTransform> stage_transform(const Stage& stage,
   if (std::holds_alternative<LinearStage>(stage.op) ||
       std::holds_alternative<PafStage>(stage.op))
     return std::nullopt;
+  // Masks write slot (at mod tile) of every tile of a `slots`-long vector.
+  sp::check_fmt(tile >= 1 && tile <= slots && slots % tile == 0, "stage_transform: tile ",
+                tile, " must divide the ", slots, " slots");
   fhe::LinearTransform lt(in.blocks, out.blocks, n1);
   if (const auto* win = std::get_if<WindowStage>(&stage.op)) {
     // Tap t reads rot(x, t) under the scalar mask taps[t].
@@ -908,6 +930,19 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
     fhe::EvalStats* stats) const {
   sp::check(plan.stages.size() == stages_.size(),
             "FhePipeline::run: plan does not match this pipeline");
+  const std::size_t slots = rt.ctx().slot_count();
+  const std::size_t tile = plan.pack_stride != 0 ? plan.pack_stride : slots;
+  sp::check_fmt(tile <= slots && slots % tile == 0, "FhePipeline::run: pack stride ", tile,
+                " must divide the ", slots, " slots");
+  // The rotation-sum generators index slots through these layouts, so a
+  // plan (possibly decoded from bytes) runs only with the ones this
+  // pipeline derives at its tile.
+  const auto layouts = stage_layouts(tile);
+  for (std::size_t i = 0; i < stages_.size(); ++i)
+    sp::check_fmt(plan.stages[i].layout_in == layouts[i].first &&
+                      plan.stages[i].layout_out == layouts[i].second,
+                  "FhePipeline::run: stage ", i, " ('", stages_[i].label,
+                  "') layout does not match this pipeline at a ", tile, "-slot tile");
   sp::check(!in.empty(), "FhePipeline::run: no input ciphertexts");
   sp::check_fmt(in.size() == static_cast<std::size_t>(plan.stages.front().layout_in.blocks),
                 "FhePipeline::run: the plan's input layout spans ",
@@ -920,7 +955,6 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
   fhe::PafEvaluator& pe = rt.paf_evaluator();
   fhe::Encoder& enc = rt.encoder();
   const double delta = rt.ctx().scale();
-  const std::size_t tile = plan.pack_stride != 0 ? plan.pack_stride : rt.ctx().slot_count();
   PafEvalGuard guard(pe);
 
   std::vector<fhe::Ciphertext> blocks = in;
@@ -963,8 +997,8 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
       continue;
     }
 
-    if (const auto lt = stage_transform(st, sp_.layout_in, sp_.layout_out, sp_.n1,
-                                        tile, rt.ctx().slot_count())) {
+    if (const auto lt = stage_transform(st, sp_.layout_in, sp_.layout_out, sp_.n1, tile,
+                                        slots)) {
       std::vector<int> steps = sp_.rotation_steps;
       steps.insert(steps.end(), sp_.giant_steps.begin(), sp_.giant_steps.end());
       blocks = lt->apply(ev, blocks, *rt.rotation_keys(steps), sp_.hoist_fan, &enc, delta);

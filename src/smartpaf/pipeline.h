@@ -131,6 +131,10 @@ struct StageLayout {
   /// @brief Compact human-readable form, e.g. "dense w576" or
   /// "grid 4x12x12 s(144,12,1) x2ct" — what Plan::describe() prints.
   std::string describe() const;
+  /// @brief Field-wise equality (run_blocks and plan decoding compare a
+  /// plan's layouts against the ones dense()/grid() derive).
+  bool operator==(const StageLayout& o) const;
+  bool operator!=(const StageLayout& o) const { return !(*this == o); }
 };
 
 /// @brief (block, slot) position of logical element `i` under `layout`
@@ -377,9 +381,11 @@ std::vector<MatMulStage> split_matmul_blocks(const MatMulStage& mm,
 /// @brief The masked rotation-sum a window, compact, matmul or conv stage
 /// executes from layout `in` to layout `out`, split at `n1` (0 = pure fan;
 /// window and compact are always pure fans), with masks repeating every
-/// `tile` of `slots` slots; nullopt for linear and PAF stages. Masks build
-/// lazily, so the Planner prices candidate splits from the same term list
-/// run_blocks executes.
+/// `tile` of `slots` slots; nullopt for linear and PAF stages. Throws
+/// unless `tile` divides `slots` and every matmul block or conv channel
+/// block fits one tile. Masks build lazily, so the Planner prices its
+/// candidate splits from the pure fan of the same term list run_blocks
+/// executes (fhe::split_schedule).
 std::optional<fhe::LinearTransform> stage_transform(const Stage& stage,
                                                     const StageLayout& in,
                                                     const StageLayout& out, int n1,

@@ -265,12 +265,17 @@ LinearStage compose_linear(const LinearStage& first, const LinearStage& second) 
 }
 
 /// Split candidates of one rotation-sum stage: matmul 1..n1_max (split on
-/// the diagonal step), conv 0..n1_max (0 = the im2col fan; split on the
-/// channel offset), window and compact the plain fan only. n1_max caps near
-/// 2 sqrt(span), past which giants stop shrinking.
-std::vector<int> split_candidates(const Stage& st, const StageLayout& in,
-                                  const PlanOptions& opts) {
-  int span = 0, lo = 0;
+/// the diagonal step, unit 1), conv 0..n1_max (0 = the im2col fan; split on
+/// the channel offset, unit ch_stride), window and compact the plain fan
+/// only. n1_max caps near 2 sqrt(span), past which giants stop shrinking.
+struct SplitCandidates {
+  std::vector<int> n1s;
+  int unit = 1;  ///< fhe::split_schedule's rotation per split key
+};
+
+SplitCandidates split_candidates(const Stage& st, const StageLayout& in,
+                                 const PlanOptions& opts) {
+  int span = 0, lo = 0, unit = 1;
   if (const auto* mm = std::get_if<MatMulStage>(&st.op)) {
     for (const MatMulStage& b : split_matmul_blocks(*mm, in))
       span = std::max(span, b.rows + b.cols - 1);
@@ -278,17 +283,18 @@ std::vector<int> split_candidates(const Stage& st, const StageLayout& in,
   } else if (const auto* cv = std::get_if<ConvStage>(&st.op)) {
     span = std::min(in.chans_per_block, cv->in_channels) +
            std::min(in.chans_per_block, cv->out_channels) - 1;
+    unit = in.ch_stride;
   } else {
-    return {0};
+    return {{0}, unit};
   }
   if (opts.force_n1) {
     sp::check(*opts.force_n1 >= 0, "Planner: force_n1 must be >= 0");
-    return {*opts.force_n1};
+    return {{*opts.force_n1}, unit};
   }
   const int n1_max = std::min(
       span, 2 * static_cast<int>(std::ceil(std::sqrt(static_cast<double>(span)))) + 1);
-  std::vector<int> out;
-  for (int n1 = lo; n1 <= n1_max; ++n1) out.push_back(n1);
+  SplitCandidates out{{}, unit};
+  for (int n1 = lo; n1 <= n1_max; ++n1) out.n1s.push_back(n1);
   return out;
 }
 
@@ -474,15 +480,17 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       sp_.predicted_cost = cost.eval_cost(sp_.ops);
     } else if (!std::holds_alternative<PafStage>(st.op)) {
       // Window, compact, matmul and conv are one masked rotation-sum each:
-      // one sweep over the stage's split candidates, each priced from the
-      // term list run_blocks would execute; the first cheapest wins.
+      // one sweep over the stage's split candidates, each priced as a split
+      // of the pure-fan term list run_blocks would execute; the first
+      // cheapest wins.
+      const fhe::LtSchedule fan =
+          stage_transform(st, sp_.layout_in, sp_.layout_out, 0, extent, slots)->schedule;
+      const SplitCandidates split = split_candidates(st, sp_.layout_in, opts);
       StagePlan best;
       bool first = true;
-      for (const int n1 : split_candidates(st, sp_.layout_in, opts)) {
+      for (const int n1 : split.n1s) {
         StagePlan cand = sp_;
-        price_schedule(
-            stage_transform(st, sp_.layout_in, sp_.layout_out, n1, extent, slots)->schedule,
-            cost, opts.force_hoist, cand);
+        price_schedule(fhe::split_schedule(fan, n1, split.unit), cost, opts.force_hoist, cand);
         if (first || cand.predicted_cost < best.predicted_cost) {
           best = std::move(cand);
           first = false;

@@ -82,6 +82,7 @@ TEST(ConvGeom, ValidatesCollisionFreeStrides) {
   ConvGeom g = small_geom();
   EXPECT_NO_THROW(g.validate());
   EXPECT_EQ(g.out_h(), 2);
+  EXPECT_EQ(g.extent(2), 2 * 16);
 
   ConvGeom rows_overlap = g;
   rows_overlap.row_stride = 3;  // (w-1)*elem = 3 == row_stride: columns collide

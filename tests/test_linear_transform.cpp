@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "fhe/linear_transform.h"
@@ -148,6 +149,58 @@ TEST(LtSchedule, ConvSkipsAllZeroTerms) {
   const auto s = conv_schedule(w, /*n1=*/0);
   EXPECT_EQ(s.terms.size(), 1u);  // both pairs share offset c = 0, tap 0
   EXPECT_EQ(s.rotations(), 0);
+}
+
+TEST(LtSchedule, SplitOfThePureFanMatchesTheGenerators) {
+  // The Planner prices every candidate n1 as split_schedule() of the n1 = 0
+  // term list; that must be the schedule the generator emits at n1.
+  const auto expect_same = [](const fhe::LtSchedule& a, const fhe::LtSchedule& b, int n1) {
+    ASSERT_EQ(a.terms.size(), b.terms.size()) << "n1 " << n1;
+    for (std::size_t i = 0; i < a.terms.size(); ++i) {
+      const auto &x = a.terms[i], &y = b.terms[i];
+      EXPECT_TRUE(x.in_block == y.in_block && x.out_block == y.out_block &&
+                  x.giant == y.giant && x.baby == y.baby)
+          << "n1 " << n1 << " term " << i;
+    }
+  };
+  std::vector<double> kernel(36);
+  for (std::size_t i = 0; i < kernel.size(); ++i) kernel[i] = i % 4 == 1 ? 0.0 : 0.5;
+  const fhe::LtSchedule conv_fan = conv_schedule(kernel, 0);
+  for (int n1 = 0; n1 <= 4; ++n1)
+    expect_same(fhe::split_schedule(conv_fan, n1, 16), conv_schedule(kernel, n1), n1);
+
+  // A 5 x 12 matmul over two 8-slot dense blocks.
+  smartpaf::Stage st;
+  std::vector<double> w(5 * 12);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = i % 3 == 0 ? 0.0 : 0.1 * (i % 7);
+  st.op = smartpaf::MatMulStage{5, 12, w, {}};
+  const auto in = smartpaf::StageLayout::dense(12, 8);
+  const auto out = smartpaf::StageLayout::dense(5, 8);
+  const auto mm = [&](int n1) { return smartpaf::stage_transform(st, in, out, n1, 8, 8)->schedule; };
+  const fhe::LtSchedule mm_fan = mm(0);
+  EXPECT_EQ(mm_fan.blocks_in, 2);
+  for (int n1 = 0; n1 <= 12; ++n1) expect_same(fhe::split_schedule(mm_fan, n1, 1), mm(n1), n1);
+}
+
+TEST(LtSchedule, GeneratorsRejectTilesTheMasksCannotRepeatOn) {
+  // Masks write slot (at mod tile) of every tile: the tile must divide the
+  // slot count and hold a whole matmul block or conv channel block.
+  smartpaf::Stage mm;
+  mm.op = smartpaf::MatMulStage{5, 12, std::vector<double>(60, 0.5), {}};
+  const auto in = smartpaf::StageLayout::dense(12, 8);
+  const auto out = smartpaf::StageLayout::dense(5, 8);
+  EXPECT_NO_THROW(smartpaf::stage_transform(mm, in, out, 1, 8, 16));
+  EXPECT_THROW(smartpaf::stage_transform(mm, in, out, 1, 12, 16), sp::Error);  // 12 ∤ 16
+  EXPECT_THROW(smartpaf::stage_transform(mm, in, out, 1, 32, 16), sp::Error);  // > slots
+  EXPECT_THROW(smartpaf::stage_transform(mm, in, out, 1, 4, 16), sp::Error);   // 8-wide block
+
+  smartpaf::Stage cv;
+  cv.op = smartpaf::ConvStage{2, 2, 4, 4, 3, 1, std::vector<double>(36, 0.25), {}};
+  const auto grid_in = smartpaf::StageLayout::grid(2, 4, 4, 16, 4, 1, 32);
+  const auto grid_out = smartpaf::StageLayout::grid(2, 2, 2, 16, 4, 1, 32);
+  EXPECT_NO_THROW(smartpaf::stage_transform(cv, grid_in, grid_out, 0, 32, 64));
+  // Two 16-slot channel planes per block span 32 slots: a 16-slot tile is short.
+  EXPECT_THROW(smartpaf::stage_transform(cv, grid_in, grid_out, 0, 16, 64), sp::Error);
 }
 
 // ------------------------------------------------------ golden digests ------

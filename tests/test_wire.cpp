@@ -431,10 +431,8 @@ TEST(WirePlan, LenetPlanKeepsSplitsAndLayouts) {
   for (std::size_t i = 0; i < plan.stages.size(); ++i) {
     EXPECT_EQ(back.stages[i].n1, plan.stages[i].n1) << i;
     EXPECT_EQ(back.stages[i].giant_steps, plan.stages[i].giant_steps) << i;
-    EXPECT_EQ(back.stages[i].layout_in.describe(), plan.stages[i].layout_in.describe());
-    EXPECT_EQ(back.stages[i].layout_out.describe(), plan.stages[i].layout_out.describe());
-    EXPECT_EQ(back.stages[i].layout_in.chans_per_block,
-              plan.stages[i].layout_in.chans_per_block);
+    EXPECT_TRUE(back.stages[i].layout_in == plan.stages[i].layout_in) << i;
+    EXPECT_TRUE(back.stages[i].layout_out == plan.stages[i].layout_out) << i;
   }
   EXPECT_EQ(back.describe(), plan.describe());
 
@@ -450,6 +448,42 @@ TEST(WirePlan, LenetPlanKeepsSplitsAndLayouts) {
   corrupt([](smartpaf::StageLayout& l) { l.blocks = 0; }, "at least one block");
   corrupt([](smartpaf::StageLayout& l) { l.ch_stride = 0; }, "strides must be positive");
   corrupt([](smartpaf::StageLayout& l) { l.row_stride = -3; }, "strides must be positive");
+  corrupt([](smartpaf::StageLayout& l) { l.row_stride = l.ch_stride; }, "channel plane");
+  corrupt([](smartpaf::StageLayout& l) { l.chans_per_block += 1; }, "slot extent");
+  corrupt([](smartpaf::StageLayout& l) { l.blocks = 2; }, "slot extent");
+}
+
+TEST_F(WireTest, DecodeAndRunRejectInconsistentMatmulPlans) {
+  // A matmul indexes its input by the layout's block width and builds masks
+  // tile by tile; a plan whose layout or pack stride disagrees with the
+  // pipeline must be refused at decode and at run time, never executed.
+  std::vector<double> w(4 * 8);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = 0.1 * static_cast<double>(i % 5) - 0.2;
+  const auto pipe = smartpaf::FhePipeline::builder().input_width(8).matmul(4, 8, w).build();
+  const smartpaf::Plan plan =
+      smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
+  const Ciphertext x = rt_->encrypt(random_slots(41));
+  ASSERT_NO_THROW(pipe.run(*rt_, io::deserialize_plan(io::serialize(plan, rt_->ctx()),
+                                                      rt_->ctx()),
+                           x));
+
+  const auto expect_refused = [&](const smartpaf::Plan& bad, const char* decode_error,
+                                  const char* run_error) {
+    expect_error_containing(
+        [&] { io::deserialize_plan(io::serialize(bad, rt_->ctx()), rt_->ctx()); },
+        decode_error);
+    expect_error_containing([&] { pipe.run(*rt_, bad, x); }, run_error);
+  };
+  for (const std::size_t block_width : {std::size_t{0}, std::size_t{1}}) {
+    smartpaf::Plan bad = plan;
+    bad.stages[0].layout_in.blocks = 2;
+    bad.stages[0].layout_in.block_width = block_width;
+    expect_refused(bad, "slot extent", "layout does not match");
+  }
+  // 1000 does not divide the 1024 slots: tiled masks would run off the end.
+  smartpaf::Plan bad_stride = plan;
+  bad_stride.pack_stride = 1000;
+  expect_refused(bad_stride, "pack stride", "pack stride");
 }
 
 // ---------------------------------------------------------------- rejection --
