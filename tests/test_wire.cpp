@@ -463,7 +463,7 @@ TEST_F(WireTest, DecodeAndRunRejectInconsistentMatmulPlans) {
   const smartpaf::Plan plan =
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   const Ciphertext x = rt_->encrypt(random_slots(41));
-  ASSERT_NO_THROW(pipe.run(*rt_, io::deserialize_plan(io::serialize(plan, rt_->ctx()),
+  EXPECT_NO_THROW(pipe.run(*rt_, io::deserialize_plan(io::serialize(plan, rt_->ctx()),
                                                       rt_->ctx()),
                            x));
 
