@@ -134,7 +134,6 @@ struct StageLayout {
   /// @brief Field-wise equality (run_blocks and plan decoding compare a
   /// plan's layouts against the ones dense()/grid() derive).
   bool operator==(const StageLayout& o) const;
-  bool operator!=(const StageLayout& o) const { return !(*this == o); }
 };
 
 /// @brief (block, slot) position of logical element `i` under `layout`
