@@ -1,13 +1,18 @@
 // Evaluator-level correctness net for the parallel backend work: plaintext
 // parity for the elementwise ops and rotations, bit-exact equivalence of
-// hoisted vs naive rotation, and lazy-relinearization BSGS parity + savings
-// vs the eager schedule.
+// hoisted vs naive rotation, lazy-relinearization BSGS parity + savings
+// vs the eager schedule, and golden digests plus NTT counts for the
+// key-switch and rescale paths at several chain lengths.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "smartpaf/fhe_deploy.h"
 
@@ -291,6 +296,142 @@ TEST_F(EvaluatorOpsTest, LazyRelinReluParity) {
   for (std::size_t i = 0; i < v.size(); ++i)
     worst = std::max(worst, std::abs(lazy[i] - eager[i]));
   EXPECT_LT(worst, kParityTol);
+}
+
+// ------------------------------------------------------------ op pins ------
+// Golden FNV digests over the scale and every residue of every output part
+// of the key-switch and rescale ops, at several chain lengths c, with the
+// forward/inverse NTT counts each op issues as closed forms in c. A digest
+// change means a ciphertext changed; a count change means an op does a
+// different amount of transform work. A missing pin prints the observed row.
+
+struct OpPin {
+  const char* name;
+  std::uint64_t digest;
+};
+
+const OpPin kOpPins[] = {
+    {"n2048.c7.rescale2", 0xa77a13b9ab31ddf2ULL},
+    {"n2048.c7.rescale3", 0x32aa173b0c93e288ULL},
+    {"n2048.c7.relin", 0x11780a4bc5e92907ULL},
+    {"n2048.c7.rotate", 0x18521e9395414253ULL},
+    {"n2048.c7.fan3", 0x41d8c56f5980a4d8ULL},
+    {"n2048.c4.rescale2", 0xf297f1ae757fe124ULL},
+    {"n2048.c4.rescale3", 0x4491e72b4a5d70b2ULL},
+    {"n2048.c4.relin", 0x31a29c879f200d41ULL},
+    {"n2048.c4.rotate", 0x1099fed1f226a79eULL},
+    {"n2048.c4.fan3", 0xfd0bbeb51ec4c733ULL},
+    {"n2048.c2.rescale2", 0xc54dc6c9b96859c1ULL},
+    {"n2048.c2.rescale3", 0x00f78105fd529f29ULL},
+    {"n2048.c2.relin", 0x8dc7f6b86b2efbb6ULL},
+    {"n2048.c2.rotate", 0x8f9199ae503b6994ULL},
+    {"n2048.c2.fan3", 0x4559cef43479d743ULL},
+    {"n2048.c1.relin", 0xf67c54e11fc605cbULL},
+    {"n2048.c1.rotate", 0x23c4f6be6f41ae2dULL},
+    {"n2048.c1.fan3", 0x541cd7eea8dd4130ULL},
+    {"n8192.c11.rescale2", 0xaaedc61681d82832ULL},
+    {"n8192.c11.rescale3", 0xbe8207464bdc7a88ULL},
+    {"n8192.c11.relin", 0x0201a50f2ee078d3ULL},
+    {"n8192.c11.rotate", 0xc324d75963f1ca35ULL},
+    {"n8192.c11.fan3", 0xbd83cc1ccca6a57bULL},
+};
+
+struct NttCount {
+  std::size_t fwd, inv;
+};
+
+/// Rescale of a `parts`-part ciphertext over c primes.
+NttCount rescale_ntts(std::size_t c, std::size_t parts) {
+  return {parts * (c - 1), parts * c};
+}
+NttCount relin_ntts(std::size_t c) { return {c * c + 3 * c, 3 * c + 2}; }
+NttCount rotate_ntts(std::size_t c) { return {c * c + 4 * c, 4 * c + 2}; }
+/// Hoisted fan of k steps: one decomposition, k key switches.
+NttCount fan_ntts(std::size_t c, std::size_t k) {
+  return {c * (c + 1) + 2 * c * k, c + 2 * k * (c + 1)};
+}
+
+std::uint64_t ct_digest(const std::vector<Ciphertext>& cts) {
+  std::uint64_t h = kFnvOffset;
+  for (const Ciphertext& ct : cts) {
+    h = fnv_double(h, ct.scale);
+    for (const RnsPoly& p : ct.parts)
+      for (int r = 0; r < p.row_count(); ++r)
+        for (std::size_t i = 0; i < p.n(); ++i) h = fnv_mix(h, p.row(r)[i]);
+  }
+  return h;
+}
+
+void expect_op_pin(const std::string& name, const std::vector<Ciphertext>& out,
+                   const OpCounters& d, NttCount want) {
+  const std::uint64_t got = ct_digest(out);
+  char row[128];
+  std::snprintf(row, sizeof(row), "    {\"%s\", 0x%016" PRIx64 "ULL},", name.c_str(), got);
+  const OpPin* pin = nullptr;
+  for (const OpPin& p : kOpPins)
+    if (name == p.name) pin = &p;
+  ASSERT_NE(pin, nullptr) << "no pin for " << name << "; observed:\n" << row;
+  EXPECT_EQ(got, pin->digest) << "observed:\n" << row;
+  EXPECT_EQ(d.ntts_forward.load(), want.fwd) << name << " forward NTTs";
+  EXPECT_EQ(d.ntts_inverse.load(), want.inv) << name << " inverse NTTs";
+}
+
+/// Runs every pinned op on fresh deterministic inputs dropped to each chain
+/// length in `q_counts`. Rescale needs c >= 2.
+void run_op_pins(const std::string& tag, const CkksParams& params,
+                 const std::vector<int>& q_counts) {
+  smartpaf::FheRuntime rt(params, /*seed=*/515);
+  const std::vector<int> fan = {1, -3, 7};
+  const auto gk = rt.rotation_keys(fan);
+  Encryptor enc(rt.ctx(), rt.public_key(), /*seed=*/616);
+  Evaluator& ev = rt.evaluator();
+  sp::Rng rng(717);
+  const auto fresh = [&] {
+    std::vector<double> v(rt.ctx().slot_count());
+    for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+    return enc.encrypt(rt.encoder().encode(v, rt.ctx().scale(), rt.ctx().q_count()));
+  };
+  for (int c : q_counts) {
+    SCOPED_TRACE(tag + " c=" + std::to_string(c));
+    Ciphertext a = fresh(), b = fresh();
+    ev.drop_to_level(a, c - 1);
+    ev.drop_to_level(b, c - 1);
+    const auto pin = [&](const char* op, NttCount want, const auto& body) {
+      const OpCounters before = ev.counters;
+      const std::vector<Ciphertext> out = body();
+      expect_op_pin(tag + ".c" + std::to_string(c) + "." + op, out,
+                    ev.counters.delta_since(before), want);
+    };
+    const std::size_t cc = static_cast<std::size_t>(c);
+    if (c >= 2) {
+      pin("rescale2", rescale_ntts(cc, 2), [&] {
+        Ciphertext x = a;
+        ev.rescale_inplace(x);
+        return std::vector<Ciphertext>{x};
+      });
+      pin("rescale3", rescale_ntts(cc, 3), [&] {
+        Ciphertext x = ev.multiply(a, b);
+        ev.rescale_inplace(x);
+        return std::vector<Ciphertext>{x};
+      });
+    }
+    pin("relin", relin_ntts(cc), [&] {
+      Ciphertext x = ev.multiply(a, b);
+      ev.relinearize_inplace(x, rt.relin_key());
+      return std::vector<Ciphertext>{x};
+    });
+    pin("rotate", rotate_ntts(cc),
+        [&] { return std::vector<Ciphertext>{ev.rotate(a, fan.back(), *gk)}; });
+    pin("fan3", fan_ntts(cc, fan.size()), [&] { return ev.rotate_hoisted(a, fan, *gk); });
+  }
+}
+
+TEST(EvaluatorOpPins, ShortChainsAtN2048) {
+  run_op_pins("n2048", CkksParams::for_depth(2048, 6, 40), {7, 4, 2, 1});
+}
+
+TEST(EvaluatorOpPins, FullChainAtN8192) {
+  run_op_pins("n8192", CkksParams::for_depth(8192, 10, 40), {11});
 }
 
 }  // namespace
