@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/aligned.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "fhe/ntt.h"
 #include "fhe/simd/simd.h"
 
 namespace sp::fhe {
@@ -15,28 +18,69 @@ void check_scale_close(double a, double b) {
             "Evaluator: scale mismatch between operands");
 }
 
-/// Rescale-style exact division step shared by rescale (divisor = chain
-/// prime) and key-switch mod-down (divisor = special prime): given the
-/// divisor's residue row, subtract its centered lift from every remaining
-/// row and multiply by divisor^-1 mod that row's prime.
-void div_exact_rows(RnsPoly& poly, const u64* divisor_row, const Modulus& divisor_mod,
-                    const std::vector<u64>& inv_mod_rows) {
-  const std::size_t n = poly.n();
-  const u64 d = divisor_mod.value();
-  sp::parallel_for(0, static_cast<std::size_t>(poly.row_count()), [&](std::size_t jj) {
-    const int j = static_cast<int>(jj);
-    const Modulus& m = poly.row_mod(j);
-    const u64 inv = inv_mod_rows[jj];
-    const u64 inv_shoup = shoup_precompute(inv, m.value());
-    u64* r = poly.row(j);
-    for (std::size_t i = 0; i < n; ++i) {
-      const u64 x = divisor_row[i];
-      const std::int64_t centered =
-          x > d / 2 ? static_cast<std::int64_t>(x) - static_cast<std::int64_t>(d)
-                    : static_cast<std::int64_t>(x);
-      const u64 lift = m.from_signed(centered);
-      r[i] = mul_shoup(m.sub(r[i], lift), inv, inv_shoup, m.value());
-    }
+/// Runs body(unit, offset, length) over `units` rows of n elements, split
+/// into tiles of at most 4096 so short chains still spread across the pool.
+/// Units are independent, so results do not depend on the thread count.
+template <typename Body>
+void for_each_tile(std::size_t units, std::size_t n, const Body& body) {
+  constexpr std::size_t kTile = 4096;
+  const std::size_t tiles = n >= kTile ? n / kTile : 1;
+  const std::size_t len = n / tiles;  // n, kTile powers of two => exact
+  sp::parallel_for(0, units * tiles, [&](std::size_t u) {
+    body(u / tiles, (u % tiles) * len, len);
+  });
+}
+
+/// Exact division of every poly in `polys` by the prime of its last row (the
+/// last chain prime for rescale, P for mod-down) with centered rounding, in
+/// the NTT domain: only the dropped row goes back to coefficient form; its
+/// centered lift into each surviving prime is transformed forward there, and
+/// row <- (row - lift) * inv[row]. An NTT is an exact linear map mod each
+/// prime and every row is canonical, so this is bit-identical to dividing in
+/// the coefficient domain. The dropped row is left in coefficient form for
+/// the caller to remove.
+void divide_by_last_row(const std::vector<RnsPoly*>& polys, const std::vector<u64>& inv,
+                        OpCounters& counters) {
+  const int last = polys.front()->row_count() - 1;  // rows [0, last) survive
+  std::vector<NttJob> dropped;
+  for (RnsPoly* p : polys) {
+    sp::check(p->is_ntt() && p->row_count() == last + 1,
+              "divide_by_last_row: expects equally shaped NTT-form polynomials");
+    dropped.push_back({p->row(last), &p->row_ntt(last)});
+  }
+  ntt_inverse_batch(dropped);
+  counters.ntts_inverse += polys.size();
+
+  // Unit u is surviving row u % rows of poly u / rows; its lift is at u * n.
+  const std::size_t rows = static_cast<std::size_t>(last);
+  const std::size_t units = polys.size() * rows;
+  const std::size_t n = polys.front()->n();
+  const auto poly_of = [&](std::size_t u) -> RnsPoly& { return *polys[u / rows]; };
+  const auto row_of = [&](std::size_t u) { return static_cast<int>(u % rows); };
+  sp::AlignedVec<u64> lift(units * n);
+  const u64 d = polys.front()->row_mod(last).value();
+  const simd::Kernels& k = simd::kernels();
+  for_each_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+    const RnsPoly& p = poly_of(u);
+    k.lift_centered(lift.data() + u * n + off, p.row(last) + off, len, d,
+                    p.row_mod(row_of(u)).value());
+  });
+  std::vector<NttJob> jobs(units);
+  for (std::size_t u = 0; u < units; ++u)
+    jobs[u] = {lift.data() + u * n, &poly_of(u).row_ntt(row_of(u))};
+  ntt_forward_batch(jobs);
+  counters.ntts_forward += units;
+
+  std::vector<u64> inv_shoup(rows);
+  for (std::size_t j = 0; j < rows; ++j)
+    inv_shoup[j] = shoup_precompute(inv[j], polys.front()->row_mod(static_cast<int>(j)).value());
+  for_each_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+    RnsPoly& p = poly_of(u);
+    const std::size_t j = u % rows;
+    const u64 q = p.row_mod(row_of(u)).value();
+    u64* r = p.row(row_of(u)) + off;
+    k.sub_mod(r, lift.data() + u * n + off, len, q);
+    k.mul_shoup(r, len, inv[j], inv_shoup[j], q);
   });
 }
 
@@ -129,16 +173,10 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
                          {&cross2, &b.parts[0]},
                          {&p2, &b.parts[1]}};
   const std::size_t rows = static_cast<std::size_t>(p0.row_count());
-  const std::size_t n = p0.n();
-  constexpr std::size_t kTile = 4096;
-  const std::size_t tiles = n >= kTile ? n / kTile : 1;
-  const std::size_t len = n / tiles;
   const simd::Kernels& k = simd::kernels();
-  sp::parallel_for(0, 4 * rows * tiles, [&](std::size_t u) {
-    const Prod& p = prods[u / (rows * tiles)];
-    const std::size_t rem = u % (rows * tiles);
-    const int r = static_cast<int>(rem / tiles);
-    const std::size_t off = (rem % tiles) * len;
+  for_each_tile(4 * rows, p0.n(), [&](std::size_t u, std::size_t off, std::size_t len) {
+    const Prod& p = prods[u / rows];
+    const int r = static_cast<int>(u % rows);
     const Modulus& m = p.dst->row_mod(r);
     k.mul_mod(p.dst->row(r) + off, p.src->row(r) + off, len, m.value(), m.ratio_hi(),
               m.ratio_lo());
@@ -151,42 +189,46 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
   return out;
 }
 
-std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d_coeff) const {
-  sp::check(!d_coeff.is_ntt() && !d_coeff.has_special(),
-            "decompose_digits: expects coefficient form over chain rows");
-  const int l = d_coeff.q_count();
+std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d) const {
+  sp::check(d.is_ntt() && !d.has_special(),
+            "decompose_digits: expects NTT form over chain rows");
+  const int l = d.q_count();
   const int rows = l + 1;  // + special
   const std::size_t n = ctx_->n();
+  RnsPoly d_coeff = d;
+  d_coeff.from_ntt();
+  counters.ntts_inverse += static_cast<std::size_t>(l);
 
+  // Rows are filled in coefficient form and transformed in place below.
   std::vector<RnsPoly> digits(static_cast<std::size_t>(l));
   for (auto& digit : digits)
-    digit = RnsPoly(ctx_, l, /*with_special=*/true, /*ntt_form=*/false);
-  // Centered lift of digit i's residue row into the extended basis — every
-  // (digit, target row) pair is independent, so the lift parallelizes at
-  // l*(l+1) granularity instead of l.
-  sp::parallel_for(0, static_cast<std::size_t>(l * rows), [&](std::size_t u) {
-    const int i = static_cast<int>(u / static_cast<std::size_t>(rows));
-    const int t = static_cast<int>(u % static_cast<std::size_t>(rows));
-    const u64 qi = ctx_->q(i).value();
-    RnsPoly& digit = digits[static_cast<std::size_t>(i)];
-    const u64* src = d_coeff.row(i);
-    const Modulus& m = digit.row_mod(t);
-    u64* dst = digit.row(t);
-    for (std::size_t j = 0; j < n; ++j) {
-      const u64 x = src[j];
-      const std::int64_t centered =
-          x > qi / 2 ? static_cast<std::int64_t>(x) - static_cast<std::int64_t>(qi)
-                     : static_cast<std::int64_t>(x);
-      dst[j] = m.from_signed(centered);
-    }
-  });
-  // All l*(l+1) forward NTTs go out as one batch, so sub-row splitting sees
-  // the full row set at once.
-  std::vector<RnsPoly*> ptrs;
-  ptrs.reserve(digits.size());
-  for (auto& digit : digits) ptrs.push_back(&digit);
-  RnsPoly::to_ntt_batch(ptrs);
-  counters.ntts_forward += static_cast<std::size_t>(l * rows);
+    digit = RnsPoly(ctx_, l, /*with_special=*/true, /*ntt_form=*/true);
+  // Digit i's row i is the lift of a residue into its own prime, i.e. d's
+  // own NTT row i, so it is copied. Every other (digit, target row) pair is
+  // an independent centered lift, parallel at l*(l+1) granularity.
+  const simd::Kernels& k = simd::kernels();
+  for_each_tile(static_cast<std::size_t>(l * rows), n,
+                [&](std::size_t u, std::size_t off, std::size_t len) {
+                  const int i = static_cast<int>(u / static_cast<std::size_t>(rows));
+                  const int t = static_cast<int>(u % static_cast<std::size_t>(rows));
+                  RnsPoly& digit = digits[static_cast<std::size_t>(i)];
+                  if (t == i)
+                    std::memcpy(digit.row(t) + off, d.row(i) + off, len * sizeof(u64));
+                  else
+                    k.lift_centered(digit.row(t) + off, d_coeff.row(i) + off, len,
+                                    ctx_->q(i).value(), digit.row_mod(t).value());
+                });
+  // All l*l forward NTTs go out as one batch, so sub-row splitting sees the
+  // full row set at once.
+  std::vector<NttJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(l * l));
+  for (int i = 0; i < l; ++i)
+    for (int t = 0; t < rows; ++t)
+      if (t != i)
+        jobs.push_back({digits[static_cast<std::size_t>(i)].row(t),
+                        &digits[static_cast<std::size_t>(i)].row_ntt(t)});
+  ntt_forward_batch(jobs);
+  counters.ntts_forward += jobs.size();
   return digits;
 }
 
@@ -235,38 +277,22 @@ std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const std::vector<RnsPoly>&
     }
   });
 
-  mod_down(r0);
-  mod_down(r1);
   return {std::move(r0), std::move(r1)};
 }
 
-void Evaluator::mod_down(RnsPoly& r) const {
-  sp::check(r.has_special() && r.is_ntt(), "mod_down: expects NTT form over Q ∪ {P}");
-  const int l = r.q_count();
-  const std::size_t n = ctx_->n();
-  r.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(l + 1);
-  std::vector<u64> p_inv(static_cast<std::size_t>(l));
-  for (int j = 0; j < l; ++j) p_inv[static_cast<std::size_t>(j)] = ctx_->p_inv_mod(j);
-  // Copy the special row, drop it, then apply the exact-division step.
-  std::vector<u64> special_row(r.row(l), r.row(l) + n);
-  r.drop_special();
-  div_exact_rows(r, special_row.data(), ctx_->special(), p_inv);
-  r.to_ntt();
-  counters.ntts_forward += static_cast<std::size_t>(l);
-}
-
-std::pair<RnsPoly, RnsPoly> Evaluator::key_switch(const RnsPoly& d_coeff,
-                                                  const KSwitchKey& key) const {
-  return apply_kswitch(decompose_digits(d_coeff), key, /*ntt_perm=*/nullptr);
+void Evaluator::mod_down(RnsPoly& r0, RnsPoly& r1) const {
+  sp::check(r0.has_special() && r1.has_special(), "mod_down: expects rows over Q ∪ {P}");
+  std::vector<u64> p_inv(static_cast<std::size_t>(r0.q_count()));
+  for (int j = 0; j < r0.q_count(); ++j) p_inv[static_cast<std::size_t>(j)] = ctx_->p_inv_mod(j);
+  divide_by_last_row({&r0, &r1}, p_inv, counters);
+  r0.drop_special();
+  r1.drop_special();
 }
 
 void Evaluator::relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const {
   sp::check(ct.size() == 3, "relinearize: ciphertext must have 3 parts");
-  RnsPoly d = ct.parts[2];
-  d.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(d.row_count());
-  auto [r0, r1] = key_switch(d, rk);
+  auto [r0, r1] = apply_kswitch(decompose_digits(ct.parts[2]), rk, /*ntt_perm=*/nullptr);
+  mod_down(r0, r1);
   ct.parts.pop_back();
   ct.parts[0].add_inplace(r0);
   ct.parts[1].add_inplace(r1);
@@ -276,61 +302,22 @@ void Evaluator::relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const 
 void Evaluator::rescale_inplace(Ciphertext& ct) const {
   sp::check(ct.level() >= 1, "rescale: no levels remaining");
   const int last = ct.q_count() - 1;
-  const Modulus& q_last = ctx_->q(last);
   std::vector<u64> inv(static_cast<std::size_t>(last));
   for (int j = 0; j < last; ++j) inv[static_cast<std::size_t>(j)] = ctx_->q_inv_mod(last, j);
-  // Inverse and forward conversions of all parts are batched so the NTT
-  // scheduler sees parts x rows at once; the exact-division step between them
-  // parallelizes per row inside div_exact_rows.
   std::vector<RnsPoly*> parts;
   parts.reserve(ct.parts.size());
   for (auto& part : ct.parts) parts.push_back(&part);
-  RnsPoly::from_ntt_batch(parts);
-  for (auto& part : ct.parts) {
-    std::vector<u64> last_row(part.row(last), part.row(last) + part.n());
-    part.drop_last_q();
-    div_exact_rows(part, last_row.data(), q_last, inv);
-  }
-  RnsPoly::to_ntt_batch(parts);
-  counters.ntts_inverse += ct.parts.size() * static_cast<std::size_t>(last + 1);
-  counters.ntts_forward += ct.parts.size() * static_cast<std::size_t>(last);
-  ct.scale /= static_cast<double>(q_last.value());
+  divide_by_last_row(parts, inv, counters);
+  for (auto& part : ct.parts) part.drop_last_q();
+  ct.scale /= static_cast<double>(ctx_->q(last).value());
   ++counters.rescales;
-}
-
-u64 Evaluator::galois_element(int steps) const {
-  const std::size_t two_n = 2 * ctx_->n();
-  const std::size_t half = ctx_->n() / 2;
-  const std::size_t r =
-      ((static_cast<std::size_t>(steps % static_cast<int>(half)) + half) % half);
-  u64 g = 1;
-  for (std::size_t k = 0; k < r; ++k) g = (g * 5) % two_n;
-  return g;
 }
 
 Ciphertext Evaluator::rotate(const Ciphertext& ct, int steps, const GaloisKeys& gk) const {
   sp::check(ct.size() == 2, "rotate: relinearize first");
-  const u64 g = galois_element(steps);
+  const u64 g = galois_element(ctx_->n(), steps);
   if (g == 1) return ct;
-  const auto it = gk.keys.find(g);
-  sp::check(it != gk.keys.end(), "rotate: missing Galois key for requested step");
-
-  RnsPoly c0 = ct.parts[0];
-  RnsPoly c1 = ct.parts[1];
-  RnsPoly::from_ntt_batch({&c0, &c1});
-  counters.ntts_inverse += static_cast<std::size_t>(c0.row_count() + c1.row_count());
-  RnsPoly c0g = apply_galois(c0, g);
-  RnsPoly c1g = apply_galois(c1, g);
-
-  auto [r0, r1] = key_switch(c1g, it->second);
-  c0g.to_ntt();
-  counters.ntts_forward += static_cast<std::size_t>(c0g.row_count());
-  r0.add_inplace(c0g);
-
-  Ciphertext out;
-  out.parts.push_back(std::move(r0));
-  out.parts.push_back(std::move(r1));
-  out.scale = ct.scale;
+  Ciphertext out = rotate_decomposed(hoist(ct), g, gk);
   ++counters.rotations;
   return out;
 }
@@ -339,20 +326,25 @@ HoistedDecomposition Evaluator::hoist(const Ciphertext& ct) const {
   sp::check(ct.size() == 2, "hoist: relinearize first");
   HoistedDecomposition h;
   h.src = ct;
-  RnsPoly c1 = ct.parts[1];
-  c1.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(c1.row_count());
-  h.digits = decompose_digits(c1);
+  h.digits = decompose_digits(ct.parts[1]);
   return h;
 }
 
 Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
                                      const GaloisKeys& gk) const {
   sp::check(!h.digits.empty(), "rotate_hoisted: empty decomposition");
-  const u64 g = galois_element(steps);
+  const u64 g = galois_element(ctx_->n(), steps);
   if (g == 1) return h.src;
+  Ciphertext out = rotate_decomposed(h, g, gk);
+  ++counters.rotations;
+  ++counters.hoisted_rotations;
+  return out;
+}
+
+Ciphertext Evaluator::rotate_decomposed(const HoistedDecomposition& h, u64 g,
+                                        const GaloisKeys& gk) const {
   const auto it = gk.keys.find(g);
-  sp::check(it != gk.keys.end(), "rotate_hoisted: missing Galois key for requested step");
+  sp::check(it != gk.keys.end(), "rotate: missing Galois key for requested step");
 
   // The decomposition commutes with the automorphism: lifting is
   // coefficient-wise and X -> X^g is a signed coefficient permutation, so
@@ -360,6 +352,7 @@ Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
   // ciphertext — bit for bit — at zero additional NTTs.
   const std::vector<std::uint32_t>& table = galois_ntt_table(ctx_->n(), g);
   auto [r0, r1] = apply_kswitch(h.digits, it->second, table.data());
+  mod_down(r0, r1);
 
   // c0 rotates as the same pure NTT-domain permutation (no NTT round-trip).
   const RnsPoly& c0 = h.src.parts[0];
@@ -375,8 +368,6 @@ Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
   out.parts.push_back(std::move(r0));
   out.parts.push_back(std::move(r1));
   out.scale = h.src.scale;
-  ++counters.rotations;
-  ++counters.hoisted_rotations;
   return out;
 }
 

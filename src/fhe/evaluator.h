@@ -115,12 +115,14 @@ inline OpCountersPerInput per_input(const OpCounters& c, int batch_size) {
   return out;
 }
 
-/// One-time key-switch decomposition of a ciphertext, reusable across many
-/// rotations of the same input ("hoisting"). The decomposition digits are
-/// lifted to the extended basis and NTT'd once; each rotation then only
-/// permutes the cached digits in the NTT domain (a slot shuffle) before the
-/// key inner product — the classic 2-3x saving for rotation fans (BSGS baby
-/// steps, conv im2col, pooling).
+/// One-time key-switch decomposition of a ciphertext's c1, reusable across
+/// many rotations of the same input ("hoisting"). Each of the c digits holds
+/// NTT rows over the chain plus P: digit i's row i is c1's own NTT row, the
+/// others are centered lifts transformed once (c^2 forward NTTs in all).
+/// Each rotation then only permutes the cached digits in the NTT domain (a
+/// slot shuffle) before the key inner product — the classic 2-3x saving for
+/// rotation fans (BSGS baby steps, conv im2col, pooling). A plain rotate()
+/// is a one-step fan over a fresh decomposition.
 struct HoistedDecomposition {
   Ciphertext src;               ///< decomposed ciphertext (returned for step 0)
   std::vector<RnsPoly> digits;  ///< NTT form over chain + special rows
@@ -205,14 +207,16 @@ class Evaluator {
   void relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const;
 
   /// @brief Divides by the last chain prime: level decreases by 1 and
-  /// scale /= q_last. Works for 2- and 3-part ciphertexts.
+  /// scale /= q_last. Works for 2- and 3-part ciphertexts. Runs in the NTT
+  /// domain: one inverse NTT per part (the dropped row) and c - 1 forward.
   void rescale_inplace(Ciphertext& ct) const;
 
   /// @brief Rotates slots left by `steps` (Galois automorphism + key
-  /// switch).
+  /// switch): `rotate_hoisted(hoist(ct), steps, gk)`, bit for bit and NTT
+  /// for NTT, but tallied as a plain rotation, not a hoisted one.
   /// @param ct     2-part source ciphertext
   /// @param steps  slot offset (negative = right rotation); a key for
-  ///               galois_element(steps) must exist in `gk`
+  ///               galois_element(n, steps) must exist in `gk`
   /// @param gk     rotation keys
   /// @return rotated ciphertext at the same level/scale
   Ciphertext rotate(const Ciphertext& ct, int steps, const GaloisKeys& gk) const;
@@ -225,10 +229,10 @@ class Evaluator {
 
   /// @brief Rotation from a hoisted decomposition: bit-identical to
   /// `rotate(h.src, steps, gk)` while skipping the per-rotation digit
-  /// decomposition and the c0 NTT round-trip entirely.
+  /// decomposition; c0 rotates as an NTT-domain permutation.
   /// @param h      decomposition from hoist()
   /// @param steps  slot offset (step 0 returns h.src unchanged)
-  /// @param gk     rotation keys covering galois_element(steps)
+  /// @param gk     rotation keys covering galois_element(n, steps)
   Ciphertext rotate_hoisted(const HoistedDecomposition& h, int steps,
                             const GaloisKeys& gk) const;
 
@@ -242,31 +246,33 @@ class Evaluator {
                                          const std::vector<int>& steps,
                                          const GaloisKeys& gk) const;
 
-  /// @brief Galois element implementing a left rotation by `steps` slots.
-  u64 galois_element(int steps) const;
-
   mutable OpCounters counters;
 
  private:
-  /// Lifts each chain-prime residue row of `d_coeff` into the extended basis
-  /// Q ∪ {P} and NTTs it: the hoistable half of hybrid key switching.
-  std::vector<RnsPoly> decompose_digits(const RnsPoly& d_coeff) const;
+  /// The hoistable half of hybrid key switching: digit i is the centered
+  /// lift of `d`'s residue row i into the extended basis Q ∪ {P}, in NTT
+  /// form. `d` is NTT form over c chain rows; digit i's row i is copied from
+  /// it, so the cost is c inverse and c^2 forward NTTs.
+  std::vector<RnsPoly> decompose_digits(const RnsPoly& d) const;
 
-  /// Inner product of the digits with a key-switching key, followed by the
-  /// P mod-down; `ntt_perm`, when non-null, applies a Galois slot permutation
-  /// to every digit on the fly (hoisted rotations).
+  /// Inner product of the digits with a key-switching key, over Q ∪ {P};
+  /// `ntt_perm`, when non-null, applies a Galois slot permutation to every
+  /// digit on the fly (rotations). Callers mod_down() the result, after
+  /// releasing digits they no longer need.
   std::pair<RnsPoly, RnsPoly> apply_kswitch(const std::vector<RnsPoly>& digits,
                                             const KSwitchKey& key,
                                             const std::uint32_t* ntt_perm) const;
 
-  /// Key-switches `d` (coefficient form, q_count chain rows) and returns the
-  /// two NTT-form correction polynomials over the same q_count rows.
-  std::pair<RnsPoly, RnsPoly> key_switch(const RnsPoly& d_coeff,
-                                         const KSwitchKey& key) const;
+  /// Key switch of a decomposition under Galois element `g` (!= 1) plus the
+  /// permuted c0: the shared body of rotate() and rotate_hoisted().
+  Ciphertext rotate_decomposed(const HoistedDecomposition& h, u64 g,
+                               const GaloisKeys& gk) const;
 
-  /// Divides an extended-basis polynomial by the special prime P with
-  /// centered rounding, returning to chain rows in NTT form.
-  void mod_down(RnsPoly& r) const;
+  /// Divides both extended-basis key-switch outputs by the special prime P
+  /// with centered rounding, in the NTT domain: only the P rows go back to
+  /// coefficient form (2 inverse NTTs); their lifts into the chain primes
+  /// take 2c forward NTTs in one batch. Leaves chain rows in NTT form.
+  void mod_down(RnsPoly& r0, RnsPoly& r1) const;
 
   const CkksContext* ctx_;
 };

@@ -72,20 +72,10 @@ KSwitchKey KeyGenerator::relin_key() {
   return make_kswitch_key(s2);
 }
 
-u64 KeyGenerator::galois_element(int steps) const {
-  const std::size_t n = ctx_->n();
-  const std::size_t two_n = 2 * n;
-  const std::size_t half = n / 2;  // slot count; ord(5) mod 2N
-  std::size_t r = ((static_cast<std::size_t>(steps % static_cast<int>(half)) + half) % half);
-  u64 g = 1;
-  for (std::size_t k = 0; k < r; ++k) g = (g * 5) % two_n;
-  return g;
-}
-
 GaloisKeys KeyGenerator::galois_keys(const std::vector<int>& steps) {
   GaloisKeys out;
   for (int s : steps) {
-    const u64 g = galois_element(s);
+    const u64 g = galois_element(ctx_->n(), s);
     if (out.keys.count(g)) continue;
     RnsPoly sg = apply_galois(sk_.s_coeff, g);
     sg.to_ntt();
@@ -119,6 +109,17 @@ std::vector<std::uint32_t> build_galois_ntt_table(std::size_t n, u64 galois_elt)
 }
 
 }  // namespace
+
+u64 galois_element(std::size_t n, int steps) {
+  const u64 two_n = 2 * n;
+  const int half = static_cast<int>(n / 2);  // slot count; ord(5) mod 2n
+  int r = steps % half;
+  if (r < 0) r += half;
+  u64 g = 1;
+  for (u64 base = 5 % two_n; r > 0; r >>= 1, base = base * base % two_n)
+    if (r & 1) g = g * base % two_n;
+  return g;
+}
 
 const std::vector<std::uint32_t>& galois_ntt_table(std::size_t n, u64 galois_elt) {
   // Rotation-heavy layers re-request the same few (n, g) tables constantly;

@@ -60,9 +60,6 @@ class KeyGenerator {
   /// Rotation keys for the given slot-rotation steps (positive = left).
   GaloisKeys galois_keys(const std::vector<int>& steps);
 
-  /// Galois element implementing a left rotation by `steps` slots.
-  u64 galois_element(int steps) const;
-
  private:
   /// Builds a key-switching key for target secret `w` (NTT form, full basis).
   KSwitchKey make_kswitch_key(const RnsPoly& w_ntt);
@@ -71,6 +68,11 @@ class KeyGenerator {
   sp::Rng rng_;
   SecretKey sk_;
 };
+
+/// Galois element 5^r mod 2n implementing a left rotation by `steps` slots
+/// of a ring of degree n, with r = steps mod n/2 (negative steps rotate
+/// right).
+u64 galois_element(std::size_t n, int steps);
 
 /// Applies the Galois automorphism X -> X^g to a coefficient-form polynomial.
 RnsPoly apply_galois(const RnsPoly& coeff_poly, u64 galois_elt);

@@ -57,6 +57,14 @@ struct Kernels {
   // --- Final reductions ---
   /// Folds lazy values < 4q into [0, q) (forward-NTT epilogue).
   void (*reduce_4q)(u64* a, std::size_t n, u64 q);
+
+  // --- RNS basis change ---
+  /// Centered lift of residues mod q_src into [0, q): with x = src[i] in
+  /// [0, q_src), dst[i] = Modulus(q).from_signed(x > q_src/2 ? x - q_src : x).
+  /// When q_src/2 < q this is a compare-and-add; otherwise x is reduced by a
+  /// Shoup multiply by 1 and q_src mod q is subtracted where x > q_src/2.
+  /// dst may alias src.
+  void (*lift_centered)(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q);
 };
 
 /// Currently active tier (after the one-time probe / env override).

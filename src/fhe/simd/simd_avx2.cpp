@@ -402,10 +402,41 @@ void reduce_4q_avx2(u64* a, std::size_t n, u64 q) {
   }
 }
 
+void lift_centered_avx2(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q) {
+  const u64 half = q_src / 2;
+  const __m256i halfv = _mm256_set1_epi64x(static_cast<long long>(half));
+  std::size_t j = 0;
+  if (half < q) {
+    const __m256i shift = _mm256_set1_epi64x(static_cast<long long>(q - q_src));
+    for (; j + kLanes <= n; j += kLanes) {
+      const __m256i x = load(src + j);
+      const __m256i upper = lt_u64(halfv, x);  // x > half
+      store(dst + j, _mm256_add_epi64(x, _mm256_and_si256(upper, shift)));
+    }
+  } else {
+    // mul_shoup_lazy(x, 1, one_shoup, q) = x - q_hat * q, then one csub.
+    const ModV m = make_mod(q);
+    const __m256i ws = _mm256_set1_epi64x(static_cast<long long>(shoup_precompute(1, q)));
+    const __m256i ws_hi = hi32(ws);
+    const __m256i qs = _mm256_set1_epi64x(static_cast<long long>(q_src % q));
+    for (; j + kLanes <= n; j += kLanes) {
+      const __m256i x = load(src + j);
+      const __m256i q_hat = mul64_hi_pre(x, hi32(x), ws, ws_hi);
+      const __m256i r = csub(
+          _mm256_sub_epi64(x, mul64_lo_pre(q_hat, hi32(q_hat), m.q, m.q_hi)), m.q);
+      const __m256i borrow = lt_u64(r, qs);
+      const __m256i shifted =
+          _mm256_add_epi64(_mm256_sub_epi64(r, qs), _mm256_and_si256(m.q, borrow));
+      store(dst + j, _mm256_blendv_epi8(r, shifted, lt_u64(halfv, x)));
+    }
+  }
+  detail::scalar_kernels()->lift_centered(dst + j, src + j, n - j, q_src, q);
+}
+
 const Kernels kAvx2Kernels = {
     add_mod_avx2,  sub_mod_avx2,      neg_mod_avx2,      mul_mod_avx2,
     mul_shoup_avx2, fwd_butterfly_avx2, inv_butterfly_avx2, fwd_stage_avx2,
-    inv_stage_avx2, reduce_4q_avx2,
+    inv_stage_avx2, reduce_4q_avx2,    lift_centered_avx2,
 };
 
 }  // namespace

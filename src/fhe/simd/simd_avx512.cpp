@@ -442,10 +442,38 @@ void reduce_4q_avx512(u64* a, std::size_t n, u64 q) {
   }
 }
 
+void lift_centered_avx512(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q) {
+  const u64 half = q_src / 2;
+  const __m512i halfv = _mm512_set1_epi64(static_cast<long long>(half));
+  std::size_t j = 0;
+  if (half < q) {
+    const __m512i shift = _mm512_set1_epi64(static_cast<long long>(q - q_src));
+    for (; j + kLanes <= n; j += kLanes) {
+      const __m512i x = load(src + j);
+      store(dst + j, _mm512_mask_add_epi64(x, _mm512_cmpgt_epu64_mask(x, halfv), x, shift));
+    }
+  } else {
+    // mul_shoup_lazy(x, 1, one_shoup, q) = x - q_hat * q, then one csub.
+    const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+    const __m512i ws = _mm512_set1_epi64(static_cast<long long>(shoup_precompute(1, q)));
+    const __m512i ws_hi = hi32(ws);
+    const __m512i qs = _mm512_set1_epi64(static_cast<long long>(q_src % q));
+    for (; j + kLanes <= n; j += kLanes) {
+      const __m512i x = load(src + j);
+      const __m512i q_hat = mul64_hi_pre(x, hi32(x), ws, ws_hi);
+      const __m512i r = csub(_mm512_sub_epi64(x, mul64_lo(q_hat, qv)), qv);
+      __m512i shifted = _mm512_sub_epi64(r, qs);
+      shifted = _mm512_mask_add_epi64(shifted, _mm512_cmplt_epu64_mask(r, qs), shifted, qv);
+      store(dst + j, _mm512_mask_blend_epi64(_mm512_cmpgt_epu64_mask(x, halfv), r, shifted));
+    }
+  }
+  detail::scalar_kernels()->lift_centered(dst + j, src + j, n - j, q_src, q);
+}
+
 const Kernels kAvx512Kernels = {
     add_mod_avx512,  sub_mod_avx512,      neg_mod_avx512,      mul_mod_avx512,
     mul_shoup_avx512, fwd_butterfly_avx512, inv_butterfly_avx512, fwd_stage_avx512,
-    inv_stage_avx512, reduce_4q_avx512,
+    inv_stage_avx512, reduce_4q_avx512,    lift_centered_avx512,
 };
 
 }  // namespace

@@ -94,10 +94,28 @@ void reduce_4q_scalar(u64* a, std::size_t n, u64 q) {
   }
 }
 
+void lift_centered_scalar(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q) {
+  const u64 half = q_src / 2;
+  if (half < q) {
+    // x <= half is already below q; x - q_src lies in (-q, 0), so adding q
+    // once (x + (q - q_src), wrapping) lands in [0, q).
+    const u64 shift = q - q_src;
+    for (std::size_t j = 0; j < n; ++j) dst[j] = src[j] > half ? src[j] + shift : src[j];
+    return;
+  }
+  const u64 one_shoup = shoup_precompute(1, q);
+  const u64 qs = q_src % q;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u64 x = src[j];
+    const u64 r = mul_shoup(x, 1, one_shoup, q);
+    dst[j] = x > half ? (r >= qs ? r - qs : r + q - qs) : r;
+  }
+}
+
 const Kernels kScalarKernels = {
     add_mod_scalar,  sub_mod_scalar,      neg_mod_scalar,      mul_mod_scalar,
     mul_shoup_scalar, fwd_butterfly_scalar, inv_butterfly_scalar, fwd_stage_scalar,
-    inv_stage_scalar, reduce_4q_scalar,
+    inv_stage_scalar, reduce_4q_scalar,    lift_centered_scalar,
 };
 
 }  // namespace

@@ -53,7 +53,7 @@ std::shared_ptr<const fhe::GaloisKeys> FheRuntime::rotation_keys(
   std::vector<int> missing;
   for (int s : steps) {
     if (s == 0) continue;  // identity rotation needs no key
-    if (!rot_keys_ || rot_keys_->keys.count(evaluator_->galois_element(s)) == 0)
+    if (!rot_keys_ || rot_keys_->keys.count(fhe::galois_element(ctx_->n(), s)) == 0)
       missing.push_back(s);
   }
   if (!missing.empty()) {

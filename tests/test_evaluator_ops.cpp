@@ -172,8 +172,8 @@ TEST_F(EvaluatorOpsTest, HoistedSingleRotationAlsoSavesNtts) {
   const std::size_t hoisted_fwd = ev.counters.ntts_forward;
 
   EXPECT_TRUE(bit_identical(naive, hoisted));
-  // The c0 path turns into a pure NTT-domain permutation.
-  EXPECT_LT(hoisted_fwd, naive_fwd);
+  // rotate() is hoist() plus rotate_hoisted(): the same transforms.
+  EXPECT_EQ(hoisted_fwd, naive_fwd);
 }
 
 TEST_F(EvaluatorOpsTest, GaloisNttPermutationMatchesCoefficientAutomorphism) {
@@ -182,7 +182,7 @@ TEST_F(EvaluatorOpsTest, GaloisNttPermutationMatchesCoefficientAutomorphism) {
   const auto v = random_vec(24);
   const Ciphertext ct = rt_->encrypt(v);
   for (int steps : {1, -2, 8}) {
-    const u64 g = rt_->evaluator().galois_element(steps);
+    const u64 g = galois_element(rt_->ctx().n(), steps);
     RnsPoly coeff = ct.parts[1];
     coeff.from_ntt();
     RnsPoly via_coeff = apply_galois(coeff, g);
@@ -193,6 +193,20 @@ TEST_F(EvaluatorOpsTest, GaloisNttPermutationMatchesCoefficientAutomorphism) {
         ASSERT_EQ(via_ntt.row(r)[j], via_coeff.row(r)[j])
             << "steps " << steps << " row " << r << " slot " << j;
   }
+}
+
+TEST(GaloisElement, SquareAndMultiplyMatchesRepeatedMultiplication) {
+  // Reference: r multiplications by 5 mod 2N, where r = steps mod N/2; every
+  // step congruent to r (negative ones included) maps to the same element.
+  const std::size_t n = 2048;
+  const int half = static_cast<int>(n / 2);
+  u64 g = 1;
+  for (int r = 0; r < half; ++r) {
+    for (int steps : {r, r - half, r + half, r - 3 * half})
+      EXPECT_EQ(galois_element(n, steps), g) << "steps " << steps;
+    g = g * 5 % (2 * n);
+  }
+  EXPECT_EQ(g, 1u);  // 5 has order N/2 mod 2N
 }
 
 TEST_F(EvaluatorOpsTest, HoistedRotationByZeroReturnsInput) {
@@ -341,15 +355,15 @@ struct NttCount {
 };
 
 /// Rescale of a `parts`-part ciphertext over c primes.
-NttCount rescale_ntts(std::size_t c, std::size_t parts) {
-  return {parts * (c - 1), parts * c};
-}
-NttCount relin_ntts(std::size_t c) { return {c * c + 3 * c, 3 * c + 2}; }
-NttCount rotate_ntts(std::size_t c) { return {c * c + 4 * c, 4 * c + 2}; }
-/// Hoisted fan of k steps: one decomposition, k key switches.
-NttCount fan_ntts(std::size_t c, std::size_t k) {
-  return {c * (c + 1) + 2 * c * k, c + 2 * k * (c + 1)};
-}
+/// Only the dropped row is inverse-transformed; its lift into the c - 1
+/// surviving primes is transformed forward.
+NttCount rescale_ntts(std::size_t c, std::size_t parts) { return {parts * (c - 1), parts}; }
+/// Hoisted fan of k steps: one decomposition (c inverse, c^2 forward), then
+/// per step a mod-down of two polynomials (2 inverse, 2c forward).
+NttCount fan_ntts(std::size_t c, std::size_t k) { return {c * c + 2 * c * k, c + 2 * k}; }
+/// Relinearize and rotate each cost one decomposition and one mod-down.
+NttCount relin_ntts(std::size_t c) { return fan_ntts(c, 1); }
+NttCount rotate_ntts(std::size_t c) { return fan_ntts(c, 1); }
 
 std::uint64_t ct_digest(const std::vector<Ciphertext>& cts) {
   std::uint64_t h = kFnvOffset;

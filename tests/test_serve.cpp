@@ -377,7 +377,7 @@ TEST_F(ServeTest, RotationKeyStoreIsThreadSafe) {
         // Snapshots are immutable: concurrent extensions must never mutate a
         // handed-out map (TSan enforces the absence of racing writes).
         for (const int s : {1, own, -own}) {
-          if (snapshot->keys.find(rt.evaluator().galois_element(s)) ==
+          if (snapshot->keys.find(fhe::galois_element(rt.ctx().n(), s)) ==
               snapshot->keys.end()) {
             failed = true;
             return;
