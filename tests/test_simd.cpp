@@ -1,7 +1,8 @@
 // SIMD kernel-layer contract: every compiled tier (scalar / AVX2 / AVX-512)
 // must be bit-identical on every kernel — the dispatch decision can change
 // throughput only, never an FHE result. Covers the raw kernels across sizes
-// incl. non-lane-multiple tails and lazy [0, 4q) inputs, the NTT on all
+// incl. non-lane-multiple tails and lazy [0, 4q) inputs, the centered-lift
+// kernel against Modulus::from_signed on every prime pair, the NTT on all
 // tiers, the batched (sub-row split) NTT entry points across thread counts,
 // the flat RnsPoly row-drop layout, and an end-to-end FhePipeline::run
 // identity sweep over (tier x thread count).
@@ -163,6 +164,45 @@ TEST(SimdKernels, ButterflyAndStageTiersMatchScalar) {
       EXPECT_EQ(vr4, rr4) << simd::tier_name(t) << " reduce_4q n=" << n;
     }
   }
+}
+
+TEST(SimdKernels, LiftCenteredMatchesFromSignedOnEveryPrimePair) {
+  // A 60-bit q_0, 40-bit middle primes and the 60-bit special prime: a lift
+  // from a 60-bit prime into a 40-bit row takes the wide path (q_src/2 >= q),
+  // every other pair the compare-and-add.
+  const CkksContext ctx(CkksParams::for_depth(2048, 3, 40));
+  std::vector<u64> primes;
+  for (int i = 0; i < ctx.q_count(); ++i) primes.push_back(ctx.q(i).value());
+  primes.push_back(ctx.special().value());
+  bool saw_wide = false, saw_narrow = false;
+  for (u64 q_src : primes) {
+    const std::vector<u64> edges = {0, 1, q_src / 2, q_src / 2 + 1, q_src - 1};
+    for (u64 q : primes) {
+      (q_src / 2 >= q ? saw_wide : saw_narrow) = true;
+      const Modulus m(q);
+      for (std::size_t n : kSizes) {
+        sp::Rng rng(q_src ^ (q << 1) ^ n);
+        std::vector<u64> src = random_below(rng, n, q_src);
+        for (std::size_t i = 0; i < n; i += 3) src[i] = edges[(i / 3) % edges.size()];
+        std::vector<u64> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto x = static_cast<std::int64_t>(src[i]);
+          want[i] = m.from_signed(src[i] > q_src / 2 ? x - static_cast<std::int64_t>(q_src) : x);
+        }
+        for (simd::Tier t : supported_tiers()) {
+          const simd::Kernels* k = table_for(t);
+          std::vector<u64> got(n), in_place(src);
+          k->lift_centered(got.data(), src.data(), n, q_src, q);
+          k->lift_centered(in_place.data(), in_place.data(), n, q_src, q);
+          EXPECT_EQ(got, want) << simd::tier_name(t) << " " << q_src << " -> " << q
+                               << " n=" << n;
+          EXPECT_EQ(in_place, want) << simd::tier_name(t) << " in place n=" << n;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_wide);
+  EXPECT_TRUE(saw_narrow);
 }
 
 TEST(SimdNtt, ForwardInverseTiersMatchScalarAndRoundTrip) {
