@@ -120,9 +120,9 @@ inline OpCountersPerInput per_input(const OpCounters& c, int batch_size) {
 /// NTT rows over the chain plus P: digit i's row i is c1's own NTT row, the
 /// others are centered lifts transformed once (c^2 forward NTTs in all).
 /// Each rotation then only permutes the cached digits in the NTT domain (a
-/// slot shuffle) before the key inner product — the classic 2-3x saving for
-/// rotation fans (BSGS baby steps, conv im2col, pooling). A plain rotate()
-/// is a one-step fan over a fresh decomposition.
+/// slot shuffle) before the key inner product — the saving for rotation
+/// fans (BSGS baby steps, conv im2col, pooling). A plain rotate() is a
+/// one-step fan over a fresh decomposition.
 struct HoistedDecomposition {
   Ciphertext src;               ///< decomposed ciphertext (returned for step 0)
   std::vector<RnsPoly> digits;  ///< NTT form over chain + special rows

@@ -82,30 +82,6 @@ void RnsPoly::from_ntt() {
   ntt_ = false;
 }
 
-void RnsPoly::to_ntt_batch(const std::vector<RnsPoly*>& polys) {
-  std::vector<NttJob> jobs;
-  for (RnsPoly* p : polys) {
-    if (p == nullptr) continue;
-    sp::check(!p->ntt_, "RnsPoly::to_ntt_batch: already in NTT form");
-    for (int i = 0; i < p->row_count(); ++i) jobs.push_back({p->row(i), &p->row_ntt(i)});
-  }
-  ntt_forward_batch(jobs);
-  for (RnsPoly* p : polys)
-    if (p != nullptr) p->ntt_ = true;
-}
-
-void RnsPoly::from_ntt_batch(const std::vector<RnsPoly*>& polys) {
-  std::vector<NttJob> jobs;
-  for (RnsPoly* p : polys) {
-    if (p == nullptr) continue;
-    sp::check(p->ntt_, "RnsPoly::from_ntt_batch: not in NTT form");
-    for (int i = 0; i < p->row_count(); ++i) jobs.push_back({p->row(i), &p->row_ntt(i)});
-  }
-  ntt_inverse_batch(jobs);
-  for (RnsPoly* p : polys)
-    if (p != nullptr) p->ntt_ = false;
-}
-
 namespace {
 void check_compatible(const RnsPoly& a, const RnsPoly& b) {
   sp::check(a.context() == b.context() && a.q_count() == b.q_count() &&

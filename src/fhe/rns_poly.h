@@ -43,13 +43,6 @@ class RnsPoly {
   void to_ntt();
   void from_ntt();
 
-  /// Converts many polynomials in one batched NTT dispatch: all rows of all
-  /// polys feed a single (row x sub-transform) parallel region, so short
-  /// chains still saturate the pool. Bit-identical to calling
-  /// to_ntt()/from_ntt() per poly. Skips null entries.
-  static void to_ntt_batch(const std::vector<RnsPoly*>& polys);
-  static void from_ntt_batch(const std::vector<RnsPoly*>& polys);
-
   // Pointwise arithmetic; operands must have identical row structure & form.
   void add_inplace(const RnsPoly& o);
   void sub_inplace(const RnsPoly& o);
