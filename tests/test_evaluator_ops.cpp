@@ -406,7 +406,6 @@ void run_op_pins(const std::string& tag, const CkksParams& params,
     return enc.encrypt(rt.encoder().encode(v, rt.ctx().scale(), rt.ctx().q_count()));
   };
   for (int c : q_counts) {
-    SCOPED_TRACE(tag + " c=" + std::to_string(c));
     Ciphertext a = fresh(), b = fresh();
     ev.drop_to_level(a, c - 1);
     ev.drop_to_level(b, c - 1);
