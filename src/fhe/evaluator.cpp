@@ -18,19 +18,6 @@ void check_scale_close(double a, double b) {
             "Evaluator: scale mismatch between operands");
 }
 
-/// Runs body(unit, offset, length) over `units` rows of n elements, split
-/// into tiles of at most 4096 so short chains still spread across the pool.
-/// Units are independent, so results do not depend on the thread count.
-template <typename Body>
-void for_each_tile(std::size_t units, std::size_t n, const Body& body) {
-  constexpr std::size_t kTile = 4096;
-  const std::size_t tiles = n >= kTile ? n / kTile : 1;
-  const std::size_t len = n / tiles;  // n, kTile powers of two => exact
-  sp::parallel_for(0, units * tiles, [&](std::size_t u) {
-    body(u / tiles, (u % tiles) * len, len);
-  });
-}
-
 /// Exact division of every poly in `polys` by the prime of its last row (the
 /// last chain prime for rescale, P for mod-down) with centered rounding, in
 /// the NTT domain: only the dropped row goes back to coefficient form; its
@@ -60,7 +47,7 @@ void divide_by_last_row(const std::vector<RnsPoly*>& polys, const std::vector<u6
   sp::AlignedVec<u64> lift(units * n);
   const u64 d = polys.front()->row_mod(last).value();
   const simd::Kernels& k = simd::kernels();
-  for_each_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+  for_each_row_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
     const RnsPoly& p = poly_of(u);
     k.lift_centered(lift.data() + u * n + off, p.row(last) + off, len, d,
                     p.row_mod(row_of(u)).value());
@@ -74,7 +61,7 @@ void divide_by_last_row(const std::vector<RnsPoly*>& polys, const std::vector<u6
   std::vector<u64> inv_shoup(rows);
   for (std::size_t j = 0; j < rows; ++j)
     inv_shoup[j] = shoup_precompute(inv[j], polys.front()->row_mod(static_cast<int>(j)).value());
-  for_each_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+  for_each_row_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
     RnsPoly& p = poly_of(u);
     const std::size_t j = u % rows;
     const u64 q = p.row_mod(row_of(u)).value();
@@ -174,7 +161,7 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
                          {&p2, &b.parts[1]}};
   const std::size_t rows = static_cast<std::size_t>(p0.row_count());
   const simd::Kernels& k = simd::kernels();
-  for_each_tile(4 * rows, p0.n(), [&](std::size_t u, std::size_t off, std::size_t len) {
+  for_each_row_tile(4 * rows, p0.n(), [&](std::size_t u, std::size_t off, std::size_t len) {
     const Prod& p = prods[u / rows];
     const int r = static_cast<int>(u % rows);
     const Modulus& m = p.dst->row_mod(r);
@@ -207,17 +194,17 @@ std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d) const {
   // own NTT row i, so it is copied. Every other (digit, target row) pair is
   // an independent centered lift, parallel at l*(l+1) granularity.
   const simd::Kernels& k = simd::kernels();
-  for_each_tile(static_cast<std::size_t>(l * rows), n,
-                [&](std::size_t u, std::size_t off, std::size_t len) {
-                  const int i = static_cast<int>(u / static_cast<std::size_t>(rows));
-                  const int t = static_cast<int>(u % static_cast<std::size_t>(rows));
-                  RnsPoly& digit = digits[static_cast<std::size_t>(i)];
-                  if (t == i)
-                    std::memcpy(digit.row(t) + off, d.row(i) + off, len * sizeof(u64));
-                  else
-                    k.lift_centered(digit.row(t) + off, d_coeff.row(i) + off, len,
-                                    ctx_->q(i).value(), digit.row_mod(t).value());
-                });
+  for_each_row_tile(static_cast<std::size_t>(l * rows), n,
+                    [&](std::size_t u, std::size_t off, std::size_t len) {
+                      const int i = static_cast<int>(u / static_cast<std::size_t>(rows));
+                      const int t = static_cast<int>(u % static_cast<std::size_t>(rows));
+                      RnsPoly& digit = digits[static_cast<std::size_t>(i)];
+                      if (t == i)
+                        std::memcpy(digit.row(t) + off, d.row(i) + off, len * sizeof(u64));
+                      else
+                        k.lift_centered(digit.row(t) + off, d_coeff.row(i) + off, len,
+                                        ctx_->q(i).value(), digit.row_mod(t).value());
+                    });
   // All l*l forward NTTs go out as one batch, so sub-row splitting sees the
   // full row set at once.
   std::vector<NttJob> jobs;

@@ -7,28 +7,11 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "fhe/ntt.h"
 #include "fhe/simd/simd.h"
 
 namespace sp::fhe {
 namespace {
-
-/// Elements per elementwise-kernel task. Rows are independent and an
-/// elementwise op has no cross-lane dependencies, so (row x tile) dispatch
-/// over the global pool is bit-identical to the serial loop for any
-/// SMARTPAF_THREADS value — tiling just keeps short chains from capping the
-/// usable thread count at row_count().
-constexpr std::size_t kElemTile = 4096;
-
-template <typename Body>
-void for_each_row_tile(int rows, std::size_t n, const Body& body) {
-  const std::size_t tiles = n >= kElemTile ? n / kElemTile : 1;
-  const std::size_t len = n / tiles;  // n, kElemTile powers of two => exact
-  sp::parallel_for(0, static_cast<std::size_t>(rows) * tiles, [&](std::size_t u) {
-    body(static_cast<int>(u / tiles), (u % tiles) * len, len);
-  });
-}
 
 /// Process-wide (value, prime) -> (reduced value, Shoup companion) memo.
 /// Scalar scaling constants recur heavily (encoder scale, rescale deltas),

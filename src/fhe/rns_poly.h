@@ -4,9 +4,24 @@
 
 #include "common/aligned.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fhe/context.h"
 
 namespace sp::fhe {
+
+/// Runs body(unit, offset, length) over `units` independent rows of n
+/// residues, split into tiles of at most 4096 elements. Tiling keeps short
+/// chains from capping the usable thread count at the row count; units share
+/// nothing, so the result is the serial loop's for any SMARTPAF_THREADS.
+template <typename Body>
+void for_each_row_tile(std::size_t units, std::size_t n, const Body& body) {
+  constexpr std::size_t kTile = 4096;
+  const std::size_t tiles = n >= kTile ? n / kTile : 1;
+  const std::size_t len = n / tiles;  // n, kTile powers of two => exact
+  sp::parallel_for(0, units * tiles, [&](std::size_t u) {
+    body(u / tiles, (u % tiles) * len, len);
+  });
+}
 
 /// Ring element of Z_Q[X]/(X^N + 1) in residue-number-system form: one row
 /// of N 64-bit residues per prime. The row set is the first `q_count` chain
