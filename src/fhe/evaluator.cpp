@@ -180,7 +180,7 @@ std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d) const {
   sp::check(d.is_ntt() && !d.has_special(),
             "decompose_digits: expects NTT form over chain rows");
   const int l = d.q_count();
-  const int rows = l + 1;  // + special
+  const std::size_t rows = static_cast<std::size_t>(l) + 1;  // + special
   const std::size_t n = ctx_->n();
   RnsPoly d_coeff = d;
   d_coeff.from_ntt();
@@ -194,26 +194,21 @@ std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d) const {
   // own NTT row i, so it is copied. Every other (digit, target row) pair is
   // an independent centered lift, parallel at l*(l+1) granularity.
   const simd::Kernels& k = simd::kernels();
-  for_each_row_tile(static_cast<std::size_t>(l * rows), n,
-                    [&](std::size_t u, std::size_t off, std::size_t len) {
-                      const int i = static_cast<int>(u / static_cast<std::size_t>(rows));
-                      const int t = static_cast<int>(u % static_cast<std::size_t>(rows));
-                      RnsPoly& digit = digits[static_cast<std::size_t>(i)];
-                      if (t == i)
-                        std::memcpy(digit.row(t) + off, d.row(i) + off, len * sizeof(u64));
-                      else
-                        k.lift_centered(digit.row(t) + off, d_coeff.row(i) + off, len,
-                                        ctx_->q(i).value(), digit.row_mod(t).value());
-                    });
+  for_each_row_tile(digits.size() * rows, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+    const int i = static_cast<int>(u / rows), t = static_cast<int>(u % rows);
+    RnsPoly& digit = digits[u / rows];
+    if (t == i)
+      std::memcpy(digit.row(t) + off, d.row(i) + off, len * sizeof(u64));
+    else
+      k.lift_centered(digit.row(t) + off, d_coeff.row(i) + off, len, ctx_->q(i).value(),
+                      digit.row_mod(t).value());
+  });
   // All l*l forward NTTs go out as one batch, so sub-row splitting sees the
   // full row set at once.
   std::vector<NttJob> jobs;
-  jobs.reserve(static_cast<std::size_t>(l * l));
-  for (int i = 0; i < l; ++i)
-    for (int t = 0; t < rows; ++t)
-      if (t != i)
-        jobs.push_back({digits[static_cast<std::size_t>(i)].row(t),
-                        &digits[static_cast<std::size_t>(i)].row_ntt(t)});
+  for (std::size_t i = 0; i < digits.size(); ++i)
+    for (int t = 0; t <= l; ++t)
+      if (t != static_cast<int>(i)) jobs.push_back({digits[i].row(t), &digits[i].row_ntt(t)});
   ntt_forward_batch(jobs);
   counters.ntts_forward += jobs.size();
   return digits;
