@@ -315,7 +315,7 @@ TEST_F(EvaluatorOpsTest, LazyRelinReluParity) {
 // ------------------------------------------------------------ op pins ------
 // Golden FNV digests over the scale and every residue of every output part
 // of the key-switch and rescale ops, at several chain lengths c, with the
-// forward/inverse NTT counts each op issues as closed forms in c. A digest
+// forward/inverse NTT counts of each op as closed forms in c. A digest
 // change means a ciphertext changed; a count change means an op does a
 // different amount of transform work. A missing pin prints the observed row.
 
