@@ -1,4 +1,5 @@
-// sp::io wire-format net: golden-blob version pinning (byte-level), wire
+// sp::io wire-format net: golden-blob version pinning (byte-level, plus
+// size and digest pins of polynomial, ciphertext and key blobs), wire
 // primitive round trips, bit-identical (de)serialization of polys /
 // plaintexts / ciphertexts / keys / plans at two parameter sets, header
 // rejection diagnostics (magic, version, kind, fingerprint, truncation,
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "io/serialize.h"
 #include "models/zoo.h"
@@ -189,6 +191,84 @@ TEST_F(WireTest, TrainingStatePrologueIsByteStable) {
   const train::TrainingState back =
       train::deserialize_training_state(bytes, rt_->ctx());
   EXPECT_EQ(train::serialize_training_state(back), bytes);
+}
+
+/// Three chain primes plus the special prime at N = 2048; no keygen.
+const CkksContext& small_ctx() {
+  static const CkksContext ctx(CkksParams::for_depth(2048, 2, 40));
+  return ctx;
+}
+
+/// A polynomial whose residues follow a fixed formula of (tag, row,
+/// coefficient), so pinned bytes never depend on an RNG. The odd 64-bit
+/// multiplier spreads residues over each prime's full width, so every byte
+/// of every word carries data.
+RnsPoly formula_poly(const CkksContext& ctx, bool with_special, bool ntt, std::uint64_t tag) {
+  RnsPoly p(&ctx, ctx.q_count(), with_special, ntt);
+  for (int i = 0; i < p.row_count(); ++i) {
+    const std::uint64_t q = p.row_mod(i).value();
+    for (std::size_t j = 0; j < p.n(); ++j)
+      p.row(i)[j] = (j * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(i) * 1000003 +
+                     tag * 7919) % q;
+  }
+  return p;
+}
+
+/// A key-switch key shaped like keygen's (one NTT-form digit pair over the
+/// extended basis per chain prime) with formula residues.
+KSwitchKey formula_kswitch(const CkksContext& ctx, std::uint64_t tag) {
+  KSwitchKey key;
+  for (std::uint64_t d = 0; d < static_cast<std::uint64_t>(ctx.q_count()); ++d)
+    key.digits.push_back({formula_poly(ctx, true, true, tag + 2 * d),
+                          formula_poly(ctx, true, true, tag + 2 * d + 1)});
+  return key;
+}
+
+/// A 3-part (pre-relinearization) NTT-form ciphertext with formula residues.
+Ciphertext formula_ciphertext(const CkksContext& ctx, std::uint64_t tag) {
+  Ciphertext ct;
+  for (std::uint64_t k = 0; k < 3; ++k)
+    ct.parts.push_back(formula_poly(ctx, false, true, tag + k));
+  ct.scale = ctx.scale();
+  return ct;
+}
+
+std::uint64_t fnv_bytes(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = kFnvOffset;
+  for (std::uint8_t b : bytes) h = fnv_mix(h, b);
+  return h;
+}
+
+// Size and FNV-1a digest of four polynomial-carrying blobs, byte for byte.
+// Same contract as the params pin: a codec change that moves any byte of a
+// residue row, a count or a flag breaks this test.
+TEST(WireGolden, PolyCiphertextAndKeyBlobsAreByteStable) {
+  const CkksContext& ctx = small_ctx();
+  ASSERT_EQ(ctx.q_count(), 3);
+  GaloisKeys gk;
+  gk.keys.emplace(5, formula_kswitch(ctx, 40));
+  gk.keys.emplace(2 * ctx.n() - 1, formula_kswitch(ctx, 60));
+  const auto pin = [](const std::vector<std::uint8_t>& blob, std::size_t size,
+                      std::uint64_t digest, const char* kind) {
+    EXPECT_EQ(blob.size(), size) << kind;
+    EXPECT_EQ(fnv_bytes(blob), digest) << kind << " digest 0x" << std::hex << fnv_bytes(blob);
+  };
+
+  const auto poly_blob = io::serialize(formula_poly(ctx, true, true, 1));
+  pin(poly_blob, 65598, 0x72e3d1410916865aULL, "RnsPoly");
+  EXPECT_EQ(io::serialize(io::deserialize_poly(poly_blob, ctx)), poly_blob);
+
+  const auto ct_blob = io::serialize(formula_ciphertext(ctx, 10));
+  pin(ct_blob, 147598, 0x1bfa5105d2e595b3ULL, "Ciphertext");
+  EXPECT_EQ(io::serialize(io::deserialize_ciphertext(ct_blob, ctx)), ct_blob);
+
+  const auto key_blob = io::serialize(formula_kswitch(ctx, 20));
+  pin(key_blob, 393516, 0xfd1219ab120a9441ULL, "KSwitchKey");
+  EXPECT_EQ(io::serialize(io::deserialize_kswitch_key(key_blob, ctx)), key_blob);
+
+  const auto gk_blob = io::serialize(gk);
+  pin(gk_blob, 787040, 0x06a39c0c21b73c08ULL, "GaloisKeys");
+  EXPECT_EQ(io::serialize(io::deserialize_galois_keys(gk_blob, ctx)), gk_blob);
 }
 
 // --------------------------------------------------------------- primitives --
