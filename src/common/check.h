@@ -20,6 +20,12 @@ inline void check(bool cond, const std::string& msg) {
   if (!cond) throw Error(msg);
 }
 
+/// check() for a literal message: the std::string is built only on failure,
+/// so a passing check allocates nothing.
+inline void check(bool cond, const char* msg) {
+  if (!cond) throw Error(msg);
+}
+
 /// check() with a lazily-formatted message built from stream operands.
 template <typename... Parts>
 void check_fmt(bool cond, const Parts&... parts) {
