@@ -1,5 +1,7 @@
 #include "io/serialize.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 
 namespace sp::io {
@@ -26,6 +28,44 @@ const char* kind_name(BlobKind k) {
 // ------------------------------------------------- nested payload helpers --
 // The public serializers wrap exactly one of these payloads in a header;
 // composite payloads (ciphertext parts, key digits) nest them headerless.
+// Blobs that carry polynomials are sized before writing: each *_size below
+// is the byte count its write_* produces.
+
+constexpr std::size_t kHeaderBytes = 16;  // magic, version, kind, fingerprint
+
+/// n, q_count and two flags, then every row as a length-prefixed span.
+std::size_t poly_size(const fhe::RnsPoly& poly) {
+  return 8 + 4 + 1 + 1 + static_cast<std::size_t>(poly.row_count()) * (8 + 8 * poly.n());
+}
+
+std::size_t ciphertext_size(const fhe::Ciphertext& ct) {
+  std::size_t size = 4 + 8;  // part count, scale
+  for (const fhe::RnsPoly& p : ct.parts) size += poly_size(p);
+  return size;
+}
+
+std::size_t kswitch_size(const fhe::KSwitchKey& key) {
+  std::size_t size = 8;  // digit count
+  for (const auto& digit : key.digits) size += poly_size(digit[0]) + poly_size(digit[1]);
+  return size;
+}
+
+/// Rejects row `i` of a decoded polynomial if any residue is not below the
+/// row's prime. The passing path is one OR-reduction over the row and builds
+/// no message; only a failing row is scanned again to name its first bad
+/// residue.
+void check_residues(const fhe::RnsPoly& poly, int i) {
+  const std::uint64_t q = poly.row_mod(i).value();
+  const std::uint64_t* row = poly.row(i);
+  const std::uint64_t* end = row + poly.n();
+  bool bad = false;
+  for (const std::uint64_t* v = row; v != end; ++v) bad |= *v >= q;
+  if (!bad) return;
+  const std::uint64_t* first = std::find_if(row, end, [q](std::uint64_t v) { return v >= q; });
+  sp::check_fmt(false, "wire: residue out of range at row ", i,
+                i == poly.q_count() ? " (special)" : "", ", index ", first - row, ": ",
+                *first, " is not below the row's prime ", q);
+}
 
 void write_poly(WireWriter& w, const fhe::RnsPoly& poly) {
   w.u64(poly.n());
@@ -47,10 +87,7 @@ fhe::RnsPoly read_poly(WireReader& r, const fhe::CkksContext& ctx) {
   fhe::RnsPoly poly(&ctx, q_count, with_special, ntt);
   for (int i = 0; i < poly.row_count(); ++i) {
     r.u64_span(poly.row(i), poly.n());
-    const fhe::Modulus& m = poly.row_mod(i);
-    const std::uint64_t* row = poly.row(i);
-    for (std::size_t j = 0; j < poly.n(); ++j)
-      sp::check(row[j] < m.value(), "wire: residue out of range for its prime");
+    check_residues(poly, i);
   }
   return poly;
 }
@@ -175,6 +212,15 @@ smartpaf::StageLayout read_layout(WireReader& r, std::size_t extent) {
 
 std::vector<std::uint8_t> finish(WireWriter& w) { return w.take(); }
 
+/// Returns a blob reserved at `size` bytes, after checking the writers
+/// produced exactly that many: a layout edit that forgets its *_size term
+/// fails here on every round trip.
+std::vector<std::uint8_t> finish(WireWriter& w, std::size_t size) {
+  sp::check_fmt(w.size() == size, "serialize: wrote ", w.size(),
+                " bytes into a blob sized at ", size);
+  return w.take();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------ header --
@@ -254,10 +300,12 @@ fhe::CkksParams deserialize_params(const std::vector<std::uint8_t>& bytes) {
 
 std::vector<std::uint8_t> serialize(const fhe::RnsPoly& poly) {
   sp::check(poly.context() != nullptr, "serialize: polynomial has no context");
+  const std::size_t size = kHeaderBytes + poly_size(poly);
   WireWriter w;
+  w.reserve(size);
   write_header(w, BlobKind::RnsPoly, params_fingerprint(poly.context()->params()));
   write_poly(w, poly);
-  return finish(w);
+  return finish(w, size);
 }
 
 fhe::RnsPoly deserialize_poly(const std::vector<std::uint8_t>& bytes,
@@ -271,10 +319,12 @@ fhe::RnsPoly deserialize_poly(const std::vector<std::uint8_t>& bytes,
 
 std::vector<std::uint8_t> serialize(const fhe::Plaintext& pt) {
   sp::check(pt.poly.context() != nullptr, "serialize: plaintext has no context");
+  const std::size_t size = kHeaderBytes + poly_size(pt.poly) + 8;  // + scale
   WireWriter w;
+  w.reserve(size);
   write_header(w, BlobKind::Plaintext, params_fingerprint(pt.poly.context()->params()));
   write_plaintext(w, pt);
-  return finish(w);
+  return finish(w, size);
 }
 
 fhe::Plaintext deserialize_plaintext(const std::vector<std::uint8_t>& bytes,
@@ -289,11 +339,13 @@ fhe::Plaintext deserialize_plaintext(const std::vector<std::uint8_t>& bytes,
 std::vector<std::uint8_t> serialize(const fhe::Ciphertext& ct) {
   sp::check(!ct.parts.empty() && ct.parts.front().context() != nullptr,
             "serialize: empty ciphertext");
+  const std::size_t size = kHeaderBytes + ciphertext_size(ct);
   WireWriter w;
+  w.reserve(size);
   write_header(w, BlobKind::Ciphertext,
                params_fingerprint(ct.parts.front().context()->params()));
   write_ciphertext(w, ct);
-  return finish(w);
+  return finish(w, size);
 }
 
 fhe::Ciphertext deserialize_ciphertext(const std::vector<std::uint8_t>& bytes,
@@ -309,11 +361,13 @@ fhe::Ciphertext deserialize_ciphertext(const std::vector<std::uint8_t>& bytes,
 
 std::vector<std::uint8_t> serialize(const fhe::PublicKey& pk) {
   sp::check(pk.p0.context() != nullptr, "serialize: empty public key");
+  const std::size_t size = kHeaderBytes + poly_size(pk.p0) + poly_size(pk.p1);
   WireWriter w;
+  w.reserve(size);
   write_header(w, BlobKind::PublicKey, params_fingerprint(pk.p0.context()->params()));
   write_poly(w, pk.p0);
   write_poly(w, pk.p1);
-  return finish(w);
+  return finish(w, size);
 }
 
 fhe::PublicKey deserialize_public_key(const std::vector<std::uint8_t>& bytes,
@@ -331,11 +385,13 @@ fhe::PublicKey deserialize_public_key(const std::vector<std::uint8_t>& bytes,
 
 std::vector<std::uint8_t> serialize(const fhe::SecretKey& sk) {
   sp::check(sk.s_ntt.context() != nullptr, "serialize: empty secret key");
+  const std::size_t size = kHeaderBytes + poly_size(sk.s_ntt) + poly_size(sk.s_coeff);
   WireWriter w;
+  w.reserve(size);
   write_header(w, BlobKind::SecretKey, params_fingerprint(sk.s_ntt.context()->params()));
   write_poly(w, sk.s_ntt);
   write_poly(w, sk.s_coeff);
-  return finish(w);
+  return finish(w, size);
 }
 
 fhe::SecretKey deserialize_secret_key(const std::vector<std::uint8_t>& bytes,
@@ -355,11 +411,13 @@ fhe::SecretKey deserialize_secret_key(const std::vector<std::uint8_t>& bytes,
 std::vector<std::uint8_t> serialize(const fhe::KSwitchKey& key) {
   sp::check(!key.digits.empty() && key.digits.front()[0].context() != nullptr,
             "serialize: empty key-switch key");
+  const std::size_t size = kHeaderBytes + kswitch_size(key);
   WireWriter w;
+  w.reserve(size);
   write_header(w, BlobKind::KSwitchKey,
                params_fingerprint(key.digits.front()[0].context()->params()));
   write_kswitch(w, key);
-  return finish(w);
+  return finish(w, size);
 }
 
 fhe::KSwitchKey deserialize_kswitch_key(const std::vector<std::uint8_t>& bytes,
@@ -373,7 +431,10 @@ fhe::KSwitchKey deserialize_kswitch_key(const std::vector<std::uint8_t>& bytes,
 
 std::vector<std::uint8_t> serialize(const fhe::GaloisKeys& keys) {
   sp::check(!keys.keys.empty(), "serialize: empty Galois key set");
+  std::size_t size = kHeaderBytes + 8;  // + key count
+  for (const auto& entry : keys.keys) size += 8 + kswitch_size(entry.second);  // + element
   WireWriter w;
+  w.reserve(size);
   write_header(
       w, BlobKind::GaloisKeys,
       params_fingerprint(keys.keys.begin()->second.digits.front()[0].context()->params()));
@@ -382,7 +443,7 @@ std::vector<std::uint8_t> serialize(const fhe::GaloisKeys& keys) {
     w.u64(elt);
     write_kswitch(w, key);
   }
-  return finish(w);
+  return finish(w, size);
 }
 
 fhe::GaloisKeys deserialize_galois_keys(const std::vector<std::uint8_t>& bytes,

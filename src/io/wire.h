@@ -13,11 +13,15 @@ namespace sp::io {
 
 /// Byte-level wire primitives shared by every sp::io (de)serializer.
 ///
-/// All scalars are written little-endian byte by byte, so blobs are
-/// endian-stable across hosts regardless of the producer's native order.
-/// Doubles travel as their IEEE-754 bit pattern (bit-exact round trip, no
-/// text formatting loss). Readers are bounds-checked: a truncated or
-/// overlong stream raises sp::Error instead of reading garbage.
+/// Scalars are written little-endian byte by byte. Residue rows (u64 spans)
+/// are the bulk of every key and ciphertext blob and move as one block copy
+/// of the host's words, which are those same little-endian bytes only on a
+/// little-endian host (asserted below). Doubles travel as their IEEE-754
+/// bit pattern (bit-exact round trip, no text formatting loss). Readers are
+/// bounds-checked: a truncated or overlong stream raises sp::Error instead
+/// of reading garbage.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "sp::io copies residue rows as host words: little-endian hosts only");
 
 /// First four bytes of every blob: "SPWB" (SmartPAF Wire Blob).
 constexpr std::uint32_t kMagic = 0x42575053u;  // 'S','P','W','B' little-endian
@@ -54,6 +58,8 @@ class WireWriter {
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
+  /// Reserves room for a blob whose size the caller computed up front.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {
@@ -74,10 +80,12 @@ class WireWriter {
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
-  /// Length-prefixed u64 span (the RnsPoly row payload).
+  /// Length-prefixed u64 span (the RnsPoly row payload), appended as one
+  /// block copy of the words.
   void u64_span(const std::uint64_t* data, std::size_t count) {
     u64(count);
-    for (std::size_t i = 0; i < count; ++i) u64(data[i]);
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
+    buf_.insert(buf_.end(), bytes, bytes + count * sizeof(std::uint64_t));
   }
   /// Length-prefixed double vector (bit patterns).
   void f64_vec(const std::vector<double>& v) {
@@ -157,14 +165,16 @@ class WireReader {
     return v == 1;
   }
 
-  /// Reads a length-prefixed u64 span into `out` (exactly `expect` words
-  /// when expect != SIZE_MAX).
+  /// Reads a length-prefixed span of exactly `expect` u64 words into `out`
+  /// with one block copy, after checking the prefix and the remaining bytes.
   void u64_span(std::uint64_t* out, std::size_t expect) {
     const std::uint64_t count = u64();
     sp::check_fmt(count == expect, "wire: u64 span of ", count, " words, expected ",
                   expect);
-    need(count * 8);
-    for (std::size_t i = 0; i < count; ++i) out[i] = u64();
+    const std::size_t bytes = expect * sizeof(std::uint64_t);
+    need(bytes);
+    std::memcpy(out, data_ + pos_, bytes);
+    pos_ += bytes;
   }
   std::vector<double> f64_vec() {
     const std::uint64_t count = checked_count(8);

@@ -4,10 +4,11 @@
 // plaintexts / ciphertexts / keys / plans at two parameter sets, header
 // rejection diagnostics (magic, version, kind, fingerprint, truncation,
 // trailing bytes, corrupt lengths, out-of-range residues, malformed stage
-// layouts), frame framing, and the serving contract: a keygen-less runtime
-// reconstructed purely from deserialized blobs evaluates a plan — a window
-// pipeline and lenet_small's conv/matmul stages — bit-identically to the
-// key owner.
+// layouts), a mutation sweep over every residue row of a key-switch key and
+// a ciphertext blob, frame framing, and the serving contract: a keygen-less
+// runtime reconstructed purely from deserialized blobs evaluates a plan — a
+// window pipeline and lenet_small's conv/matmul stages — bit-identically to
+// the key owner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -628,6 +629,123 @@ TEST_F(WireTest, RejectsForeignAndCorruptBlobs) {
     bad[8] ^= 0x01;  // flip one fingerprint bit
     expect_error_containing([&] { io::deserialize_params(bad); }, "fingerprint");
   }
+}
+
+// ----------------------------------------------------------- mutation sweep --
+
+/// A residue row inside a serialized blob: the byte offset of its u64
+/// length prefix, its index in its polynomial, and whether it is the
+/// special-prime row.
+struct RowSpan {
+  std::size_t offset;
+  int row;
+  bool special;
+};
+
+/// Walks one headerless RnsPoly starting at `offset` by the layout in
+/// docs/WIRE.md (n, q_count, two flags, then length-prefixed rows),
+/// recording its row spans and advancing `offset` past it.
+void add_row_spans(std::vector<RowSpan>& spans, std::size_t& offset, const RnsPoly& p) {
+  offset += 8 + 4 + 1 + 1;
+  for (int i = 0; i < p.row_count(); ++i) {
+    spans.push_back({offset, i, i == p.q_count()});
+    offset += 8 + 8 * p.n();
+  }
+}
+
+/// Adds `delta` to the little-endian unsigned integer of `width` bytes at
+/// `offset`.
+void add_le(std::vector<std::uint8_t>& bytes, std::size_t offset, int width,
+            std::int64_t delta) {
+  std::uint64_t v = 0;
+  for (int k = 0; k < width; ++k) v |= std::uint64_t{bytes[offset + k]} << (8 * k);
+  v += static_cast<std::uint64_t>(delta);
+  for (int k = 0; k < width; ++k) bytes[offset + k] = static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+/// Decodes one mutant and expects an sp::Error whose message names `cause`.
+template <typename Decode>
+void expect_mutant_rejected(const Decode& decode, const std::vector<std::uint8_t>& bad,
+                            const std::string& cause, const std::string& mutant) {
+  std::string what = "(decoded without error)";
+  try {
+    decode(bad);
+  } catch (const sp::Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find(cause), std::string::npos) << mutant << ": " << what;
+}
+
+/// Every row of `blob`: an out-of-range first and last residue, a cut at
+/// the row's span start and one byte either side, and a span length one
+/// word too long. Each mutant must be rejected with its cause named.
+template <typename Decode>
+void sweep_rows(const std::vector<std::uint8_t>& blob, const std::vector<RowSpan>& spans,
+                std::size_t n, const Decode& decode) {
+  EXPECT_NO_THROW(decode(blob));
+  for (const RowSpan& s : spans) {
+    const std::string row = "row " + std::to_string(s.row) + (s.special ? " (special)" : "");
+    const std::string at = " at byte " + std::to_string(s.offset);
+    for (const std::size_t j : {std::size_t{0}, n - 1}) {
+      auto bad = blob;
+      bad[s.offset + 8 + 8 * j + 7] = 0xff;  // top byte of the little-endian residue
+      expect_mutant_rejected(decode, bad,
+                             "residue out of range at " + row + ", index " + std::to_string(j),
+                             "residue " + std::to_string(j) + " of " + row + at);
+    }
+    for (const std::size_t cut : {s.offset - 1, s.offset, s.offset + 1}) {
+      const std::vector<std::uint8_t> bad(blob.begin(), blob.begin() + cut);
+      expect_mutant_rejected(decode, bad, "truncated", "cut at byte " + std::to_string(cut));
+    }
+    auto bad = blob;
+    add_le(bad, s.offset, 8, 1);
+    expect_mutant_rejected(decode, bad, "u64 span", "span length +1 of " + row + at);
+  }
+}
+
+// The polynomial-decoder slice of a decoder fuzzer: deterministic
+// mutations of a key-switch key and a ciphertext blob at every row.
+TEST(WireMutation, PolynomialDecodersRejectEveryMutant) {
+  const CkksContext& ctx = small_ctx();
+
+  const KSwitchKey key = formula_kswitch(ctx, 20);
+  const auto key_blob = io::serialize(key);
+  std::vector<RowSpan> key_spans;
+  std::size_t offset = 16 + 8;  // header, digit count
+  for (const auto& digit : key.digits)
+    for (const RnsPoly& p : digit) add_row_spans(key_spans, offset, p);
+  ASSERT_EQ(offset, key_blob.size());
+  ASSERT_EQ(key_spans.size(), 24u);  // 3 digits x 2 parts x (3 chain + special) rows
+  const auto decode_key = [&](const std::vector<std::uint8_t>& b) {
+    io::deserialize_kswitch_key(b, ctx);
+  };
+  sweep_rows(key_blob, key_spans, ctx.n(), decode_key);
+  for (const std::int64_t delta : {-1, 1}) {
+    auto bad = key_blob;
+    add_le(bad, 16, 8, delta);
+    expect_mutant_rejected(decode_key, bad, "digits, chain has 3",
+                           "digit count " + std::to_string(delta));
+  }
+
+  const Ciphertext ct = formula_ciphertext(ctx, 10);
+  const auto ct_blob = io::serialize(ct);
+  std::vector<RowSpan> ct_spans;
+  offset = 16 + 4;  // header, part count
+  for (const RnsPoly& p : ct.parts) add_row_spans(ct_spans, offset, p);
+  ASSERT_EQ(offset + 8, ct_blob.size());  // + scale
+  ASSERT_EQ(ct_spans.size(), 9u);
+  const auto decode_ct = [&](const std::vector<std::uint8_t>& b) {
+    io::deserialize_ciphertext(b, ctx);
+  };
+  sweep_rows(ct_blob, ct_spans, ctx.n(), decode_ct);
+  // One part too many is out of range; one too few leaves the third part's
+  // bytes behind the scale.
+  auto more = ct_blob;
+  add_le(more, 16, 4, 1);
+  expect_mutant_rejected(decode_ct, more, "ciphertext with 4 parts", "part count +1");
+  auto fewer = ct_blob;
+  add_le(fewer, 16, 4, -1);
+  expect_mutant_rejected(decode_ct, fewer, "trailing bytes", "part count -1");
 }
 
 // ----------------------------------------------------------------- serving --
