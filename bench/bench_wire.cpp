@@ -50,7 +50,17 @@ bool polys_equal(const RnsPoly& a, const RnsPoly& b) {
   return true;
 }
 
-/// Times `serialize` / `deserialize` over `repeats`, verifying with `verify`.
+bool kswitch_equal(const KSwitchKey& a, const KSwitchKey& b) {
+  if (a.digits.size() != b.digits.size()) return false;
+  for (std::size_t i = 0; i < a.digits.size(); ++i)
+    if (!polys_equal(a.digits[i][0], b.digits[i][0]) ||
+        !polys_equal(a.digits[i][1], b.digits[i][1]))
+      return false;
+  return true;
+}
+
+/// Times `serialize` / `deserialize` over `repeats`, verifying every decoded
+/// copy with `verify` off the clock.
 template <typename Ser, typename Deser, typename Verify>
 Row measure(const std::string& kind, int repeats, Ser&& serialize, Deser&& deserialize,
             Verify&& verify, bool& ok) {
@@ -66,10 +76,10 @@ Row measure(const std::string& kind, int repeats, Ser&& serialize, Deser&& deser
   row.bytes = blob.size();
   for (int r = 0; r < repeats; ++r) {
     sp::Timer t;
-    const bool good = verify(deserialize(blob));
+    const auto got = deserialize(blob);
     const double ms = t.ms();
     row.deser_ms = r == 0 ? ms : std::min(row.deser_ms, ms);
-    if (!good) {
+    if (!verify(got)) {
       std::printf("[bench] FAIL: %s round trip not bit-identical\n", kind.c_str());
       ok = false;
     }
@@ -129,21 +139,21 @@ int main(int argc, char** argv) {
       [&](const std::vector<std::uint8_t>& b) {
         return io::deserialize_kswitch_key(b, rt.ctx());
       },
-      [&](const KSwitchKey& got) {
-        if (got.digits.size() != rt.relin_key().digits.size()) return false;
-        for (std::size_t i = 0; i < got.digits.size(); ++i)
-          if (!polys_equal(got.digits[i][0], rt.relin_key().digits[i][0]) ||
-              !polys_equal(got.digits[i][1], rt.relin_key().digits[i][1]))
-            return false;
-        return true;
-      },
+      [&](const KSwitchKey& got) { return kswitch_equal(got, rt.relin_key()); },
       ok));
   rows.push_back(measure(
       "galois_keys", repeats, [&] { return io::serialize(gk); },
       [&](const std::vector<std::uint8_t>& b) {
         return io::deserialize_galois_keys(b, rt.ctx());
       },
-      [&](const GaloisKeys& got) { return got.keys.size() == gk.keys.size(); },
+      [&](const GaloisKeys& got) {
+        if (got.keys.size() != gk.keys.size()) return false;
+        for (const auto& [elt, key] : gk.keys) {
+          const auto it = got.keys.find(elt);
+          if (it == got.keys.end() || !kswitch_equal(it->second, key)) return false;
+        }
+        return true;
+      },
       ok));
   rows.push_back(measure(
       "plan", repeats, [&] { return io::serialize(plan, rt.ctx()); },
