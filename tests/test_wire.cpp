@@ -701,6 +701,10 @@ void sweep_rows(const std::vector<std::uint8_t>& blob, const std::vector<RowSpan
     add_le(bad, s.offset, 8, 1);
     expect_mutant_rejected(decode, bad, "u64 span", "span length +1 of " + row + at);
   }
+  // The last row has no next span start: cut its final byte.
+  const std::size_t rows_end = spans.back().offset + 8 + 8 * n;
+  const std::vector<std::uint8_t> cut(blob.begin(), blob.begin() + (rows_end - 1));
+  expect_mutant_rejected(decode, cut, "truncated", "cut in the last row");
 }
 
 // The polynomial-decoder slice of a decoder fuzzer: deterministic
