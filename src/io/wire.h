@@ -15,7 +15,7 @@ namespace sp::io {
 ///
 /// Scalars are written little-endian byte by byte. Residue rows (u64 spans)
 /// are the bulk of every key and ciphertext blob and move as one block copy
-/// of the host's words, which are those same little-endian bytes only on a
+/// of the host's words, which equals that little-endian encoding only on a
 /// little-endian host (asserted below). Doubles travel as their IEEE-754
 /// bit pattern (bit-exact round trip, no text formatting loss). Readers are
 /// bounds-checked: a truncated or overlong stream raises sp::Error instead
