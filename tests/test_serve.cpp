@@ -12,6 +12,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -310,6 +311,60 @@ TEST_F(ServeTest, ExecutorFailureReportsEveryLostId) {
   EXPECT_EQ(std::set<std::uint64_t>(hook_ids.begin(), hook_ids.end()), submitted);
   EXPECT_EQ(exec.stats().failed, 3u);
   EXPECT_EQ(exec.stats().completed, 0u);
+}
+
+TEST_F(ServeTest, ExecutorFailureStaysInItsGroup) {
+  serve::ExecutorConfig cfg;
+  cfg.input_size = 8;
+  cfg.group_capacity = 2;
+  cfg.deadline = 10s;  // groups flush only when full: {1,2}, {3,4}, {5,6}
+  OutcomeSink sink;
+  serve::AsyncExecutor exec(affine_pipeline(), cfg, sink.callback());
+  auto session = make_session(1);
+  session->adopt_rotation_keys(io::deserialize_galois_keys(
+      io::serialize(*client_->rotation_keys(exec.required_rotation_steps(*session))),
+      session->runtime().ctx()));
+  // Fail the group that holds the third ticket. Its id is published before
+  // the fourth submit fills that group, so the hook always sees it in time.
+  std::atomic<std::uint64_t> doomed{0};
+  exec.set_eval_hook([&](const std::vector<std::uint64_t>& ids) {
+    if (std::find(ids.begin(), ids.end(), doomed.load()) != ids.end())
+      throw sp::Error("injected group failure");
+  });
+
+  sp::Rng rng(13);
+  std::vector<double> values;
+  std::vector<std::uint64_t> tickets;
+  for (int i = 0; i < 6; ++i) {
+    values.push_back(rng.uniform(-1.0, 1.0));
+    const serve::Admission adm = exec.submit(session, request_for(*session, {values.back()}));
+    ASSERT_TRUE(adm.accepted);
+    tickets.push_back(adm.id);
+    if (i == 2) doomed = adm.id;
+  }
+  sink.wait_for(6);
+  exec.stop();  // nothing is left to flush, so no further outcome may arrive
+
+  std::map<std::uint64_t, serve::Outcome> by_id;
+  for (const serve::Outcome& o : sink.outcomes)
+    EXPECT_TRUE(by_id.emplace(o.id, o).second) << "two outcomes for ticket " << o.id;
+  ASSERT_EQ(by_id.size(), tickets.size());
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    ASSERT_EQ(by_id.count(tickets[i]), 1u) << "no outcome for request " << i + 1;
+    const serve::Outcome& o = by_id.at(tickets[i]);
+    EXPECT_EQ(o.batch_size, 2);
+    if (i == 2 || i == 3) {
+      EXPECT_EQ(o.kind, serve::Outcome::Kind::Failed) << "request " << i + 1;
+      EXPECT_NE(o.error.find("injected group failure"), std::string::npos) << o.error;
+      continue;
+    }
+    ASSERT_EQ(o.kind, serve::Outcome::Kind::Completed) << "request " << i + 1;
+    const std::vector<double> got = client_->decrypt(
+        io::deserialize_ciphertext(io::serialize(o.result), client_->ctx()));
+    EXPECT_NEAR(got[0], 2.0 * values[i] + 0.5, 1e-4) << "request " << i + 1;
+  }
+  EXPECT_EQ(exec.stats().completed, 4u);
+  EXPECT_EQ(exec.stats().failed, 2u);
 }
 
 TEST_F(ServeTest, PackedResponsesMatchReferenceAndMaskForeignSlots) {
