@@ -107,9 +107,9 @@ std::size_t AsyncExecutor::pending() const {
   return queue_.size();
 }
 
-const AsyncExecutor::SessionPlan& AsyncExecutor::plan_for(Session& session) {
+const AsyncExecutor::CachedPlan& AsyncExecutor::plan_for(Session& session) {
   std::unique_lock<std::mutex> lock(plan_mu_);
-  auto it = plans_.find(session.client_id());
+  auto it = plans_.find(session.fingerprint());
   if (it != plans_.end()) return it->second;
 
   const fhe::CkksContext& ctx = session.runtime().ctx();
@@ -126,31 +126,33 @@ const AsyncExecutor::SessionPlan& AsyncExecutor::plan_for(Session& session) {
   popts.pack_stride = stride;
   auto plan = std::make_shared<const smartpaf::Plan>(smartpaf::Planner::plan(
       pipeline_, ctx, smartpaf::CostModel::heuristic(), popts));
-  if (cfg_.mask_responses)
-    sp::check_fmt(plan->chain_levels - plan->levels_used >= 1,
-                  "AsyncExecutor: response masking needs one level beyond the "
-                  "pipeline's ",
-                  plan->levels_used, " but the chain offers ", plan->chain_levels,
-                  "; deepen the chain or disable mask_responses");
+  sp::check_fmt(plan->chain_levels - plan->levels_used >= 1,
+                "AsyncExecutor: response masking needs one level beyond the "
+                "pipeline's ",
+                plan->levels_used, " but the chain offers ", plan->chain_levels,
+                "; deepen the chain");
 
-  SessionPlan sp;
+  CachedPlan sp;
   sp.plan = std::move(plan);
   sp.output_width = pipeline_.output_width(stride);
   // unordered_map references survive rehashing and entries are never erased,
   // so handing out a reference under a released lock is safe. The cache
-  // grows one small Plan per tenant ever seen — bytes, not key material.
-  return plans_.emplace(session.client_id(), std::move(sp)).first->second;
+  // grows one small Plan per parameter set ever seen — bytes, not key
+  // material.
+  return plans_.emplace(session.fingerprint(), std::move(sp)).first->second;
 }
 
 void AsyncExecutor::worker_loop() {
   // Head-session group readiness: the next flush always serves the session
-  // of the OLDEST pending request (FIFO fairness across tenants).
+  // of the OLDEST pending request (FIFO fairness across tenants). Groups
+  // match on the Session object, not the client id, so a reopened tenant's
+  // old and new requests never share a ciphertext.
   auto group_ready = [this] {
     if (queue_.empty()) return false;
-    const std::uint64_t cid = queue_.front().session->client_id();
+    const Session* head = queue_.front().session.get();
     std::size_t count = 0;
     for (const Pending& p : queue_)
-      if (p.session->client_id() == cid &&
+      if (p.session.get() == head &&
           ++count >= static_cast<std::size_t>(cfg_.group_capacity))
         return true;
     return false;
@@ -188,12 +190,12 @@ void AsyncExecutor::worker_loop() {
 std::vector<AsyncExecutor::Pending> AsyncExecutor::take_group() {
   std::vector<Pending> group;
   if (queue_.empty()) return group;
-  const std::uint64_t cid = queue_.front().session->client_id();
+  const Session* head = queue_.front().session.get();
   group.reserve(static_cast<std::size_t>(cfg_.group_capacity));
   for (auto it = queue_.begin();
        it != queue_.end() &&
        group.size() < static_cast<std::size_t>(cfg_.group_capacity);) {
-    if (it->session->client_id() == cid) {
+    if (it->session.get() == head) {
       group.push_back(std::move(*it));
       it = queue_.erase(it);
     } else {
@@ -211,7 +213,7 @@ void AsyncExecutor::evaluate_group(std::vector<Pending> group, FlushReason reaso
 
   try {
     if (eval_hook_) eval_hook_(ids);
-    const SessionPlan& sp = plan_for(session);
+    const CachedPlan& sp = plan_for(session);
     smartpaf::FheRuntime& rt = session.runtime();
     fhe::Evaluator& ev = rt.evaluator();
     const int s = cfg_.input_size;
@@ -235,19 +237,17 @@ void AsyncExecutor::evaluate_group(std::vector<Pending> group, FlushReason reaso
     // without it, a response slice still carries the neighbouring requests'
     // slots under the shared batch key. Cached per (stride, width, chain
     // position); the shared_ptr pin keeps it valid across cache churn.
-    std::shared_ptr<const fhe::Plaintext> mask;
-    if (cfg_.mask_responses) {
-      const std::size_t slots = rt.ctx().slot_count();
-      std::uint64_t key = sp::fnv_mix(sp::kFnvOffset, 0x73657276656d61ULL);  // "servema"
-      key = sp::fnv_mix(key, static_cast<std::uint64_t>(s));
-      key = sp::fnv_mix(key, sp.output_width);
-      key = sp::fnv_mix(key, slots);
-      mask = rt.encoder().encode_cached(key, rt.ctx().scale(), out.q_count(), [&] {
-        std::vector<double> m(slots, 0.0);
-        for (std::size_t j = 0; j < sp.output_width; ++j) m[j] = 1.0;
-        return m;
-      });
-    }
+    const std::size_t slots = rt.ctx().slot_count();
+    std::uint64_t key = sp::fnv_mix(sp::kFnvOffset, 0x73657276656d61ULL);  // "servema"
+    key = sp::fnv_mix(key, static_cast<std::uint64_t>(s));
+    key = sp::fnv_mix(key, sp.output_width);
+    key = sp::fnv_mix(key, slots);
+    const std::shared_ptr<const fhe::Plaintext> mask =
+        rt.encoder().encode_cached(key, rt.ctx().scale(), out.q_count(), [&] {
+          std::vector<double> m(slots, 0.0);
+          for (std::size_t j = 0; j < sp.output_width; ++j) m[j] = 1.0;
+          return m;
+        });
 
     // Chained extraction: response b is the packed output rotated left b
     // times by s — again only the step +s key, whatever the group size.
@@ -260,10 +260,8 @@ void AsyncExecutor::evaluate_group(std::vector<Pending> group, FlushReason reaso
     for (std::size_t b = 0; b < k; ++b) {
       if (b > 0) slice = ev.rotate(slice, s, *gk);
       fhe::Ciphertext resp = slice;
-      if (mask) {
-        ev.multiply_plain_inplace(resp, *mask);
-        ev.rescale_inplace(resp);
-      }
+      ev.multiply_plain_inplace(resp, *mask);
+      ev.rescale_inplace(resp);
       responses.push_back(std::move(resp));
     }
     {

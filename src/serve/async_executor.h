@@ -35,12 +35,6 @@ struct ExecutorConfig {
   /// Admission bound: submit() rejects (never blocks, never drops silently)
   /// once this many requests are pending.
   std::size_t max_queue = 64;
-  /// Multiply each response slice by a 0/1 mask so slots past the request's
-  /// output width — which still hold neighbouring requests' data under the
-  /// shared batch key — decrypt to zero. Costs one plaintext mult + rescale
-  /// per response, so the session's chain needs one level beyond the
-  /// pipeline's depth.
-  bool mask_responses = true;
 };
 
 /// Synchronous verdict of AsyncExecutor::submit. A rejected request never
@@ -94,7 +88,9 @@ struct ExecutorStats {
 /// throughput-vs-latency dial of batched serving. Groups never span
 /// sessions: ciphertexts under different tenants' keys cannot share slots,
 /// so multi-tenancy means the worker interleaves one tenant's group after
-/// another's, not mixed packing.
+/// another's, not mixed packing. The same holds for one tenant across a
+/// reopen: the old and new Session hold different keys, so their queued
+/// requests flush in separate groups.
 ///
 /// Packing is a chained rotate-and-add (Horner) layout that needs only TWO
 /// Galois keys regardless of group size: with s = input_size,
@@ -108,8 +104,17 @@ struct ExecutorStats {
 /// layout ships two keys and pays ~2 extra rotations per request, which the
 /// pipeline's once-per-group cost dwarfs.
 ///
-/// The per-session Plan (and the mask/capacity validation that goes with it)
-/// is computed on first use and cached by client id. Call
+/// Every response slice is multiplied by a 0/1 mask so slots past the
+/// request's output width — which still hold neighbouring requests' data
+/// under the shared batch key — decrypt to zero. That costs one plaintext
+/// mult + rescale per response, so a session's chain needs one level beyond
+/// the pipeline's depth.
+///
+/// The Plan (and the mask/capacity validation that goes with it) depends
+/// only on the executor's pipeline and config and on the session's parameter
+/// set, so it is computed on first use and cached by params fingerprint: a
+/// tenant that reopens under other parameters is planned and checked again,
+/// and tenants sharing a parameter set share one plan. Call
 /// required_rotation_steps() during the handshake to tell the tenant which
 /// Galois keys to upload: the plan's fans plus the packing steps {-s, +s}.
 class AsyncExecutor {
@@ -140,8 +145,9 @@ class AsyncExecutor {
 
   /// @brief The rotation steps `session`'s tenant must provide Galois keys
   /// for: the planned pipeline fans plus the packing steps {-s, +s} (the
-  /// latter only when group_capacity > 1). Plans (and caches) the session's
-  /// schedule on first call.
+  /// latter only when group_capacity > 1). Plans (and caches) the schedule
+  /// for the session's parameter set on first call; throws sp::Error when
+  /// the chain cannot hold the pipeline plus the response mask.
   std::vector<int> required_rotation_steps(Session& session);
 
   ExecutorStats stats() const;
@@ -164,20 +170,20 @@ class AsyncExecutor {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// Plan + derived constants for one session, cached by client id.
-  struct SessionPlan {
+  /// Plan + derived constants for one parameter set, cached by fingerprint.
+  struct CachedPlan {
     std::shared_ptr<const smartpaf::Plan> plan;
     std::size_t output_width = 0;
   };
 
   void worker_loop();
-  /// Collects the head session's group (up to group_capacity) off the queue.
-  /// Caller holds mu_.
+  /// Collects the head session's group (up to group_capacity requests of
+  /// that same Session object) off the queue. Caller holds mu_.
   std::vector<Pending> take_group();
   /// Pack -> run -> extract -> per-request outcomes; never throws (failures
   /// become Failed outcomes).
   void evaluate_group(std::vector<Pending> group, FlushReason reason);
-  const SessionPlan& plan_for(Session& session);
+  const CachedPlan& plan_for(Session& session);
 
   smartpaf::FhePipeline pipeline_;
   ExecutorConfig cfg_;
@@ -192,7 +198,7 @@ class AsyncExecutor {
   ExecutorStats stats_;
 
   std::mutex plan_mu_;
-  std::unordered_map<std::uint64_t, SessionPlan> plans_;
+  std::unordered_map<std::uint64_t, CachedPlan> plans_;
 
   std::thread worker_;
 };

@@ -1,9 +1,10 @@
 // Serving-layer regression net: SessionRegistry LRU/fingerprint contracts,
 // AsyncExecutor flush reasons (deadline vs group-full vs drain), admission
 // control and backpressure, per-request outcome accounting on evaluation
-// failure, packed parity + response masking, the thread-safe rotation-key
-// store (exercised under TSan in CI), BatchRunner::drain's lost-id
-// accounting in both schedules, and the seedless Encryptor's entropy seeding.
+// failure (a failed group loses only its own tickets), re-planning when a
+// tenant reopens under other parameters, packed parity + response masking,
+// the thread-safe rotation-key store (exercised under TSan in CI), and the
+// seedless Encryptor's entropy seeding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 #include "io/serialize.h"
 #include "serve/async_executor.h"
 #include "serve/session_registry.h"
-#include "smartpaf/batch_runner.h"
 #include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline.h"
 
@@ -55,25 +55,31 @@ class ServeTest : public ::testing::Test {
                                             std::move(relin), fhe::GaloisKeys{});
   }
 
-  /// Opens a registry-held session built from the shared client material.
+  /// Opens a registry-held session built from `client`'s key material
+  /// (the shared client by default).
   static std::shared_ptr<serve::Session> open_in(serve::SessionRegistry& reg,
-                                                 std::uint64_t id) {
+                                                 std::uint64_t id,
+                                                 const smartpaf::FheRuntime* client = nullptr) {
+    if (client == nullptr) client = client_.get();
     auto ctx = std::make_unique<fhe::CkksContext>(
-        io::deserialize_params(io::serialize(client_->ctx().params())));
+        io::deserialize_params(io::serialize(client->ctx().params())));
     fhe::PublicKey pk =
-        io::deserialize_public_key(io::serialize(client_->public_key()), *ctx);
+        io::deserialize_public_key(io::serialize(client->public_key()), *ctx);
     fhe::KSwitchKey relin =
-        io::deserialize_kswitch_key(io::serialize(client_->relin_key()), *ctx);
+        io::deserialize_kswitch_key(io::serialize(client->relin_key()), *ctx);
     return reg.open(id, std::move(ctx), std::move(pk), std::move(relin),
                     fhe::GaloisKeys{});
   }
 
-  /// Encrypts client-side and crosses the wire into the session's context.
+  /// Encrypts under `client`'s keys (the shared client by default) and
+  /// crosses the wire into the session's context.
   static fhe::Ciphertext request_for(serve::Session& session,
-                                     const std::vector<double>& head_values) {
-    std::vector<double> slots(client_->ctx().slot_count(), 0.0);
+                                     const std::vector<double>& head_values,
+                                     smartpaf::FheRuntime* client = nullptr) {
+    if (client == nullptr) client = client_.get();
+    std::vector<double> slots(client->ctx().slot_count(), 0.0);
     for (std::size_t i = 0; i < head_values.size(); ++i) slots[i] = head_values[i];
-    return io::deserialize_ciphertext(io::serialize(client_->encrypt(slots)),
+    return io::deserialize_ciphertext(io::serialize(client->encrypt(slots)),
                                       session.runtime().ctx());
   }
 
@@ -367,6 +373,92 @@ TEST_F(ServeTest, ExecutorFailureStaysInItsGroup) {
   EXPECT_EQ(exec.stats().failed, 2u);
 }
 
+TEST_F(ServeTest, ExecutorReplansASessionReopenedUnderOtherParameters) {
+  // A plan belongs to a parameter set, not to a client id: a tenant that
+  // reopens under a shorter chain must be planned (and here refused) again,
+  // not served with the plan cached for its old chain.
+  serve::ExecutorConfig cfg;
+  cfg.input_size = 8;
+  cfg.group_capacity = 1;
+  cfg.deadline = 10s;
+  OutcomeSink sink;
+  serve::AsyncExecutor exec(affine_pipeline(), cfg, sink.callback());
+  serve::SessionRegistry reg(4);
+
+  auto deep = open_in(reg, 1);
+  EXPECT_TRUE(exec.required_rotation_steps(*deep).empty());
+  ASSERT_TRUE(exec.submit(deep, request_for(*deep, {0.25})).accepted);
+  const serve::Outcome served = sink.wait_for(1)[0];
+  ASSERT_EQ(served.kind, serve::Outcome::Kind::Completed) << served.error;
+  EXPECT_NEAR(client_->decrypt(io::deserialize_ciphertext(io::serialize(served.result),
+                                                          client_->ctx()))[0],
+              1.0, 1e-4);
+
+  // Depth 1 holds the affine stage but not the response mask after it.
+  smartpaf::FheRuntime shallow_client(fhe::CkksParams::for_depth(2048, 1, 40),
+                                      /*seed=*/2030);
+  auto shallow = open_in(reg, 1, &shallow_client);
+  ASSERT_NE(shallow->fingerprint(), deep->fingerprint());
+  const std::string cause = "response masking needs one level beyond the pipeline's 1";
+  bool refused_at_handshake = false;
+  try {
+    exec.required_rotation_steps(*shallow);
+  } catch (const sp::Error& e) {
+    refused_at_handshake = true;
+    EXPECT_NE(std::string(e.what()).find(cause), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(refused_at_handshake) << "the handshake accepted a chain with no level for the mask";
+
+  // A request that skips the handshake fails with the same cause, not with a
+  // rescale error partway through the evaluation.
+  ASSERT_TRUE(exec.submit(shallow, request_for(*shallow, {0.25}, &shallow_client)).accepted);
+  const serve::Outcome refused = sink.wait_for(2)[1];
+  EXPECT_EQ(refused.kind, serve::Outcome::Kind::Failed);
+  EXPECT_NE(refused.error.find(cause), std::string::npos) << refused.error;
+}
+
+TEST_F(ServeTest, ExecutorNeverPacksAReplacedSessionWithItsSuccessor) {
+  // A reopen under new keys leaves the old session's requests queued beside
+  // the new session's. They share a client id but not a key, so they must
+  // ride in separate groups, each evaluated under its own session.
+  serve::ExecutorConfig cfg;
+  cfg.input_size = 8;
+  cfg.group_capacity = 2;
+  cfg.deadline = 10s;  // only stop() flushes a short group
+  OutcomeSink sink;
+  serve::AsyncExecutor exec(affine_pipeline(), cfg, sink.callback());
+  serve::SessionRegistry reg(4);
+  smartpaf::FheRuntime rekeyed(client_->ctx().params(), /*seed=*/2031);
+
+  auto before = open_in(reg, 1);
+  before->adopt_rotation_keys(io::deserialize_galois_keys(
+      io::serialize(*client_->rotation_keys(exec.required_rotation_steps(*before))),
+      before->runtime().ctx()));
+  const serve::Admission first = exec.submit(before, request_for(*before, {0.25}));
+  ASSERT_TRUE(first.accepted);
+
+  auto after = open_in(reg, 1, &rekeyed);
+  after->adopt_rotation_keys(io::deserialize_galois_keys(
+      io::serialize(*rekeyed.rotation_keys(exec.required_rotation_steps(*after))),
+      after->runtime().ctx()));
+  const serve::Admission second = exec.submit(after, request_for(*after, {0.5}, &rekeyed));
+  ASSERT_TRUE(second.accepted);
+  exec.stop();
+
+  const auto outcomes = sink.wait_for(2);
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const serve::Outcome& o : outcomes) {
+    ASSERT_EQ(o.kind, serve::Outcome::Kind::Completed) << o.error;
+    EXPECT_EQ(o.batch_size, 1) << "ticket " << o.id;
+    smartpaf::FheRuntime& owner = o.id == first.id ? *client_ : rekeyed;
+    const double want = o.id == first.id ? 1.0 : 1.5;  // 2x + 0.5
+    EXPECT_NEAR(owner.decrypt(io::deserialize_ciphertext(io::serialize(o.result),
+                                                         owner.ctx()))[0],
+                want, 1e-4)
+        << "ticket " << o.id;
+  }
+}
+
 TEST_F(ServeTest, PackedResponsesMatchReferenceAndMaskForeignSlots) {
   serve::ExecutorConfig cfg;
   cfg.input_size = 8;
@@ -444,63 +536,6 @@ TEST_F(ServeTest, RotationKeyStoreIsThreadSafe) {
   for (std::thread& th : threads) th.join();
   EXPECT_FALSE(failed.load());
   EXPECT_GE(rt.rotation_key_count(), 8u);  // {+-1..+-4} dedup'd across threads
-}
-
-// ---------------------------------------------------------------------------
-// BatchRunner::drain lost-id accounting (S1), both schedules
-// ---------------------------------------------------------------------------
-
-TEST(BatchDrain, TypedErrorCarriesLostIdsAndRequeuesTheRest) {
-  smartpaf::FheRuntime rt(fhe::CkksParams::for_depth(2048, 6, 40), /*seed=*/2029);
-  sp::Rng coeff_rng(41);
-  std::vector<double> c(8, 0.0);
-  for (int k = 1; k <= 7; k += 2)
-    c[static_cast<std::size_t>(k)] = coeff_rng.uniform(-1.0, 1.0) / 8.0;
-  smartpaf::BatchConfig cfg;
-  cfg.input_size = static_cast<int>(rt.ctx().slot_count()) / 2;  // capacity 2
-  cfg.paf = approx::CompositePaf("deg7", {approx::Polynomial(c)});
-  cfg.input_scale = 2.0;
-
-  for (const bool overlap : {true, false}) {
-    smartpaf::BatchRunner runner(rt, cfg);
-    runner.set_overlap(overlap);
-
-    sp::Rng rng(11);
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < 6; ++i) {
-      std::vector<double> input(4);
-      for (double& x : input) x = rng.uniform(-1.0, 1.0);
-      ids.push_back(runner.submit(std::move(input)));
-    }
-    // Groups are {ids[0],ids[1]}, {ids[2],ids[3]}, {ids[4],ids[5]}; fail the
-    // second mid-flight.
-    runner.set_eval_hook([&](const std::vector<std::uint64_t>& group) {
-      if (std::find(group.begin(), group.end(), ids[2]) != group.end())
-        throw sp::Error("injected mid-flight failure");
-    });
-
-    bool threw = false;
-    try {
-      runner.drain();
-    } catch (const smartpaf::BatchDrainError& e) {
-      threw = true;
-      EXPECT_EQ(e.lost_ids(), (std::vector<std::uint64_t>{ids[2], ids[3]}))
-          << "overlap=" << overlap;
-      ASSERT_EQ(e.completed().size(), 1u) << "overlap=" << overlap;
-      EXPECT_EQ(e.completed()[0].ids, (std::vector<std::uint64_t>{ids[0], ids[1]}));
-      EXPECT_NE(std::string(e.what()).find("injected mid-flight failure"),
-                std::string::npos);
-    }
-    EXPECT_TRUE(threw) << "drain must throw when a group is lost (overlap=" << overlap
-                       << ")";
-
-    // The untouched third group was requeued, and a clean drain picks it up.
-    EXPECT_EQ(runner.pending(), 2u) << "overlap=" << overlap;
-    runner.set_eval_hook(nullptr);
-    const auto results = runner.drain();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].ids, (std::vector<std::uint64_t>{ids[4], ids[5]}));
-  }
 }
 
 // ---------------------------------------------------------------------------
