@@ -1,10 +1,13 @@
 // Batched-inference scaling: one packed ciphertext serves B requests, so
 // the whole-ciphertext cost (window rotation fan + PAF-ReLU) amortizes as
-// 1/B per request. This table is the latency-vs-throughput tradeoff the
-// BatchRunner exists for: per-input latency and per-input rotation/relin
+// 1/B per request. Each row packs B requests client-side
+// (Encoder::pack_slots), encrypts, plans the pipeline at the request stride
+// (PlanOptions::pack_stride), runs it once, then decrypts and unpacks
+// (Encoder::unpack_slots). Per-input latency and per-input rotation/relin
 // counts must shrink monotonically as B grows toward slots/2.
 //
 // Usage: bench_batch [quick]   ("quick" restricts to N = 4096)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -16,7 +19,10 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "smartpaf/batch_runner.h"
+#include "common/timer.h"
+#include "smartpaf/fhe_deploy.h"
+#include "smartpaf/pipeline.h"
+#include "smartpaf/pipeline_planner.h"
 
 namespace {
 
@@ -45,18 +51,19 @@ int main(int argc, char** argv) {
 
   // Paper pipeline: alpha=7 minimax PAF (depth 6) behind a 4-tap averaging
   // window (1 level) and the relu envelope (2 levels) -> depth-9 chain.
-  smartpaf::BatchConfig cfg;
-  cfg.paf = approx::make_paf(approx::PafForm::ALPHA7);
-  cfg.input_scale = 1.0;
-  cfg.window = {0.25, 0.25, 0.25, 0.25};
+  const approx::CompositePaf paf = approx::make_paf(approx::PafForm::ALPHA7);
+  const smartpaf::FhePipeline pipe = smartpaf::FhePipeline::builder()
+                                         .window({0.25, 0.25, 0.25, 0.25})
+                                         .paf_relu(paf, /*input_scale=*/1.0)
+                                         .build();
 
   smartpaf::FheRuntime rt(CkksParams::for_depth(n, 9, 40), /*seed=*/2024);
   std::printf("[bench] runtime ready: N=%zu slots=%d depth=9 paf=%s\n", n, slots,
-              cfg.paf.name().c_str());
+              paf.name().c_str());
 
   std::vector<int> batch_sizes = {1, 4, 16, 128};
   if (slots / 2 > 1024) batch_sizes.push_back(1024);
-  // Stride-2 packing, the densest layout. At input_size < window.size() the
+  // Stride-2 packing, the densest layout. At input_size < window width the
   // window blends neighbouring requests (reference blends identically, so
   // max_err stays at noise level): the dense rows measure the amortized
   // pipeline cost; request-isolated serving at these strides drops the
@@ -65,28 +72,50 @@ int main(int argc, char** argv) {
 
   std::vector<BatchRow> rows;
   for (int b : batch_sizes) {
-    cfg.input_size = slots / b;
-    smartpaf::BatchRunner runner(rt, cfg);
+    const int input_size = slots / b;
+    const auto stride = static_cast<std::size_t>(input_size);
+    smartpaf::PlanOptions popts;
+    popts.pack_stride = stride;
+    const smartpaf::Plan plan =
+        smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic(), popts);
+    rt.rotation_keys(plan.rotation_steps());  // keygen stays off the clock
 
     sp::Rng rng(17 + static_cast<std::uint64_t>(b));
     std::vector<std::vector<double>> inputs(static_cast<std::size_t>(b));
     for (auto& v : inputs) {
-      v.resize(static_cast<std::size_t>(cfg.input_size));
+      v.resize(stride);
       for (auto& x : v) x = rng.uniform(-1.0, 1.0);
     }
 
-    const auto res = runner.run(inputs);
+    sp::Timer timer;
+    const std::vector<double> flat = Encoder::pack_slots(inputs, stride, rt.ctx().slot_count());
+    const Ciphertext packed = rt.encrypt(flat);
+    const double prep_ms = timer.ms();
+
+    const OpCounters before = rt.evaluator().counters;
+    timer.reset();
+    const Ciphertext out = pipe.run(rt, plan, packed);
+    const double eval_ms = timer.ms();
+    const OpCountersPerInput per = per_input(rt.evaluator().counters.delta_since(before), b);
+
+    timer.reset();
+    const auto outputs = Encoder::unpack_slots(rt.decrypt(out), stride, inputs.size());
+    const double decrypt_ms = timer.ms();
+
     BatchRow row;
     row.n = n;
     row.batch = b;
-    row.input_size = cfg.input_size;
-    row.total_ms = res.stats.total_ms();
-    row.eval_ms = res.stats.eval_ms;
-    row.ms_per_input = res.stats.ms_per_input();
-    row.ct_mults_per_input = res.stats.eval_per_input().ct_mults;
-    row.relins_per_input = res.stats.ops_per_input().relins;
-    row.rotations_per_input = res.stats.ops_per_input().rotations;
-    for (double e : res.max_error) row.max_err = std::max(row.max_err, e);
+    row.input_size = input_size;
+    row.total_ms = prep_ms + eval_ms + decrypt_ms;
+    row.eval_ms = eval_ms;
+    row.ms_per_input = row.total_ms / b;
+    row.ct_mults_per_input = per.ct_mults;
+    row.relins_per_input = per.relins;
+    row.rotations_per_input = per.rotations;
+    const std::vector<double> ref = pipe.reference(flat, plan.pack_stride);
+    for (std::size_t r = 0; r < outputs.size(); ++r)
+      for (std::size_t j = 0; j < stride; ++j)
+        row.max_err = std::max(row.max_err, std::abs(outputs[r][j] - ref[r * stride + j]));
     rows.push_back(row);
     std::printf("[bench] B=%d done (%.1f ms total, %.3f ms/input)\n", b, row.total_ms,
                 row.ms_per_input);

@@ -59,8 +59,7 @@ class Encoder {
   /// the caller holds it, even across clear_encode_cache() or the store's
   /// self-limiting flush — both only drop the cache's own reference. This is
   /// what makes the cache safe to consult from an evaluation thread while
-  /// BatchRunner's overlap helper (or any other thread) drives concurrent
-  /// cache traffic.
+  /// another thread drives concurrent cache traffic.
   std::shared_ptr<const Plaintext> encode_cached(std::uint64_t key,
                                                  const std::vector<double>& values,
                                                  double scale, int q_count) const;
@@ -85,9 +84,10 @@ class Encoder {
   /// @brief Packs B independent request vectors into one strided slot vector.
   ///
   /// Request b occupies slots [b*stride, b*stride + inputs[b].size());
-  /// unused slots stay zero. This is the batching layout consumed by
-  /// `smartpaf::BatchRunner`: one ciphertext carries every request, so each
-  /// SIMD evaluator op serves all of them at once.
+  /// unused slots stay zero. This is the client-side batching layout: one
+  /// ciphertext carries every request, so each SIMD evaluator op serves all
+  /// of them at once (plan the pipeline with `PlanOptions::pack_stride` =
+  /// stride so width-changing stages tile per request).
   ///
   /// @param inputs  per-request value vectors, each of size <= stride
   /// @param stride  slots reserved per request (inputs.size() * stride must
@@ -121,8 +121,8 @@ class Encoder {
   // encode_cached store: (caller key, scale bit pattern, q_count) ->
   // shared_ptr pin. The scale keys on its raw IEEE-754 bits so two scales
   // are the same entry iff they are bitwise equal; shared ownership keeps
-  // handed-out entries alive across flushes (mutex-guarded for the
-  // BatchRunner helper thread).
+  // handed-out entries alive across flushes (mutex-guarded for concurrent
+  // callers).
   mutable std::mutex cache_mu_;
   mutable std::map<std::tuple<std::uint64_t, std::uint64_t, int>,
                    std::shared_ptr<const Plaintext>>

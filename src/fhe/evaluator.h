@@ -80,10 +80,11 @@ struct OpCounters {
 };
 
 /// Amortized per-input view of an OpCounters span: when one packed
-/// ciphertext serves `batch_size` requests (BatchRunner slot packing), the
-/// whole-ciphertext op counts divide across the batch. These are the
-/// figures that make latency-vs-throughput tables honest: a rotation fan or
-/// relinearization paid once per ciphertext costs 1/B of itself per request.
+/// ciphertext serves `batch_size` requests (client-side `pack_slots` or the
+/// serving executor's packed groups), the whole-ciphertext op counts divide
+/// across the batch. These are the figures that make latency-vs-throughput
+/// tables honest: a rotation fan or relinearization paid once per ciphertext
+/// costs 1/B of itself per request.
 struct OpCountersPerInput {
   double adds = 0.0;
   double plain_mults = 0.0;

@@ -34,32 +34,6 @@ struct EvalStats {
   /// the relinearizations actually performed, so under lazy relin
   /// relins <= ct_mults <= relins + relins_deferred.
   int relins_deferred = 0;
-
-  /// Amortized per-input view of one evaluation that served a slot-packed
-  /// batch: every figure divides by the batch size, because a packed
-  /// ciphertext pays each homomorphic op once for all B requests.
-  struct PerInput {
-    double ct_mults = 0.0;
-    double relins = 0.0;
-    double rescales = 0.0;
-    double plain_mults = 0.0;
-    double wall_ms = 0.0;
-  };
-
-  /// @brief Divides the executed counts by `batch_size` packed inputs —
-  /// the latency-vs-throughput figure batching benchmarks report.
-  /// @param batch_size  requests packed in the evaluated ciphertext (>= 1)
-  /// @return per-input ct-mult/relin/rescale/plain-mult counts and wall time
-  PerInput per_input(int batch_size) const {
-    const double b = batch_size < 1 ? 1.0 : static_cast<double>(batch_size);
-    PerInput out;
-    out.ct_mults = ct_mults / b;
-    out.relins = relins / b;
-    out.rescales = rescales / b;
-    out.plain_mults = plain_mults / b;
-    out.wall_ms = wall_ms / b;
-    return out;
-  }
 };
 
 /// Planner-side prediction of one evaluation schedule, produced without

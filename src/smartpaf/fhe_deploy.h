@@ -66,8 +66,8 @@ class FheRuntime {
   /// mutex (copying the map — rare: once per previously-unseen step set),
   /// which is what makes one runtime safe to share across an async serving
   /// executor's worker threads.
-  /// Every pipeline stage, BatchRunner fan and extract() stride draws from
-  /// this store, so a step needed by several stages pays keygen once.
+  /// Every pipeline stage and the serving executor's packing steps draw
+  /// from this store, so a step needed by several stages pays keygen once.
   /// A keygen-less (server-side) runtime cannot mint keys: it validates
   /// coverage of its deserialized store and throws naming the missing steps.
   /// @param steps  slot offsets (positive = left); 0 and duplicates are fine

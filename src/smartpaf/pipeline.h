@@ -195,8 +195,9 @@ struct Stage {
 /// The pipeline is pure structure: `Planner::plan` validates it against a
 /// prime chain and picks per-stage schedules from a (measured) CostModel —
 /// inspectable via Plan::describe() before any encryption — and `run()`
-/// executes a plan on a ciphertext through a shared FheRuntime. BatchRunner
-/// is a thin slot-packing adapter over this class.
+/// executes a plan on a ciphertext through a shared FheRuntime. A packed
+/// batch is one ciphertext like any other: plan it with
+/// `PlanOptions::pack_stride` and check it with `reference(flat, stride)`.
 class FhePipeline {
  public:
   /// Fluent construction: stages are appended in execution order.
@@ -261,7 +262,8 @@ class FhePipeline {
   /// slot_count. Exact parity with the plaintext forward therefore needs
   /// W == slot_count (what tests/test_pipeline.cpp pins); at smaller W the
   /// last window-1 slots of the ciphertext blend across the W boundary,
-  /// just like BatchRunner's packed-request window caveat.
+  /// just like a window over packed requests blends each request's tail
+  /// into the next request.
   /// `input_width` declares the logical data width of the encrypted input
   /// (0 = full slot vector); nn::Linear layers lower to MatMulStage and
   /// stride > 1 PafMaxPool1d layers to a PafStage + CompactStage pair, both
@@ -306,7 +308,7 @@ class FhePipeline {
       std::size_t extent) const;
 
   /// @brief Width of the pipeline output given the resolved input width —
-  /// what BatchRunner sizes its per-request output slices with.
+  /// the per-request slice width to unpack from a packed batch.
   std::size_t output_width(std::size_t fallback) const;
 
   /// @brief Levels the pipeline consumes when executed literally (no

@@ -104,7 +104,7 @@ struct Plan {
   std::vector<StagePlan> stages;
   int chain_levels = 0;   ///< levels the prime chain offers
   int levels_used = 0;    ///< levels the planned pipeline consumes
-  /// Slot-layout repeat stride (BatchRunner packing); 0 = one layout over
+  /// Slot-layout repeat stride (packed requests); 0 = one layout over
   /// the whole slot vector. MatMul diagonals and compact masks replicate at
   /// this stride so every packed request computes its own product.
   std::size_t pack_stride = 0;
@@ -137,7 +137,7 @@ struct PlanOptions {
   std::optional<int> force_n1;
   /// Slot-layout repeat stride for packed batches (0 = whole slot vector):
   /// widths are validated against it and MatMul/Compact plaintexts
-  /// replicate per request. BatchRunner passes its input_size here.
+  /// replicate per request. Packing callers pass their request stride.
   std::size_t pack_stride = 0;
   /// Lazy relinearization for PAF stages.
   bool lazy_relin = true;

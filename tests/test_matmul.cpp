@@ -3,9 +3,9 @@
 // divide the slot count included), BSGS
 // rotation counts pinned against the plan the CostModel chose,
 // hoisted-vs-naive bit identity, CompactStage parity, the adjacent-linear
-// merge pass (saved level pinned), slot-width tracking / BatchRunner output
-// width, and the zoo MLP head lowering end to end (plain and stride-2
-// pooled variants) at < 2^-20 FHE-vs-plaintext parity.
+// merge pass (saved level pinned), slot-width tracking through the layers,
+// and the zoo MLP head lowering end to end (plain and stride-2 pooled
+// variants) at < 2^-20 FHE-vs-plaintext parity.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +17,7 @@
 #include "models/zoo.h"
 #include "nn/container.h"
 #include "nn/layers.h"
-#include "smartpaf/batch_runner.h"
+#include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline.h"
 #include "smartpaf/pipeline_planner.h"
 #include "smartpaf/replace.h"
@@ -484,30 +484,12 @@ TEST(SlotWidths, OutputWidthTracksCompactAndMatMul) {
   EXPECT_EQ(widths[0], (std::pair<std::size_t, std::size_t>{32, 8}));
   EXPECT_EQ(widths[1], (std::pair<std::size_t, std::size_t>{8, 10}));
   EXPECT_EQ(pipe.output_width(1024), 10u);
-}
 
-TEST(SlotWidths, BatchRunnerOutputSizeFollowsThePipeline) {
-  smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 6, 40), /*seed=*/2031);
-  smartpaf::BatchConfig cfg;
-  cfg.input_size = static_cast<int>(rt.ctx().slot_count()) / 4;
-  cfg.paf = test_paf(7, 61);
-  cfg.input_scale = 2.0;
-  cfg.window = {0.6, 0.4};
-  smartpaf::BatchRunner runner(rt, cfg);
-  // Window + PAF preserve the width, so the per-request output slice spans
-  // the full input_size.
-  EXPECT_EQ(runner.output_size(), cfg.input_size);
-
-  sp::Rng rng(67);
-  std::vector<std::vector<double>> inputs(2);
-  for (auto& v : inputs) {
-    v.resize(static_cast<std::size_t>(cfg.input_size));
-    for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  }
-  const auto res = runner.run(inputs);
-  ASSERT_EQ(res.outputs.size(), 2u);
-  EXPECT_EQ(res.outputs[0].size(), static_cast<std::size_t>(runner.output_size()));
-  for (double e : res.max_error) EXPECT_LT(e, kParityTol);
+  // Window + PAF keep the width, so a packed request's output slice spans
+  // its whole stride.
+  const auto activation =
+      smartpaf::FhePipeline::builder().window({0.6, 0.4}).paf_relu(test_paf(7, 61), 2.0).build();
+  EXPECT_EQ(activation.output_width(256), 256u);
 }
 
 }  // namespace

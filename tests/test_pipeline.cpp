@@ -2,8 +2,8 @@
 // plan determinism on a pinned cost table, scalar folding, lowering from a
 // replaced nn::Sequential with plaintext-forward parity, end-to-end FHE
 // parity of a 2-activation lowered network < 2^-20, rotation-key dedup
-// across stages, the CompositeBasis warm path, predict-vs-executed mult
-// counts, shim-vs-pipeline counter identity and the overlapped drain.
+// across stages, the CompositeBasis warm path and predict-vs-executed mult
+// counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,7 @@
 #include "common/rng.h"
 #include "nn/container.h"
 #include "nn/layers.h"
-#include "smartpaf/batch_runner.h"
+#include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline.h"
 #include "smartpaf/pipeline_planner.h"
 #include "smartpaf/replace.h"
@@ -447,109 +447,6 @@ TEST_F(PipelineFheTest, RotationKeyStoreDeduplicatesAcrossStages) {
   rt_->rotation_keys({1, 2});
   rt_->rotation_keys({1});
   EXPECT_EQ(rt_->rotation_key_count(), after_plan);
-}
-
-TEST_F(PipelineFheTest, BatchRunnerShimMatchesDirectPipelineCounters) {
-  smartpaf::BatchConfig cfg;
-  cfg.input_size = static_cast<int>(rt_->ctx().slot_count()) / 4;
-  cfg.paf = test_paf();
-  cfg.input_scale = 2.0;
-  cfg.window = {0.5, 0.3, 0.2};
-  smartpaf::BatchRunner runner(*rt_, cfg);
-
-  sp::Rng rng(31);
-  std::vector<std::vector<double>> inputs(4);
-  for (auto& v : inputs) {
-    v.resize(static_cast<std::size_t>(cfg.input_size));
-    for (auto& x : v) x = rng.uniform(-2.0, 2.0);
-  }
-  const auto res = runner.run(inputs);
-
-  // The same stage graph through the pipeline API directly.
-  const auto pipe = smartpaf::FhePipeline::builder()
-                        .window(cfg.window)
-                        .paf_relu(cfg.paf, cfg.input_scale)
-                        .build();
-  const auto plan =
-      smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
-  const std::vector<double> flat = Encoder::pack_slots(
-      inputs, static_cast<std::size_t>(cfg.input_size), rt_->ctx().slot_count());
-  const Ciphertext packed = rt_->encrypt(flat);
-  const OpCounters before = rt_->evaluator().counters;
-  const Ciphertext out = pipe.run(*rt_, plan, packed);
-  const OpCounters delta = rt_->evaluator().counters.delta_since(before);
-
-  EXPECT_EQ(res.stats.ops.ct_mults.load(), delta.ct_mults.load());
-  EXPECT_EQ(res.stats.ops.relins.load(), delta.relins.load());
-  EXPECT_EQ(res.stats.ops.rescales.load(), delta.rescales.load());
-  EXPECT_EQ(res.stats.ops.rotations.load(), delta.rotations.load());
-  EXPECT_EQ(res.stats.ops.hoisted_rotations.load(), delta.hoisted_rotations.load());
-  EXPECT_EQ(res.stats.ops.ntts_forward.load(), delta.ntts_forward.load());
-
-  // And the outputs agree slot for slot.
-  const std::vector<double> direct = rt_->decrypt(out);
-  double worst = 0.0;
-  for (std::size_t b = 0; b < inputs.size(); ++b)
-    for (int j = 0; j < cfg.input_size; ++j)
-      worst = std::max(
-          worst, std::abs(res.outputs[b][static_cast<std::size_t>(j)] -
-                          direct[b * static_cast<std::size_t>(cfg.input_size) +
-                                 static_cast<std::size_t>(j)]));
-  EXPECT_LT(worst, kParityTol);
-}
-
-// --------------------------------------------------------- overlapped drain --
-
-TEST(BatchOverlap, OverlappedDrainIsBitIdenticalToSequential) {
-  // Two identically seeded runtimes: same keys, same encryption randomness.
-  const CkksParams params = CkksParams::for_depth(2048, 6, 40);
-  smartpaf::FheRuntime rt_seq(params, /*seed=*/2029);
-  smartpaf::FheRuntime rt_ovl(params, /*seed=*/2029);
-
-  smartpaf::BatchConfig cfg;
-  cfg.input_size = static_cast<int>(rt_seq.ctx().slot_count()) / 2;
-  cfg.paf = test_paf();
-  cfg.input_scale = 2.0;
-  cfg.window = {0.6, 0.4};
-
-  smartpaf::BatchRunner seq(rt_seq, cfg);
-  seq.set_overlap(false);
-  smartpaf::BatchRunner ovl(rt_ovl, cfg);
-  ASSERT_TRUE(ovl.overlap());
-
-  sp::Rng rng(37);
-  std::vector<std::vector<double>> inputs(5);
-  for (auto& v : inputs) {
-    v.resize(static_cast<std::size_t>(cfg.input_size));
-    for (auto& x : v) x = rng.uniform(-2.0, 2.0);
-  }
-  for (const auto& v : inputs) {
-    seq.submit(v);
-    ovl.submit(v);
-  }
-
-  const auto rs = seq.drain();
-  const auto ro = ovl.drain();
-  ASSERT_EQ(rs.size(), 3u);  // 2 + 2 + 1
-  ASSERT_EQ(ro.size(), 3u);
-  for (std::size_t g = 0; g < rs.size(); ++g) {
-    EXPECT_EQ(rs[g].ids, ro[g].ids);
-    ASSERT_EQ(rs[g].outputs.size(), ro[g].outputs.size());
-    for (std::size_t b = 0; b < rs[g].outputs.size(); ++b)
-      EXPECT_EQ(rs[g].outputs[b], ro[g].outputs[b]) << "group " << g << " request " << b;
-    for (double e : ro[g].max_error) EXPECT_LT(e, kParityTol);
-
-    // Sequential drains hide nothing; overlapped groups after the first
-    // report the pack+encrypt ms hidden behind the previous evaluation.
-    EXPECT_DOUBLE_EQ(rs[g].stats.prep_hidden_ms, 0.0);
-    if (g == 0) {
-      EXPECT_DOUBLE_EQ(ro[g].stats.prep_hidden_ms, 0.0);
-    } else {
-      EXPECT_GE(ro[g].stats.prep_hidden_ms, 0.0);
-      EXPECT_LE(ro[g].stats.prep_hidden_ms,
-                ro[g].stats.pack_ms + ro[g].stats.encrypt_ms + 1e-9);
-    }
-  }
 }
 
 }  // namespace

@@ -97,10 +97,10 @@ TEST(ThreadPool, SetGlobalThreadsRejectsInFlightResize) {
 
 TEST(EncoderCacheThreading, PinnedEntriesSurviveConcurrentFlush) {
   // Regression for the encode_cached lifetime race: the old API returned a
-  // reference into the cache map, which BatchRunner's overlap helper (or any
-  // concurrent cache traffic triggering the self-limit flush) could
-  // invalidate mid-evaluation. The shared_ptr pin must keep every handed-out
-  // plaintext alive and bit-stable across flushes. Run under TSan in CI.
+  // reference into the cache map, which concurrent cache traffic from
+  // another thread (triggering the self-limit flush) could invalidate
+  // mid-evaluation. The shared_ptr pin must keep every handed-out plaintext
+  // alive and bit-stable across flushes. Run under TSan in CI.
   smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 3, 40), /*seed=*/7);
   const Encoder& enc = rt.encoder();
   const double scale = rt.ctx().scale();
