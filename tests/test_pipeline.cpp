@@ -2,16 +2,19 @@
 // plan determinism on a pinned cost table, scalar folding, lowering from a
 // replaced nn::Sequential with plaintext-forward parity, end-to-end FHE
 // parity of a 2-activation lowered network < 2^-20, rotation-key dedup
-// across stages, the CompositeBasis warm path and predict-vs-executed mult
-// counts.
+// across stages, the CompositeBasis warm path, predict-vs-executed mult
+// counts and golden digests of PAF-stage ciphertexts.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "nn/container.h"
 #include "nn/layers.h"
@@ -431,6 +434,104 @@ TEST_F(PipelineFheTest, CompositeBasisWarmRepeatIsNearlyMultFree) {
   for (std::size_t j = 0; j < tuned_v.size(); ++j)
     worst = std::max(worst, std::abs(tuned_v[j] - fresh_v[j]));
   EXPECT_LT(worst, kParityTol);
+}
+
+// ------------------------------------------------------------ PAF pins ------
+// Golden FNV digests (the scale plus every residue of every part, as
+// tests/test_linear_transform.cpp computes them) and EvalStats counts of
+// PafEvaluator outputs: a one-stage PAF-ReLU pipeline under each forced
+// schedule, the 2-activation pipeline (window -> ReLU -> folded scalar ->
+// pairwise MaxPool) and one direct max(). The runtime has PipelineFheTest's
+// parameters but its own seed, and every key is minted up front, so a
+// digest depends only on the schedule and the arithmetic, not on test
+// order. A missing pin prints the observed row.
+
+struct PafPin {
+  const char* name;
+  std::uint64_t digest;
+  int ct_mults, relins, rescales, plain_mults, levels_consumed, relins_deferred;
+};
+
+// clang-format off
+const PafPin kPafPins[] = {
+    {"relu_bsgs", 0x0844d3935a871ed0ULL, 15, 12, 12, 14, 9, 8},
+    {"relu_ladder", 0x49ac85b3ef212e64ULL, 16, 12, 12, 14, 9, 10},
+    {"two_activation", 0xdb47efea4b613aacULL, 12, 10, 10, 13, 5, 6},
+    {"max", 0xcd71a8c96f48377dULL, 6, 5, 5, 7, 0, 3},
+};
+// clang-format on
+
+std::uint64_t ct_digest(const Ciphertext& ct) {
+  std::uint64_t h = sp::fnv_double(sp::kFnvOffset, ct.scale);
+  for (const RnsPoly& p : ct.parts)
+    for (int r = 0; r < p.row_count(); ++r)
+      for (std::size_t i = 0; i < p.n(); ++i) h = sp::fnv_mix(h, p.row(r)[i]);
+  return h;
+}
+
+void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s) {
+  const PafPin got{name,          ct_digest(out), s.ct_mults,      s.relins,
+                   s.rescales,    s.plain_mults,  s.levels_consumed, s.relins_deferred};
+  char row[256];
+  std::snprintf(row, sizeof(row), "    {\"%s\", 0x%016" PRIx64 "ULL, %d, %d, %d, %d, %d, %d},",
+                got.name, got.digest, got.ct_mults, got.relins, got.rescales,
+                got.plain_mults, got.levels_consumed, got.relins_deferred);
+  const PafPin* want = nullptr;
+  for (const PafPin& p : kPafPins)
+    if (std::string(p.name) == name) want = &p;
+  ASSERT_NE(want, nullptr) << "no pin for " << name << "; observed:\n" << row;
+  EXPECT_EQ(got.digest, want->digest) << "observed:\n" << row;
+  EXPECT_EQ(got.ct_mults, want->ct_mults) << name;
+  EXPECT_EQ(got.relins, want->relins) << name;
+  EXPECT_EQ(got.rescales, want->rescales) << name;
+  EXPECT_EQ(got.plain_mults, want->plain_mults) << name;
+  EXPECT_EQ(got.levels_consumed, want->levels_consumed) << name;
+  EXPECT_EQ(got.relins_deferred, want->relins_deferred) << name;
+}
+
+TEST(PafPins, ReluSchedulesTwoActivationAndMax) {
+  smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 12, 40), /*seed=*/518);
+  const std::size_t slots = rt.ctx().slot_count();
+  const auto values = [&](std::uint64_t seed) {
+    sp::Rng rng(seed);
+    std::vector<double> v(slots);
+    for (auto& x : v) x = rng.uniform(-2.0, 2.0);
+    return v;
+  };
+
+  // Odd degree-7 then odd degree-15 (depth 3 + 4): BSGS cuts the second
+  // stage's ct-mults, so the two forced schedules are distinct ciphertexts.
+  sp::Rng coeffs(53);
+  std::vector<double> c15(16, 0.0);
+  for (int k = 1; k <= 15; k += 2) c15[static_cast<std::size_t>(k)] = coeffs.uniform(-1.0, 1.0) / 16.0;
+  const approx::CompositePaf paf("deg7-deg15",
+                                 {test_paf().stages()[0], approx::Polynomial(c15)});
+  const auto relu = smartpaf::FhePipeline::builder().paf_relu(paf, 2.0).build();
+  const Ciphertext x = rt.encrypt(values(1));
+  for (const auto forced : {PafEvaluator::Strategy::BSGS, PafEvaluator::Strategy::Ladder}) {
+    smartpaf::PlanOptions opts;
+    opts.force_strategy = forced;
+    const auto plan =
+        smartpaf::Planner::plan(relu, rt.ctx(), smartpaf::CostModel::heuristic(), opts);
+    EvalStats stats;
+    const Ciphertext out = relu.run(rt, plan, x, &stats);
+    expect_paf_pin(forced == PafEvaluator::Strategy::BSGS ? "relu_bsgs" : "relu_ladder", out,
+                   stats);
+  }
+
+  const auto pipe = two_activation_pipeline();
+  const auto plan = smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
+  (void)rt.rotation_keys(plan.rotation_steps());
+  EvalStats pipe_stats;
+  const Ciphertext pipe_out = pipe.run(rt, plan, rt.encrypt(values(2)), &pipe_stats);
+  expect_paf_pin("two_activation", pipe_out, pipe_stats);
+
+  const Ciphertext a = rt.encrypt(values(3));
+  const Ciphertext b = rt.encrypt(values(4));
+  EvalStats max_stats;
+  const Ciphertext max_out =
+      rt.paf_evaluator().max(rt.evaluator(), a, b, test_paf(43), 4.0, &max_stats);
+  expect_paf_pin("max", max_out, max_stats);
 }
 
 TEST_F(PipelineFheTest, RotationKeyStoreDeduplicatesAcrossStages) {
