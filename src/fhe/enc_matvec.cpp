@@ -6,20 +6,6 @@
 
 namespace sp::fhe {
 
-Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
-                     const Ciphertext& ct, double factor, int target_level,
-                     double target_scale) {
-  sp::check(ct.level() >= target_level + 1, "scaled_to: out of levels");
-  Ciphertext out = ct;
-  ev.drop_to_level(out, target_level + 1);
-  const u64 q = ctx.q(target_level + 1).value();
-  const double cs = target_scale * static_cast<double>(q) / out.scale;
-  ev.multiply_plain_inplace(out, enc.encode_scalar(factor, cs, out.q_count()));
-  ev.rescale_inplace(out);
-  out.scale = target_scale;  // exact by construction
-  return out;
-}
-
 EncDiagMatVec EncDiagMatVec::encrypt(const CkksContext& ctx, const Encoder& enc,
                                      Encryptor& encryptor, const LtSchedule& schedule,
                                      const std::vector<double>& weights, int rows,

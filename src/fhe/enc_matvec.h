@@ -8,21 +8,6 @@
 
 namespace sp::fhe {
 
-/// (factor * ct) landed at exactly (target_level, target_scale): one
-/// plaintext multiplication + rescale, consuming one of `ct`'s own levels.
-///
-/// The scalar is encoded at scale target_scale * q / ct.scale (q = the prime
-/// the rescale divides out), so the result's scale is target_scale *exactly*
-/// — this is how cross-path operands whose scales have drifted apart through
-/// different rescale chains are brought back onto a common (level, scale)
-/// pair before an add/sub. Same construction as eval_poly's internal
-/// coefficient delivery; exposed here because the encrypted trainer aligns
-/// operands across paths (labels vs sigmoid output, momentum vs gradient,
-/// weights vs update) every iteration.
-Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
-                     const Ciphertext& ct, double factor, int target_level,
-                     double target_scale);
-
 /// Halevi–Shoup diagonal matvec with an ENCRYPTED matrix: y = X v where the
 /// extended diagonals of X are ciphertexts (the training batch — the server
 /// must never see the data) and v is a ciphertext (the weights).

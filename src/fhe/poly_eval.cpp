@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <set>
 
@@ -48,8 +47,8 @@ bool block_has_nonzero(const approx::Polynomial& p, int lo, int kk, int j) {
 
 // ---------------------------------------------------------------------------
 // Planning: pure cost models that mirror the executors below operation for
-// operation, so the strategy choice (and the EvalStats savings report) is
-// exact rather than asymptotic.
+// operation, so the strategy choice and predict_poly() are exact rather than
+// asymptotic.
 // ---------------------------------------------------------------------------
 
 /// Simulates PowerBasis: counts the ct-ct mults needed to extend the cached
@@ -66,21 +65,6 @@ struct PowerSim {
     ++mults;
   }
 };
-
-/// Mirrors the ladder path of eval_window: counts joins and power builds.
-void plan_ladder(const approx::Polynomial& p, int lo, int hi, PowerSim& ps, int& joins) {
-  const int d = effective_degree(p, lo, hi);
-  if (d <= 1) return;
-  int h = 1;
-  while (h * 2 <= d) h *= 2;
-  ps.need(h);
-  const int d_b = effective_degree(p, lo + h, lo + d);
-  if (d_b > 0) {
-    plan_ladder(p, lo + h, lo + d, ps, joins);
-    ++joins;
-  }
-  plan_ladder(p, lo, lo + h - 1, ps, joins);
-}
 
 /// Plan node for a BSGS block range: whether it reduces to a scalar constant
 /// and, if not, the minimum depth (levels below the basis input) at which it
@@ -135,15 +119,14 @@ PowerSim sim_from_basis(const PowerBasis& basis) {
   return ps;
 }
 
+void sim_window(const approx::Polynomial& p, int lo, int hi, int budget, bool use_bsgs,
+                PowerSim& ps, int& joins);
+
 /// Cheapest pure-ladder cost for the window, given already-cached powers.
 int ladder_cost(const approx::Polynomial& p, int lo, int d, PowerSim seed) {
   int joins = 0;
-  plan_ladder(p, lo, lo + d, seed, joins);
+  sim_window(p, lo, lo + d, /*budget=*/0, /*use_bsgs=*/false, seed, joins);
   return seed.mults + joins;
-}
-
-int ladder_cost(const approx::Polynomial& p, int lo, int d, const PowerBasis& basis) {
-  return ladder_cost(p, lo, d, sim_from_basis(basis));
 }
 
 /// Picks the BSGS baby window kk for window [lo, lo+d] that fits the level
@@ -169,16 +152,11 @@ std::optional<int> choose_bsgs(const approx::Polynomial& p, int lo, int d, int b
   return std::nullopt;
 }
 
-std::optional<int> choose_bsgs(const approx::Polynomial& p, int lo, int d, int budget,
-                               const PowerBasis& basis) {
-  return choose_bsgs(p, lo, d, budget, sim_from_basis(basis));
-}
-
-/// Mirrors eval_window's full decision recursion for predict_poly: every
-/// ladder node re-consults the BSGS planner against the live power set (just
-/// like the executor), so the predicted ct-mult count is exact. `budget` is
-/// the node's remaining level slack (depth at the root, one less for each
-/// high-half recursion).
+/// Mirrors eval_window's full decision recursion for predict_poly (and, with
+/// use_bsgs off, the pure ladder): every ladder node re-consults the BSGS
+/// planner against the live power set (just like the executor), so the
+/// predicted ct-mult count is exact. `budget` is the node's remaining level
+/// slack (depth at the root, one less for each high-half recursion).
 void sim_window(const approx::Polynomial& p, int lo, int hi, int budget, bool use_bsgs,
                 PowerSim& ps, int& joins) {
   const int d = effective_degree(p, lo, hi);
@@ -198,19 +176,6 @@ void sim_window(const approx::Polynomial& p, int lo, int hi, int budget, bool us
     ++joins;
   }
   sim_window(p, lo, lo + h - 1, budget, use_bsgs, ps, joins);
-}
-
-/// FNV-1a over the raw coefficient doubles: the CompositeBasis output-memo
-/// fingerprint (bitwise coefficient identity, which is the reuse contract).
-std::uint64_t hash_coeffs(const approx::Polynomial& p) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (double c : p.coeffs()) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &c, sizeof(bits));
-    h ^= bits;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -287,20 +252,11 @@ void add_product(EvalCtx& ec, WindowSum& sum, const Ciphertext& xa, const Cipher
   }
 }
 
-
-/// (factor * ct) at (target_level, target_scale): one plain mult + rescale.
-Ciphertext rescale_onto(EvalCtx& ec, const Ciphertext& ct, double factor,
-                        int target_level, double target_scale) {
-  sp::check(ct.level() >= target_level + 1, "eval_poly: out of levels");
-  Ciphertext out = ct;
-  ec.ev->drop_to_level(out, target_level + 1);
-  const u64 q = ec.ctx->q(target_level + 1).value();
-  const double cs = target_scale * static_cast<double>(q) / out.scale;
-  ec.ev->multiply_plain_inplace(out, ec.encoder->encode_scalar(factor, cs, out.q_count()));
-  ec.ev->rescale_inplace(out);
-  out.scale = target_scale;
+/// Coefficient term c * ct delivered at (target_level, target_scale).
+Ciphertext coeff_term(EvalCtx& ec, const Ciphertext& ct, double c, int target_level,
+                      double target_scale) {
   if (ec.stats) ++ec.stats->plain_mults;
-  return out;
+  return scaled_to(*ec.ev, *ec.ctx, *ec.encoder, ct, c, target_level, target_scale);
 }
 
 void fold_constant(EvalCtx& ec, Ciphertext& ct, double c) {
@@ -362,7 +318,7 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
       const double c = p.coeff(lo + blo * kk + i);
       if (c == 0.0) continue;
       const Ciphertext& xi = ec.basis->power(*ec.ev, i, ec.stats);
-      Ciphertext term = rescale_onto(ec, xi, c, target_level, target_scale);
+      Ciphertext term = coeff_term(ec, xi, c, target_level, target_scale);
       if (acc)
         acc = ec.ev->add(*acc, term);
       else
@@ -391,7 +347,7 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
                             b_scale),
                 b_scale, &b_const);
     if (!b) {
-      add_done(ec, sum, rescale_onto(ec, xg, b_const, target_level, target_scale));
+      add_done(ec, sum, coeff_term(ec, xg, b_const, target_level, target_scale));
     } else {
       Ciphertext xa = xg;
       ec.ev->drop_to_level(xa, target_level + 1);
@@ -422,13 +378,13 @@ WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
 
   const Ciphertext& x = ec.basis->x();
   if (d == 1) {
-    add_done(ec, sum, rescale_onto(ec, x, p.coeff(lo + 1), target_level, target_scale));
+    add_done(ec, sum, coeff_term(ec, x, p.coeff(lo + 1), target_level, target_scale));
     return sum;
   }
 
   if (ec.use_bsgs) {
     const int budget = x.level() - target_level;
-    if (auto kk = choose_bsgs(p, lo, d, budget, *ec.basis)) {
+    if (auto kk = choose_bsgs(p, lo, d, budget, sim_from_basis(*ec.basis))) {
       // Block 0 of the decomposition covers the window constant p.coeff(lo).
       return eval_blocks(ec, p, lo, *kk, 0, d / *kk, target_level, target_scale);
     }
@@ -443,7 +399,7 @@ WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
   const int d_b = effective_degree(p, lo + h, lo + d);
   if (d_b == 0) {
     // B is the single constant coefficient c_{lo+h} (nonzero by choice of d).
-    add_done(ec, sum, rescale_onto(ec, xh, p.coeff(lo + h), target_level, target_scale));
+    add_done(ec, sum, coeff_term(ec, xh, p.coeff(lo + h), target_level, target_scale));
   } else {
     const u64 q = ec.ctx->q(target_level + 1).value();
     const double b_scale = target_scale * static_cast<double>(q) / xh.scale;
@@ -468,13 +424,8 @@ WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
 // PowerBasis.
 // ---------------------------------------------------------------------------
 
-void PowerBasis::reset(const CkksContext& ctx, const KSwitchKey& relin,
-                       const Ciphertext& x) {
-  ctx_ = &ctx;
-  relin_ = &relin;
-  pow_.clear();
-  pow_.emplace(1, x);
-  mults_spent_ = 0;
+PowerBasis::PowerBasis(const KSwitchKey& relin, Ciphertext x) : relin_(&relin) {
+  pow_.emplace(1, std::move(x));
 }
 
 std::vector<int> PowerBasis::cached_exponents() const {
@@ -485,7 +436,6 @@ std::vector<int> PowerBasis::cached_exponents() const {
 }
 
 const Ciphertext& PowerBasis::power(Evaluator& ev, int e, EvalStats* stats) {
-  sp::check(initialized(), "PowerBasis: not initialized");
   sp::check(e >= 1, "PowerBasis: exponent must be >= 1");
   auto it = pow_.find(e);
   if (it != pow_.end()) return it->second;
@@ -522,41 +472,34 @@ int PafEvaluator::mult_depth(const approx::Polynomial& p) {
   return ceil_log2(effective_degree(p, 0, p.degree()) + 1);
 }
 
-Ciphertext PafEvaluator::scaled_to(Evaluator& ev, const Ciphertext& ct, double factor,
-                                   int target_level, double target_scale) const {
-  sp::check(ct.level() >= target_level + 1,
-            "scaled_to: ciphertext too low to reach target level");
+Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
+                     const Ciphertext& ct, double factor, int target_level,
+                     double target_scale) {
+  sp::check(ct.level() >= target_level + 1, "scaled_to: out of levels");
   Ciphertext out = ct;
   ev.drop_to_level(out, target_level + 1);
-  const u64 q = ctx_->q(target_level + 1).value();
-  const double coeff_scale = target_scale * static_cast<double>(q) / out.scale;
-  const Plaintext pt = encoder_->encode_scalar(factor, coeff_scale, out.q_count());
-  ev.multiply_plain_inplace(out, pt);
+  const u64 q = ctx.q(target_level + 1).value();
+  const double cs = target_scale * static_cast<double>(q) / out.scale;
+  ev.multiply_plain_inplace(out, enc.encode_scalar(factor, cs, out.q_count()));
   ev.rescale_inplace(out);
-  out.scale = target_scale;  // exact by construction, up to fp rounding
+  out.scale = target_scale;  // exact by construction
   return out;
 }
 
 Ciphertext PafEvaluator::eval_poly(Evaluator& ev, const Ciphertext& x,
                                    const approx::Polynomial& p, EvalStats* stats) const {
-  PowerBasis basis(*ctx_, *relin_, x);
+  PowerBasis basis(*relin_, x);
   return eval_poly(ev, basis, p, stats);
 }
 
 Ciphertext PafEvaluator::eval_poly(Evaluator& ev, PowerBasis& basis,
                                    const approx::Polynomial& p, EvalStats* stats) const {
-  sp::check(basis.initialized(), "eval_poly: basis not initialized");
   sp::check(p.degree() >= 1, "eval_poly: degree >= 1 required");
   const int deg = effective_degree(p, 0, p.degree());
   sp::check(deg >= 1, "eval_poly: polynomial reduced to a constant");
   const Ciphertext& x = basis.x();
   const int depth = ceil_log2(deg + 1);
   sp::check(x.level() >= depth, "eval_poly: not enough levels for this degree");
-
-  // Ladder baseline for the savings report (already-cached powers are free
-  // under both schedules, so the comparison stays apples-to-apples on reuse).
-  const int baseline = ladder_cost(p, 0, deg, basis);
-  const int mults_before = stats ? stats->ct_mults : 0;
 
   EvalCtx ec{&ev,  encoder_, relin_, ctx_, stats, &basis,
              strategy_ == Strategy::BSGS, lazy_relin_};
@@ -567,114 +510,44 @@ Ciphertext PafEvaluator::eval_poly(Evaluator& ev, PowerBasis& basis,
       resolve(ec, eval_window(ec, p, 0, deg, x.level() - depth, ctx_->scale()),
               ctx_->scale(), &constant);
   sp::check(out.has_value(), "eval_poly: polynomial reduced to a constant");
-
-  if (stats) {
-    stats->ladder_ct_mults += baseline;
-    const int saved = baseline - (stats->ct_mults - mults_before);
-    stats->ct_mults_saved += saved;
-    stats->relins_saved += saved;
-    stats->rescales_saved += saved;
-  }
   return std::move(*out);
 }
 
-Ciphertext PafEvaluator::eval_composite(Evaluator& ev, const Ciphertext& x,
+Ciphertext PafEvaluator::eval_composite(Evaluator& ev, Ciphertext x,
                                         const approx::CompositePaf& paf,
                                         EvalStats* stats) const {
-  PowerBasis basis(*ctx_, *relin_, x);
-  return eval_composite(ev, basis, paf, stats);
+  sp::check(!paf.stages().empty(), "eval_composite: empty PAF");
+  // Each stage's input moves into its basis, which dies with the stage.
+  for (const approx::Polynomial& stage : paf.stages()) {
+    PowerBasis basis(*relin_, std::move(x));
+    x = eval_poly(ev, basis, stage, stats);
+  }
+  return x;
 }
 
-Ciphertext PafEvaluator::eval_composite(Evaluator& ev, PowerBasis& basis,
-                                        const approx::CompositePaf& paf,
-                                        EvalStats* stats) const {
-  const auto& stages = paf.stages();
-  sp::check(!stages.empty(), "eval_composite: empty PAF");
-  Ciphertext v = eval_poly(ev, basis, stages.front(), stats);
-  for (std::size_t s = 1; s < stages.size(); ++s) {
-    PowerBasis stage_basis(*ctx_, *relin_, v);
-    v = eval_poly(ev, stage_basis, stages[s], stats);
-  }
-  return v;
-}
-
-Ciphertext PafEvaluator::eval_composite(Evaluator& ev, const Ciphertext& x,
-                                        const approx::CompositePaf& paf,
-                                        CompositeBasis& cache, EvalStats* stats) const {
-  const auto& stages = paf.stages();
-  sp::check(!stages.empty(), "eval_composite: empty PAF");
-  if (cache.stages_.size() < stages.size()) cache.stages_.resize(stages.size());
-
-  Ciphertext v = x;
-  bool invalidate_rest = false;  // an upstream stage re-evaluated: the cached
-                                 // intermediates below it are stale
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    auto& sc = cache.stages_[s];
-    if (invalidate_rest) sc = CompositeBasis::StageCache{};
-    const std::uint64_t h = hash_coeffs(stages[s]);
-    if (!sc.basis.initialized()) {
-      sc.basis.reset(*ctx_, *relin_, v);
-    } else {
-      sp::check(sc.basis.x().level() == v.level(),
-                "eval_composite: CompositeBasis stage was built for a different input");
-    }
-    if (sc.output && sc.coeff_hash == h) {
-      v = *sc.output;  // memoized: same input, same coefficients — zero ops
-      continue;
-    }
-    invalidate_rest = true;
-    v = eval_poly(ev, sc.basis, stages[s], stats);
-    sc.output = v;
-    sc.coeff_hash = h;
-  }
-  return v;
+Ciphertext PafEvaluator::sign(Evaluator& ev, const Ciphertext& d,
+                              const approx::CompositePaf& paf, double input_scale,
+                              double pre_factor, EvalStats* stats) const {
+  sp::check_fmt(input_scale > 0, "PafEvaluator: input_scale must be positive, got ",
+                input_scale);
+  sp::check(pre_factor != 0.0, "PafEvaluator: pre_factor must be nonzero");
+  // t = pre_factor * d / input_scale at scale Delta: pre_factor rides the
+  // plaintext multiplication the envelope pays anyway, so a folded scalar
+  // stage is free.
+  Ciphertext t =
+      scaled_to(ev, *ctx_, *encoder_, d, pre_factor / input_scale, d.level() - 1, ctx_->scale());
+  if (stats) ++stats->plain_mults;
+  return eval_composite(ev, std::move(t), paf, stats);
 }
 
 Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
                               const approx::CompositePaf& paf, double input_scale,
-                              EvalStats* stats, PowerBasis* basis_cache,
-                              CompositeBasis* composite_cache, double pre_factor) const {
-  sp::check(input_scale > 0, "relu: input_scale must be positive");
-  sp::check(pre_factor != 0.0, "relu: pre_factor must be nonzero");
+                              EvalStats* stats, double pre_factor) const {
   sp::Timer timer;
-
-  // The activation sees (pre_factor * x) / input_scale; pre_factor rides the
-  // two plaintext multiplications the envelope pays anyway, so a folded
-  // scalar stage is free.
-  const double in_factor = pre_factor / input_scale;
-  Ciphertext p;
-  if (composite_cache) {
-    Ciphertext t;
-    if (composite_cache->initialized() &&
-        composite_cache->stage_basis(0).initialized()) {
-      sp::check(composite_cache->stage_basis(0).x().level() == x.level() - 1,
-                "relu: composite_cache was built for a different ciphertext level");
-      t = composite_cache->stage_basis(0).x();
-    } else {
-      t = scaled_to(ev, x, in_factor, x.level() - 1, ctx_->scale());
-      if (stats) ++stats->plain_mults;
-    }
-    p = eval_composite(ev, t, paf, *composite_cache, stats);
-  } else {
-    PowerBasis local;
-    PowerBasis* basis = basis_cache ? basis_cache : &local;
-    if (!basis->initialized()) {
-      // t = pre_factor * x / input_scale at scale Delta.
-      Ciphertext t = scaled_to(ev, x, in_factor, x.level() - 1, ctx_->scale());
-      if (stats) ++stats->plain_mults;
-      basis->reset(*ctx_, *relin_, t);
-    } else {
-      // Cheap sanity check on cache reuse; content equality is the caller's
-      // contract (see header).
-      sp::check(basis->x().level() == x.level() - 1,
-                "relu: basis_cache was built for a different ciphertext level");
-    }
-    p = eval_composite(ev, *basis, paf, stats);
-  }
+  Ciphertext p = sign(ev, x, paf, input_scale, pre_factor, stats);
 
   // y = (0.5 pre_factor x) * (1 + p): one extra ct-ct multiplication.
-  Ciphertext xh = scaled_to(ev, x, 0.5 * pre_factor, p.level(), p.scale);
-  if (stats) ++stats->plain_mults;
+  Ciphertext xh = scaled_to(ev, *ctx_, *encoder_, x, 0.5 * pre_factor, p.level(), p.scale);
   const Plaintext one = encoder_->encode_scalar(1.0, p.scale, p.q_count());
   ev.add_plain_inplace(p, one);
   Ciphertext y = ev.multiply(xh, p);
@@ -684,6 +557,7 @@ Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
     ++stats->ct_mults;
     ++stats->relins;
     ++stats->rescales;
+    ++stats->plain_mults;
     stats->levels_consumed = x.level() - y.level();
     stats->wall_ms += timer.ms();
   }
@@ -692,9 +566,7 @@ Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
 
 Ciphertext PafEvaluator::max(Evaluator& ev, const Ciphertext& a, const Ciphertext& b,
                              const approx::CompositePaf& paf, double input_scale,
-                             EvalStats* stats, PowerBasis* basis_cache,
-                             CompositeBasis* composite_cache, double pre_factor) const {
-  sp::check(pre_factor != 0.0, "max: pre_factor must be nonzero");
+                             EvalStats* stats, double pre_factor) const {
   sp::Timer timer;
   Ciphertext a2 = a, b2 = b;
   ev.match_levels(a2, b2);
@@ -702,44 +574,19 @@ Ciphertext PafEvaluator::max(Evaluator& ev, const Ciphertext& a, const Ciphertex
   Ciphertext s = ev.add(a2, b2);
 
   // With pre_factor f: max(fa, fb) = 0.5 f (a+b) + 0.5 f (a-b) p(f(a-b)/s).
-  const double in_factor = pre_factor / input_scale;
-  Ciphertext p;
-  if (composite_cache) {
-    Ciphertext t;
-    if (composite_cache->initialized() &&
-        composite_cache->stage_basis(0).initialized()) {
-      sp::check(composite_cache->stage_basis(0).x().level() == d.level() - 1,
-                "max: composite_cache was built for different ciphertext levels");
-      t = composite_cache->stage_basis(0).x();
-    } else {
-      t = scaled_to(ev, d, in_factor, d.level() - 1, ctx_->scale());
-    }
-    p = eval_composite(ev, t, paf, *composite_cache, stats);
-  } else {
-    PowerBasis local;
-    PowerBasis* basis = basis_cache ? basis_cache : &local;
-    if (!basis->initialized()) {
-      Ciphertext t = scaled_to(ev, d, in_factor, d.level() - 1, ctx_->scale());
-      basis->reset(*ctx_, *relin_, t);
-    } else {
-      sp::check(basis->x().level() == d.level() - 1,
-                "max: basis_cache was built for different ciphertext levels");
-    }
-    p = eval_composite(ev, *basis, paf, stats);
-  }
-
-  Ciphertext dh = scaled_to(ev, d, 0.5 * pre_factor, p.level(), p.scale);
+  const Ciphertext p = sign(ev, d, paf, input_scale, pre_factor, stats);
+  Ciphertext dh = scaled_to(ev, *ctx_, *encoder_, d, 0.5 * pre_factor, p.level(), p.scale);
   Ciphertext dp = ev.multiply(dh, p);
   ev.relinearize_inplace(dp, *relin_);
   ev.rescale_inplace(dp);
 
-  Ciphertext sh = scaled_to(ev, s, 0.5 * pre_factor, dp.level(), dp.scale);
+  Ciphertext sh = scaled_to(ev, *ctx_, *encoder_, s, 0.5 * pre_factor, dp.level(), dp.scale);
   Ciphertext y = ev.add(dp, sh);
   if (stats) {
     ++stats->ct_mults;
     ++stats->relins;
     ++stats->rescales;
-    stats->plain_mults += 3;
+    stats->plain_mults += 2;
     stats->wall_ms += timer.ms();
   }
   return y;

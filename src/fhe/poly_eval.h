@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "approx/composite.h"
@@ -13,11 +11,8 @@ namespace sp::fhe {
 /// Per-evaluation statistics: the paper's latency model is
 /// "ct-ct multiplications (with relinearization + rescale) dominate", so the
 /// counters here drive both wall-clock measurement and depth verification.
-///
-/// The `ladder_*` / `*_saved` fields compare the executed schedule against
-/// the pure power-ladder baseline for the same polynomials: when the BSGS
-/// strategy runs they quantify the baby-step/giant-step savings; under the
-/// ladder strategy the savings are zero by definition.
+/// A schedule's saving over the pure ladder is the difference of two runs'
+/// (or two predict_poly()) `ct_mults`.
 struct EvalStats {
   int ct_mults = 0;
   int relins = 0;
@@ -25,10 +20,6 @@ struct EvalStats {
   int plain_mults = 0;
   int levels_consumed = 0;
   double wall_ms = 0.0;
-  int ladder_ct_mults = 0;  ///< what the pure ladder schedule would have cost
-  int ct_mults_saved = 0;   ///< ladder_ct_mults - executed ct_mults
-  int relins_saved = 0;     ///< every saved ct mult also saves one relin...
-  int rescales_saved = 0;   ///< ...and one rescale
   /// Multiplications whose relinearization was deferred by the lazy-relin
   /// path (3-part accumulation, one relin per join): `relins` counts only
   /// the relinearizations actually performed, so under lazy relin
@@ -61,35 +52,31 @@ struct SchedulePrediction {
   }
 };
 
+/// (factor * ct) landed at exactly (target_level, target_scale): one
+/// plaintext multiplication + rescale, consuming one of `ct`'s own levels.
+///
+/// The scalar is encoded at scale target_scale * q / ct.scale (q = the prime
+/// the rescale divides out), so the result's scale is target_scale *exactly*.
+/// This is how eval_poly delivers every coefficient term onto one common
+/// (level, scale) pair, how the PAF envelopes scale their inputs, and how
+/// operands whose scales drifted apart through different rescale chains
+/// (a MaxPool tournament's running max vs its next tap, the encrypted
+/// trainer's labels vs sigmoid output) meet again before an add/sub.
+Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
+                     const Ciphertext& ct, double factor, int target_level,
+                     double target_scale);
+
 /// Memoized power cache for one evaluation input: x^e is built on demand via
 /// the depth-optimal balanced split (e = a + b with a the largest power of
 /// two below e), so x^e always lands at level x.level() - ceil(log2 e).
-///
-/// A basis is reusable: every eval_* call that receives the same basis
-/// (same input ciphertext) reuses the cached powers instead of recomputing
-/// x, x^2, x^4, ... — this is what makes repeated PAF-ReLU / max calls on
-/// one input, and ladder-vs-BSGS comparisons, cheap.
+/// eval_poly builds one per polynomial and drops it when the call returns.
 class PowerBasis {
  public:
-  PowerBasis() = default;
-
-  /// @brief Seeds the basis with input `x` (equivalent to default-construct
-  /// + reset()).
-  /// @param ctx    CKKS context (must outlive the basis)
-  /// @param relin  relinearization key used when building powers
-  /// @param x      the evaluation input; cached as power(1)
-  PowerBasis(const CkksContext& ctx, const KSwitchKey& relin, const Ciphertext& x) {
-    reset(ctx, relin, x);
-  }
-
-  /// @brief True once the basis has been seeded with an input.
-  bool initialized() const { return ctx_ != nullptr; }
-
-  /// @brief Drops all cached powers and re-seeds the basis with a new input.
-  /// @param ctx    CKKS context
-  /// @param relin  relinearization key
-  /// @param x      new evaluation input
-  void reset(const CkksContext& ctx, const KSwitchKey& relin, const Ciphertext& x);
+  /// @brief Seeds the basis with input `x`.
+  /// @param relin  relinearization key used when building powers (must
+  ///               outlive the basis)
+  /// @param x      the evaluation input; kept as power(1)
+  PowerBasis(const KSwitchKey& relin, Ciphertext x);
 
   /// @brief The basis input x (= power(1)).
   const Ciphertext& x() const { return pow_.at(1); }
@@ -101,9 +88,6 @@ class PowerBasis {
   /// @return cached ciphertext at level x.level() - ceil(log2 e)
   const Ciphertext& power(Evaluator& ev, int e, EvalStats* stats = nullptr);
 
-  /// @brief Whether x^e is already cached (no cost to fetch).
-  bool has(int e) const { return pow_.count(e) != 0; }
-
   /// @brief Exponents currently cached (always includes 1). Used by the
   /// evaluation planner so already-paid-for powers count as free.
   std::vector<int> cached_exponents() const;
@@ -112,50 +96,9 @@ class PowerBasis {
   int mults_spent() const { return mults_spent_; }
 
  private:
-  const CkksContext* ctx_ = nullptr;
-  const KSwitchKey* relin_ = nullptr;
+  const KSwitchKey* relin_;
   std::map<int, Ciphertext> pow_;
   int mults_spent_ = 0;
-};
-
-/// Per-stage evaluation cache for one composite-PAF input: stage i keeps the
-/// PowerBasis of its intermediate input (x_i, x_i^2, x_i^4, ...) plus a memo
-/// of the stage output, fingerprinted by the stage's coefficients. The
-/// single-PowerBasis `basis_cache` of relu()/max() only covers the FIRST
-/// composite stage; this cache extends the reuse to every stage, keyed on
-/// the intermediate ciphertexts, so repeat-on-same-input evaluation is
-/// nearly mult-free (only the final ReLU/max product remains).
-///
-/// Contract (same as PowerBasis reuse): an initialized cache must come from
-/// a previous evaluation of the SAME input ciphertext. Level mismatches are
-/// caught; content equality is the caller's duty. Coefficient changes are
-/// handled: a stage whose coefficients no longer match the cached
-/// fingerprint re-evaluates on its cached powers, and every later stage is
-/// re-seeded (their intermediates changed) — so the Coefficient-Tuning loop
-/// (same input, retrained coefficients) still keeps the power ladders of the
-/// unchanged prefix.
-class CompositeBasis {
- public:
-  /// @brief True once any stage has been seeded by an evaluation.
-  bool initialized() const { return !stages_.empty(); }
-  /// @brief Drops every cached basis and output (ready for a new input).
-  void clear() { stages_.clear(); }
-  /// @brief Stages currently carrying cache state.
-  std::size_t stage_count() const { return stages_.size(); }
-  /// @brief Power basis of stage `i`'s input (grows the cache as needed).
-  PowerBasis& stage_basis(std::size_t i) {
-    if (stages_.size() <= i) stages_.resize(i + 1);
-    return stages_[i].basis;
-  }
-
- private:
-  struct StageCache {
-    PowerBasis basis;
-    std::optional<Ciphertext> output;  ///< memoized stage output
-    std::uint64_t coeff_hash = 0;      ///< coefficients the output is valid for
-  };
-  std::vector<StageCache> stages_;
-  friend class PafEvaluator;
 };
 
 /// Evaluates polynomials / composite PAFs on ciphertexts.
@@ -178,29 +121,26 @@ class PafEvaluator {
  public:
   enum class Strategy { Ladder, BSGS };
 
-  /// @brief Binds the evaluator to its context, encoder and relin key.
-  /// @param ctx        CKKS context (must outlive the evaluator)
-  /// @param encoder    encoder used for coefficient plaintexts
-  /// @param relin_key  relinearization key for ct-ct products
-  /// @param strategy   initial schedule (BSGS by default; see class docs)
+  /// @brief Binds the evaluator to its context, encoder and relin key, and
+  /// fixes its schedule. Holds three pointers, an enum and a bool, so one
+  /// per schedule is cheap to build.
+  /// @param ctx         CKKS context (must outlive the evaluator)
+  /// @param encoder     encoder used for coefficient plaintexts
+  /// @param relin_key   relinearization key for ct-ct products
+  /// @param strategy    evaluation schedule (BSGS by default; see class docs)
+  /// @param lazy_relin  defer relinearization (default): ct-ct products
+  ///     inside a window stay 3-part, block sums accumulate via the
+  ///     evaluator's 3-part-aware add_inplace(), and one relinearization is
+  ///     paid per giant-step join (and once at the end) instead of one per
+  ///     multiplication. False gives the eager schedule (one relin per
+  ///     ct-ct mult), e.g. for comparisons.
   PafEvaluator(const CkksContext& ctx, const Encoder& encoder, const KSwitchKey& relin_key,
-               Strategy strategy = Strategy::BSGS)
-      : ctx_(&ctx), encoder_(&encoder), relin_(&relin_key), strategy_(strategy) {}
-
-  /// @brief Currently selected evaluation schedule.
-  Strategy strategy() const { return strategy_; }
-  /// @brief Switches between the Ladder and BSGS schedules.
-  void set_strategy(Strategy s) { strategy_ = s; }
-
-  /// @brief Whether lazy relinearization is on (default on): ct-ct products
-  /// inside a window stay 3-part, block sums accumulate via the evaluator's
-  /// 3-part-aware add_inplace(), and one relinearization is paid per
-  /// giant-step join (and once at the end) instead of one per
-  /// multiplication.
-  bool lazy_relin() const { return lazy_relin_; }
-  /// @brief Toggles lazy relinearization. Turn off to get the eager
-  /// schedule (one relin per ct-ct mult), e.g. for comparisons.
-  void set_lazy_relin(bool lazy) { lazy_relin_ = lazy; }
+               Strategy strategy = Strategy::BSGS, bool lazy_relin = true)
+      : ctx_(&ctx),
+        encoder_(&encoder),
+        relin_(&relin_key),
+        strategy_(strategy),
+        lazy_relin_(lazy_relin) {}
 
   /// @brief p(x) for a general dense polynomial (degree >= 1).
   /// @param ev     evaluator to run on
@@ -211,37 +151,14 @@ class PafEvaluator {
   Ciphertext eval_poly(Evaluator& ev, const Ciphertext& x, const approx::Polynomial& p,
                        EvalStats* stats = nullptr) const;
 
-  /// @brief Same, reusing (and extending) a caller-held power basis for x.
-  /// @param basis  initialized basis whose x() is the evaluation input;
-  ///               powers already cached count as free for the planner
-  Ciphertext eval_poly(Evaluator& ev, PowerBasis& basis, const approx::Polynomial& p,
-                       EvalStats* stats = nullptr) const;
-
-  /// @brief Composite PAF evaluation, stage by stage.
+  /// @brief Composite PAF evaluation, stage by stage; each stage builds the
+  /// power basis of its own input.
   /// @param ev     evaluator to run on
-  /// @param x      input ciphertext
+  /// @param x      input ciphertext (taken by value: pass an rvalue to move
+  ///               it into the first stage's basis)
   /// @param paf    stage chain, applied left-to-right
   /// @param stats  optional tally accumulated across all stages
-  Ciphertext eval_composite(Evaluator& ev, const Ciphertext& x,
-                            const approx::CompositePaf& paf,
-                            EvalStats* stats = nullptr) const;
-
-  /// @brief Same, reusing a caller-held basis for the first stage's input
-  /// (later stages consume fresh intermediate ciphertexts and build their
-  /// own).
-  Ciphertext eval_composite(Evaluator& ev, PowerBasis& basis,
-                            const approx::CompositePaf& paf,
-                            EvalStats* stats = nullptr) const;
-
-  /// @brief Composite evaluation through a per-stage CompositeBasis cache:
-  /// every stage's power basis AND output are cached, so a repeat call on
-  /// the same input (the CompositeBasis contract) costs zero ct-ct mults,
-  /// and a call with retrained coefficients reuses the cached powers.
-  /// @param x      evaluation input; ignored (beyond a level check) once the
-  ///               cache is initialized
-  /// @param cache  per-stage cache; seeded on first use
-  Ciphertext eval_composite(Evaluator& ev, const Ciphertext& x,
-                            const approx::CompositePaf& paf, CompositeBasis& cache,
+  Ciphertext eval_composite(Evaluator& ev, Ciphertext x, const approx::CompositePaf& paf,
                             EvalStats* stats = nullptr) const;
 
   /// @brief relu(x) ≈ 0.5 x (1 + paf(x / input_scale)) — the Static-Scaling
@@ -250,21 +167,9 @@ class PafEvaluator {
   /// @param ev           evaluator to run on
   /// @param x            input ciphertext (pre-activation values)
   /// @param paf          sign-approximating composite PAF
-  /// @param input_scale  the frozen running max; x is divided by it so the
-  ///                     PAF sees values in its accurate range
+  /// @param input_scale  the frozen running max (> 0); x is divided by it so
+  ///                     the PAF sees values in its accurate range
   /// @param stats        optional op/level/latency tally
-  /// @param basis_cache  when given, carries the scaled input's power basis
-  ///     for the *first stage* across repeated calls (x, x^2, x^4, ...
-  ///     built once; later stages consume fresh intermediates and still
-  ///     rebuild theirs). Contract: an initialized cache must come from a
-  ///     previous call with the SAME ciphertext and input_scale — the
-  ///     scaled input is not recomputed on reuse, so a mismatched cache
-  ///     silently evaluates the wrong input. A level mismatch is caught,
-  ///     content mismatches are the caller's duty.
-  /// @param composite_cache  when given, supersedes `basis_cache`: EVERY
-  ///     composite stage's basis and output are cached (see CompositeBasis),
-  ///     so a repeat call on the same (x, input_scale, pre_factor, paf)
-  ///     pays only the final 0.5 x (1 + p) product — one ct-ct mult.
   /// @param pre_factor  scalar folded into the activation input: evaluates
   ///     the PAF-ReLU of (pre_factor * x) at zero extra cost (the factor
   ///     rides the two plaintext multiplications the envelope already pays).
@@ -273,20 +178,15 @@ class PafEvaluator {
   /// @return the PAF-ReLU of every slot, paf.mult_depth() + 2 levels below x
   Ciphertext relu(Evaluator& ev, const Ciphertext& x, const approx::CompositePaf& paf,
                   double input_scale, EvalStats* stats = nullptr,
-                  PowerBasis* basis_cache = nullptr,
-                  CompositeBasis* composite_cache = nullptr,
                   double pre_factor = 1.0) const;
 
   /// @brief max(a,b) ≈ 0.5 (a + b) + 0.5 (a-b) paf((a-b)/input_scale).
   /// @param a            first operand
-  /// @param b            second operand (same level/scale as `a`)
+  /// @param b            second operand (same scale as `a`; levels are
+  ///                     matched)
   /// @param paf          sign-approximating composite PAF
-  /// @param input_scale  frozen bound on |a-b|
+  /// @param input_scale  frozen bound on |a-b| (> 0)
   /// @param stats        optional op/level/latency tally
-  /// @param basis_cache  same contract as relu(): must come from a previous
-  ///                     call with the same (a, b, input_scale)
-  /// @param composite_cache  supersedes `basis_cache`; caches every
-  ///                     composite stage (same contract as relu())
   /// @param pre_factor  scalar folded into BOTH operands: computes
   ///                     max(pre_factor * a, pre_factor * b) at zero extra
   ///                     cost. Only meaningful when a and b are both raw
@@ -296,16 +196,14 @@ class PafEvaluator {
   ///                     carries the factor.
   Ciphertext max(Evaluator& ev, const Ciphertext& a, const Ciphertext& b,
                  const approx::CompositePaf& paf, double input_scale,
-                 EvalStats* stats = nullptr, PowerBasis* basis_cache = nullptr,
-                 CompositeBasis* composite_cache = nullptr,
-                 double pre_factor = 1.0) const;
+                 EvalStats* stats = nullptr, double pre_factor = 1.0) const;
 
   /// @brief Multiplication depth eval_poly consumes for `p` (both
   /// strategies consume exactly the ladder bound ceil(log2(deg+1))).
   static int mult_depth(const approx::Polynomial& p);
 
   /// @brief Predicts the schedule eval_poly would execute for `p` under
-  /// strategy `s` with a fresh basis, without touching ciphertexts.
+  /// strategy `s`, without touching ciphertexts.
   /// `ct_mults` and `levels` are exact (the prediction runs the same pure
   /// planner the executor mirrors op-for-op); relins/rescales are the eager
   /// upper bound. The BSGS prediction uses the depth budget eval_poly grants
@@ -318,16 +216,19 @@ class PafEvaluator {
                                               Strategy s);
 
  private:
-  /// (factor * ct) moved to `target_level` with scale exactly `target_scale`
-  /// (one plaintext multiplication + rescale).
-  Ciphertext scaled_to(Evaluator& ev, const Ciphertext& ct, double factor,
-                       int target_level, double target_scale) const;
+  Ciphertext eval_poly(Evaluator& ev, PowerBasis& basis, const approx::Polynomial& p,
+                       EvalStats* stats) const;
+
+  /// The sign half both envelopes share: paf(pre_factor * d / input_scale),
+  /// one level for the input scaling plus paf.mult_depth() below d.
+  Ciphertext sign(Evaluator& ev, const Ciphertext& d, const approx::CompositePaf& paf,
+                  double input_scale, double pre_factor, EvalStats* stats) const;
 
   const CkksContext* ctx_;
   const Encoder* encoder_;
   const KSwitchKey* relin_;
   Strategy strategy_;
-  bool lazy_relin_ = true;
+  bool lazy_relin_;
 };
 
 }  // namespace sp::fhe

@@ -87,7 +87,7 @@ Admission AsyncExecutor::submit(std::shared_ptr<Session> session,
 }
 
 std::vector<int> AsyncExecutor::required_rotation_steps(Session& session) {
-  std::vector<int> steps = plan_for(session).plan->rotation_steps();
+  std::vector<int> steps = plan_for(session).rotation_steps();
   if (cfg_.group_capacity > 1) {
     steps.push_back(cfg_.input_size);
     steps.push_back(-cfg_.input_size);
@@ -107,7 +107,7 @@ std::size_t AsyncExecutor::pending() const {
   return queue_.size();
 }
 
-const AsyncExecutor::CachedPlan& AsyncExecutor::plan_for(Session& session) {
+const smartpaf::Plan& AsyncExecutor::plan_for(Session& session) {
   std::unique_lock<std::mutex> lock(plan_mu_);
   auto it = plans_.find(session.fingerprint());
   if (it != plans_.end()) return it->second;
@@ -124,22 +124,18 @@ const AsyncExecutor::CachedPlan& AsyncExecutor::plan_for(Session& session) {
 
   smartpaf::PlanOptions popts;
   popts.pack_stride = stride;
-  auto plan = std::make_shared<const smartpaf::Plan>(smartpaf::Planner::plan(
-      pipeline_, ctx, smartpaf::CostModel::heuristic(), popts));
-  sp::check_fmt(plan->chain_levels - plan->levels_used >= 1,
+  smartpaf::Plan plan =
+      smartpaf::Planner::plan(pipeline_, ctx, smartpaf::CostModel::heuristic(), popts);
+  sp::check_fmt(plan.chain_levels - plan.levels_used >= 1,
                 "AsyncExecutor: response masking needs one level beyond the "
                 "pipeline's ",
-                plan->levels_used, " but the chain offers ", plan->chain_levels,
+                plan.levels_used, " but the chain offers ", plan.chain_levels,
                 "; deepen the chain");
-
-  CachedPlan sp;
-  sp.plan = std::move(plan);
-  sp.output_width = pipeline_.output_width(stride);
   // unordered_map references survive rehashing and entries are never erased,
   // so handing out a reference under a released lock is safe. The cache
   // grows one small Plan per parameter set ever seen — bytes, not key
   // material.
-  return plans_.emplace(session.fingerprint(), std::move(sp)).first->second;
+  return plans_.emplace(session.fingerprint(), std::move(plan)).first->second;
 }
 
 void AsyncExecutor::worker_loop() {
@@ -213,7 +209,7 @@ void AsyncExecutor::evaluate_group(std::vector<Pending> group, FlushReason reaso
 
   try {
     if (eval_hook_) eval_hook_(ids);
-    const CachedPlan& sp = plan_for(session);
+    const smartpaf::Plan& plan = plan_for(session);
     smartpaf::FheRuntime& rt = session.runtime();
     fhe::Evaluator& ev = rt.evaluator();
     const int s = cfg_.input_size;
@@ -231,7 +227,7 @@ void AsyncExecutor::evaluate_group(std::vector<Pending> group, FlushReason reaso
       packed = std::move(shifted);
     }
 
-    fhe::Ciphertext out = pipeline_.run(rt, *sp.plan, packed, nullptr);
+    fhe::Ciphertext out = pipeline_.run(rt, plan, packed, nullptr);
 
     // Response mask: 1 over the request's own output slots, 0 elsewhere —
     // without it, a response slice still carries the neighbouring requests'
@@ -240,12 +236,13 @@ void AsyncExecutor::evaluate_group(std::vector<Pending> group, FlushReason reaso
     const std::size_t slots = rt.ctx().slot_count();
     std::uint64_t key = sp::fnv_mix(sp::kFnvOffset, 0x73657276656d61ULL);  // "servema"
     key = sp::fnv_mix(key, static_cast<std::uint64_t>(s));
-    key = sp::fnv_mix(key, sp.output_width);
+    const std::size_t width = plan.stages.back().layout_out.width;
+    key = sp::fnv_mix(key, width);
     key = sp::fnv_mix(key, slots);
     const std::shared_ptr<const fhe::Plaintext> mask =
         rt.encoder().encode_cached(key, rt.ctx().scale(), out.q_count(), [&] {
           std::vector<double> m(slots, 0.0);
-          for (std::size_t j = 0; j < sp.output_width; ++j) m[j] = 1.0;
+          for (std::size_t j = 0; j < width; ++j) m[j] = 1.0;
           return m;
         });
 

@@ -170,12 +170,6 @@ class AsyncExecutor {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// Plan + derived constants for one parameter set, cached by fingerprint.
-  struct CachedPlan {
-    std::shared_ptr<const smartpaf::Plan> plan;
-    std::size_t output_width = 0;
-  };
-
   void worker_loop();
   /// Collects the head session's group (up to group_capacity requests of
   /// that same Session object) off the queue. Caller holds mu_.
@@ -183,7 +177,8 @@ class AsyncExecutor {
   /// Pack -> run -> extract -> per-request outcomes; never throws (failures
   /// become Failed outcomes).
   void evaluate_group(std::vector<Pending> group, FlushReason reason);
-  const CachedPlan& plan_for(Session& session);
+  /// The plan for one parameter set, cached by fingerprint.
+  const smartpaf::Plan& plan_for(Session& session);
 
   smartpaf::FhePipeline pipeline_;
   ExecutorConfig cfg_;
@@ -198,7 +193,7 @@ class AsyncExecutor {
   ExecutorStats stats_;
 
   std::mutex plan_mu_;
-  std::unordered_map<std::uint64_t, CachedPlan> plans_;
+  std::unordered_map<std::uint64_t, smartpaf::Plan> plans_;
 
   std::thread worker_;
 };

@@ -104,6 +104,7 @@ std::vector<double> FheRuntime::decrypt(const fhe::Ciphertext& ct) {
 
 PafLatencyResult measure_paf_relu(FheRuntime& rt, const approx::CompositePaf& paf,
                                   double input_scale, int repeats, std::uint64_t seed) {
+  sp::check_fmt(repeats >= 1, "measure_paf_relu: repeats must be >= 1, got ", repeats);
   sp::Rng rng(seed);
   std::vector<double> values(rt.ctx().slot_count());
   for (auto& v : values) v = rng.uniform(-input_scale, input_scale);
@@ -112,8 +113,6 @@ PafLatencyResult measure_paf_relu(FheRuntime& rt, const approx::CompositePaf& pa
   PafLatencyResult out;
   std::vector<double> times;
   fhe::Ciphertext result;
-  // Cold path: every repeat builds its own power basis, matching serving
-  // (each activation ciphertext is fresh), so ms_median is honest.
   for (int r = 0; r < repeats; ++r) {
     fhe::EvalStats stats;
     result = rt.paf_evaluator().relu(rt.evaluator(), ct, paf, input_scale, &stats);
@@ -121,20 +120,6 @@ PafLatencyResult measure_paf_relu(FheRuntime& rt, const approx::CompositePaf& pa
     if (r == 0) out.stats = stats;
   }
   out.ms_median = sp::median(times);
-  out.ms_best = *std::min_element(times.begin(), times.end());
-
-  // Warm path: a shared CompositeBasis carries EVERY stage's powers and
-  // outputs across calls — the repeat-on-same-input cost is one ct-ct mult
-  // (the final ReLU product), reported separately. Skipped for single-shot
-  // measurements to keep them cheap.
-  if (repeats >= 2) {
-    fhe::CompositeBasis basis;
-    fhe::EvalStats warm;
-    rt.paf_evaluator().relu(rt.evaluator(), ct, paf, input_scale, &warm, nullptr, &basis);
-    warm = {};
-    rt.paf_evaluator().relu(rt.evaluator(), ct, paf, input_scale, &warm, nullptr, &basis);
-    out.ms_warm_cached = warm.wall_ms;
-  }
 
   const std::vector<double> got = rt.decrypt(result);
   for (std::size_t i = 0; i < values.size(); ++i) {

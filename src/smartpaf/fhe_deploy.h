@@ -48,8 +48,9 @@ class FheRuntime {
   fhe::Decryptor& decryptor();
   /// @brief Leveled evaluator (also owns the process-wide OpCounters tally).
   fhe::Evaluator& evaluator() { return *evaluator_; }
-  /// @brief Polynomial/PAF evaluator bound to this runtime's relin key.
-  fhe::PafEvaluator& paf_evaluator() { return *paf_eval_; }
+  /// @brief Polynomial/PAF evaluator bound to this runtime's relin key
+  /// (BSGS, lazy relinearization). Other schedules construct their own.
+  const fhe::PafEvaluator& paf_evaluator() const { return *paf_eval_; }
   /// @brief Relinearization key generated at construction (or deserialized).
   const fhe::KSwitchKey& relin_key() const { return *relin_; }
   /// @brief Public encryption key (serializable via sp::io).
@@ -113,12 +114,9 @@ class FheRuntime {
 
 /// Result of measuring one PAF-ReLU evaluation under CKKS.
 struct PafLatencyResult {
-  double ms_median = 0.0;       ///< cold wall-clock per PAF-ReLU over all slots
-  double ms_best = 0.0;
-  double ms_warm_cached = 0.0;  ///< repeat on the same input with a shared
-                                ///< CompositeBasis (one ct-ct mult total)
-  fhe::EvalStats stats;         ///< op counts and levels consumed (cold path)
-  double max_error = 0.0;       ///< vs the plaintext PAF-ReLU reference
+  double ms_median = 0.0;  ///< wall-clock per PAF-ReLU over all slots
+  fhe::EvalStats stats;    ///< op counts and levels consumed (first repeat)
+  double max_error = 0.0;  ///< vs the plaintext PAF-ReLU reference
 };
 
 /// @brief Times the homomorphic PAF-ReLU (paper Table 4 / Fig. 1 latency
@@ -128,10 +126,10 @@ struct PafLatencyResult {
 /// @param rt           shared runtime (construction is the expensive part)
 /// @param paf          sign-approximating composite PAF
 /// @param input_scale  Static-Scaling running max (> 0)
-/// @param repeats      cold-path repetitions; >= 2 also measures the warm
-///                     shared-PowerBasis path
+/// @param repeats      repetitions (>= 1); each evaluates a fresh power
+///                     basis, as serving does
 /// @param seed         input randomness
-/// @return median/best cold latency, warm latency, op stats and max error
+/// @return median latency, op stats and max error
 PafLatencyResult measure_paf_relu(FheRuntime& rt, const approx::CompositePaf& paf,
                                   double input_scale, int repeats = 3,
                                   std::uint64_t seed = 7);
@@ -149,7 +147,7 @@ struct DeployRow {
 /// cost times the tournament size).
 /// @param model    converted model whose PAF layers carry static scales
 /// @param rt       shared runtime
-/// @param repeats  cold-path repetitions per layer
+/// @param repeats  repetitions per layer (>= 1)
 std::vector<DeployRow> deployment_report(nn::Model& model, FheRuntime& rt,
                                          int repeats = 1);
 

@@ -48,19 +48,6 @@ std::uint64_t linear_vec_key(const std::vector<double>& values, std::uint64_t ta
                          values);  // "linear!"
 }
 
-/// Restores the shared PafEvaluator's knobs after a per-stage override.
-struct PafEvalGuard {
-  fhe::PafEvaluator& pe;
-  fhe::PafEvaluator::Strategy strategy;
-  bool lazy;
-  explicit PafEvalGuard(fhe::PafEvaluator& p)
-      : pe(p), strategy(p.strategy()), lazy(p.lazy_relin()) {}
-  ~PafEvalGuard() {
-    pe.set_strategy(strategy);
-    pe.set_lazy_relin(lazy);
-  }
-};
-
 }  // namespace
 
 // -------------------------------------------------------------- StageLayout --
@@ -668,35 +655,6 @@ int FhePipeline::mult_depth() const {
   return total;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> FhePipeline::stage_widths(
-    std::size_t fallback) const {
-  std::vector<std::pair<std::size_t, std::size_t>> widths;
-  widths.reserve(stages_.size());
-  std::size_t w = input_width_ != 0 ? input_width_ : fallback;
-  if (input_grid_.channels > 0)
-    w = static_cast<std::size_t>(input_grid_.channels) * input_grid_.height *
-        input_grid_.width;
-  for (const Stage& st : stages_) {
-    const std::size_t w_in = w;
-    if (const auto* mm = std::get_if<MatMulStage>(&st.op)) {
-      w = static_cast<std::size_t>(mm->rows);
-    } else if (const auto* cv = std::get_if<ConvStage>(&st.op)) {
-      w = static_cast<std::size_t>(cv->out_channels) * cv->out_h() * cv->out_w();
-    } else if (const auto* cp = std::get_if<CompactStage>(&st.op)) {
-      // Truncating division mirrors a pool that drops a ragged tail; the
-      // planner rejects non-dividing widths before anything executes.
-      w = w / static_cast<std::size_t>(cp->stride);
-    }
-    widths.emplace_back(w_in, w);
-  }
-  return widths;
-}
-
-std::size_t FhePipeline::output_width(std::size_t fallback) const {
-  const auto widths = stage_widths(fallback);
-  return widths.empty() ? fallback : widths.back().second;
-}
-
 std::vector<std::pair<StageLayout, StageLayout>> FhePipeline::stage_layouts(
     std::size_t extent) const {
   sp::check(extent > 0, "FhePipeline::stage_layouts: empty slot layout");
@@ -952,10 +910,8 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
                 in[0].level(), " levels but the plan needs ", plan.levels_used);
 
   fhe::Evaluator& ev = rt.evaluator();
-  fhe::PafEvaluator& pe = rt.paf_evaluator();
   fhe::Encoder& enc = rt.encoder();
   const double delta = rt.ctx().scale();
-  PafEvalGuard guard(pe);
 
   std::vector<fhe::Ciphertext> blocks = in;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
@@ -1006,19 +962,19 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
     }
 
     const auto& paf = std::get<PafStage>(st.op);
-    pe.set_strategy(sp_.strategy);
-    pe.set_lazy_relin(sp_.lazy_relin);
+    const fhe::PafEvaluator pe(rt.ctx(), enc, rt.relin_key(), sp_.strategy, sp_.lazy_relin);
     if (paf.kind == SiteKind::ReLU) {
       // Slot-wise, so every block passes through the same envelope (the
       // zero padding slots of partial blocks stay zero: relu(0) == 0).
       for (fhe::Ciphertext& blk : blocks)
-        blk = pe.relu(ev, blk, paf.paf, paf.input_scale, stats, nullptr,
-                      nullptr, sp_.pre_factor);
+        blk = pe.relu(ev, blk, paf.paf, paf.input_scale, stats, sp_.pre_factor);
     } else {
       // Cyclic pairwise tournament over one ciphertext (layout validation):
       // the fan rotates the STAGE INPUT once (hoisted when the plan says so),
       // then folds PAF-max left to right — the same order as PafMaxPool1d
-      // and reference().
+      // and reference(). After the first fold the running max sits
+      // depth + 2 levels lower at scale ~Delta^2/q, so every later tap first
+      // lands on it, spending one of the tap's own spare levels.
       fhe::Ciphertext& cur = blocks[0];
       const auto gk = rt.rotation_keys(sp_.rotation_steps);
       std::vector<fhe::Ciphertext> rotated;
@@ -1028,9 +984,13 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
         for (int step : sp_.rotation_steps) rotated.push_back(ev.rotate(cur, step, *gk));
       }
       fhe::Ciphertext m = cur;
-      for (fhe::Ciphertext& v : rotated)
-        m = pe.max(ev, m, v, paf.paf, paf.input_scale, stats, nullptr, nullptr,
-                   sp_.pre_factor);
+      for (std::size_t t = 0; t < rotated.size(); ++t) {
+        if (t > 0) {
+          rotated[t] = fhe::scaled_to(ev, rt.ctx(), enc, rotated[t], 1.0, m.level(), m.scale);
+          if (stats) ++stats->plain_mults;
+        }
+        m = pe.max(ev, m, rotated[t], paf.paf, paf.input_scale, stats, sp_.pre_factor);
+      }
       cur = std::move(m);
     }
   }

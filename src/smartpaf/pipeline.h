@@ -170,7 +170,9 @@ struct CompactStage {
 /// paf.mult_depth() + 2 levels. `MaxPool`: the cyclic pairwise tournament
 /// y[j] = fold of max over x[j .. j+pool_window-1] — a rotation fan of the
 /// stage input plus pool_window - 1 PAF-max folds, consuming
-/// (pool_window - 1) * (paf.mult_depth() + 2) levels.
+/// (pool_window - 1) * (paf.mult_depth() + 2) levels. Every fold after the
+/// first lands its tap on the running max's level and scale with one
+/// plaintext multiplication from the tap's own spare levels.
 struct PafStage {
   SiteKind kind = SiteKind::ReLU;
   approx::CompositePaf paf;
@@ -289,13 +291,6 @@ class FhePipeline {
   /// dense vector).
   const GridShape& input_grid() const { return input_grid_; }
 
-  /// @brief Per-stage (width_in, width_out) slot-layout tracking: linear,
-  /// window and PAF stages preserve the width, MatMul maps cols -> rows and
-  /// Compact maps W -> W / stride. `fallback` resolves a 0 input width (pass
-  /// the slot count, or the packing stride for packed layouts).
-  std::vector<std::pair<std::size_t, std::size_t>> stage_widths(
-      std::size_t fallback) const;
-
   /// @brief Per-stage (layout_in, layout_out) tracking over an `extent`-slot
   /// ciphertext layout (the slot count, or the pack stride for packed
   /// batches): resolves grid strides and ciphertext block counts, and
@@ -303,13 +298,11 @@ class FhePipeline {
   /// non-grid or wrong-shape layout, matmul width or channel-layout
   /// mismatches, cyclic stages (window/maxpool/compact/per-slot linear) on
   /// multi-ciphertext or grid layouts. The Planner calls this before
-  /// anything executes; tests pin the messages.
+  /// anything executes (each StagePlan carries its pair, so the last
+  /// layout_out.width is the per-request output slice of a packed batch);
+  /// tests pin the messages.
   std::vector<std::pair<StageLayout, StageLayout>> stage_layouts(
       std::size_t extent) const;
-
-  /// @brief Width of the pipeline output given the resolved input width —
-  /// the per-request slice width to unpack from a packed batch.
-  std::size_t output_width(std::size_t fallback) const;
 
   /// @brief Levels the pipeline consumes when executed literally (no
   /// folding); the FoldScalars plan may use fewer.
@@ -328,8 +321,9 @@ class FhePipeline {
   ///
   /// Rotation keys for every fan are drawn from the runtime's deduplicated
   /// rotation_keys() store (generated on first use, shared across stages and
-  /// call sites). The PAF evaluator's strategy/lazy-relin knobs are set per
-  /// stage from the plan and restored afterwards.
+  /// call sites). Each PAF stage runs on its own PafEvaluator built from
+  /// the plan's strategy and lazy_relin, so runs never change a schedule
+  /// on the shared runtime.
   /// @param rt     shared CKKS machinery
   /// @param plan   a Plan produced by Planner::plan for THIS pipeline
   /// @param in     input ciphertext with at least plan.levels_used levels

@@ -452,7 +452,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
     StagePlan& sp_ = plan.stages[i];
     sp_.label = st.label;
     sp_.level_in = level;
-    sp_.lazy_relin = opts.lazy_relin;
     sp_.layout_in = layouts[i].first;
     sp_.layout_out = layouts[i].second;
     sp_.width_in = sp_.layout_in.width;
@@ -508,39 +507,23 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       if (fan > 0)
         sp_.hoist_fan =
             opts.force_hoist.value_or(cost.fan_cost(fan, true) <= cost.fan_cost(fan, false));
-      // Pick the cheaper schedule under the cost table; BSGS first so it
-      // wins ties (both consume identical levels by construction).
-      const std::vector<fhe::PafEvaluator::Strategy> candidates =
-          opts.force_strategy
-              ? std::vector<fhe::PafEvaluator::Strategy>{*opts.force_strategy}
-              : std::vector<fhe::PafEvaluator::Strategy>{
-                    fhe::PafEvaluator::Strategy::BSGS,
-                    fhe::PafEvaluator::Strategy::Ladder};
-      double best_cost = 0.0;
-      bool first = true;
-      for (const auto cand : candidates) {
-        fhe::SchedulePrediction pred =
-            fhe::PafEvaluator::predict_composite(paf.paf, cand);
-        // The Static-Scaling envelope per activation: input scaling + final
-        // product (ReLU) or the tournament's d*p product + 0.5-halvings (max).
-        pred.ct_mults += 1;
-        pred.relins += 1;
-        pred.rescales += 1;
-        pred.plain_mults += paf.kind == SiteKind::MaxPool ? 3 : 2;
-        pred.levels = per_act_levels;
-        if (acts > 1) {
-          fhe::SchedulePrediction one = pred;
-          for (int a = 1; a < acts; ++a) pred += one;
-        }
-        const double c = cost.eval_cost(pred) + cost.fan_cost(fan, sp_.hoist_fan);
-        if (first || c < best_cost) {
-          best_cost = c;
-          sp_.strategy = cand;
-          sp_.ops = pred;
-          sp_.predicted_cost = c;
-          first = false;
-        }
-      }
+      // BSGS unless forced: its prediction never exceeds Ladder's on any
+      // count at equal levels, so it is never the costlier pick under a
+      // cost table (tests/test_poly_eval.cpp checks every preset).
+      sp_.strategy = opts.force_strategy.value_or(fhe::PafEvaluator::Strategy::BSGS);
+      fhe::SchedulePrediction one = fhe::PafEvaluator::predict_composite(paf.paf, sp_.strategy);
+      // The Static-Scaling envelope per activation: input scaling + final
+      // product (ReLU) or the tournament's d*p product + 0.5-halvings (max).
+      one.ct_mults += 1;
+      one.relins += 1;
+      one.rescales += 1;
+      one.plain_mults += paf.kind == SiteKind::MaxPool ? 3 : 2;
+      one.levels = per_act_levels;
+      sp_.ops = one;
+      for (int a = 1; a < acts; ++a) sp_.ops += one;
+      // Every tournament fold after the first lands its tap on the running max.
+      sp_.ops.plain_mults += acts - 1;
+      sp_.predicted_cost = cost.eval_cost(sp_.ops) + cost.fan_cost(fan, sp_.hoist_fan);
       sp_.pre_factor = pre_factor[i];
     }
 

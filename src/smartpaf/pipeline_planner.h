@@ -77,8 +77,9 @@ struct StagePlan {
   /// scale/bias the stage executes instead of its own coefficients.
   std::optional<LinearStage> merged_linear;
   double pre_factor = 1.0;   ///< PAF-ReLU: scalar folded into the envelope
+  /// PAF stages: the schedule run_blocks builds the stage's evaluator with.
   fhe::PafEvaluator::Strategy strategy = fhe::PafEvaluator::Strategy::BSGS;
-  bool lazy_relin = true;
+  bool lazy_relin = true;  ///< planned true; eager only in an edited plan
   bool hoist_fan = true;           ///< rotation fans share one decomposition
   /// Hoistable fan from the stage input (pool taps, and the baby steps of
   /// every input block of a rotation-sum stage).
@@ -125,8 +126,8 @@ struct Plan {
 struct PlanOptions {
   /// Overrides the pipeline's RescalePolicy.
   std::optional<RescalePolicy> rescale_policy;
-  /// Pins every PAF stage's schedule (benchmark forcing); unset = pick the
-  /// cheaper of Ladder/BSGS under the cost model.
+  /// Pins every PAF stage's schedule (benchmark forcing); unset = BSGS,
+  /// whose prediction never exceeds Ladder's.
   std::optional<fhe::PafEvaluator::Strategy> force_strategy;
   /// Pins fan hoisting; unset = hoist when the cost model says it pays.
   std::optional<bool> force_hoist;
@@ -139,8 +140,6 @@ struct PlanOptions {
   /// widths are validated against it and MatMul/Compact plaintexts
   /// replicate per request. Packing callers pass their request stride.
   std::size_t pack_stride = 0;
-  /// Lazy relinearization for PAF stages.
-  bool lazy_relin = true;
 };
 
 /// Validates a pipeline against a prime chain and chooses per-stage
@@ -154,11 +153,11 @@ class Planner {
   /// budget — a pipeline deeper than the chain is rejected with a per-stage
   /// level breakdown in the error message.
   /// Decisions: adjacent-linear merging (one rescale per run),
-  /// scalar-linear folding (RescalePolicy), Ladder-vs-BSGS per PAF stage,
-  /// the n1 split of every matmul/conv rotation-sum, hoisted-vs-naive
-  /// rotation fans, lazy-relin joins — all by `cost.eval_cost`/`fan_cost`,
-  /// so a calibrated table plans from measured latencies instead of op
-  /// counts. Planning is deterministic: the same pipeline and cost table
+  /// scalar-linear folding (RescalePolicy), the n1 split of every
+  /// matmul/conv rotation-sum and hoisted-vs-naive rotation fans — all by
+  /// `cost.eval_cost`/`fan_cost`, so a calibrated table plans from measured
+  /// latencies instead of op counts. PAF stages run BSGS with lazy-relin
+  /// joins unless `force_strategy` pins Ladder. Planning is deterministic: the same pipeline and cost table
   /// always produce the same plan.
   /// @param pipe  the stage graph
   /// @param ctx   parameter set to validate against (no keys needed)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "common/check.h"
 #include "common/table.h"
@@ -81,6 +82,21 @@ TEST_F(EdgeTest, ReluRejectsNonPositiveScale) {
   const Ciphertext a = rt_->encrypt(v);
   const auto paf = approx::make_paf(approx::PafForm::F1_G2);
   EXPECT_THROW(rt_->paf_evaluator().relu(rt_->evaluator(), a, paf, 0.0), sp::Error);
+  // max shares relu's sign half and its check: a non-positive bound on
+  // |a - b| is an error, not a silently wrong (or unrelated) result. The
+  // depth-2 sign stage fits this 5-level chain, so only the check can fail.
+  const approx::CompositePaf deg3("deg3", {approx::Polynomial({0.0, 1.5, 0.0, -0.5})});
+  const Ciphertext b = rt_->encrypt(std::vector<double>(rt_->ctx().slot_count(), -0.25));
+  for (const double bad : {0.0, -1.0}) {
+    std::string msg;
+    try {
+      rt_->paf_evaluator().max(rt_->evaluator(), a, b, deg3, bad);
+    } catch (const sp::Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("input_scale must be positive"), std::string::npos)
+        << "input_scale " << bad << ": '" << msg << "'";
+  }
 }
 
 TEST_F(EdgeTest, RotationsCompose) {

@@ -251,16 +251,15 @@ TEST_P(LazyRelinDegree, MatchesEagerWithFewerRelins) {
   const approx::Polynomial p = dense_poly(degree, 300 + static_cast<std::uint64_t>(degree));
   const auto inputs = random_vec(21);
   const Ciphertext ct = rt_->encrypt(inputs);
-  PafEvaluator pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(),
-                  PafEvaluator::Strategy::BSGS);
+  const PafEvaluator eager_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(),
+                              PafEvaluator::Strategy::BSGS, /*lazy_relin=*/false);
+  const PafEvaluator lazy_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(),
+                             PafEvaluator::Strategy::BSGS, /*lazy_relin=*/true);
 
-  pe.set_lazy_relin(false);
   EvalStats eager;
-  const Ciphertext out_eager = pe.eval_poly(rt_->evaluator(), ct, p, &eager);
-
-  pe.set_lazy_relin(true);
+  const Ciphertext out_eager = eager_pe.eval_poly(rt_->evaluator(), ct, p, &eager);
   EvalStats lazy;
-  const Ciphertext out_lazy = pe.eval_poly(rt_->evaluator(), ct, p, &lazy);
+  const Ciphertext out_lazy = lazy_pe.eval_poly(rt_->evaluator(), ct, p, &lazy);
 
   std::vector<double> ref(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) ref[i] = p(inputs[i]);
@@ -299,12 +298,12 @@ TEST_F(EvaluatorOpsTest, LazyRelinReluParity) {
   const approx::CompositePaf paf("deg15", {approx::Polynomial(c)});
   const auto v = random_vec(22, -2.0, 2.0);
   const Ciphertext ct = rt_->encrypt(v);
-  PafEvaluator pe(rt_->ctx(), rt_->encoder(), rt_->relin_key());
+  const PafEvaluator eager_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(),
+                              PafEvaluator::Strategy::BSGS, /*lazy_relin=*/false);
+  const PafEvaluator lazy_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key());
 
-  pe.set_lazy_relin(false);
-  const auto eager = rt_->decrypt(pe.relu(rt_->evaluator(), ct, paf, 2.0));
-  pe.set_lazy_relin(true);
-  const auto lazy = rt_->decrypt(pe.relu(rt_->evaluator(), ct, paf, 2.0));
+  const auto eager = rt_->decrypt(eager_pe.relu(rt_->evaluator(), ct, paf, 2.0));
+  const auto lazy = rt_->decrypt(lazy_pe.relu(rt_->evaluator(), ct, paf, 2.0));
 
   double worst = 0.0;
   for (std::size_t i = 0; i < v.size(); ++i)

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
+#include "common/check.h"
 #include "smartpaf/fhe_deploy.h"
 
 namespace {
@@ -84,6 +86,18 @@ TEST_F(DeployTest, EncryptedPafReluMatchesPlaintext) {
   // shared join, so relins never exceed mults and deferrals cover the gap.
   EXPECT_LE(res.stats.relins, res.stats.ct_mults);
   EXPECT_GE(res.stats.relins + res.stats.relins_deferred, res.stats.ct_mults);
+}
+
+TEST_F(DeployTest, MeasurePafReluRejectsZeroRepeats) {
+  // No repeat means no latency sample and no result to check: an error that
+  // names the value, not a median of nothing.
+  std::string msg;
+  try {
+    smartpaf::measure_paf_relu(*rt_, approx::make_paf(PafForm::F1_G2), 2.0, /*repeats=*/0);
+  } catch (const sp::Error& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("repeats must be >= 1, got 0"), std::string::npos) << "'" << msg << "'";
 }
 
 TEST_F(DeployTest, ReluLevelsAreDepthPlusTwo) {

@@ -400,12 +400,10 @@ TEST_F(MatMulFheTest, MlpHeadLowersEndToEnd) {
   EXPECT_TRUE(std::holds_alternative<smartpaf::MatMulStage>(pipe.stages()[0].op));
   EXPECT_TRUE(std::holds_alternative<smartpaf::PafStage>(pipe.stages()[1].op));
   EXPECT_TRUE(std::holds_alternative<smartpaf::MatMulStage>(pipe.stages()[2].op));
-  EXPECT_EQ(pipe.output_width(rt_->ctx().slot_count()),
-            static_cast<std::size_t>(cfg.num_classes));
-
   const auto plan =
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   EXPECT_EQ(plan.levels_used, 1 + 5 + 1);  // matmul + deg-7 ReLU + matmul
+  EXPECT_EQ(plan.stages.back().layout_out.width, static_cast<std::size_t>(cfg.num_classes));
 
   sp::Rng rng(47);
   nn::Tensor x({1, cfg.in_features});
@@ -479,17 +477,18 @@ TEST(SlotWidths, OutputWidthTracksCompactAndMatMul) {
                         .compact(4)
                         .matmul(10, 8, std::vector<double>(80, 0.1))
                         .build();
-  const auto widths = pipe.stage_widths(1024);
-  ASSERT_EQ(widths.size(), 2u);
-  EXPECT_EQ(widths[0], (std::pair<std::size_t, std::size_t>{32, 8}));
-  EXPECT_EQ(widths[1], (std::pair<std::size_t, std::size_t>{8, 10}));
-  EXPECT_EQ(pipe.output_width(1024), 10u);
+  const auto layouts = pipe.stage_layouts(1024);
+  ASSERT_EQ(layouts.size(), 2u);
+  EXPECT_EQ(layouts[0].first.width, 32u);
+  EXPECT_EQ(layouts[0].second.width, 8u);
+  EXPECT_EQ(layouts[1].first.width, 8u);
+  EXPECT_EQ(layouts[1].second.width, 10u);
 
   // Window + PAF keep the width, so a packed request's output slice spans
   // its whole stride.
   const auto activation =
       smartpaf::FhePipeline::builder().window({0.6, 0.4}).paf_relu(test_paf(7, 61), 2.0).build();
-  EXPECT_EQ(activation.output_width(256), 256u);
+  EXPECT_EQ(activation.stage_layouts(256).back().second.width, 256u);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // plan determinism on a pinned cost table, scalar folding, lowering from a
 // replaced nn::Sequential with plaintext-forward parity, end-to-end FHE
 // parity of a 2-activation lowered network < 2^-20, rotation-key dedup
-// across stages, the CompositeBasis warm path, predict-vs-executed mult
-// counts and golden digests of PAF-stage ciphertexts.
+// across stages, predict-vs-executed mult counts, eager relinearization
+// from an edited plan, a window-3 MaxPool tournament and golden digests of
+// PAF-stage ciphertexts.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "approx/presets.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -375,64 +377,40 @@ TEST_F(PipelineFheTest, PredictPolyMatchesExecutedCounts) {
     const Ciphertext x = rt_->encrypt(v);
     for (const auto strat : {PafEvaluator::Strategy::Ladder, PafEvaluator::Strategy::BSGS}) {
       const auto pred = PafEvaluator::predict_poly(p, strat);
-      rt_->paf_evaluator().set_strategy(strat);
+      const PafEvaluator pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(), strat);
       EvalStats stats;
-      const Ciphertext out = rt_->paf_evaluator().eval_poly(rt_->evaluator(), x, p, &stats);
+      const Ciphertext out = pe.eval_poly(rt_->evaluator(), x, p, &stats);
       EXPECT_EQ(stats.ct_mults, pred.ct_mults) << "deg " << deg;
       EXPECT_EQ(x.level() - out.level(), pred.levels) << "deg " << deg;
     }
-    rt_->paf_evaluator().set_strategy(PafEvaluator::Strategy::BSGS);
   }
 }
 
-TEST_F(PipelineFheTest, CompositeBasisWarmRepeatIsNearlyMultFree) {
-  // Two-stage composite so the cache covers a LATER stage too.
-  approx::CompositePaf paf("deg7x2", {test_paf().stages()[0], test_paf(47).stages()[0]});
-  sp::Rng rng(29);
-  std::vector<double> v(rt_->ctx().slot_count());
-  for (auto& x : v) x = rng.uniform(-2.0, 2.0);
-  const Ciphertext ct = rt_->encrypt(v);
+TEST_F(PipelineFheTest, EditedPlanWithEagerRelinRunsEager) {
+  // The planner always plans lazy relinearization; only a decoded or edited
+  // plan carries lazy_relin = false, and run_blocks must honour it.
+  const auto pipe = two_activation_pipeline();
+  sp::Rng rng(31);
+  std::vector<double> slots(rt_->ctx().slot_count());
+  for (auto& v : slots) v = rng.uniform(-1.0, 1.0);
+  const Ciphertext in = rt_->encrypt(slots);
+  const std::vector<double> ref = pipe.reference(slots);
 
-  EvalStats cold;
-  const Ciphertext out_cold =
-      rt_->paf_evaluator().relu(rt_->evaluator(), ct, paf, 2.0, &cold);
+  const auto lazy_plan =
+      smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
+  auto eager_plan = lazy_plan;
+  for (auto& s : eager_plan.stages) s.lazy_relin = false;
 
-  CompositeBasis cache;
-  EvalStats warm_seed;
-  rt_->paf_evaluator().relu(rt_->evaluator(), ct, paf, 2.0, &warm_seed, nullptr, &cache);
-  EXPECT_EQ(warm_seed.ct_mults, cold.ct_mults);  // first cached call = cold cost
-
-  EvalStats warm;
-  const Ciphertext out_warm =
-      rt_->paf_evaluator().relu(rt_->evaluator(), ct, paf, 2.0, &warm, nullptr, &cache);
-  // Repeat on the same input: every stage output is memoized, so only the
-  // final 0.5 x (1 + p) product remains.
-  EXPECT_EQ(warm.ct_mults, 1);
-  EXPECT_GT(cold.ct_mults, 10);
-
-  const std::vector<double> a = rt_->decrypt(out_cold);
-  const std::vector<double> b = rt_->decrypt(out_warm);
+  EvalStats lazy, eager;
+  (void)pipe.run(*rt_, lazy_plan, in, &lazy);
+  const std::vector<double> got = rt_->decrypt(pipe.run(*rt_, eager_plan, in, &eager));
+  EXPECT_GT(lazy.relins_deferred, 0);
+  EXPECT_LT(lazy.relins, lazy.ct_mults);
+  EXPECT_EQ(eager.relins, eager.ct_mults);
+  EXPECT_EQ(eager.relins_deferred, 0);
+  EXPECT_EQ(eager.ct_mults, lazy.ct_mults);
   double worst = 0.0;
-  for (std::size_t j = 0; j < a.size(); ++j) worst = std::max(worst, std::abs(a[j] - b[j]));
-  EXPECT_LT(worst, 1e-12);  // identical deterministic schedule
-
-  // Retrained SECOND stage: its powers (and the first stage entirely) are
-  // reused; only the changed stage re-evaluates, plus the final product.
-  approx::CompositePaf tuned = paf;
-  tuned.stages()[1].coeffs()[3] += 0.01;
-  EvalStats tuned_stats;
-  const Ciphertext out_tuned = rt_->paf_evaluator().relu(rt_->evaluator(), ct, tuned,
-                                                         2.0, &tuned_stats, nullptr, &cache);
-  EXPECT_LT(tuned_stats.ct_mults, cold.ct_mults);
-  // Correctness of the tuned re-evaluation against a fresh one.
-  EvalStats fresh_stats;
-  const Ciphertext out_fresh =
-      rt_->paf_evaluator().relu(rt_->evaluator(), ct, tuned, 2.0, &fresh_stats);
-  const std::vector<double> tuned_v = rt_->decrypt(out_tuned);
-  const std::vector<double> fresh_v = rt_->decrypt(out_fresh);
-  worst = 0.0;
-  for (std::size_t j = 0; j < tuned_v.size(); ++j)
-    worst = std::max(worst, std::abs(tuned_v[j] - fresh_v[j]));
+  for (std::size_t j = 0; j < slots.size(); ++j) worst = std::max(worst, std::abs(got[j] - ref[j]));
   EXPECT_LT(worst, kParityTol);
 }
 
@@ -532,6 +510,29 @@ TEST(PafPins, ReluSchedulesTwoActivationAndMax) {
   const Ciphertext max_out =
       rt.paf_evaluator().max(rt.evaluator(), a, b, test_paf(43), 4.0, &max_stats);
   expect_paf_pin("max", max_out, max_stats);
+}
+
+TEST(PipelineTournament, WindowThreeLandsEachTapOnTheRunningMax) {
+  // After the first fold the running max sits depth + 2 levels below the
+  // taps at scale ~Delta^2/q; the second fold must land its tap there first.
+  smartpaf::FheRuntime rt(CkksParams::for_depth(4096, 16, 40), /*seed=*/519);
+  const auto pipe = smartpaf::FhePipeline::builder()
+                        .paf_maxpool(approx::make_paf(approx::PafForm::F1_G2), 2.0,
+                                     /*pool_window=*/3)
+                        .build();
+  const auto plan = smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
+  sp::Rng rng(37);
+  std::vector<double> slots(rt.ctx().slot_count());
+  for (auto& v : slots) v = rng.uniform(-1.0, 1.0);
+  const Ciphertext in = rt.encrypt(slots);
+  const Ciphertext out = pipe.run(rt, plan, in);
+  EXPECT_EQ(in.level() - out.level(), plan.levels_used);
+
+  const std::vector<double> ref = pipe.reference(slots);
+  const std::vector<double> got = rt.decrypt(out);
+  double worst = 0.0;
+  for (std::size_t j = 0; j < slots.size(); ++j) worst = std::max(worst, std::abs(got[j] - ref[j]));
+  EXPECT_LT(worst, kParityTol);
 }
 
 TEST_F(PipelineFheTest, RotationKeyStoreDeduplicatesAcrossStages) {
