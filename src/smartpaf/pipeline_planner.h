@@ -157,8 +157,8 @@ class Planner {
   /// matmul/conv rotation-sum and hoisted-vs-naive rotation fans — all by
   /// `cost.eval_cost`/`fan_cost`, so a calibrated table plans from measured
   /// latencies instead of op counts. PAF stages run BSGS with lazy-relin
-  /// joins unless `force_strategy` pins Ladder. Planning is deterministic: the same pipeline and cost table
-  /// always produce the same plan.
+  /// joins unless `force_strategy` pins Ladder. Planning is deterministic:
+  /// the same pipeline and cost table always produce the same plan.
   /// @param pipe  the stage graph
   /// @param ctx   parameter set to validate against (no keys needed)
   /// @param cost  heuristic or calibrated cost table

@@ -383,6 +383,12 @@ TEST_F(PipelineFheTest, PredictPolyMatchesExecutedCounts) {
       EXPECT_EQ(stats.ct_mults, pred.ct_mults) << "deg " << deg;
       EXPECT_EQ(x.level() - out.level(), pred.levels) << "deg " << deg;
     }
+    // The runtime's shared evaluator runs the default schedule, BSGS.
+    EvalStats shared;
+    (void)rt_->paf_evaluator().eval_poly(rt_->evaluator(), x, p, &shared);
+    EXPECT_EQ(shared.ct_mults,
+              PafEvaluator::predict_poly(p, PafEvaluator::Strategy::BSGS).ct_mults)
+        << "deg " << deg;
   }
 }
 
