@@ -1,5 +1,5 @@
 // Wire-format throughput: serialize/deserialize MB/s per blob kind
-// (ciphertext, public key, relin key, Galois keys, plan) at serving-scale
+// (ciphertext, public key, relin key, Galois keys) at serving-scale
 // parameters, with every measured round trip verified bit-identical.
 // Serialization sits on the serving request path (one ciphertext in, one
 // out, keys once per session), so regressions here are latency regressions.
@@ -21,8 +21,6 @@
 #include "common/timer.h"
 #include "io/serialize.h"
 #include "smartpaf/fhe_deploy.h"
-#include "smartpaf/pipeline.h"
-#include "smartpaf/pipeline_planner.h"
 
 namespace {
 
@@ -104,12 +102,6 @@ int main(int argc, char** argv) {
   const Ciphertext ct = rt.encrypt(slots);
   const auto gk_snapshot = rt.rotation_keys({1, 2, 4, 8});
   const GaloisKeys& gk = *gk_snapshot;
-  const auto pipe = smartpaf::FhePipeline::builder()
-                        .window({0.5, 0.3, 0.2})
-                        .linear(0.9, 0.05)
-                        .build();
-  const smartpaf::Plan plan =
-      smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
 
   bool ok = true;
   std::vector<Row> rows;
@@ -154,13 +146,6 @@ int main(int argc, char** argv) {
         }
         return true;
       },
-      ok));
-  rows.push_back(measure(
-      "plan", repeats, [&] { return io::serialize(plan, rt.ctx()); },
-      [&](const std::vector<std::uint8_t>& b) {
-        return io::deserialize_plan(b, rt.ctx());
-      },
-      [&](const smartpaf::Plan& got) { return got.describe() == plan.describe(); },
       ok));
 
   Table table({"kind", "bytes", "ser_ms", "deser_ms", "ser_MB/s", "deser_MB/s"});

@@ -1,16 +1,17 @@
 // End-to-end FhePipeline walkthrough: train-style network construction,
 // PAF replacement, Static-Scaling conversion, automatic lowering to a stage
-// graph, measured-cost planning (inspectable BEFORE any ciphertext exists),
-// and a planned encrypted forward pass checked against the plaintext
-// network.
+// graph, planning (inspectable BEFORE any ciphertext exists), and a planned
+// encrypted forward pass checked against the plaintext network.
 //
 //   nn::Sequential{ Window1d -> ReLU -> Window1d(1 tap) -> MaxPool1d }
 //     | smartpaf::replace_all + set_static_scale      (PAF sites)
 //     | FhePipeline::lower                            (stage graph)
-//     | CostModel::calibrate + Planner::plan          (schedule choice)
+//     | Planner::plan(CostModel::heuristic())         (schedule choice)
 //     | FhePipeline::run                              (one ciphertext)
 //
 // Build & run:  ./build/pipeline_inference
+// Exits nonzero when the encrypted output differs from the plaintext
+// network by 2^-20 or more.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -53,9 +54,7 @@ int main() {
   // window 1 + relu (5+2) + folded linear + pairwise max (5+2) = 15 levels.
   const fhe::CkksParams params = fhe::CkksParams::for_depth(4096, 16, 40);
   smartpaf::FheRuntime rt(params, /*seed=*/7);
-  const smartpaf::CostModel cm = smartpaf::CostModel::load_or_calibrate(
-      rt, "bench_out/cost_model_example.json", /*repeats=*/3);
-  const auto plan = smartpaf::Planner::plan(pipe, rt.ctx(), cm);
+  const auto plan = smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
   std::printf("\n%s\n", plan.describe().c_str());
 
   // --- 5. one encrypted forward pass vs the plaintext network ----------------

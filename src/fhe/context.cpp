@@ -31,6 +31,14 @@ CkksContext::CkksContext(const CkksParams& params) : params_(params) {
   const std::size_t n = params_.poly_degree;
   sp::check(n >= 8 && (n & (n - 1)) == 0, "CkksContext: N must be a power of two");
   sp::check(!params_.q_bits.empty(), "CkksContext: empty modulus chain");
+  // Below 3.19 ~ 8/sqrt(2 pi), the width the HE-standard security tables
+  // assume, the error no longer hides the secret; above 2^56 (or NaN/inf)
+  // llround in RnsPoly::sample_gaussian overflows and every error sample
+  // is one known constant. Either way the public key gives the secret away.
+  const double sigma = params_.noise_stddev;
+  sp::check_fmt(std::isfinite(sigma) && sigma >= 3.19 && sigma <= 0x1p56,
+                "CkksContext: noise_stddev ", sigma,
+                " is outside [3.19, 2^56]; the public key would reveal the secret key");
 
   // Generate distinct primes; group requests by bit size to avoid collisions.
   std::vector<u64> taken;

@@ -21,7 +21,7 @@ struct CkksParams {
   std::vector<int> q_bits = {60, 40, 40, 40, 40, 40};
   int special_bits = 60;                    ///< key-switching prime P
   double scale = 1099511627776.0;           ///< default Delta = 2^40
-  double noise_stddev = 3.2;                ///< discrete Gaussian sigma
+  double noise_stddev = 3.2;                ///< discrete Gaussian sigma, in [3.19, 2^56]
   std::uint64_t seed = 42;                  ///< keygen/encryption randomness
 
   /// Chain sized for `depth` sequential multiplications at ring size `n`:

@@ -34,7 +34,7 @@ struct EvalStats {
 /// pins this). `relins`/`rescales` are the eager upper bound (lazy
 /// relinearization executes fewer); `plain_mults` counts the coefficient
 /// folds (one per nonzero non-constant coefficient), a close estimate.
-/// `smartpaf::Planner` weighs these counts with a measured `CostModel`.
+/// `smartpaf::Planner` weighs these counts with a `CostModel`.
 struct SchedulePrediction {
   int ct_mults = 0;
   int relins = 0;      ///< eager bound; under lazy relin, executed <= this

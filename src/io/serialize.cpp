@@ -18,7 +18,6 @@ const char* kind_name(BlobKind k) {
     case BlobKind::SecretKey: return "SecretKey";
     case BlobKind::KSwitchKey: return "KSwitchKey";
     case BlobKind::GaloisKeys: return "GaloisKeys";
-    case BlobKind::Plan: return "Plan";
     case BlobKind::RotationSteps: return "RotationSteps";
     case BlobKind::TrainingState: return "TrainingState";
   }
@@ -149,65 +148,6 @@ fhe::KSwitchKey read_kswitch(WireReader& r, const fhe::CkksContext& ctx) {
               "wire: key-switch digits must be NTT form over the extended basis");
   }
   return key;
-}
-
-void write_linear_stage(WireWriter& w, const smartpaf::LinearStage& lin) {
-  w.f64_vec(lin.scale);
-  w.f64_vec(lin.bias);
-}
-
-smartpaf::LinearStage read_linear_stage(WireReader& r) {
-  smartpaf::LinearStage lin;
-  lin.scale = r.f64_vec();
-  lin.bias = r.f64_vec();
-  return lin;
-}
-
-void write_layout(WireWriter& w, const smartpaf::StageLayout& l) {
-  w.u8(static_cast<std::uint8_t>(l.kind));
-  w.u64(l.width);
-  w.i32(l.blocks);
-  w.u64(l.block_width);
-  for (int v : {l.channels, l.height, l.width_px, l.ch_stride, l.row_stride,
-                l.elem_stride, l.chans_per_block})
-    w.i32(v);
-}
-
-/// Reads a stage layout and accepts it only as the layout its defining
-/// fields derive at the plan's slot `extent`: layout_slot() divides by and
-/// indexes with the derived ones (blocks, block width, channels per block).
-smartpaf::StageLayout read_layout(WireReader& r, std::size_t extent) {
-  using smartpaf::StageLayout;
-  StageLayout l;
-  const std::uint8_t kind = r.u8();
-  sp::check(kind <= 1, "wire: unknown stage layout kind tag");
-  l.kind = static_cast<StageLayout::Kind>(kind);
-  l.width = r.u64();
-  l.blocks = r.i32();
-  l.block_width = r.u64();
-  for (int* v : {&l.channels, &l.height, &l.width_px, &l.ch_stride, &l.row_stride,
-                 &l.elem_stride, &l.chans_per_block})
-    *v = r.i32();
-  sp::check(l.blocks >= 1, "wire: stage layout needs at least one block");
-  StageLayout derived;
-  if (l.kind == StageLayout::Kind::Dense) {
-    sp::check(l.width >= 1, "wire: dense layout needs at least one element");
-    derived = StageLayout::dense(l.width, extent);
-  } else {
-    sp::check(l.channels >= 1 && l.height >= 1 && l.width_px >= 1 && l.ch_stride >= 1 &&
-                  l.row_stride >= 1 && l.elem_stride >= 1 && l.chans_per_block >= 1,
-              "wire: grid layout dimensions and strides must be positive");
-    // Every grid the pipeline builds keeps a channel plane's spatial extent
-    // below ch_stride; checked in 64 bits before grid() sums it in int.
-    sp::check(std::int64_t{l.height - 1} * l.row_stride +
-                      std::int64_t{l.width_px - 1} * l.elem_stride <
-                  l.ch_stride,
-              "wire: grid layout rows overrun their channel plane");
-    derived = StageLayout::grid(l.channels, l.height, l.width_px, l.ch_stride,
-                                l.row_stride, l.elem_stride, extent);
-  }
-  sp::check(l == derived, "wire: stage layout disagrees with the plan's slot extent");
-  return l;
 }
 
 std::vector<std::uint8_t> finish(WireWriter& w) { return w.take(); }
@@ -462,96 +402,7 @@ fhe::GaloisKeys deserialize_galois_keys(const std::vector<std::uint8_t>& bytes,
   return keys;
 }
 
-// -------------------------------------------------------------------- plan --
-
-std::vector<std::uint8_t> serialize(const smartpaf::Plan& plan,
-                                    const fhe::CkksContext& ctx) {
-  WireWriter w;
-  write_header(w, BlobKind::Plan, params_fingerprint(ctx.params()));
-  w.i32(plan.chain_levels);
-  w.i32(plan.levels_used);
-  w.u64(plan.pack_stride);
-  w.f64(plan.predicted_cost);
-  w.boolean(plan.measured_costs);
-  w.u64(plan.stages.size());
-  for (const smartpaf::StagePlan& st : plan.stages) {
-    w.str(st.label);
-    w.i32(st.level_in);
-    w.i32(st.level_out);
-    w.boolean(st.folded);
-    w.boolean(st.merged_into_next);
-    w.boolean(st.merged_linear.has_value());
-    if (st.merged_linear) write_linear_stage(w, *st.merged_linear);
-    w.f64(st.pre_factor);
-    w.u8(static_cast<std::uint8_t>(st.strategy));
-    w.boolean(st.lazy_relin);
-    w.boolean(st.hoist_fan);
-    w.i32_vec(st.rotation_steps);
-    w.i32_vec(st.giant_steps);
-    w.i32(st.n1);
-    w.u64(st.width_in);
-    w.u64(st.width_out);
-    write_layout(w, st.layout_in);
-    write_layout(w, st.layout_out);
-    w.i32(st.ops.ct_mults);
-    w.i32(st.ops.relins);
-    w.i32(st.ops.rescales);
-    w.i32(st.ops.plain_mults);
-    w.i32(st.ops.levels);
-    w.f64(st.predicted_cost);
-  }
-  return finish(w);
-}
-
-smartpaf::Plan deserialize_plan(const std::vector<std::uint8_t>& bytes,
-                                const fhe::CkksContext& ctx) {
-  WireReader r(bytes);
-  expect_header(r, BlobKind::Plan, params_fingerprint(ctx.params()));
-  smartpaf::Plan plan;
-  plan.chain_levels = r.i32();
-  plan.levels_used = r.i32();
-  plan.pack_stride = r.u64();
-  const std::size_t slots = ctx.slot_count();
-  sp::check(plan.pack_stride <= slots && (plan.pack_stride == 0 || slots % plan.pack_stride == 0),
-            "wire: plan pack stride must divide the slot count");
-  const std::size_t extent = plan.pack_stride != 0 ? plan.pack_stride : slots;
-  plan.predicted_cost = r.f64();
-  plan.measured_costs = r.boolean();
-  const std::uint64_t stages = r.u64();
-  plan.stages.reserve(stages);
-  for (std::uint64_t i = 0; i < stages; ++i) {
-    smartpaf::StagePlan st;
-    st.label = r.str();
-    st.level_in = r.i32();
-    st.level_out = r.i32();
-    st.folded = r.boolean();
-    st.merged_into_next = r.boolean();
-    if (r.boolean()) st.merged_linear = read_linear_stage(r);
-    st.pre_factor = r.f64();
-    const std::uint8_t strategy = r.u8();
-    sp::check(strategy <= 1, "wire: unknown PAF strategy tag");
-    st.strategy = static_cast<fhe::PafEvaluator::Strategy>(strategy);
-    st.lazy_relin = r.boolean();
-    st.hoist_fan = r.boolean();
-    st.rotation_steps = r.i32_vec();
-    st.giant_steps = r.i32_vec();
-    st.n1 = r.i32();
-    sp::check(st.n1 >= -1, "wire: stage split n1 must be >= -1");
-    st.width_in = r.u64();
-    st.width_out = r.u64();
-    st.layout_in = read_layout(r, extent);
-    st.layout_out = read_layout(r, extent);
-    st.ops.ct_mults = r.i32();
-    st.ops.relins = r.i32();
-    st.ops.rescales = r.i32();
-    st.ops.plain_mults = r.i32();
-    st.ops.levels = r.i32();
-    st.predicted_cost = r.f64();
-    plan.stages.push_back(std::move(st));
-  }
-  r.expect_done();
-  return plan;
-}
+// ----------------------------------------------------------- serving extras --
 
 std::vector<std::uint8_t> serialize_rotation_steps(const std::vector<int>& steps,
                                                    const fhe::CkksContext& ctx) {

@@ -6,13 +6,13 @@
 #include "fhe/encoder.h"
 #include "fhe/keys.h"
 #include "io/wire.h"
-#include "smartpaf/pipeline_planner.h"
 
 namespace sp::io {
 
 /// Versioned binary (de)serialization for everything that crosses the
 /// serving process boundary: ring parameters, RNS polynomials, plaintexts,
-/// ciphertexts, key material and execution plans.
+/// ciphertexts, key material and rotation-step lists. Plans never cross it:
+/// the process that runs a plan makes it with Planner::plan.
 ///
 /// Every blob starts with the same header:
 ///
@@ -89,22 +89,13 @@ std::vector<std::uint8_t> serialize(const fhe::GaloisKeys& keys);
 fhe::GaloisKeys deserialize_galois_keys(const std::vector<std::uint8_t>& bytes,
                                         const fhe::CkksContext& ctx);
 
-// --------------------------------------------------------------------- plan --
-
-/// Plans carry the fingerprint of the context they were planned against:
-/// strategy/fan/merge decisions are only valid for that chain.
-std::vector<std::uint8_t> serialize(const smartpaf::Plan& plan,
-                                    const fhe::CkksContext& ctx);
-smartpaf::Plan deserialize_plan(const std::vector<std::uint8_t>& bytes,
-                                const fhe::CkksContext& ctx);
-
 // ----------------------------------------------------------- serving extras --
 
-/// Rotation-step list for the serving handshake: after sending the plan, the
-/// server tells the client every slot offset its schedule rotates by
-/// (pipeline fans PLUS the executor's packing strides), and the client
-/// answers with Galois keys covering exactly that set — the server holds no
-/// secret key, so it cannot mint the keys itself.
+/// Rotation-step list for the serving handshake: the server plans on the
+/// client's parameter set and tells the client every slot offset its
+/// schedule rotates by (pipeline fans PLUS the executor's packing strides),
+/// and the client answers with Galois keys covering exactly that set — the
+/// server holds no secret key, so it cannot mint the keys itself.
 std::vector<std::uint8_t> serialize_rotation_steps(const std::vector<int>& steps,
                                                    const fhe::CkksContext& ctx);
 std::vector<int> deserialize_rotation_steps(const std::vector<std::uint8_t>& bytes,

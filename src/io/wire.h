@@ -32,8 +32,9 @@ constexpr std::uint32_t kMagic = 0x42575053u;  // 'S','P','W','B' little-endian
 ///
 /// v2: BlobKind::TrainingState added (encrypted-training checkpoints) and
 /// the length-prefixed raw-blob helper it nests ciphertexts with.
-/// v3: Plan stages carry the unified rotation-sum split `n1` and both
-/// StageLayouts (a v2 plan dropped conv schedules and grid layouts).
+/// v3: Plan stages carried the unified rotation-sum split `n1` and both
+/// StageLayouts. Plan blobs have since been retired without a bump: no
+/// remaining blob changed layout.
 constexpr std::uint16_t kVersion = 3;
 
 /// Payload type tag carried in every header, so a blob handed to the wrong
@@ -47,7 +48,7 @@ enum class BlobKind : std::uint16_t {
   SecretKey = 6,
   KSwitchKey = 7,
   GaloisKeys = 8,
-  Plan = 9,
+  // 9 was Plan (retired; plans never leave the process that runs them): never reuse.
   RotationSteps = 10,  ///< serving handshake: steps the server's schedule needs
   TrainingState = 11,  ///< encrypted-training checkpoint (train::TrainingState)
 };
@@ -86,11 +87,6 @@ class WireWriter {
     u64(count);
     const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), bytes, bytes + count * sizeof(std::uint64_t));
-  }
-  /// Length-prefixed double vector (bit patterns).
-  void f64_vec(const std::vector<double>& v) {
-    u64(v.size());
-    for (double d : v) f64(d);
   }
   void i32_vec(const std::vector<int>& v) {
     u64(v.size());
@@ -175,12 +171,6 @@ class WireReader {
     need(bytes);
     std::memcpy(out, data_ + pos_, bytes);
     pos_ += bytes;
-  }
-  std::vector<double> f64_vec() {
-    const std::uint64_t count = checked_count(8);
-    std::vector<double> v(count);
-    for (auto& d : v) d = f64();
-    return v;
   }
   std::vector<int> i32_vec() {
     const std::uint64_t count = checked_count(4);

@@ -893,8 +893,8 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
   sp::check_fmt(tile <= slots && slots % tile == 0, "FhePipeline::run: pack stride ", tile,
                 " must divide the ", slots, " slots");
   // The rotation-sum generators index slots through these layouts, so a
-  // plan (possibly decoded from bytes) runs only with the ones this
-  // pipeline derives at its tile.
+  // plan runs only with the ones this pipeline derives at its tile: a plan
+  // made for another pipeline or stride is refused here, never executed.
   const auto layouts = stage_layouts(tile);
   for (std::size_t i = 0; i < stages_.size(); ++i)
     sp::check_fmt(plan.stages[i].layout_in == layouts[i].first &&
@@ -962,7 +962,7 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
     }
 
     const auto& paf = std::get<PafStage>(st.op);
-    const fhe::PafEvaluator pe(rt.ctx(), enc, rt.relin_key(), sp_.strategy, sp_.lazy_relin);
+    const fhe::PafEvaluator pe(rt.ctx(), enc, rt.relin_key(), sp_.strategy);
     if (paf.kind == SiteKind::ReLU) {
       // Slot-wise, so every block passes through the same envelope (the
       // zero padding slots of partial blocks stay zero: relu(0) == 0).

@@ -195,7 +195,7 @@ struct Stage {
 /// replaced by smartpaf::replace and converted to Static Scaling.
 ///
 /// The pipeline is pure structure: `Planner::plan` validates it against a
-/// prime chain and picks per-stage schedules from a (measured) CostModel —
+/// prime chain and picks per-stage schedules from a CostModel —
 /// inspectable via Plan::describe() before any encryption — and `run()`
 /// executes a plan on a ciphertext through a shared FheRuntime. A packed
 /// batch is one ciphertext like any other: plan it with
@@ -321,9 +321,9 @@ class FhePipeline {
   ///
   /// Rotation keys for every fan are drawn from the runtime's deduplicated
   /// rotation_keys() store (generated on first use, shared across stages and
-  /// call sites). Each PAF stage runs on its own PafEvaluator built from
-  /// the plan's strategy and lazy_relin, so runs never change a schedule
-  /// on the shared runtime.
+  /// call sites). Each PAF stage runs on its own lazy-relin PafEvaluator
+  /// built from the plan's strategy, so runs never change a schedule on the
+  /// shared runtime.
   /// @param rt     shared CKKS machinery
   /// @param plan   a Plan produced by Planner::plan for THIS pipeline
   /// @param in     input ciphertext with at least plan.levels_used levels

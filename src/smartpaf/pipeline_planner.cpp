@@ -2,166 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <set>
 #include <sstream>
 
 #include "common/check.h"
-#include "common/rng.h"
-#include "common/stats.h"
-#include "common/timer.h"
-#include "smartpaf/fhe_deploy.h"
 
 namespace sp::smartpaf {
-namespace {
-
-/// Times `op` over fresh `setup()` state, returning the median ms.
-template <typename Setup, typename Op>
-double time_op(int repeats, const Setup& setup, const Op& op) {
-  std::vector<double> ts;
-  ts.reserve(static_cast<std::size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    auto state = setup();
-    sp::Timer t;
-    op(state);
-    ts.push_back(t.ms());
-  }
-  return sp::median(ts);
-}
-
-/// JSON helpers for the tiny flat cost-table object (no external deps).
-void json_field(std::ostringstream& os, const char* key, double v, bool last = false) {
-  os << "  \"" << key << "\": " << std::setprecision(17) << v << (last ? "\n" : ",\n");
-}
-
-bool json_read(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str() + colon + 1, &end);
-  if (end == text.c_str() + colon + 1) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- CostModel --
-
-CostModel CostModel::calibrate(FheRuntime& rt, int repeats) {
-  sp::check(repeats >= 1, "CostModel::calibrate: repeats must be >= 1");
-  CostModel cm;
-  cm.measured = true;
-  cm.poly_degree = rt.ctx().n();
-  cm.q_count = rt.ctx().q_count();
-
-  fhe::Evaluator& ev = rt.evaluator();
-  const auto slots = rt.ctx().slot_count();
-  sp::Rng rng(99);
-  std::vector<double> va(slots), vb(slots);
-  for (auto& v : va) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : vb) v = rng.uniform(-1.0, 1.0);
-  const fhe::Ciphertext a = rt.encrypt(va);
-  const fhe::Ciphertext b = rt.encrypt(vb);
-  const std::shared_ptr<const fhe::GaloisKeys> gk_snapshot = rt.rotation_keys({1});
-  const fhe::GaloisKeys& gk = *gk_snapshot;
-  const fhe::Plaintext pt = rt.encoder().encode(vb, rt.ctx().scale(), a.q_count());
-
-  const auto no_setup = [] { return 0; };
-  cm.ct_mult_ms = time_op(repeats, no_setup, [&](int) { (void)ev.multiply(a, b); });
-
-  fhe::Ciphertext prod = ev.multiply(a, b);
-  cm.relin_ms = time_op(
-      repeats, [&] { return prod; },
-      [&](fhe::Ciphertext& c) { ev.relinearize_inplace(c, rt.relin_key()); });
-
-  fhe::Ciphertext relin = prod;
-  ev.relinearize_inplace(relin, rt.relin_key());
-  cm.rescale_ms = time_op(
-      repeats, [&] { return relin; },
-      [&](fhe::Ciphertext& c) { ev.rescale_inplace(c); });
-
-  cm.plain_mult_ms = time_op(
-      repeats, [&] { return a; },
-      [&](fhe::Ciphertext& c) { ev.multiply_plain_inplace(c, pt); });
-
-  cm.add_ms = time_op(repeats, no_setup, [&](int) { (void)ev.add(a, b); });
-  cm.rotate_ms = time_op(repeats, no_setup, [&](int) { (void)ev.rotate(a, 1, gk); });
-  cm.hoist_ms = time_op(repeats, no_setup, [&](int) { (void)ev.hoist(a); });
-
-  const fhe::HoistedDecomposition h = ev.hoist(a);
-  cm.hoisted_rotate_ms =
-      time_op(repeats, no_setup, [&](int) { (void)ev.rotate_hoisted(h, 1, gk); });
-  return cm;
-}
-
-bool CostModel::matches(const fhe::CkksContext& ctx) const {
-  return poly_degree == ctx.n() && q_count == ctx.q_count();
-}
-
-std::string CostModel::to_json() const {
-  std::ostringstream os;
-  os << "{\n";
-  json_field(os, "poly_degree", static_cast<double>(poly_degree));
-  json_field(os, "q_count", static_cast<double>(q_count));
-  json_field(os, "measured", measured ? 1.0 : 0.0);
-  json_field(os, "ct_mult_ms", ct_mult_ms);
-  json_field(os, "relin_ms", relin_ms);
-  json_field(os, "rescale_ms", rescale_ms);
-  json_field(os, "plain_mult_ms", plain_mult_ms);
-  json_field(os, "add_ms", add_ms);
-  json_field(os, "rotate_ms", rotate_ms);
-  json_field(os, "hoist_ms", hoist_ms);
-  json_field(os, "hoisted_rotate_ms", hoisted_rotate_ms, /*last=*/true);
-  os << "}\n";
-  return os.str();
-}
-
-std::optional<CostModel> CostModel::from_json(const std::string& text) {
-  CostModel cm;
-  double pd = 0.0, qc = 0.0, measured = 0.0;
-  if (!json_read(text, "poly_degree", &pd) || !json_read(text, "q_count", &qc) ||
-      !json_read(text, "measured", &measured))
-    return std::nullopt;
-  if (!json_read(text, "ct_mult_ms", &cm.ct_mult_ms) ||
-      !json_read(text, "relin_ms", &cm.relin_ms) ||
-      !json_read(text, "rescale_ms", &cm.rescale_ms) ||
-      !json_read(text, "plain_mult_ms", &cm.plain_mult_ms) ||
-      !json_read(text, "add_ms", &cm.add_ms) ||
-      !json_read(text, "rotate_ms", &cm.rotate_ms) ||
-      !json_read(text, "hoist_ms", &cm.hoist_ms) ||
-      !json_read(text, "hoisted_rotate_ms", &cm.hoisted_rotate_ms))
-    return std::nullopt;
-  cm.poly_degree = static_cast<std::size_t>(pd);
-  cm.q_count = static_cast<int>(qc);
-  cm.measured = measured != 0.0;
-  return cm;
-}
-
-CostModel CostModel::load_or_calibrate(FheRuntime& rt, const std::string& path,
-                                       int repeats) {
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      const auto cached = from_json(ss.str());
-      if (cached && cached->measured && cached->matches(rt.ctx())) return *cached;
-    }
-  }
-  CostModel cm = calibrate(rt, repeats);
-  std::error_code ec;
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream out(path);
-  if (out) out << cm.to_json();
-  return cm;
-}
 
 double CostModel::eval_cost(const fhe::SchedulePrediction& ops) const {
   return ops.ct_mults * ct_mult_ms + ops.relins * relin_ms +
@@ -179,8 +28,7 @@ std::string Plan::describe() const {
   std::ostringstream os;
   os << "FhePipeline plan: " << stages.size() << " stages, " << levels_used << "/"
      << chain_levels << " levels, predicted cost " << std::fixed
-     << std::setprecision(2) << predicted_cost
-     << (measured_costs ? " ms (measured)" : " units (heuristic)") << "\n";
+     << std::setprecision(2) << predicted_cost << " units\n";
   for (std::size_t i = 0; i < stages.size(); ++i) {
     const StagePlan& s = stages[i];
     os << "  [" << i << "] " << std::left << std::setw(26) << s.label << std::right;
@@ -197,8 +45,8 @@ std::string Plan::describe() const {
       os << "  " << s.layout_in.describe();
       if (s.layout_out.describe() != s.layout_in.describe())
         os << " -> " << s.layout_out.describe();
-    } else if (s.width_in != s.width_out) {
-      os << "  w" << s.width_in << "->" << s.width_out;
+    } else if (s.layout_in.width != s.layout_out.width) {
+      os << "  w" << s.layout_in.width << "->" << s.layout_out.width;
     }
     if (!s.rotation_steps.empty()) {
       if (s.rotation_steps.size() <= 8) {
@@ -216,7 +64,7 @@ std::string Plan::describe() const {
     if (s.merged_linear) os << "  (executes a merged linear run)";
     if (s.ops.ct_mults > 0) {
       os << "  " << (s.strategy == fhe::PafEvaluator::Strategy::BSGS ? "BSGS" : "Ladder")
-         << (s.lazy_relin ? " lazy-relin" : " eager-relin") << "  " << s.ops.ct_mults
+         << " lazy-relin  " << s.ops.ct_mults
          << " ct-mults";
       if (s.pre_factor != 1.0) os << "  pre x" << s.pre_factor;
     }
@@ -382,7 +230,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
 
   Plan plan;
   plan.chain_levels = chain;
-  plan.measured_costs = cost.measured;
   plan.pack_stride = opts.pack_stride;
   plan.stages.resize(stages.size());
 
@@ -454,8 +301,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
     sp_.level_in = level;
     sp_.layout_in = layouts[i].first;
     sp_.layout_out = layouts[i].second;
-    sp_.width_in = sp_.layout_in.width;
-    sp_.width_out = sp_.layout_out.width;
     if (absorbed[i]) {
       sp_.folded = true;
       sp_.merged_into_next = true;

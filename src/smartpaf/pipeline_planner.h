@@ -9,56 +9,26 @@
 
 namespace sp::smartpaf {
 
-class FheRuntime;  // smartpaf/fhe_deploy.h
-
 /// Per-operation cost table the Planner weighs schedule candidates with.
 ///
-/// Two sources: `heuristic()` reproduces the historical ct-ct-mult-count
-/// model (relative unit weights; picks BSGS and hoisted fans exactly like
-/// the pre-planner code paths), and `calibrate()` micro-benchmarks every
-/// primitive on a live FheRuntime at its top level — multiply, relinearize,
-/// rescale, plaintext multiply, add, rotate, hoist, hoisted rotate — so the
-/// plan reflects what THIS parameter set actually pays. Calibrated tables
-/// serialize to JSON (`load_or_calibrate` caches one per parameter set,
-/// fingerprinted by ring size and chain length).
+/// `heuristic()` reproduces the historical ct-ct-mult-count model as
+/// relative unit weights: it picks BSGS and hoisted fans exactly like the
+/// pre-planner code paths. Every caller plans with it; a hand-built table
+/// only pins planner decisions in tests.
 struct CostModel {
   double ct_mult_ms = 1.0;
   double relin_ms = 0.3;
   double rescale_ms = 0.15;
   double plain_mult_ms = 0.05;
-  double add_ms = 0.01;
   double rotate_ms = 1.0;          ///< naive rotation (decompose + key inner product)
   double hoist_ms = 0.25;          ///< one-time fan decomposition
   double hoisted_rotate_ms = 0.5;  ///< per-rotation cost after hoisting
 
-  std::size_t poly_degree = 0;  ///< fingerprint: ring size the table was measured at
-  int q_count = 0;              ///< fingerprint: chain length
-  bool measured = false;        ///< false for the heuristic unit table
-
   /// @brief The historical ct-ct-mult-count model as relative unit weights.
   static CostModel heuristic() { return CostModel(); }
 
-  /// @brief Micro-benchmarks every evaluator primitive on `rt` (median of
-  /// `repeats` timed runs each, at top level). Performs real homomorphic
-  /// operations: expect a few hundred ms and counter increments.
-  static CostModel calibrate(FheRuntime& rt, int repeats = 5);
-
-  /// @brief Returns the table cached at `path` when its fingerprint matches
-  /// `rt`'s parameter set; otherwise calibrates and (best-effort) writes the
-  /// file, creating parent directories.
-  static CostModel load_or_calibrate(FheRuntime& rt, const std::string& path,
-                                     int repeats = 5);
-
-  /// @brief True when the fingerprint matches the context's parameter set.
-  bool matches(const fhe::CkksContext& ctx) const;
-
-  /// @brief Serializes the table to a one-object JSON string.
-  std::string to_json() const;
-  /// @brief Parses to_json() output; nullopt on malformed input.
-  static std::optional<CostModel> from_json(const std::string& text);
-
-  /// @brief Predicted cost (ms for measured tables, unit-weight score
-  /// otherwise) of a schedule's mult/relin/rescale/plain counts.
+  /// @brief Predicted cost (units of the table's weights) of a schedule's
+  /// mult/relin/rescale/plain counts.
   double eval_cost(const fhe::SchedulePrediction& ops) const;
   /// @brief Predicted cost of a rotation fan of `fan_size` steps.
   double fan_cost(int fan_size, bool hoisted) const;
@@ -79,7 +49,6 @@ struct StagePlan {
   double pre_factor = 1.0;   ///< PAF-ReLU: scalar folded into the envelope
   /// PAF stages: the schedule run_blocks builds the stage's evaluator with.
   fhe::PafEvaluator::Strategy strategy = fhe::PafEvaluator::Strategy::BSGS;
-  bool lazy_relin = true;  ///< planned true; eager only in an edited plan
   bool hoist_fan = true;           ///< rotation fans share one decomposition
   /// Hoistable fan from the stage input (pool taps, and the baby steps of
   /// every input block of a rotation-sum stage).
@@ -91,8 +60,6 @@ struct StagePlan {
   /// size (matmul splits the diagonal step, conv the channel offset).
   /// -1 for linear and PAF stages.
   int n1 = -1;
-  std::size_t width_in = 0;        ///< tracked slot-layout width entering
-  std::size_t width_out = 0;       ///< ... and leaving the stage
   StageLayout layout_in;           ///< slot layout entering the stage
   StageLayout layout_out;          ///< ... and leaving it
   fhe::SchedulePrediction ops;     ///< predicted evaluator op counts
@@ -110,7 +77,6 @@ struct Plan {
   /// this stride so every packed request computes its own product.
   std::size_t pack_stride = 0;
   double predicted_cost = 0.0;
-  bool measured_costs = false;  ///< cost column is calibrated ms, not units
 
   /// @brief Human-readable plan: one line per stage with level span,
   /// schedule choice, fan/hoisting, fold target and predicted cost.
@@ -155,13 +121,13 @@ class Planner {
   /// Decisions: adjacent-linear merging (one rescale per run),
   /// scalar-linear folding (RescalePolicy), the n1 split of every
   /// matmul/conv rotation-sum and hoisted-vs-naive rotation fans — all by
-  /// `cost.eval_cost`/`fan_cost`, so a calibrated table plans from measured
-  /// latencies instead of op counts. PAF stages run BSGS with lazy-relin
-  /// joins unless `force_strategy` pins Ladder. Planning is deterministic:
-  /// the same pipeline and cost table always produce the same plan.
+  /// `cost.eval_cost`/`fan_cost`. PAF stages run BSGS with lazy-relin joins
+  /// unless `force_strategy` pins Ladder. Planning is deterministic: the
+  /// same pipeline and cost table always produce the same plan, so the
+  /// process that runs a plan makes its own.
   /// @param pipe  the stage graph
   /// @param ctx   parameter set to validate against (no keys needed)
-  /// @param cost  heuristic or calibrated cost table
+  /// @param cost  cost table (CostModel::heuristic() outside tests)
   /// @param opts  overrides (forced strategies for benchmarking, etc.)
   static Plan plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
                    const CostModel& cost, const PlanOptions& opts = {});

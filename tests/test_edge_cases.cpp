@@ -160,6 +160,25 @@ TEST(EdgeChecks, ContextRejectsEmptyChain) {
   EXPECT_THROW(CkksContext ctx(p), sp::Error);
 }
 
+TEST(EdgeChecks, ContextRejectsUnsafeNoiseWidth) {
+  // sigma = 0 samples no error; NaN, inf and 1e300 overflow the sampler into
+  // one constant; 1.0 and -3.2 sit below the HE-standard width. Each would
+  // let the public key reveal the secret key.
+  for (const double sigma : {0.0, -3.2, std::nan(""), HUGE_VAL, 1.0, 1e300}) {
+    CkksParams p = CkksParams::test_small();
+    p.noise_stddev = sigma;
+    try {
+      CkksContext ctx(p);
+      ADD_FAILURE() << "sigma " << sigma << " accepted";
+    } catch (const sp::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("noise_stddev"), std::string::npos) << e.what();
+    }
+  }
+  CkksParams p = CkksParams::test_small();
+  p.noise_stddev = 3.19;
+  EXPECT_NO_THROW(CkksContext ctx(p));
+}
+
 TEST(EdgeChecks, CompositeRejectsEmptyStageList) {
   EXPECT_THROW(approx::CompositePaf("x", {}), sp::Error);
 }

@@ -95,8 +95,8 @@ TEST_F(MatMulFheTest, ParityVsLinearForwardAcrossShapes) {
     const auto plan =
         smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
     EXPECT_EQ(plan.levels_used, 1);
-    EXPECT_EQ(plan.stages[0].width_in, static_cast<std::size_t>(s.in));
-    EXPECT_EQ(plan.stages[0].width_out, static_cast<std::size_t>(s.out));
+    EXPECT_EQ(plan.stages[0].layout_in.width, static_cast<std::size_t>(s.in));
+    EXPECT_EQ(plan.stages[0].layout_out.width, static_cast<std::size_t>(s.out));
 
     const std::vector<double> got =
         rt_->decrypt(pipe.run(*rt_, plan, rt_->encrypt(slots)));
@@ -209,8 +209,8 @@ TEST_F(MatMulFheTest, CompactStageParityAndWidths) {
   const auto plan =
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   EXPECT_EQ(plan.levels_used, 1);
-  EXPECT_EQ(plan.stages[0].width_in, width);
-  EXPECT_EQ(plan.stages[0].width_out, width / stride);
+  EXPECT_EQ(plan.stages[0].layout_in.width, width);
+  EXPECT_EQ(plan.stages[0].layout_out.width, width / stride);
   // Output slot i takes x[i * stride] via the step i * (stride - 1).
   EXPECT_EQ(plan.stages[0].rotation_steps,
             (std::vector<int>{3, 6, 9, 12, 15, 18, 21}));
@@ -447,8 +447,8 @@ TEST_F(MatMulFheTest, MlpHeadWithStride2PoolLowersEndToEnd) {
   // deg-3 pairwise max (4) + compact (1) + matmul (1) + deg-7 ReLU (5) +
   // matmul (1) — exactly the 12-level chain.
   EXPECT_EQ(plan.levels_used, 12);
-  EXPECT_EQ(plan.stages[1].width_in, 48u);
-  EXPECT_EQ(plan.stages[1].width_out, 24u);
+  EXPECT_EQ(plan.stages[1].layout_in.width, 48u);
+  EXPECT_EQ(plan.stages[1].layout_out.width, 24u);
 
   sp::Rng rng(53);
   nn::Tensor x({1, cfg.in_features});

@@ -189,8 +189,12 @@ TEST_F(ServeTest, ExecutorFlushesOnDeadlineWhenGroupIsShort) {
       io::serialize(*client_->rotation_keys(exec.required_rotation_steps(*session))),
       session->runtime().ctx()));
 
-  ASSERT_TRUE(exec.submit(session, request_for(*session, {0.25})).accepted);
-  ASSERT_TRUE(exec.submit(session, request_for(*session, {0.5})).accepted);
+  // Both ciphertexts exist before the first submit starts the deadline, so
+  // a slow encryption cannot flush the first request alone.
+  fhe::Ciphertext first = request_for(*session, {0.25});
+  fhe::Ciphertext second = request_for(*session, {0.5});
+  ASSERT_TRUE(exec.submit(session, std::move(first)).accepted);
+  ASSERT_TRUE(exec.submit(session, std::move(second)).accepted);
   const auto outcomes = sink.wait_for(2);
   for (const serve::Outcome& o : outcomes) {
     EXPECT_EQ(o.kind, serve::Outcome::Kind::Completed);

@@ -1,14 +1,15 @@
 // sp::io wire-format net: golden-blob version pinning (byte-level, plus
 // size and digest pins of polynomial, ciphertext and key blobs), wire
 // primitive round trips, bit-identical (de)serialization of polys /
-// plaintexts / ciphertexts / keys / plans at two parameter sets, header
-// rejection diagnostics (magic, version, kind, fingerprint, truncation,
-// trailing bytes, corrupt lengths, out-of-range residues, malformed stage
-// layouts), a mutation sweep over every residue row of a key-switch key and
-// a ciphertext blob, frame framing, and the serving contract: a keygen-less
-// runtime reconstructed purely from deserialized blobs evaluates a plan — a
-// window pipeline and lenet_small's conv/matmul stages — bit-identically to
-// the key owner.
+// plaintexts / ciphertexts / keys at two parameter sets, header rejection
+// diagnostics (magic, version, kind, fingerprint, truncation, trailing
+// bytes, corrupt lengths, out-of-range residues), a params blob whose noise
+// width a context refuses, mutation sweeps over every residue row of a
+// key-switch key and a ciphertext blob and over a rotation-step list, frame
+// framing, and the serving contract: a keygen-less runtime reconstructed
+// purely from deserialized blobs plans and runs a window pipeline and
+// lenet_small's conv/matmul stages bit-identically to the key owner, and a
+// plan made for another pipeline is refused at run time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,6 +146,17 @@ TEST(WireGolden, GoldenBlobDeserializes) {
   EXPECT_EQ(params.special_bits, 60);
   EXPECT_EQ(params.scale, std::ldexp(1.0, 40));
   EXPECT_NEAR(params.noise_stddev, 3.2, 1e-12);
+}
+
+TEST(WireGolden, ZeroNoiseParamsDecodeButNoContextAcceptsThem) {
+  // The fingerprint leaves the noise width out (covering it would move every
+  // golden header), so zeroing it still decodes. The context a server builds
+  // from that Hello refuses it, so no session opens on it.
+  auto blob = kGoldenParamsBlob;
+  std::fill(blob.end() - 8, blob.end(), 0);  // noise_stddev 0.0
+  const CkksParams params = io::deserialize_params(blob);
+  EXPECT_EQ(params.noise_stddev, 0.0);
+  expect_error_containing([&] { CkksContext ctx(params); }, "noise_stddev 0 ");
 }
 
 // The fixed-layout prologue (header + config + progress + flags) of a
@@ -330,7 +342,7 @@ TEST(WirePrimitives, TruncatedAndMalformedReadsThrow) {
   expect_error_containing(
       [&] {
         io::WireReader r(big.bytes());
-        r.f64_vec();
+        r.i32_vec();
       },
       "length prefix");
   // Bool bytes other than 0/1 are malformed, not truthy.
@@ -475,96 +487,28 @@ TEST_F(WireTest, SecondParamSetRoundTrips) {
   EXPECT_TRUE(polys_equal(poly, io::deserialize_poly(io::serialize(poly), ctx)));
 }
 
-TEST_F(WireTest, PlanRoundTripPreservesSchedule) {
-  const auto pipe = smartpaf::FhePipeline::builder()
-                        .window({0.5, 0.25})
-                        .linear(1.1, 0.2)
-                        .build();
-  const smartpaf::Plan plan =
-      smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
-  const smartpaf::Plan back =
-      io::deserialize_plan(io::serialize(plan, rt_->ctx()), rt_->ctx());
-  EXPECT_EQ(back.chain_levels, plan.chain_levels);
-  EXPECT_EQ(back.levels_used, plan.levels_used);
-  EXPECT_EQ(back.pack_stride, plan.pack_stride);
-  EXPECT_EQ(back.rotation_steps(), plan.rotation_steps());
-  ASSERT_EQ(back.stages.size(), plan.stages.size());
-  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
-    EXPECT_EQ(back.stages[i].label, plan.stages[i].label);
-    EXPECT_EQ(back.stages[i].level_in, plan.stages[i].level_in);
-    EXPECT_EQ(back.stages[i].level_out, plan.stages[i].level_out);
-    EXPECT_EQ(back.stages[i].folded, plan.stages[i].folded);
-    EXPECT_EQ(back.stages[i].rotation_steps, plan.stages[i].rotation_steps);
-  }
-  // The schedule description (what run() consumes) survives verbatim.
-  EXPECT_EQ(back.describe(), plan.describe());
-}
-
-TEST(WirePlan, LenetPlanKeepsSplitsAndLayouts) {
-  // Conv schedules and grid layouts are what run_blocks executes from; a
-  // decoded plan that lost them would run the wrong transform or none.
-  const CkksContext ctx(CkksParams::for_depth(2048, 12, 40));
-  const auto pipe = lenet_pipeline();
-  const smartpaf::Plan plan =
-      smartpaf::Planner::plan(pipe, ctx, smartpaf::CostModel::heuristic());
-  const smartpaf::Plan back = io::deserialize_plan(io::serialize(plan, ctx), ctx);
-  ASSERT_EQ(back.stages.size(), plan.stages.size());
-  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
-    EXPECT_EQ(back.stages[i].n1, plan.stages[i].n1) << i;
-    EXPECT_EQ(back.stages[i].giant_steps, plan.stages[i].giant_steps) << i;
-    EXPECT_TRUE(back.stages[i].layout_in == plan.stages[i].layout_in) << i;
-    EXPECT_TRUE(back.stages[i].layout_out == plan.stages[i].layout_out) << i;
-  }
-  EXPECT_EQ(back.describe(), plan.describe());
-
-  // Malformed layouts are rejected at decode, never run.
-  const auto corrupt = [&](auto&& edit, const char* what) {
-    smartpaf::Plan bad = plan;
-    edit(bad.stages[0].layout_in);
-    expect_error_containing([&] { io::deserialize_plan(io::serialize(bad, ctx), ctx); },
-                            what);
-  };
-  corrupt([](smartpaf::StageLayout& l) { l.kind = static_cast<smartpaf::StageLayout::Kind>(7); },
-          "layout kind");
-  corrupt([](smartpaf::StageLayout& l) { l.blocks = 0; }, "at least one block");
-  corrupt([](smartpaf::StageLayout& l) { l.ch_stride = 0; }, "strides must be positive");
-  corrupt([](smartpaf::StageLayout& l) { l.row_stride = -3; }, "strides must be positive");
-  corrupt([](smartpaf::StageLayout& l) { l.row_stride = l.ch_stride; }, "channel plane");
-  corrupt([](smartpaf::StageLayout& l) { l.chans_per_block += 1; }, "slot extent");
-  corrupt([](smartpaf::StageLayout& l) { l.blocks = 2; }, "slot extent");
-}
-
-TEST_F(WireTest, DecodeAndRunRejectInconsistentMatmulPlans) {
+TEST_F(WireTest, RunRejectsInconsistentMatmulPlans) {
   // A matmul indexes its input by the layout's block width and builds masks
   // tile by tile; a plan whose layout or pack stride disagrees with the
-  // pipeline must be refused at decode and at run time, never executed.
+  // pipeline must be refused at run time, never executed.
   std::vector<double> w(4 * 8);
   for (std::size_t i = 0; i < w.size(); ++i) w[i] = 0.1 * static_cast<double>(i % 5) - 0.2;
   const auto pipe = smartpaf::FhePipeline::builder().input_width(8).matmul(4, 8, w).build();
   const smartpaf::Plan plan =
       smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
   const Ciphertext x = rt_->encrypt(random_slots(41));
-  EXPECT_NO_THROW(pipe.run(*rt_, io::deserialize_plan(io::serialize(plan, rt_->ctx()),
-                                                      rt_->ctx()),
-                           x));
+  EXPECT_NO_THROW(pipe.run(*rt_, plan, x));
 
-  const auto expect_refused = [&](const smartpaf::Plan& bad, const char* decode_error,
-                                  const char* run_error) {
-    expect_error_containing(
-        [&] { io::deserialize_plan(io::serialize(bad, rt_->ctx()), rt_->ctx()); },
-        decode_error);
-    expect_error_containing([&] { pipe.run(*rt_, bad, x); }, run_error);
-  };
   for (const std::size_t block_width : {std::size_t{0}, std::size_t{1}}) {
     smartpaf::Plan bad = plan;
     bad.stages[0].layout_in.blocks = 2;
     bad.stages[0].layout_in.block_width = block_width;
-    expect_refused(bad, "slot extent", "layout does not match");
+    expect_error_containing([&] { pipe.run(*rt_, bad, x); }, "layout does not match");
   }
   // 1000 does not divide the 1024 slots: tiled masks would run off the end.
   smartpaf::Plan bad_stride = plan;
   bad_stride.pack_stride = 1000;
-  expect_refused(bad_stride, "pack stride", "pack stride");
+  expect_error_containing([&] { pipe.run(*rt_, bad_stride, x); }, "pack stride");
 }
 
 // ---------------------------------------------------------------- rejection --
@@ -752,23 +696,71 @@ TEST(WireMutation, PolynomialDecodersRejectEveryMutant) {
   expect_mutant_rejected(decode_ct, fewer, "trailing bytes", "part count -1");
 }
 
+// The rotation-step list is the one planner output that crosses the wire
+// (the server's SessionReady): a round trip, then every cut, the count, the
+// header fields and a foreign context.
+TEST(WireMutation, RotationStepsDecoderRejectsEveryMutant) {
+  const CkksContext& ctx = small_ctx();
+  const std::vector<int> steps = {-24, -1, 1, 2, 3, 16, 511};
+  const auto blob = io::serialize_rotation_steps(steps, ctx);
+  ASSERT_EQ(blob.size(), 16 + 8 + 4 * steps.size());  // header, count, steps
+  EXPECT_EQ(io::deserialize_rotation_steps(blob, ctx), steps);
+  const auto decode = [&](const std::vector<std::uint8_t>& b) {
+    io::deserialize_rotation_steps(b, ctx);
+  };
+
+  // A cut inside the header or the count is a short read; past them, the
+  // count claims more steps than the bytes left.
+  for (std::size_t cut = 0; cut < blob.size(); ++cut)
+    expect_mutant_rejected(decode, std::vector<std::uint8_t>(blob.begin(), blob.begin() + cut),
+                           cut < 16 + 8 ? "truncated" : "length prefix",
+                           "cut at byte " + std::to_string(cut));
+  // An inflated count is refused before anything is allocated.
+  for (const std::int64_t delta : {std::int64_t{1}, std::int64_t{1} << 62}) {
+    auto bad = blob;
+    add_le(bad, 16, 8, delta);
+    expect_mutant_rejected(decode, bad, "length prefix", "count +" + std::to_string(delta));
+  }
+  auto fewer = blob;
+  add_le(fewer, 16, 8, -1);
+  expect_mutant_rejected(decode, fewer, "trailing", "count -1");
+  auto longer = blob;
+  longer.push_back(0);
+  expect_mutant_rejected(decode, longer, "trailing", "one trailing byte");
+
+  // Every other kind tag, the retired Plan tag 9 included.
+  for (int kind = 1; kind <= 11; ++kind) {
+    if (kind == static_cast<int>(io::BlobKind::RotationSteps)) continue;
+    auto bad = blob;
+    add_le(bad, 6, 2, kind - static_cast<int>(io::BlobKind::RotationSteps));
+    expect_mutant_rejected(decode, bad, "expected a RotationSteps",
+                           "kind " + std::to_string(kind));
+  }
+  auto version = blob;
+  add_le(version, 4, 2, 1);
+  expect_mutant_rejected(decode, version, "version", "version +1");
+  auto magic = blob;
+  magic[0] ^= 0x01;
+  expect_mutant_rejected(decode, magic, "magic", "magic");
+  const CkksContext other(CkksParams::for_depth(2048, 3, 40));
+  expect_mutant_rejected(
+      [&](const std::vector<std::uint8_t>& b) { io::deserialize_rotation_steps(b, other); },
+      blob, "fingerprint", "foreign context");
+}
+
 // ----------------------------------------------------------------- serving --
 
-/// Plans `pipe` on the key owner `client`, ships params, public/relin keys,
-/// exactly the plan's Galois keys, the plan and the request blocks as bytes,
-/// runs them on a runtime reconstructed purely from those blobs (fresh
-/// context, no keygen, no secret key), and expects the served blocks to be
-/// BIT-identical to the key owner running the same plan locally. Returns
+/// Runs the serving handshake for `pipe` in one process. The key owner
+/// `client` ships params, public and relin keys as bytes; the server builds
+/// its context and a keygen-less runtime (no secret key) from them, plans on
+/// that context and ships back only the plan's rotation steps; the client
+/// mints exactly those Galois keys and ships them with the request blocks.
+/// The served blocks must be BIT-identical to the client running its own
+/// plan locally, and both plans must describe the same schedule. Returns
 /// the served blocks, decoded back on the client.
 std::vector<Ciphertext> expect_served_bit_identical(
     smartpaf::FheRuntime& client, const smartpaf::FhePipeline& pipe,
     const std::vector<std::vector<double>>& request_blocks) {
-  const smartpaf::Plan plan =
-      smartpaf::Planner::plan(pipe, client.ctx(), smartpaf::CostModel::heuristic());
-  const auto gk_snapshot = client.rotation_keys(plan.rotation_steps());
-  std::vector<Ciphertext> request;
-  for (const auto& b : request_blocks) request.push_back(client.encrypt(b));
-
   auto ctx = std::make_unique<CkksContext>(
       io::deserialize_params(io::serialize(client.ctx().params())));
   const CkksContext& server_ctx = *ctx;
@@ -776,14 +768,24 @@ std::vector<Ciphertext> expect_served_bit_identical(
       std::move(ctx),
       io::deserialize_public_key(io::serialize(client.public_key()), server_ctx),
       io::deserialize_kswitch_key(io::serialize(client.relin_key()), server_ctx),
-      io::deserialize_galois_keys(io::serialize(*gk_snapshot), server_ctx));
+      GaloisKeys{});
   EXPECT_FALSE(server.has_secret_key());
   const smartpaf::Plan server_plan =
-      io::deserialize_plan(io::serialize(plan, client.ctx()), server.ctx());
+      smartpaf::Planner::plan(pipe, server.ctx(), smartpaf::CostModel::heuristic());
+  const std::vector<int> steps = io::deserialize_rotation_steps(
+      io::serialize_rotation_steps(server_plan.rotation_steps(), server.ctx()), client.ctx());
+  server.add_rotation_keys(
+      io::deserialize_galois_keys(io::serialize(*client.rotation_keys(steps)), server.ctx()));
+
+  std::vector<Ciphertext> request;
+  for (const auto& b : request_blocks) request.push_back(client.encrypt(b));
   std::vector<Ciphertext> server_request;
   for (const Ciphertext& ct : request)
     server_request.push_back(io::deserialize_ciphertext(io::serialize(ct), server.ctx()));
 
+  const smartpaf::Plan plan =
+      smartpaf::Planner::plan(pipe, client.ctx(), smartpaf::CostModel::heuristic());
+  EXPECT_EQ(server_plan.describe(), plan.describe());
   const std::vector<Ciphertext> local = pipe.run_blocks(client, plan, request);
   const std::vector<Ciphertext> served = pipe.run_blocks(server, server_plan, server_request);
   std::vector<Ciphertext> back;
@@ -795,7 +797,7 @@ std::vector<Ciphertext> expect_served_bit_identical(
   return back;
 }
 
-TEST_F(WireTest, KeygenlessRuntimeEvaluatesDeserializedPlanBitIdentically) {
+TEST_F(WireTest, KeygenlessRuntimeRunsItsOwnPlanBitIdentically) {
   const auto pipe = smartpaf::FhePipeline::builder()
                         .window({0.4, 0.3, 0.2})
                         .linear(0.9, 0.05)
@@ -815,7 +817,8 @@ TEST_F(WireTest, KeygenlessRuntimeEvaluatesDeserializedPlanBitIdentically) {
 
 TEST(WireServing, KeygenlessRuntimeRunsLenetPlanBitIdentically) {
   // Conv and matmul stages execute from the plan's splits and grid
-  // layouts, so the served run only matches when the blob carries them.
+  // layouts, so the served run only matches when the server's plan makes
+  // the same ones from the shipped parameter set.
   smartpaf::FheRuntime client(CkksParams::for_depth(2048, 12, 40), /*seed=*/78);
   const auto pipe = lenet_pipeline();
   const auto layouts = pipe.stage_layouts(client.ctx().slot_count());
