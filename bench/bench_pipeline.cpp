@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
   const Ciphertext in = rt.encrypt(slots);
   const std::vector<double> ref = pipe.reference(slots);
 
+  const smartpaf::CostModel cm = smartpaf::CostModel::heuristic();
   // One untimed evaluation warms the NTT tables / allocator so the first
   // timed candidate is not penalized.
-  const smartpaf::CostModel cm = smartpaf::CostModel::heuristic();
   (void)pipe.run(rt, smartpaf::Planner::plan(pipe, rt.ctx(), cm), in);
 
   std::vector<smartpaf::Plan> plans;

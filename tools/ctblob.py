@@ -30,7 +30,7 @@ KIND_NAMES = {
     6: "SecretKey",
     7: "KSwitchKey",
     8: "GaloisKeys",
-    9: "Plan",
+    9: "retired(Plan)",  # no current decoder accepts it
     10: "RotationSteps",
     11: "TrainingState",
 }
