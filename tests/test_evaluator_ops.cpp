@@ -347,6 +347,16 @@ const OpPin kOpPins[] = {
     {"n8192.c11.relin", 0x0201a50f2ee078d3ULL},
     {"n8192.c11.rotate", 0xc324d75963f1ca35ULL},
     {"n8192.c11.fan3", 0xbd83cc1ccca6a57bULL},
+    {"n2048d20.c21.rescale2", 0x03579741d3bea959ULL},
+    {"n2048d20.c21.rescale3", 0xf1fb02673e1c5ac4ULL},
+    {"n2048d20.c21.relin", 0x052dd3e35f0bbb0bULL},
+    {"n2048d20.c21.rotate", 0x954de245337d0ec7ULL},
+    {"n2048d20.c21.fan3", 0x7ea2aba5b5658978ULL},
+    {"n2048d20.c19.rescale2", 0x9ff7a2760e75fab3ULL},
+    {"n2048d20.c19.rescale3", 0x17fbffb067dcbaf3ULL},
+    {"n2048d20.c19.relin", 0x3cc891eea31b9120ULL},
+    {"n2048d20.c19.rotate", 0xd33d93c08ecffb9eULL},
+    {"n2048d20.c19.fan3", 0x87cd298e7a0e50feULL},
 };
 
 struct NttCount {
@@ -444,6 +454,12 @@ TEST(EvaluatorOpPins, ShortChainsAtN2048) {
 
 TEST(EvaluatorOpPins, FullChainAtN8192) {
   run_op_pins("n8192", CkksParams::for_depth(8192, 10, 40), {11});
+}
+
+// serve_open's chain and lenet_roundtrip's top digit count: the key-switch
+// inner product at 19 and 21 digits.
+TEST(EvaluatorOpPins, LongChainsAtN2048) {
+  run_op_pins("n2048d20", CkksParams::for_depth(2048, 20, 40), {21, 19});
 }
 
 }  // namespace
