@@ -1,13 +1,14 @@
 // CKKS substrate microbenchmarks:
 //   1) per-kernel dispatch-tier sweep at N = 8192 (fwd/inv NTT ns/butterfly,
-//      elementwise GB/s for scalar vs AVX2 vs AVX-512),
+//      elementwise GB/s, the key-switch inner product over 11 digits, for
+//      scalar vs AVX2 vs AVX-512),
 //   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (the sub-row
 //      split keeps short chains from capping usable threads at row count),
 //   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes) with
 //      the hoisted-vs-naive rotation column.
 // Writes bench_out/fhe_micro.json. If bench/baselines/fhe_micro.json exists
-// (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT
-// speedup over scalar drops below the recorded minimum.
+// (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT or
+// key-inner-product speedup over scalar drops below the recorded minimum.
 //
 // Usage: bench_fhe_micro [quick]   ("quick" restricts ring sizes / grid)
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/aligned.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -70,6 +72,8 @@ struct TierRow {
   double add_mod_gbs = 0.0;
   double mul_shoup_gbs = 0.0;
   double fwd_speedup = 1.0;     // vs the scalar row
+  double kswitch_ms = 0.0;      // key_inner_product, 11 digits x 2 key parts
+  double kswitch_speedup = 1.0; // vs the scalar row
 };
 
 struct ChainRow {
@@ -101,6 +105,16 @@ std::vector<TierRow> run_tier_sweep() {
   for (auto& x : other) x = rng.next_u64() % q;
   const u64 w = rng.next_u64() % q;
   const u64 ws = shoup_precompute(w, q);
+  // Key switch at the top of paf_relu's chain: 11 digit rows against two key
+  // parts, 64-byte aligned like RnsPoly rows.
+  constexpr std::size_t kDigits = 11;
+  std::vector<sp::AlignedVec<u64>> ks_rows(3 * kDigits, sp::AlignedVec<u64>(kN));
+  std::vector<const u64*> ks_ptrs;
+  for (auto& r : ks_rows) {
+    for (auto& x : r) x = rng.next_u64() % q;
+    ks_ptrs.push_back(r.data());
+  }
+  std::vector<u64> ks_out0(kN), ks_out1(kN);
   const int iters = 8;  // per timed sample, so samples are well above 0.1 ms
   const int reps = 5;
 
@@ -155,11 +169,21 @@ std::vector<TierRow> run_tier_sweep() {
                                      k.mul_shoup(a.data(), kN, w, ws, q);
                                  }) /
                          iters / 1e3);
+    row.kswitch_ms = time_op(reps, [&] {
+                       for (int i = 0; i < iters; ++i)
+                         k.key_inner_product(ks_out0.data(), ks_out1.data(), ks_ptrs.data(),
+                                             ks_ptrs.data() + kDigits,
+                                             ks_ptrs.data() + 2 * kDigits, kDigits, kN, q,
+                                             mod.ratio_hi(), mod.ratio_lo());
+                     }) /
+                     iters;
     rows.push_back(row);
   }
   simd::set_tier(saved);
-  for (TierRow& r : rows)
+  for (TierRow& r : rows) {
     r.fwd_speedup = rows.front().fwd_ntt_ms / std::max(r.fwd_ntt_ms, 1e-9);
+    r.kswitch_speedup = rows.front().kswitch_ms / std::max(r.kswitch_ms, 1e-9);
+  }
   return rows;
 }
 
@@ -214,12 +238,13 @@ int main(int argc, char** argv) {
   const std::vector<TierRow> tier_rows = run_tier_sweep();
   Table tier_table({"tier", "fwd_ntt_ms", "inv_ntt_ms", "fwd_ns_per_bfly",
                     "fwd_speedup", "mul_mod_GB_s", "add_mod_GB_s",
-                    "mul_shoup_GB_s"});
+                    "mul_shoup_GB_s", "kswitch_ms", "kswitch_speedup"});
   for (const TierRow& r : tier_rows)
     tier_table.add_row({simd::tier_name(r.tier), Table::num(r.fwd_ntt_ms, 4),
                         Table::num(r.inv_ntt_ms, 4), Table::num(r.fwd_ns_per_bfly, 2),
                         Table::num(r.fwd_speedup, 2), Table::num(r.mul_mod_gbs, 2),
-                        Table::num(r.add_mod_gbs, 2), Table::num(r.mul_shoup_gbs, 2)});
+                        Table::num(r.add_mod_gbs, 2), Table::num(r.mul_shoup_gbs, 2),
+                        Table::num(r.kswitch_ms, 4), Table::num(r.kswitch_speedup, 2)});
   std::printf("[bench] kernel tiers at N=8192 (active default: %s)\n",
               simd::tier_name(simd::active_tier()));
   tier_table.print(std::cout);
@@ -309,10 +334,12 @@ int main(int argc, char** argv) {
                    "    {\"tier\": \"%s\", \"fwd_ntt_ms\": %.5f, \"inv_ntt_ms\": "
                    "%.5f, \"fwd_ns_per_butterfly\": %.3f, \"fwd_speedup\": %.3f, "
                    "\"mul_mod_gbs\": %.3f, \"add_mod_gbs\": %.3f, "
-                   "\"mul_shoup_gbs\": %.3f}%s\n",
+                   "\"mul_shoup_gbs\": %.3f, \"kswitch_ms\": %.5f, "
+                   "\"kswitch_speedup\": %.3f}%s\n",
                    simd::tier_name(r.tier), r.fwd_ntt_ms, r.inv_ntt_ms,
                    r.fwd_ns_per_bfly, r.fwd_speedup, r.mul_mod_gbs, r.add_mod_gbs,
-                   r.mul_shoup_gbs, i + 1 < tier_rows.size() ? "," : "");
+                   r.mul_shoup_gbs, r.kswitch_ms, r.kswitch_speedup,
+                   i + 1 < tier_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"chain_scaling\": [\n");
     for (std::size_t i = 0; i < chain_rows.size(); ++i) {
@@ -347,8 +374,9 @@ int main(int argc, char** argv) {
     }
 
   // Regression gate against the recorded baseline, when present: each vector
-  // tier the binary+CPU support must keep its forward-NTT speedup over the
-  // scalar tier above the recorded floor.
+  // tier the binary+CPU support must keep its forward-NTT and key-inner-
+  // product speedups over the scalar tier above the recorded floors (a
+  // missing floor is no gate).
   for (const char* path :
        {"bench/baselines/fhe_micro.json", "../bench/baselines/fhe_micro.json"}) {
     std::ifstream in(path);
@@ -357,17 +385,23 @@ int main(int argc, char** argv) {
     ss << in.rdbuf();
     for (const TierRow& r : tier_rows) {
       if (r.tier == simd::Tier::kScalar) continue;
-      const std::string key =
-          std::string("min_fwd_ntt_speedup_") + simd::tier_name(r.tier);
-      const double floor = json_number(ss.str(), key);
-      if (std::isnan(floor)) continue;
-      if (r.fwd_speedup < floor) {
-        std::printf("[bench] FAIL: %s fwd-NTT speedup %.2fx below baseline %.2fx (%s)\n",
-                    simd::tier_name(r.tier), r.fwd_speedup, floor, path);
-        ok = false;
-      } else {
-        std::printf("[bench] %s fwd-NTT speedup %.2fx within baseline >= %.2fx (%s)\n",
-                    simd::tier_name(r.tier), r.fwd_speedup, floor, path);
+      const struct {
+        const char* key;
+        const char* label;
+        double speedup;
+      } gates[] = {{"min_fwd_ntt_speedup_", "fwd-NTT", r.fwd_speedup},
+                   {"min_kswitch_speedup_", "key-inner-product", r.kswitch_speedup}};
+      for (const auto& g : gates) {
+        const double floor = json_number(ss.str(), g.key + std::string(simd::tier_name(r.tier)));
+        if (std::isnan(floor)) continue;
+        if (g.speedup < floor) {
+          std::printf("[bench] FAIL: %s %s speedup %.2fx below baseline %.2fx (%s)\n",
+                      simd::tier_name(r.tier), g.label, g.speedup, floor, path);
+          ok = false;
+        } else {
+          std::printf("[bench] %s %s speedup %.2fx within baseline >= %.2fx (%s)\n",
+                      simd::tier_name(r.tier), g.label, g.speedup, floor, path);
+        }
       }
     }
     break;

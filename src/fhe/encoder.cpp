@@ -1,5 +1,6 @@
 #include "fhe/encoder.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -98,11 +99,11 @@ Plaintext Encoder::encode(const std::vector<double>& values, double scale,
 Plaintext Encoder::encode_scalar(double value, double scale, int q_count) const {
   const double c = value * scale;
   sp::check(std::abs(c) < 4.6e18, "Encoder::encode_scalar: coefficient overflow");
-  std::vector<std::int64_t> coeffs(ctx_->n(), 0);
-  coeffs[0] = static_cast<std::int64_t>(std::llround(c));
-  Plaintext pt{RnsPoly(ctx_, q_count, false, false), scale};
-  pt.poly.set_from_signed(coeffs);
-  pt.poly.to_ntt();
+  const std::int64_t v = std::llround(c);
+  // A constant polynomial's NTT is that constant in every slot.
+  Plaintext pt{RnsPoly(ctx_, q_count, /*with_special=*/false, /*ntt_form=*/true), scale};
+  for (int i = 0; i < q_count; ++i)
+    std::fill_n(pt.poly.row(i), ctx_->n(), pt.poly.row_mod(i).from_signed(v));
   return pt;
 }
 

@@ -38,8 +38,10 @@ class Encoder {
   /// scale into a plaintext with `q_count` chain primes.
   Plaintext encode(const std::vector<double>& values, double scale, int q_count) const;
 
-  /// Broadcast-encodes one scalar into all slots (constant polynomial; much
-  /// cheaper than the FFT path).
+  /// Broadcast-encodes one scalar into all slots: the constant polynomial
+  /// llround(value * scale), written straight into NTT form (a constant's
+  /// NTT is that constant in every slot), so no FFT and no NTT runs.
+  /// Throws sp::Error when |value * scale| is not below 4.6e18 (or is NaN).
   Plaintext encode_scalar(double value, double scale, int q_count) const;
 
   /// @brief Content-addressed encode cache for plaintexts that recur across

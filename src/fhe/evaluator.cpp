@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <sstream>
+#include <string>
 
 #include "common/aligned.h"
 #include "common/check.h"
@@ -69,6 +71,55 @@ void divide_by_last_row(const std::vector<RnsPoly*>& polys, const std::vector<u6
     k.sub_mod(r, lift.data() + u * n + off, len, q);
     k.mul_shoup(r, len, inv[j], inv_shoup[j], q);
   });
+}
+
+/// Per-thread block of digit rows for one output prime of a key switch. A
+/// lane fills it and the inner-product kernel reads it back while it is
+/// still in cache; it is reused across calls. It is per thread because the
+/// pool's lanes fill their primes at once and the evaluator's const methods
+/// may run on several caller threads.
+u64* kswitch_scratch(std::size_t words) {
+  thread_local sp::AlignedVec<u64> rows;
+  if (rows.size() < words) rows.resize(words);
+  return rows.data();
+}
+
+/// The inner-product half of every key switch, over the c chain primes and
+/// then P. Output prime t (one parallel unit each) gets its c digit rows in
+/// NTT form from fill(t, rows), row i at rows + i·n in the lane's scratch
+/// block, and key_inner_product sums them against key row t. The special
+/// prime is key row ctx.q_count(), since keys span the whole chain.
+template <typename Fill>
+std::pair<RnsPoly, RnsPoly> key_inner_products(const CkksContext& ctx, const KSwitchKey& key,
+                                               int c, const Fill& fill) {
+  const std::size_t n = ctx.n();
+  const std::size_t count = static_cast<std::size_t>(c);
+  RnsPoly r0(&ctx, c, /*with_special=*/true, /*ntt_form=*/true);
+  RnsPoly r1(&ctx, c, /*with_special=*/true, /*ntt_form=*/true);
+  const simd::Kernels& k = simd::kernels();
+  sp::parallel_for(0, count + 1, [&](std::size_t tt) {
+    const int t = static_cast<int>(tt);
+    const int key_row = t == c ? ctx.q_count() : t;
+    u64* rows = kswitch_scratch(count * n);
+    fill(t, rows);
+    std::vector<const u64*> ptrs(3 * count);  // digit rows, then k0 rows, then k1 rows
+    for (std::size_t i = 0; i < count; ++i) {
+      ptrs[i] = rows + i * n;
+      ptrs[count + i] = key.digits[i][0].row(key_row);
+      ptrs[2 * count + i] = key.digits[i][1].row(key_row);
+    }
+    const Modulus& m = r0.row_mod(t);
+    k.key_inner_product(r0.row(t), r1.row(t), ptrs.data(), ptrs.data() + count,
+                        ptrs.data() + 2 * count, count, n, m.value(), m.ratio_hi(),
+                        m.ratio_lo());
+  });
+  return {std::move(r0), std::move(r1)};
+}
+
+const KSwitchKey& galois_key(const GaloisKeys& gk, u64 g) {
+  const auto it = gk.keys.find(g);
+  sp::check(it != gk.keys.end(), "rotate: missing Galois key for requested step");
+  return it->second;
 }
 
 }  // namespace
@@ -214,52 +265,78 @@ std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d) const {
   return digits;
 }
 
-std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const std::vector<RnsPoly>& digits,
-                                                     const KSwitchKey& key,
-                                                     const std::uint32_t* ntt_perm) const {
-  const int l = static_cast<int>(digits.size());
-  const int rows = l + 1;
-  const int key_q = ctx_->q_count();  // key basis chain size
+void Evaluator::check_kswitch_key(const KSwitchKey& key) const {
+  const int chain = ctx_->q_count();
   const std::size_t n = ctx_->n();
+  const auto part_ok = [&](const RnsPoly& p) {
+    return p.context() != nullptr && p.n() == n && p.q_count() == chain && p.has_special() &&
+           p.is_ntt();
+  };
+  const RnsPoly* bad = nullptr;
+  for (const auto& digit : key.digits)
+    for (const RnsPoly& part : digit)
+      if (!bad && !part_ok(part)) bad = &part;
+  if (key.digits.size() == static_cast<std::size_t>(chain) && !bad) return;
+  std::ostringstream found;
+  found << key.digits.size() << " digits";
+  if (bad != nullptr) {
+    found << ", a part with " << bad->q_count() << " chain + " << (bad->has_special() ? 1 : 0)
+          << " special rows";
+    if (bad->context() != nullptr) found << " at n = " << bad->n();
+    found << (bad->is_ntt() ? " in NTT form" : " in coefficient form");
+  }
+  throw sp::Error("key switch: key has " + found.str() + "; expected " +
+                  std::to_string(chain) + " digits, each part " + std::to_string(chain) +
+                  " chain + 1 special rows at n = " + std::to_string(n) + " in NTT form");
+}
 
-  RnsPoly r0(ctx_, l, true, true), r1(ctx_, l, true, true);
-  // Each extended-basis row accumulates its digit inner product
-  // independently; the digit order inside a row is fixed, so sums (and the
-  // final Barrett reductions) are bit-identical for any thread count.
-  sp::parallel_for(0, static_cast<std::size_t>(rows), [&](std::size_t tt) {
-    const int t = static_cast<int>(tt);
-    // Ciphertext chain row t maps to key row t; the special row maps to the
-    // key's special row (index key_q).
-    const int key_row = (t == l) ? key_q : t;
-    std::vector<u128> acc0(n, 0), acc1(n, 0);
-    for (int i = 0; i < l; ++i) {
-      const u64* dg = digits[static_cast<std::size_t>(i)].row(t);
-      const auto& kd = key.digits[static_cast<std::size_t>(i)];
-      const u64* k0 = kd[0].row(key_row);
-      const u64* k1 = kd[1].row(key_row);
-      if (ntt_perm) {
-        for (std::size_t j = 0; j < n; ++j) {
-          const u64 dgj = dg[ntt_perm[j]];
-          acc0[j] += static_cast<u128>(dgj) * k0[j];
-          acc1[j] += static_cast<u128>(dgj) * k1[j];
-        }
+std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const RnsPoly& d,
+                                                     const KSwitchKey& key) const {
+  check_kswitch_key(key);
+  sp::check(d.is_ntt() && !d.has_special(), "key switch: expects NTT form over chain rows");
+  const int c = d.q_count();
+  RnsPoly d_coeff = d;
+  d_coeff.from_ntt();
+  counters.ntts_inverse += static_cast<std::size_t>(c);
+
+  const std::size_t n = ctx_->n();
+  const simd::Kernels& k = simd::kernels();
+  return key_inner_products(*ctx_, key, c, [&](int t, u64* rows) {
+    // Digit i's row in prime t is the centered lift of d's residue row i;
+    // row t is d's own NTT row, so it is copied and the other c - 1 lifts
+    // are transformed here, in the lane, while they are in cache.
+    const bool special = t == c;
+    const u64 q_t = special ? ctx_->special().value() : ctx_->q(t).value();
+    const NttTables& tables = special ? ctx_->special_ntt() : ctx_->ntt(t);
+    std::vector<NttJob> jobs;
+    jobs.reserve(static_cast<std::size_t>(c));
+    for (int i = 0; i < c; ++i) {
+      u64* row = rows + static_cast<std::size_t>(i) * n;
+      if (i == t) {
+        std::memcpy(row, d.row(i), n * sizeof(u64));
       } else {
-        for (std::size_t j = 0; j < n; ++j) {
-          acc0[j] += static_cast<u128>(dg[j]) * k0[j];
-          acc1[j] += static_cast<u128>(dg[j]) * k1[j];
-        }
+        k.lift_centered(row, d_coeff.row(i), n, ctx_->q(i).value(), q_t);
+        jobs.push_back({row, &tables});
       }
     }
-    const Modulus& m = r0.row_mod(t);
-    u64* d0 = r0.row(t);
-    u64* d1 = r1.row(t);
-    for (std::size_t j = 0; j < n; ++j) {
-      d0[j] = m.reduce128(acc0[j]);
-      d1[j] = m.reduce128(acc1[j]);
-    }
+    ntt_forward_batch(jobs);
+    counters.ntts_forward += jobs.size();
   });
+}
 
-  return {std::move(r0), std::move(r1)};
+std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const std::vector<RnsPoly>& digits,
+                                                     const KSwitchKey& key, u64 g) const {
+  check_kswitch_key(key);
+  const std::size_t n = ctx_->n();
+  const std::vector<std::uint32_t>& perm = galois_ntt_table(n, g);
+  const auto permute = [&](int t, u64* rows) {
+    for (std::size_t i = 0; i < digits.size(); ++i) {
+      const u64* src = digits[i].row(t);
+      u64* dst = rows + i * n;
+      for (std::size_t j = 0; j < n; ++j) dst[j] = src[perm[j]];
+    }
+  };
+  return key_inner_products(*ctx_, key, static_cast<int>(digits.size()), permute);
 }
 
 void Evaluator::mod_down(RnsPoly& r0, RnsPoly& r1) const {
@@ -273,7 +350,7 @@ void Evaluator::mod_down(RnsPoly& r0, RnsPoly& r1) const {
 
 void Evaluator::relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const {
   sp::check(ct.size() == 3, "relinearize: ciphertext must have 3 parts");
-  auto [r0, r1] = apply_kswitch(decompose_digits(ct.parts[2]), rk, /*ntt_perm=*/nullptr);
+  auto [r0, r1] = apply_kswitch(ct.parts[2], rk);
   mod_down(r0, r1);
   ct.parts.pop_back();
   ct.parts[0].add_inplace(r0);
@@ -299,7 +376,12 @@ Ciphertext Evaluator::rotate(const Ciphertext& ct, int steps, const GaloisKeys& 
   sp::check(ct.size() == 2, "rotate: relinearize first");
   const u64 g = galois_element(ctx_->n(), steps);
   if (g == 1) return ct;
-  Ciphertext out = rotate_decomposed(hoist(ct), g, gk);
+  const KSwitchKey& key = galois_key(gk, g);
+  // The decomposition commutes with the automorphism: lifting is
+  // coefficient-wise and X -> X^g is a signed coefficient permutation, so
+  // switching the permuted c1 equals switching permuted digits of c1, bit
+  // for bit (what a hoisted rotation does).
+  Ciphertext out = finish_rotation(apply_kswitch(apply_galois_ntt(ct.parts[1], g), key), ct, g);
   ++counters.rotations;
   return out;
 }
@@ -317,39 +399,34 @@ Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
   sp::check(!h.digits.empty(), "rotate_hoisted: empty decomposition");
   const u64 g = galois_element(ctx_->n(), steps);
   if (g == 1) return h.src;
-  Ciphertext out = rotate_decomposed(h, g, gk);
+  const KSwitchKey& key = galois_key(gk, g);
+  // Permuting the cached NTT-form digits equals decomposing the rotated
+  // ciphertext, at zero additional NTTs.
+  Ciphertext out = finish_rotation(apply_kswitch(h.digits, key, g), h.src, g);
   ++counters.rotations;
   ++counters.hoisted_rotations;
   return out;
 }
 
-Ciphertext Evaluator::rotate_decomposed(const HoistedDecomposition& h, u64 g,
-                                        const GaloisKeys& gk) const {
-  const auto it = gk.keys.find(g);
-  sp::check(it != gk.keys.end(), "rotate: missing Galois key for requested step");
-
-  // The decomposition commutes with the automorphism: lifting is
-  // coefficient-wise and X -> X^g is a signed coefficient permutation, so
-  // permuting the cached NTT-form digits equals decomposing the rotated
-  // ciphertext — bit for bit — at zero additional NTTs.
-  const std::vector<std::uint32_t>& table = galois_ntt_table(ctx_->n(), g);
-  auto [r0, r1] = apply_kswitch(h.digits, it->second, table.data());
+Ciphertext Evaluator::finish_rotation(std::pair<RnsPoly, RnsPoly> r, const Ciphertext& src,
+                                      u64 g) const {
+  auto& [r0, r1] = r;
   mod_down(r0, r1);
-
   // c0 rotates as the same pure NTT-domain permutation (no NTT round-trip).
-  const RnsPoly& c0 = h.src.parts[0];
+  const std::vector<std::uint32_t>& table = galois_ntt_table(ctx_->n(), g);
+  const RnsPoly& c0 = src.parts[0];
   const std::size_t n = ctx_->n();
   for (int t = 0; t < r0.row_count(); ++t) {
     const Modulus& m = r0.row_mod(t);
     u64* dst = r0.row(t);
-    const u64* src = c0.row(t);
-    for (std::size_t j = 0; j < n; ++j) dst[j] = m.add(dst[j], src[table[j]]);
+    const u64* row = c0.row(t);
+    for (std::size_t j = 0; j < n; ++j) dst[j] = m.add(dst[j], row[table[j]]);
   }
 
   Ciphertext out;
   out.parts.push_back(std::move(r0));
   out.parts.push_back(std::move(r1));
-  out.scale = h.src.scale;
+  out.scale = src.scale;
   return out;
 }
 

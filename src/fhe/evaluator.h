@@ -14,7 +14,7 @@ namespace sp::fhe {
 /// paper's cost model: ct-ct multiplications + relinearizations dominate).
 ///
 /// Fields are relaxed atomics: evaluator internals fan work out across the
-/// SMARTPAF_THREADS pool (key-switch digits tally their NTTs from inside the
+/// SMARTPAF_THREADS pool (key-switch lanes tally their NTTs from inside the
 /// parallel region), so plain increments would race and drop counts. Atomic
 /// tallies keep every total exactly thread-count-invariant. Copying takes a
 /// snapshot.
@@ -122,8 +122,9 @@ inline OpCountersPerInput per_input(const OpCounters& c, int batch_size) {
 /// others are centered lifts transformed once (c^2 forward NTTs in all).
 /// Each rotation then only permutes the cached digits in the NTT domain (a
 /// slot shuffle) before the key inner product — the saving for rotation
-/// fans (BSGS baby steps, conv im2col, pooling). A plain rotate() is a
-/// one-step fan over a fresh decomposition.
+/// fans (BSGS baby steps, conv im2col, pooling). A fan keeps the whole
+/// c x (c + 1)-row array because every step reuses it; a single rotate()
+/// streams its decomposition instead and never builds one.
 struct HoistedDecomposition {
   Ciphertext src;               ///< decomposed ciphertext (returned for step 0)
   std::vector<RnsPoly> digits;  ///< NTT form over chain + special rows
@@ -136,9 +137,9 @@ struct HoistedDecomposition {
 /// counts remaining rescales; scales are tracked as exact doubles and
 /// addition requires operands within 1e-6 relative scale mismatch.
 ///
-/// Hot loops (NTT batches, key-switch digit decomposition, per-row inner
-/// products) run on the SMARTPAF_THREADS pool; results are bit-identical for
-/// every thread count.
+/// Hot loops (NTT batches, key switching one output prime per lane) run on
+/// the SMARTPAF_THREADS pool; results are bit-identical for every thread
+/// count.
 class Evaluator {
  public:
   /// @brief Binds the evaluator to a context; no key material is held (keys
@@ -203,8 +204,12 @@ class Evaluator {
 
   /// @brief Switches the quadratic part back to the canonical basis
   /// (3 parts -> 2). No-op input is an error: `ct` must have 3 parts.
+  /// The decomposition of the quadratic part is streamed one output prime
+  /// at a time (see apply_kswitch): no digit array is built. Costs c
+  /// inverse and c^2 forward NTTs, then the mod-down's 2 and 2c.
   /// @param ct  3-part ciphertext, relinearized in place
-  /// @param rk  relinearization key (key-switching key for s^2)
+  /// @param rk  relinearization key (key-switching key for s^2); a key of
+  ///            the wrong shape throws sp::Error before any work
   void relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const;
 
   /// @brief Divides by the last chain prime: level decreases by 1 and
@@ -213,8 +218,11 @@ class Evaluator {
   void rescale_inplace(Ciphertext& ct) const;
 
   /// @brief Rotates slots left by `steps` (Galois automorphism + key
-  /// switch): `rotate_hoisted(hoist(ct), steps, gk)`, bit for bit and NTT
-  /// for NTT, but tallied as a plain rotation, not a hoisted one.
+  /// switch). Permutes c1's NTT rows by the automorphism first, then runs
+  /// the same streamed single-use switch as relinearize_inplace and adds the
+  /// permuted c0. Bit for bit and NTT for NTT equal to
+  /// `rotate_hoisted(hoist(ct), steps, gk)`, because the decomposition
+  /// commutes with the automorphism; tallied as a plain rotation.
   /// @param ct     2-part source ciphertext
   /// @param steps  slot offset (negative = right rotation); a key for
   ///               galois_element(n, steps) must exist in `gk`
@@ -250,24 +258,40 @@ class Evaluator {
   mutable OpCounters counters;
 
  private:
-  /// The hoistable half of hybrid key switching: digit i is the centered
-  /// lift of `d`'s residue row i into the extended basis Q ∪ {P}, in NTT
-  /// form. `d` is NTT form over c chain rows; digit i's row i is copied from
-  /// it, so the cost is c inverse and c^2 forward NTTs.
+  /// The hoistable half of hybrid key switching, used by hoist() only:
+  /// digit i is the centered lift of `d`'s residue row i into the extended
+  /// basis Q ∪ {P}, in NTT form. `d` is NTT form over c chain rows; digit
+  /// i's row i is copied from it, so the cost is c inverse and c^2 forward
+  /// NTTs.
   std::vector<RnsPoly> decompose_digits(const RnsPoly& d) const;
 
-  /// Inner product of the digits with a key-switching key, over Q ∪ {P};
-  /// `ntt_perm`, when non-null, applies a Galois slot permutation to every
-  /// digit on the fly (rotations). Callers mod_down() the result, after
-  /// releasing digits they no longer need.
-  std::pair<RnsPoly, RnsPoly> apply_kswitch(const std::vector<RnsPoly>& digits,
-                                            const KSwitchKey& key,
-                                            const std::uint32_t* ntt_perm) const;
+  /// Throws sp::Error, naming the digits, rows and ring size found and
+  /// expected, unless `key` has q_count() digits whose two parts are NTT
+  /// form over the full chain plus the special row at the context's ring
+  /// size. Every key switch calls it before any work.
+  void check_kswitch_key(const KSwitchKey& key) const;
 
-  /// Key switch of a decomposition under Galois element `g` (!= 1) plus the
-  /// permuted c0: the shared body of rotate() and rotate_hoisted().
-  Ciphertext rotate_decomposed(const HoistedDecomposition& h, u64 g,
-                               const GaloisKeys& gk) const;
+  /// Single-use key switch of `d` (NTT form over c chain rows) over
+  /// Q ∪ {P}, streamed: `d` is inverse-transformed once (c NTTs); then each
+  /// output prime t — the c chain primes, then P, one parallel unit each —
+  /// lifts every coefficient row into q_t in a per-thread scratch block,
+  /// forward-transforms those c - 1 lifts (row t is copied from `d`), and
+  /// calls simd::Kernels::key_inner_product against key row t. The NTT
+  /// counts equal those of a full decomposition. Callers mod_down() the
+  /// result.
+  std::pair<RnsPoly, RnsPoly> apply_kswitch(const RnsPoly& d, const KSwitchKey& key) const;
+
+  /// The same switch over cached hoisted digits under Galois element `g`:
+  /// for each output prime, the c digit rows are permuted by
+  /// galois_ntt_table(n, g) into the scratch block and handed to the same
+  /// kernel.
+  std::pair<RnsPoly, RnsPoly> apply_kswitch(const std::vector<RnsPoly>& digits,
+                                            const KSwitchKey& key, u64 g) const;
+
+  /// Mod-down of a rotation's key-switch output plus `src`'s c0 permuted by
+  /// Galois element `g`: the shared tail of rotate() and rotate_hoisted().
+  Ciphertext finish_rotation(std::pair<RnsPoly, RnsPoly> r, const Ciphertext& src,
+                             u64 g) const;
 
   /// Divides both extended-basis key-switch outputs by the special prime P
   /// with centered rounding, in the NTT domain: only the P rows go back to

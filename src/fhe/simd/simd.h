@@ -65,6 +65,18 @@ struct Kernels {
   /// Shoup multiply by 1 and q_src mod q is subtracted where x > q_src/2.
   /// dst may alias src.
   void (*lift_centered)(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q);
+
+  // --- Key switching ---
+  /// Key-switch inner product of `count` digit rows with two key parts: for
+  /// j in [0, n), out0[j] = Σ_i d[i][j]·k0[i][j] mod q and out1[j] the same
+  /// with k1. Each sum is exact in 128 bits, accumulated in digit order, and
+  /// reduced once by Barrett with (ratio_hi, ratio_lo) = floor(2^128/q).
+  /// Inputs are fully reduced (< q < 2^62). Precondition: count·q² < 2^128,
+  /// so no sum wraps.
+  void (*key_inner_product)(u64* out0, u64* out1, const u64* const* d,
+                            const u64* const* k0, const u64* const* k1,
+                            std::size_t count, std::size_t n, u64 q, u64 ratio_hi,
+                            u64 ratio_lo);
 };
 
 /// Currently active tier (after the one-time probe / env override).

@@ -12,6 +12,8 @@
 
 #include <immintrin.h>
 
+#include <vector>
+
 namespace sp::fhe::simd {
 namespace {
 
@@ -122,34 +124,38 @@ void neg_mod_avx512(u64* a, std::size_t n, u64 q) {
   for (; j < n; ++j) a[j] = a[j] == 0 ? 0 : q - a[j];
 }
 
+/// Barrett reduction of the lanewise 128-bit values x_hi:x_lo by q, the
+/// vector form of Modulus::reduce128 with (rhi, rlo) = floor(2^128/q).
+inline __m512i barrett128(__m512i x_lo, __m512i x_hi, __m512i qv, __m512i rhi,
+                          __m512i rlo) {
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i t1_lo = mul64_lo(x_lo, rhi);
+  const __m512i t1_hi = mul64_hi(x_lo, rhi);
+  const __m512i t2_lo = mul64_lo(x_hi, rlo);
+  const __m512i t2_hi = mul64_hi(x_hi, rlo);
+  const __m512i carry = mul64_hi(x_lo, rlo);
+  const __m512i s1 = _mm512_add_epi64(t1_lo, t2_lo);
+  const __mmask8 c1 = _mm512_cmplt_epu64_mask(s1, t1_lo);
+  const __m512i s2 = _mm512_add_epi64(s1, carry);
+  const __mmask8 c2 = _mm512_cmplt_epu64_mask(s2, s1);
+  __m512i mid_hi = _mm512_add_epi64(t1_hi, t2_hi);
+  mid_hi = _mm512_mask_add_epi64(mid_hi, c1, mid_hi, one);
+  mid_hi = _mm512_mask_add_epi64(mid_hi, c2, mid_hi, one);
+  const __m512i est = _mm512_add_epi64(mul64_lo(x_hi, rhi), mid_hi);
+  const __m512i r = _mm512_sub_epi64(x_lo, mul64_lo(est, qv));
+  return csub(csub(r, qv), qv);  // remainder < 3q
+}
+
 void mul_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
                     u64 ratio_lo) {
   const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
   const __m512i rhi = _mm512_set1_epi64(static_cast<long long>(ratio_hi));
   const __m512i rlo = _mm512_set1_epi64(static_cast<long long>(ratio_lo));
-  const __m512i one = _mm512_set1_epi64(1);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
     const __m512i av = load(a + j);
     const __m512i bv = load(b + j);
-    const __m512i x_lo = mul64_lo(av, bv);
-    const __m512i x_hi = mul64_hi(av, bv);
-    const __m512i t1_lo = mul64_lo(x_lo, rhi);
-    const __m512i t1_hi = mul64_hi(x_lo, rhi);
-    const __m512i t2_lo = mul64_lo(x_hi, rlo);
-    const __m512i t2_hi = mul64_hi(x_hi, rlo);
-    const __m512i carry = mul64_hi(x_lo, rlo);
-    const __m512i s1 = _mm512_add_epi64(t1_lo, t2_lo);
-    const __mmask8 c1 = _mm512_cmplt_epu64_mask(s1, t1_lo);
-    const __m512i s2 = _mm512_add_epi64(s1, carry);
-    const __mmask8 c2 = _mm512_cmplt_epu64_mask(s2, s1);
-    __m512i mid_hi = _mm512_add_epi64(t1_hi, t2_hi);
-    mid_hi = _mm512_mask_add_epi64(mid_hi, c1, mid_hi, one);
-    mid_hi = _mm512_mask_add_epi64(mid_hi, c2, mid_hi, one);
-    const __m512i est = _mm512_add_epi64(mul64_lo(x_hi, rhi), mid_hi);
-    __m512i r = _mm512_sub_epi64(x_lo, mul64_lo(est, qv));
-    r = csub(csub(r, qv), qv);  // remainder < 3q
-    store(a + j, r);
+    store(a + j, barrett128(mul64_lo(av, bv), mul64_hi(av, bv), qv, rhi, rlo));
   }
   for (; j < n; ++j) {
     const u128 x = static_cast<u128>(a[j]) * b[j];
@@ -470,10 +476,68 @@ void lift_centered_avx512(u64* dst, const u64* src, std::size_t n, u64 q_src, u6
   detail::scalar_kernels()->lift_centered(dst + j, src + j, n - j, q_src, q);
 }
 
+/// One digit's products d·k added to a 128-bit sum held as three 64-bit
+/// columns, c0 + c1·2^32 + c2·2^64, from the four 32x32 partial products:
+/// no carry ever propagates inside the loop. d, k < 2^62 keep the two
+/// middle products' sum below 2^63, and c2 never exceeds the true sum over
+/// 2^64, so it cannot wrap while count·q² < 2^128.
+inline void mac128(__m512i& c0, __m512i& c1, __m512i& c2, __m512i x, __m512i xh,
+                   __m512i y, __m512i m32) {
+  const __m512i yh = hi32(y);
+  const __m512i ll = _mm512_mul_epu32(x, y);
+  const __m512i mid = _mm512_add_epi64(_mm512_mul_epu32(x, yh), _mm512_mul_epu32(xh, y));
+  const __m512i hh = _mm512_mul_epu32(xh, yh);
+  c0 = _mm512_add_epi64(c0, _mm512_and_si512(ll, m32));
+  c1 = _mm512_add_epi64(c1, _mm512_add_epi64(hi32(ll), _mm512_and_si512(mid, m32)));
+  c2 = _mm512_add_epi64(c2, _mm512_add_epi64(hh, hi32(mid)));
+}
+
+/// Folds the three columns into x_hi:x_lo and reduces once.
+inline __m512i reduce_columns(__m512i c0, __m512i c1, __m512i c2, __m512i qv,
+                              __m512i rhi, __m512i rlo) {
+  const __m512i lo = _mm512_add_epi64(c0, _mm512_slli_epi64(c1, 32));
+  __m512i hi = _mm512_add_epi64(c2, hi32(c1));
+  hi = _mm512_mask_add_epi64(hi, _mm512_cmplt_epu64_mask(lo, c0), hi, _mm512_set1_epi64(1));
+  return barrett128(lo, hi, qv, rhi, rlo);
+}
+
+void key_inner_product_avx512(u64* out0, u64* out1, const u64* const* d,
+                              const u64* const* k0, const u64* const* k1,
+                              std::size_t count, std::size_t n, u64 q, u64 ratio_hi,
+                              u64 ratio_lo) {
+  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+  const __m512i rhi = _mm512_set1_epi64(static_cast<long long>(ratio_hi));
+  const __m512i rlo = _mm512_set1_epi64(static_cast<long long>(ratio_lo));
+  const __m512i m32 = _mm512_set1_epi64(0xffffffffLL);
+  std::size_t j = 0;
+  // Both sums of an 8-lane chunk stay in registers across every digit.
+  for (; j + kLanes <= n; j += kLanes) {
+    __m512i a0 = _mm512_setzero_si512(), a1 = a0, a2 = a0, b0 = a0, b1 = a0, b2 = a0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const __m512i x = load(d[i] + j);
+      const __m512i xh = hi32(x);
+      mac128(a0, a1, a2, x, xh, load(k0[i] + j), m32);
+      mac128(b0, b1, b2, x, xh, load(k1[i] + j), m32);
+    }
+    store(out0 + j, reduce_columns(a0, a1, a2, qv, rhi, rlo));
+    store(out1 + j, reduce_columns(b0, b1, b2, qv, rhi, rlo));
+  }
+  if (j == n) return;
+  std::vector<const u64*> rows(3 * count);
+  for (std::size_t i = 0; i < count; ++i) {
+    rows[i] = d[i] + j;
+    rows[count + i] = k0[i] + j;
+    rows[2 * count + i] = k1[i] + j;
+  }
+  detail::scalar_kernels()->key_inner_product(out0 + j, out1 + j, rows.data(),
+                                              rows.data() + count, rows.data() + 2 * count,
+                                              count, n - j, q, ratio_hi, ratio_lo);
+}
+
 const Kernels kAvx512Kernels = {
     add_mod_avx512,  sub_mod_avx512,      neg_mod_avx512,      mul_mod_avx512,
     mul_shoup_avx512, fwd_butterfly_avx512, inv_butterfly_avx512, fwd_stage_avx512,
-    inv_stage_avx512, reduce_4q_avx512,    lift_centered_avx512,
+    inv_stage_avx512, reduce_4q_avx512,    lift_centered_avx512, key_inner_product_avx512,
 };
 
 }  // namespace

@@ -112,10 +112,38 @@ void lift_centered_scalar(u64* dst, const u64* src, std::size_t n, u64 q_src, u6
   }
 }
 
+void key_inner_product_scalar(u64* out0, u64* out1, const u64* const* d,
+                              const u64* const* k0, const u64* const* k1,
+                              std::size_t count, std::size_t n, u64 q, u64 ratio_hi,
+                              u64 ratio_lo) {
+  // u128 accumulators over a stack tile of outputs, digits outer.
+  constexpr std::size_t kTile = 256;
+  u128 acc0[kTile], acc1[kTile];
+  for (std::size_t base = 0; base < n; base += kTile) {
+    const std::size_t len = n - base < kTile ? n - base : kTile;
+    for (std::size_t j = 0; j < len; ++j) acc0[j] = acc1[j] = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const u64* dg = d[i] + base;
+      const u64* a = k0[i] + base;
+      const u64* b = k1[i] + base;
+      for (std::size_t j = 0; j < len; ++j) {
+        acc0[j] += static_cast<u128>(dg[j]) * a[j];
+        acc1[j] += static_cast<u128>(dg[j]) * b[j];
+      }
+    }
+    for (std::size_t j = 0; j < len; ++j) {
+      out0[base + j] = barrett128(static_cast<u64>(acc0[j]), static_cast<u64>(acc0[j] >> 64),
+                                  q, ratio_hi, ratio_lo);
+      out1[base + j] = barrett128(static_cast<u64>(acc1[j]), static_cast<u64>(acc1[j] >> 64),
+                                  q, ratio_hi, ratio_lo);
+    }
+  }
+}
+
 const Kernels kScalarKernels = {
     add_mod_scalar,  sub_mod_scalar,      neg_mod_scalar,      mul_mod_scalar,
     mul_shoup_scalar, fwd_butterfly_scalar, inv_butterfly_scalar, fwd_stage_scalar,
-    inv_stage_scalar, reduce_4q_scalar,    lift_centered_scalar,
+    inv_stage_scalar, reduce_4q_scalar,    lift_centered_scalar, key_inner_product_scalar,
 };
 
 }  // namespace

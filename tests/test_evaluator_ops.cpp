@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "smartpaf/fhe_deploy.h"
@@ -460,6 +461,77 @@ TEST(EvaluatorOpPins, FullChainAtN8192) {
 // inner product at 19 and 21 digits.
 TEST(EvaluatorOpPins, LongChainsAtN2048) {
   run_op_pins("n2048d20", CkksParams::for_depth(2048, 20, 40), {21, 19});
+}
+
+// ------------------------------------------------------- key shape ------
+// A key switch reads key.digits[i] for every digit i < c and the special
+// row at index ctx.q_count(). A key of the wrong shape must be refused
+// with a message naming what was found and expected, before any read.
+
+/// Runs `body`, which must throw sp::Error whose message contains every
+/// string in `parts`.
+template <typename Fn>
+void expect_key_error(const Fn& body, const std::vector<std::string>& parts) {
+  try {
+    body();
+    ADD_FAILURE() << "expected sp::Error";
+  } catch (const sp::Error& e) {
+    const std::string what = e.what();
+    for (const std::string& p : parts)
+      EXPECT_NE(what.find(p), std::string::npos) << "'" << p << "' not in: " << what;
+  }
+}
+
+class KSwitchKeyShape : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    rt_ = std::make_unique<smartpaf::FheRuntime>(CkksParams::for_depth(2048, 4, 40), 31);
+    short_ = std::make_unique<smartpaf::FheRuntime>(CkksParams::for_depth(2048, 2, 40), 32);
+    short_gk_ = short_->rotation_keys({1});
+  }
+  static void TearDownTestSuite() {
+    short_gk_.reset();
+    short_.reset();
+    rt_.reset();
+  }
+  static Ciphertext fresh() {
+    return rt_->encrypt(std::vector<double>(rt_->ctx().slot_count(), 0.25));
+  }
+  /// What every refusal names as expected: 5 digits of 5 + 1 rows at n = 2048.
+  static std::vector<std::string> expected(const std::string& found) {
+    return {found, "expected 5 digits", "5 chain + 1 special rows at n = 2048"};
+  }
+
+  static std::unique_ptr<smartpaf::FheRuntime> rt_, short_;
+  static std::shared_ptr<const GaloisKeys> short_gk_;
+};
+
+std::unique_ptr<smartpaf::FheRuntime> KSwitchKeyShape::rt_;
+std::unique_ptr<smartpaf::FheRuntime> KSwitchKeyShape::short_;
+std::shared_ptr<const GaloisKeys> KSwitchKeyShape::short_gk_;
+
+TEST_F(KSwitchKeyShape, RelinearizeRejectsEmptyKey) {
+  const Ciphertext a = fresh();
+  Ciphertext x = rt_->evaluator().multiply(a, a);
+  expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, KSwitchKey{}); },
+                   expected("key has 0 digits"));
+}
+
+TEST_F(KSwitchKeyShape, RelinearizeRejectsShorterChainKey) {
+  const Ciphertext a = fresh();
+  Ciphertext x = rt_->evaluator().multiply(a, a);
+  expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, short_->relin_key()); },
+                   expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048"));
+}
+
+TEST_F(KSwitchKeyShape, RotationsRejectShorterChainGaloisKey) {
+  const Ciphertext a = fresh();
+  Evaluator& ev = rt_->evaluator();
+  const auto found = expected("key has 3 digits, a part with 3 chain + 1 special rows");
+  expect_key_error([&] { ev.rotate(a, 1, *short_gk_); }, found);
+  const HoistedDecomposition h = ev.hoist(a);
+  expect_key_error([&] { ev.rotate_hoisted(h, 1, *short_gk_); }, found);
+  expect_key_error([&] { ev.rotate_hoisted(a, std::vector<int>{1}, *short_gk_); }, found);
 }
 
 }  // namespace

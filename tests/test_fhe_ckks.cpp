@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "approx/presets.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "fhe/encryptor.h"
 #include "fhe/evaluator.h"
@@ -220,6 +225,54 @@ TEST_F(CkksTest, PolyEvalDepthMatchesLadderRule) {
   EXPECT_EQ(ct.level() - out.level(), 3);
   const auto back = encoder_->decode(decryptor_->decrypt(out));
   EXPECT_NEAR(back[0], p(0.5), 1e-2);
+}
+
+// encode_scalar writes the constant straight into NTT form. The reference
+// here is the coefficient path it replaced: coefficient 0 set, then
+// set_from_signed and a forward NTT per row.
+TEST(EncodeScalar, MatchesCoefficientPathBitForBit) {
+  const double largest = std::nextafter(4.6e18, 0.0);
+  for (const CkksParams& params : {CkksParams::for_depth(8192, 10, 40), CkksParams::test_small()}) {
+    const CkksContext ctx(params);
+    const Encoder encoder(ctx);
+    std::vector<std::pair<double, double>> cases;  // (value, scale)
+    for (double v : {0.0, 1.0, -1.0, 0.5, -0.5, 3.7e-7, -3.7e-7})
+      for (double scale : {1.0, ctx.scale()}) cases.emplace_back(v, scale);
+    cases.emplace_back(largest, 1.0);
+    cases.emplace_back(-largest, 1.0);
+    for (int q_count = 1; q_count <= ctx.q_count(); ++q_count) {
+      for (const auto& [value, scale] : cases) {
+        std::vector<std::int64_t> coeffs(ctx.n(), 0);
+        coeffs[0] = std::llround(value * scale);
+        RnsPoly want(&ctx, q_count, /*with_special=*/false, /*ntt_form=*/false);
+        want.set_from_signed(coeffs);
+        want.to_ntt();
+
+        const Plaintext got = encoder.encode_scalar(value, scale, q_count);
+        ASSERT_TRUE(got.poly.is_ntt());
+        ASSERT_FALSE(got.poly.has_special());
+        ASSERT_EQ(got.poly.q_count(), q_count);
+        EXPECT_EQ(got.scale, scale);
+        bool same = true;
+        for (int r = 0; r < q_count; ++r)
+          for (std::size_t j = 0; j < ctx.n(); ++j) same = same && got.poly.row(r)[j] == want.row(r)[j];
+        EXPECT_TRUE(same) << "n=" << ctx.n() << " q_count=" << q_count << " value=" << value
+                          << " scale=" << scale;
+      }
+    }
+  }
+}
+
+TEST(EncodeScalar, NanAndOverflowThrow) {
+  const CkksContext ctx(CkksParams::test_small());
+  const Encoder encoder(ctx);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(encoder.encode_scalar(nan, ctx.scale(), ctx.q_count()), sp::Error);
+  EXPECT_THROW(encoder.encode_scalar(1.0, nan, ctx.q_count()), sp::Error);
+  EXPECT_THROW(encoder.encode_scalar(4.6e18, 1.0, ctx.q_count()), sp::Error);
+  EXPECT_THROW(encoder.encode_scalar(-4.6e18, 1.0, ctx.q_count()), sp::Error);
+  EXPECT_THROW(encoder.encode_scalar(1e7, ctx.scale() * 1e6, ctx.q_count()), sp::Error);
+  EXPECT_THROW(encoder.encode_scalar(std::numeric_limits<double>::infinity(), 1.0, 1), sp::Error);
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 // must be bit-identical on every kernel — the dispatch decision can change
 // throughput only, never an FHE result. Covers the raw kernels across sizes
 // incl. non-lane-multiple tails and lazy [0, 4q) inputs, the centered-lift
-// kernel against Modulus::from_signed on every prime pair, the NTT on all
+// kernel against Modulus::from_signed on every prime pair, the key-switch
+// inner product against a direct u128 sum, the NTT on all
 // tiers, the batched (sub-row split) NTT entry points across thread counts,
 // the flat RnsPoly row-drop layout, and an end-to-end FhePipeline::run
 // identity sweep over (tier x thread count).
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -203,6 +205,61 @@ TEST(SimdKernels, LiftCenteredMatchesFromSignedOnEveryPrimePair) {
   }
   EXPECT_TRUE(saw_wide);
   EXPECT_TRUE(saw_narrow);
+}
+
+TEST(SimdKernels, KeyInnerProductTiersMatchScalar) {
+  // The scalar tier must equal a direct u128 sum reduced by
+  // Modulus::reduce128, and every other tier the scalar tier. Digit counts
+  // reach lenet's 19 and serve_open's 21; rows of all q - 1 give the largest
+  // sums and carries; lengths 1, 7, 9 and 2053 run the lane tails.
+  const simd::Kernels* ref = simd::detail::scalar_kernels();
+  for (u64 q : {test_prime(), small_prime()}) {
+    const Modulus m(q);
+    for (std::size_t count : {1, 2, 11, 19, 21}) {
+      for (std::size_t n : {1, 7, 8, 9, 2053}) {
+        for (bool worst : {false, true}) {
+          sp::Rng rng(q ^ (count << 24) ^ (n << 4) ^ (worst ? 1 : 0));
+          const auto row = [&] { return worst ? std::vector<u64>(n, q - 1) : random_below(rng, n, q); };
+          std::vector<std::vector<u64>> d, k0, k1;
+          std::vector<const u64*> dp, k0p, k1p;
+          for (std::size_t i = 0; i < count; ++i) {
+            d.push_back(row());
+            k0.push_back(row());
+            k1.push_back(row());
+          }
+          for (std::size_t i = 0; i < count; ++i) {
+            dp.push_back(d[i].data());
+            k0p.push_back(k0[i].data());
+            k1p.push_back(k1[i].data());
+          }
+          std::vector<u64> want0(n), want1(n);
+          for (std::size_t j = 0; j < n; ++j) {
+            u128 a = 0, b = 0;
+            for (std::size_t i = 0; i < count; ++i) {
+              a += static_cast<u128>(d[i][j]) * k0[i][j];
+              b += static_cast<u128>(d[i][j]) * k1[i][j];
+            }
+            want0[j] = m.reduce128(a);
+            want1[j] = m.reduce128(b);
+          }
+          const std::string tag = "q=" + std::to_string(q) + " count=" + std::to_string(count) +
+                                  " n=" + std::to_string(n) + (worst ? " all q-1" : " random");
+          std::vector<u64> r0(n), r1(n);
+          ref->key_inner_product(r0.data(), r1.data(), dp.data(), k0p.data(), k1p.data(), count, n,
+                                 q, m.ratio_hi(), m.ratio_lo());
+          EXPECT_EQ(r0, want0) << "scalar out0 " << tag;
+          EXPECT_EQ(r1, want1) << "scalar out1 " << tag;
+          for (simd::Tier t : supported_tiers()) {
+            std::vector<u64> v0(n), v1(n);
+            table_for(t)->key_inner_product(v0.data(), v1.data(), dp.data(), k0p.data(),
+                                            k1p.data(), count, n, q, m.ratio_hi(), m.ratio_lo());
+            EXPECT_EQ(v0, r0) << simd::tier_name(t) << " out0 " << tag;
+            EXPECT_EQ(v1, r1) << simd::tier_name(t) << " out1 " << tag;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdNtt, ForwardInverseTiersMatchScalarAndRoundTrip) {

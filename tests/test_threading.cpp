@@ -210,4 +210,35 @@ TEST(ThreadingDeterminism, CountersThreadCountInvariant) {
   ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
 
+TEST(ThreadingDeterminism, ConcurrentCallersShareOneEvaluator) {
+  // Key switches fill per-thread scratch rows: several caller threads
+  // running relinearize and rotations on one evaluator at once (while the
+  // pool's lanes fill other output primes) must each get the serial result.
+  smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 4, 40), /*seed=*/99);
+  const auto gk = rt.rotation_keys({1, 2});
+  sp::Rng rng(6);
+  std::vector<double> v(rt.ctx().slot_count());
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  const Ciphertext ct = rt.encrypt(v);
+  const Evaluator& ev = rt.evaluator();
+  const auto work = [&] {
+    std::vector<u64> out;
+    Ciphertext sq = ev.multiply(ct, ct);
+    ev.relinearize_inplace(sq, rt.relin_key());
+    flatten(sq, out);
+    flatten(ev.rotate(ct, 1, *gk), out);
+    for (const Ciphertext& r : ev.rotate_hoisted(ct, {1, 2}, *gk)) flatten(r, out);
+    return out;
+  };
+  const std::vector<u64> ref = work();
+  std::vector<std::vector<u64>> got(3);
+  std::vector<std::thread> callers;
+  for (auto& g : got)
+    callers.emplace_back([&work, &g] {
+      for (int rep = 0; rep < 2; ++rep) g = work();
+    });
+  for (auto& t : callers) t.join();
+  for (const auto& g : got) EXPECT_TRUE(g == ref);
+}
+
 }  // namespace
