@@ -73,6 +73,46 @@ void divide_by_last_row(const std::vector<RnsPoly*>& polys, const std::vector<u6
   });
 }
 
+/// Coefficient form of a key-switch input `d` (NTT form over chain rows):
+/// a copy, inverse-transformed (c NTTs).
+RnsPoly coefficient_copy(const RnsPoly& d, OpCounters& counters) {
+  sp::check(d.is_ntt() && !d.has_special(), "key switch: expects NTT form over chain rows");
+  RnsPoly out = d;
+  out.from_ntt();
+  counters.ntts_inverse += static_cast<std::size_t>(d.q_count());
+  return out;
+}
+
+/// Writes every digit's NTT-form row in output prime t (one of the c chain
+/// primes, or P at t = c) to row_of(i). Digit i is the centered lift of d's
+/// residue row i, so its row in q_i is d's own NTT row, copied; the other
+/// c - 1 lifts of `d_coeff`'s rows are transformed in one batch. Returns
+/// the number of NTTs run.
+template <typename RowOf>
+std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t,
+                            const RowOf& row_of) {
+  const CkksContext& ctx = *d.context();
+  const int c = d.q_count();
+  const std::size_t n = ctx.n();
+  const bool special = t == c;
+  const u64 q_t = special ? ctx.special().value() : ctx.q(t).value();
+  const NttTables& tables = special ? ctx.special_ntt() : ctx.ntt(t);
+  const simd::Kernels& k = simd::kernels();
+  std::vector<NttJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(c));
+  for (int i = 0; i < c; ++i) {
+    u64* row = row_of(i);
+    if (i == t) {
+      std::memcpy(row, d.row(i), n * sizeof(u64));
+    } else {
+      k.lift_centered(row, d_coeff.row(i), n, ctx.q(i).value(), q_t);
+      jobs.push_back({row, &tables});
+    }
+  }
+  ntt_forward_batch(jobs);
+  return jobs.size();
+}
+
 /// Per-thread block of digit rows for one output prime of a key switch. A
 /// lane fills it and the inner-product kernel reads it back while it is
 /// still in cache; it is reused across calls. It is per thread because the
@@ -228,40 +268,15 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
 }
 
 std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d) const {
-  sp::check(d.is_ntt() && !d.has_special(),
-            "decompose_digits: expects NTT form over chain rows");
-  const int l = d.q_count();
-  const std::size_t rows = static_cast<std::size_t>(l) + 1;  // + special
-  const std::size_t n = ctx_->n();
-  RnsPoly d_coeff = d;
-  d_coeff.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(l);
-
-  // Rows are filled in coefficient form and transformed in place below.
-  std::vector<RnsPoly> digits(static_cast<std::size_t>(l));
-  for (auto& digit : digits)
-    digit = RnsPoly(ctx_, l, /*with_special=*/true, /*ntt_form=*/true);
-  // Digit i's row i is the lift of a residue into its own prime, i.e. d's
-  // own NTT row i, so it is copied. Every other (digit, target row) pair is
-  // an independent centered lift, parallel at l*(l+1) granularity.
-  const simd::Kernels& k = simd::kernels();
-  for_each_row_tile(digits.size() * rows, n, [&](std::size_t u, std::size_t off, std::size_t len) {
-    const int i = static_cast<int>(u / rows), t = static_cast<int>(u % rows);
-    RnsPoly& digit = digits[u / rows];
-    if (t == i)
-      std::memcpy(digit.row(t) + off, d.row(i) + off, len * sizeof(u64));
-    else
-      k.lift_centered(digit.row(t) + off, d_coeff.row(i) + off, len, ctx_->q(i).value(),
-                      digit.row_mod(t).value());
+  const RnsPoly d_coeff = coefficient_copy(d, counters);
+  const int c = d.q_count();
+  std::vector<RnsPoly> digits(static_cast<std::size_t>(c),
+                              RnsPoly(ctx_, c, /*with_special=*/true, /*ntt_form=*/true));
+  sp::parallel_for(0, digits.size() + 1, [&](std::size_t tt) {
+    const int t = static_cast<int>(tt);
+    counters.ntts_forward += decompose_prime(
+        d, d_coeff, t, [&](int i) { return digits[static_cast<std::size_t>(i)].row(t); });
   });
-  // All l*l forward NTTs go out as one batch, so sub-row splitting sees the
-  // full row set at once.
-  std::vector<NttJob> jobs;
-  for (std::size_t i = 0; i < digits.size(); ++i)
-    for (int t = 0; t <= l; ++t)
-      if (t != static_cast<int>(i)) jobs.push_back({digits[i].row(t), &digits[i].row_ntt(t)});
-  ntt_forward_batch(jobs);
-  counters.ntts_forward += jobs.size();
   return digits;
 }
 
@@ -293,34 +308,13 @@ void Evaluator::check_kswitch_key(const KSwitchKey& key) const {
 std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const RnsPoly& d,
                                                      const KSwitchKey& key) const {
   check_kswitch_key(key);
-  sp::check(d.is_ntt() && !d.has_special(), "key switch: expects NTT form over chain rows");
-  const int c = d.q_count();
-  RnsPoly d_coeff = d;
-  d_coeff.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(c);
-
+  const RnsPoly d_coeff = coefficient_copy(d, counters);
   const std::size_t n = ctx_->n();
-  const simd::Kernels& k = simd::kernels();
-  return key_inner_products(*ctx_, key, c, [&](int t, u64* rows) {
-    // Digit i's row in prime t is the centered lift of d's residue row i;
-    // row t is d's own NTT row, so it is copied and the other c - 1 lifts
-    // are transformed here, in the lane, while they are in cache.
-    const bool special = t == c;
-    const u64 q_t = special ? ctx_->special().value() : ctx_->q(t).value();
-    const NttTables& tables = special ? ctx_->special_ntt() : ctx_->ntt(t);
-    std::vector<NttJob> jobs;
-    jobs.reserve(static_cast<std::size_t>(c));
-    for (int i = 0; i < c; ++i) {
-      u64* row = rows + static_cast<std::size_t>(i) * n;
-      if (i == t) {
-        std::memcpy(row, d.row(i), n * sizeof(u64));
-      } else {
-        k.lift_centered(row, d_coeff.row(i), n, ctx_->q(i).value(), q_t);
-        jobs.push_back({row, &tables});
-      }
-    }
-    ntt_forward_batch(jobs);
-    counters.ntts_forward += jobs.size();
+  // Each lane decomposes into its own prime's rows of the scratch block and
+  // sums them while they are in cache.
+  return key_inner_products(*ctx_, key, d.q_count(), [&](int t, u64* rows) {
+    counters.ntts_forward +=
+        decompose_prime(d, d_coeff, t, [&](int i) { return rows + static_cast<std::size_t>(i) * n; });
   });
 }
 
