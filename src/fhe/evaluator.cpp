@@ -84,13 +84,11 @@ RnsPoly coefficient_copy(const RnsPoly& d, OpCounters& counters) {
 }
 
 /// Writes every digit's NTT-form row in output prime t (one of the c chain
-/// primes, or P at t = c) to row_of(i). Digit i is the centered lift of d's
-/// residue row i, so its row in q_i is d's own NTT row, copied; the other
-/// c - 1 lifts of `d_coeff`'s rows are transformed in one batch. Returns
-/// the number of NTTs run.
-template <typename RowOf>
-std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t,
-                            const RowOf& row_of) {
+/// primes, or P at t = c), digit i's at rows + i·n. Digit i is the centered
+/// lift of d's residue row i, so its row in q_i is d's own NTT row, copied;
+/// the other c - 1 lifts of `d_coeff`'s rows are transformed in one batch.
+/// Returns the number of NTTs run.
+std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t, u64* rows) {
   const CkksContext& ctx = *d.context();
   const int c = d.q_count();
   const std::size_t n = ctx.n();
@@ -101,7 +99,7 @@ std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t,
   std::vector<NttJob> jobs;
   jobs.reserve(static_cast<std::size_t>(c));
   for (int i = 0; i < c; ++i) {
-    u64* row = row_of(i);
+    u64* row = rows + static_cast<std::size_t>(i) * n;
     if (i == t) {
       std::memcpy(row, d.row(i), n * sizeof(u64));
     } else {
@@ -267,17 +265,14 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
   return out;
 }
 
-std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d) const {
+sp::AlignedVec<u64> Evaluator::decompose_digits(const RnsPoly& d) const {
   const RnsPoly d_coeff = coefficient_copy(d, counters);
-  const int c = d.q_count();
-  std::vector<RnsPoly> digits(static_cast<std::size_t>(c),
-                              RnsPoly(ctx_, c, /*with_special=*/true, /*ntt_form=*/true));
-  sp::parallel_for(0, digits.size() + 1, [&](std::size_t tt) {
-    const int t = static_cast<int>(tt);
-    counters.ntts_forward += decompose_prime(
-        d, d_coeff, t, [&](int i) { return digits[static_cast<std::size_t>(i)].row(t); });
+  const std::size_t c = static_cast<std::size_t>(d.q_count()), n = ctx_->n();
+  sp::AlignedVec<u64> rows(c * (c + 1) * n);
+  sp::parallel_for(0, c + 1, [&](std::size_t t) {
+    counters.ntts_forward += decompose_prime(d, d_coeff, static_cast<int>(t), rows.data() + t * c * n);
   });
-  return digits;
+  return rows;
 }
 
 void Evaluator::check_kswitch_key(const KSwitchKey& key) const {
@@ -309,28 +304,25 @@ std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const RnsPoly& d,
                                                      const KSwitchKey& key) const {
   check_kswitch_key(key);
   const RnsPoly d_coeff = coefficient_copy(d, counters);
-  const std::size_t n = ctx_->n();
   // Each lane decomposes into its own prime's rows of the scratch block and
   // sums them while they are in cache.
   return key_inner_products(*ctx_, key, d.q_count(), [&](int t, u64* rows) {
-    counters.ntts_forward +=
-        decompose_prime(d, d_coeff, t, [&](int i) { return rows + static_cast<std::size_t>(i) * n; });
+    counters.ntts_forward += decompose_prime(d, d_coeff, t, rows);
   });
 }
 
-std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const std::vector<RnsPoly>& digits,
+std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const HoistedDecomposition& h,
                                                      const KSwitchKey& key, u64 g) const {
   check_kswitch_key(key);
-  const std::size_t n = ctx_->n();
+  const int c = h.src.q_count();
+  const std::size_t n = ctx_->n(), block = static_cast<std::size_t>(c) * n;
   const std::vector<std::uint32_t>& perm = galois_ntt_table(n, g);
   const auto permute = [&](int t, u64* rows) {
-    for (std::size_t i = 0; i < digits.size(); ++i) {
-      const u64* src = digits[i].row(t);
-      u64* dst = rows + i * n;
-      for (std::size_t j = 0; j < n; ++j) dst[j] = src[perm[j]];
-    }
+    const u64* digits = h.rows.data() + static_cast<std::size_t>(t) * block;
+    for (std::size_t r = 0; r < block; r += n)
+      for (std::size_t j = 0; j < n; ++j) rows[r + j] = digits[r + perm[j]];
   };
-  return key_inner_products(*ctx_, key, static_cast<int>(digits.size()), permute);
+  return key_inner_products(*ctx_, key, c, permute);
 }
 
 void Evaluator::mod_down(RnsPoly& r0, RnsPoly& r1) const {
@@ -384,19 +376,19 @@ HoistedDecomposition Evaluator::hoist(const Ciphertext& ct) const {
   sp::check(ct.size() == 2, "hoist: relinearize first");
   HoistedDecomposition h;
   h.src = ct;
-  h.digits = decompose_digits(ct.parts[1]);
+  h.rows = decompose_digits(ct.parts[1]);
   return h;
 }
 
 Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
                                      const GaloisKeys& gk) const {
-  sp::check(!h.digits.empty(), "rotate_hoisted: empty decomposition");
+  sp::check(!h.rows.empty(), "rotate_hoisted: empty decomposition");
   const u64 g = galois_element(ctx_->n(), steps);
   if (g == 1) return h.src;
   const KSwitchKey& key = galois_key(gk, g);
   // Permuting the cached NTT-form digits equals decomposing the rotated
   // ciphertext, at zero additional NTTs.
-  Ciphertext out = finish_rotation(apply_kswitch(h.digits, key, g), h.src, g);
+  Ciphertext out = finish_rotation(apply_kswitch(h, key, g), h.src, g);
   ++counters.rotations;
   ++counters.hoisted_rotations;
   return out;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/aligned.h"
 #include "fhe/encryptor.h"
 #include "fhe/keys.h"
 
@@ -126,8 +127,11 @@ inline OpCountersPerInput per_input(const OpCounters& c, int batch_size) {
 /// c x (c + 1)-row array because every step reuses it; a single rotate()
 /// streams its decomposition instead and never builds one.
 struct HoistedDecomposition {
-  Ciphertext src;               ///< decomposed ciphertext (returned for step 0)
-  std::vector<RnsPoly> digits;  ///< NTT form over chain + special rows
+  Ciphertext src;  ///< decomposed ciphertext (returned for step 0)
+  /// The c x (c + 1) digit rows in NTT form, prime-major: digit i's row in
+  /// output prime t (the c chain primes, then P) starts at (t·c + i)·n, so
+  /// one prime's c rows are one block, laid out like a switch's scratch.
+  sp::AlignedVec<u64> rows;
 };
 
 /// Leveled CKKS evaluator: arithmetic, rescaling, relinearization via hybrid
@@ -260,10 +264,11 @@ class Evaluator {
  private:
   /// The hoistable half of hybrid key switching, used by hoist() only:
   /// digit i is the centered lift of `d`'s residue row i into the extended
-  /// basis Q ∪ {P}, in NTT form. `d` is NTT form over c chain rows; digit
-  /// i's row i is copied from it, so the cost is c inverse and c^2 forward
-  /// NTTs.
-  std::vector<RnsPoly> decompose_digits(const RnsPoly& d) const;
+  /// basis Q ∪ {P}, in NTT form, in HoistedDecomposition::rows' layout. `d`
+  /// is NTT form over c chain rows; digit i's row i is copied from it, so
+  /// the cost is c inverse and c^2 forward NTTs. One allocation holds every
+  /// row.
+  sp::AlignedVec<u64> decompose_digits(const RnsPoly& d) const;
 
   /// Throws sp::Error, naming the digits, rows and ring size found and
   /// expected, unless `key` has q_count() digits whose two parts are NTT
@@ -281,11 +286,11 @@ class Evaluator {
   /// result.
   std::pair<RnsPoly, RnsPoly> apply_kswitch(const RnsPoly& d, const KSwitchKey& key) const;
 
-  /// The same switch over cached hoisted digits under Galois element `g`:
-  /// for each output prime, the c digit rows are permuted by
+  /// The same switch over hoisted digits under Galois element `g`: for
+  /// each output prime, its c digit rows are permuted by
   /// galois_ntt_table(n, g) into the scratch block and handed to the same
   /// kernel.
-  std::pair<RnsPoly, RnsPoly> apply_kswitch(const std::vector<RnsPoly>& digits,
+  std::pair<RnsPoly, RnsPoly> apply_kswitch(const HoistedDecomposition& h,
                                             const KSwitchKey& key, u64 g) const;
 
   /// Mod-down of a rotation's key-switch output plus `src`'s c0 permuted by
