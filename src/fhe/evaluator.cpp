@@ -270,7 +270,8 @@ sp::AlignedVec<u64> Evaluator::decompose_digits(const RnsPoly& d) const {
   const std::size_t c = static_cast<std::size_t>(d.q_count()), n = ctx_->n();
   sp::AlignedVec<u64> rows(c * (c + 1) * n);
   sp::parallel_for(0, c + 1, [&](std::size_t t) {
-    counters.ntts_forward += decompose_prime(d, d_coeff, static_cast<int>(t), rows.data() + t * c * n);
+    counters.ntts_forward +=
+        decompose_prime(d, d_coeff, static_cast<int>(t), rows.data() + t * c * n);
   });
   return rows;
 }

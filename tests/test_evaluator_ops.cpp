@@ -472,14 +472,15 @@ TEST(EvaluatorOpPins, LongChainsAtN2048) {
 /// string in `parts`.
 template <typename Fn>
 void expect_key_error(const Fn& body, const std::vector<std::string>& parts) {
+  std::string what;
   try {
     body();
-    ADD_FAILURE() << "expected sp::Error";
   } catch (const sp::Error& e) {
-    const std::string what = e.what();
-    for (const std::string& p : parts)
-      EXPECT_NE(what.find(p), std::string::npos) << "'" << p << "' not in: " << what;
+    what = e.what();
   }
+  ASSERT_FALSE(what.empty()) << "expected sp::Error";
+  for (const std::string& p : parts)
+    EXPECT_NE(what.find(p), std::string::npos) << "'" << p << "' not in: " << what;
 }
 
 class KSwitchKeyShape : public ::testing::Test {

@@ -255,7 +255,8 @@ TEST(EncodeScalar, MatchesCoefficientPathBitForBit) {
         EXPECT_EQ(got.scale, scale);
         bool same = true;
         for (int r = 0; r < q_count; ++r)
-          for (std::size_t j = 0; j < ctx.n(); ++j) same = same && got.poly.row(r)[j] == want.row(r)[j];
+          for (std::size_t j = 0; j < ctx.n(); ++j)
+            same = same && got.poly.row(r)[j] == want.row(r)[j];
         EXPECT_TRUE(same) << "n=" << ctx.n() << " q_count=" << q_count << " value=" << value
                           << " scale=" << scale;
       }

@@ -219,7 +219,9 @@ TEST(SimdKernels, KeyInnerProductTiersMatchScalar) {
       for (std::size_t n : {1, 7, 8, 9, 2053}) {
         for (bool worst : {false, true}) {
           sp::Rng rng(q ^ (count << 24) ^ (n << 4) ^ (worst ? 1 : 0));
-          const auto row = [&] { return worst ? std::vector<u64>(n, q - 1) : random_below(rng, n, q); };
+          const auto row = [&] {
+            return worst ? std::vector<u64>(n, q - 1) : random_below(rng, n, q);
+          };
           std::vector<std::vector<u64>> d, k0, k1;
           std::vector<const u64*> dp, k0p, k1p;
           for (std::size_t i = 0; i < count; ++i) {
