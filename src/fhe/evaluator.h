@@ -267,7 +267,8 @@ class Evaluator {
   /// basis Q ∪ {P}, in NTT form, in HoistedDecomposition::rows' layout. `d`
   /// is NTT form over c chain rows; digit i's row i is copied from it, so
   /// the cost is c inverse and c^2 forward NTTs. One allocation holds every
-  /// row.
+  /// row: as c separate polynomials, a hoist at 19 primes (N = 2048) faulted
+  /// its 6 MB of digits in afresh on every call.
   sp::AlignedVec<u64> decompose_digits(const RnsPoly& d) const;
 
   /// Throws sp::Error, naming the digits, rows and ring size found and
