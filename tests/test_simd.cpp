@@ -128,42 +128,53 @@ TEST(SimdKernels, ButterflyAndStageTiersMatchScalar) {
     const std::vector<u64> iy = random_below(rng, n, 2 * q);
     const u64 w = rng.next_u64() % q;
     const u64 ws = shoup_precompute(w, q);
-    // Stage layout: `blocks` blocks of 2t, per-block twiddles.
-    const std::size_t t_len = n;
-    const std::size_t blocks = 3;
-    std::vector<u64> stage_in = random_below(rng, 2 * t_len * blocks, 4 * q);
-    std::vector<u64> stage_in2q = random_below(rng, 2 * t_len * blocks, 2 * q);
-    std::vector<u64> tw(blocks), tws(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      tw[b] = rng.next_u64() % q;
-      tws[b] = shoup_precompute(tw[b], q);
-    }
     const std::vector<u64> r4 = random_below(rng, n, 4 * q);
 
-    std::vector<u64> rfx(fx), rfy(fy), rix(ix), riy(iy), rst(stage_in),
-        rsti(stage_in2q), rr4(r4);
+    std::vector<u64> rfx(fx), rfy(fy), rix(ix), riy(iy), rr4(r4);
     ref->fwd_butterfly(rfx.data(), rfy.data(), n, w, ws, q);
     ref->inv_butterfly(rix.data(), riy.data(), n, w, ws, q);
-    ref->fwd_stage(rst.data(), t_len, blocks, tw.data(), tws.data(), q);
-    ref->inv_stage(rsti.data(), t_len, blocks, tw.data(), tws.data(), q);
     ref->reduce_4q(rr4.data(), n, q);
 
     for (simd::Tier t : supported_tiers()) {
       const simd::Kernels* k = table_for(t);
-      std::vector<u64> vfx(fx), vfy(fy), vix(ix), viy(iy), vst(stage_in),
-          vsti(stage_in2q), vr4(r4);
+      std::vector<u64> vfx(fx), vfy(fy), vix(ix), viy(iy), vr4(r4);
       k->fwd_butterfly(vfx.data(), vfy.data(), n, w, ws, q);
       k->inv_butterfly(vix.data(), viy.data(), n, w, ws, q);
-      k->fwd_stage(vst.data(), t_len, blocks, tw.data(), tws.data(), q);
-      k->inv_stage(vsti.data(), t_len, blocks, tw.data(), tws.data(), q);
       k->reduce_4q(vr4.data(), n, q);
       EXPECT_EQ(vfx, rfx) << simd::tier_name(t) << " fwd x n=" << n;
       EXPECT_EQ(vfy, rfy) << simd::tier_name(t) << " fwd y n=" << n;
       EXPECT_EQ(vix, rix) << simd::tier_name(t) << " inv x n=" << n;
       EXPECT_EQ(viy, riy) << simd::tier_name(t) << " inv y n=" << n;
-      EXPECT_EQ(vst, rst) << simd::tier_name(t) << " fwd_stage n=" << n;
-      EXPECT_EQ(vsti, rsti) << simd::tier_name(t) << " inv_stage n=" << n;
       EXPECT_EQ(vr4, rr4) << simd::tier_name(t) << " reduce_4q n=" << n;
+    }
+
+    // Stage layout: `blocks` blocks of 2t, per-block twiddles. The block
+    // counts run every narrow-t vector group (8 blocks at t = 1 and 4 at
+    // t = 2 on AVX-512, 4 at t = 1 on AVX2) and a leftover block on every
+    // tier.
+    const std::size_t t_len = n;
+    for (std::size_t blocks : {1, 3, 8, 17}) {
+      const std::vector<u64> stage_in = random_below(rng, 2 * t_len * blocks, 4 * q);
+      const std::vector<u64> stage_in2q = random_below(rng, 2 * t_len * blocks, 2 * q);
+      std::vector<u64> tw(blocks), tws(blocks);
+      for (std::size_t b = 0; b < blocks; ++b) {
+        tw[b] = rng.next_u64() % q;
+        tws[b] = shoup_precompute(tw[b], q);
+      }
+      std::vector<u64> rst(stage_in), rsti(stage_in2q);
+      ref->fwd_stage(rst.data(), t_len, blocks, tw.data(), tws.data(), q);
+      ref->inv_stage(rsti.data(), t_len, blocks, tw.data(), tws.data(), q);
+
+      for (simd::Tier t : supported_tiers()) {
+        const simd::Kernels* k = table_for(t);
+        std::vector<u64> vst(stage_in), vsti(stage_in2q);
+        k->fwd_stage(vst.data(), t_len, blocks, tw.data(), tws.data(), q);
+        k->inv_stage(vsti.data(), t_len, blocks, tw.data(), tws.data(), q);
+        EXPECT_EQ(vst, rst) << simd::tier_name(t) << " fwd_stage n=" << n
+                            << " blocks=" << blocks;
+        EXPECT_EQ(vsti, rsti) << simd::tier_name(t) << " inv_stage n=" << n
+                              << " blocks=" << blocks;
+      }
     }
   }
 }
