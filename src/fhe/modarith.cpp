@@ -15,17 +15,8 @@ Modulus::Modulus(u64 q) : q_(q) {
 }
 
 u64 Modulus::reduce128(u128 x) const {
-  const u64 x_lo = static_cast<u64>(x);
-  const u64 x_hi = static_cast<u64>(x >> 64);
-  // Estimate floor(x / q) ~= floor(x * ratio / 2^128), then correct.
-  const u128 t1 = static_cast<u128>(x_lo) * ratio_hi_;
-  const u128 t2 = static_cast<u128>(x_hi) * ratio_lo_;
-  const u64 carry = static_cast<u64>((static_cast<u128>(x_lo) * ratio_lo_) >> 64);
-  const u128 mid = t1 + t2 + carry;
-  const u64 est = static_cast<u64>(x_hi) * ratio_hi_ + static_cast<u64>(mid >> 64);
-  u64 r = x_lo - est * q_;  // wraparound ok; remainder < 3q
-  while (r >= q_) r -= q_;
-  return r;
+  return barrett_reduce(static_cast<u64>(x), static_cast<u64>(x >> 64), q_, ratio_hi_,
+                        ratio_lo_);
 }
 
 u64 Modulus::pow(u64 a, u64 e) const {

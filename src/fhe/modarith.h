@@ -7,6 +7,20 @@ namespace sp::fhe {
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
+/// Barrett reduction of the 128-bit value x_hi:x_lo to [0, q), with
+/// (ratio_hi, ratio_lo) = floor(2^128 / q): estimate floor(x / q) as
+/// floor(x * ratio / 2^128), then correct.
+inline u64 barrett_reduce(u64 x_lo, u64 x_hi, u64 q, u64 ratio_hi, u64 ratio_lo) {
+  const u128 t1 = static_cast<u128>(x_lo) * ratio_hi;
+  const u128 t2 = static_cast<u128>(x_hi) * ratio_lo;
+  const u64 carry = static_cast<u64>((static_cast<u128>(x_lo) * ratio_lo) >> 64);
+  const u128 mid = t1 + t2 + carry;
+  const u64 est = x_hi * ratio_hi + static_cast<u64>(mid >> 64);
+  u64 r = x_lo - est * q;  // wraparound ok; remainder < 3q
+  while (r >= q) r -= q;
+  return r;
+}
+
 /// Prime modulus (< 2^62) with precomputed Barrett constant for fast
 /// reduction of 128-bit products. All residues handled by this class are
 /// kept fully reduced in [0, q).
@@ -17,8 +31,8 @@ class Modulus {
 
   u64 value() const { return q_; }
 
-  // Barrett constant words, floor(2^128 / q) — consumed by the SIMD
-  // elementwise-multiply kernels, which inline the same reduction.
+  // Barrett constant words, floor(2^128 / q) — consumed by barrett_reduce
+  // and the SIMD multiply kernels.
   u64 ratio_hi() const { return ratio_hi_; }
   u64 ratio_lo() const { return ratio_lo_; }
 

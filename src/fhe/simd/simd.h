@@ -18,8 +18,8 @@ namespace sp::fhe::simd {
 enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Kernel table for one tier. All pointers are non-null in every published
-/// table. Ranges are contiguous; `n`/`len` may be any value (kernels handle
-/// non-multiple-of-lane tails with the scalar formula).
+/// table. Ranges are contiguous; `n`/`len` may be any value: a vector tier
+/// runs whole vectors only, and the scalar tier computes every remainder.
 struct Kernels {
   // --- Elementwise over n residues (inputs fully reduced unless noted) ---
   /// a[i] = a[i] + b[i] mod q.

@@ -3,19 +3,21 @@
 // (32x32 -> 64) partial products; unsigned 64-bit compares are emulated by
 // biasing into signed range. Every kernel computes exactly the scalar
 // formulas (same lazy bounds, same Barrett correction count), so results are
-// bit-identical to the scalar tier; the scalar epilogue handles tails.
+// bit-identical to the scalar tier. Every kernel runs whole vectors only and
+// hands the remaining elements (or blocks) to the scalar tier.
 //
 // The hot paths precompute the high 32-bit halves of loop-invariant operands
 // (twiddle, Shoup companion, modulus) once per block/stage and share the
 // variable operand's split across the Shoup multiply's three products, which
 // removes a third of the shift traffic from the butterfly.
 //
-// The NTT stage kernels keep every stage vectorized: wide stages (t >= 4)
-// broadcast one twiddle per block, the t = 2 stage pairs two blocks per
-// vector via 128-bit permutes, and the t = 1 stage processes four blocks per
-// vector via quadword unpacks with per-lane twiddles. The shuffles only
-// regroup independent butterflies, so the arithmetic — and the results —
-// are unchanged.
+// One butterfly loop per direction serves both butterfly kernels and the
+// wide stages. The NTT stage kernels keep every stage vectorized: wide
+// stages (t >= 4) run that loop once per block with one broadcast twiddle,
+// the t = 2 stage pairs two blocks per vector via 128-bit permutes, and the
+// t = 1 stage processes four blocks per vector via quadword unpacks with
+// per-lane twiddles. The shuffles only regroup independent butterflies, so
+// the arithmetic — and the results — are unchanged.
 //
 // This file is compiled with -mavx2 (per-file, no global -march); when the
 // compiler cannot target AVX2 the TU degrades to a null table and dispatch
@@ -63,11 +65,10 @@ inline __m256i mul64_hi_pre(__m256i x, __m256i x_hi, __m256i y, __m256i y_hi) {
       hh, _mm256_add_epi64(hi32(lh), _mm256_add_epi64(hi32(hl), hi32(cross))));
 }
 
-const __m256i kSign = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-
 /// All-ones lanes where a < b (unsigned).
 inline __m256i lt_u64(__m256i a, __m256i b) {
-  return _mm256_cmpgt_epi64(_mm256_xor_si256(b, kSign), _mm256_xor_si256(a, kSign));
+  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
+  return _mm256_cmpgt_epi64(_mm256_xor_si256(b, sign), _mm256_xor_si256(a, sign));
 }
 
 /// r >= c ? r - c : r (conditional subtract).
@@ -104,21 +105,54 @@ inline __m256i shoup_lazy(__m256i x, const TwV& tw, const ModV& m) {
       mul64_lo_pre(q_hat, hi32(q_hat), m.q, m.q_hi));
 }
 
-/// One vector of forward butterflies: x/y in < 4q, out < 4q.
-inline void fwd_bfly(__m256i& x, __m256i& y, const TwV& tw, const ModV& m) {
-  const __m256i xx = csub(x, m.two_q);
-  const __m256i v = shoup_lazy(y, tw, m);
-  x = _mm256_add_epi64(xx, v);
-  y = _mm256_sub_epi64(_mm256_add_epi64(xx, m.two_q), v);
+/// One vector of butterflies. Forward (Cooley-Tukey): x/y in < 4q, out < 4q.
+/// Inverse (Gentleman-Sande): x/y in < 2q, out < 2q.
+template <bool Fwd>
+inline void bfly(__m256i& x, __m256i& y, const TwV& tw, const ModV& m) {
+  if constexpr (Fwd) {
+    const __m256i xx = csub(x, m.two_q);
+    const __m256i v = shoup_lazy(y, tw, m);
+    x = _mm256_add_epi64(xx, v);
+    y = _mm256_sub_epi64(_mm256_add_epi64(xx, m.two_q), v);
+  } else {
+    const __m256i xx = x;
+    const __m256i yy = y;
+    x = csub(_mm256_add_epi64(xx, yy), m.two_q);
+    y = shoup_lazy(_mm256_sub_epi64(_mm256_add_epi64(xx, m.two_q), yy), tw, m);
+  }
 }
 
-/// One vector of inverse butterflies: x/y in < 2q, out < 2q.
-inline void inv_bfly(__m256i& x, __m256i& y, const TwV& tw, const ModV& m) {
-  const __m256i xx = x;
-  const __m256i yy = y;
-  x = csub(_mm256_add_epi64(xx, yy), m.two_q);
-  const __m256i diff = _mm256_sub_epi64(_mm256_add_epi64(xx, m.two_q), yy);
-  y = shoup_lazy(diff, tw, m);
+/// Butterflies over x[0, len) and y[0, len) with one broadcast twiddle: two
+/// vectors per step, then one, then the scalar tier for the rest. The stage
+/// kernel calls this once per block with a ModV built once per stage.
+template <bool Fwd>
+inline void bfly_loop(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q,
+                      const ModV& m) {
+  const TwV tw = make_tw(_mm256_set1_epi64x(static_cast<long long>(w)),
+                         _mm256_set1_epi64x(static_cast<long long>(w_shoup)));
+  std::size_t j = 0;
+  for (; j + 2 * kLanes <= len; j += 2 * kLanes) {
+    __m256i x0 = load(x + j), x1 = load(x + j + kLanes);
+    __m256i y0 = load(y + j), y1 = load(y + j + kLanes);
+    bfly<Fwd>(x0, y0, tw, m);
+    bfly<Fwd>(x1, y1, tw, m);
+    store(x + j, x0);
+    store(x + j + kLanes, x1);
+    store(y + j, y0);
+    store(y + j + kLanes, y1);
+  }
+  if (j + kLanes <= len) {
+    __m256i xx = load(x + j);
+    __m256i yy = load(y + j);
+    bfly<Fwd>(xx, yy, tw, m);
+    store(x + j, xx);
+    store(y + j, yy);
+    j += kLanes;
+  }
+  if (j < len) {  // never on ring rows, so no per-block call in the stages
+    const Kernels* s = detail::scalar_kernels();
+    (Fwd ? s->fwd_butterfly : s->inv_butterfly)(x + j, y + j, len - j, w, w_shoup, q);
+  }
 }
 
 void add_mod_avx2(u64* a, const u64* b, std::size_t n, u64 q) {
@@ -126,10 +160,7 @@ void add_mod_avx2(u64* a, const u64* b, std::size_t n, u64 q) {
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(_mm256_add_epi64(load(a + j), load(b + j)), qv));
-  for (; j < n; ++j) {
-    const u64 r = a[j] + b[j];
-    a[j] = r >= q ? r - q : r;
-  }
+  detail::scalar_kernels()->add_mod(a + j, b + j, n - j, q);
 }
 
 void sub_mod_avx2(u64* a, const u64* b, std::size_t n, u64 q) {
@@ -142,7 +173,7 @@ void sub_mod_avx2(u64* a, const u64* b, std::size_t n, u64 q) {
     store(a + j, _mm256_add_epi64(_mm256_sub_epi64(av, bv),
                                   _mm256_and_si256(qv, borrow)));
   }
-  for (; j < n; ++j) a[j] = a[j] >= b[j] ? a[j] - b[j] : a[j] + q - b[j];
+  detail::scalar_kernels()->sub_mod(a + j, b + j, n - j, q);
 }
 
 void neg_mod_avx2(u64* a, std::size_t n, u64 q) {
@@ -154,7 +185,7 @@ void neg_mod_avx2(u64* a, std::size_t n, u64 q) {
     const __m256i is_zero = _mm256_cmpeq_epi64(av, zero);
     store(a + j, _mm256_andnot_si256(is_zero, _mm256_sub_epi64(qv, av)));
   }
-  for (; j < n; ++j) a[j] = a[j] == 0 ? 0 : q - a[j];
+  detail::scalar_kernels()->neg_mod(a + j, n - j, q);
 }
 
 /// Barrett mul_mod and Shoup mul_shoup delegate to the scalar routines: the
@@ -186,71 +217,9 @@ void mul_shoup_avx2(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
   detail::scalar_kernels()->mul_shoup(a, n, w, w_shoup, q);
 }
 
-void fwd_butterfly_avx2(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup,
-                        u64 q) {
-  const u64 two_q = 2 * q;
-  const ModV m = make_mod(q);
-  const TwV tw = make_tw(_mm256_set1_epi64x(static_cast<long long>(w)),
-                         _mm256_set1_epi64x(static_cast<long long>(w_shoup)));
-  std::size_t j = 0;
-  for (; j + 2 * kLanes <= len; j += 2 * kLanes) {
-    __m256i x0 = load(x + j), x1 = load(x + j + kLanes);
-    __m256i y0 = load(y + j), y1 = load(y + j + kLanes);
-    fwd_bfly(x0, y0, tw, m);
-    fwd_bfly(x1, y1, tw, m);
-    store(x + j, x0);
-    store(x + j + kLanes, x1);
-    store(y + j, y0);
-    store(y + j + kLanes, y1);
-  }
-  for (; j + kLanes <= len; j += kLanes) {
-    __m256i xx = load(x + j);
-    __m256i yy = load(y + j);
-    fwd_bfly(xx, yy, tw, m);
-    store(x + j, xx);
-    store(y + j, yy);
-  }
-  for (; j < len; ++j) {
-    u64 xx = x[j];
-    if (xx >= two_q) xx -= two_q;
-    const u64 v = mul_shoup_lazy(y[j], w, w_shoup, q);
-    x[j] = xx + v;
-    y[j] = xx + two_q - v;
-  }
-}
-
-void inv_butterfly_avx2(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup,
-                        u64 q) {
-  const u64 two_q = 2 * q;
-  const ModV m = make_mod(q);
-  const TwV tw = make_tw(_mm256_set1_epi64x(static_cast<long long>(w)),
-                         _mm256_set1_epi64x(static_cast<long long>(w_shoup)));
-  std::size_t j = 0;
-  for (; j + 2 * kLanes <= len; j += 2 * kLanes) {
-    __m256i x0 = load(x + j), x1 = load(x + j + kLanes);
-    __m256i y0 = load(y + j), y1 = load(y + j + kLanes);
-    inv_bfly(x0, y0, tw, m);
-    inv_bfly(x1, y1, tw, m);
-    store(x + j, x0);
-    store(x + j + kLanes, x1);
-    store(y + j, y0);
-    store(y + j + kLanes, y1);
-  }
-  for (; j + kLanes <= len; j += kLanes) {
-    __m256i xx = load(x + j);
-    __m256i yy = load(y + j);
-    inv_bfly(xx, yy, tw, m);
-    store(x + j, xx);
-    store(y + j, yy);
-  }
-  for (; j < len; ++j) {
-    const u64 xx = x[j];
-    const u64 yy = y[j];
-    u64 u = xx + yy;
-    if (u >= two_q) u -= two_q;
-    x[j] = u;
-    y[j] = mul_shoup_lazy(xx + two_q - yy, w, w_shoup, q);
-  }
+template <bool Fwd>
+void butterfly_avx2(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q) {
+  bfly_loop<Fwd>(x, y, len, w, w_shoup, q, make_mod(q));
 }
 
 /// Stage worker shared by the forward/inverse stage kernels; Fwd selects the
@@ -258,61 +227,13 @@ void inv_butterfly_avx2(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup,
 /// just the twiddle broadcast/split, and vectorizes the t = 2 / t = 1
 /// layouts via permutes so no power-of-two stage drops to scalar.
 template <bool Fwd>
-inline void stage_avx2(u64* a, std::size_t t, std::size_t blocks, const u64* w,
-                       const u64* w_shoup, u64 q) {
-  const u64 two_q = 2 * q;
+void stage_avx2(u64* a, std::size_t t, std::size_t blocks, const u64* w,
+                const u64* w_shoup, u64 q) {
   const ModV m = make_mod(q);
 
   if (t >= kLanes) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      u64* x = a + b * 2 * t;
-      u64* y = x + t;
-      const TwV tw =
-          make_tw(_mm256_set1_epi64x(static_cast<long long>(w[b])),
-                  _mm256_set1_epi64x(static_cast<long long>(w_shoup[b])));
-      std::size_t j = 0;
-      for (; j + 2 * kLanes <= t; j += 2 * kLanes) {
-        __m256i x0 = load(x + j), x1 = load(x + j + kLanes);
-        __m256i y0 = load(y + j), y1 = load(y + j + kLanes);
-        if (Fwd) {
-          fwd_bfly(x0, y0, tw, m);
-          fwd_bfly(x1, y1, tw, m);
-        } else {
-          inv_bfly(x0, y0, tw, m);
-          inv_bfly(x1, y1, tw, m);
-        }
-        store(x + j, x0);
-        store(x + j + kLanes, x1);
-        store(y + j, y0);
-        store(y + j + kLanes, y1);
-      }
-      for (; j + kLanes <= t; j += kLanes) {
-        __m256i xx = load(x + j);
-        __m256i yy = load(y + j);
-        if (Fwd)
-          fwd_bfly(xx, yy, tw, m);
-        else
-          inv_bfly(xx, yy, tw, m);
-        store(x + j, xx);
-        store(y + j, yy);
-      }
-      for (; j < t; ++j) {
-        if (Fwd) {
-          u64 xx = x[j];
-          if (xx >= two_q) xx -= two_q;
-          const u64 v = mul_shoup_lazy(y[j], w[b], w_shoup[b], q);
-          x[j] = xx + v;
-          y[j] = xx + two_q - v;
-        } else {
-          const u64 xx = x[j];
-          const u64 yy = y[j];
-          u64 u = xx + yy;
-          if (u >= two_q) u -= two_q;
-          x[j] = u;
-          y[j] = mul_shoup_lazy(xx + two_q - yy, w[b], w_shoup[b], q);
-        }
-      }
-    }
+    for (std::size_t b = 0; b < blocks; ++b)
+      bfly_loop<Fwd>(a + b * 2 * t, a + b * 2 * t + t, t, w[b], w_shoup[b], q, m);
     return;
   }
 
@@ -336,10 +257,7 @@ inline void stage_avx2(u64* a, std::size_t t, std::size_t blocks, const u64* w,
               _mm256_castsi128_si256(_mm_loadu_si128(
                   reinterpret_cast<const __m128i*>(w_shoup + b))),
               0x50));
-      if (Fwd)
-        fwd_bfly(xx, yy, tw, m);
-      else
-        inv_bfly(xx, yy, tw, m);
+      bfly<Fwd>(xx, yy, tw, m);
       store(p, _mm256_permute2x128_si256(xx, yy, 0x20));
       store(p + 4, _mm256_permute2x128_si256(xx, yy, 0x31));
     }
@@ -356,47 +274,15 @@ inline void stage_avx2(u64* a, std::size_t t, std::size_t blocks, const u64* w,
       const TwV tw =
           make_tw(_mm256_permute4x64_epi64(load(w + b), 0xd8),
                   _mm256_permute4x64_epi64(load(w_shoup + b), 0xd8));
-      if (Fwd)
-        fwd_bfly(xx, yy, tw, m);
-      else
-        inv_bfly(xx, yy, tw, m);
+      bfly<Fwd>(xx, yy, tw, m);
       store(p, _mm256_unpacklo_epi64(xx, yy));
       store(p + 4, _mm256_unpackhi_epi64(xx, yy));
     }
   }
-  // Leftover blocks (non-power-of-two t or tiny rings): scalar formulas.
-  for (; b < blocks; ++b) {
-    u64* x = a + b * 2 * t;
-    u64* y = x + t;
-    const u64 wb = w[b];
-    const u64 wsb = w_shoup[b];
-    for (std::size_t j = 0; j < t; ++j) {
-      if (Fwd) {
-        u64 xx = x[j];
-        if (xx >= two_q) xx -= two_q;
-        const u64 v = mul_shoup_lazy(y[j], wb, wsb, q);
-        x[j] = xx + v;
-        y[j] = xx + two_q - v;
-      } else {
-        const u64 xx = x[j];
-        const u64 yy = y[j];
-        u64 u = xx + yy;
-        if (u >= two_q) u -= two_q;
-        x[j] = u;
-        y[j] = mul_shoup_lazy(xx + two_q - yy, wb, wsb, q);
-      }
-    }
-  }
-}
-
-void fwd_stage_avx2(u64* a, std::size_t t, std::size_t blocks, const u64* w,
-                    const u64* w_shoup, u64 q) {
-  stage_avx2<true>(a, t, blocks, w, w_shoup, q);
-}
-
-void inv_stage_avx2(u64* a, std::size_t t, std::size_t blocks, const u64* w,
-                    const u64* w_shoup, u64 q) {
-  stage_avx2<false>(a, t, blocks, w, w_shoup, q);
+  // Blocks no vector group covers (non-power-of-two t or tiny rings): the
+  // scalar tier.
+  const Kernels* s = detail::scalar_kernels();
+  (Fwd ? s->fwd_stage : s->inv_stage)(a + b * 2 * t, t, blocks - b, w + b, w_shoup + b, q);
 }
 
 void reduce_4q_avx2(u64* a, std::size_t n, u64 q) {
@@ -405,13 +291,7 @@ void reduce_4q_avx2(u64* a, std::size_t n, u64 q) {
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(csub(load(a + j), two_qv), qv));
-  const u64 two_q = 2 * q;
-  for (; j < n; ++j) {
-    u64 x = a[j];
-    if (x >= two_q) x -= two_q;
-    if (x >= q) x -= q;
-    a[j] = x;
-  }
+  detail::scalar_kernels()->reduce_4q(a + j, n - j, q);
 }
 
 void lift_centered_avx2(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q) {
@@ -448,9 +328,10 @@ void lift_centered_avx2(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 
 }
 
 const Kernels kAvx2Kernels = {
-    add_mod_avx2,  sub_mod_avx2,      neg_mod_avx2,      mul_mod_avx2,
-    mul_shoup_avx2, fwd_butterfly_avx2, inv_butterfly_avx2, fwd_stage_avx2,
-    inv_stage_avx2, reduce_4q_avx2,    lift_centered_avx2, key_inner_product_avx2,
+    add_mod_avx2,        sub_mod_avx2,      neg_mod_avx2,
+    mul_mod_avx2,        mul_shoup_avx2,    butterfly_avx2<true>,
+    butterfly_avx2<false>, stage_avx2<true>, stage_avx2<false>,
+    reduce_4q_avx2,      lift_centered_avx2, key_inner_product_avx2,
 };
 
 }  // namespace

@@ -2,7 +2,10 @@
 // for low-half 64x64 products, vpmuludq decomposition for the high half,
 // native unsigned compares/mask ops, and min_epu64 for conditional
 // subtraction. Arithmetic is exactly the scalar formulas — bit-identical
-// results are the contract, locked by tests/test_simd.cpp.
+// results are the contract, locked by tests/test_simd.cpp. Every kernel runs
+// whole vectors only and hands the remaining elements (or blocks) to the
+// scalar tier, and both butterfly kernels and both stage kernels share one
+// butterfly loop per direction.
 //
 // Compiled with -mavx512f -mavx512dq (per-file, no global -march); degrades
 // to a null table when the compiler cannot target AVX-512.
@@ -67,24 +70,56 @@ inline __m512i shoup_lazy(__m512i x, __m512i w, __m512i ws, __m512i q) {
   return shoup_lazy(x, make_tw(w, ws), q);
 }
 
-/// One vector of forward butterflies: x/y in < 4q, out < 4q. The twiddle may
-/// be per-lane (small-t layouts) or a broadcast.
-inline void fwd_bfly(__m512i& x, __m512i& y, const TwV& tw, __m512i q,
-                     __m512i two_q) {
-  const __m512i xx = csub(x, two_q);
-  const __m512i v = shoup_lazy(y, tw, q);
-  x = _mm512_add_epi64(xx, v);
-  y = _mm512_sub_epi64(_mm512_add_epi64(xx, two_q), v);
+/// One vector of butterflies. Forward (Cooley-Tukey): x/y in < 4q, out < 4q.
+/// Inverse (Gentleman-Sande): x/y in < 2q, out < 2q. The twiddle may be
+/// per-lane (small-t layouts) or a broadcast.
+template <bool Fwd>
+inline void bfly(__m512i& x, __m512i& y, const TwV& tw, __m512i q, __m512i two_q) {
+  if constexpr (Fwd) {
+    const __m512i xx = csub(x, two_q);
+    const __m512i v = shoup_lazy(y, tw, q);
+    x = _mm512_add_epi64(xx, v);
+    y = _mm512_sub_epi64(_mm512_add_epi64(xx, two_q), v);
+  } else {
+    const __m512i xx = x;
+    const __m512i yy = y;
+    x = csub(_mm512_add_epi64(xx, yy), two_q);
+    y = shoup_lazy(_mm512_sub_epi64(_mm512_add_epi64(xx, two_q), yy), tw, q);
+  }
 }
 
-/// One vector of inverse butterflies: x/y in < 2q, out < 2q.
-inline void inv_bfly(__m512i& x, __m512i& y, const TwV& tw, __m512i q,
-                     __m512i two_q) {
-  const __m512i xx = x;
-  const __m512i yy = y;
-  x = csub(_mm512_add_epi64(xx, yy), two_q);
-  const __m512i diff = _mm512_sub_epi64(_mm512_add_epi64(xx, two_q), yy);
-  y = shoup_lazy(diff, tw, q);
+/// Butterflies over x[0, len) and y[0, len) with one broadcast twiddle: two
+/// vectors per step, then one, then the scalar tier for the rest. The stage
+/// kernel calls this once per block with modulus vectors built once per
+/// stage.
+template <bool Fwd>
+inline void bfly_loop(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q,
+                      __m512i qv, __m512i two_qv) {
+  const TwV tw = make_tw(_mm512_set1_epi64(static_cast<long long>(w)),
+                         _mm512_set1_epi64(static_cast<long long>(w_shoup)));
+  std::size_t j = 0;
+  for (; j + 2 * kLanes <= len; j += 2 * kLanes) {
+    __m512i x0 = load(x + j), x1 = load(x + j + kLanes);
+    __m512i y0 = load(y + j), y1 = load(y + j + kLanes);
+    bfly<Fwd>(x0, y0, tw, qv, two_qv);
+    bfly<Fwd>(x1, y1, tw, qv, two_qv);
+    store(x + j, x0);
+    store(x + j + kLanes, x1);
+    store(y + j, y0);
+    store(y + j + kLanes, y1);
+  }
+  if (j + kLanes <= len) {
+    __m512i xx = load(x + j);
+    __m512i yy = load(y + j);
+    bfly<Fwd>(xx, yy, tw, qv, two_qv);
+    store(x + j, xx);
+    store(y + j, yy);
+    j += kLanes;
+  }
+  if (j < len) {  // never on ring rows, so no per-block call in the stages
+    const Kernels* s = detail::scalar_kernels();
+    (Fwd ? s->fwd_butterfly : s->inv_butterfly)(x + j, y + j, len - j, w, w_shoup, q);
+  }
 }
 
 void add_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
@@ -92,10 +127,7 @@ void add_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(_mm512_add_epi64(load(a + j), load(b + j)), qv));
-  for (; j < n; ++j) {
-    const u64 r = a[j] + b[j];
-    a[j] = r >= q ? r - q : r;
-  }
+  detail::scalar_kernels()->add_mod(a + j, b + j, n - j, q);
 }
 
 void sub_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
@@ -109,7 +141,7 @@ void sub_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
     r = _mm512_mask_add_epi64(r, borrow, r, qv);
     store(a + j, r);
   }
-  for (; j < n; ++j) a[j] = a[j] >= b[j] ? a[j] - b[j] : a[j] + q - b[j];
+  detail::scalar_kernels()->sub_mod(a + j, b + j, n - j, q);
 }
 
 void neg_mod_avx512(u64* a, std::size_t n, u64 q) {
@@ -121,11 +153,11 @@ void neg_mod_avx512(u64* a, std::size_t n, u64 q) {
     const __mmask8 nonzero = _mm512_cmpneq_epi64_mask(av, zero);
     store(a + j, _mm512_maskz_sub_epi64(nonzero, qv, av));
   }
-  for (; j < n; ++j) a[j] = a[j] == 0 ? 0 : q - a[j];
+  detail::scalar_kernels()->neg_mod(a + j, n - j, q);
 }
 
 /// Barrett reduction of the lanewise 128-bit values x_hi:x_lo by q, the
-/// vector form of Modulus::reduce128 with (rhi, rlo) = floor(2^128/q).
+/// vector form of barrett_reduce with (rhi, rlo) = floor(2^128/q).
 inline __m512i barrett128(__m512i x_lo, __m512i x_hi, __m512i qv, __m512i rhi,
                           __m512i rlo) {
   const __m512i one = _mm512_set1_epi64(1);
@@ -157,19 +189,7 @@ void mul_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
     const __m512i bv = load(b + j);
     store(a + j, barrett128(mul64_lo(av, bv), mul64_hi(av, bv), qv, rhi, rlo));
   }
-  for (; j < n; ++j) {
-    const u128 x = static_cast<u128>(a[j]) * b[j];
-    const u64 x_lo = static_cast<u64>(x);
-    const u64 x_hi = static_cast<u64>(x >> 64);
-    const u128 t1 = static_cast<u128>(x_lo) * ratio_hi;
-    const u128 t2 = static_cast<u128>(x_hi) * ratio_lo;
-    const u64 carry = static_cast<u64>((static_cast<u128>(x_lo) * ratio_lo) >> 64);
-    const u128 mid = t1 + t2 + carry;
-    const u64 est = x_hi * ratio_hi + static_cast<u64>(mid >> 64);
-    u64 r = x_lo - est * q;
-    while (r >= q) r -= q;
-    a[j] = r;
-  }
+  detail::scalar_kernels()->mul_mod(a + j, b + j, n - j, q, ratio_hi, ratio_lo);
 }
 
 void mul_shoup_avx512(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
@@ -179,142 +199,30 @@ void mul_shoup_avx512(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(shoup_lazy(load(a + j), wv, wsv, qv), qv));
-  for (; j < n; ++j) a[j] = mul_shoup(a[j], w, w_shoup, q);
+  detail::scalar_kernels()->mul_shoup(a + j, n - j, w, w_shoup, q);
 }
 
-void fwd_butterfly_avx512(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup,
-                          u64 q) {
-  const u64 two_q = 2 * q;
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i two_qv = _mm512_set1_epi64(static_cast<long long>(two_q));
-  const __m512i wv = _mm512_set1_epi64(static_cast<long long>(w));
-  const __m512i wsv = _mm512_set1_epi64(static_cast<long long>(w_shoup));
-  const TwV tw = make_tw(wv, wsv);
-  std::size_t j = 0;
-  for (; j + 2 * kLanes <= len; j += 2 * kLanes) {
-    __m512i x0 = load(x + j), x1 = load(x + j + kLanes);
-    __m512i y0 = load(y + j), y1 = load(y + j + kLanes);
-    fwd_bfly(x0, y0, tw, qv, two_qv);
-    fwd_bfly(x1, y1, tw, qv, two_qv);
-    store(x + j, x0);
-    store(x + j + kLanes, x1);
-    store(y + j, y0);
-    store(y + j + kLanes, y1);
-  }
-  for (; j + kLanes <= len; j += kLanes) {
-    __m512i xx = load(x + j);
-    __m512i yy = load(y + j);
-    fwd_bfly(xx, yy, tw, qv, two_qv);
-    store(x + j, xx);
-    store(y + j, yy);
-  }
-  for (; j < len; ++j) {
-    u64 xx = x[j];
-    if (xx >= two_q) xx -= two_q;
-    const u64 v = mul_shoup_lazy(y[j], w, w_shoup, q);
-    x[j] = xx + v;
-    y[j] = xx + two_q - v;
-  }
-}
-
-void inv_butterfly_avx512(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup,
-                          u64 q) {
-  const u64 two_q = 2 * q;
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i two_qv = _mm512_set1_epi64(static_cast<long long>(two_q));
-  const __m512i wv = _mm512_set1_epi64(static_cast<long long>(w));
-  const __m512i wsv = _mm512_set1_epi64(static_cast<long long>(w_shoup));
-  const TwV tw = make_tw(wv, wsv);
-  std::size_t j = 0;
-  for (; j + 2 * kLanes <= len; j += 2 * kLanes) {
-    __m512i x0 = load(x + j), x1 = load(x + j + kLanes);
-    __m512i y0 = load(y + j), y1 = load(y + j + kLanes);
-    inv_bfly(x0, y0, tw, qv, two_qv);
-    inv_bfly(x1, y1, tw, qv, two_qv);
-    store(x + j, x0);
-    store(x + j + kLanes, x1);
-    store(y + j, y0);
-    store(y + j + kLanes, y1);
-  }
-  for (; j + kLanes <= len; j += kLanes) {
-    __m512i xx = load(x + j);
-    __m512i yy = load(y + j);
-    inv_bfly(xx, yy, tw, qv, two_qv);
-    store(x + j, xx);
-    store(y + j, yy);
-  }
-  for (; j < len; ++j) {
-    const u64 xx = x[j];
-    const u64 yy = y[j];
-    u64 u = xx + yy;
-    if (u >= two_q) u -= two_q;
-    x[j] = u;
-    y[j] = mul_shoup_lazy(xx + two_q - yy, w, w_shoup, q);
-  }
+template <bool Fwd>
+void butterfly_avx512(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q) {
+  bfly_loop<Fwd>(x, y, len, w, w_shoup, q, _mm512_set1_epi64(static_cast<long long>(q)),
+                 _mm512_set1_epi64(static_cast<long long>(2 * q)));
 }
 
 /// Stage worker shared by the forward/inverse stage kernels. Wide stages
-/// (t >= 8) broadcast one twiddle per block; t = 4 / 2 / 1 regroup 2 / 4 / 8
-/// consecutive blocks into full vectors with 128-bit shuffles or cross-lane
-/// permutes and use per-lane twiddles, so every stage stays vectorized. The
-/// permutes only reorder independent butterflies — arithmetic is unchanged.
+/// (t >= 8) run the butterfly loop once per block; t = 4 / 2 / 1 regroup
+/// 2 / 4 / 8 consecutive blocks into full vectors with 128-bit shuffles or
+/// cross-lane permutes and use per-lane twiddles, so every stage stays
+/// vectorized. The permutes only reorder independent butterflies —
+/// arithmetic is unchanged.
 template <bool Fwd>
-inline void stage_avx512(u64* a, std::size_t t, std::size_t blocks,
-                         const u64* w, const u64* w_shoup, u64 q) {
-  const u64 two_q = 2 * q;
+void stage_avx512(u64* a, std::size_t t, std::size_t blocks, const u64* w,
+                  const u64* w_shoup, u64 q) {
   const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i two_qv = _mm512_set1_epi64(static_cast<long long>(two_q));
+  const __m512i two_qv = _mm512_set1_epi64(static_cast<long long>(2 * q));
 
   if (t >= kLanes) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      u64* x = a + b * 2 * t;
-      u64* y = x + t;
-      const TwV tw =
-          make_tw(_mm512_set1_epi64(static_cast<long long>(w[b])),
-                  _mm512_set1_epi64(static_cast<long long>(w_shoup[b])));
-      std::size_t j = 0;
-      for (; j + 2 * kLanes <= t; j += 2 * kLanes) {
-        __m512i x0 = load(x + j), x1 = load(x + j + kLanes);
-        __m512i y0 = load(y + j), y1 = load(y + j + kLanes);
-        if (Fwd) {
-          fwd_bfly(x0, y0, tw, qv, two_qv);
-          fwd_bfly(x1, y1, tw, qv, two_qv);
-        } else {
-          inv_bfly(x0, y0, tw, qv, two_qv);
-          inv_bfly(x1, y1, tw, qv, two_qv);
-        }
-        store(x + j, x0);
-        store(x + j + kLanes, x1);
-        store(y + j, y0);
-        store(y + j + kLanes, y1);
-      }
-      for (; j + kLanes <= t; j += kLanes) {
-        __m512i xx = load(x + j);
-        __m512i yy = load(y + j);
-        if (Fwd)
-          fwd_bfly(xx, yy, tw, qv, two_qv);
-        else
-          inv_bfly(xx, yy, tw, qv, two_qv);
-        store(x + j, xx);
-        store(y + j, yy);
-      }
-      for (; j < t; ++j) {
-        if (Fwd) {
-          u64 xx = x[j];
-          if (xx >= two_q) xx -= two_q;
-          const u64 v = mul_shoup_lazy(y[j], w[b], w_shoup[b], q);
-          x[j] = xx + v;
-          y[j] = xx + two_q - v;
-        } else {
-          const u64 xx = x[j];
-          const u64 yy = y[j];
-          u64 u = xx + yy;
-          if (u >= two_q) u -= two_q;
-          x[j] = u;
-          y[j] = mul_shoup_lazy(xx + two_q - yy, w[b], w_shoup[b], q);
-        }
-      }
-    }
+    for (std::size_t b = 0; b < blocks; ++b)
+      bfly_loop<Fwd>(a + b * 2 * t, a + b * 2 * t + t, t, w[b], w_shoup[b], q, qv, two_qv);
     return;
   }
 
@@ -337,10 +245,7 @@ inline void stage_avx512(u64* a, std::size_t t, std::size_t blocks,
           widx, _mm512_castsi128_si512(_mm_loadu_si128(
                     reinterpret_cast<const __m128i*>(w_shoup + b))));
       const TwV tw = make_tw(wv, wsv);
-      if (Fwd)
-        fwd_bfly(xx, yy, tw, qv, two_qv);
-      else
-        inv_bfly(xx, yy, tw, qv, two_qv);
+      bfly<Fwd>(xx, yy, tw, qv, two_qv);
       store(p, _mm512_shuffle_i64x2(xx, yy, 0x44));
       store(p + 8, _mm512_shuffle_i64x2(xx, yy, 0xee));
     }
@@ -366,10 +271,7 @@ inline void stage_avx512(u64* a, std::size_t t, std::size_t blocks,
           widx, _mm512_castsi256_si512(_mm256_loadu_si256(
                     reinterpret_cast<const __m256i*>(w_shoup + b))));
       const TwV tw = make_tw(wv, wsv);
-      if (Fwd)
-        fwd_bfly(xx, yy, tw, qv, two_qv);
-      else
-        inv_bfly(xx, yy, tw, qv, two_qv);
+      bfly<Fwd>(xx, yy, tw, qv, two_qv);
       store(p, _mm512_permutex2var_epi64(xx, aidx, yy));
       store(p + 8, _mm512_permutex2var_epi64(xx, bidx, yy));
     }
@@ -390,47 +292,14 @@ inline void stage_avx512(u64* a, std::size_t t, std::size_t blocks,
       const __m512i wv = load(w + b);
       const __m512i wsv = load(w_shoup + b);
       const TwV tw = make_tw(wv, wsv);
-      if (Fwd)
-        fwd_bfly(xx, yy, tw, qv, two_qv);
-      else
-        inv_bfly(xx, yy, tw, qv, two_qv);
+      bfly<Fwd>(xx, yy, tw, qv, two_qv);
       store(p, _mm512_permutex2var_epi64(xx, aidx, yy));
       store(p + 8, _mm512_permutex2var_epi64(xx, bidx, yy));
     }
   }
-  // Leftover blocks (tiny rings only): scalar formulas.
-  for (; b < blocks; ++b) {
-    u64* x = a + b * 2 * t;
-    u64* y = x + t;
-    const u64 wb = w[b];
-    const u64 wsb = w_shoup[b];
-    for (std::size_t j = 0; j < t; ++j) {
-      if (Fwd) {
-        u64 xx = x[j];
-        if (xx >= two_q) xx -= two_q;
-        const u64 v = mul_shoup_lazy(y[j], wb, wsb, q);
-        x[j] = xx + v;
-        y[j] = xx + two_q - v;
-      } else {
-        const u64 xx = x[j];
-        const u64 yy = y[j];
-        u64 u = xx + yy;
-        if (u >= two_q) u -= two_q;
-        x[j] = u;
-        y[j] = mul_shoup_lazy(xx + two_q - yy, wb, wsb, q);
-      }
-    }
-  }
-}
-
-void fwd_stage_avx512(u64* a, std::size_t t, std::size_t blocks, const u64* w,
-                      const u64* w_shoup, u64 q) {
-  stage_avx512<true>(a, t, blocks, w, w_shoup, q);
-}
-
-void inv_stage_avx512(u64* a, std::size_t t, std::size_t blocks, const u64* w,
-                      const u64* w_shoup, u64 q) {
-  stage_avx512<false>(a, t, blocks, w, w_shoup, q);
+  // Blocks no vector group covers (tiny rings only): the scalar tier.
+  const Kernels* s = detail::scalar_kernels();
+  (Fwd ? s->fwd_stage : s->inv_stage)(a + b * 2 * t, t, blocks - b, w + b, w_shoup + b, q);
 }
 
 void reduce_4q_avx512(u64* a, std::size_t n, u64 q) {
@@ -439,13 +308,7 @@ void reduce_4q_avx512(u64* a, std::size_t n, u64 q) {
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(csub(load(a + j), two_qv), qv));
-  const u64 two_q = 2 * q;
-  for (; j < n; ++j) {
-    u64 x = a[j];
-    if (x >= two_q) x -= two_q;
-    if (x >= q) x -= q;
-    a[j] = x;
-  }
+  detail::scalar_kernels()->reduce_4q(a + j, n - j, q);
 }
 
 void lift_centered_avx512(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q) {
@@ -546,9 +409,10 @@ void key_inner_product_avx512(u64* out0, u64* out1, const u64* const* d,
 }
 
 const Kernels kAvx512Kernels = {
-    add_mod_avx512,  sub_mod_avx512,      neg_mod_avx512,      mul_mod_avx512,
-    mul_shoup_avx512, fwd_butterfly_avx512, inv_butterfly_avx512, fwd_stage_avx512,
-    inv_stage_avx512, reduce_4q_avx512,    lift_centered_avx512, key_inner_product_avx512,
+    add_mod_avx512,       sub_mod_avx512,          neg_mod_avx512,
+    mul_mod_avx512,       mul_shoup_avx512,        butterfly_avx512<true>,
+    butterfly_avx512<false>, stage_avx512<true>,   stage_avx512<false>,
+    reduce_4q_avx512,     lift_centered_avx512,    key_inner_product_avx512,
 };
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Scalar kernel tier: the reference implementations every vector tier must
 // match bit for bit. These are the exact loop bodies the pre-SIMD backend
-// ran (Harvey lazy butterflies, Shoup constant multiplies, the Modulus
-// Barrett reduction), factored into the kernel table shape.
+// ran (Harvey lazy butterflies, Shoup constant multiplies, the Barrett
+// reduction Modulus::reduce128 shares), factored into the kernel table
+// shape. The vector tiers also call this table for every element that does
+// not fill a whole vector.
 #include "fhe/simd/simd.h"
 
 namespace sp::fhe::simd {
@@ -22,24 +24,12 @@ void neg_mod_scalar(u64* a, std::size_t n, u64 q) {
   for (std::size_t j = 0; j < n; ++j) a[j] = a[j] == 0 ? 0 : q - a[j];
 }
 
-/// Barrett reduction of a 128-bit product, identical to Modulus::reduce128.
-inline u64 barrett128(u64 x_lo, u64 x_hi, u64 q, u64 ratio_hi, u64 ratio_lo) {
-  const u128 t1 = static_cast<u128>(x_lo) * ratio_hi;
-  const u128 t2 = static_cast<u128>(x_hi) * ratio_lo;
-  const u64 carry = static_cast<u64>((static_cast<u128>(x_lo) * ratio_lo) >> 64);
-  const u128 mid = t1 + t2 + carry;
-  const u64 est = x_hi * ratio_hi + static_cast<u64>(mid >> 64);
-  u64 r = x_lo - est * q;  // wraparound ok; remainder < 3q
-  while (r >= q) r -= q;
-  return r;
-}
-
 void mul_mod_scalar(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
                     u64 ratio_lo) {
   for (std::size_t j = 0; j < n; ++j) {
     const u128 x = static_cast<u128>(a[j]) * b[j];
-    a[j] = barrett128(static_cast<u64>(x), static_cast<u64>(x >> 64), q, ratio_hi,
-                      ratio_lo);
+    a[j] = barrett_reduce(static_cast<u64>(x), static_cast<u64>(x >> 64), q, ratio_hi,
+                          ratio_lo);
   }
 }
 
@@ -132,10 +122,10 @@ void key_inner_product_scalar(u64* out0, u64* out1, const u64* const* d,
       }
     }
     for (std::size_t j = 0; j < len; ++j) {
-      out0[base + j] = barrett128(static_cast<u64>(acc0[j]), static_cast<u64>(acc0[j] >> 64),
-                                  q, ratio_hi, ratio_lo);
-      out1[base + j] = barrett128(static_cast<u64>(acc1[j]), static_cast<u64>(acc1[j] >> 64),
-                                  q, ratio_hi, ratio_lo);
+      out0[base + j] = barrett_reduce(static_cast<u64>(acc0[j]),
+                                      static_cast<u64>(acc0[j] >> 64), q, ratio_hi, ratio_lo);
+      out1[base + j] = barrett_reduce(static_cast<u64>(acc1[j]),
+                                      static_cast<u64>(acc1[j] >> 64), q, ratio_hi, ratio_lo);
     }
   }
 }
