@@ -138,7 +138,8 @@ std::size_t pick_split(std::size_t rows, std::size_t n, int threads) {
 }
 
 std::size_t checked_common_n(const std::vector<NttJob>& jobs) {
-  const std::size_t n = jobs[0].tables->n();
+  // A null first job fails the check below before anything reads from it.
+  const std::size_t n = jobs[0].tables != nullptr ? jobs[0].tables->n() : 0;
   for (const NttJob& j : jobs)
     sp::check(j.tables != nullptr && j.data != nullptr && j.tables->n() == n,
               "ntt batch: null job or mixed ring sizes");

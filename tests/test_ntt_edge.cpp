@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -87,6 +88,31 @@ TEST(NttEdge, RejectsNonPowerOfTwo) {
   EXPECT_THROW(NttTables(3, Modulus(q)), sp::Error);
   EXPECT_THROW(NttTables(0, Modulus(q)), sp::Error);
   EXPECT_THROW(NttTables(12, Modulus(q)), sp::Error);
+}
+
+TEST(NttEdge, BatchRejectsNullAndMixedRingJobs) {
+  const u64 q = generate_ntt_primes(30, 1, 16)[0];
+  const NttTables small(8, Modulus(q)), large(16, Modulus(q));
+  std::vector<u64> a(16, 1), b(16, 2);
+  const std::vector<std::vector<NttJob>> bad = {
+      {{a.data(), nullptr}, {b.data(), &small}},  // null first tables
+      {{a.data(), &small}, {nullptr, &small}},    // null data
+      {{a.data(), &small}, {b.data(), &large}},   // mixed ring sizes
+  };
+  for (auto run : {ntt_forward_batch, ntt_inverse_batch}) {
+    for (const std::vector<NttJob>& jobs : bad) {
+      bool rejected = false;
+      try {
+        run(jobs);
+      } catch (const sp::Error& e) {
+        rejected = true;
+        EXPECT_NE(std::string(e.what()).find("null job or mixed ring sizes"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(rejected);
+    }
+  }
 }
 
 /// Shoup lazy reduction stays within [0, 2q) for arbitrary 64-bit x across
