@@ -7,8 +7,9 @@
 //   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes) with
 //      the hoisted-vs-naive rotation column.
 // Writes bench_out/fhe_micro.json. If bench/baselines/fhe_micro.json exists
-// (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT or
-// key-inner-product speedup over scalar drops below the recorded minimum.
+// (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT,
+// inverse-NTT or key-inner-product speedup over scalar drops below the
+// recorded minimum.
 //
 // Usage: bench_fhe_micro [quick]   ("quick" restricts ring sizes / grid)
 #include <algorithm>
@@ -72,6 +73,7 @@ struct TierRow {
   double add_mod_gbs = 0.0;
   double mul_shoup_gbs = 0.0;
   double fwd_speedup = 1.0;     // vs the scalar row
+  double inv_speedup = 1.0;     // vs the scalar row
   double kswitch_ms = 0.0;      // key_inner_product, 11 digits x 2 key parts
   double kswitch_speedup = 1.0; // vs the scalar row
 };
@@ -182,6 +184,7 @@ std::vector<TierRow> run_tier_sweep() {
   simd::set_tier(saved);
   for (TierRow& r : rows) {
     r.fwd_speedup = rows.front().fwd_ntt_ms / std::max(r.fwd_ntt_ms, 1e-9);
+    r.inv_speedup = rows.front().inv_ntt_ms / std::max(r.inv_ntt_ms, 1e-9);
     r.kswitch_speedup = rows.front().kswitch_ms / std::max(r.kswitch_ms, 1e-9);
   }
   return rows;
@@ -237,12 +240,13 @@ int main(int argc, char** argv) {
   // --- Section 1: dispatch-tier kernel sweep (always N = 8192) ---
   const std::vector<TierRow> tier_rows = run_tier_sweep();
   Table tier_table({"tier", "fwd_ntt_ms", "inv_ntt_ms", "fwd_ns_per_bfly",
-                    "fwd_speedup", "mul_mod_GB_s", "add_mod_GB_s",
+                    "fwd_speedup", "inv_speedup", "mul_mod_GB_s", "add_mod_GB_s",
                     "mul_shoup_GB_s", "kswitch_ms", "kswitch_speedup"});
   for (const TierRow& r : tier_rows)
     tier_table.add_row({simd::tier_name(r.tier), Table::num(r.fwd_ntt_ms, 4),
                         Table::num(r.inv_ntt_ms, 4), Table::num(r.fwd_ns_per_bfly, 2),
-                        Table::num(r.fwd_speedup, 2), Table::num(r.mul_mod_gbs, 2),
+                        Table::num(r.fwd_speedup, 2), Table::num(r.inv_speedup, 2),
+                        Table::num(r.mul_mod_gbs, 2),
                         Table::num(r.add_mod_gbs, 2), Table::num(r.mul_shoup_gbs, 2),
                         Table::num(r.kswitch_ms, 4), Table::num(r.kswitch_speedup, 2)});
   std::printf("[bench] kernel tiers at N=8192 (active default: %s)\n",
@@ -333,11 +337,12 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"tier\": \"%s\", \"fwd_ntt_ms\": %.5f, \"inv_ntt_ms\": "
                    "%.5f, \"fwd_ns_per_butterfly\": %.3f, \"fwd_speedup\": %.3f, "
-                   "\"mul_mod_gbs\": %.3f, \"add_mod_gbs\": %.3f, "
+                   "\"inv_speedup\": %.3f, \"mul_mod_gbs\": %.3f, \"add_mod_gbs\": %.3f, "
                    "\"mul_shoup_gbs\": %.3f, \"kswitch_ms\": %.5f, "
                    "\"kswitch_speedup\": %.3f}%s\n",
                    simd::tier_name(r.tier), r.fwd_ntt_ms, r.inv_ntt_ms,
-                   r.fwd_ns_per_bfly, r.fwd_speedup, r.mul_mod_gbs, r.add_mod_gbs,
+                   r.fwd_ns_per_bfly, r.fwd_speedup, r.inv_speedup, r.mul_mod_gbs,
+                   r.add_mod_gbs,
                    r.mul_shoup_gbs, r.kswitch_ms, r.kswitch_speedup,
                    i + 1 < tier_rows.size() ? "," : "");
     }
@@ -374,9 +379,9 @@ int main(int argc, char** argv) {
     }
 
   // Regression gate against the recorded baseline, when present: each vector
-  // tier the binary+CPU support must keep its forward-NTT and key-inner-
-  // product speedups over the scalar tier above the recorded floors (a
-  // missing floor is no gate).
+  // tier the binary+CPU support must keep its forward-NTT, inverse-NTT and
+  // key-inner-product speedups over the scalar tier above the recorded
+  // floors (a missing floor is no gate).
   for (const char* path :
        {"bench/baselines/fhe_micro.json", "../bench/baselines/fhe_micro.json"}) {
     std::ifstream in(path);
@@ -390,6 +395,7 @@ int main(int argc, char** argv) {
         const char* label;
         double speedup;
       } gates[] = {{"min_fwd_ntt_speedup_", "fwd-NTT", r.fwd_speedup},
+                   {"min_inv_ntt_speedup_", "inv-NTT", r.inv_speedup},
                    {"min_kswitch_speedup_", "key-inner-product", r.kswitch_speedup}};
       for (const auto& g : gates) {
         const double floor = json_number(ss.str(), g.key + std::string(simd::tier_name(r.tier)));
