@@ -71,16 +71,4 @@ Polynomial lsq_fit(const std::vector<Sample>& samples, int degree, bool odd_only
   return Polynomial(std::move(coeffs));
 }
 
-Polynomial lsq_fit_function(const std::function<double(double)>& target, double lo,
-                            double hi, int grid, int degree, bool odd_only) {
-  check(grid >= 2, "lsq_fit_function: grid too small");
-  std::vector<Sample> samples;
-  samples.reserve(static_cast<std::size_t>(grid));
-  for (int i = 0; i < grid; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) / (grid - 1);
-    samples.push_back({x, target(x), 1.0});
-  }
-  return lsq_fit(samples, degree, odd_only);
-}
-
 }  // namespace sp::approx

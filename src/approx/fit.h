@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "approx/polynomial.h"
@@ -21,10 +20,6 @@ struct Sample {
 /// odd symmetry of sign-approximating PAFs. `degree` is the highest power.
 Polynomial lsq_fit(const std::vector<Sample>& samples, int degree, bool odd_only,
                    double ridge = 1e-12);
-
-/// Convenience: fit `target` on a uniform grid over [lo, hi].
-Polynomial lsq_fit_function(const std::function<double(double)>& target, double lo,
-                            double hi, int grid, int degree, bool odd_only);
 
 /// Solves the dense linear system A x = b (row-major A) with partial
 /// pivoting. Exposed for reuse by the Remez solver and tests.

@@ -85,10 +85,4 @@ u64 CkksContext::q_inv_mod(int last, int i) const {
   return q_inv_mod_[static_cast<std::size_t>(last)][static_cast<std::size_t>(i)];
 }
 
-long double CkksContext::q_prod_ld(int level) const {
-  long double p = 1.0L;
-  for (int i = 0; i <= level; ++i) p *= static_cast<long double>(q(i).value());
-  return p;
-}
-
 }  // namespace sp::fhe

@@ -63,9 +63,6 @@ class CkksContext {
   /// Garner mixed-radix constant: (q_0 * ... * q_{j-1})^{-1} mod q_j.
   u64 garner_inv(int j) const { return garner_inv_[static_cast<std::size_t>(j)]; }
 
-  /// Long-double product q_0 * ... * q_{level} (for decode centering).
-  long double q_prod_ld(int level) const;
-
  private:
   CkksParams params_;
   std::vector<Modulus> q_mods_;

@@ -2,35 +2,12 @@
 
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <mutex>
-#include <utility>
 
 #include "common/check.h"
 #include "fhe/ntt.h"
 #include "fhe/simd/simd.h"
 
 namespace sp::fhe {
-namespace {
-
-/// Process-wide (value, prime) -> (reduced value, Shoup companion) memo.
-/// Scalar scaling constants recur heavily (encoder scale, rescale deltas),
-/// and shoup_precompute costs a 128-bit division per row per call otherwise.
-std::pair<u64, u64> scalar_shoup_cached(u64 v, u64 q) {
-  static std::mutex mu;
-  static std::map<std::pair<u64, u64>, std::pair<u64, u64>> cache;
-  std::lock_guard<std::mutex> lock(mu);
-  const auto key = std::make_pair(v, q);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  if (cache.size() >= 4096) cache.clear();  // unbounded growth guard
-  const u64 vi = v % q;
-  const std::pair<u64, u64> entry{vi, shoup_precompute(vi, q)};
-  cache.emplace(key, entry);
-  return entry;
-}
-
-}  // namespace
 
 RnsPoly::RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form)
     : ctx_(ctx), q_count_(q_count), with_special_(with_special), ntt_(ntt_form) {
@@ -103,19 +80,6 @@ void RnsPoly::mul_inplace(const RnsPoly& o) {
   for_each_row_tile(row_count(), n(), [&](int i, std::size_t off, std::size_t len) {
     const Modulus& m = row_mod(i);
     k.mul_mod(row(i) + off, o.row(i) + off, len, m.value(), m.ratio_hi(), m.ratio_lo());
-  });
-}
-
-void RnsPoly::mul_scalar_inplace(u64 v) {
-  // Resolve the per-prime constants serially (memoized), then apply in one
-  // tiled kernel pass.
-  std::vector<std::pair<u64, u64>> consts(static_cast<std::size_t>(row_count()));
-  for (int i = 0; i < row_count(); ++i)
-    consts[static_cast<std::size_t>(i)] = scalar_shoup_cached(v, row_mod(i).value());
-  const simd::Kernels& k = simd::kernels();
-  for_each_row_tile(row_count(), n(), [&](int i, std::size_t off, std::size_t len) {
-    const auto& c = consts[static_cast<std::size_t>(i)];
-    k.mul_shoup(row(i) + off, len, c.first, c.second, row_mod(i).value());
   });
 }
 

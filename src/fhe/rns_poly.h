@@ -64,11 +64,6 @@ class RnsPoly {
   void negate_inplace();
   void mul_inplace(const RnsPoly& o);  // requires NTT form
 
-  /// Multiplies every row by `v` reduced per prime (v given as an integer).
-  /// Per-(v, prime) Shoup constants are memoized process-wide, so repeated
-  /// scaling by the same constant skips the 128-bit precompute division.
-  void mul_scalar_inplace(u64 v);
-
   /// Removes the last chain prime row (rescale/mod-drop bookkeeping is done
   /// by the evaluator).
   void drop_last_q();
@@ -84,8 +79,6 @@ class RnsPoly {
   void sample_gaussian(sp::Rng& rng, double stddev);
   /// Uniform element of R_Q (independent uniform residues per row).
   void sample_uniform(sp::Rng& rng);
-
-  RnsPoly clone() const { return *this; }
 
  private:
   const CkksContext* ctx_ = nullptr;

@@ -63,7 +63,6 @@ class Model {
   const std::string& name() const { return name_; }
   Layer& root() { return *root_; }
   const Layer& root() const { return *root_; }
-  std::unique_ptr<Layer>& root_slot() { return root_; }
 
   Tensor forward(const Tensor& x, bool train = false) { return root_->forward(x, train); }
   void backward(const Tensor& gy) { root_->backward(gy); }

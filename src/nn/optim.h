@@ -33,8 +33,6 @@ class Adam {
   /// Freezes/unfreezes an entire parameter group (AT phase switch).
   void set_group_frozen(ParamGroup g, bool frozen);
 
-  HyperParams& hyper(ParamGroup g) { return g == ParamGroup::PafCoeff ? paf_hp_ : other_hp_; }
-
   /// Rebinds to a new parameter list (after a replacement pass changed the
   /// model structure); optimizer state restarts.
   void rebind(std::vector<Param*> params);

@@ -25,13 +25,6 @@ PafLayerBase::PafLayerBase(approx::CompositePaf paf, std::string name, ScaleMode
       even_mask_.push_back(k % 2 == 0);
 }
 
-void PafLayerBase::set_coeffs(const std::vector<double>& flat) {
-  sp::check(flat.size() == coeff_.value.numel(), "PafLayerBase::set_coeffs: size mismatch");
-  for (std::size_t i = 0; i < flat.size(); ++i)
-    coeff_.value[i] = static_cast<float>(flat[i]);
-  sync_coeffs();
-}
-
 std::vector<double> PafLayerBase::coeffs() const {
   std::vector<double> flat(coeff_.value.numel());
   for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = coeff_.value[i];

@@ -22,8 +22,6 @@ class PafLayerBase : public nn::Layer {
   /// The composite PAF with coefficients synced from the trainable param.
   const approx::CompositePaf& paf() const { return paf_; }
 
-  /// Overwrites the trainable coefficients.
-  void set_coeffs(const std::vector<double>& flat);
   std::vector<double> coeffs() const;
 
   ScaleMode mode() const { return mode_; }
@@ -35,8 +33,6 @@ class PafLayerBase : public nn::Layer {
 
   /// DS -> SS conversion: freezes the scale to the training running max.
   void convert_to_static();
-  /// Back to dynamic (training) scaling.
-  void convert_to_dynamic() { mode_ = ScaleMode::Dynamic; }
 
   void collect_params(std::vector<nn::Param*>& out) override;
   std::string name() const override { return name_; }

@@ -94,10 +94,6 @@ void convert_to_static_scaling(nn::Model& model) {
   for (PafLayerBase* p : find_paf_layers(model)) p->convert_to_static();
 }
 
-void convert_to_dynamic_scaling(nn::Model& model) {
-  for (PafLayerBase* p : find_paf_layers(model)) p->convert_to_dynamic();
-}
-
 void freeze_after_site(nn::Model& model, long site_index) {
   if (site_index < 0) return;
   long seen = 0;

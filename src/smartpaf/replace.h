@@ -54,9 +54,6 @@ std::vector<PafLayerBase*> replace_all(nn::Model& model, const ReplaceOptions& o
 /// PAF layer's scale to its training running max.
 void convert_to_static_scaling(nn::Model& model);
 
-/// Switches every PAF layer back to Dynamic scaling (for further training).
-void convert_to_dynamic_scaling(nn::Model& model);
-
 /// Freeze-only overlay: marks parameters of all layers strictly *after* the
 /// `site_index`-th PAF/non-poly site (inference order) as frozen
 /// (Progressive Approximation trains only the replacement point and what
