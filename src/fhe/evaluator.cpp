@@ -20,6 +20,59 @@ void check_scale_close(double a, double b) {
             "Evaluator: scale mismatch between operands");
 }
 
+/// Per-thread block of scratch rows, reused across calls. A key switch's
+/// lane fills one output prime's digit rows there and the inner-product
+/// kernel reads them back while they are in cache; an exact division lifts
+/// its dropped rows there (a fresh AlignedVec would zero-fill every row
+/// before the lift overwrote it). It is per thread because the pool's lanes
+/// fill their primes at once and the evaluator's const methods may run on
+/// several caller threads.
+u64* scratch_rows(std::size_t words) {
+  thread_local sp::AlignedVec<u64> rows;
+  if (rows.size() < words) rows.resize(words);
+  return rows.data();
+}
+
+/// The lift rows of an exact division over `polys`, whose rows [0, rows)
+/// survive: unit u is row u % rows of poly u / rows, and its lift row sits
+/// at u·n in the calling thread's scratch block. fill(poly, row, dst, off,
+/// len) writes one tile of the coefficient-form lift; then every lift row
+/// is transformed forward in its prime, in one batch.
+template <typename Fill>
+const u64* forward_lifts(const std::vector<RnsPoly*>& polys, std::size_t rows, const Fill& fill,
+                         OpCounters& counters) {
+  const std::size_t units = polys.size() * rows, n = polys.front()->n();
+  u64* lift = scratch_rows(units * n);
+  for_each_row_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+    fill(u / rows, static_cast<int>(u % rows), lift + u * n + off, off, len);
+  });
+  std::vector<NttJob> jobs(units);
+  for (std::size_t u = 0; u < units; ++u)
+    jobs[u] = {lift + u * n, &polys[u / rows]->row_ntt(static_cast<int>(u % rows))};
+  ntt_forward_batch(jobs);
+  counters.ntts_forward += units;
+  return lift;
+}
+
+/// The last step of an exact division: row <- (row - lift) * inv[row] for
+/// each surviving row of every poly, with `lift` in forward_lifts' layout.
+void subtract_and_scale(const std::vector<RnsPoly*>& polys, std::size_t rows, const u64* lift,
+                        const std::vector<u64>& inv) {
+  const std::size_t n = polys.front()->n();
+  std::vector<u64> inv_shoup(rows);
+  for (std::size_t j = 0; j < rows; ++j)
+    inv_shoup[j] = shoup_precompute(inv[j], polys.front()->row_mod(static_cast<int>(j)).value());
+  const simd::Kernels& k = simd::kernels();
+  for_each_row_tile(polys.size() * rows, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+    RnsPoly& p = *polys[u / rows];
+    const std::size_t j = u % rows;
+    const u64 q = p.row_mod(static_cast<int>(j)).value();
+    u64* r = p.row(static_cast<int>(j)) + off;
+    k.sub_mod(r, lift + u * n + off, len, q);
+    k.mul_shoup(r, len, inv[j], inv_shoup[j], q);
+  });
+}
+
 /// Exact division of every poly in `polys` by the prime of its last row (the
 /// last chain prime for rescale, P for mod-down) with centered rounding, in
 /// the NTT domain: only the dropped row goes back to coefficient form; its
@@ -40,37 +93,83 @@ void divide_by_last_row(const std::vector<RnsPoly*>& polys, const std::vector<u6
   ntt_inverse_batch(dropped);
   counters.ntts_inverse += polys.size();
 
-  // Unit u is surviving row u % rows of poly u / rows; its lift is at u * n.
-  const std::size_t rows = static_cast<std::size_t>(last);
-  const std::size_t units = polys.size() * rows;
-  const std::size_t n = polys.front()->n();
-  const auto poly_of = [&](std::size_t u) -> RnsPoly& { return *polys[u / rows]; };
-  const auto row_of = [&](std::size_t u) { return static_cast<int>(u % rows); };
-  sp::AlignedVec<u64> lift(units * n);
   const u64 d = polys.front()->row_mod(last).value();
   const simd::Kernels& k = simd::kernels();
-  for_each_row_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
-    const RnsPoly& p = poly_of(u);
-    k.lift_centered(lift.data() + u * n + off, p.row(last) + off, len, d,
-                    p.row_mod(row_of(u)).value());
-  });
-  std::vector<NttJob> jobs(units);
-  for (std::size_t u = 0; u < units; ++u)
-    jobs[u] = {lift.data() + u * n, &poly_of(u).row_ntt(row_of(u))};
-  ntt_forward_batch(jobs);
-  counters.ntts_forward += units;
+  const auto rows = static_cast<std::size_t>(last);
+  const u64* lift = forward_lifts(
+      polys, rows,
+      [&](std::size_t poly, int j, u64* dst, std::size_t off, std::size_t len) {
+        const RnsPoly& p = *polys[poly];
+        k.lift_centered(dst, p.row(last) + off, len, d, p.row_mod(j).value());
+      },
+      counters);
+  subtract_and_scale(polys, rows, lift, inv);
+}
 
-  std::vector<u64> inv_shoup(rows);
-  for (std::size_t j = 0; j < rows; ++j)
-    inv_shoup[j] = shoup_precompute(inv[j], polys.front()->row_mod(static_cast<int>(j)).value());
-  for_each_row_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
-    RnsPoly& p = poly_of(u);
-    const std::size_t j = u % rows;
-    const u64 q = p.row_mod(row_of(u)).value();
-    u64* r = p.row(row_of(u)) + off;
-    k.sub_mod(r, lift.data() + u * n + off, len, q);
-    k.mul_shoup(r, len, inv[j], inv_shoup[j], q);
+/// The division of relinearize_rescale_inplace: e <- (e + r / P) / q_l, each
+/// division exact with centered rounding, for the two parts `e` (c chain
+/// rows, l = c - 1) of a relinearized ciphertext and their key-switch
+/// outputs `r` (the c chain rows, then P), all in NTT form. Bit for bit what
+/// mod_down(r), e += r and a rescale by q_l compute, but the surviving rows
+/// take one forward NTT each instead of two: an NTT is an exact linear map
+/// mod each prime, so the two lifts of a row are summed before one
+/// transform. Row l is left in coefficient form for the caller to drop.
+void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vector<RnsPoly*>& r,
+                                OpCounters& counters) {
+  const CkksContext& ctx = *e.front()->context();
+  const int c = e.front()->q_count(), l = c - 1;  // r's P row is row c
+  const std::size_t n = ctx.n(), parts = e.size(), chain = static_cast<std::size_t>(c);
+  const u64 p = ctx.special().value(), q_l = ctx.q(l).value();
+  std::vector<u64> p_inv(chain), p_inv_shoup(chain);
+  for (int j = 0; j < c; ++j) {
+    p_inv[static_cast<std::size_t>(j)] = ctx.p_inv_mod(j);
+    p_inv_shoup[static_cast<std::size_t>(j)] = shoup_precompute(ctx.p_inv_mod(j), ctx.q(j).value());
+  }
+  const simd::Kernels& k = simd::kernels();
+
+  // e_j += r_j * P^-1 in every chain row. From here on only r's P row is
+  // read; its chain rows are free for temporaries.
+  for_each_row_tile(parts * chain, n, [&](std::size_t u, std::size_t off, std::size_t len) {
+    const std::size_t j = u % chain;
+    const u64 q = ctx.q(static_cast<int>(j)).value();
+    u64* rj = r[u / chain]->row(static_cast<int>(j)) + off;
+    k.mul_shoup(rj, len, p_inv[j], p_inv_shoup[j], q);
+    k.add_mod(e[u / chain]->row(static_cast<int>(j)) + off, rj, len, q);
   });
+  // a = r's P row and e's row l to coefficient form: 2 inverse NTTs a part.
+  std::vector<NttJob> jobs;
+  for (std::size_t i = 0; i < parts; ++i) {
+    jobs.push_back({r[i]->row(c), &ctx.special_ntt()});
+    jobs.push_back({e[i]->row(l), &ctx.ntt(l)});
+  }
+  ntt_inverse_batch(jobs);
+  counters.ntts_inverse += jobs.size();
+  // b = e_l - lift_P(a) * P^-1 mod q_l: the row the sequential mod-down and
+  // add leave for the rescale to inverse-transform. r's row l holds the lift.
+  for_each_row_tile(parts, n, [&](std::size_t i, std::size_t off, std::size_t len) {
+    u64* lift = r[i]->row(l) + off;
+    k.lift_centered(lift, r[i]->row(c) + off, len, p, q_l);
+    k.mul_shoup(lift, len, p_inv[static_cast<std::size_t>(l)],
+                p_inv_shoup[static_cast<std::size_t>(l)], q_l);
+    k.sub_mod(e[i]->row(l) + off, lift, len, q_l);
+  });
+  // Rows j < l: one forward NTT of lift_P(a) * P^-1 + lift_{q_l}(b), with
+  // r's row j holding the second lift.
+  const u64* lift = forward_lifts(
+      e, static_cast<std::size_t>(l),
+      [&](std::size_t i, int j, u64* dst, std::size_t off, std::size_t len) {
+        const u64 q = ctx.q(j).value();
+        const auto jj = static_cast<std::size_t>(j);
+        k.lift_centered(dst, r[i]->row(c) + off, len, p, q);
+        k.mul_shoup(dst, len, p_inv[jj], p_inv_shoup[jj], q);
+        u64* lift_b = r[i]->row(j) + off;
+        k.lift_centered(lift_b, e[i]->row(l) + off, len, q_l, q);
+        k.add_mod(dst, lift_b, len, q);
+      },
+      counters);
+  std::vector<u64> q_l_inv(static_cast<std::size_t>(l));
+  for (int j = 0; j < l; ++j) q_l_inv[static_cast<std::size_t>(j)] = ctx.q_inv_mod(l, j);
+  subtract_and_scale(e, static_cast<std::size_t>(l), lift, q_l_inv);
 }
 
 /// Coefficient form of a key-switch input `d` (NTT form over chain rows):
@@ -111,17 +210,6 @@ std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t, u64
   return jobs.size();
 }
 
-/// Per-thread block of digit rows for one output prime of a key switch. A
-/// lane fills it and the inner-product kernel reads it back while it is
-/// still in cache; it is reused across calls. It is per thread because the
-/// pool's lanes fill their primes at once and the evaluator's const methods
-/// may run on several caller threads.
-u64* kswitch_scratch(std::size_t words) {
-  thread_local sp::AlignedVec<u64> rows;
-  if (rows.size() < words) rows.resize(words);
-  return rows.data();
-}
-
 /// The inner-product half of every key switch, over the c chain primes and
 /// then P. Output prime t (one parallel unit each) gets its c digit rows in
 /// NTT form from fill(t, rows), row i at rows + i·n in the lane's scratch
@@ -138,7 +226,7 @@ std::pair<RnsPoly, RnsPoly> key_inner_products(const CkksContext& ctx, const KSw
   sp::parallel_for(0, count + 1, [&](std::size_t tt) {
     const int t = static_cast<int>(tt);
     const int key_row = t == c ? ctx.q_count() : t;
-    u64* rows = kswitch_scratch(count * n);
+    u64* rows = scratch_rows(count * n);
     fill(t, rows);
     std::vector<const u64*> ptrs(3 * count);  // digit rows, then k0 rows, then k1 rows
     for (std::size_t i = 0; i < count; ++i) {
@@ -343,6 +431,19 @@ void Evaluator::relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const 
   ct.parts[0].add_inplace(r0);
   ct.parts[1].add_inplace(r1);
   ++counters.relins;
+}
+
+void Evaluator::relinearize_rescale_inplace(Ciphertext& ct, const KSwitchKey& rk) const {
+  sp::check(ct.size() == 3, "relinearize: ciphertext must have 3 parts");
+  sp::check(ct.level() >= 1, "rescale: no levels remaining");
+  auto [r0, r1] = apply_kswitch(ct.parts[2], rk);
+  ct.parts.pop_back();
+  const int last = ct.q_count() - 1;
+  divide_by_special_and_last({&ct.parts[0], &ct.parts[1]}, {&r0, &r1}, counters);
+  for (auto& part : ct.parts) part.drop_last_q();
+  ct.scale /= static_cast<double>(ctx_->q(last).value());
+  ++counters.relins;
+  ++counters.rescales;
 }
 
 void Evaluator::rescale_inplace(Ciphertext& ct) const {

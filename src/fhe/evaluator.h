@@ -216,6 +216,20 @@ class Evaluator {
   ///            the wrong shape throws sp::Error before any work
   void relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const;
 
+  /// @brief relinearize_inplace() then rescale_inplace(), bit for bit, with
+  /// one NTT-domain division that drops P and the last chain prime
+  /// together: each surviving row sums its two lifts before one forward
+  /// NTT. At c primes it costs c + 4 inverse and c^2 + 2c - 2 forward NTTs
+  /// (the pair: c + 4 and c^2 + 4c - 2). Every relinearization that is
+  /// immediately rescaled runs this op; relinearize_inplace() alone serves
+  /// sums that rotate before their rescale, rescale_inplace() plain
+  /// products.
+  /// @param ct  3-part ciphertext at level >= 1; afterwards 2 parts, one
+  ///            level lower, scale / q_last
+  /// @param rk  relinearization key; a key of the wrong shape throws
+  ///            sp::Error before any work, as do a 2-part or level-0 `ct`
+  void relinearize_rescale_inplace(Ciphertext& ct, const KSwitchKey& rk) const;
+
   /// @brief Divides by the last chain prime: level decreases by 1 and
   /// scale /= q_last. Works for 2- and 3-part ciphertexts. Runs in the NTT
   /// domain: one inverse NTT per part (the dropped row) and c - 1 forward.

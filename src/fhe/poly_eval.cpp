@@ -244,8 +244,7 @@ void add_product(EvalCtx& ec, WindowSum& sum, const Ciphertext& xa, const Cipher
     add_pending(ec, sum, std::move(term));
   } else {
     Ciphertext term = ec.ev->multiply(xa, b);
-    ec.ev->relinearize_inplace(term, *ec.relin);
-    ec.ev->rescale_inplace(term);
+    ec.ev->relinearize_rescale_inplace(term, *ec.relin);
     term.scale = target_scale;  // exact by construction
     count_mult(ec);
     add_done(ec, sum, std::move(term));
@@ -272,8 +271,7 @@ std::optional<Ciphertext> resolve(EvalCtx& ec, WindowSum&& sum, double target_sc
   *constant_out = sum.constant;
   std::optional<Ciphertext> out;
   if (sum.pending) {
-    ec.ev->relinearize_inplace(*sum.pending, *ec.relin);
-    ec.ev->rescale_inplace(*sum.pending);
+    ec.ev->relinearize_rescale_inplace(*sum.pending, *ec.relin);
     sum.pending->scale = target_scale;
     if (ec.stats) {
       ++ec.stats->relins;
@@ -453,8 +451,7 @@ const Ciphertext& PowerBasis::power(Evaluator& ev, int e, EvalStats* stats) {
     ev.match_levels(ca, cb);
     prod = ev.multiply(ca, cb);
   }
-  ev.relinearize_inplace(prod, *relin_);
-  ev.rescale_inplace(prod);
+  ev.relinearize_rescale_inplace(prod, *relin_);
   ++mults_spent_;
   if (stats) {
     ++stats->ct_mults;
@@ -551,8 +548,7 @@ Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
   const Plaintext one = encoder_->encode_scalar(1.0, p.scale, p.q_count());
   ev.add_plain_inplace(p, one);
   Ciphertext y = ev.multiply(xh, p);
-  ev.relinearize_inplace(y, *relin_);
-  ev.rescale_inplace(y);
+  ev.relinearize_rescale_inplace(y, *relin_);
   if (stats) {
     ++stats->ct_mults;
     ++stats->relins;
@@ -577,8 +573,7 @@ Ciphertext PafEvaluator::max(Evaluator& ev, const Ciphertext& a, const Ciphertex
   const Ciphertext p = sign(ev, d, paf, input_scale, pre_factor, stats);
   Ciphertext dh = scaled_to(ev, *ctx_, *encoder_, d, 0.5 * pre_factor, p.level(), p.scale);
   Ciphertext dp = ev.multiply(dh, p);
-  ev.relinearize_inplace(dp, *relin_);
-  ev.rescale_inplace(dp);
+  ev.relinearize_rescale_inplace(dp, *relin_);
 
   Ciphertext sh = scaled_to(ev, *ctx_, *encoder_, s, 0.5 * pre_factor, dp.level(), dp.scale);
   Ciphertext y = ev.add(dp, sh);

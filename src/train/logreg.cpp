@@ -117,8 +117,7 @@ void EncryptedLogReg::step_adam(const EncryptedBatch&, const fhe::Ciphertext& g)
 
   // Second moment input: g^2 (one ct-ct level).
   fhe::Ciphertext g2 = ev.multiply(g, g);
-  ev.relinearize_inplace(g2, rt_->relin_key());
-  ev.rescale_inplace(g2);
+  ev.relinearize_rescale_inplace(g2, rt_->relin_key());
 
   // This step's bias corrections (t is 1-based in Adam's algebra).
   const auto t = static_cast<double>(state_.iteration) + 1.0;
@@ -154,8 +153,7 @@ void EncryptedLogReg::step_adam(const EncryptedBatch&, const fhe::Ciphertext& g)
   fhe::Ciphertext mm = m_new;
   ev.drop_to_level(mm, denom.level());
   fhe::Ciphertext upd = ev.multiply(mm, denom);
-  ev.relinearize_inplace(upd, rt_->relin_key());
-  ev.rescale_inplace(upd);
+  ev.relinearize_rescale_inplace(upd, rt_->relin_key());
   fhe::Ciphertext w = fhe::scaled_to(ev, ctx, enc, state_.weights, 1.0,
                                      upd.level(), upd.scale);
   state_.weights = ev.sub(w, upd);

@@ -329,18 +329,21 @@ const OpPin kOpPins[] = {
     {"n2048.c7.rescale3", 0x32aa173b0c93e288ULL},
     {"n2048.c7.relin", 0x11780a4bc5e92907ULL},
     {"n2048.c7.relin_rescale", 0xccb4a589adb90700ULL},
+    {"n2048.c7.relin_rescale_fused", 0xccb4a589adb90700ULL},
     {"n2048.c7.rotate", 0x18521e9395414253ULL},
     {"n2048.c7.fan3", 0x41d8c56f5980a4d8ULL},
     {"n2048.c4.rescale2", 0xf297f1ae757fe124ULL},
     {"n2048.c4.rescale3", 0x4491e72b4a5d70b2ULL},
     {"n2048.c4.relin", 0x31a29c879f200d41ULL},
     {"n2048.c4.relin_rescale", 0xcd616f32da30eb86ULL},
+    {"n2048.c4.relin_rescale_fused", 0xcd616f32da30eb86ULL},
     {"n2048.c4.rotate", 0x1099fed1f226a79eULL},
     {"n2048.c4.fan3", 0xfd0bbeb51ec4c733ULL},
     {"n2048.c2.rescale2", 0xc54dc6c9b96859c1ULL},
     {"n2048.c2.rescale3", 0x00f78105fd529f29ULL},
     {"n2048.c2.relin", 0x8dc7f6b86b2efbb6ULL},
     {"n2048.c2.relin_rescale", 0x1ef86d71ba5659a0ULL},
+    {"n2048.c2.relin_rescale_fused", 0x1ef86d71ba5659a0ULL},
     {"n2048.c2.rotate", 0x8f9199ae503b6994ULL},
     {"n2048.c2.fan3", 0x4559cef43479d743ULL},
     {"n2048.c1.relin", 0xf67c54e11fc605cbULL},
@@ -350,18 +353,21 @@ const OpPin kOpPins[] = {
     {"n8192.c11.rescale3", 0xbe8207464bdc7a88ULL},
     {"n8192.c11.relin", 0x0201a50f2ee078d3ULL},
     {"n8192.c11.relin_rescale", 0xc3693a9e953b34bfULL},
+    {"n8192.c11.relin_rescale_fused", 0xc3693a9e953b34bfULL},
     {"n8192.c11.rotate", 0xc324d75963f1ca35ULL},
     {"n8192.c11.fan3", 0xbd83cc1ccca6a57bULL},
     {"n2048d20.c21.rescale2", 0x03579741d3bea959ULL},
     {"n2048d20.c21.rescale3", 0xf1fb02673e1c5ac4ULL},
     {"n2048d20.c21.relin", 0x052dd3e35f0bbb0bULL},
     {"n2048d20.c21.relin_rescale", 0x1c582dd955d38537ULL},
+    {"n2048d20.c21.relin_rescale_fused", 0x1c582dd955d38537ULL},
     {"n2048d20.c21.rotate", 0x954de245337d0ec7ULL},
     {"n2048d20.c21.fan3", 0x7ea2aba5b5658978ULL},
     {"n2048d20.c19.rescale2", 0x9ff7a2760e75fab3ULL},
     {"n2048d20.c19.rescale3", 0x17fbffb067dcbaf3ULL},
     {"n2048d20.c19.relin", 0x3cc891eea31b9120ULL},
     {"n2048d20.c19.relin_rescale", 0x1e6e1c8ff2021d3cULL},
+    {"n2048d20.c19.relin_rescale_fused", 0x1e6e1c8ff2021d3cULL},
     {"n2048d20.c19.rotate", 0xd33d93c08ecffb9eULL},
     {"n2048d20.c19.fan3", 0x87cd298e7a0e50feULL},
 };
@@ -386,6 +392,9 @@ NttCount relin_rescale_ntts(std::size_t c) {
   const NttCount relin = relin_ntts(c), rescale = rescale_ntts(c, 2);
   return {relin.fwd + rescale.fwd, relin.inv + rescale.inv};
 }
+/// relinearize_rescale_inplace: the same switch, then one division by
+/// P * q_last whose c - 1 surviving rows per part take one forward NTT each.
+NttCount relin_rescale_fused_ntts(std::size_t c) { return {c * c + 2 * c - 2, c + 4}; }
 
 std::uint64_t ct_digest(const std::vector<Ciphertext>& cts) {
   std::uint64_t h = kFnvOffset;
@@ -453,6 +462,11 @@ void run_op_pins(const std::string& tag, const CkksParams& params,
         Ciphertext x = ev.multiply(a, b);
         ev.relinearize_inplace(x, rt.relin_key());
         ev.rescale_inplace(x);
+        return std::vector<Ciphertext>{x};
+      });
+      pin("relin_rescale_fused", relin_rescale_fused_ntts(cc), [&] {
+        Ciphertext x = ev.multiply(a, b);
+        ev.relinearize_rescale_inplace(x, rt.relin_key());
         return std::vector<Ciphertext>{x};
       });
     }
@@ -541,6 +555,34 @@ TEST_F(KSwitchKeyShape, RelinearizeRejectsShorterChainKey) {
   Ciphertext x = rt_->evaluator().multiply(a, a);
   expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, short_->relin_key()); },
                    expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048"));
+}
+
+TEST_F(KSwitchKeyShape, RelinearizeRescaleRejectsEmptyKey) {
+  const Ciphertext a = fresh();
+  Ciphertext x = rt_->evaluator().multiply(a, a);
+  expect_key_error([&] { rt_->evaluator().relinearize_rescale_inplace(x, KSwitchKey{}); },
+                   expected("key has 0 digits"));
+}
+
+TEST_F(KSwitchKeyShape, RelinearizeRescaleRejectsShorterChainKey) {
+  const Ciphertext a = fresh();
+  Ciphertext x = rt_->evaluator().multiply(a, a);
+  expect_key_error(
+      [&] { rt_->evaluator().relinearize_rescale_inplace(x, short_->relin_key()); },
+      expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048"));
+}
+
+TEST_F(KSwitchKeyShape, RelinearizeRescaleRefusesWhatThePairRefuses) {
+  Evaluator& ev = rt_->evaluator();
+  Ciphertext two_parts = fresh();
+  expect_key_error([&] { ev.relinearize_rescale_inplace(two_parts, rt_->relin_key()); },
+                   {"relinearize: ciphertext must have 3 parts"});
+  Ciphertext a = fresh();
+  ev.drop_to_level(a, 0);
+  Ciphertext level0 = ev.multiply(a, a);
+  expect_key_error([&] { ev.relinearize_rescale_inplace(level0, rt_->relin_key()); },
+                   {"rescale: no levels remaining"});
+  EXPECT_EQ(level0.size(), 3);  // refused before any work
 }
 
 TEST_F(KSwitchKeyShape, RotationsRejectShorterChainGaloisKey) {
