@@ -96,10 +96,14 @@ Plaintext Encoder::encode(const std::vector<double>& values, double scale,
   return pt;
 }
 
-Plaintext Encoder::encode_scalar(double value, double scale, int q_count) const {
+std::int64_t scalar_coefficient(double value, double scale) {
   const double c = value * scale;
-  sp::check(std::abs(c) < 4.6e18, "Encoder::encode_scalar: coefficient overflow");
-  const std::int64_t v = std::llround(c);
+  sp::check(std::abs(c) < 4.6e18, "scalar coefficient overflow: |value * scale| is NaN or >= 4.6e18");
+  return std::llround(c);
+}
+
+Plaintext Encoder::encode_scalar(double value, double scale, int q_count) const {
+  const std::int64_t v = scalar_coefficient(value, scale);
   // A constant polynomial's NTT is that constant in every slot.
   Plaintext pt{RnsPoly(ctx_, q_count, /*with_special=*/false, /*ntt_form=*/true), scale};
   for (int i = 0; i < q_count; ++i)

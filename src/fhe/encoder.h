@@ -20,6 +20,12 @@ struct Plaintext {
   int q_count() const { return poly.q_count(); }
 };
 
+/// The one rounding rule for a broadcast scalar: the integer constant
+/// llround(value * scale) that encode_scalar() encodes and
+/// Evaluator::multiply_scalar_inplace() multiplies by. Throws sp::Error
+/// when value * scale is NaN or not below 4.6e18 in magnitude.
+std::int64_t scalar_coefficient(double value, double scale);
+
 /// CKKS encoder: canonical-embedding packing of N/2 real slots.
 ///
 /// Slot j corresponds to evaluation of the plaintext polynomial at the
@@ -39,9 +45,10 @@ class Encoder {
   Plaintext encode(const std::vector<double>& values, double scale, int q_count) const;
 
   /// Broadcast-encodes one scalar into all slots: the constant polynomial
-  /// llround(value * scale), written straight into NTT form (a constant's
-  /// NTT is that constant in every slot), so no FFT and no NTT runs.
-  /// Throws sp::Error when |value * scale| is not below 4.6e18 (or is NaN).
+  /// scalar_coefficient(value, scale), written straight into NTT form (a
+  /// constant's NTT is that constant in every slot), so no FFT and no NTT
+  /// runs. To multiply by a scalar, Evaluator::multiply_scalar_inplace()
+  /// needs no plaintext.
   Plaintext encode_scalar(double value, double scale, int q_count) const;
 
   /// @brief Content-addressed encode cache for plaintexts that recur across

@@ -313,6 +313,26 @@ void Evaluator::multiply_plain_inplace(Ciphertext& ct, const Plaintext& pt) cons
   ++counters.plain_mults;
 }
 
+void Evaluator::multiply_scalar_inplace(Ciphertext& ct, double value, double scale) const {
+  const std::int64_t v = scalar_coefficient(value, scale);
+  const auto rows = static_cast<std::size_t>(ct.q_count());
+  std::vector<u64> w(rows), w_shoup(rows);
+  for (std::size_t j = 0; j < rows; ++j) {
+    const Modulus& m = ctx_->q(static_cast<int>(j));
+    w[j] = m.from_signed(v);
+    w_shoup[j] = shoup_precompute(w[j], m.value());
+  }
+  const simd::Kernels& k = simd::kernels();
+  for_each_row_tile(ct.parts.size() * rows, ctx_->n(),
+                    [&](std::size_t u, std::size_t off, std::size_t len) {
+                      const std::size_t j = u % rows;
+                      k.mul_shoup(ct.parts[u / rows].row(static_cast<int>(j)) + off, len, w[j],
+                                  w_shoup[j], ctx_->q(static_cast<int>(j)).value());
+                    });
+  ct.scale *= scale;
+  ++counters.plain_mults;
+}
+
 Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
   sp::check(a.size() == 2 && b.size() == 2, "multiply: operands must have 2 parts");
   sp::check(a.q_count() == b.q_count(), "multiply: level mismatch");

@@ -192,6 +192,14 @@ class Evaluator {
   /// return to ~Delta). Works for 2- and 3-part ciphertexts.
   void multiply_plain_inplace(Ciphertext& ct, const Plaintext& pt) const;
 
+  /// @brief ct *= value at `scale`: every row is multiplied by its prime's
+  /// residue of scalar_coefficient(value, scale) with the Shoup kernel, and
+  /// the scale multiplies. Bit for bit multiply_plain_inplace(ct,
+  /// encode_scalar(value, scale, ct.q_count())) without building the
+  /// plaintext; tallied as one plain multiplication. Works for 2- and
+  /// 3-part ciphertexts.
+  void multiply_scalar_inplace(Ciphertext& ct, double value, double scale) const;
+
   /// @brief Tensor product of two 2-part ciphertexts.
   /// @param a  left factor
   /// @param b  right factor at the same level (use match_levels)

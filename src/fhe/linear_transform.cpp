@@ -146,6 +146,9 @@ std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
           Ciphertext d = **ct;
           ev.drop_to_level(d, b.level());
           t = ev.multiply_no_relin(d, b);
+        } else if (const auto* w = std::get_if<double>(&masks[i])) {
+          t = b;
+          ev.multiply_scalar_inplace(t, *w, scale);
         } else {
           t = b;
           ev.multiply_plain_inplace(t, *encode(enc, masks[i], fnv_mix(key, i), scale,
@@ -177,8 +180,7 @@ std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
     if (!acc[bo]) {
       // No term feeds this block: a zero mask keeps the one-level shape.
       acc[bo] = in[0];
-      ev.multiply_plain_inplace(
-          *acc[bo], *encode(enc, LtMask{0.0}, 0, scale, in[0].q_count()));
+      ev.multiply_scalar_inplace(*acc[bo], 0.0, scale);
     }
     Ciphertext& y = *acc[bo];
     ev.rescale_inplace(y);

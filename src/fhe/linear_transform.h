@@ -96,8 +96,8 @@ struct LinearTransform {
   /// @param in     schedule.blocks_in 2-part ciphertexts at one level/scale
   /// @param gk     rotation keys covering schedule.steps()
   /// @param hoist  route each input block's fan through one decomposition
-  /// @param enc    encoder for scalar/slot masks and biases (may be null when
-  ///               every mask is a ciphertext and every output block is fed)
+  /// @param enc    encoder for slot masks and biases (may be null when every
+  ///               mask is a scalar or a ciphertext and no bias is set)
   /// @param scale  encoding scale of scalar/slot masks (Delta)
   /// @param relin  relinearization key (ciphertext masks only; those must sit
   ///               at or above the inputs' level)

@@ -255,7 +255,7 @@ void add_product(EvalCtx& ec, WindowSum& sum, const Ciphertext& xa, const Cipher
 Ciphertext coeff_term(EvalCtx& ec, const Ciphertext& ct, double c, int target_level,
                       double target_scale) {
   if (ec.stats) ++ec.stats->plain_mults;
-  return scaled_to(*ec.ev, *ec.ctx, *ec.encoder, ct, c, target_level, target_scale);
+  return scaled_to(*ec.ev, ct, c, target_level, target_scale);
 }
 
 void fold_constant(EvalCtx& ec, Ciphertext& ct, double c) {
@@ -469,15 +469,14 @@ int PafEvaluator::mult_depth(const approx::Polynomial& p) {
   return ceil_log2(effective_degree(p, 0, p.degree()) + 1);
 }
 
-Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
-                     const Ciphertext& ct, double factor, int target_level,
+Ciphertext scaled_to(Evaluator& ev, const Ciphertext& ct, double factor, int target_level,
                      double target_scale) {
   sp::check(ct.level() >= target_level + 1, "scaled_to: out of levels");
   Ciphertext out = ct;
   ev.drop_to_level(out, target_level + 1);
-  const u64 q = ctx.q(target_level + 1).value();
+  const u64 q = ev.context().q(target_level + 1).value();
   const double cs = target_scale * static_cast<double>(q) / out.scale;
-  ev.multiply_plain_inplace(out, enc.encode_scalar(factor, cs, out.q_count()));
+  ev.multiply_scalar_inplace(out, factor, cs);
   ev.rescale_inplace(out);
   out.scale = target_scale;  // exact by construction
   return out;
@@ -532,7 +531,7 @@ Ciphertext PafEvaluator::sign(Evaluator& ev, const Ciphertext& d,
   // plaintext multiplication the envelope pays anyway, so a folded scalar
   // stage is free.
   Ciphertext t =
-      scaled_to(ev, *ctx_, *encoder_, d, pre_factor / input_scale, d.level() - 1, ctx_->scale());
+      scaled_to(ev, d, pre_factor / input_scale, d.level() - 1, ctx_->scale());
   if (stats) ++stats->plain_mults;
   return eval_composite(ev, std::move(t), paf, stats);
 }
@@ -544,7 +543,7 @@ Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
   Ciphertext p = sign(ev, x, paf, input_scale, pre_factor, stats);
 
   // y = (0.5 pre_factor x) * (1 + p): one extra ct-ct multiplication.
-  Ciphertext xh = scaled_to(ev, *ctx_, *encoder_, x, 0.5 * pre_factor, p.level(), p.scale);
+  Ciphertext xh = scaled_to(ev, x, 0.5 * pre_factor, p.level(), p.scale);
   const Plaintext one = encoder_->encode_scalar(1.0, p.scale, p.q_count());
   ev.add_plain_inplace(p, one);
   Ciphertext y = ev.multiply(xh, p);
@@ -571,11 +570,11 @@ Ciphertext PafEvaluator::max(Evaluator& ev, const Ciphertext& a, const Ciphertex
 
   // With pre_factor f: max(fa, fb) = 0.5 f (a+b) + 0.5 f (a-b) p(f(a-b)/s).
   const Ciphertext p = sign(ev, d, paf, input_scale, pre_factor, stats);
-  Ciphertext dh = scaled_to(ev, *ctx_, *encoder_, d, 0.5 * pre_factor, p.level(), p.scale);
+  Ciphertext dh = scaled_to(ev, d, 0.5 * pre_factor, p.level(), p.scale);
   Ciphertext dp = ev.multiply(dh, p);
   ev.relinearize_rescale_inplace(dp, *relin_);
 
-  Ciphertext sh = scaled_to(ev, *ctx_, *encoder_, s, 0.5 * pre_factor, dp.level(), dp.scale);
+  Ciphertext sh = scaled_to(ev, s, 0.5 * pre_factor, dp.level(), dp.scale);
   Ciphertext y = ev.add(dp, sh);
   if (stats) {
     ++stats->ct_mults;

@@ -55,15 +55,15 @@ struct SchedulePrediction {
 /// (factor * ct) landed at exactly (target_level, target_scale): one
 /// plaintext multiplication + rescale, consuming one of `ct`'s own levels.
 ///
-/// The scalar is encoded at scale target_scale * q / ct.scale (q = the prime
-/// the rescale divides out), so the result's scale is target_scale *exactly*.
+/// The scalar is multiplied in at scale target_scale * q / ct.scale (q = the
+/// prime the rescale divides out), so the result's scale is target_scale
+/// *exactly*.
 /// This is how eval_poly delivers every coefficient term onto one common
 /// (level, scale) pair, how the PAF envelopes scale their inputs, and how
 /// operands whose scales drifted apart through different rescale chains
 /// (a MaxPool tournament's running max vs its next tap, the encrypted
 /// trainer's labels vs sigmoid output) meet again before an add/sub.
-Ciphertext scaled_to(Evaluator& ev, const CkksContext& ctx, const Encoder& enc,
-                     const Ciphertext& ct, double factor, int target_level,
+Ciphertext scaled_to(Evaluator& ev, const Ciphertext& ct, double factor, int target_level,
                      double target_scale);
 
 /// Memoized power cache for one evaluation input: x^e is built on demand via

@@ -927,11 +927,11 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
       const LinearStage& eff = sp_.merged_linear ? *sp_.merged_linear : *lin;
       for (fhe::Ciphertext& cur : blocks) {
         if (!linear_scale_is_identity(eff)) {
-          // Scalar scales are cheap constant polynomials; per-slot vectors pay
-          // an encode FFT, so those route through the encoder's cache.
+          // A scalar scale multiplies each row by its residue; per-slot
+          // vectors pay an encode FFT, so those route through the encoder's
+          // cache.
           if (eff.scale.size() == 1) {
-            ev.multiply_plain_inplace(
-                cur, enc.encode_scalar(eff.scale[0], delta, cur.q_count()));
+            ev.multiply_scalar_inplace(cur, eff.scale[0], delta);
           } else {
             ev.multiply_plain_inplace(
                 cur, *enc.encode_cached(linear_vec_key(eff.scale, 1), delta,
@@ -986,7 +986,7 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
       fhe::Ciphertext m = cur;
       for (std::size_t t = 0; t < rotated.size(); ++t) {
         if (t > 0) {
-          rotated[t] = fhe::scaled_to(ev, rt.ctx(), enc, rotated[t], 1.0, m.level(), m.scale);
+          rotated[t] = fhe::scaled_to(ev, rotated[t], 1.0, m.level(), m.scale);
           if (stats) ++stats->plain_mults;
         }
         m = pe.max(ev, m, rotated[t], paf.paf, paf.input_scale, stats, sp_.pre_factor);

@@ -96,22 +96,17 @@ void EncryptedLogReg::step_sgd(const EncryptedBatch&,
   // makes the update linear in what we already have: u = momentum * u +
   // lr * g (the gradient matrix carries the lr), then w -= u — no extra
   // level beyond the gradient's own.
-  const auto& ctx = rt_->ctx();
-  auto& enc = rt_->encoder();
   auto& ev = rt_->evaluator();
-  fhe::Ciphertext u =
-      fhe::scaled_to(ev, ctx, enc, *state_.velocity, plan_.config.momentum,
-                     grad_lr.level(), grad_lr.scale);
+  fhe::Ciphertext u = fhe::scaled_to(ev, *state_.velocity, plan_.config.momentum,
+                                     grad_lr.level(), grad_lr.scale);
   ev.add_inplace(u, grad_lr);
-  fhe::Ciphertext w = fhe::scaled_to(ev, ctx, enc, state_.weights, 1.0,
-                                     u.level(), u.scale);
+  fhe::Ciphertext w = fhe::scaled_to(ev, state_.weights, 1.0, u.level(), u.scale);
   state_.weights = ev.sub(w, u);
   state_.velocity = std::move(u);
 }
 
 void EncryptedLogReg::step_adam(const EncryptedBatch&, const fhe::Ciphertext& g) {
   const auto& ctx = rt_->ctx();
-  auto& enc = rt_->encoder();
   auto& ev = rt_->evaluator();
   const TrainConfig& cfg = plan_.config;
 
@@ -133,12 +128,10 @@ void EncryptedLogReg::step_adam(const EncryptedBatch&, const fhe::Ciphertext& g)
   // c_k / bc2^k ~ 1e15 at t = 1, far past what a slot can encode.
   const double s = ctx.scale();
   const int lb = g2.level() - 1;
-  fhe::Ciphertext v_new =
-      fhe::scaled_to(ev, ctx, enc, g2, (1.0 - cfg.beta2) / bc2, lb, s);
-  ev.add_inplace(v_new, fhe::scaled_to(ev, ctx, enc, *state_.v,
-                                       cfg.beta2 * bc2_prev / bc2, lb, s));
-  fhe::Ciphertext m_new = fhe::scaled_to(ev, ctx, enc, g, 1.0 - cfg.beta1, lb, s);
-  ev.add_inplace(m_new, fhe::scaled_to(ev, ctx, enc, *state_.m, cfg.beta1, lb, s));
+  fhe::Ciphertext v_new = fhe::scaled_to(ev, g2, (1.0 - cfg.beta2) / bc2, lb, s);
+  ev.add_inplace(v_new, fhe::scaled_to(ev, *state_.v, cfg.beta2 * bc2_prev / bc2, lb, s));
+  fhe::Ciphertext m_new = fhe::scaled_to(ev, g, 1.0 - cfg.beta1, lb, s);
+  ev.add_inplace(m_new, fhe::scaled_to(ev, *state_.m, cfg.beta1, lb, s));
 
   // Denominator PAF: vhat is already the fit's variable, so only
   //   lr * mhat / sqrt(vhat + eps) = m_new * sum_k (c_k * lr / bc1) vhat^k
@@ -154,8 +147,7 @@ void EncryptedLogReg::step_adam(const EncryptedBatch&, const fhe::Ciphertext& g)
   ev.drop_to_level(mm, denom.level());
   fhe::Ciphertext upd = ev.multiply(mm, denom);
   ev.relinearize_rescale_inplace(upd, rt_->relin_key());
-  fhe::Ciphertext w = fhe::scaled_to(ev, ctx, enc, state_.weights, 1.0,
-                                     upd.level(), upd.scale);
+  fhe::Ciphertext w = fhe::scaled_to(ev, state_.weights, 1.0, upd.level(), upd.scale);
   state_.weights = ev.sub(w, upd);
   state_.m = std::move(m_new);
   state_.v = std::move(v_new);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -261,6 +262,74 @@ TEST(EncodeScalar, MatchesCoefficientPathBitForBit) {
                           << " scale=" << scale;
       }
     }
+  }
+}
+
+// multiply_scalar_inplace multiplies each row by its prime's residue with
+// the Shoup kernel instead of building a plaintext; it must equal the
+// product with the encode_scalar plaintext bit for bit.
+TEST(MultiplyScalar, MatchesPlaintextProductBitForBit) {
+  const CkksContext ctx(CkksParams::for_depth(8192, 10, 40));
+  const Encoder encoder(ctx);
+  const Evaluator ev(ctx);
+  sp::Rng rng(41);
+  for (int q_count = 1; q_count <= ctx.q_count(); ++q_count) {
+    Ciphertext ct;  // uniform residues: every lane of every row is exercised
+    ct.scale = ctx.scale();
+    for (int part = 0; part < 2; ++part) {
+      RnsPoly p(&ctx, q_count, /*with_special=*/false, /*ntt_form=*/true);
+      p.sample_uniform(rng);
+      ct.parts.push_back(std::move(p));
+    }
+    for (double value : {0.0, 1.0, -1.0, 0.5, -0.5, 3.7e-7, -3.7e-7}) {
+      for (double scale : {1.0, ctx.scale()}) {
+        Ciphertext want = ct, got = ct;
+        ev.multiply_plain_inplace(want, encoder.encode_scalar(value, scale, q_count));
+        const std::size_t plain_mults = ev.counters.plain_mults;
+        ev.multiply_scalar_inplace(got, value, scale);
+        EXPECT_EQ(ev.counters.plain_mults.load(), plain_mults + 1);
+        EXPECT_EQ(got.scale, want.scale);
+        bool same = true;
+        for (int part = 0; part < 2; ++part)
+          for (int r = 0; r < q_count; ++r)
+            for (std::size_t j = 0; j < ctx.n(); ++j)
+              same = same && got.parts[static_cast<std::size_t>(part)].row(r)[j] ==
+                                 want.parts[static_cast<std::size_t>(part)].row(r)[j];
+        EXPECT_TRUE(same) << "q_count=" << q_count << " value=" << value << " scale=" << scale;
+      }
+    }
+  }
+}
+
+TEST(MultiplyScalar, NanAndOverflowThrowLikeEncodeScalar) {
+  const CkksContext ctx(CkksParams::test_small());
+  const Encoder encoder(ctx);
+  const Evaluator ev(ctx);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto message = [](const auto& body) {
+    try {
+      body();
+    } catch (const sp::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::pair<double, double> cases[] = {{nan, ctx.scale()},
+                                             {1.0, nan},
+                                             {4.6e18, 1.0},
+                                             {-4.6e18, 1.0},
+                                             {1e7, ctx.scale() * 1e6},
+                                             {std::numeric_limits<double>::infinity(), 1.0}};
+  for (const auto& [value, scale] : cases) {
+    Ciphertext ct;
+    ct.scale = ctx.scale();
+    for (int part = 0; part < 2; ++part)
+      ct.parts.emplace_back(&ctx, ctx.q_count(), /*with_special=*/false, /*ntt_form=*/true);
+    const std::string want =
+        message([&] { encoder.encode_scalar(value, scale, ctx.q_count()); });
+    EXPECT_FALSE(want.empty()) << "value=" << value << " scale=" << scale;
+    EXPECT_EQ(message([&] { ev.multiply_scalar_inplace(ct, value, scale); }), want);
+    EXPECT_EQ(ct.scale, ctx.scale());  // refused before any work
   }
 }
 
