@@ -242,9 +242,12 @@ std::pair<RnsPoly, RnsPoly> key_inner_products(const CkksContext& ctx, const KSw
   return {std::move(r0), std::move(r1)};
 }
 
-const KSwitchKey& galois_key(const GaloisKeys& gk, u64 g) {
+/// The rotation key for `steps`, whose Galois element is g; a missing key
+/// throws sp::Error naming both.
+const KSwitchKey& galois_key(const GaloisKeys& gk, int steps, u64 g) {
   const auto it = gk.keys.find(g);
-  sp::check(it != gk.keys.end(), "rotate: missing Galois key for requested step");
+  sp::check_fmt(it != gk.keys.end(), "rotate: missing Galois key for step ", steps,
+                " (Galois element ", g, ")");
   return it->second;
 }
 
@@ -484,7 +487,7 @@ Ciphertext Evaluator::rotate(const Ciphertext& ct, int steps, const GaloisKeys& 
   sp::check(ct.size() == 2, "rotate: relinearize first");
   const u64 g = galois_element(ctx_->n(), steps);
   if (g == 1) return ct;
-  const KSwitchKey& key = galois_key(gk, g);
+  const KSwitchKey& key = galois_key(gk, steps, g);
   // The decomposition commutes with the automorphism: lifting is
   // coefficient-wise and X -> X^g is a signed coefficient permutation, so
   // switching the permuted c1 equals switching permuted digits of c1, bit
@@ -507,7 +510,7 @@ Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
   sp::check(!h.rows.empty(), "rotate_hoisted: empty decomposition");
   const u64 g = galois_element(ctx_->n(), steps);
   if (g == 1) return h.src;
-  const KSwitchKey& key = galois_key(gk, g);
+  const KSwitchKey& key = galois_key(gk, steps, g);
   // Permuting the cached NTT-form digits equals decomposing the rotated
   // ciphertext, at zero additional NTTs.
   Ciphertext out = finish_rotation(apply_kswitch(h, key, g), h.src, g);

@@ -196,6 +196,27 @@ TEST_F(EvaluatorOpsTest, GaloisNttPermutationMatchesCoefficientAutomorphism) {
   }
 }
 
+TEST_F(EvaluatorOpsTest, MissingGaloisKeyNamesTheStep) {
+  // The fixture's keys cover {1, -1, 2, -2, 8}; step 3 is element 5^3 = 125.
+  const Ciphertext ct = rt_->encrypt(random_vec(25));
+  Evaluator& ev = rt_->evaluator();
+  ASSERT_EQ(galois_element(rt_->ctx().n(), 3), 125u);
+  const auto expect_named = [](const auto& body) {
+    std::string what;
+    try {
+      body();
+    } catch (const sp::Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("step 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("125"), std::string::npos) << what;
+  };
+  expect_named([&] { ev.rotate(ct, 3, *gk_); });
+  const HoistedDecomposition h = ev.hoist(ct);
+  expect_named([&] { ev.rotate_hoisted(h, 3, *gk_); });
+  expect_named([&] { ev.rotate_hoisted(ct, std::vector<int>{1, 3}, *gk_); });
+}
+
 TEST(GaloisElement, SquareAndMultiplyMatchesRepeatedMultiplication) {
   // Reference: r multiplications by 5 mod 2N, where r = steps mod N/2; every
   // step congruent to r (negative ones included) maps to the same element.
