@@ -1,11 +1,14 @@
 // CKKS substrate microbenchmarks:
 //   1) per-kernel dispatch-tier sweep at N = 8192 (fwd/inv NTT ns/butterfly,
 //      elementwise GB/s, the key-switch inner product over 11 digits, for
-//      scalar vs AVX2 vs AVX-512),
+//      scalar vs AVX2 vs AVX-512); each figure is the 10th percentile of
+//      41 samples, the tiers alternating sample by sample so a noise burst
+//      on a shared host hits every tier alike,
 //   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (the sub-row
 //      split keeps short chains from capping usable threads at row count),
-//   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes) with
-//      the hoisted-vs-naive rotation column.
+//   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes): a
+//      ct-ct multiply with relinearize_rescale_inplace and its forward NTTs,
+//      and the hoisted-vs-naive rotation columns.
 // Writes bench_out/fhe_micro.json. If bench/baselines/fhe_micro.json exists
 // (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT,
 // inverse-NTT or key-inner-product speedup over scalar drops below the
@@ -41,6 +44,13 @@ using namespace sp::fhe;
 double median_ms(std::vector<double>& v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
+}
+
+/// 10th percentile: the time a kernel takes when the host lets it run,
+/// which a burst of noise on a shared host moves far less than the median.
+double p10_ms(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  return v[(v.size() - 1) / 10];
 }
 
 template <typename Fn>
@@ -88,7 +98,8 @@ struct ScalingRow {
   std::size_t n = 0;
   int threads = 0;
   double ntt_roundtrip_ms = 0.0;  // full-chain RnsPoly inverse + forward NTT
-  double mult_ms = 0.0;        // ct-ct multiply + relin + rescale
+  double mult_ms = 0.0;        // ct-ct multiply + relinearize_rescale_inplace
+  std::size_t ntts_mult = 0;   // its forward NTTs: c^2 + 2c - 2 at c primes
   double rot_naive_ms = 0.0;   // per rotation, 8-step fan, fresh decompositions
   double rot_hoisted_ms = 0.0; // per rotation, 8-step fan, shared decomposition
   std::size_t ntts_naive = 0;  // forward NTTs for the naive fan
@@ -117,71 +128,65 @@ std::vector<TierRow> run_tier_sweep() {
     ks_ptrs.push_back(r.data());
   }
   std::vector<u64> ks_out0(kN), ks_out1(kN);
-  const int iters = 8;  // per timed sample, so samples are well above 0.1 ms
-  const int reps = 5;
+  const int iters = 8;     // calls per timed sample, so samples are well above 0.1 ms
+  const int samples = 41;  // per kernel and tier
 
+  std::vector<simd::Tier> tiers;
+  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512})
+    if (simd::tier_supported(t)) tiers.push_back(t);
+  // Transform outputs and elementwise results stay < q, so every kernel
+  // iterates in place on one buffer without re-initialisation.
+  std::vector<u64> a = base;
+  enum { kFwd, kInv, kMulMod, kAddMod, kMulShoup, kKeyInner, kKernelCount };
+  const auto run = [&](int kernel, const simd::Kernels& k) {
+    switch (kernel) {
+      case kFwd: return tables.forward(a.data());
+      case kInv: return tables.inverse(a.data());
+      case kMulMod:
+        return k.mul_mod(a.data(), other.data(), kN, q, mod.ratio_hi(), mod.ratio_lo());
+      case kAddMod: return k.add_mod(a.data(), other.data(), kN, q);
+      case kMulShoup: return k.mul_shoup(a.data(), kN, w, ws, q);
+      default:
+        return k.key_inner_product(ks_out0.data(), ks_out1.data(), ks_ptrs.data(),
+                                   ks_ptrs.data() + kDigits, ks_ptrs.data() + 2 * kDigits,
+                                   kDigits, kN, q, mod.ratio_hi(), mod.ratio_lo());
+    }
+  };
+  // ms[tier][kernel]: one per-call time per sample.
+  std::vector<std::vector<std::vector<double>>> ms(
+      tiers.size(), std::vector<std::vector<double>>(kKernelCount));
   const simd::Tier saved = simd::active_tier();
-  std::vector<TierRow> rows;
-  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
-    if (!simd::tier_supported(t)) continue;
-    simd::set_tier(t);
-    const simd::Kernels& k = simd::kernels();
-    TierRow row;
-    row.tier = t;
-    std::vector<u64> a = base;
-    // Output of a forward/inverse transform is a valid (< q) input, so the
-    // transforms iterate in place without per-sample re-initialisation.
-    row.fwd_ntt_ms = time_op(reps, [&] {
-                       for (int i = 0; i < iters; ++i) tables.forward(a.data());
-                     }) /
-                     iters;
-    row.inv_ntt_ms = time_op(reps, [&] {
-                       for (int i = 0; i < iters; ++i) tables.inverse(a.data());
-                     }) /
-                     iters;
-    row.fwd_ns_per_bfly =
-        row.fwd_ntt_ms * 1e6 / (static_cast<double>(kN / 2) * log_n);
-    // Elementwise throughput: two-operand kernels stream 3 words/element
-    // (two loads + one store), one-operand kernels 2.
-    const double two_op_gb = static_cast<double>(kN) * 3 * 8 / 1e9;
-    const double one_op_gb = static_cast<double>(kN) * 2 * 8 / 1e9;
-    a = base;
-    row.mul_mod_gbs =
-        two_op_gb /
-        (time_op(reps,
-                 [&] {
-                   for (int i = 0; i < iters; ++i)
-                     k.mul_mod(a.data(), other.data(), kN, q, mod.ratio_hi(),
-                               mod.ratio_lo());
-                 }) /
-         iters / 1e3);
-    a = base;
-    row.add_mod_gbs = two_op_gb /
-                      (time_op(reps,
-                               [&] {
-                                 for (int i = 0; i < iters; ++i)
-                                   k.add_mod(a.data(), other.data(), kN, q);
-                               }) /
-                       iters / 1e3);
-    a = base;
-    row.mul_shoup_gbs = one_op_gb /
-                        (time_op(reps,
-                                 [&] {
-                                   for (int i = 0; i < iters; ++i)
-                                     k.mul_shoup(a.data(), kN, w, ws, q);
-                                 }) /
-                         iters / 1e3);
-    row.kswitch_ms = time_op(reps, [&] {
-                       for (int i = 0; i < iters; ++i)
-                         k.key_inner_product(ks_out0.data(), ks_out1.data(), ks_ptrs.data(),
-                                             ks_ptrs.data() + kDigits,
-                                             ks_ptrs.data() + 2 * kDigits, kDigits, kN, q,
-                                             mod.ratio_hi(), mod.ratio_lo());
-                     }) /
-                     iters;
-    rows.push_back(row);
+  for (int s = 0; s < samples; ++s) {
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      simd::set_tier(tiers[t]);
+      const simd::Kernels& k = simd::kernels();
+      for (int kernel = 0; kernel < kKernelCount; ++kernel) {
+        Timer timer;
+        for (int i = 0; i < iters; ++i) run(kernel, k);
+        ms[t][static_cast<std::size_t>(kernel)].push_back(timer.ms() / iters);
+      }
+    }
   }
   simd::set_tier(saved);
+
+  // Elementwise throughput: two-operand kernels stream 3 words/element
+  // (two loads + one store), one-operand kernels 2.
+  const double two_op_gb = static_cast<double>(kN) * 3 * 8 / 1e9;
+  const double one_op_gb = static_cast<double>(kN) * 2 * 8 / 1e9;
+  std::vector<TierRow> rows;
+  for (std::size_t t = 0; t < tiers.size(); ++t) {
+    std::vector<std::vector<double>>& m = ms[t];
+    TierRow row;
+    row.tier = tiers[t];
+    row.fwd_ntt_ms = p10_ms(m[kFwd]);
+    row.inv_ntt_ms = p10_ms(m[kInv]);
+    row.fwd_ns_per_bfly = row.fwd_ntt_ms * 1e6 / (static_cast<double>(kN / 2) * log_n);
+    row.mul_mod_gbs = two_op_gb / (p10_ms(m[kMulMod]) / 1e3);
+    row.add_mod_gbs = two_op_gb / (p10_ms(m[kAddMod]) / 1e3);
+    row.mul_shoup_gbs = one_op_gb / (p10_ms(m[kMulShoup]) / 1e3);
+    row.kswitch_ms = p10_ms(m[kKeyInner]);
+    rows.push_back(row);
+  }
   for (TierRow& r : rows) {
     r.fwd_speedup = rows.front().fwd_ntt_ms / std::max(r.fwd_ntt_ms, 1e-9);
     r.inv_speedup = rows.front().inv_ntt_ms / std::max(r.inv_ntt_ms, 1e-9);
@@ -293,11 +298,12 @@ int main(int argc, char** argv) {
         ntt_poly.from_ntt();
         ntt_poly.to_ntt();  // restores NTT form, reusable across reps
       });
+      ev.counters.reset();
       row.mult_ms = time_op(reps, [&] {
         Ciphertext c = ev.multiply(ct, ct);
-        ev.relinearize_inplace(c, rt.relin_key());
-        ev.rescale_inplace(c);
+        ev.relinearize_rescale_inplace(c, rt.relin_key());
       });
+      row.ntts_mult = ev.counters.ntts_forward / static_cast<std::size_t>(reps);
 
       ev.counters.reset();
       row.rot_naive_ms = time_op(reps, [&] {
@@ -317,12 +323,13 @@ int main(int argc, char** argv) {
   }
   ThreadPool::set_global_threads(ThreadPool::env_threads());
 
-  Table table({"N", "threads", "ntt_roundtrip_ms", "mult_relin_rescale_ms", "rotate_naive_ms",
-               "rotate_hoisted_ms", "hoist_speedup", "fwd_ntts_naive",
-               "fwd_ntts_hoisted"});
+  Table table({"N", "threads", "ntt_roundtrip_ms", "mult_relin_rescale_ms",
+               "fwd_ntts_mult_relin_rescale", "rotate_naive_ms", "rotate_hoisted_ms",
+               "hoist_speedup", "fwd_ntts_naive", "fwd_ntts_hoisted"});
   for (const ScalingRow& r : rows)
     table.add_row({std::to_string(r.n), std::to_string(r.threads), Table::num(r.ntt_roundtrip_ms, 3),
-                   Table::num(r.mult_ms, 2), Table::num(r.rot_naive_ms, 2),
+                   Table::num(r.mult_ms, 2), std::to_string(r.ntts_mult),
+                   Table::num(r.rot_naive_ms, 2),
                    Table::num(r.rot_hoisted_ms, 2),
                    Table::num(r.rot_naive_ms / std::max(r.rot_hoisted_ms, 1e-9), 2),
                    std::to_string(r.ntts_naive), std::to_string(r.ntts_hoisted)});
@@ -360,11 +367,11 @@ int main(int argc, char** argv) {
       const ScalingRow& r = rows[i];
       std::fprintf(f,
                    "    {\"n\": %zu, \"threads\": %d, \"ntt_roundtrip_ms\": %.4f, "
-                   "\"mult_relin_rescale_ms\": %.4f, \"rotate_naive_ms\": %.4f, "
-                   "\"rotate_hoisted_ms\": %.4f, \"fwd_ntts_naive\": %zu, "
-                   "\"fwd_ntts_hoisted\": %zu}%s\n",
-                   r.n, r.threads, r.ntt_roundtrip_ms, r.mult_ms, r.rot_naive_ms, r.rot_hoisted_ms,
-                   r.ntts_naive, r.ntts_hoisted, i + 1 < rows.size() ? "," : "");
+                   "\"mult_relin_rescale_ms\": %.4f, \"fwd_ntts_mult_relin_rescale\": %zu, "
+                   "\"rotate_naive_ms\": %.4f, \"rotate_hoisted_ms\": %.4f, "
+                   "\"fwd_ntts_naive\": %zu, \"fwd_ntts_hoisted\": %zu}%s\n",
+                   r.n, r.threads, r.ntt_roundtrip_ms, r.mult_ms, r.ntts_mult, r.rot_naive_ms,
+                   r.rot_hoisted_ms, r.ntts_naive, r.ntts_hoisted, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

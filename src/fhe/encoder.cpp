@@ -98,7 +98,8 @@ Plaintext Encoder::encode(const std::vector<double>& values, double scale,
 
 std::int64_t scalar_coefficient(double value, double scale) {
   const double c = value * scale;
-  sp::check(std::abs(c) < 4.6e18, "scalar coefficient overflow: |value * scale| is NaN or >= 4.6e18");
+  sp::check(std::abs(c) < 4.6e18,
+            "scalar coefficient overflow: |value * scale| is NaN or >= 4.6e18");
   return std::llround(c);
 }
 

@@ -119,11 +119,15 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
   const CkksContext& ctx = *e.front()->context();
   const int c = e.front()->q_count(), l = c - 1;  // r's P row is row c
   const std::size_t n = ctx.n(), parts = e.size(), chain = static_cast<std::size_t>(c);
+  for (std::size_t i = 0; i < parts; ++i)
+    sp::check(e[i]->is_ntt() && !e[i]->has_special() && e[i]->q_count() == c &&
+                  r[i]->is_ntt() && r[i]->has_special() && r[i]->q_count() == c,
+              "divide_by_special_and_last: expects NTT-form parts over the same chain");
   const u64 p = ctx.special().value(), q_l = ctx.q(l).value();
   std::vector<u64> p_inv(chain), p_inv_shoup(chain);
-  for (int j = 0; j < c; ++j) {
-    p_inv[static_cast<std::size_t>(j)] = ctx.p_inv_mod(j);
-    p_inv_shoup[static_cast<std::size_t>(j)] = shoup_precompute(ctx.p_inv_mod(j), ctx.q(j).value());
+  for (std::size_t j = 0; j < chain; ++j) {
+    p_inv[j] = ctx.p_inv_mod(static_cast<int>(j));
+    p_inv_shoup[j] = shoup_precompute(p_inv[j], ctx.q(static_cast<int>(j)).value());
   }
   const simd::Kernels& k = simd::kernels();
 
@@ -319,19 +323,19 @@ void Evaluator::multiply_plain_inplace(Ciphertext& ct, const Plaintext& pt) cons
 void Evaluator::multiply_scalar_inplace(Ciphertext& ct, double value, double scale) const {
   const std::int64_t v = scalar_coefficient(value, scale);
   const auto rows = static_cast<std::size_t>(ct.q_count());
-  std::vector<u64> w(rows), w_shoup(rows);
+  std::vector<u64> q(rows), w(rows), w_shoup(rows);
   for (std::size_t j = 0; j < rows; ++j) {
     const Modulus& m = ctx_->q(static_cast<int>(j));
+    q[j] = m.value();
     w[j] = m.from_signed(v);
-    w_shoup[j] = shoup_precompute(w[j], m.value());
+    w_shoup[j] = shoup_precompute(w[j], q[j]);
   }
   const simd::Kernels& k = simd::kernels();
-  for_each_row_tile(ct.parts.size() * rows, ctx_->n(),
-                    [&](std::size_t u, std::size_t off, std::size_t len) {
-                      const std::size_t j = u % rows;
-                      k.mul_shoup(ct.parts[u / rows].row(static_cast<int>(j)) + off, len, w[j],
-                                  w_shoup[j], ctx_->q(static_cast<int>(j)).value());
-                    });
+  const auto tile = [&](std::size_t u, std::size_t off, std::size_t len) {
+    const std::size_t j = u % rows;
+    k.mul_shoup(ct.parts[u / rows].row(static_cast<int>(j)) + off, len, w[j], w_shoup[j], q[j]);
+  };
+  for_each_row_tile(ct.parts.size() * rows, ctx_->n(), tile);
   ct.scale *= scale;
   ++counters.plain_mults;
 }
