@@ -20,15 +20,23 @@ void check_scale_close(double a, double b) {
             "Evaluator: scale mismatch between operands");
 }
 
-/// Per-thread block of scratch rows, reused across calls. A key switch's
-/// lane fills one output prime's digit rows there and the inner-product
-/// kernel reads them back while they are in cache; an exact division lifts
-/// its dropped rows there (a fresh AlignedVec would zero-fill every row
-/// before the lift overwrote it). It is per thread because the pool's lanes
-/// fill their primes at once and the evaluator's const methods may run on
-/// several caller threads.
-u64* scratch_rows(std::size_t words) {
-  thread_local sp::AlignedVec<u64> rows;
+/// Per-thread blocks of scratch rows, reused across calls and only grown.
+/// A fresh AlignedVec per call would zero-fill every row before it was
+/// overwritten, and the heap churn of such temporaries made glibc give
+/// pages back and fault them in again on every call. They are per thread
+/// because the pool's lanes fill their primes at once and the evaluator's
+/// const methods may run on several caller threads.
+///  - kLane: one output prime's digit rows in a key switch's lane (the
+///    inner-product kernel reads them back while they are in cache), and an
+///    exact division's lift rows.
+///  - kSwitch: a key switch's coefficient-form input and, in
+///    relinearize_rescale_inplace, its two outputs. These stay live while
+///    the calling thread, as one of the pool's lanes, fills its kLane rows.
+/// A caller takes each block once, at its full size: growing a block moves it.
+enum ScratchBlock { kLane, kSwitch };
+u64* scratch_rows(ScratchBlock block, std::size_t words) {
+  thread_local sp::AlignedVec<u64> blocks[2];
+  sp::AlignedVec<u64>& rows = blocks[block];
   if (rows.size() < words) rows.resize(words);
   return rows.data();
 }
@@ -42,7 +50,7 @@ template <typename Fill>
 const u64* forward_lifts(const std::vector<RnsPoly*>& polys, std::size_t rows, const Fill& fill,
                          OpCounters& counters) {
   const std::size_t units = polys.size() * rows, n = polys.front()->n();
-  u64* lift = scratch_rows(units * n);
+  u64* lift = scratch_rows(kLane, units * n);
   for_each_row_tile(units, n, [&](std::size_t u, std::size_t off, std::size_t len) {
     fill(u / rows, static_cast<int>(u % rows), lift + u * n + off, off, len);
   });
@@ -109,20 +117,21 @@ void divide_by_last_row(const std::vector<RnsPoly*>& polys, const std::vector<u6
 /// The division of relinearize_rescale_inplace: e <- (e + r / P) / q_l, each
 /// division exact with centered rounding, for the two parts `e` (c chain
 /// rows, l = c - 1) of a relinearized ciphertext and their key-switch
-/// outputs `r` (the c chain rows, then P), all in NTT form. Bit for bit what
-/// mod_down(r), e += r and a rescale by q_l compute, but the surviving rows
-/// take one forward NTT each instead of two: an NTT is an exact linear map
-/// mod each prime, so the two lifts of a row are summed before one
-/// transform. Row l is left in coefficient form for the caller to drop.
-void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vector<RnsPoly*>& r,
+/// outputs `r` (row j at r[i] + j·n: the c chain rows, then P), all in NTT
+/// form. Bit for bit what mod_down(r), e += r and a rescale by q_l compute,
+/// but the surviving rows take one forward NTT each instead of two: an NTT
+/// is an exact linear map mod each prime, so the two lifts of a row are
+/// summed before one transform. Row l is left in coefficient form for the
+/// caller to drop.
+void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vector<u64*>& r,
                                 OpCounters& counters) {
   const CkksContext& ctx = *e.front()->context();
   const int c = e.front()->q_count(), l = c - 1;  // r's P row is row c
   const std::size_t n = ctx.n(), parts = e.size(), chain = static_cast<std::size_t>(c);
-  for (std::size_t i = 0; i < parts; ++i)
-    sp::check(e[i]->is_ntt() && !e[i]->has_special() && e[i]->q_count() == c &&
-                  r[i]->is_ntt() && r[i]->has_special() && r[i]->q_count() == c,
+  for (const RnsPoly* p : e)
+    sp::check(p->is_ntt() && !p->has_special() && p->q_count() == c,
               "divide_by_special_and_last: expects NTT-form parts over the same chain");
+  const auto r_row = [&](std::size_t i, int j) { return r[i] + static_cast<std::size_t>(j) * n; };
   const u64 p = ctx.special().value(), q_l = ctx.q(l).value();
   std::vector<u64> p_inv(chain), p_inv_shoup(chain);
   for (std::size_t j = 0; j < chain; ++j) {
@@ -136,14 +145,14 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
   for_each_row_tile(parts * chain, n, [&](std::size_t u, std::size_t off, std::size_t len) {
     const std::size_t j = u % chain;
     const u64 q = ctx.q(static_cast<int>(j)).value();
-    u64* rj = r[u / chain]->row(static_cast<int>(j)) + off;
+    u64* rj = r_row(u / chain, static_cast<int>(j)) + off;
     k.mul_shoup(rj, len, p_inv[j], p_inv_shoup[j], q);
     k.add_mod(e[u / chain]->row(static_cast<int>(j)) + off, rj, len, q);
   });
   // a = r's P row and e's row l to coefficient form: 2 inverse NTTs a part.
   std::vector<NttJob> jobs;
   for (std::size_t i = 0; i < parts; ++i) {
-    jobs.push_back({r[i]->row(c), &ctx.special_ntt()});
+    jobs.push_back({r_row(i, c), &ctx.special_ntt()});
     jobs.push_back({e[i]->row(l), &ctx.ntt(l)});
   }
   ntt_inverse_batch(jobs);
@@ -151,8 +160,8 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
   // b = e_l - lift_P(a) * P^-1 mod q_l: the row the sequential mod-down and
   // add leave for the rescale to inverse-transform. r's row l holds the lift.
   for_each_row_tile(parts, n, [&](std::size_t i, std::size_t off, std::size_t len) {
-    u64* lift = r[i]->row(l) + off;
-    k.lift_centered(lift, r[i]->row(c) + off, len, p, q_l);
+    u64* lift = r_row(i, l) + off;
+    k.lift_centered(lift, r_row(i, c) + off, len, p, q_l);
     k.mul_shoup(lift, len, p_inv[static_cast<std::size_t>(l)],
                 p_inv_shoup[static_cast<std::size_t>(l)], q_l);
     k.sub_mod(e[i]->row(l) + off, lift, len, q_l);
@@ -164,9 +173,9 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
       [&](std::size_t i, int j, u64* dst, std::size_t off, std::size_t len) {
         const u64 q = ctx.q(j).value();
         const auto jj = static_cast<std::size_t>(j);
-        k.lift_centered(dst, r[i]->row(c) + off, len, p, q);
+        k.lift_centered(dst, r_row(i, c) + off, len, p, q);
         k.mul_shoup(dst, len, p_inv[jj], p_inv_shoup[jj], q);
-        u64* lift_b = r[i]->row(j) + off;
+        u64* lift_b = r_row(i, j) + off;
         k.lift_centered(lift_b, e[i]->row(l) + off, len, q_l, q);
         k.add_mod(dst, lift_b, len, q);
       },
@@ -176,22 +185,27 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
   subtract_and_scale(e, static_cast<std::size_t>(l), lift, q_l_inv);
 }
 
-/// Coefficient form of a key-switch input `d` (NTT form over chain rows):
-/// a copy, inverse-transformed (c NTTs).
-RnsPoly coefficient_copy(const RnsPoly& d, OpCounters& counters) {
+/// Coefficient form of a key-switch input `d` (NTT form over chain rows),
+/// row i at out + i·n: a copy, inverse-transformed (c NTTs).
+void coefficient_rows(const RnsPoly& d, u64* out, OpCounters& counters) {
   sp::check(d.is_ntt() && !d.has_special(), "key switch: expects NTT form over chain rows");
-  RnsPoly out = d;
-  out.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(d.q_count());
-  return out;
+  const std::size_t n = d.n();
+  std::vector<NttJob> jobs;
+  for (int i = 0; i < d.q_count(); ++i) {
+    u64* row = out + static_cast<std::size_t>(i) * n;
+    std::memcpy(row, d.row(i), n * sizeof(u64));
+    jobs.push_back({row, &d.row_ntt(i)});
+  }
+  ntt_inverse_batch(jobs);
+  counters.ntts_inverse += jobs.size();
 }
 
 /// Writes every digit's NTT-form row in output prime t (one of the c chain
 /// primes, or P at t = c), digit i's at rows + i·n. Digit i is the centered
 /// lift of d's residue row i, so its row in q_i is d's own NTT row, copied;
-/// the other c - 1 lifts of `d_coeff`'s rows are transformed in one batch.
-/// Returns the number of NTTs run.
-std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t, u64* rows) {
+/// the other c - 1 lifts of d's coefficient rows (`d_coeff`, laid out like
+/// `rows`) are transformed in one batch. Returns the number of NTTs run.
+std::size_t decompose_prime(const RnsPoly& d, const u64* d_coeff, int t, u64* rows) {
   const CkksContext& ctx = *d.context();
   const int c = d.q_count();
   const std::size_t n = ctx.n();
@@ -206,7 +220,7 @@ std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t, u64
     if (i == t) {
       std::memcpy(row, d.row(i), n * sizeof(u64));
     } else {
-      k.lift_centered(row, d_coeff.row(i), n, ctx.q(i).value(), q_t);
+      k.lift_centered(row, d_coeff + static_cast<std::size_t>(i) * n, n, ctx.q(i).value(), q_t);
       jobs.push_back({row, &tables});
     }
   }
@@ -217,20 +231,19 @@ std::size_t decompose_prime(const RnsPoly& d, const RnsPoly& d_coeff, int t, u64
 /// The inner-product half of every key switch, over the c chain primes and
 /// then P. Output prime t (one parallel unit each) gets its c digit rows in
 /// NTT form from fill(t, rows), row i at rows + i·n in the lane's scratch
-/// block, and key_inner_product sums them against key row t. The special
-/// prime is key row ctx.q_count(), since keys span the whole chain.
+/// block, and key_inner_product sums them against key row t into out0 and
+/// out1 + t·n. The special prime is key row ctx.q_count(), since keys span
+/// the whole chain.
 template <typename Fill>
-std::pair<RnsPoly, RnsPoly> key_inner_products(const CkksContext& ctx, const KSwitchKey& key,
-                                               int c, const Fill& fill) {
+void key_inner_products(const CkksContext& ctx, const KSwitchKey& key, int c, const Fill& fill,
+                        u64* out0, u64* out1) {
   const std::size_t n = ctx.n();
   const std::size_t count = static_cast<std::size_t>(c);
-  RnsPoly r0(&ctx, c, /*with_special=*/true, /*ntt_form=*/true);
-  RnsPoly r1(&ctx, c, /*with_special=*/true, /*ntt_form=*/true);
   const simd::Kernels& k = simd::kernels();
   sp::parallel_for(0, count + 1, [&](std::size_t tt) {
     const int t = static_cast<int>(tt);
     const int key_row = t == c ? ctx.q_count() : t;
-    u64* rows = scratch_rows(count * n);
+    u64* rows = scratch_rows(kLane, count * n);
     fill(t, rows);
     std::vector<const u64*> ptrs(3 * count);  // digit rows, then k0 rows, then k1 rows
     for (std::size_t i = 0; i < count; ++i) {
@@ -238,12 +251,11 @@ std::pair<RnsPoly, RnsPoly> key_inner_products(const CkksContext& ctx, const KSw
       ptrs[count + i] = key.digits[i][0].row(key_row);
       ptrs[2 * count + i] = key.digits[i][1].row(key_row);
     }
-    const Modulus& m = r0.row_mod(t);
-    k.key_inner_product(r0.row(t), r1.row(t), ptrs.data(), ptrs.data() + count,
+    const Modulus& m = t == c ? ctx.special() : ctx.q(t);
+    k.key_inner_product(out0 + tt * n, out1 + tt * n, ptrs.data(), ptrs.data() + count,
                         ptrs.data() + 2 * count, count, n, m.value(), m.ratio_hi(),
                         m.ratio_lo());
   });
-  return {std::move(r0), std::move(r1)};
 }
 
 /// The rotation key for `steps`, whose Galois element is g; a missing key
@@ -381,8 +393,9 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
 }
 
 sp::AlignedVec<u64> Evaluator::decompose_digits(const RnsPoly& d) const {
-  const RnsPoly d_coeff = coefficient_copy(d, counters);
   const std::size_t c = static_cast<std::size_t>(d.q_count()), n = ctx_->n();
+  u64* d_coeff = scratch_rows(kSwitch, c * n);
+  coefficient_rows(d, d_coeff, counters);
   sp::AlignedVec<u64> rows(c * (c + 1) * n);
   sp::parallel_for(0, c + 1, [&](std::size_t t) {
     counters.ntts_forward +=
@@ -416,15 +429,25 @@ void Evaluator::check_kswitch_key(const KSwitchKey& key) const {
                   " chain + 1 special rows at n = " + std::to_string(n) + " in NTT form");
 }
 
-std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const RnsPoly& d,
-                                                     const KSwitchKey& key) const {
+void Evaluator::apply_kswitch(const RnsPoly& d, const KSwitchKey& key, u64* d_coeff, u64* out0,
+                              u64* out1) const {
   check_kswitch_key(key);
-  const RnsPoly d_coeff = coefficient_copy(d, counters);
+  coefficient_rows(d, d_coeff, counters);
   // Each lane decomposes into its own prime's rows of the scratch block and
   // sums them while they are in cache.
-  return key_inner_products(*ctx_, key, d.q_count(), [&](int t, u64* rows) {
-    counters.ntts_forward += decompose_prime(d, d_coeff, t, rows);
-  });
+  key_inner_products(
+      *ctx_, key, d.q_count(),
+      [&](int t, u64* rows) { counters.ntts_forward += decompose_prime(d, d_coeff, t, rows); },
+      out0, out1);
+}
+
+std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const RnsPoly& d,
+                                                     const KSwitchKey& key) const {
+  RnsPoly r0(ctx_, d.q_count(), /*with_special=*/true, /*ntt_form=*/true);
+  RnsPoly r1(ctx_, d.q_count(), /*with_special=*/true, /*ntt_form=*/true);
+  apply_kswitch(d, key, scratch_rows(kSwitch, static_cast<std::size_t>(d.q_count()) * ctx_->n()),
+                r0.row(0), r1.row(0));
+  return {std::move(r0), std::move(r1)};
 }
 
 std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const HoistedDecomposition& h,
@@ -438,7 +461,10 @@ std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const HoistedDecomposition&
     for (std::size_t r = 0; r < block; r += n)
       for (std::size_t j = 0; j < n; ++j) rows[r + j] = digits[r + perm[j]];
   };
-  return key_inner_products(*ctx_, key, c, permute);
+  RnsPoly r0(ctx_, c, /*with_special=*/true, /*ntt_form=*/true);
+  RnsPoly r1(ctx_, c, /*with_special=*/true, /*ntt_form=*/true);
+  key_inner_products(*ctx_, key, c, permute, r0.row(0), r1.row(0));
+  return {std::move(r0), std::move(r1)};
 }
 
 void Evaluator::mod_down(RnsPoly& r0, RnsPoly& r1) const {
@@ -463,10 +489,16 @@ void Evaluator::relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const 
 void Evaluator::relinearize_rescale_inplace(Ciphertext& ct, const KSwitchKey& rk) const {
   sp::check(ct.size() == 3, "relinearize: ciphertext must have 3 parts");
   sp::check(ct.level() >= 1, "rescale: no levels remaining");
-  auto [r0, r1] = apply_kswitch(ct.parts[2], rk);
+  // The switch input's coefficient form and both outputs (c + 1 rows each)
+  // are all consumed here, so they live in the calling thread's scratch.
+  const std::size_t c = static_cast<std::size_t>(ct.q_count()), n = ctx_->n();
+  u64* d_coeff = scratch_rows(kSwitch, (3 * c + 2) * n);
+  u64* r0 = d_coeff + c * n;
+  u64* r1 = r0 + (c + 1) * n;
+  apply_kswitch(ct.parts[2], rk, d_coeff, r0, r1);
   ct.parts.pop_back();
   const int last = ct.q_count() - 1;
-  divide_by_special_and_last({&ct.parts[0], &ct.parts[1]}, {&r0, &r1}, counters);
+  divide_by_special_and_last({&ct.parts[0], &ct.parts[1]}, {r0, r1}, counters);
   for (auto& part : ct.parts) part.drop_last_q();
   ct.scale /= static_cast<double>(ctx_->q(last).value());
   ++counters.relins;

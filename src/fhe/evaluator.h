@@ -218,7 +218,10 @@ class Evaluator {
   /// (3 parts -> 2). No-op input is an error: `ct` must have 3 parts.
   /// The decomposition of the quadratic part is streamed one output prime
   /// at a time (see apply_kswitch): no digit array is built. Costs c
-  /// inverse and c^2 forward NTTs, then the mod-down's 2 and 2c.
+  /// inverse and c^2 forward NTTs, then the mod-down's 2 and 2c. Only for
+  /// a sum that is not rescaled next (LinearTransform's encrypted-mask
+  /// groups rotate by their giant step first); a product that is rescaled
+  /// next calls relinearize_rescale_inplace().
   /// @param ct  3-part ciphertext, relinearized in place
   /// @param rk  relinearization key (key-switching key for s^2); a key of
   ///            the wrong shape throws sp::Error before any work
@@ -229,9 +232,8 @@ class Evaluator {
   /// together: each surviving row sums its two lifts before one forward
   /// NTT. At c primes it costs c + 4 inverse and c^2 + 2c - 2 forward NTTs
   /// (the pair: c + 4 and c^2 + 4c - 2). Every relinearization that is
-  /// immediately rescaled runs this op; relinearize_inplace() alone serves
-  /// sums that rotate before their rescale, rescale_inplace() plain
-  /// products.
+  /// immediately rescaled runs this op (PowerBasis, eval_poly's products
+  /// and joins, the PAF envelopes, the encrypted trainer).
   /// @param ct  3-part ciphertext at level >= 1; afterwards 2 parts, one
   ///            level lower, scale / q_last
   /// @param rk  relinearization key; a key of the wrong shape throws
@@ -241,6 +243,9 @@ class Evaluator {
   /// @brief Divides by the last chain prime: level decreases by 1 and
   /// scale /= q_last. Works for 2- and 3-part ciphertexts. Runs in the NTT
   /// domain: one inverse NTT per part (the dropped row) and c - 1 forward.
+  /// Rescales plain and scalar products and LinearTransform's output
+  /// blocks; a fresh ct-ct product goes through
+  /// relinearize_rescale_inplace() instead.
   void rescale_inplace(Ciphertext& ct) const;
 
   /// @brief Rotates slots left by `steps` (Galois automorphism + key
@@ -300,13 +305,19 @@ class Evaluator {
   void check_kswitch_key(const KSwitchKey& key) const;
 
   /// Single-use key switch of `d` (NTT form over c chain rows) over
-  /// Q ∪ {P}, streamed: `d` is inverse-transformed once (c NTTs); then each
-  /// output prime t — the c chain primes, then P, one parallel unit each —
-  /// lifts every coefficient row into q_t in a per-thread scratch block,
-  /// forward-transforms those c - 1 lifts (row t is copied from `d`), and
-  /// calls simd::Kernels::key_inner_product against key row t. The NTT
-  /// counts equal those of a full decomposition. Callers mod_down() the
-  /// result.
+  /// Q ∪ {P}, streamed: `d` is copied into `d_coeff` (c rows) and
+  /// inverse-transformed there (c NTTs); then each output prime t — the c
+  /// chain primes, then P, one parallel unit each — lifts every coefficient
+  /// row into q_t in a per-thread scratch block, forward-transforms those
+  /// c - 1 lifts (row t is copied from `d`), and calls
+  /// simd::Kernels::key_inner_product against key row t, writing row t of
+  /// both outputs at out0 / out1 + t·n. The NTT counts equal those of a
+  /// full decomposition.
+  void apply_kswitch(const RnsPoly& d, const KSwitchKey& key, u64* d_coeff, u64* out0,
+                     u64* out1) const;
+
+  /// The same switch into two fresh polynomials over Q ∪ {P}; callers
+  /// mod_down() the result.
   std::pair<RnsPoly, RnsPoly> apply_kswitch(const RnsPoly& d, const KSwitchKey& key) const;
 
   /// The same switch over hoisted digits under Galois element `g`: for

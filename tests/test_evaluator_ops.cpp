@@ -569,28 +569,17 @@ TEST_F(KSwitchKeyShape, RelinearizeRejectsEmptyKey) {
   Ciphertext x = rt_->evaluator().multiply(a, a);
   expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, KSwitchKey{}); },
                    expected("key has 0 digits"));
+  expect_key_error([&] { rt_->evaluator().relinearize_rescale_inplace(x, KSwitchKey{}); },
+                   expected("key has 0 digits"));
 }
 
 TEST_F(KSwitchKeyShape, RelinearizeRejectsShorterChainKey) {
   const Ciphertext a = fresh();
   Ciphertext x = rt_->evaluator().multiply(a, a);
-  expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, short_->relin_key()); },
-                   expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048"));
-}
-
-TEST_F(KSwitchKeyShape, RelinearizeRescaleRejectsEmptyKey) {
-  const Ciphertext a = fresh();
-  Ciphertext x = rt_->evaluator().multiply(a, a);
-  expect_key_error([&] { rt_->evaluator().relinearize_rescale_inplace(x, KSwitchKey{}); },
-                   expected("key has 0 digits"));
-}
-
-TEST_F(KSwitchKeyShape, RelinearizeRescaleRejectsShorterChainKey) {
-  const Ciphertext a = fresh();
-  Ciphertext x = rt_->evaluator().multiply(a, a);
+  const auto found = expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048");
+  expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, short_->relin_key()); }, found);
   expect_key_error(
-      [&] { rt_->evaluator().relinearize_rescale_inplace(x, short_->relin_key()); },
-      expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048"));
+      [&] { rt_->evaluator().relinearize_rescale_inplace(x, short_->relin_key()); }, found);
 }
 
 TEST_F(KSwitchKeyShape, RelinearizeRescaleRefusesWhatThePairRefuses) {

@@ -156,11 +156,14 @@ WorkloadResult run_workload(int threads) {
   ev.counters.reset();
 
   WorkloadResult res;
-  // Square + relin + rescale.
+  // Square + relin + rescale, as two ops and as one.
   Ciphertext sq = ev.multiply(ct, ct);
   ev.relinearize_inplace(sq, rt.relin_key());
   ev.rescale_inplace(sq);
   flatten(sq, res.residues);
+  Ciphertext fused = ev.multiply(ct, ct);
+  ev.relinearize_rescale_inplace(fused, rt.relin_key());
+  flatten(fused, res.residues);
   // Naive and hoisted rotations.
   flatten(ev.rotate(ct, 1, gk), res.residues);
   for (const Ciphertext& r : ev.rotate_hoisted(ct, {1, 2}, gk)) flatten(r, res.residues);
@@ -210,66 +213,11 @@ TEST(ThreadingDeterminism, CountersThreadCountInvariant) {
   ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
 
-/// Square, then relinearize_rescale_inplace: the fused division's tiles,
-/// lift rows and NTT batches all run on the pool.
-std::vector<u64> fused_square(smartpaf::FheRuntime& rt, const Ciphertext& ct) {
-  const Evaluator& ev = rt.evaluator();
-  Ciphertext sq = ev.multiply(ct, ct);
-  ev.relinearize_rescale_inplace(sq, rt.relin_key());
-  std::vector<u64> out;
-  flatten(sq, out);
-  return out;
-}
-
-TEST(ThreadingDeterminism, FusedRelinRescaleBitIdenticalAcrossThreadCounts) {
-  // N = 8192 splits each row into two tiles; 11 primes at the top.
-  smartpaf::FheRuntime rt(CkksParams::for_depth(8192, 10, 40), /*seed=*/99);
-  sp::Rng rng(8);
-  std::vector<double> v(rt.ctx().slot_count());
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  const Ciphertext ct = rt.encrypt(v);
-  std::vector<u64> ref;
-  for (int threads : {1, 2, 4}) {
-    ThreadPool::set_global_threads(threads);
-    const std::vector<u64> got = fused_square(rt, ct);
-    if (ref.empty()) {
-      ref = got;
-      // The fused op equals the sequential pair, bit for bit.
-      Ciphertext sq = rt.evaluator().multiply(ct, ct);
-      rt.evaluator().relinearize_inplace(sq, rt.relin_key());
-      rt.evaluator().rescale_inplace(sq);
-      std::vector<u64> pair;
-      flatten(sq, pair);
-      EXPECT_TRUE(pair == ref);
-    }
-    EXPECT_TRUE(got == ref) << threads << " threads";
-  }
-  ThreadPool::set_global_threads(ThreadPool::env_threads());
-}
-
-TEST(ThreadingDeterminism, ConcurrentCallersRunTheFusedOp) {
-  // Each caller's division lifts into its own thread's scratch rows while
-  // the pool's lanes fill them.
-  smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 4, 40), /*seed=*/99);
-  sp::Rng rng(9);
-  std::vector<double> v(rt.ctx().slot_count());
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  const Ciphertext ct = rt.encrypt(v);
-  const std::vector<u64> ref = fused_square(rt, ct);
-  std::vector<std::vector<u64>> got(3);
-  std::vector<std::thread> callers;
-  for (auto& g : got)
-    callers.emplace_back([&rt, &ct, &g] {
-      for (int rep = 0; rep < 2; ++rep) g = fused_square(rt, ct);
-    });
-  for (auto& t : callers) t.join();
-  for (const auto& g : got) EXPECT_TRUE(g == ref);
-}
-
 TEST(ThreadingDeterminism, ConcurrentCallersShareOneEvaluator) {
-  // Key switches fill per-thread scratch rows: several caller threads
-  // running relinearize and rotations on one evaluator at once (while the
-  // pool's lanes fill other output primes) must each get the serial result.
+  // Key switches and exact divisions fill per-thread scratch rows: several
+  // caller threads running relinearize, the fused relinearize + rescale
+  // and rotations on one evaluator at once (while the pool's lanes fill
+  // other output primes) must each get the serial result.
   smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 4, 40), /*seed=*/99);
   const auto gk = rt.rotation_keys({1, 2});
   sp::Rng rng(6);
@@ -282,6 +230,9 @@ TEST(ThreadingDeterminism, ConcurrentCallersShareOneEvaluator) {
     Ciphertext sq = ev.multiply(ct, ct);
     ev.relinearize_inplace(sq, rt.relin_key());
     flatten(sq, out);
+    Ciphertext fused = ev.multiply(ct, ct);
+    ev.relinearize_rescale_inplace(fused, rt.relin_key());
+    flatten(fused, out);
     flatten(ev.rotate(ct, 1, *gk), out);
     for (const Ciphertext& r : ev.rotate_hoisted(ct, {1, 2}, *gk)) flatten(r, out);
     return out;
