@@ -576,10 +576,11 @@ TEST_F(KSwitchKeyShape, RelinearizeRejectsEmptyKey) {
 TEST_F(KSwitchKeyShape, RelinearizeRejectsShorterChainKey) {
   const Ciphertext a = fresh();
   Ciphertext x = rt_->evaluator().multiply(a, a);
-  const auto found = expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048");
-  expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, short_->relin_key()); }, found);
+  expect_key_error([&] { rt_->evaluator().relinearize_inplace(x, short_->relin_key()); },
+                   expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048"));
   expect_key_error(
-      [&] { rt_->evaluator().relinearize_rescale_inplace(x, short_->relin_key()); }, found);
+      [&] { rt_->evaluator().relinearize_rescale_inplace(x, short_->relin_key()); },
+      expected("key has 3 digits, a part with 3 chain + 1 special rows at n = 2048"));
 }
 
 TEST_F(KSwitchKeyShape, RelinearizeRescaleRefusesWhatThePairRefuses) {
