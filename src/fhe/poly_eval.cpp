@@ -530,8 +530,7 @@ Ciphertext PafEvaluator::sign(Evaluator& ev, const Ciphertext& d,
   // t = pre_factor * d / input_scale at scale Delta: pre_factor rides the
   // plaintext multiplication the envelope pays anyway, so a folded scalar
   // stage is free.
-  Ciphertext t =
-      scaled_to(ev, d, pre_factor / input_scale, d.level() - 1, ctx_->scale());
+  Ciphertext t = scaled_to(ev, d, pre_factor / input_scale, d.level() - 1, ctx_->scale());
   if (stats) ++stats->plain_mults;
   return eval_composite(ev, std::move(t), paf, stats);
 }

@@ -53,7 +53,7 @@ struct SchedulePrediction {
 };
 
 /// (factor * ct) landed at exactly (target_level, target_scale): one
-/// plaintext multiplication + rescale, consuming one of `ct`'s own levels.
+/// scalar multiplication + rescale, consuming one of `ct`'s own levels.
 ///
 /// The scalar is multiplied in at scale target_scale * q / ct.scale (q = the
 /// prime the rescale divides out), so the result's scale is target_scale
