@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "approx/presets.h"
@@ -363,26 +364,40 @@ TEST_F(PipelineFheTest, PredictPolyMatchesExecutedCounts) {
 
 // ------------------------------------------------------------ PAF pins ------
 // Golden FNV digests (the scale plus every residue of every part, as
-// tests/test_linear_transform.cpp computes them) and EvalStats counts of
-// PafEvaluator outputs: a one-stage PAF-ReLU pipeline under each forced
-// schedule, the 2-activation pipeline (window -> ReLU -> folded scalar ->
-// pairwise MaxPool) and one direct max(). The runtime has PipelineFheTest's
-// parameters but its own seed, and every key is minted up front, so a
-// digest depends only on the schedule and the arithmetic, not on test
-// order. A missing pin prints the observed row.
+// tests/test_linear_transform.cpp computes them), EvalStats counts and the
+// evaluator's op ledger (OpCounters delta, NTTs included) of PafEvaluator
+// outputs: a one-stage PAF-ReLU pipeline under each forced schedule, the
+// 2-activation pipeline (window -> ReLU -> folded scalar -> pairwise
+// MaxPool, so a hoisted window fan and the MaxPool fan) and one direct
+// max(). The runtime has PipelineFheTest's parameters but its own seed, and
+// every key is minted up front, so a digest depends only on the schedule
+// and the arithmetic, not on test order. A missing pin prints the observed
+// row.
+
+/// The OpCounters delta of one pinned call: every evaluator op it issued,
+/// NTTs included.
+struct PafLedger {
+  std::size_t ct_mults, relins, rescales, plain_mults, adds, rotations, hoisted_rotations,
+      ntts_forward, ntts_inverse;
+};
 
 struct PafPin {
   const char* name;
   std::uint64_t digest;
   int ct_mults, relins, rescales, plain_mults, levels_consumed, relins_deferred;
+  PafLedger ops;
 };
 
 // clang-format off
 const PafPin kPafPins[] = {
-    {"relu_bsgs", 0x0844d3935a871ed0ULL, 15, 12, 12, 14, 9, 8},
-    {"relu_ladder", 0x49ac85b3ef212e64ULL, 16, 12, 12, 14, 9, 10},
-    {"two_activation", 0xdb47efea4b613aacULL, 12, 10, 10, 13, 5, 6},
-    {"max", 0xcd71a8c96f48377dULL, 6, 5, 5, 7, 0, 3},
+    {"relu_bsgs", 0x0844d3935a871ed0ULL, 15, 12, 12, 14, 9, 8,
+     {15, 12, 26, 14, 11, 0, 0, 1312, 178}},
+    {"relu_ladder", 0x49ac85b3ef212e64ULL, 16, 12, 12, 14, 9, 10,
+     {16, 12, 26, 14, 11, 0, 0, 1299, 177}},
+    {"two_activation", 0xdb47efea4b613aacULL, 12, 10, 10, 13, 5, 6,
+     {12, 10, 24, 16, 12, 3, 3, 1171, 165}},
+    {"max", 0xcd71a8c96f48377dULL, 6, 5, 5, 7, 0, 3,
+     {6, 5, 12, 7, 6, 0, 0, 801, 87}},
 };
 // clang-format on
 
@@ -394,13 +409,22 @@ std::uint64_t ct_digest(const Ciphertext& ct) {
   return h;
 }
 
-void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s) {
-  const PafPin got{name,          ct_digest(out), s.ct_mults,      s.relins,
-                   s.rescales,    s.plain_mults,  s.levels_consumed, s.relins_deferred};
-  char row[256];
-  std::snprintf(row, sizeof(row), "    {\"%s\", 0x%016" PRIx64 "ULL, %d, %d, %d, %d, %d, %d},",
+void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s,
+                    const OpCounters& d) {
+  const PafLedger ops{d.ct_mults,          d.relins,       d.rescales,
+                      d.plain_mults,       d.adds,         d.rotations,
+                      d.hoisted_rotations, d.ntts_forward, d.ntts_inverse};
+  const PafPin got{name,       ct_digest(out), s.ct_mults,        s.relins,
+                   s.rescales, s.plain_mults,  s.levels_consumed, s.relins_deferred,
+                   ops};
+  char row[384];
+  std::snprintf(row, sizeof(row),
+                "    {\"%s\", 0x%016" PRIx64 "ULL, %d, %d, %d, %d, %d, %d,\n"
+                "     {%zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu}},",
                 got.name, got.digest, got.ct_mults, got.relins, got.rescales,
-                got.plain_mults, got.levels_consumed, got.relins_deferred);
+                got.plain_mults, got.levels_consumed, got.relins_deferred, ops.ct_mults,
+                ops.relins, ops.rescales, ops.plain_mults, ops.adds, ops.rotations,
+                ops.hoisted_rotations, ops.ntts_forward, ops.ntts_inverse);
   const PafPin* want = nullptr;
   for (const PafPin& p : kPafPins)
     if (std::string(p.name) == name) want = &p;
@@ -412,10 +436,16 @@ void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s)
   EXPECT_EQ(got.plain_mults, want->plain_mults) << name;
   EXPECT_EQ(got.levels_consumed, want->levels_consumed) << name;
   EXPECT_EQ(got.relins_deferred, want->relins_deferred) << name;
+  const auto fields = [](const PafLedger& l) {
+    return std::tie(l.ct_mults, l.relins, l.rescales, l.plain_mults, l.adds, l.rotations,
+                    l.hoisted_rotations, l.ntts_forward, l.ntts_inverse);
+  };
+  EXPECT_EQ(fields(ops), fields(want->ops)) << name << " op ledger; observed:\n" << row;
 }
 
 TEST(PafPins, ReluSchedulesTwoActivationAndMax) {
   smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 12, 40), /*seed=*/518);
+  Evaluator& ev = rt.evaluator();
   const std::size_t slots = rt.ctx().slot_count();
   const auto values = [&](std::uint64_t seed) {
     sp::Rng rng(seed);
@@ -439,24 +469,27 @@ TEST(PafPins, ReluSchedulesTwoActivationAndMax) {
     const auto plan =
         smartpaf::Planner::plan(relu, rt.ctx(), smartpaf::CostModel::heuristic(), opts);
     EvalStats stats;
+    const OpCounters before = ev.counters;
     const Ciphertext out = relu.run(rt, plan, x, &stats);
     expect_paf_pin(forced == PafEvaluator::Strategy::BSGS ? "relu_bsgs" : "relu_ladder", out,
-                   stats);
+                   stats, ev.counters.delta_since(before));
   }
 
   const auto pipe = two_activation_pipeline();
   const auto plan = smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
   (void)rt.rotation_keys(plan.rotation_steps());
+  const Ciphertext pipe_in = rt.encrypt(values(2));
   EvalStats pipe_stats;
-  const Ciphertext pipe_out = pipe.run(rt, plan, rt.encrypt(values(2)), &pipe_stats);
-  expect_paf_pin("two_activation", pipe_out, pipe_stats);
+  const OpCounters pipe_before = ev.counters;
+  const Ciphertext pipe_out = pipe.run(rt, plan, pipe_in, &pipe_stats);
+  expect_paf_pin("two_activation", pipe_out, pipe_stats, ev.counters.delta_since(pipe_before));
 
   const Ciphertext a = rt.encrypt(values(3));
   const Ciphertext b = rt.encrypt(values(4));
   EvalStats max_stats;
-  const Ciphertext max_out =
-      rt.paf_evaluator().max(rt.evaluator(), a, b, test_paf(43), 4.0, &max_stats);
-  expect_paf_pin("max", max_out, max_stats);
+  const OpCounters max_before = ev.counters;
+  const Ciphertext max_out = rt.paf_evaluator().max(ev, a, b, test_paf(43), 4.0, &max_stats);
+  expect_paf_pin("max", max_out, max_stats, ev.counters.delta_since(max_before));
 }
 
 TEST(PipelineTournament, WindowThreeLandsEachTapOnTheRunningMax) {
