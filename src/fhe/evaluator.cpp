@@ -450,16 +450,15 @@ std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const RnsPoly& d,
   return {std::move(r0), std::move(r1)};
 }
 
-std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const HoistedDecomposition& h,
+std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const sp::AlignedVec<u64>& digits, int c,
                                                      const KSwitchKey& key, u64 g) const {
   check_kswitch_key(key);
-  const int c = h.src.q_count();
   const std::size_t n = ctx_->n(), block = static_cast<std::size_t>(c) * n;
   const std::vector<std::uint32_t>& perm = galois_ntt_table(n, g);
   const auto permute = [&](int t, u64* rows) {
-    const u64* digits = h.rows.data() + static_cast<std::size_t>(t) * block;
+    const u64* prime = digits.data() + static_cast<std::size_t>(t) * block;
     for (std::size_t r = 0; r < block; r += n)
-      for (std::size_t j = 0; j < n; ++j) rows[r + j] = digits[r + perm[j]];
+      for (std::size_t j = 0; j < n; ++j) rows[r + j] = prime[r + perm[j]];
   };
   RnsPoly r0(ctx_, c, /*with_special=*/true, /*ntt_form=*/true);
   RnsPoly r1(ctx_, c, /*with_special=*/true, /*ntt_form=*/true);
@@ -533,28 +532,6 @@ Ciphertext Evaluator::rotate(const Ciphertext& ct, int steps, const GaloisKeys& 
   return out;
 }
 
-HoistedDecomposition Evaluator::hoist(const Ciphertext& ct) const {
-  sp::check(ct.size() == 2, "hoist: relinearize first");
-  HoistedDecomposition h;
-  h.src = ct;
-  h.rows = decompose_digits(ct.parts[1]);
-  return h;
-}
-
-Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
-                                     const GaloisKeys& gk) const {
-  sp::check(!h.rows.empty(), "rotate_hoisted: empty decomposition");
-  const u64 g = galois_element(ctx_->n(), steps);
-  if (g == 1) return h.src;
-  const KSwitchKey& key = galois_key(gk, steps, g);
-  // Permuting the cached NTT-form digits equals decomposing the rotated
-  // ciphertext, at zero additional NTTs.
-  Ciphertext out = finish_rotation(apply_kswitch(h, key, g), h.src, g);
-  ++counters.rotations;
-  ++counters.hoisted_rotations;
-  return out;
-}
-
 Ciphertext Evaluator::finish_rotation(std::pair<RnsPoly, RnsPoly> r, const Ciphertext& src,
                                       u64 g) const {
   auto& [r0, r1] = r;
@@ -580,10 +557,23 @@ Ciphertext Evaluator::finish_rotation(std::pair<RnsPoly, RnsPoly> r, const Ciphe
 std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& ct,
                                                   const std::vector<int>& steps,
                                                   const GaloisKeys& gk) const {
-  const HoistedDecomposition h = hoist(ct);
+  sp::check(ct.size() == 2, "rotate_hoisted: relinearize first");
+  const sp::AlignedVec<u64> digits = decompose_digits(ct.parts[1]);
   std::vector<Ciphertext> out;
   out.reserve(steps.size());
-  for (int s : steps) out.push_back(rotate_hoisted(h, s, gk));
+  for (int s : steps) {
+    const u64 g = galois_element(ctx_->n(), s);
+    if (g == 1) {
+      out.push_back(ct);
+      continue;
+    }
+    const KSwitchKey& key = galois_key(gk, s, g);
+    // Permuting the cached NTT-form digits equals decomposing the rotated
+    // ciphertext, at zero additional NTTs.
+    out.push_back(finish_rotation(apply_kswitch(digits, ct.q_count(), key, g), ct, g));
+    ++counters.rotations;
+    ++counters.hoisted_rotations;
+  }
   return out;
 }
 

@@ -26,7 +26,7 @@ struct OpCounters {
   std::atomic<std::size_t> relins{0};
   std::atomic<std::size_t> rescales{0};
   std::atomic<std::size_t> rotations{0};
-  /// Rotations served from a HoistedDecomposition (also counted in
+  /// Rotations served by a hoisted fan (rotate_hoisted; also counted in
   /// `rotations`): these skip the per-rotation digit decomposition.
   std::atomic<std::size_t> hoisted_rotations{0};
   /// Per-row forward/inverse NTTs issued by evaluator operations — the
@@ -117,23 +117,6 @@ inline OpCountersPerInput per_input(const OpCounters& c, int batch_size) {
   return out;
 }
 
-/// One-time key-switch decomposition of a ciphertext's c1, reusable across
-/// many rotations of the same input ("hoisting"). Each of the c digits holds
-/// NTT rows over the chain plus P: digit i's row i is c1's own NTT row, the
-/// others are centered lifts transformed once (c^2 forward NTTs in all).
-/// Each rotation then only permutes the cached digits in the NTT domain (a
-/// slot shuffle) before the key inner product — the saving for rotation
-/// fans (BSGS baby steps, conv im2col, pooling). A fan keeps the whole
-/// c x (c + 1)-row array because every step reuses it; a single rotate()
-/// streams its decomposition instead and never builds one.
-struct HoistedDecomposition {
-  Ciphertext src;  ///< decomposed ciphertext (returned for step 0)
-  /// The c x (c + 1) digit rows in NTT form, prime-major: digit i's row in
-  /// output prime t (the c chain primes, then P) starts at (t·c + i)·n, so
-  /// one prime's c rows are one block, laid out like a switch's scratch.
-  sp::AlignedVec<u64> rows;
-};
-
 /// Leveled CKKS evaluator: arithmetic, rescaling, relinearization via hybrid
 /// key-switching with one special prime, and slot rotations.
 ///
@@ -204,15 +187,9 @@ class Evaluator {
   /// @param a  left factor
   /// @param b  right factor at the same level (use match_levels)
   /// @return 3-part product with scale = a.scale * b.scale; relinearize (or
-  ///         accumulate via add_inplace) before any further multiplication
+  ///         accumulate via add_inplace and relinearize once at the join)
+  ///         before any further multiplication
   Ciphertext multiply(const Ciphertext& a, const Ciphertext& b) const;
-
-  /// @brief Explicit lazy-relinearization spelling of multiply(): the 3-part
-  /// result is meant to be accumulated with add_inplace() and relinearized
-  /// once at the join instead of once per product.
-  Ciphertext multiply_no_relin(const Ciphertext& a, const Ciphertext& b) const {
-    return multiply(a, b);
-  }
 
   /// @brief Switches the quadratic part back to the canonical basis
   /// (3 parts -> 2). No-op input is an error: `ct` must have 3 parts.
@@ -251,9 +228,9 @@ class Evaluator {
   /// @brief Rotates slots left by `steps` (Galois automorphism + key
   /// switch). Permutes c1's NTT rows by the automorphism first, then runs
   /// the same streamed single-use switch as relinearize_inplace and adds the
-  /// permuted c0. Bit for bit and NTT for NTT equal to
-  /// `rotate_hoisted(hoist(ct), steps, gk)`, because the decomposition
-  /// commutes with the automorphism; tallied as a plain rotation.
+  /// permuted c0. Bit for bit and NTT for NTT equal to the one-step fan
+  /// `rotate_hoisted(ct, {steps}, gk)`, because the decomposition commutes
+  /// with the automorphism; tallied as a plain rotation.
   /// @param ct     2-part source ciphertext
   /// @param steps  slot offset (negative = right rotation); a key for
   ///               galois_element(n, steps) must exist in `gk`
@@ -261,26 +238,19 @@ class Evaluator {
   /// @return rotated ciphertext at the same level/scale
   Ciphertext rotate(const Ciphertext& ct, int steps, const GaloisKeys& gk) const;
 
-  /// @brief Computes the key-switch digit decomposition of `ct` once, for
-  /// reuse across a fan of rotations of the same input.
-  /// @param ct  2-part ciphertext to decompose
-  /// @return decomposition handle to pass to rotate_hoisted()
-  HoistedDecomposition hoist(const Ciphertext& ct) const;
-
-  /// @brief Rotation from a hoisted decomposition: bit-identical to
-  /// `rotate(h.src, steps, gk)` while skipping the per-rotation digit
-  /// decomposition; c0 rotates as an NTT-domain permutation.
-  /// @param h      decomposition from hoist()
-  /// @param steps  slot offset (step 0 returns h.src unchanged)
-  /// @param gk     rotation keys covering galois_element(n, steps)
-  Ciphertext rotate_hoisted(const HoistedDecomposition& h, int steps,
-                            const GaloisKeys& gk) const;
-
-  /// @brief Hoisted rotation fan: decomposes once, applies every step's
-  /// Galois key to the shared digits.
+  /// @brief Hoisted rotation fan ("hoisting"): the key-switch digit
+  /// decomposition of c1 is computed once (c inverse and c^2 forward NTTs)
+  /// and every step permutes those NTT-form digits (a slot shuffle) before
+  /// its key inner product, so each step costs only its mod-down (2 inverse,
+  /// 2c forward NTTs) — the saving for rotation fans (BSGS baby steps, conv
+  /// im2col, pooling). Each step's result is bit for bit rotate(ct, step,
+  /// gk); c0 rotates as an NTT-domain permutation. A step of 0 returns `ct`
+  /// unchanged; every other step counts one rotation and one hoisted
+  /// rotation.
   /// @param ct     2-part source ciphertext
   /// @param steps  fan of slot offsets
-  /// @param gk     rotation keys covering every step
+  /// @param gk     rotation keys covering every nonzero step; a missing key
+  ///               throws sp::Error naming the step and its Galois element
   /// @return one rotated ciphertext per step, in `steps` order
   std::vector<Ciphertext> rotate_hoisted(const Ciphertext& ct,
                                          const std::vector<int>& steps,
@@ -289,13 +259,15 @@ class Evaluator {
   mutable OpCounters counters;
 
  private:
-  /// The hoistable half of hybrid key switching, used by hoist() only:
-  /// digit i is the centered lift of `d`'s residue row i into the extended
-  /// basis Q ∪ {P}, in NTT form, in HoistedDecomposition::rows' layout. `d`
-  /// is NTT form over c chain rows; digit i's row i is copied from it, so
-  /// the cost is c inverse and c^2 forward NTTs. One allocation holds every
-  /// row: as c separate polynomials, a hoist at 19 primes (N = 2048) faulted
-  /// its 6 MB of digits in afresh on every call.
+  /// The hoistable half of hybrid key switching, used by the rotation fan
+  /// only: digit i is the centered lift of `d`'s residue row i into the
+  /// extended basis Q ∪ {P}, in NTT form. `d` is NTT form over c chain
+  /// rows; digit i's row i is copied from it, so the cost is c inverse and
+  /// c^2 forward NTTs. The c x (c + 1) rows are prime-major: digit i's row
+  /// in output prime t (the c chain primes, then P) starts at (t·c + i)·n,
+  /// so one prime's c rows are one block, laid out like a switch's scratch.
+  /// One allocation holds every row: as c separate polynomials, a fan at 19
+  /// primes (N = 2048) faulted its 6 MB of digits in afresh on every call.
   sp::AlignedVec<u64> decompose_digits(const RnsPoly& d) const;
 
   /// Throws sp::Error, naming the digits, rows and ring size found and
@@ -320,11 +292,11 @@ class Evaluator {
   /// mod_down() the result.
   std::pair<RnsPoly, RnsPoly> apply_kswitch(const RnsPoly& d, const KSwitchKey& key) const;
 
-  /// The same switch over hoisted digits under Galois element `g`: for
-  /// each output prime, its c digit rows are permuted by
-  /// galois_ntt_table(n, g) into the scratch block and handed to the same
-  /// kernel.
-  std::pair<RnsPoly, RnsPoly> apply_kswitch(const HoistedDecomposition& h,
+  /// The same switch over the c-prime digits of decompose_digits() under
+  /// Galois element `g`: for each output prime, its c digit rows are
+  /// permuted by galois_ntt_table(n, g) into the scratch block and handed
+  /// to the same kernel.
+  std::pair<RnsPoly, RnsPoly> apply_kswitch(const sp::AlignedVec<u64>& digits, int c,
                                             const KSwitchKey& key, u64 g) const;
 
   /// Mod-down of a rotation's key-switch output plus `src`'s c0 permuted by

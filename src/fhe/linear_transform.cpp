@@ -145,7 +145,7 @@ std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
           // Encrypted mask, dropped to the baby's level: a 3-part product.
           Ciphertext d = **ct;
           ev.drop_to_level(d, b.level());
-          t = ev.multiply_no_relin(d, b);
+          t = ev.multiply(d, b);
         } else if (const auto* w = std::get_if<double>(&masks[i])) {
           t = b;
           ev.multiply_scalar_inplace(t, *w, scale);

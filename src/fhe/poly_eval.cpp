@@ -191,16 +191,7 @@ struct EvalCtx {
   EvalStats* stats;
   PowerBasis* basis;
   bool use_bsgs;
-  bool lazy;  ///< defer relinearization of window products to the joins
 };
-
-void count_mult(EvalCtx& ec) {
-  if (ec.stats) {
-    ++ec.stats->ct_mults;
-    ++ec.stats->relins;
-    ++ec.stats->rescales;
-  }
-}
 
 /// Partial window sum during execution. `done` holds the 2-part
 /// contributions already delivered at (target_level, target_scale);
@@ -209,7 +200,8 @@ void count_mult(EvalCtx& ec) {
 /// at the join. Deferring the rescale together with the relin matters for
 /// precision: rescaling a 3-part ciphertext would inject tau * s^2 rounding
 /// noise per product, while the joined sum is relinearized first and then
-/// rescaled once — never noisier than the eager schedule.
+/// rescaled once — never noisier than one relinearization and rescale per
+/// product.
 struct WindowSum {
   std::optional<Ciphertext> done;
   std::optional<Ciphertext> pending;
@@ -230,25 +222,18 @@ void add_pending(EvalCtx& ec, WindowSum& sum, Ciphertext&& ct) {
     sum.pending = std::move(ct);
 }
 
-/// term = xa * b into the sum: eager mode pays relin + rescale immediately
-/// (`done` slot); lazy mode parks the raw 3-part product in `pending`.
+/// term = xa * b into the sum: the raw 3-part product is parked in
+/// `pending` at `pre_scale` (= target_scale * q), relinearized and rescaled
+/// at the join.
 void add_product(EvalCtx& ec, WindowSum& sum, const Ciphertext& xa, const Ciphertext& b,
-                 double target_scale, double pre_scale) {
-  if (ec.lazy) {
-    Ciphertext term = ec.ev->multiply_no_relin(xa, b);
-    term.scale = pre_scale;  // = target_scale * q, exact by construction
-    if (ec.stats) {
-      ++ec.stats->ct_mults;
-      ++ec.stats->relins_deferred;
-    }
-    add_pending(ec, sum, std::move(term));
-  } else {
-    Ciphertext term = ec.ev->multiply(xa, b);
-    ec.ev->relinearize_rescale_inplace(term, *ec.relin);
-    term.scale = target_scale;  // exact by construction
-    count_mult(ec);
-    add_done(ec, sum, std::move(term));
+                 double pre_scale) {
+  Ciphertext term = ec.ev->multiply(xa, b);
+  term.scale = pre_scale;  // exact by construction
+  if (ec.stats) {
+    ++ec.stats->ct_mults;
+    ++ec.stats->relins_deferred;
   }
+  add_pending(ec, sum, std::move(term));
 }
 
 /// Coefficient term c * ct delivered at (target_level, target_scale).
@@ -349,8 +334,7 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
     } else {
       Ciphertext xa = xg;
       ec.ev->drop_to_level(xa, target_level + 1);
-      add_product(ec, sum, xa, *b, target_scale,
-                  target_scale * static_cast<double>(q));
+      add_product(ec, sum, xa, *b, target_scale * static_cast<double>(q));
     }
   }
 
@@ -408,7 +392,7 @@ WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
     sp::check(b.has_value(), "eval_poly: non-constant block produced no ciphertext");
     Ciphertext xa = xh;
     ec.ev->drop_to_level(xa, target_level + 1);
-    add_product(ec, sum, xa, *b, target_scale, target_scale * static_cast<double>(q));
+    add_product(ec, sum, xa, *b, target_scale * static_cast<double>(q));
   }
 
   // --- low block A at the same (level, scale) ------------------------------
@@ -452,7 +436,6 @@ const Ciphertext& PowerBasis::power(Evaluator& ev, int e, EvalStats* stats) {
     prod = ev.multiply(ca, cb);
   }
   ev.relinearize_rescale_inplace(prod, *relin_);
-  ++mults_spent_;
   if (stats) {
     ++stats->ct_mults;
     ++stats->relins;
@@ -497,8 +480,7 @@ Ciphertext PafEvaluator::eval_poly(Evaluator& ev, PowerBasis& basis,
   const int depth = ceil_log2(deg + 1);
   sp::check(x.level() >= depth, "eval_poly: not enough levels for this degree");
 
-  EvalCtx ec{&ev,  encoder_, relin_, ctx_, stats, &basis,
-             strategy_ == Strategy::BSGS, lazy_relin_};
+  EvalCtx ec{&ev, encoder_, relin_, ctx_, stats, &basis, strategy_ == Strategy::BSGS};
   double constant = 0.0;
   // The final resolve is the last join: any lazily accumulated 3-part sum
   // pays its single relinearization + rescale here.

@@ -20,9 +20,9 @@ struct EvalStats {
   int plain_mults = 0;
   int levels_consumed = 0;
   double wall_ms = 0.0;
-  /// Multiplications whose relinearization was deferred by the lazy-relin
-  /// path (3-part accumulation, one relin per join): `relins` counts only
-  /// the relinearizations actually performed, so under lazy relin
+  /// Multiplications whose relinearization was deferred to a join (3-part
+  /// accumulation, one relin per join): `relins` counts only the
+  /// relinearizations actually performed, so
   /// relins <= ct_mults <= relins + relins_deferred.
   int relins_deferred = 0;
 };
@@ -31,14 +31,14 @@ struct EvalStats {
 /// touching any ciphertext. `ct_mults` and `levels` are exact — they come
 /// from the same pure cost model the executor mirrors operation for
 /// operation (the planner==measured cross-check in tests/test_poly_eval.cpp
-/// pins this). `relins`/`rescales` are the eager upper bound (lazy
-/// relinearization executes fewer); `plain_mults` counts the coefficient
-/// folds (one per nonzero non-constant coefficient), a close estimate.
-/// `smartpaf::Planner` weighs these counts with a `CostModel`.
+/// pins this). `relins`/`rescales` are the upper bound of one per ct-ct
+/// mult (lazy relinearization executes fewer); `plain_mults` counts the
+/// coefficient folds (one per nonzero non-constant coefficient), a close
+/// estimate. `smartpaf::Planner` weighs these counts with a `CostModel`.
 struct SchedulePrediction {
   int ct_mults = 0;
-  int relins = 0;      ///< eager bound; under lazy relin, executed <= this
-  int rescales = 0;    ///< eager bound, same as relins
+  int relins = 0;      ///< one per ct-ct mult; executed <= this
+  int rescales = 0;    ///< same bound as relins
   int plain_mults = 0; ///< coefficient-fold estimate
   int levels = 0;      ///< exact multiplication depth consumed
 
@@ -92,13 +92,9 @@ class PowerBasis {
   /// evaluation planner so already-paid-for powers count as free.
   std::vector<int> cached_exponents() const;
 
-  /// @brief Total ct-ct multiplications spent building this basis so far.
-  int mults_spent() const { return mults_spent_; }
-
  private:
   const KSwitchKey* relin_;
   std::map<int, Ciphertext> pow_;
-  int mults_spent_ = 0;
 };
 
 /// Evaluates polynomials / composite PAFs on ciphertexts.
@@ -116,31 +112,24 @@ class PowerBasis {
 ///
 /// Either way, term combination encodes each coefficient at the scale that
 /// lands every term on one common (level, scale) pair, so additions are
-/// exact.
+/// exact, and relinearization is lazy: ct-ct products inside a window stay
+/// 3-part, block sums accumulate via the evaluator's 3-part-aware
+/// add_inplace(), and one relinearization + rescale is paid per join (and
+/// once at the end) instead of one per multiplication.
 class PafEvaluator {
  public:
   enum class Strategy { Ladder, BSGS };
 
   /// @brief Binds the evaluator to its context, encoder and relin key, and
-  /// fixes its schedule. Holds three pointers, an enum and a bool, so one
-  /// per schedule is cheap to build.
+  /// fixes its schedule. Holds three pointers and an enum, so one per
+  /// schedule is cheap to build.
   /// @param ctx         CKKS context (must outlive the evaluator)
   /// @param encoder     encoder used for coefficient plaintexts
   /// @param relin_key   relinearization key for ct-ct products
   /// @param strategy    evaluation schedule (BSGS by default; see class docs)
-  /// @param lazy_relin  defer relinearization (default): ct-ct products
-  ///     inside a window stay 3-part, block sums accumulate via the
-  ///     evaluator's 3-part-aware add_inplace(), and one relinearization is
-  ///     paid per giant-step join (and once at the end) instead of one per
-  ///     multiplication. False gives the eager schedule (one relin per
-  ///     ct-ct mult), e.g. for comparisons.
   PafEvaluator(const CkksContext& ctx, const Encoder& encoder, const KSwitchKey& relin_key,
-               Strategy strategy = Strategy::BSGS, bool lazy_relin = true)
-      : ctx_(&ctx),
-        encoder_(&encoder),
-        relin_(&relin_key),
-        strategy_(strategy),
-        lazy_relin_(lazy_relin) {}
+               Strategy strategy = Strategy::BSGS)
+      : ctx_(&ctx), encoder_(&encoder), relin_(&relin_key), strategy_(strategy) {}
 
   /// @brief p(x) for a general dense polynomial (degree >= 1).
   /// @param ev     evaluator to run on
@@ -173,8 +162,8 @@ class PafEvaluator {
   /// @param pre_factor  scalar folded into the activation input: evaluates
   ///     the PAF-ReLU of (pre_factor * x) at zero extra cost (the factor
   ///     rides the two plaintext multiplications the envelope already pays).
-  ///     This is how the pipeline planner folds scalar linear stages into
-  ///     the activation (RescalePolicy::FoldScalars).
+  ///     This is how the pipeline planner's fold pass folds scalar linear
+  ///     stages into the activation.
   /// @return the PAF-ReLU of every slot, paf.mult_depth() + 2 levels below x
   Ciphertext relu(Evaluator& ev, const Ciphertext& x, const approx::CompositePaf& paf,
                   double input_scale, EvalStats* stats = nullptr,
@@ -205,8 +194,8 @@ class PafEvaluator {
   /// @brief Predicts the schedule eval_poly would execute for `p` under
   /// strategy `s`, without touching ciphertexts.
   /// `ct_mults` and `levels` are exact (the prediction runs the same pure
-  /// planner the executor mirrors op-for-op); relins/rescales are the eager
-  /// upper bound. The BSGS prediction uses the depth budget eval_poly grants
+  /// planner the executor mirrors op-for-op); relins/rescales are the upper
+  /// bound of one per ct-ct mult. The BSGS prediction uses the depth budget eval_poly grants
   /// itself (the ladder depth), so it is parameter-set independent.
   static SchedulePrediction predict_poly(const approx::Polynomial& p, Strategy s);
 
@@ -228,7 +217,6 @@ class PafEvaluator {
   const Encoder* encoder_;
   const KSwitchKey* relin_;
   Strategy strategy_;
-  bool lazy_relin_;
 };
 
 }  // namespace sp::fhe

@@ -1,8 +1,8 @@
 // Evaluator-level correctness net for the parallel backend work: plaintext
 // parity for the elementwise ops and rotations, bit-exact equivalence of
 // hoisted vs naive rotation, lazy-relinearization BSGS parity + savings
-// vs the eager schedule, and golden digests plus NTT counts for the
-// key-switch and rescale paths at several chain lengths.
+// against one relinearization per ct-ct mult, and golden digests plus NTT
+// counts for the key-switch and rescale paths at several chain lengths.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -168,12 +168,12 @@ TEST_F(EvaluatorOpsTest, HoistedSingleRotationAlsoSavesNtts) {
   const std::size_t naive_fwd = ev.counters.ntts_forward;
 
   ev.counters.reset();
-  const HoistedDecomposition h = ev.hoist(ct);
-  const Ciphertext hoisted = ev.rotate_hoisted(h, 2, *gk_);
+  const std::vector<Ciphertext> hoisted = ev.rotate_hoisted(ct, {2}, *gk_);
   const std::size_t hoisted_fwd = ev.counters.ntts_forward;
 
-  EXPECT_TRUE(bit_identical(naive, hoisted));
-  // rotate() is hoist() plus rotate_hoisted(): the same transforms.
+  ASSERT_EQ(hoisted.size(), 1u);
+  EXPECT_TRUE(bit_identical(naive, hoisted[0]));
+  // rotate() is a one-step fan: the same transforms.
   EXPECT_EQ(hoisted_fwd, naive_fwd);
 }
 
@@ -212,9 +212,8 @@ TEST_F(EvaluatorOpsTest, MissingGaloisKeyNamesTheStep) {
     EXPECT_NE(what.find("125"), std::string::npos) << what;
   };
   expect_named([&] { ev.rotate(ct, 3, *gk_); });
-  const HoistedDecomposition h = ev.hoist(ct);
-  expect_named([&] { ev.rotate_hoisted(h, 3, *gk_); });
-  expect_named([&] { ev.rotate_hoisted(ct, std::vector<int>{1, 3}, *gk_); });
+  expect_named([&] { ev.rotate_hoisted(ct, {3}, *gk_); });
+  expect_named([&] { ev.rotate_hoisted(ct, {1, 3}, *gk_); });
 }
 
 TEST(GaloisElement, SquareAndMultiplyMatchesRepeatedMultiplication) {
@@ -234,9 +233,9 @@ TEST(GaloisElement, SquareAndMultiplyMatchesRepeatedMultiplication) {
 TEST_F(EvaluatorOpsTest, HoistedRotationByZeroReturnsInput) {
   const auto v = random_vec(17);
   const Ciphertext ct = rt_->encrypt(v);
-  const HoistedDecomposition h = rt_->evaluator().hoist(ct);
-  const Ciphertext r = rt_->evaluator().rotate_hoisted(h, 0, *gk_);
-  EXPECT_TRUE(bit_identical(ct, r));
+  const std::vector<Ciphertext> r = rt_->evaluator().rotate_hoisted(ct, {0}, *gk_);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_TRUE(bit_identical(ct, r[0]));
 }
 
 TEST_F(EvaluatorOpsTest, ThreePartAwareAddInplace) {
@@ -246,7 +245,7 @@ TEST_F(EvaluatorOpsTest, ThreePartAwareAddInplace) {
   Ciphertext cc = rt_->encrypt(vc);
 
   // 3-part product + 2-part addend accumulate without relinearizing...
-  Ciphertext acc = ev.multiply_no_relin(ca, cb);
+  Ciphertext acc = ev.multiply(ca, cb);
   ev.rescale_inplace(acc);
   Ciphertext addend = cc;
   ev.drop_to_level(addend, acc.level());
@@ -263,8 +262,9 @@ TEST_F(EvaluatorOpsTest, ThreePartAwareAddInplace) {
   EXPECT_LT(rel_error(rt_->decrypt(acc), ref), 1e-4);
 }
 
-/// Lazy-relin BSGS vs the eager (PR 1) path: identical plaintext parity,
-/// strictly fewer relinearizations for dense degrees >= 8.
+/// Lazy-relin BSGS against the bound of one relinearization per ct-ct mult:
+/// plaintext parity, the predicted schedule, never more relinearizations
+/// than multiplications and strictly fewer for dense degrees >= 9.
 class LazyRelinDegree : public EvaluatorOpsTest,
                         public ::testing::WithParamInterface<int> {};
 
@@ -273,34 +273,27 @@ TEST_P(LazyRelinDegree, MatchesEagerWithFewerRelins) {
   const approx::Polynomial p = dense_poly(degree, 300 + static_cast<std::uint64_t>(degree));
   const auto inputs = random_vec(21);
   const Ciphertext ct = rt_->encrypt(inputs);
-  const PafEvaluator eager_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(),
-                              PafEvaluator::Strategy::BSGS, /*lazy_relin=*/false);
-  const PafEvaluator lazy_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(),
-                             PafEvaluator::Strategy::BSGS, /*lazy_relin=*/true);
+  const PafEvaluator pe(rt_->ctx(), rt_->encoder(), rt_->relin_key());
 
-  EvalStats eager;
-  const Ciphertext out_eager = eager_pe.eval_poly(rt_->evaluator(), ct, p, &eager);
   EvalStats lazy;
-  const Ciphertext out_lazy = lazy_pe.eval_poly(rt_->evaluator(), ct, p, &lazy);
+  const Ciphertext out = pe.eval_poly(rt_->evaluator(), ct, p, &lazy);
 
   std::vector<double> ref(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) ref[i] = p(inputs[i]);
-  EXPECT_LT(rel_error(rt_->decrypt(out_eager), ref), kParityTol) << "degree " << degree;
-  EXPECT_LT(rel_error(rt_->decrypt(out_lazy), ref), kParityTol) << "degree " << degree;
+  EXPECT_LT(rel_error(rt_->decrypt(out), ref), kParityTol) << "degree " << degree;
 
-  // Same schedule (mults and levels), never more relinearizations — and
-  // strictly fewer from degree 9 up. Dense degree 8 is the merge wall: its
-  // minimal-mult BSGS plan has exactly one interior product (x^4 * block),
-  // so there is no second deferred product to share a join with, and lazy
-  // provably equals eager there (mirroring the degree-7 depth wall of PR 1).
-  EXPECT_EQ(lazy.ct_mults, eager.ct_mults);
-  EXPECT_EQ(out_lazy.level(), out_eager.level());
-  EXPECT_EQ(eager.relins, eager.ct_mults);
-  EXPECT_EQ(eager.relins_deferred, 0);
+  // The predicted schedule (mults and levels), never more relinearizations
+  // than mults — and strictly fewer from degree 9 up. Dense degree 8 is the
+  // merge wall: its minimal-mult BSGS plan has exactly one interior product
+  // (x^4 * block), so there is no second deferred product to share a join
+  // with, and one relinearization per mult is all it can pay.
+  const SchedulePrediction pred = PafEvaluator::predict_poly(p, PafEvaluator::Strategy::BSGS);
+  EXPECT_EQ(lazy.ct_mults, pred.ct_mults) << "degree " << degree;
+  EXPECT_EQ(ct.level() - out.level(), pred.levels) << "degree " << degree;
   EXPECT_GT(lazy.relins_deferred, 0) << "degree " << degree;
-  EXPECT_LE(lazy.relins, eager.relins) << "degree " << degree;
+  EXPECT_LE(lazy.relins, lazy.ct_mults) << "degree " << degree;
   if (degree >= 9) {
-    EXPECT_LT(lazy.relins, eager.relins) << "degree " << degree;
+    EXPECT_LT(lazy.relins, lazy.ct_mults) << "degree " << degree;
   }
   // Every deferred relin resolves at some join (or was merged away).
   EXPECT_GE(lazy.relins + lazy.relins_deferred, lazy.ct_mults);
@@ -310,8 +303,8 @@ INSTANTIATE_TEST_SUITE_P(DenseDegrees, LazyRelinDegree,
                          ::testing::Values(8, 9, 12, 13, 16, 21, 27, 31));
 
 TEST_F(EvaluatorOpsTest, LazyRelinReluParity) {
-  // End-to-end PAF-ReLU with the default (lazy) evaluator stays within the
-  // deployment error envelope of the eager path.
+  // End-to-end PAF-ReLU with lazy relinearization stays within 2^-20 of the
+  // plaintext PAF-ReLU.
   // Single odd degree-15 stage: depth 4 + the relu envelope's 2 levels fits
   // the depth-6 chain, and its BSGS plan has joins for lazy relin to merge.
   sp::Rng rng(23);
@@ -320,16 +313,15 @@ TEST_F(EvaluatorOpsTest, LazyRelinReluParity) {
   const approx::CompositePaf paf("deg15", {approx::Polynomial(c)});
   const auto v = random_vec(22, -2.0, 2.0);
   const Ciphertext ct = rt_->encrypt(v);
-  const PafEvaluator eager_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(),
-                              PafEvaluator::Strategy::BSGS, /*lazy_relin=*/false);
-  const PafEvaluator lazy_pe(rt_->ctx(), rt_->encoder(), rt_->relin_key());
+  const PafEvaluator pe(rt_->ctx(), rt_->encoder(), rt_->relin_key());
 
-  const auto eager = rt_->decrypt(eager_pe.relu(rt_->evaluator(), ct, paf, 2.0));
-  const auto lazy = rt_->decrypt(lazy_pe.relu(rt_->evaluator(), ct, paf, 2.0));
+  const double input_scale = 2.0;
+  const auto got = rt_->decrypt(pe.relu(rt_->evaluator(), ct, paf, input_scale));
 
   double worst = 0.0;
   for (std::size_t i = 0; i < v.size(); ++i)
-    worst = std::max(worst, std::abs(lazy[i] - eager[i]));
+    worst = std::max(worst, std::abs(got[i] - input_scale * approx::paf_relu(
+                                                                paf, v[i] / input_scale)));
   EXPECT_LT(worst, kParityTol);
 }
 
@@ -601,9 +593,7 @@ TEST_F(KSwitchKeyShape, RotationsRejectShorterChainGaloisKey) {
   Evaluator& ev = rt_->evaluator();
   const auto found = expected("key has 3 digits, a part with 3 chain + 1 special rows");
   expect_key_error([&] { ev.rotate(a, 1, *short_gk_); }, found);
-  const HoistedDecomposition h = ev.hoist(a);
-  expect_key_error([&] { ev.rotate_hoisted(h, 1, *short_gk_); }, found);
-  expect_key_error([&] { ev.rotate_hoisted(a, std::vector<int>{1}, *short_gk_); }, found);
+  expect_key_error([&] { ev.rotate_hoisted(a, {1}, *short_gk_); }, found);
 }
 
 }  // namespace
