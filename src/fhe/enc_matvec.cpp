@@ -26,7 +26,7 @@ EncDiagMatVec EncDiagMatVec::encrypt(const CkksContext& ctx, const Encoder& enc,
 }
 
 Ciphertext EncDiagMatVec::apply(Evaluator& ev, const Ciphertext& v, const GaloisKeys& gk,
-                                const KSwitchKey& relin, bool hoist_babies) const {
+                                const KSwitchKey& relin) const {
   sp::check(!diags_.empty(), "EncDiagMatVec::apply: no diagonals packed");
   // Meet at the lower of the two chains, and keep one level for the rescale.
   const int qc = std::min(v.q_count(), diags_.front().q_count());
@@ -36,7 +36,7 @@ Ciphertext EncDiagMatVec::apply(Evaluator& ev, const Ciphertext& v, const Galois
   LinearTransform lt(1, 1, schedule_.n1);
   lt.schedule = schedule_;
   for (const Ciphertext& d : diags_) lt.masks.emplace_back(&d);
-  return std::move(lt.apply(ev, {x}, gk, hoist_babies, nullptr, 0.0, &relin)[0]);
+  return std::move(lt.apply(ev, {x}, gk, /*hoist=*/true, nullptr, 0.0, &relin)[0]);
 }
 
 }  // namespace sp::fhe

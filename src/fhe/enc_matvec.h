@@ -28,12 +28,13 @@ class EncDiagMatVec {
                                const std::vector<double>& weights, int rows, int cols,
                                std::size_t tile, double scale);
 
-  /// @brief y = X v, one level below min(level(v), level(diagonals)).
+  /// @brief y = X v, one level below min(level(v), level(diagonals)). The
+  /// baby rotations of `v` run as one hoisted fan.
   /// @param v      2-part weight ciphertext (data in slots [0, cols))
   /// @param gk     rotation keys covering schedule().steps()
   /// @param relin  relinearization key (one use per giant group)
   Ciphertext apply(Evaluator& ev, const Ciphertext& v, const GaloisKeys& gk,
-                   const KSwitchKey& relin, bool hoist_babies = true) const;
+                   const KSwitchKey& relin) const;
 
  private:
   LtSchedule schedule_;

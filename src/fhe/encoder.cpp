@@ -113,12 +113,6 @@ Plaintext Encoder::encode_scalar(double value, double scale, int q_count) const 
 }
 
 std::shared_ptr<const Plaintext> Encoder::encode_cached(
-    std::uint64_t key, const std::vector<double>& values, double scale,
-    int q_count) const {
-  return encode_cached(key, scale, q_count, [&values] { return values; });
-}
-
-std::shared_ptr<const Plaintext> Encoder::encode_cached(
     std::uint64_t key, double scale, int q_count,
     const std::function<std::vector<double>()>& make) const {
   // Key the scale on its bit pattern: double-keyed ordering would make

@@ -55,9 +55,11 @@ class Encoder {
   /// evaluations — matrix diagonals, compaction masks, per-slot linear
   /// coefficients.
   ///
-  /// The first call for a (key, scale, q_count) triple encodes `values` and
-  /// caches the plaintext; later calls return the cached entry without
-  /// re-running the FFT. `key` is the caller's content fingerprint (e.g. a
+  /// The first call for a (key, scale, q_count) triple runs `make`, encodes
+  /// the slot vector it returns and caches the plaintext; later calls return
+  /// the cached entry without re-running `make` or the FFT, so repeat
+  /// evaluations skip both the O(slots) vector construction and the
+  /// encoding. `key` is the caller's content fingerprint (e.g. a
   /// hash of the diagonal's coefficients and position): the cache trusts it,
   /// so two different value vectors under one key would alias — derive keys
   /// from everything that determines the vector. The scale keys on its IEEE
@@ -69,13 +71,6 @@ class Encoder {
   /// self-limiting flush — both only drop the cache's own reference. This is
   /// what makes the cache safe to consult from an evaluation thread while
   /// another thread drives concurrent cache traffic.
-  std::shared_ptr<const Plaintext> encode_cached(std::uint64_t key,
-                                                 const std::vector<double>& values,
-                                                 double scale, int q_count) const;
-
-  /// @brief Same, building the slot vector lazily: `make` runs only on a
-  /// cache miss, so repeat evaluations skip both the FFT and the O(slots)
-  /// vector construction.
   std::shared_ptr<const Plaintext> encode_cached(
       std::uint64_t key, double scale, int q_count,
       const std::function<std::vector<double>()>& make) const;

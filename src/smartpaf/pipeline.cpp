@@ -491,18 +491,12 @@ FhePipeline::Builder& FhePipeline::Builder::paf_maxpool(approx::CompositePaf paf
   return *this;
 }
 
-FhePipeline::Builder& FhePipeline::Builder::rescale_policy(RescalePolicy policy) {
-  policy_ = policy;
-  return *this;
-}
-
 FhePipeline FhePipeline::Builder::build() {
   sp::check(!stages_.empty(), "FhePipeline: empty pipeline");
   sp::check(input_grid_.channels == 0 || input_width_ == 0,
             "FhePipeline: input_grid and input_width are mutually exclusive");
   FhePipeline pipe;
   pipe.stages_ = std::move(stages_);
-  pipe.policy_ = policy_;
   pipe.input_width_ = input_width_;
   pipe.input_grid_ = input_grid_;
   return pipe;

@@ -15,20 +15,6 @@ namespace sp::smartpaf {
 class FheRuntime;  // smartpaf/fhe_deploy.h
 struct Plan;       // smartpaf/pipeline_planner.h
 
-/// Where the planner may move work between stages.
-///
-/// `PerStage`: every stage executes literally as built — each non-identity
-/// linear stage pays its own plaintext multiplication + rescale (one level).
-/// `FoldScalars` (default): scalar-only linear stages (one broadcast scale,
-/// no bias) immediately preceding a PAF-ReLU stage — or a pairwise
-/// (pool_window == 2) PAF-MaxPool, whose two tournament operands are both
-/// raw — are folded into that activation's Static-Scaling envelope: the
-/// scalar rides the plaintext multiplications the envelope pays anyway, so
-/// each folded stage saves one level, one plaintext mult and one rescale.
-/// Longer tournaments never absorb folds (their running operand already
-/// carries the factor after the first fold).
-enum class RescalePolicy { PerStage, FoldScalars };
-
 /// Slot-wise affine stage: y[j] = scale[j] * x[j] + bias[j]. `scale` of
 /// size 1 broadcasts (the foldable scalar case); size slot_count applies
 /// per-slot plaintext weights (a diagonal linear layer). `bias` may be
@@ -233,14 +219,11 @@ class FhePipeline {
     Builder& paf_relu(approx::CompositePaf paf, double input_scale);
     /// @brief Cyclic PAF-MaxPool tournament stage over `pool_window` slots.
     Builder& paf_maxpool(approx::CompositePaf paf, double input_scale, int pool_window);
-    /// @brief Sets the pipeline's default fold policy (FoldScalars if unset).
-    Builder& rescale_policy(RescalePolicy policy);
     /// @brief Validates and returns the pipeline.
     FhePipeline build();
 
    private:
     std::vector<Stage> stages_;
-    RescalePolicy policy_ = RescalePolicy::FoldScalars;
     std::size_t input_width_ = 0;
     GridShape input_grid_;
   };
@@ -284,7 +267,6 @@ class FhePipeline {
   static FhePipeline lower(const nn::Layer& root, const GridShape& input);
 
   const std::vector<Stage>& stages() const { return stages_; }
-  RescalePolicy rescale_policy() const { return policy_; }
   /// @brief Declared logical width of the input data (0 = full slot vector).
   std::size_t input_width() const { return input_width_; }
   /// @brief Declared input image grid (channels == 0 when the input is a
@@ -305,7 +287,7 @@ class FhePipeline {
       std::size_t extent) const;
 
   /// @brief Levels the pipeline consumes when executed literally (no
-  /// folding); the FoldScalars plan may use fewer.
+  /// merging or folding); the plan may use fewer.
   int mult_depth() const;
 
   /// @brief Plaintext mirror of the pipeline over a full slot vector
@@ -321,9 +303,9 @@ class FhePipeline {
   ///
   /// Rotation keys for every fan are drawn from the runtime's deduplicated
   /// rotation_keys() store (generated on first use, shared across stages and
-  /// call sites). Each PAF stage runs on its own lazy-relin PafEvaluator
-  /// built from the plan's strategy, so runs never change a schedule on the
-  /// shared runtime.
+  /// call sites). Each PAF stage runs on its own PafEvaluator built from
+  /// the plan's strategy, so runs never change a schedule on the shared
+  /// runtime.
   /// @param rt     shared CKKS machinery
   /// @param plan   a Plan produced by Planner::plan for THIS pipeline
   /// @param in     input ciphertext with at least plan.levels_used levels
@@ -344,7 +326,6 @@ class FhePipeline {
 
  private:
   std::vector<Stage> stages_;
-  RescalePolicy policy_ = RescalePolicy::FoldScalars;
   std::size_t input_width_ = 0;
   GridShape input_grid_;
 };

@@ -183,7 +183,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
                    const CostModel& cost, const PlanOptions& opts) {
   const auto& stages = pipe.stages();
   sp::check(!stages.empty(), "Planner: empty pipeline");
-  const RescalePolicy policy = opts.rescale_policy.value_or(pipe.rescale_policy());
   const auto slots = ctx.slot_count();
   const int chain = ctx.q_count() - 1;
   const std::size_t extent = opts.pack_stride != 0 ? opts.pack_stride : slots;
@@ -236,60 +235,55 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
   // Merge pass (plan-level rescale placement): a run of back-to-back linear
   // stages collapses into its LAST stage — one plaintext multiplication and
   // ONE rescale instead of one per stage, saving a level for every extra
-  // non-identity stage in the run. Skipped under PerStage (stages execute
-  // literally as built).
+  // non-identity stage in the run.
   std::vector<bool> absorbed(stages.size(), false);
   std::vector<std::optional<LinearStage>> merged(stages.size());
-  if (policy == RescalePolicy::FoldScalars) {
-    std::size_t i = 0;
-    while (i < stages.size()) {
-      if (!std::holds_alternative<LinearStage>(stages[i].op)) {
-        ++i;
-        continue;
-      }
-      std::size_t j = i;
-      while (j + 1 < stages.size() &&
-             std::holds_alternative<LinearStage>(stages[j + 1].op))
-        ++j;
-      if (j > i) {
-        LinearStage combined = std::get<LinearStage>(stages[i].op);
-        for (std::size_t k = i + 1; k <= j; ++k) {
-          absorbed[k - 1] = true;
-          combined = compose_linear(combined, std::get<LinearStage>(stages[k].op));
-        }
-        merged[j] = std::move(combined);
-      }
-      i = j + 1;
+  for (std::size_t i = 0; i < stages.size();) {
+    if (!std::holds_alternative<LinearStage>(stages[i].op)) {
+      ++i;
+      continue;
     }
+    std::size_t j = i;
+    while (j + 1 < stages.size() && std::holds_alternative<LinearStage>(stages[j + 1].op))
+      ++j;
+    if (j > i) {
+      LinearStage combined = std::get<LinearStage>(stages[i].op);
+      for (std::size_t k = i + 1; k <= j; ++k) {
+        absorbed[k - 1] = true;
+        combined = compose_linear(combined, std::get<LinearStage>(stages[k].op));
+      }
+      merged[j] = std::move(combined);
+    }
+    i = j + 1;
   }
 
-  // Fold pass: scalar, bias-free linear stages directly preceding a PAF-ReLU
-  // ride that activation's envelope plaintexts (see RescalePolicy). Runs on
-  // the post-merge view: a merged survivor folds with its combined scalar,
-  // and the scan stops at absorbed stages (their effect is already inside
-  // the survivor).
+  // Fold pass: scalar-only linear stages (one broadcast scale, no bias)
+  // directly preceding a PAF-ReLU fold into that activation's Static-Scaling
+  // envelope — the scalar rides the plaintext multiplications the envelope
+  // pays anyway, so each folded stage saves one level, one plaintext mult
+  // and one rescale. ReLU always absorbs a fold; a MaxPool only at
+  // pool_window == 2, where both tournament operands are raw and the factor
+  // rides max()'s envelope plaintexts (a longer tournament's running operand
+  // already carries the factor after the first fold). Runs on the
+  // post-merge view: a merged survivor folds with its combined scalar, and
+  // the scan stops at absorbed stages (their effect is already inside the
+  // survivor).
   std::vector<double> pre_factor(stages.size(), 1.0);
   std::vector<bool> folded(stages.size(), false);
-  if (policy == RescalePolicy::FoldScalars) {
-    for (std::size_t i = 0; i < stages.size(); ++i) {
-      const auto* paf = std::get_if<PafStage>(&stages[i].op);
-      if (paf == nullptr) continue;
-      // ReLU always absorbs; a MaxPool only for the single pairwise fold
-      // (pool window 2), where both tournament operands are raw and the
-      // factor rides max()'s envelope plaintexts.
-      const bool absorbs = paf->kind == SiteKind::ReLU ||
-                           (paf->kind == SiteKind::MaxPool && paf->pool_window == 2);
-      if (!absorbs) continue;
-      for (std::size_t j = i; j-- > 0;) {
-        if (absorbed[j]) break;
-        const auto* lin = merged[j] ? &*merged[j]
-                                    : std::get_if<LinearStage>(&stages[j].op);
-        if (lin == nullptr || folded[j] || lin->scale.size() != 1 ||
-            linear_has_bias(*lin) || lin->scale[0] == 0.0)
-          break;
-        pre_factor[i] *= lin->scale[0];
-        folded[j] = true;
-      }
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const auto* paf = std::get_if<PafStage>(&stages[i].op);
+    if (paf == nullptr) continue;
+    const bool absorbs = paf->kind == SiteKind::ReLU ||
+                         (paf->kind == SiteKind::MaxPool && paf->pool_window == 2);
+    if (!absorbs) continue;
+    for (std::size_t j = i; j-- > 0;) {
+      if (absorbed[j]) break;
+      const auto* lin = merged[j] ? &*merged[j] : std::get_if<LinearStage>(&stages[j].op);
+      if (lin == nullptr || folded[j] || lin->scale.size() != 1 || linear_has_bias(*lin) ||
+          lin->scale[0] == 0.0)
+        break;
+      pre_factor[i] *= lin->scale[0];
+      folded[j] = true;
     }
   }
 

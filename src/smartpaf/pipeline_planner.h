@@ -88,10 +88,8 @@ struct Plan {
   std::vector<int> rotation_steps() const;
 };
 
-/// Planner options (everything optional; defaults follow the pipeline).
+/// Planner options (everything optional).
 struct PlanOptions {
-  /// Overrides the pipeline's RescalePolicy.
-  std::optional<RescalePolicy> rescale_policy;
   /// Pins every PAF stage's schedule (benchmark forcing); unset = BSGS,
   /// whose prediction never exceeds Ladder's.
   std::optional<fhe::PafEvaluator::Strategy> force_strategy;
@@ -119,7 +117,7 @@ class Planner {
   /// budget — a pipeline deeper than the chain is rejected with a per-stage
   /// level breakdown in the error message.
   /// Decisions: adjacent-linear merging (one rescale per run),
-  /// scalar-linear folding (RescalePolicy), the n1 split of every
+  /// scalar-linear folding into PAF envelopes, the n1 split of every
   /// matmul/conv rotation-sum and hoisted-vs-naive rotation fans — all by
   /// `cost.eval_cost`/`fan_cost`. PAF stages run BSGS with lazy-relin joins
   /// unless `force_strategy` pins Ladder. Planning is deterministic: the
