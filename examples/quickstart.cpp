@@ -58,8 +58,7 @@ int main() {
   for (std::size_t i = 0; i < inputs.size(); ++i)
     std::printf("%8.2f %12.4f %12.4f\n", inputs[i], std::max(inputs[i], 0.0), got[i]);
   std::printf("\none encrypted ReLU over %zu slots: %.1f ms, %d ct-mults, %d levels\n",
-              rt.ctx().slot_count(), stats.wall_ms, stats.ct_mults,
-              stats.levels_consumed);
+              rt.ctx().slot_count(), stats.wall_ms, stats.ct_mults, ct.level() - out.level());
   // The executed schedule is BSGS; the ladder's count is its exact
   // prediction plus the envelope's one ct-mult.
   const int ladder =

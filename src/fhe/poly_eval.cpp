@@ -534,7 +534,6 @@ Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
     ++stats->relins;
     ++stats->rescales;
     ++stats->plain_mults;
-    stats->levels_consumed = x.level() - y.level();
     stats->wall_ms += timer.ms();
   }
   return y;

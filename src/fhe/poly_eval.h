@@ -10,15 +10,15 @@ namespace sp::fhe {
 
 /// Per-evaluation statistics: the paper's latency model is
 /// "ct-ct multiplications (with relinearization + rescale) dominate", so the
-/// counters here drive both wall-clock measurement and depth verification.
-/// A schedule's saving over the pure ladder is the difference of two runs'
-/// (or two predict_poly()) `ct_mults`.
+/// counters here drive wall-clock measurement. Depth is read off the
+/// ciphertexts: every one carries its own level. A schedule's saving over
+/// the pure ladder is the difference of two runs' (or two predict_poly())
+/// `ct_mults`.
 struct EvalStats {
   int ct_mults = 0;
   int relins = 0;
   int rescales = 0;
   int plain_mults = 0;
-  int levels_consumed = 0;
   double wall_ms = 0.0;
   /// Multiplications whose relinearization was deferred to a join (3-part
   /// accumulation, one relin per join): `relins` counts only the

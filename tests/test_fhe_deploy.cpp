@@ -105,9 +105,8 @@ TEST_F(DeployTest, ReluLevelsAreDepthPlusTwo) {
   const auto paf = approx::make_paf(PafForm::F1_G2);
   std::vector<double> v(rt_->ctx().slot_count(), 1.0);
   const auto ct = rt_->encrypt(v);
-  fhe::EvalStats stats;
-  rt_->paf_evaluator().relu(rt_->evaluator(), ct, paf, 2.0, &stats);
-  EXPECT_EQ(stats.levels_consumed, approx::paper_mult_depth(PafForm::F1_G2) + 2);
+  const auto out = rt_->paf_evaluator().relu(rt_->evaluator(), ct, paf, 2.0);
+  EXPECT_EQ(ct.level() - out.level(), approx::paper_mult_depth(PafForm::F1_G2) + 2);
 }
 
 TEST_F(DeployTest, EncryptedMaxMatchesPlaintext) {
