@@ -10,7 +10,7 @@ namespace sp::smartpaf {
 
 std::vector<double> fit_paf_to_profile(const approx::CompositePaf& init,
                                        const std::vector<double>& samples, double scale,
-                                       bool is_max_site, const CtConfig& cfg) {
+                                       const CtConfig& cfg) {
   sp::check(!samples.empty(), "fit_paf_to_profile: no samples");
   sp::check(scale > 0, "fit_paf_to_profile: bad scale");
   approx::CompositePaf paf = init;
@@ -86,7 +86,6 @@ std::vector<double> fit_paf_to_profile(const approx::CompositePaf& init,
       flat[k] -= cfg.lr * mh / (std::sqrt(vh) + eps);
     }
   }
-  (void)is_max_site;
   return best;
 }
 
@@ -144,8 +143,7 @@ CtResult coefficient_tuning(nn::Model& model, const nn::Dataset& calib,
     std::vector<double> samples = prof.reservoir();
     if (static_cast<int>(samples.size()) > cfg.fit_samples)
       samples.resize(static_cast<std::size_t>(cfg.fit_samples));
-    result.coeffs[i] = fit_paf_to_profile(init, samples, result.abs_max[i],
-                                          sites[i].kind == SiteKind::MaxPool, cfg);
+    result.coeffs[i] = fit_paf_to_profile(init, samples, result.abs_max[i], cfg);
   }
   return result;
 }

@@ -37,9 +37,10 @@ CtResult coefficient_tuning(nn::Model& model, const nn::Dataset& calib,
 
 /// The single-site refit used by step 3; exposed for tests and ablations.
 /// For ReLU sites the samples are input values; for MaxPool sites they are
-/// pairwise tournament differences. Returns the tuned flat coefficients.
+/// pairwise tournament differences d, fitted with the same ReLU objective
+/// at x = d. Returns the tuned flat coefficients.
 std::vector<double> fit_paf_to_profile(const approx::CompositePaf& init,
                                        const std::vector<double>& samples, double scale,
-                                       bool is_max_site, const CtConfig& cfg);
+                                       const CtConfig& cfg);
 
 }  // namespace sp::smartpaf

@@ -299,7 +299,7 @@ TEST(CoefficientTuning, FitReducesProfiledError) {
   const approx::CompositePaf init = approx::make_paf(PafForm::F1_G2);
   CtConfig cfg;
   cfg.fit_iters = 250;
-  const auto tuned_flat = fit_paf_to_profile(init, samples, scale, false, cfg);
+  const auto tuned_flat = fit_paf_to_profile(init, samples, scale, cfg);
   approx::CompositePaf tuned = init;
   tuned.load_coeffs(tuned_flat);
   auto err = [&](const approx::CompositePaf& p) {
