@@ -3,7 +3,7 @@
 // replaced nn::Sequential with plaintext-forward parity, end-to-end FHE
 // parity of a 2-activation lowered network < 2^-20, rotation-key dedup
 // across stages, predict-vs-executed mult counts, a window-3 MaxPool
-// tournament and golden digests of PAF-stage ciphertexts.
+// tournament and golden digests and op ledgers of PAF-stage runs.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
