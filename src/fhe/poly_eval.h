@@ -195,8 +195,9 @@ class PafEvaluator {
   /// strategy `s`, without touching ciphertexts.
   /// `ct_mults` and `levels` are exact (the prediction runs the same pure
   /// planner the executor mirrors op-for-op); relins/rescales are the upper
-  /// bound of one per ct-ct mult. The BSGS prediction uses the depth budget eval_poly grants
-  /// itself (the ladder depth), so it is parameter-set independent.
+  /// bound of one per ct-ct mult. The BSGS prediction uses the depth budget
+  /// eval_poly grants itself (the ladder depth), so it is parameter-set
+  /// independent.
   static SchedulePrediction predict_poly(const approx::Polynomial& p, Strategy s);
 
   /// @brief Stage-summed prediction for a composite PAF (each stage gets a
