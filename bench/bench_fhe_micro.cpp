@@ -1,9 +1,11 @@
 // CKKS substrate microbenchmarks:
-//   1) per-kernel dispatch-tier sweep at N = 8192 (fwd/inv NTT ns/butterfly,
-//      elementwise GB/s, the key-switch inner product over 11 digits, for
-//      scalar vs AVX2 vs AVX-512); each figure is the 10th percentile of
-//      41 samples, the tiers alternating sample by sample so a noise burst
-//      on a shared host hits every tier alike,
+//   1) per-kernel dispatch-tier sweep at N = 8192 (fwd/inv NTT at a 60-bit
+//      and at a 40-bit chain prime, ns/butterfly, elementwise GB/s, the
+//      key-switch inner product over 11 digits, for scalar vs AVX2 vs
+//      AVX-512 vs AVX-512 IFMA, whose transforms differ only below 2^50);
+//      each figure is the 10th percentile of 41 samples, the tiers
+//      alternating sample by sample so a noise burst on a shared host hits
+//      every tier alike,
 //   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (the sub-row
 //      split keeps short chains from capping usable threads at row count),
 //   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes): a
@@ -11,8 +13,8 @@
 //      and the hoisted-vs-naive rotation columns.
 // Writes bench_out/fhe_micro.json. If bench/baselines/fhe_micro.json exists
 // (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT,
-// inverse-NTT or key-inner-product speedup over scalar drops below the
-// recorded minimum.
+// inverse-NTT (at either prime) or key-inner-product speedup over scalar
+// drops below the recorded minimum.
 //
 // Usage: bench_fhe_micro [quick]   ("quick" restricts ring sizes / grid)
 #include <algorithm>
@@ -76,14 +78,18 @@ double json_number(const std::string& text, const std::string& key) {
 
 struct TierRow {
   simd::Tier tier = simd::Tier::kScalar;
-  double fwd_ntt_ms = 0.0;      // one forward transform, N = 8192
+  double fwd_ntt_ms = 0.0;      // one forward transform, N = 8192, 60-bit q
   double inv_ntt_ms = 0.0;      // one inverse transform
+  double fwd_ntt40_ms = 0.0;    // the same at a 40-bit chain prime
+  double inv_ntt40_ms = 0.0;
   double fwd_ns_per_bfly = 0.0; // fwd_ntt over (N/2)*log2(N) butterflies
   double mul_mod_gbs = 0.0;     // elementwise Barrett multiply
   double add_mod_gbs = 0.0;
   double mul_shoup_gbs = 0.0;
   double fwd_speedup = 1.0;     // vs the scalar row
   double inv_speedup = 1.0;     // vs the scalar row
+  double fwd40_speedup = 1.0;   // vs the scalar row, 40-bit prime
+  double inv40_speedup = 1.0;
   double kswitch_ms = 0.0;      // key_inner_product, 11 digits x 2 key parts
   double kswitch_speedup = 1.0; // vs the scalar row
 };
@@ -112,10 +118,15 @@ std::vector<TierRow> run_tier_sweep() {
   const u64 q = generate_ntt_primes(60, 1, kN)[0];
   const Modulus mod(q);
   const NttTables tables(kN, mod);
+  // Most of a request's transforms run on the 40-bit chain primes, where
+  // the IFMA tier's transforms apply.
+  const u64 q40 = generate_ntt_primes(40, 1, kN)[0];
+  const NttTables tables40(kN, Modulus(q40));
   sp::Rng rng(11);
-  std::vector<u64> base(kN), other(kN);
+  std::vector<u64> base(kN), other(kN), row40(kN);
   for (auto& x : base) x = rng.next_u64() % q;
   for (auto& x : other) x = rng.next_u64() % q;
+  for (auto& x : row40) x = rng.next_u64() % q40;
   const u64 w = rng.next_u64() % q;
   const u64 ws = shoup_precompute(w, q);
   // Key switch at the top of paf_relu's chain: 11 digit rows against two key
@@ -132,16 +143,19 @@ std::vector<TierRow> run_tier_sweep() {
   const int samples = 41;  // per kernel and tier
 
   std::vector<simd::Tier> tiers;
-  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512})
+  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512,
+                       simd::Tier::kAvx512Ifma})
     if (simd::tier_supported(t)) tiers.push_back(t);
   // Transform outputs and elementwise results stay < q, so every kernel
   // iterates in place on one buffer without re-initialisation.
   std::vector<u64> a = base;
-  enum { kFwd, kInv, kMulMod, kAddMod, kMulShoup, kKeyInner, kKernelCount };
+  enum { kFwd, kInv, kFwd40, kInv40, kMulMod, kAddMod, kMulShoup, kKeyInner, kKernelCount };
   const auto run = [&](int kernel, const simd::Kernels& k) {
     switch (kernel) {
       case kFwd: return tables.forward(a.data());
       case kInv: return tables.inverse(a.data());
+      case kFwd40: return tables40.forward(row40.data());
+      case kInv40: return tables40.inverse(row40.data());
       case kMulMod:
         return k.mul_mod(a.data(), other.data(), kN, q, mod.ratio_hi(), mod.ratio_lo());
       case kAddMod: return k.add_mod(a.data(), other.data(), kN, q);
@@ -180,6 +194,8 @@ std::vector<TierRow> run_tier_sweep() {
     row.tier = tiers[t];
     row.fwd_ntt_ms = p10_ms(m[kFwd]);
     row.inv_ntt_ms = p10_ms(m[kInv]);
+    row.fwd_ntt40_ms = p10_ms(m[kFwd40]);
+    row.inv_ntt40_ms = p10_ms(m[kInv40]);
     row.fwd_ns_per_bfly = row.fwd_ntt_ms * 1e6 / (static_cast<double>(kN / 2) * log_n);
     row.mul_mod_gbs = two_op_gb / (p10_ms(m[kMulMod]) / 1e3);
     row.add_mod_gbs = two_op_gb / (p10_ms(m[kAddMod]) / 1e3);
@@ -190,6 +206,8 @@ std::vector<TierRow> run_tier_sweep() {
   for (TierRow& r : rows) {
     r.fwd_speedup = rows.front().fwd_ntt_ms / std::max(r.fwd_ntt_ms, 1e-9);
     r.inv_speedup = rows.front().inv_ntt_ms / std::max(r.inv_ntt_ms, 1e-9);
+    r.fwd40_speedup = rows.front().fwd_ntt40_ms / std::max(r.fwd_ntt40_ms, 1e-9);
+    r.inv40_speedup = rows.front().inv_ntt40_ms / std::max(r.inv_ntt40_ms, 1e-9);
     r.kswitch_speedup = rows.front().kswitch_ms / std::max(r.kswitch_ms, 1e-9);
   }
   return rows;
@@ -245,12 +263,15 @@ int main(int argc, char** argv) {
   // --- Section 1: dispatch-tier kernel sweep (always N = 8192) ---
   const std::vector<TierRow> tier_rows = run_tier_sweep();
   Table tier_table({"tier", "fwd_ntt_ms", "inv_ntt_ms", "fwd_ns_per_bfly",
-                    "fwd_speedup", "inv_speedup", "mul_mod_GB_s", "add_mod_GB_s",
+                    "fwd_speedup", "inv_speedup", "fwd_ntt40_ms", "inv_ntt40_ms",
+                    "fwd40_speedup", "inv40_speedup", "mul_mod_GB_s", "add_mod_GB_s",
                     "mul_shoup_GB_s", "kswitch_ms", "kswitch_speedup"});
   for (const TierRow& r : tier_rows)
     tier_table.add_row({simd::tier_name(r.tier), Table::num(r.fwd_ntt_ms, 4),
                         Table::num(r.inv_ntt_ms, 4), Table::num(r.fwd_ns_per_bfly, 2),
                         Table::num(r.fwd_speedup, 2), Table::num(r.inv_speedup, 2),
+                        Table::num(r.fwd_ntt40_ms, 4), Table::num(r.inv_ntt40_ms, 4),
+                        Table::num(r.fwd40_speedup, 2), Table::num(r.inv40_speedup, 2),
                         Table::num(r.mul_mod_gbs, 2),
                         Table::num(r.add_mod_gbs, 2), Table::num(r.mul_shoup_gbs, 2),
                         Table::num(r.kswitch_ms, 4), Table::num(r.kswitch_speedup, 2)});
@@ -344,11 +365,14 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"tier\": \"%s\", \"fwd_ntt_ms\": %.5f, \"inv_ntt_ms\": "
                    "%.5f, \"fwd_ns_per_butterfly\": %.3f, \"fwd_speedup\": %.3f, "
-                   "\"inv_speedup\": %.3f, \"mul_mod_gbs\": %.3f, \"add_mod_gbs\": %.3f, "
+                   "\"inv_speedup\": %.3f, \"fwd_ntt40_ms\": %.5f, \"inv_ntt40_ms\": %.5f, "
+                   "\"fwd40_speedup\": %.3f, \"inv40_speedup\": %.3f, "
+                   "\"mul_mod_gbs\": %.3f, \"add_mod_gbs\": %.3f, "
                    "\"mul_shoup_gbs\": %.3f, \"kswitch_ms\": %.5f, "
                    "\"kswitch_speedup\": %.3f}%s\n",
                    simd::tier_name(r.tier), r.fwd_ntt_ms, r.inv_ntt_ms,
-                   r.fwd_ns_per_bfly, r.fwd_speedup, r.inv_speedup, r.mul_mod_gbs,
+                   r.fwd_ns_per_bfly, r.fwd_speedup, r.inv_speedup, r.fwd_ntt40_ms,
+                   r.inv_ntt40_ms, r.fwd40_speedup, r.inv40_speedup, r.mul_mod_gbs,
                    r.add_mod_gbs,
                    r.mul_shoup_gbs, r.kswitch_ms, r.kswitch_speedup,
                    i + 1 < tier_rows.size() ? "," : "");
@@ -386,9 +410,9 @@ int main(int argc, char** argv) {
     }
 
   // Regression gate against the recorded baseline, when present: each vector
-  // tier the binary+CPU support must keep its forward-NTT, inverse-NTT and
-  // key-inner-product speedups over the scalar tier above the recorded
-  // floors (a missing floor is no gate).
+  // tier the binary+CPU support must keep its forward-NTT and inverse-NTT
+  // speedups at both primes and its key-inner-product speedup over the
+  // scalar tier above the recorded floors (a missing floor is no gate).
   for (const char* path :
        {"bench/baselines/fhe_micro.json", "../bench/baselines/fhe_micro.json"}) {
     std::ifstream in(path);
@@ -403,6 +427,8 @@ int main(int argc, char** argv) {
         double speedup;
       } gates[] = {{"min_fwd_ntt_speedup_", "fwd-NTT", r.fwd_speedup},
                    {"min_inv_ntt_speedup_", "inv-NTT", r.inv_speedup},
+                   {"min_fwd_ntt40_speedup_", "40-bit fwd-NTT", r.fwd40_speedup},
+                   {"min_inv_ntt40_speedup_", "40-bit inv-NTT", r.inv40_speedup},
                    {"min_kswitch_speedup_", "key-inner-product", r.kswitch_speedup}};
       for (const auto& g : gates) {
         const double floor = json_number(ss.str(), g.key + std::string(simd::tier_name(r.tier)));

@@ -107,11 +107,13 @@ void NttTables::inverse_scale(u64* a, std::size_t len) const {
   simd::kernels().mul_shoup(a, len, n_inv_, n_inv_shoup_, mod_.value());
 }
 
-void NttTables::forward(u64* a) const { forward_tail(a, 0, 1); }
+void NttTables::forward(u64* a) const {
+  simd::kernels().ntt_forward(a, n_, roots_.data(), roots_shoup_.data(), mod_.value());
+}
 
 void NttTables::inverse(u64* a) const {
-  inverse_head(a, 0, 1);
-  inverse_scale(a, n_);
+  simd::kernels().ntt_inverse(a, n_, inv_roots_.data(), inv_roots_shoup_.data(), n_inv_,
+                              n_inv_shoup_, mod_.value());
 }
 
 namespace {

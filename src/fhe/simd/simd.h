@@ -8,14 +8,20 @@ namespace sp::fhe::simd {
 
 /// Vectorized kernel tiers for the RNS hot loops. The active tier is probed
 /// once at startup (CPUID + the flags the build actually compiled), can be
-/// pinned down with `SMARTPAF_SIMD=scalar|avx2|avx512`, and switched at
-/// runtime by tests/benches with `set_tier`.
+/// pinned down with `SMARTPAF_SIMD=scalar|avx2|avx512|avx512ifma`, and
+/// switched at runtime by tests/benches with `set_tier`.
 ///
 /// Hard contract: every tier computes bit-identical results to the scalar
 /// tier for every kernel. The kernels implement exactly the scalar lazy
 /// Harvey/Shoup/Barrett formulas — vector lanes change the schedule, never
 /// the arithmetic — so FHE outputs do not depend on the dispatch decision.
-enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+/// The one exception is the avx512ifma tier's whole-row transforms
+/// (`ntt_forward` / `ntt_inverse`): for q < 2^50 they estimate each Shoup
+/// quotient from 52-bit products, so their lazy intermediates may differ
+/// from the scalar tier's, but a transform is an exact linear map mod q
+/// with a fully reduced output, so every output row is the scalar tier's.
+/// Every other avx512ifma entry is the avx512 entry.
+enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kAvx512Ifma = 3 };
 
 /// Kernel table for one tier. All pointers are non-null in every published
 /// table. Ranges are contiguous; `n`/`len` may be any value: a vector tier
@@ -53,6 +59,17 @@ struct Kernels {
   /// One inverse NTT stage, same layout.
   void (*inv_stage)(u64* a, std::size_t t, std::size_t blocks, const u64* w,
                     const u64* w_shoup, u64 q);
+
+  // --- Whole-row NTTs (n a power of two; input < q, output < q) ---
+  /// In-place forward negacyclic NTT of one row. Twiddles are in
+  /// bit-reversed order: the stage with m blocks uses (w[m + b],
+  /// w_shoup[m + b]) for block b.
+  void (*ntt_forward)(u64* a, std::size_t n, const u64* w, const u64* w_shoup, u64 q);
+  /// In-place inverse NTT of one row over the inverse twiddles (the stage
+  /// with h blocks uses w[h + b]), including the scaling by
+  /// n_inv = 1/n mod q.
+  void (*ntt_inverse)(u64* a, std::size_t n, const u64* w, const u64* w_shoup,
+                      u64 n_inv, u64 n_inv_shoup, u64 q);
 
   // --- Final reductions ---
   /// Folds lazy values < 4q into [0, q) (forward-NTT epilogue).
@@ -94,11 +111,11 @@ bool tier_supported(Tier t);
 /// intended for tests and per-tier bench sweeps.
 bool set_tier(Tier t);
 
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2" / "avx512" / "avx512ifma".
 const char* tier_name(Tier t);
 
 /// Parses a SMARTPAF_SIMD value; `*ok` reports whether the string was one of
-/// the three tier names. Exposed so tests can pin the env grammar.
+/// the four tier names. Exposed so tests can pin the env grammar.
 Tier parse_tier(const char* s, bool* ok);
 
 namespace detail {
@@ -107,6 +124,7 @@ namespace detail {
 const Kernels* scalar_kernels();
 const Kernels* avx2_kernels();
 const Kernels* avx512_kernels();
+const Kernels* avx512ifma_kernels();
 }  // namespace detail
 
 }  // namespace sp::fhe::simd

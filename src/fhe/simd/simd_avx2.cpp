@@ -22,6 +22,7 @@
 // This file is compiled with -mavx2 (per-file, no global -march); when the
 // compiler cannot target AVX2 the TU degrades to a null table and dispatch
 // never selects the tier.
+#include "fhe/simd/ntt_loop.h"
 #include "fhe/simd/simd.h"
 
 #if defined(__AVX2__)
@@ -328,10 +329,20 @@ void lift_centered_avx2(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 
 }
 
 const Kernels kAvx2Kernels = {
-    add_mod_avx2,          sub_mod_avx2,       neg_mod_avx2,
-    mul_mod_avx2,          mul_shoup_avx2,     butterfly_avx2<true>,
-    butterfly_avx2<false>, stage_avx2<true>,   stage_avx2<false>,
-    reduce_4q_avx2,        lift_centered_avx2, key_inner_product_avx2,
+    add_mod_avx2,
+    sub_mod_avx2,
+    neg_mod_avx2,
+    mul_mod_avx2,
+    mul_shoup_avx2,
+    butterfly_avx2<true>,
+    butterfly_avx2<false>,
+    stage_avx2<true>,
+    stage_avx2<false>,
+    detail::ntt_forward_by_stages<stage_avx2<true>, reduce_4q_avx2>,
+    detail::ntt_inverse_by_stages<stage_avx2<false>, mul_shoup_avx2>,
+    reduce_4q_avx2,
+    lift_centered_avx2,
+    key_inner_product_avx2,
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 // reduction Modulus::reduce128 shares), factored into the kernel table
 // shape. The vector tiers also call this table for every element that does
 // not fill a whole vector.
+#include "fhe/simd/ntt_loop.h"
 #include "fhe/simd/simd.h"
 
 namespace sp::fhe::simd {
@@ -131,9 +132,20 @@ void key_inner_product_scalar(u64* out0, u64* out1, const u64* const* d,
 }
 
 const Kernels kScalarKernels = {
-    add_mod_scalar,  sub_mod_scalar,      neg_mod_scalar,      mul_mod_scalar,
-    mul_shoup_scalar, fwd_butterfly_scalar, inv_butterfly_scalar, fwd_stage_scalar,
-    inv_stage_scalar, reduce_4q_scalar,    lift_centered_scalar, key_inner_product_scalar,
+    add_mod_scalar,
+    sub_mod_scalar,
+    neg_mod_scalar,
+    mul_mod_scalar,
+    mul_shoup_scalar,
+    fwd_butterfly_scalar,
+    inv_butterfly_scalar,
+    fwd_stage_scalar,
+    inv_stage_scalar,
+    detail::ntt_forward_by_stages<fwd_stage_scalar, reduce_4q_scalar>,
+    detail::ntt_inverse_by_stages<inv_stage_scalar, mul_shoup_scalar>,
+    reduce_4q_scalar,
+    lift_centered_scalar,
+    key_inner_product_scalar,
 };
 
 }  // namespace

@@ -1,12 +1,13 @@
-// SIMD kernel-layer contract: every compiled tier (scalar / AVX2 / AVX-512)
-// must be bit-identical on every kernel — the dispatch decision can change
-// throughput only, never an FHE result. Covers the raw kernels across sizes
-// incl. non-lane-multiple tails and lazy [0, 4q) inputs, the centered-lift
-// kernel against Modulus::from_signed on every prime pair, the key-switch
-// inner product against a direct u128 sum, the NTT on all
-// tiers, the batched (sub-row split) NTT entry points across thread counts,
-// the flat RnsPoly row-drop layout, and an end-to-end FhePipeline::run
-// identity sweep over (tier x thread count).
+// SIMD kernel-layer contract: every compiled tier (scalar / AVX2 / AVX-512 /
+// AVX-512 IFMA) must be bit-identical on every kernel — the dispatch
+// decision can change throughput only, never an FHE result. Covers the raw
+// kernels across sizes incl. non-lane-multiple tails and lazy [0, 4q)
+// inputs, the centered-lift kernel against Modulus::from_signed on every
+// prime pair, the key-switch inner product against a direct u128 sum, the
+// whole-row NTTs on all tiers at 40- to 60-bit primes (both sides of the
+// IFMA tier's 2^50 bound), the batched (sub-row split) NTT entry points
+// across thread counts, the flat RnsPoly row-drop layout, and an end-to-end
+// FhePipeline::run identity sweep over (tier x thread count).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -33,7 +34,8 @@ const std::vector<std::size_t> kSizes = {1, 2, 3, 7, 8, 31, 1023, 1024, 4096, 81
 
 std::vector<simd::Tier> supported_tiers() {
   std::vector<simd::Tier> out;
-  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512})
+  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512,
+                       simd::Tier::kAvx512Ifma})
     if (simd::tier_supported(t)) out.push_back(t);
   return out;
 }
@@ -46,6 +48,8 @@ const simd::Kernels* table_for(simd::Tier t) {
       return simd::detail::avx2_kernels();
     case simd::Tier::kAvx512:
       return simd::detail::avx512_kernels();
+    case simd::Tier::kAvx512Ifma:
+      return simd::detail::avx512ifma_kernels();
   }
   return nullptr;
 }
@@ -74,6 +78,40 @@ std::vector<u64> random_below(sp::Rng& rng, std::size_t n, u64 bound) {
   for (auto& x : v) x = rng.next_u64() % bound;
   return v;
 }
+
+/// NTT primes (1 mod 2*8192) on both sides of the IFMA tier's q < 2^50
+/// bound: the 40-bit chain prime most transforms run on, the largest below
+/// 2^50, a 51-bit one (the IFMA tier delegates it) and the 60-bit one.
+std::vector<u64> ntt_test_primes() {
+  static const std::vector<u64> primes = {
+      small_prime(), generate_ntt_primes(50, 1, 8192)[0], generate_ntt_primes(51, 1, 8192)[0],
+      test_prime()};
+  return primes;
+}
+
+/// Bit-reversed twiddles as NttTables builds them, for calling the
+/// whole-row transform entries of a kernel table directly.
+struct Twiddles {
+  std::vector<u64> w, ws, inv_w, inv_ws;
+  u64 n_inv = 0, n_inv_shoup = 0;
+  Twiddles(std::size_t n, u64 q) : w(n), ws(n), inv_w(n), inv_ws(n) {
+    const Modulus m(q);
+    const u64 psi = find_primitive_root(q, 2 * n);
+    const u64 psi_inv = m.inv(psi);
+    int log_n = 0;
+    while ((std::size_t{1} << log_n) < n) ++log_n;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t e = 0;
+      for (int b = 0; b < log_n; ++b) e |= ((i >> b) & 1) << (log_n - 1 - b);
+      w[i] = m.pow(psi, e);
+      ws[i] = shoup_precompute(w[i], q);
+      inv_w[i] = m.pow(psi_inv, e);
+      inv_ws[i] = shoup_precompute(inv_w[i], q);
+    }
+    n_inv = m.inv(n % q);
+    n_inv_shoup = shoup_precompute(n_inv, q);
+  }
+};
 
 TEST(SimdKernels, ElementwiseTiersMatchScalar) {
   const simd::Kernels* ref = simd::detail::scalar_kernels();
@@ -276,64 +314,82 @@ TEST(SimdKernels, KeyInnerProductTiersMatchScalar) {
 }
 
 TEST(SimdNtt, ForwardInverseTiersMatchScalarAndRoundTrip) {
-  const u64 q = test_prime();  // 1 mod 2*8192 => valid for every n below
-  for (std::size_t n : {std::size_t(1), std::size_t(2), std::size_t(1024),
-                        std::size_t(4096), std::size_t(8192)}) {
-    const NttTables tables(n, Modulus(q));
-    sp::Rng rng(n + 17);
-    const std::vector<u64> in = random_below(rng, n, q);
+  // Per prime, size and row kind (random, all zero, all q - 1): NttTables
+  // under each tier against NttTables under the scalar tier, and each
+  // tier's ntt_forward / ntt_inverse entries called directly. Sizes below
+  // 16 run every tier's delegation path on the IFMA tier.
+  for (u64 q : ntt_test_primes()) {
+    for (std::size_t n : {1, 2, 4, 8, 16, 32, 1024, 8192}) {
+      const NttTables tables(n, Modulus(q));
+      const Twiddles tw(n, q);
+      sp::Rng rng(n + 17 + (q & 0xffff));
+      for (const std::vector<u64>& in :
+           {random_below(rng, n, q), std::vector<u64>(n, 0), std::vector<u64>(n, q - 1)}) {
+        const std::string tag = " q=" + std::to_string(q) + " n=" + std::to_string(n) +
+                                " in[0]=" + std::to_string(in[0]);
+        std::vector<u64> ref_fwd(in), ref_inv(in);
+        {
+          TierGuard g(simd::Tier::kScalar);
+          tables.forward(ref_fwd.data());
+          ref_inv = ref_fwd;
+          tables.inverse(ref_inv.data());
+        }
+        EXPECT_EQ(ref_inv, in) << "scalar round-trip" << tag;
 
-    std::vector<u64> ref_fwd(in), ref_inv(in);
-    {
-      TierGuard g(simd::Tier::kScalar);
-      tables.forward(ref_fwd.data());
-      ref_inv = ref_fwd;
-      tables.inverse(ref_inv.data());
-    }
-    EXPECT_EQ(ref_inv, in) << "scalar round-trip n=" << n;
-
-    for (simd::Tier t : supported_tiers()) {
-      TierGuard g(t);
-      std::vector<u64> fwd(in);
-      tables.forward(fwd.data());
-      EXPECT_EQ(fwd, ref_fwd) << simd::tier_name(t) << " forward n=" << n;
-      tables.inverse(fwd.data());
-      EXPECT_EQ(fwd, in) << simd::tier_name(t) << " round-trip n=" << n;
+        for (simd::Tier t : supported_tiers()) {
+          {
+            TierGuard g(t);
+            std::vector<u64> fwd(in);
+            tables.forward(fwd.data());
+            EXPECT_EQ(fwd, ref_fwd) << simd::tier_name(t) << " forward" << tag;
+            tables.inverse(fwd.data());
+            EXPECT_EQ(fwd, in) << simd::tier_name(t) << " round-trip" << tag;
+          }
+          const simd::Kernels* k = table_for(t);
+          std::vector<u64> direct(in);
+          k->ntt_forward(direct.data(), n, tw.w.data(), tw.ws.data(), q);
+          EXPECT_EQ(direct, ref_fwd) << simd::tier_name(t) << " ntt_forward" << tag;
+          k->ntt_inverse(direct.data(), n, tw.inv_w.data(), tw.inv_ws.data(), tw.n_inv,
+                         tw.n_inv_shoup, q);
+          EXPECT_EQ(direct, in) << simd::tier_name(t) << " ntt_inverse" << tag;
+        }
+      }
     }
   }
 }
 
 TEST(SimdNtt, BatchedSubRowSplitMatchesPerRow) {
   // The batch entry points pick a sub-row split from rows vs threads; every
-  // (tier, thread count, row count) combination must reproduce the plain
-  // per-row transforms bit for bit.
-  const u64 q = test_prime();
+  // (prime, tier, thread count, row count) combination must reproduce the
+  // plain per-row transforms bit for bit.
   const std::size_t n = 4096;
-  const NttTables tables(n, Modulus(q));
-  for (int rows : {1, 3, 5}) {
-    sp::Rng rng(static_cast<std::uint64_t>(rows) * 97);
-    std::vector<std::vector<u64>> base(static_cast<std::size_t>(rows));
-    for (auto& r : base) r = random_below(rng, n, q);
+  for (u64 q : ntt_test_primes()) {
+    const NttTables tables(n, Modulus(q));
+    for (int rows : {1, 3, 5}) {
+      sp::Rng rng(static_cast<std::uint64_t>(rows) * 97 + (q & 0xffff));
+      std::vector<std::vector<u64>> base(static_cast<std::size_t>(rows));
+      for (auto& r : base) r = random_below(rng, n, q);
 
-    std::vector<std::vector<u64>> ref_fwd = base;
-    {
-      TierGuard g(simd::Tier::kScalar);
-      for (auto& r : ref_fwd) tables.forward(r.data());
-    }
+      std::vector<std::vector<u64>> ref_fwd = base;
+      {
+        TierGuard g(simd::Tier::kScalar);
+        for (auto& r : ref_fwd) tables.forward(r.data());
+      }
 
-    for (simd::Tier t : supported_tiers()) {
-      TierGuard g(t);
-      for (int threads : {1, 2, 7}) {
-        ThreadPool::set_global_threads(threads);
-        std::vector<std::vector<u64>> got = base;
-        std::vector<NttJob> jobs;
-        for (auto& r : got) jobs.push_back({r.data(), &tables});
-        ntt_forward_batch(jobs);
-        EXPECT_EQ(got, ref_fwd) << simd::tier_name(t) << " fwd rows=" << rows
-                                << " threads=" << threads;
-        ntt_inverse_batch(jobs);
-        EXPECT_EQ(got, base) << simd::tier_name(t) << " inv rows=" << rows
-                             << " threads=" << threads;
+      for (simd::Tier t : supported_tiers()) {
+        TierGuard g(t);
+        for (int threads : {1, 2, 7}) {
+          ThreadPool::set_global_threads(threads);
+          std::vector<std::vector<u64>> got = base;
+          std::vector<NttJob> jobs;
+          for (auto& r : got) jobs.push_back({r.data(), &tables});
+          ntt_forward_batch(jobs);
+          EXPECT_EQ(got, ref_fwd) << simd::tier_name(t) << " fwd q=" << q
+                                  << " rows=" << rows << " threads=" << threads;
+          ntt_inverse_batch(jobs);
+          EXPECT_EQ(got, base) << simd::tier_name(t) << " inv q=" << q << " rows=" << rows
+                               << " threads=" << threads;
+        }
       }
     }
   }
@@ -347,6 +403,8 @@ TEST(SimdDispatch, TierGrammarAndOverride) {
   EXPECT_EQ(simd::parse_tier("avx2", &ok), simd::Tier::kAvx2);
   EXPECT_TRUE(ok);
   EXPECT_EQ(simd::parse_tier("avx512", &ok), simd::Tier::kAvx512);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(simd::parse_tier("avx512ifma", &ok), simd::Tier::kAvx512Ifma);
   EXPECT_TRUE(ok);
   simd::parse_tier("AVX2", &ok);  // grammar is exact-match lowercase
   EXPECT_FALSE(ok);
