@@ -258,10 +258,7 @@ std::optional<Ciphertext> resolve(EvalCtx& ec, WindowSum&& sum, double target_sc
   if (sum.pending) {
     ec.ev->relinearize_rescale_inplace(*sum.pending, *ec.relin);
     sum.pending->scale = target_scale;
-    if (ec.stats) {
-      ++ec.stats->relins;
-      ++ec.stats->rescales;
-    }
+    if (ec.stats) ++ec.stats->relins;
     out = std::move(sum.pending);
     if (sum.done) ec.ev->add_inplace(*out, *sum.done);
   } else {
@@ -439,7 +436,6 @@ const Ciphertext& PowerBasis::power(Evaluator& ev, int e, EvalStats* stats) {
   if (stats) {
     ++stats->ct_mults;
     ++stats->relins;
-    ++stats->rescales;
   }
   return pow_.emplace(e, std::move(prod)).first->second;
 }
@@ -532,7 +528,6 @@ Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
   if (stats) {
     ++stats->ct_mults;
     ++stats->relins;
-    ++stats->rescales;
     ++stats->plain_mults;
     stats->wall_ms += timer.ms();
   }
@@ -559,7 +554,6 @@ Ciphertext PafEvaluator::max(Evaluator& ev, const Ciphertext& a, const Ciphertex
   if (stats) {
     ++stats->ct_mults;
     ++stats->relins;
-    ++stats->rescales;
     stats->plain_mults += 2;
     stats->wall_ms += timer.ms();
   }

@@ -379,19 +379,19 @@ struct PafLedger {
 struct PafPin {
   const char* name;
   std::uint64_t digest;
-  int ct_mults, relins, rescales, plain_mults, relins_deferred;
+  int ct_mults, relins, plain_mults, relins_deferred;
   PafLedger ops;
 };
 
 // clang-format off
 const PafPin kPafPins[] = {
-    {"relu_bsgs", 0x0844d3935a871ed0ULL, 15, 12, 12, 14, 8,
+    {"relu_bsgs", 0x0844d3935a871ed0ULL, 15, 12, 14, 8,
      {15, 12, 26, 14, 11, 0, 0, 1312, 178}},
-    {"relu_ladder", 0x49ac85b3ef212e64ULL, 16, 12, 12, 14, 10,
+    {"relu_ladder", 0x49ac85b3ef212e64ULL, 16, 12, 14, 10,
      {16, 12, 26, 14, 11, 0, 0, 1299, 177}},
-    {"two_activation", 0xdb47efea4b613aacULL, 12, 10, 10, 13, 6,
+    {"two_activation", 0xdb47efea4b613aacULL, 12, 10, 13, 6,
      {12, 10, 24, 16, 12, 3, 3, 1171, 165}},
-    {"max", 0xcd71a8c96f48377dULL, 6, 5, 5, 7, 3,
+    {"max", 0xcd71a8c96f48377dULL, 6, 5, 7, 3,
      {6, 5, 12, 7, 6, 0, 0, 801, 87}},
 };
 // clang-format on
@@ -409,13 +409,13 @@ void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s,
   const PafLedger ops{d.ct_mults,          d.relins,       d.rescales,
                       d.plain_mults,       d.adds,         d.rotations,
                       d.hoisted_rotations, d.ntts_forward, d.ntts_inverse};
-  const PafPin got{name,          ct_digest(out),    s.ct_mults, s.relins, s.rescales,
-                   s.plain_mults, s.relins_deferred, ops};
+  const PafPin got{name,     ct_digest(out),    s.ct_mults, s.relins, s.plain_mults,
+                   s.relins_deferred, ops};
   char row[384];
   std::snprintf(row, sizeof(row),
-                "    {\"%s\", 0x%016" PRIx64 "ULL, %d, %d, %d, %d, %d,\n"
+                "    {\"%s\", 0x%016" PRIx64 "ULL, %d, %d, %d, %d,\n"
                 "     {%zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu}},",
-                got.name, got.digest, got.ct_mults, got.relins, got.rescales, got.plain_mults,
+                got.name, got.digest, got.ct_mults, got.relins, got.plain_mults,
                 got.relins_deferred, ops.ct_mults, ops.relins, ops.rescales, ops.plain_mults,
                 ops.adds, ops.rotations, ops.hoisted_rotations, ops.ntts_forward,
                 ops.ntts_inverse);
@@ -426,7 +426,6 @@ void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s,
   EXPECT_EQ(got.digest, want->digest) << "observed:\n" << row;
   EXPECT_EQ(got.ct_mults, want->ct_mults) << name;
   EXPECT_EQ(got.relins, want->relins) << name;
-  EXPECT_EQ(got.rescales, want->rescales) << name;
   EXPECT_EQ(got.plain_mults, want->plain_mults) << name;
   EXPECT_EQ(got.relins_deferred, want->relins_deferred) << name;
   const auto fields = [](const PafLedger& l) {
