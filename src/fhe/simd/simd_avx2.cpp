@@ -329,20 +329,12 @@ void lift_centered_avx2(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 
 }
 
 const Kernels kAvx2Kernels = {
-    add_mod_avx2,
-    sub_mod_avx2,
-    neg_mod_avx2,
-    mul_mod_avx2,
-    mul_shoup_avx2,
-    butterfly_avx2<true>,
-    butterfly_avx2<false>,
-    stage_avx2<true>,
-    stage_avx2<false>,
+    add_mod_avx2,          sub_mod_avx2,       neg_mod_avx2,
+    mul_mod_avx2,          mul_shoup_avx2,     butterfly_avx2<true>,
+    butterfly_avx2<false>, stage_avx2<true>,   stage_avx2<false>,
     detail::ntt_forward_by_stages<stage_avx2<true>, reduce_4q_avx2>,
     detail::ntt_inverse_by_stages<stage_avx2<false>, mul_shoup_avx2>,
-    reduce_4q_avx2,
-    lift_centered_avx2,
-    key_inner_product_avx2,
+    reduce_4q_avx2,        lift_centered_avx2, key_inner_product_avx2,
 };
 
 }  // namespace

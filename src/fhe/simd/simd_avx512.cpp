@@ -410,20 +410,12 @@ void key_inner_product_avx512(u64* out0, u64* out1, const u64* const* d,
 }
 
 const Kernels kAvx512Kernels = {
-    add_mod_avx512,
-    sub_mod_avx512,
-    neg_mod_avx512,
-    mul_mod_avx512,
-    mul_shoup_avx512,
-    butterfly_avx512<true>,
-    butterfly_avx512<false>,
-    stage_avx512<true>,
-    stage_avx512<false>,
+    add_mod_avx512,          sub_mod_avx512,       neg_mod_avx512,
+    mul_mod_avx512,          mul_shoup_avx512,     butterfly_avx512<true>,
+    butterfly_avx512<false>, stage_avx512<true>,   stage_avx512<false>,
     detail::ntt_forward_by_stages<stage_avx512<true>, reduce_4q_avx512>,
     detail::ntt_inverse_by_stages<stage_avx512<false>, mul_shoup_avx512>,
-    reduce_4q_avx512,
-    lift_centered_avx512,
-    key_inner_product_avx512,
+    reduce_4q_avx512,        lift_centered_avx512, key_inner_product_avx512,
 };
 
 }  // namespace

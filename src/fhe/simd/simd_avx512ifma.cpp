@@ -198,19 +198,20 @@ void ntt_inverse_ifma(u64* a, std::size_t n, const u64* w, const u64* w_shoup, u
     store(a + j, csub(shoup52(load(a + j), scale, m), m.q));
 }
 
+Kernels make_table() {
+  Kernels k = *detail::avx512_kernels();
+  k.ntt_forward = ntt_forward_ifma;
+  k.ntt_inverse = ntt_inverse_ifma;
+  return k;
+}
+
 }  // namespace
 
 namespace detail {
 const Kernels* avx512ifma_kernels() {
-  static const Kernels* const table = []() -> const Kernels* {
-    const Kernels* base = avx512_kernels();
-    if (base == nullptr) return nullptr;
-    static Kernels k = *base;
-    k.ntt_forward = ntt_forward_ifma;
-    k.ntt_inverse = ntt_inverse_ifma;
-    return &k;
-  }();
-  return table;
+  if (avx512_kernels() == nullptr) return nullptr;
+  static const Kernels table = make_table();
+  return &table;
 }
 }  // namespace detail
 

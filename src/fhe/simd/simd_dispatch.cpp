@@ -25,8 +25,7 @@ bool cpu_supports(Tier t) {
       // vpmullq needs DQ; F alone is not enough for the kernel set.
       return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
     case Tier::kAvx512Ifma:
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-             __builtin_cpu_supports("avx512ifma");
+      return cpu_supports(Tier::kAvx512) && __builtin_cpu_supports("avx512ifma");
   }
   return false;
 #else

@@ -132,20 +132,12 @@ void key_inner_product_scalar(u64* out0, u64* out1, const u64* const* d,
 }
 
 const Kernels kScalarKernels = {
-    add_mod_scalar,
-    sub_mod_scalar,
-    neg_mod_scalar,
-    mul_mod_scalar,
-    mul_shoup_scalar,
-    fwd_butterfly_scalar,
-    inv_butterfly_scalar,
-    fwd_stage_scalar,
+    add_mod_scalar,  sub_mod_scalar,      neg_mod_scalar,      mul_mod_scalar,
+    mul_shoup_scalar, fwd_butterfly_scalar, inv_butterfly_scalar, fwd_stage_scalar,
     inv_stage_scalar,
     detail::ntt_forward_by_stages<fwd_stage_scalar, reduce_4q_scalar>,
     detail::ntt_inverse_by_stages<inv_stage_scalar, mul_shoup_scalar>,
-    reduce_4q_scalar,
-    lift_centered_scalar,
-    key_inner_product_scalar,
+    reduce_4q_scalar,    lift_centered_scalar, key_inner_product_scalar,
 };
 
 }  // namespace
