@@ -15,11 +15,15 @@ namespace sp::fhe {
 /// lazy (< 4q) butterfly arithmetic. Multiplication of ring elements becomes
 /// pointwise multiplication between forward transforms.
 ///
-/// The butterfly stages run through the dispatched SIMD kernel layer
-/// (fhe/simd/) — scalar, AVX2, or AVX-512 — with bit-identical results on
-/// every tier. Tables are built in O(n) multiplies (iterated root powers
-/// scattered into bit-reversed order), so large-N table construction — the
-/// keygen-less session-adoption cold-start cost — stays cheap.
+/// Whole-row transforms (`forward`, `inverse`) call the dispatched SIMD
+/// layer's (fhe/simd/) `ntt_forward` / `ntt_inverse` entries: on the
+/// scalar, AVX2 and AVX-512 tiers a loop over that tier's stage kernels, on
+/// the AVX-512 IFMA tier 52-bit-multiplier transforms for primes below
+/// 2^50. The batched entry points' sub-row split runs the stage kernels
+/// directly. Results are bit-identical on every tier and path. Tables are
+/// built in O(n) multiplies (iterated root powers scattered into
+/// bit-reversed order), so large-N table construction — the keygen-less
+/// session-adoption cold-start cost — stays cheap.
 class NttTables {
  public:
   NttTables(std::size_t n, Modulus mod);
