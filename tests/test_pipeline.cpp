@@ -409,8 +409,8 @@ void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s,
   const PafLedger ops{d.ct_mults,          d.relins,       d.rescales,
                       d.plain_mults,       d.adds,         d.rotations,
                       d.hoisted_rotations, d.ntts_forward, d.ntts_inverse};
-  const PafPin got{name,     ct_digest(out),    s.ct_mults, s.relins, s.plain_mults,
-                   s.relins_deferred, ops};
+  const PafPin got{name,          ct_digest(out),    s.ct_mults, s.relins,
+                   s.plain_mults, s.relins_deferred, ops};
   char row[384];
   std::snprintf(row, sizeof(row),
                 "    {\"%s\", 0x%016" PRIx64 "ULL, %d, %d, %d, %d,\n"
