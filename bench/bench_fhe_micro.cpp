@@ -1,11 +1,12 @@
 // CKKS substrate microbenchmarks:
-//   1) per-kernel dispatch-tier sweep at N = 8192 (fwd/inv NTT at a 60-bit
-//      and at a 40-bit chain prime, ns/butterfly, elementwise GB/s, the
-//      key-switch inner product over 11 digits, for scalar vs AVX2 vs
-//      AVX-512 vs AVX-512 IFMA, whose transforms differ only below 2^50);
-//      each figure is the 10th percentile of 41 samples, the tiers
-//      alternating sample by sample so a noise burst on a shared host hits
-//      every tier alike,
+//   1) per-kernel dispatch-tier sweep at N = 8192 (fwd/inv NTT, ns/butterfly,
+//      elementwise GB/s and the key-switch inner product over 11 digits, at
+//      a 60-bit and at a 40-bit chain prime, for scalar vs AVX2 vs AVX-512
+//      vs AVX-512 IFMA, whose transforms, mul_mod, mul_shoup and key inner
+//      product differ from AVX-512's only below 2^50); each figure is the
+//      10th percentile of 41 samples, the tiers alternating sample by
+//      sample, each sample starting at the next tier, so a noise burst on a
+//      shared host hits every tier alike and no tier always runs first,
 //   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (the sub-row
 //      split keeps short chains from capping usable threads at row count),
 //   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes): a
@@ -13,8 +14,8 @@
 //      and the hoisted-vs-naive rotation columns.
 // Writes bench_out/fhe_micro.json. If bench/baselines/fhe_micro.json exists
 // (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT,
-// inverse-NTT (at either prime) or key-inner-product speedup over scalar
-// drops below the recorded minimum.
+// inverse-NTT, mul_mod, mul_shoup or key-inner-product speedup over scalar
+// (at either prime) drops below the recorded minimum.
 //
 // Usage: bench_fhe_micro [quick]   ("quick" restricts ring sizes / grid)
 #include <algorithm>
@@ -86,12 +87,18 @@ struct TierRow {
   double mul_mod_gbs = 0.0;     // elementwise Barrett multiply
   double add_mod_gbs = 0.0;
   double mul_shoup_gbs = 0.0;
+  double mul_mod40_gbs = 0.0;   // the same at the 40-bit prime
+  double mul_shoup40_gbs = 0.0;
   double fwd_speedup = 1.0;     // vs the scalar row
   double inv_speedup = 1.0;     // vs the scalar row
   double fwd40_speedup = 1.0;   // vs the scalar row, 40-bit prime
   double inv40_speedup = 1.0;
+  double mul_mod40_speedup = 1.0;
+  double mul_shoup40_speedup = 1.0;
   double kswitch_ms = 0.0;      // key_inner_product, 11 digits x 2 key parts
   double kswitch_speedup = 1.0; // vs the scalar row
+  double kswitch40_ms = 0.0;    // the same at the 40-bit prime
+  double kswitch40_speedup = 1.0;
 };
 
 struct ChainRow {
@@ -118,25 +125,35 @@ std::vector<TierRow> run_tier_sweep() {
   const u64 q = generate_ntt_primes(60, 1, kN)[0];
   const Modulus mod(q);
   const NttTables tables(kN, mod);
-  // Most of a request's transforms run on the 40-bit chain primes, where
-  // the IFMA tier's transforms apply.
+  // Most of a request's kernel calls run on the 40-bit chain primes, where
+  // the IFMA tier's own kernels apply.
   const u64 q40 = generate_ntt_primes(40, 1, kN)[0];
-  const NttTables tables40(kN, Modulus(q40));
+  const Modulus mod40(q40);
+  const NttTables tables40(kN, mod40);
   sp::Rng rng(11);
-  std::vector<u64> base(kN), other(kN), row40(kN);
+  std::vector<u64> base(kN), other(kN), row40(kN), a40(kN), other40(kN);
   for (auto& x : base) x = rng.next_u64() % q;
   for (auto& x : other) x = rng.next_u64() % q;
   for (auto& x : row40) x = rng.next_u64() % q40;
+  for (auto& x : a40) x = rng.next_u64() % q40;
+  for (auto& x : other40) x = rng.next_u64() % q40;
   const u64 w = rng.next_u64() % q;
   const u64 ws = shoup_precompute(w, q);
+  const u64 w40 = rng.next_u64() % q40;
+  const u64 ws40 = shoup_precompute(w40, q40);
   // Key switch at the top of paf_relu's chain: 11 digit rows against two key
-  // parts, 64-byte aligned like RnsPoly rows.
+  // parts, 64-byte aligned like RnsPoly rows, at each prime.
   constexpr std::size_t kDigits = 11;
   std::vector<sp::AlignedVec<u64>> ks_rows(3 * kDigits, sp::AlignedVec<u64>(kN));
-  std::vector<const u64*> ks_ptrs;
+  std::vector<sp::AlignedVec<u64>> ks_rows40(3 * kDigits, sp::AlignedVec<u64>(kN));
+  std::vector<const u64*> ks_ptrs, ks_ptrs40;
   for (auto& r : ks_rows) {
     for (auto& x : r) x = rng.next_u64() % q;
     ks_ptrs.push_back(r.data());
+  }
+  for (auto& r : ks_rows40) {
+    for (auto& x : r) x = rng.next_u64() % q40;
+    ks_ptrs40.push_back(r.data());
   }
   std::vector<u64> ks_out0(kN), ks_out1(kN);
   const int iters = 8;     // calls per timed sample, so samples are well above 0.1 ms
@@ -149,7 +166,10 @@ std::vector<TierRow> run_tier_sweep() {
   // Transform outputs and elementwise results stay < q, so every kernel
   // iterates in place on one buffer without re-initialisation.
   std::vector<u64> a = base;
-  enum { kFwd, kInv, kFwd40, kInv40, kMulMod, kAddMod, kMulShoup, kKeyInner, kKernelCount };
+  enum {
+    kFwd, kInv, kFwd40, kInv40, kMulMod, kAddMod, kMulShoup, kKeyInner, kMulMod40,
+    kMulShoup40, kKeyInner40, kKernelCount
+  };
   const auto run = [&](int kernel, const simd::Kernels& k) {
     switch (kernel) {
       case kFwd: return tables.forward(a.data());
@@ -160,10 +180,18 @@ std::vector<TierRow> run_tier_sweep() {
         return k.mul_mod(a.data(), other.data(), kN, q, mod.ratio_hi(), mod.ratio_lo());
       case kAddMod: return k.add_mod(a.data(), other.data(), kN, q);
       case kMulShoup: return k.mul_shoup(a.data(), kN, w, ws, q);
-      default:
+      case kKeyInner:
         return k.key_inner_product(ks_out0.data(), ks_out1.data(), ks_ptrs.data(),
                                    ks_ptrs.data() + kDigits, ks_ptrs.data() + 2 * kDigits,
                                    kDigits, kN, q, mod.ratio_hi(), mod.ratio_lo());
+      case kMulMod40:
+        return k.mul_mod(a40.data(), other40.data(), kN, q40, mod40.ratio_hi(),
+                         mod40.ratio_lo());
+      case kMulShoup40: return k.mul_shoup(a40.data(), kN, w40, ws40, q40);
+      default:
+        return k.key_inner_product(ks_out0.data(), ks_out1.data(), ks_ptrs40.data(),
+                                   ks_ptrs40.data() + kDigits, ks_ptrs40.data() + 2 * kDigits,
+                                   kDigits, kN, q40, mod40.ratio_hi(), mod40.ratio_lo());
     }
   };
   // ms[tier][kernel]: one per-call time per sample.
@@ -171,7 +199,10 @@ std::vector<TierRow> run_tier_sweep() {
       tiers.size(), std::vector<std::vector<double>>(kKernelCount));
   const simd::Tier saved = simd::active_tier();
   for (int s = 0; s < samples; ++s) {
-    for (std::size_t t = 0; t < tiers.size(); ++t) {
+    // Sample s starts at tier s mod T, so each tier runs first in as many
+    // samples as any other.
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      const std::size_t t = (static_cast<std::size_t>(s) + i) % tiers.size();
       simd::set_tier(tiers[t]);
       const simd::Kernels& k = simd::kernels();
       for (int kernel = 0; kernel < kKernelCount; ++kernel) {
@@ -200,7 +231,10 @@ std::vector<TierRow> run_tier_sweep() {
     row.mul_mod_gbs = two_op_gb / (p10_ms(m[kMulMod]) / 1e3);
     row.add_mod_gbs = two_op_gb / (p10_ms(m[kAddMod]) / 1e3);
     row.mul_shoup_gbs = one_op_gb / (p10_ms(m[kMulShoup]) / 1e3);
+    row.mul_mod40_gbs = two_op_gb / (p10_ms(m[kMulMod40]) / 1e3);
+    row.mul_shoup40_gbs = one_op_gb / (p10_ms(m[kMulShoup40]) / 1e3);
     row.kswitch_ms = p10_ms(m[kKeyInner]);
+    row.kswitch40_ms = p10_ms(m[kKeyInner40]);
     rows.push_back(row);
   }
   for (TierRow& r : rows) {
@@ -208,7 +242,10 @@ std::vector<TierRow> run_tier_sweep() {
     r.inv_speedup = rows.front().inv_ntt_ms / std::max(r.inv_ntt_ms, 1e-9);
     r.fwd40_speedup = rows.front().fwd_ntt40_ms / std::max(r.fwd_ntt40_ms, 1e-9);
     r.inv40_speedup = rows.front().inv_ntt40_ms / std::max(r.inv_ntt40_ms, 1e-9);
+    r.mul_mod40_speedup = r.mul_mod40_gbs / std::max(rows.front().mul_mod40_gbs, 1e-9);
+    r.mul_shoup40_speedup = r.mul_shoup40_gbs / std::max(rows.front().mul_shoup40_gbs, 1e-9);
     r.kswitch_speedup = rows.front().kswitch_ms / std::max(r.kswitch_ms, 1e-9);
+    r.kswitch40_speedup = rows.front().kswitch40_ms / std::max(r.kswitch40_ms, 1e-9);
   }
   return rows;
 }
@@ -265,7 +302,9 @@ int main(int argc, char** argv) {
   Table tier_table({"tier", "fwd_ntt_ms", "inv_ntt_ms", "fwd_ns_per_bfly",
                     "fwd_speedup", "inv_speedup", "fwd_ntt40_ms", "inv_ntt40_ms",
                     "fwd40_speedup", "inv40_speedup", "mul_mod_GB_s", "add_mod_GB_s",
-                    "mul_shoup_GB_s", "kswitch_ms", "kswitch_speedup"});
+                    "mul_shoup_GB_s", "kswitch_ms", "kswitch_speedup", "mul_mod40_GB_s",
+                    "mul_shoup40_GB_s", "mul_mod40_speedup", "mul_shoup40_speedup",
+                    "kswitch40_ms", "kswitch40_speedup"});
   for (const TierRow& r : tier_rows)
     tier_table.add_row({simd::tier_name(r.tier), Table::num(r.fwd_ntt_ms, 4),
                         Table::num(r.inv_ntt_ms, 4), Table::num(r.fwd_ns_per_bfly, 2),
@@ -274,7 +313,10 @@ int main(int argc, char** argv) {
                         Table::num(r.fwd40_speedup, 2), Table::num(r.inv40_speedup, 2),
                         Table::num(r.mul_mod_gbs, 2),
                         Table::num(r.add_mod_gbs, 2), Table::num(r.mul_shoup_gbs, 2),
-                        Table::num(r.kswitch_ms, 4), Table::num(r.kswitch_speedup, 2)});
+                        Table::num(r.kswitch_ms, 4), Table::num(r.kswitch_speedup, 2),
+                        Table::num(r.mul_mod40_gbs, 2), Table::num(r.mul_shoup40_gbs, 2),
+                        Table::num(r.mul_mod40_speedup, 2), Table::num(r.mul_shoup40_speedup, 2),
+                        Table::num(r.kswitch40_ms, 4), Table::num(r.kswitch40_speedup, 2)});
   std::printf("[bench] kernel tiers at N=8192 (active default: %s)\n",
               simd::tier_name(simd::active_tier()));
   tier_table.print(std::cout);
@@ -369,13 +411,17 @@ int main(int argc, char** argv) {
                    "\"fwd40_speedup\": %.3f, \"inv40_speedup\": %.3f, "
                    "\"mul_mod_gbs\": %.3f, \"add_mod_gbs\": %.3f, "
                    "\"mul_shoup_gbs\": %.3f, \"kswitch_ms\": %.5f, "
-                   "\"kswitch_speedup\": %.3f}%s\n",
+                   "\"kswitch_speedup\": %.3f, \"mul_mod40_gbs\": %.3f, "
+                   "\"mul_shoup40_gbs\": %.3f, \"mul_mod40_speedup\": %.3f, "
+                   "\"mul_shoup40_speedup\": %.3f, \"kswitch40_ms\": %.5f, "
+                   "\"kswitch40_speedup\": %.3f}%s\n",
                    simd::tier_name(r.tier), r.fwd_ntt_ms, r.inv_ntt_ms,
                    r.fwd_ns_per_bfly, r.fwd_speedup, r.inv_speedup, r.fwd_ntt40_ms,
                    r.inv_ntt40_ms, r.fwd40_speedup, r.inv40_speedup, r.mul_mod_gbs,
                    r.add_mod_gbs,
-                   r.mul_shoup_gbs, r.kswitch_ms, r.kswitch_speedup,
-                   i + 1 < tier_rows.size() ? "," : "");
+                   r.mul_shoup_gbs, r.kswitch_ms, r.kswitch_speedup, r.mul_mod40_gbs,
+                   r.mul_shoup40_gbs, r.mul_mod40_speedup, r.mul_shoup40_speedup,
+                   r.kswitch40_ms, r.kswitch40_speedup, i + 1 < tier_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"chain_scaling\": [\n");
     for (std::size_t i = 0; i < chain_rows.size(); ++i) {
@@ -410,9 +456,9 @@ int main(int argc, char** argv) {
     }
 
   // Regression gate against the recorded baseline, when present: each vector
-  // tier the binary+CPU support must keep its forward-NTT and inverse-NTT
-  // speedups at both primes and its key-inner-product speedup over the
-  // scalar tier above the recorded floors (a missing floor is no gate).
+  // tier the binary+CPU support must keep its forward-NTT, inverse-NTT,
+  // mul_mod, mul_shoup and key-inner-product speedups over the scalar tier
+  // above the recorded floors (a missing floor is no gate).
   for (const char* path :
        {"bench/baselines/fhe_micro.json", "../bench/baselines/fhe_micro.json"}) {
     std::ifstream in(path);
@@ -429,7 +475,10 @@ int main(int argc, char** argv) {
                    {"min_inv_ntt_speedup_", "inv-NTT", r.inv_speedup},
                    {"min_fwd_ntt40_speedup_", "40-bit fwd-NTT", r.fwd40_speedup},
                    {"min_inv_ntt40_speedup_", "40-bit inv-NTT", r.inv40_speedup},
-                   {"min_kswitch_speedup_", "key-inner-product", r.kswitch_speedup}};
+                   {"min_kswitch_speedup_", "key-inner-product", r.kswitch_speedup},
+                   {"min_mul_mod40_speedup_", "40-bit mul_mod", r.mul_mod40_speedup},
+                   {"min_mul_shoup40_speedup_", "40-bit mul_shoup", r.mul_shoup40_speedup},
+                   {"min_kswitch40_speedup_", "40-bit key-inner-product", r.kswitch40_speedup}};
       for (const auto& g : gates) {
         const double floor = json_number(ss.str(), g.key + std::string(simd::tier_name(r.tier)));
         if (std::isnan(floor)) continue;

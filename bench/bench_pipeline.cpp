@@ -5,9 +5,14 @@
 // schedule is timed once: a candidate whose describe() equals an earlier
 // candidate's reuses that candidate's samples (the pick and forced BSGS are
 // one schedule). The pick's predicted cost is minimal by construction, and
-// its wall clock must stay within 10% of the best other schedule's.
+// its time must stay within 10% of the best other schedule's. The plans run
+// on one lane, and each repeat is timed by the calling thread's CPU time: a
+// plan runs the same ops on any thread count, and a thread's CPU time does
+// not count the time other processes on a shared host take from it.
 //
 // Usage: bench_pipeline [quick]   ("quick" restricts to N = 2048)
+#include <time.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -20,7 +25,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/timer.h"
+#include "common/thread_pool.h"
 #include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline.h"
 #include "smartpaf/pipeline_planner.h"
@@ -38,6 +43,13 @@ struct PlanRow {
   double ms_best = 0.0;
   double max_err = 0.0;
 };
+
+/// CPU time of the calling thread, in ms.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
 
 approx::CompositePaf dense_odd_paf(int deg, std::uint64_t seed) {
   sp::Rng rng(seed);
@@ -69,6 +81,9 @@ int main(int argc, char** argv) {
 
   smartpaf::FheRuntime rt(CkksParams::for_depth(n, depth, 40), /*seed=*/2024);
   std::printf("[bench] runtime ready: N=%zu depth=%d\n", n, depth);
+  // One lane from here on, so the calling thread's CPU time is all of a
+  // run's work.
+  ThreadPool::set_global_threads(1);
 
   struct Candidate {
     std::string name;
@@ -119,9 +134,9 @@ int main(int argc, char** argv) {
   for (int r = 0; r < repeats; ++r)
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       if (same[c] != c) continue;
-      sp::Timer t;
+      const double start = thread_cpu_ms();
       const Ciphertext out = pipe.run(rt, plans[c], in);
-      times[c].push_back(t.ms());
+      times[c].push_back(thread_cpu_ms() - start);
       if (r == 0) {
         const std::vector<double> got = rt.decrypt(out);
         for (std::size_t j = 0; j < got.size(); ++j)

@@ -27,8 +27,8 @@ void check_scale_close(double a, double b) {
 /// because the pool's lanes fill their primes at once and the evaluator's
 /// const methods may run on several caller threads.
 ///  - kLane: one output prime's digit rows in a key switch's lane (the
-///    inner-product kernel reads them back while they are in cache), and an
-///    exact division's lift rows.
+///    inner-product kernel reads them back while they are in cache), an
+///    exact division's lift rows, and one tile of a product's a1·b0.
 ///  - kSwitch: a key switch's coefficient-form input and, in
 ///    relinearize_rescale_inplace, its two outputs. These stay live while
 ///    the calling thread, as one of the pool's lanes, fills its kLane rows.
@@ -362,29 +362,34 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
   out.scale = a.scale * b.scale;
   RnsPoly p0 = a.parts[0];
   RnsPoly cross = a.parts[0];
-  RnsPoly cross2 = a.parts[1];
   RnsPoly p2 = a.parts[1];
-  // The four cross-term products are independent; dispatching their
-  // (product x row x tile) units in one parallel region keeps the pool fed
-  // even at short chain lengths, where per-row parallelism alone stalls.
-  struct Prod {
-    RnsPoly* dst;
-    const RnsPoly* src;
-  };
-  const Prod prods[4] = {{&p0, &b.parts[0]},
-                         {&cross, &b.parts[1]},
-                         {&cross2, &b.parts[0]},
-                         {&p2, &b.parts[1]}};
+  // p0 = a0·b0, cross = a0·b1 + a1·b0 and p2 = a1·b1. Dispatching the three
+  // terms' (term x row x tile) units in one parallel region keeps the pool
+  // fed even at short chain lengths, where per-row parallelism alone stalls.
+  // a1·b0 is formed one tile at a time in the lane's scratch and added into
+  // the cross term in the same pass.
   const std::size_t rows = static_cast<std::size_t>(p0.row_count());
   const simd::Kernels& k = simd::kernels();
-  for_each_row_tile(4 * rows, p0.n(), [&](std::size_t u, std::size_t off, std::size_t len) {
-    const Prod& p = prods[u / rows];
+  for_each_row_tile(3 * rows, p0.n(), [&](std::size_t u, std::size_t off, std::size_t len) {
     const int r = static_cast<int>(u % rows);
-    const Modulus& m = p.dst->row_mod(r);
-    k.mul_mod(p.dst->row(r) + off, p.src->row(r) + off, len, m.value(), m.ratio_hi(),
-              m.ratio_lo());
+    const Modulus& m = p0.row_mod(r);
+    const auto mul = [&](u64* dst, const RnsPoly& src) {
+      k.mul_mod(dst, src.row(r) + off, len, m.value(), m.ratio_hi(), m.ratio_lo());
+    };
+    switch (u / rows) {
+      case 0:
+        return mul(p0.row(r) + off, b.parts[0]);
+      case 1: {
+        u64* a1b0 = scratch_rows(kLane, len);
+        std::memcpy(a1b0, a.parts[1].row(r) + off, len * sizeof(u64));
+        mul(a1b0, b.parts[0]);
+        mul(cross.row(r) + off, b.parts[1]);
+        return k.add_mod(cross.row(r) + off, a1b0, len, m.value());
+      }
+      default:
+        return mul(p2.row(r) + off, b.parts[1]);
+    }
   });
-  cross.add_inplace(cross2);
   out.parts.push_back(std::move(p0));
   out.parts.push_back(std::move(cross));
   out.parts.push_back(std::move(p2));

@@ -15,12 +15,22 @@ namespace sp::fhe::simd {
 /// tier for every kernel. The kernels implement exactly the scalar lazy
 /// Harvey/Shoup/Barrett formulas — vector lanes change the schedule, never
 /// the arithmetic — so FHE outputs do not depend on the dispatch decision.
-/// The one exception is the avx512ifma tier's whole-row transforms
-/// (`ntt_forward` / `ntt_inverse`): for q < 2^50 they estimate each Shoup
-/// quotient from 52-bit products, so their lazy intermediates may differ
-/// from the scalar tier's, but a transform is an exact linear map mod q
-/// with a fully reduced output, so every output row is the scalar tier's.
-/// Every other avx512ifma entry is the avx512 entry.
+/// The one exception is six avx512ifma entries, which for q < 2^50 replace
+/// the avx512 bodies with 52-bit multiply-accumulate ones and so may take
+/// other quotient estimates than the scalar formulas; each output is still
+/// canonical, hence the scalar tier's bit for bit:
+///  - `ntt_forward` / `ntt_inverse` (n >= 16): a transform is an exact
+///    linear map mod q, its lazy values stay congruent and below 4q < 2^52,
+///    and it ends fully reduced;
+///  - `mul_mod`: a·b mod q by a 52-bit Barrett reduction, fully reduced;
+///  - `mul_shoup`: a·w mod q fully reduced, by a 52-bit Shoup product on
+///    vectors whose lanes are all below 2^52 and the 64-bit one otherwise;
+///  - `lift_centered`, when q_src/2 >= q: x mod q by the 52-bit Barrett
+///    reduction, then the same q_src mod q correction;
+///  - `key_inner_product` (count < 2^12): each 128-bit sum, exact as 52-bit
+///    column sums, reduced by the same Barrett as the avx512 tier.
+/// Other primes and every other avx512ifma entry are the avx512 ones; the
+/// butterfly, stage and `reduce_4q` entries keep avx512's lazy arithmetic.
 enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kAvx512Ifma = 3 };
 
 /// Kernel table for one tier. All pointers are non-null in every published
@@ -78,8 +88,8 @@ struct Kernels {
   // --- RNS basis change ---
   /// Centered lift of residues mod q_src into [0, q): with x = src[i] in
   /// [0, q_src), dst[i] = Modulus(q).from_signed(x > q_src/2 ? x - q_src : x).
-  /// When q_src/2 < q this is a compare-and-add; otherwise x is reduced by a
-  /// Shoup multiply by 1 and q_src mod q is subtracted where x > q_src/2.
+  /// When q_src/2 < q this is a compare-and-add; otherwise x is reduced mod q
+  /// and q_src mod q is subtracted where x > q_src/2.
   /// dst may alias src.
   void (*lift_centered)(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q);
 

@@ -14,62 +14,10 @@
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
-#include <immintrin.h>
-
-#include <vector>
+#include "fhe/simd/avx512_helpers.h"
 
 namespace sp::fhe::simd {
 namespace {
-
-constexpr std::size_t kLanes = 8;
-
-inline __m512i load(const u64* p) { return _mm512_loadu_si512(p); }
-inline void store(u64* p, __m512i v) { _mm512_storeu_si512(p, v); }
-
-inline __m512i hi32(__m512i v) { return _mm512_srli_epi64(v, 32); }
-
-inline __m512i mul64_lo(__m512i x, __m512i y) { return _mm512_mullo_epi64(x, y); }
-
-/// High 64 bits of the lanewise 64x64 product (vpmuludq decomposition),
-/// both operands pre-split.
-inline __m512i mul64_hi_pre(__m512i x, __m512i xh, __m512i y, __m512i yh) {
-  const __m512i m32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i ll = _mm512_mul_epu32(x, y);
-  const __m512i lh = _mm512_mul_epu32(x, yh);
-  const __m512i hl = _mm512_mul_epu32(xh, y);
-  const __m512i hh = _mm512_mul_epu32(xh, yh);
-  const __m512i cross = _mm512_add_epi64(
-      hi32(ll),
-      _mm512_add_epi64(_mm512_and_si512(lh, m32), _mm512_and_si512(hl, m32)));
-  return _mm512_add_epi64(
-      hh, _mm512_add_epi64(hi32(lh), _mm512_add_epi64(hi32(hl), hi32(cross))));
-}
-
-inline __m512i mul64_hi(__m512i x, __m512i y) {
-  return mul64_hi_pre(x, hi32(x), y, hi32(y));
-}
-
-/// r >= c ? r - c : r. The subtract wraps when r < c, so the unsigned min
-/// picks the in-range representative.
-inline __m512i csub(__m512i r, __m512i c) {
-  return _mm512_min_epu64(r, _mm512_sub_epi64(r, c));
-}
-
-/// Twiddle operand with the Shoup companion's high half pre-split (the
-/// native vpmullq low-half products need no splits).
-struct TwV {
-  __m512i w, ws, ws_hi;
-};
-inline TwV make_tw(__m512i wv, __m512i wsv) { return {wv, wsv, hi32(wsv)}; }
-
-inline __m512i shoup_lazy(__m512i x, const TwV& tw, __m512i q) {
-  const __m512i q_hat = mul64_hi_pre(x, hi32(x), tw.ws, tw.ws_hi);
-  return _mm512_sub_epi64(mul64_lo(x, tw.w), mul64_lo(q_hat, q));
-}
-
-inline __m512i shoup_lazy(__m512i x, __m512i w, __m512i ws, __m512i q) {
-  return shoup_lazy(x, make_tw(w, ws), q);
-}
 
 /// One vector of butterflies. Forward (Cooley-Tukey): x/y in < 4q, out < 4q.
 /// Inverse (Gentleman-Sande): x/y in < 2q, out < 2q. The twiddle may be
@@ -96,8 +44,7 @@ inline void bfly(__m512i& x, __m512i& y, const TwV& tw, __m512i q, __m512i two_q
 template <bool Fwd>
 inline void bfly_loop(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q,
                       __m512i qv, __m512i two_qv) {
-  const TwV tw = make_tw(_mm512_set1_epi64(static_cast<long long>(w)),
-                         _mm512_set1_epi64(static_cast<long long>(w_shoup)));
+  const TwV tw = make_tw(bcast(w), bcast(w_shoup));
   std::size_t j = 0;
   for (; j + 2 * kLanes <= len; j += 2 * kLanes) {
     __m512i x0 = load(x + j), x1 = load(x + j + kLanes);
@@ -124,7 +71,7 @@ inline void bfly_loop(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q
 }
 
 void add_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+  const __m512i qv = bcast(q);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(_mm512_add_epi64(load(a + j), load(b + j)), qv));
@@ -132,7 +79,7 @@ void add_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
 }
 
 void sub_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+  const __m512i qv = bcast(q);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
     const __m512i av = load(a + j);
@@ -146,7 +93,7 @@ void sub_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
 }
 
 void neg_mod_avx512(u64* a, std::size_t n, u64 q) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+  const __m512i qv = bcast(q);
   const __m512i zero = _mm512_setzero_si512();
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
@@ -157,33 +104,9 @@ void neg_mod_avx512(u64* a, std::size_t n, u64 q) {
   detail::scalar_kernels()->neg_mod(a + j, n - j, q);
 }
 
-/// Barrett reduction of the lanewise 128-bit values x_hi:x_lo by q, the
-/// vector form of barrett_reduce with (rhi, rlo) = floor(2^128/q).
-inline __m512i barrett128(__m512i x_lo, __m512i x_hi, __m512i qv, __m512i rhi,
-                          __m512i rlo) {
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i t1_lo = mul64_lo(x_lo, rhi);
-  const __m512i t1_hi = mul64_hi(x_lo, rhi);
-  const __m512i t2_lo = mul64_lo(x_hi, rlo);
-  const __m512i t2_hi = mul64_hi(x_hi, rlo);
-  const __m512i carry = mul64_hi(x_lo, rlo);
-  const __m512i s1 = _mm512_add_epi64(t1_lo, t2_lo);
-  const __mmask8 c1 = _mm512_cmplt_epu64_mask(s1, t1_lo);
-  const __m512i s2 = _mm512_add_epi64(s1, carry);
-  const __mmask8 c2 = _mm512_cmplt_epu64_mask(s2, s1);
-  __m512i mid_hi = _mm512_add_epi64(t1_hi, t2_hi);
-  mid_hi = _mm512_mask_add_epi64(mid_hi, c1, mid_hi, one);
-  mid_hi = _mm512_mask_add_epi64(mid_hi, c2, mid_hi, one);
-  const __m512i est = _mm512_add_epi64(mul64_lo(x_hi, rhi), mid_hi);
-  const __m512i r = _mm512_sub_epi64(x_lo, mul64_lo(est, qv));
-  return csub(csub(r, qv), qv);  // remainder < 3q
-}
-
 void mul_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
                     u64 ratio_lo) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i rhi = _mm512_set1_epi64(static_cast<long long>(ratio_hi));
-  const __m512i rlo = _mm512_set1_epi64(static_cast<long long>(ratio_lo));
+  const __m512i qv = bcast(q), rhi = bcast(ratio_hi), rlo = bcast(ratio_lo);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
     const __m512i av = load(a + j);
@@ -194,9 +117,7 @@ void mul_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
 }
 
 void mul_shoup_avx512(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i wv = _mm512_set1_epi64(static_cast<long long>(w));
-  const __m512i wsv = _mm512_set1_epi64(static_cast<long long>(w_shoup));
+  const __m512i qv = bcast(q), wv = bcast(w), wsv = bcast(w_shoup);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(shoup_lazy(load(a + j), wv, wsv, qv), qv));
@@ -205,8 +126,7 @@ void mul_shoup_avx512(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
 
 template <bool Fwd>
 void butterfly_avx512(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q) {
-  bfly_loop<Fwd>(x, y, len, w, w_shoup, q, _mm512_set1_epi64(static_cast<long long>(q)),
-                 _mm512_set1_epi64(static_cast<long long>(2 * q)));
+  bfly_loop<Fwd>(x, y, len, w, w_shoup, q, bcast(q), bcast(2 * q));
 }
 
 /// Stage worker shared by the forward/inverse stage kernels. Wide stages
@@ -218,8 +138,7 @@ void butterfly_avx512(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q
 template <bool Fwd>
 void stage_avx512(u64* a, std::size_t t, std::size_t blocks, const u64* w,
                   const u64* w_shoup, u64 q) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i two_qv = _mm512_set1_epi64(static_cast<long long>(2 * q));
+  const __m512i qv = bcast(q), two_qv = bcast(2 * q);
 
   if (t >= kLanes) {
     for (std::size_t b = 0; b < blocks; ++b)
@@ -304,8 +223,7 @@ void stage_avx512(u64* a, std::size_t t, std::size_t blocks, const u64* w,
 }
 
 void reduce_4q_avx512(u64* a, std::size_t n, u64 q) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i two_qv = _mm512_set1_epi64(static_cast<long long>(2 * q));
+  const __m512i qv = bcast(q), two_qv = bcast(2 * q);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
     store(a + j, csub(csub(load(a + j), two_qv), qv));
@@ -314,27 +232,25 @@ void reduce_4q_avx512(u64* a, std::size_t n, u64 q) {
 
 void lift_centered_avx512(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q) {
   const u64 half = q_src / 2;
-  const __m512i halfv = _mm512_set1_epi64(static_cast<long long>(half));
+  const __m512i halfv = bcast(half);
   std::size_t j = 0;
   if (half < q) {
-    const __m512i shift = _mm512_set1_epi64(static_cast<long long>(q - q_src));
+    const __m512i shift = bcast(q - q_src);
     for (; j + kLanes <= n; j += kLanes) {
       const __m512i x = load(src + j);
       store(dst + j, _mm512_mask_add_epi64(x, _mm512_cmpgt_epu64_mask(x, halfv), x, shift));
     }
   } else {
     // mul_shoup_lazy(x, 1, one_shoup, q) = x - q_hat * q, then one csub.
-    const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    const __m512i ws = _mm512_set1_epi64(static_cast<long long>(shoup_precompute(1, q)));
+    const __m512i qv = bcast(q);
+    const __m512i ws = bcast(shoup_precompute(1, q));
     const __m512i ws_hi = hi32(ws);
-    const __m512i qs = _mm512_set1_epi64(static_cast<long long>(q_src % q));
+    const __m512i qs = bcast(q_src % q);
     for (; j + kLanes <= n; j += kLanes) {
       const __m512i x = load(src + j);
       const __m512i q_hat = mul64_hi_pre(x, hi32(x), ws, ws_hi);
       const __m512i r = csub(_mm512_sub_epi64(x, mul64_lo(q_hat, qv)), qv);
-      __m512i shifted = _mm512_sub_epi64(r, qs);
-      shifted = _mm512_mask_add_epi64(shifted, _mm512_cmplt_epu64_mask(r, qs), shifted, qv);
-      store(dst + j, _mm512_mask_blend_epi64(_mm512_cmpgt_epu64_mask(x, halfv), r, shifted));
+      store(dst + j, lift_wide_sign(x, r, halfv, qs, qv));
     }
   }
   detail::scalar_kernels()->lift_centered(dst + j, src + j, n - j, q_src, q);
@@ -361,7 +277,7 @@ inline __m512i reduce_columns(__m512i c0, __m512i c1, __m512i c2, __m512i qv,
                               __m512i rhi, __m512i rlo) {
   const __m512i lo = _mm512_add_epi64(c0, _mm512_slli_epi64(c1, 32));
   __m512i hi = _mm512_add_epi64(c2, hi32(c1));
-  hi = _mm512_mask_add_epi64(hi, _mm512_cmplt_epu64_mask(lo, c0), hi, _mm512_set1_epi64(1));
+  hi = _mm512_mask_add_epi64(hi, _mm512_cmplt_epu64_mask(lo, c0), hi, bcast(1));
   return barrett128(lo, hi, qv, rhi, rlo);
 }
 
@@ -369,26 +285,16 @@ void key_inner_product_avx512(u64* out0, u64* out1, const u64* const* d,
                               const u64* const* k0, const u64* const* k1,
                               std::size_t count, std::size_t n, u64 q, u64 ratio_hi,
                               u64 ratio_lo) {
-  const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-  const __m512i rhi = _mm512_set1_epi64(static_cast<long long>(ratio_hi));
-  const __m512i rlo = _mm512_set1_epi64(static_cast<long long>(ratio_lo));
-  const __m512i m32 = _mm512_set1_epi64(0xffffffffLL);
-  // Both sums of an 8-lane chunk stay in registers across every digit, so a
-  // chunk reads one line of each of the 3·count rows: more streams than the
-  // hardware prefetchers follow at 11-21 digits. Each row's line kAhead
-  // elements on is requested explicitly; with key rows coming from memory
-  // this measured ~2x faster at N = 2048 and 19 digits.
-  constexpr std::size_t kAhead = 32;
+  const __m512i qv = bcast(q), rhi = bcast(ratio_hi), rlo = bcast(ratio_lo);
+  const __m512i m32 = bcast(0xffffffff);
+  // Both sums of an 8-lane chunk stay in registers across every digit, and
+  // each digit's rows are prefetched kAhead elements on.
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
     __m512i a0 = _mm512_setzero_si512(), a1 = a0, a2 = a0, b0 = a0, b1 = a0, b2 = a0;
     const bool prefetch = j + kAhead < n;
     for (std::size_t i = 0; i < count; ++i) {
-      if (prefetch) {
-        _mm_prefetch(reinterpret_cast<const char*>(d[i] + j + kAhead), _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char*>(k0[i] + j + kAhead), _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char*>(k1[i] + j + kAhead), _MM_HINT_T0);
-      }
+      if (prefetch) prefetch_digit(d[i] + j, k0[i] + j, k1[i] + j);
       const __m512i x = load(d[i] + j);
       const __m512i xh = hi32(x);
       mac128(a0, a1, a2, x, xh, load(k0[i] + j), m32);
@@ -397,16 +303,7 @@ void key_inner_product_avx512(u64* out0, u64* out1, const u64* const* d,
     store(out0 + j, reduce_columns(a0, a1, a2, qv, rhi, rlo));
     store(out1 + j, reduce_columns(b0, b1, b2, qv, rhi, rlo));
   }
-  if (j == n) return;
-  std::vector<const u64*> rows(3 * count);
-  for (std::size_t i = 0; i < count; ++i) {
-    rows[i] = d[i] + j;
-    rows[count + i] = k0[i] + j;
-    rows[2 * count + i] = k1[i] + j;
-  }
-  detail::scalar_kernels()->key_inner_product(out0 + j, out1 + j, rows.data(),
-                                              rows.data() + count, rows.data() + 2 * count,
-                                              count, n - j, q, ratio_hi, ratio_lo);
+  key_inner_product_rest(out0, out1, d, k0, k1, count, j, n, q, ratio_hi, ratio_lo);
 }
 
 const Kernels kAvx512Kernels = {

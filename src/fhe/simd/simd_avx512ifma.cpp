@@ -1,18 +1,31 @@
-// AVX-512 IFMA kernel tier: the AVX-512 table with whole-row NTTs built on
-// the 52-bit multiply-accumulate instructions (vpmadd52luq / vpmadd52huq)
-// for every prime q < 2^50 and ring size n >= 16. Any other transform, and
-// every other entry, is the AVX-512 tier's.
+// AVX-512 IFMA kernel tier: the AVX-512 table with six entries built on the
+// 52-bit multiply-accumulate instructions (vpmadd52luq / vpmadd52huq) for
+// every prime q < 2^50: the whole-row NTTs (ring size n >= 16), mul_mod,
+// mul_shoup, the wide path of lift_centered and key_inner_product. Any other
+// prime, and every other entry, is the AVX-512 tier's. Each of the six
+// writes a fully reduced output, and each step is exact or congruent mod q,
+// so every output is the scalar tier's bit for bit, whatever quotient
+// estimates it takes on the way.
 //
-// Each Harvey butterfly keeps the scalar formulas; only the Shoup product
-// changes. With w' = floor(w * 2^52 / q) = w_shoup >> 12 (exact, since
-// floor(floor(x) / m) = floor(x / m)) and y < 2^52,
+// Shoup product (transforms, mul_shoup). With w' = floor(w * 2^52 / q) =
+// w_shoup >> 12 (exact, since floor(floor(x) / m) = floor(x / m)) and
+// y < 2^52,
 //   t = (y*w - floor(y*w' / 2^52) * q) mod 2^52,
 // which lies in [0, 2q) like the 64-bit Shoup product and is congruent to
 // it, though the two quotient estimates can differ by one. 4q < 2^52 keeps
-// every lazy value exact in 52 bits. The transforms end fully reduced, and
-// a transform is an exact linear map mod q, so each output row is the
-// scalar tier's bit for bit; only the lazy intermediates may differ, which
-// is why the butterfly and stage entries stay the AVX-512 ones.
+// every lazy value of a transform exact in 52 bits. A transform is an exact
+// linear map mod q, so only its lazy intermediates may differ from the
+// scalar tier's, which is why the butterfly and stage entries stay the
+// AVX-512 ones.
+//
+// Barrett-52 (mul_mod, lift_centered). For q in [2^(L-1), 2^L), L <= 50,
+// and x < 2^(L+51): with c1 = floor(x / 2^(L-1)) and mu = floor(2^(51+L) /
+// q), both below 2^52, q_hat = floor(c1 * mu / 2^52) lies in
+// [floor(x/q) - 2, floor(x/q)], so r = (x - q_hat * q) mod 2^52 is x - q_hat
+// * q in [0, 3q) and two conditional subtractions give x mod q. mu comes from
+// the Barrett constant the kernels receive, floor(floor(2^128 / q) /
+// 2^(77-L)), exact by the same floor identity; lift_centered gets none and
+// divides once per call.
 //
 // Compiled with -mavx512f -mavx512dq -mavx512ifma (per-file, no global
 // -march); degrades to a null table when the compiler cannot target IFMA.
@@ -20,28 +33,26 @@
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512IFMA__)
 
-#include <immintrin.h>
+#include "fhe/simd/avx512_helpers.h"
 
 namespace sp::fhe::simd {
 namespace {
 
-constexpr std::size_t kLanes = 8;
 /// Largest modulus bound the 52-bit products serve: 4q < 2^52.
 constexpr u64 kQLimit = u64{1} << 50;
 /// Smallest ring whose every stage fills whole vector groups (8 blocks at
 /// t = 1), so no scalar remainder runs.
 constexpr std::size_t kMinN = 16;
+/// Digit counts the key inner product's 52-bit column sums serve: below
+/// 2^12 digits a sum of 52-bit halves cannot wrap 64 bits.
+constexpr std::size_t kMaxDigits = std::size_t{1} << 12;
 
-inline __m512i load(const u64* p) { return _mm512_loadu_si512(p); }
-inline void store(u64* p, __m512i v) { _mm512_storeu_si512(p, v); }
-inline __m512i bcast(u64 v) { return _mm512_set1_epi64(static_cast<long long>(v)); }
+const Kernels& avx512() { return *detail::avx512_kernels(); }
 
-/// r >= c ? r - c : r (the subtract wraps when r < c).
-inline __m512i csub(__m512i r, __m512i c) {
-  return _mm512_min_epu64(r, _mm512_sub_epi64(r, c));
-}
+/// Bit width L of q: q in [2^(L-1), 2^L).
+inline int bit_width(u64 q) { return 64 - __builtin_clzll(q); }
 
-/// The modulus vectors of one transform.
+/// The modulus vectors of one call.
 struct Mod52 {
   __m512i q, two_q, neg_q, mask52;
 };
@@ -53,7 +64,7 @@ inline Mod52 make_mod(u64 q) {
 struct Tw52 {
   __m512i w, wp;
 };
-inline Tw52 make_tw(__m512i w, __m512i w_shoup) {
+inline Tw52 make_tw52(__m512i w, __m512i w_shoup) {
   return {w, _mm512_srli_epi64(w_shoup, 12)};
 }
 
@@ -64,6 +75,25 @@ inline __m512i shoup52(__m512i y, const Tw52& tw, const Mod52& m) {
   const __m512i q_hat = _mm512_madd52hi_epu64(zero, y, tw.wp);
   const __m512i yw = _mm512_madd52lo_epu64(zero, y, tw.w);
   return _mm512_and_si512(_mm512_madd52lo_epu64(yw, q_hat, m.neg_q), m.mask52);
+}
+
+/// The Barrett-52 constants of q: mu = floor(2^(51+L) / q) and the shift
+/// L - 1.
+struct Barrett52 {
+  Mod52 m;
+  __m512i mu, shift;
+};
+inline Barrett52 make_barrett(u64 q, u64 mu) {
+  return {make_mod(q), bcast(mu), bcast(static_cast<u64>(bit_width(q) - 1))};
+}
+
+/// x mod q for x < 2^(L+51), from c1 = floor(x / 2^(L-1)) and any x_lo
+/// congruent to x mod 2^52.
+inline __m512i barrett52(__m512i x_lo, __m512i c1, const Barrett52& b) {
+  const __m512i q_hat = _mm512_madd52hi_epu64(_mm512_setzero_si512(), c1, b.mu);
+  const __m512i r =
+      _mm512_and_si512(_mm512_madd52lo_epu64(x_lo, q_hat, b.m.neg_q), b.m.mask52);
+  return csub(csub(r, b.m.q), b.m.q);
 }
 
 /// One vector of butterflies, the scalar tier's formulas. Forward: x/y in
@@ -95,7 +125,7 @@ void stage(u64* a, std::size_t t, std::size_t blocks, const u64* w, const u64* w
            const Mod52& m) {
   if (t >= kLanes) {
     for (std::size_t b = 0; b < blocks; ++b) {
-      const Tw52 tw = make_tw(bcast(w[b]), bcast(w_shoup[b]));
+      const Tw52 tw = make_tw52(bcast(w[b]), bcast(w_shoup[b]));
       u64* x = a + b * 2 * t;
       u64* y = x + t;
       std::size_t j = 0;
@@ -128,7 +158,7 @@ void stage(u64* a, std::size_t t, std::size_t blocks, const u64* w, const u64* w
       const __m512i wsv = _mm512_permutexvar_epi64(
           widx, _mm512_castsi128_si512(
                     _mm_loadu_si128(reinterpret_cast<const __m128i*>(w_shoup + b))));
-      bfly<Fwd>(xx, yy, make_tw(wv, wsv), m);
+      bfly<Fwd>(xx, yy, make_tw52(wv, wsv), m);
       store(p, _mm512_shuffle_i64x2(xx, yy, 0x44));
       store(p + 8, _mm512_shuffle_i64x2(xx, yy, 0xee));
     }
@@ -148,7 +178,7 @@ void stage(u64* a, std::size_t t, std::size_t blocks, const u64* w, const u64* w
       const __m512i wsv = _mm512_permutexvar_epi64(
           widx, _mm512_castsi256_si512(
                     _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w_shoup + b))));
-      bfly<Fwd>(xx, yy, make_tw(wv, wsv), m);
+      bfly<Fwd>(xx, yy, make_tw52(wv, wsv), m);
       store(p, _mm512_permutex2var_epi64(xx, aidx, yy));
       store(p + 8, _mm512_permutex2var_epi64(xx, bidx, yy));
     }
@@ -162,7 +192,7 @@ void stage(u64* a, std::size_t t, std::size_t blocks, const u64* w, const u64* w
       const __m512i va = load(p), vb = load(p + 8);
       __m512i xx = _mm512_permutex2var_epi64(va, xidx, vb);
       __m512i yy = _mm512_permutex2var_epi64(va, yidx, vb);
-      bfly<Fwd>(xx, yy, make_tw(load(w + b), load(w_shoup + b)), m);
+      bfly<Fwd>(xx, yy, make_tw52(load(w + b), load(w_shoup + b)), m);
       if constexpr (Fwd) {
         xx = csub(csub(xx, m.two_q), m.q);
         yy = csub(csub(yy, m.two_q), m.q);
@@ -173,35 +203,130 @@ void stage(u64* a, std::size_t t, std::size_t blocks, const u64* w, const u64* w
   }
 }
 
+/// a[i] * b[i] mod q by Barrett-52 on the 104-bit product hi * 2^52 + lo.
+void mul_mod_ifma(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
+                  u64 ratio_lo) {
+  if (q >= kQLimit) return avx512().mul_mod(a, b, n, q, ratio_hi, ratio_lo);
+  const int bits = bit_width(q);
+  const u128 ratio = (static_cast<u128>(ratio_hi) << 64) | ratio_lo;
+  const Barrett52 br = make_barrett(q, static_cast<u64>(ratio >> (77 - bits)));
+  const __m512i up = bcast(static_cast<u64>(53 - bits));
+  const __m512i zero = _mm512_setzero_si512();
+  std::size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    const __m512i av = load(a + j), bv = load(b + j);
+    const __m512i lo = _mm512_madd52lo_epu64(zero, av, bv);
+    const __m512i hi = _mm512_madd52hi_epu64(zero, av, bv);
+    const __m512i c1 =
+        _mm512_or_si512(_mm512_sllv_epi64(hi, up), _mm512_srlv_epi64(lo, br.shift));
+    store(a + j, barrett52(lo, c1, br));
+  }
+  detail::scalar_kernels()->mul_mod(a + j, b + j, n - j, q, ratio_hi, ratio_lo);
+}
+
+/// a[i] * w mod q. The contract allows any 64-bit a[i]: a vector whose lanes
+/// are all below 2^52 takes shoup52, any other the 64-bit Shoup product.
+void mul_shoup_ifma(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
+  if (q >= kQLimit) return avx512().mul_shoup(a, n, w, w_shoup, q);
+  const Mod52 m = make_mod(q);
+  const __m512i wv = bcast(w), wsv = bcast(w_shoup);
+  const Tw52 tw = make_tw52(wv, wsv);
+  const TwV tw64 = make_tw(wv, wsv);
+  const __m512i above52 = bcast(~u64{0} << 52);
+  std::size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    const __m512i x = load(a + j);
+    const __m512i r = _mm512_test_epi64_mask(x, above52) == 0 ? shoup52(x, tw, m)
+                                                              : shoup_lazy(x, tw64, m.q);
+    store(a + j, csub(r, m.q));
+  }
+  detail::scalar_kernels()->mul_shoup(a + j, n - j, w, w_shoup, q);
+}
+
 /// The forward stages; the last one ends fully reduced.
 void ntt_forward_ifma(u64* a, std::size_t n, const u64* w, const u64* w_shoup, u64 q) {
-  if (q >= kQLimit || n < kMinN)
-    return detail::avx512_kernels()->ntt_forward(a, n, w, w_shoup, q);
+  if (q >= kQLimit || n < kMinN) return avx512().ntt_forward(a, n, w, w_shoup, q);
   const Mod52 m = make_mod(q);
   std::size_t t = n >> 1;
   for (std::size_t blocks = 1; blocks < n; blocks <<= 1, t >>= 1)
     stage<true>(a, t, blocks, w + blocks, w_shoup + blocks, m);
 }
 
-/// The inverse stages, then a 52-bit Shoup multiply by 1/n and one
-/// conditional subtraction.
+/// The inverse stages, then the multiply by 1/n.
 void ntt_inverse_ifma(u64* a, std::size_t n, const u64* w, const u64* w_shoup, u64 n_inv,
                       u64 n_inv_shoup, u64 q) {
   if (q >= kQLimit || n < kMinN)
-    return detail::avx512_kernels()->ntt_inverse(a, n, w, w_shoup, n_inv, n_inv_shoup, q);
+    return avx512().ntt_inverse(a, n, w, w_shoup, n_inv, n_inv_shoup, q);
   const Mod52 m = make_mod(q);
   std::size_t t = 1;
   for (std::size_t blocks = n >> 1; blocks >= 1; blocks >>= 1, t <<= 1)
     stage<false>(a, t, blocks, w + blocks, w_shoup + blocks, m);
-  const Tw52 scale = make_tw(bcast(n_inv), bcast(n_inv_shoup));
-  for (std::size_t j = 0; j < n; j += kLanes)
-    store(a + j, csub(shoup52(load(a + j), scale, m), m.q));
+  mul_shoup_ifma(a, n, n_inv, n_inv_shoup, q);
+}
+
+/// The wide path (q_src/2 >= q, x < q_src < 2^(L+51)): x mod q by
+/// Barrett-52 with c1 = x >> (L - 1), then q_src mod q subtracted where
+/// x > q_src/2. The compare-and-add path is memory-bound and stays the
+/// AVX-512 one.
+void lift_centered_ifma(u64* dst, const u64* src, std::size_t n, u64 q_src, u64 q) {
+  const int bits = bit_width(q);
+  if (q_src / 2 < q || q >= kQLimit || bit_width(q_src) > bits + 51)
+    return avx512().lift_centered(dst, src, n, q_src, q);
+  const Barrett52 br = make_barrett(q, static_cast<u64>((u128{1} << (51 + bits)) / q));
+  const __m512i halfv = bcast(q_src / 2), qs = bcast(q_src % q);
+  std::size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    const __m512i x = load(src + j);
+    const __m512i r = barrett52(x, _mm512_srlv_epi64(x, br.shift), br);
+    store(dst + j, lift_wide_sign(x, r, halfv, qs, br.m.q));
+  }
+  detail::scalar_kernels()->lift_centered(dst + j, src + j, n - j, q_src, q);
+}
+
+/// lo + hi * 2^52 as the 128-bit x_hi:x_lo, reduced by the 128-bit Barrett.
+inline __m512i fold_reduce(__m512i lo, __m512i hi, __m512i qv, __m512i rhi, __m512i rlo) {
+  const __m512i x_lo = _mm512_add_epi64(lo, _mm512_slli_epi64(hi, 52));
+  __m512i x_hi = _mm512_srli_epi64(hi, 12);
+  x_hi = _mm512_mask_add_epi64(x_hi, _mm512_cmplt_epu64_mask(x_lo, lo), x_hi, bcast(1));
+  return barrett128(x_lo, x_hi, qv, rhi, rlo);
+}
+
+/// Four column sums per 8-lane chunk: the low and high 52-bit halves of d·k0
+/// and of d·k1. For d, k < 2^50 each low half is below 2^52 and each high
+/// half below 2^48, so below 2^12 digits the sums are exact; once per chunk
+/// each pair folds into the exact 128-bit sum and is reduced.
+void key_inner_product_ifma(u64* out0, u64* out1, const u64* const* d,
+                            const u64* const* k0, const u64* const* k1, std::size_t count,
+                            std::size_t n, u64 q, u64 ratio_hi, u64 ratio_lo) {
+  if (q >= kQLimit || count >= kMaxDigits)
+    return avx512().key_inner_product(out0, out1, d, k0, k1, count, n, q, ratio_hi, ratio_lo);
+  const __m512i qv = bcast(q), rhi = bcast(ratio_hi), rlo = bcast(ratio_lo);
+  std::size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    __m512i lo0 = _mm512_setzero_si512(), hi0 = lo0, lo1 = lo0, hi1 = lo0;
+    const bool prefetch = j + kAhead < n;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (prefetch) prefetch_digit(d[i] + j, k0[i] + j, k1[i] + j);
+      const __m512i x = load(d[i] + j), y0 = load(k0[i] + j), y1 = load(k1[i] + j);
+      lo0 = _mm512_madd52lo_epu64(lo0, x, y0);
+      hi0 = _mm512_madd52hi_epu64(hi0, x, y0);
+      lo1 = _mm512_madd52lo_epu64(lo1, x, y1);
+      hi1 = _mm512_madd52hi_epu64(hi1, x, y1);
+    }
+    store(out0 + j, fold_reduce(lo0, hi0, qv, rhi, rlo));
+    store(out1 + j, fold_reduce(lo1, hi1, qv, rhi, rlo));
+  }
+  key_inner_product_rest(out0, out1, d, k0, k1, count, j, n, q, ratio_hi, ratio_lo);
 }
 
 Kernels make_table() {
-  Kernels k = *detail::avx512_kernels();
+  Kernels k = avx512();
+  k.mul_mod = mul_mod_ifma;
+  k.mul_shoup = mul_shoup_ifma;
   k.ntt_forward = ntt_forward_ifma;
   k.ntt_inverse = ntt_inverse_ifma;
+  k.lift_centered = lift_centered_ifma;
+  k.key_inner_product = key_inner_product_ifma;
   return k;
 }
 

@@ -79,13 +79,27 @@ std::vector<u64> random_below(sp::Rng& rng, std::size_t n, u64 bound) {
   return v;
 }
 
+/// The smallest NTT prime above 2^49 + 2^43: a 50-bit prime near the bottom
+/// of its bit width, where the IFMA tier's Barrett-52 quotient estimate can
+/// fall two short (on ~2% of products one above a multiple of q), so only
+/// its second conditional subtraction lands in [0, q).
+u64 low_50bit_prime() {
+  static const u64 q = [] {
+    u64 c = (u64{1} << 49) + (u64{1} << 43) + 1;
+    while (!is_prime(c)) c += 2 * 8192;
+    return c;
+  }();
+  return q;
+}
+
 /// NTT primes (1 mod 2*8192) on both sides of the IFMA tier's q < 2^50
-/// bound: the 40-bit chain prime most transforms run on, the largest below
-/// 2^50, a 51-bit one (the IFMA tier delegates it) and the 60-bit one.
+/// bound: the 40-bit chain prime most transforms run on, a 50-bit one near
+/// the bottom of its bit width, the largest below 2^50, a 51-bit one (the
+/// IFMA tier delegates it) and the 60-bit one.
 std::vector<u64> ntt_test_primes() {
-  static const std::vector<u64> primes = {
-      small_prime(), generate_ntt_primes(50, 1, 8192)[0], generate_ntt_primes(51, 1, 8192)[0],
-      test_prime()};
+  static const std::vector<u64> primes = {small_prime(), low_50bit_prime(),
+                                          generate_ntt_primes(50, 1, 8192)[0],
+                                          generate_ntt_primes(51, 1, 8192)[0], test_prime()};
   return primes;
 }
 
@@ -114,41 +128,73 @@ struct Twiddles {
 };
 
 TEST(SimdKernels, ElementwiseTiersMatchScalar) {
+  // Every prime on both sides of the IFMA tier's 2^50 bound, random rows and
+  // rows of all q - 1 (with w = q - 1 and every mul_shoup row at its edge).
   const simd::Kernels* ref = simd::detail::scalar_kernels();
   ASSERT_NE(ref, nullptr);
-  for (u64 q : {test_prime(), small_prime()}) {
+  constexpr u64 k2p52 = u64{1} << 52;
+  for (u64 q : ntt_test_primes()) {
     for (std::size_t n : kSizes) {
-      sp::Rng rng(n * 31 + (q & 0xffff));
-      const std::vector<u64> a0 = random_below(rng, n, q);
-      const std::vector<u64> b = random_below(rng, n, q);
-      const u64 w = rng.next_u64() % q;
-      const u64 ws = shoup_precompute(w, q);
-      // Lazy inputs for mul_shoup: the contract allows ANY 64-bit value.
-      std::vector<u64> lazy(n);
-      for (auto& x : lazy) x = rng.next_u64();
-      const Modulus m(q);
+      for (bool worst : {false, true}) {
+        sp::Rng rng(n * 31 + (q & 0xffff) + (worst ? 7 : 0));
+        const std::vector<u64> a0 = worst ? std::vector<u64>(n, q - 1) : random_below(rng, n, q);
+        const std::vector<u64> b = worst ? a0 : random_below(rng, n, q);
+        const u64 w = worst ? q - 1 : rng.next_u64() % q;
+        const u64 ws = shoup_precompute(w, q);
+        // Lazy inputs for mul_shoup: the contract allows ANY 64-bit value.
+        // Besides a 64-bit row, a row below 4q (on the IFMA tier every
+        // vector takes the 52-bit product) and one with a lane in every 8 at
+        // or above 2^52 (its vector takes the 64-bit product).
+        std::vector<u64> lazy(n);
+        for (auto& x : lazy) x = worst ? ~u64{0} : rng.next_u64();
+        const std::vector<u64> below_4q =
+            worst ? std::vector<u64>(n, 4 * q - 1) : random_below(rng, n, 4 * q);
+        std::vector<u64> wide_lane = below_4q;
+        for (std::size_t i = 0; i < n; i += 8) {
+          const std::size_t lane = i + (i / 8) % 8;
+          if (lane < n) wide_lane[lane] = worst ? ~u64{0} : k2p52 + rng.next_u64() % (0 - k2p52);
+        }
+        const Modulus m(q);
+        // b = a^-1 puts each product one above a multiple of q, where a
+        // quotient estimate that falls short shows.
+        std::vector<u64> inverses(n);
+        for (std::size_t i = 0; i < n; ++i) inverses[i] = a0[i] == 0 ? 0 : m.inv(a0[i]);
+        const std::string tag = " q=" + std::to_string(q) + " n=" + std::to_string(n) +
+                                (worst ? " all q-1" : " random");
 
-      std::vector<u64> r_add(a0), r_sub(a0), r_neg(a0), r_mul(a0), r_shoup(lazy);
-      ref->add_mod(r_add.data(), b.data(), n, q);
-      ref->sub_mod(r_sub.data(), b.data(), n, q);
-      ref->neg_mod(r_neg.data(), n, q);
-      ref->mul_mod(r_mul.data(), b.data(), n, q, m.ratio_hi(), m.ratio_lo());
-      ref->mul_shoup(r_shoup.data(), n, w, ws, q);
+        std::vector<u64> r_add(a0), r_sub(a0), r_neg(a0), r_mul(a0), r_mul_inv(a0),
+            r_shoup(lazy), r_shoup4q(below_4q), r_shoup_wide(wide_lane);
+        ref->add_mod(r_add.data(), b.data(), n, q);
+        ref->sub_mod(r_sub.data(), b.data(), n, q);
+        ref->neg_mod(r_neg.data(), n, q);
+        ref->mul_mod(r_mul.data(), b.data(), n, q, m.ratio_hi(), m.ratio_lo());
+        ref->mul_mod(r_mul_inv.data(), inverses.data(), n, q, m.ratio_hi(), m.ratio_lo());
+        ref->mul_shoup(r_shoup.data(), n, w, ws, q);
+        ref->mul_shoup(r_shoup4q.data(), n, w, ws, q);
+        ref->mul_shoup(r_shoup_wide.data(), n, w, ws, q);
 
-      for (simd::Tier t : supported_tiers()) {
-        const simd::Kernels* k = table_for(t);
-        ASSERT_NE(k, nullptr);
-        std::vector<u64> v_add(a0), v_sub(a0), v_neg(a0), v_mul(a0), v_shoup(lazy);
-        k->add_mod(v_add.data(), b.data(), n, q);
-        k->sub_mod(v_sub.data(), b.data(), n, q);
-        k->neg_mod(v_neg.data(), n, q);
-        k->mul_mod(v_mul.data(), b.data(), n, q, m.ratio_hi(), m.ratio_lo());
-        k->mul_shoup(v_shoup.data(), n, w, ws, q);
-        EXPECT_EQ(v_add, r_add) << simd::tier_name(t) << " add n=" << n;
-        EXPECT_EQ(v_sub, r_sub) << simd::tier_name(t) << " sub n=" << n;
-        EXPECT_EQ(v_neg, r_neg) << simd::tier_name(t) << " neg n=" << n;
-        EXPECT_EQ(v_mul, r_mul) << simd::tier_name(t) << " mul n=" << n;
-        EXPECT_EQ(v_shoup, r_shoup) << simd::tier_name(t) << " shoup n=" << n;
+        for (simd::Tier t : supported_tiers()) {
+          const simd::Kernels* k = table_for(t);
+          ASSERT_NE(k, nullptr);
+          std::vector<u64> v_add(a0), v_sub(a0), v_neg(a0), v_mul(a0), v_mul_inv(a0),
+              v_shoup(lazy), v_shoup4q(below_4q), v_shoup_wide(wide_lane);
+          k->add_mod(v_add.data(), b.data(), n, q);
+          k->sub_mod(v_sub.data(), b.data(), n, q);
+          k->neg_mod(v_neg.data(), n, q);
+          k->mul_mod(v_mul.data(), b.data(), n, q, m.ratio_hi(), m.ratio_lo());
+          k->mul_mod(v_mul_inv.data(), inverses.data(), n, q, m.ratio_hi(), m.ratio_lo());
+          k->mul_shoup(v_shoup.data(), n, w, ws, q);
+          k->mul_shoup(v_shoup4q.data(), n, w, ws, q);
+          k->mul_shoup(v_shoup_wide.data(), n, w, ws, q);
+          EXPECT_EQ(v_add, r_add) << simd::tier_name(t) << " add" << tag;
+          EXPECT_EQ(v_sub, r_sub) << simd::tier_name(t) << " sub" << tag;
+          EXPECT_EQ(v_neg, r_neg) << simd::tier_name(t) << " neg" << tag;
+          EXPECT_EQ(v_mul, r_mul) << simd::tier_name(t) << " mul" << tag;
+          EXPECT_EQ(v_mul_inv, r_mul_inv) << simd::tier_name(t) << " mul by inverse" << tag;
+          EXPECT_EQ(v_shoup, r_shoup) << simd::tier_name(t) << " shoup" << tag;
+          EXPECT_EQ(v_shoup4q, r_shoup4q) << simd::tier_name(t) << " shoup < 4q" << tag;
+          EXPECT_EQ(v_shoup_wide, r_shoup_wide) << simd::tier_name(t) << " shoup >= 2^52" << tag;
+        }
       }
     }
   }
@@ -218,13 +264,17 @@ TEST(SimdKernels, ButterflyAndStageTiersMatchScalar) {
 }
 
 TEST(SimdKernels, LiftCenteredMatchesFromSignedOnEveryPrimePair) {
-  // A 60-bit q_0, 40-bit middle primes and the 60-bit special prime: a lift
-  // from a 60-bit prime into a 40-bit row takes the wide path (q_src/2 >= q),
-  // every other pair the compare-and-add.
+  // A 60-bit q_0, 40-bit middle primes and the 60-bit special prime, plus
+  // two 50-bit primes and a 51-bit one (both sides of the IFMA tier's 2^50
+  // bound): a lift from a 60-bit prime into a 40- to 51-bit row, or from a
+  // 50- or 51-bit prime into a 40-bit row, takes the wide path
+  // (q_src/2 >= q), every other pair the compare-and-add.
   const CkksContext ctx(CkksParams::for_depth(2048, 3, 40));
   std::vector<u64> primes;
   for (int i = 0; i < ctx.q_count(); ++i) primes.push_back(ctx.q(i).value());
   primes.push_back(ctx.special().value());
+  for (u64 q : ntt_test_primes())
+    if (q > (u64{1} << 49) && q < (u64{1} << 51)) primes.push_back(q);
   bool saw_wide = false, saw_narrow = false;
   for (u64 q_src : primes) {
     const std::vector<u64> edges = {0, 1, q_src / 2, q_src / 2 + 1, q_src - 1};
@@ -258,14 +308,18 @@ TEST(SimdKernels, LiftCenteredMatchesFromSignedOnEveryPrimePair) {
 
 TEST(SimdKernels, KeyInnerProductTiersMatchScalar) {
   // The scalar tier must equal a direct u128 sum reduced by
-  // Modulus::reduce128, and every other tier the scalar tier. Digit counts
-  // reach lenet's 19 and serve_open's 21; rows of all q - 1 give the largest
-  // sums and carries; lengths 1, 7, 9 and 2053 run the lane tails.
+  // Modulus::reduce128, and every other tier the scalar tier, at every
+  // prime on both sides of the IFMA tier's 2^50 bound. Digit counts reach
+  // lenet's 19 and serve_open's 21, and 4095 / 4096 straddle the IFMA
+  // tier's 2^12-digit bound (at n = 9, below the 60-bit prime, for which
+  // count·q² would pass 2^128); rows of all q - 1 give the largest sums and
+  // carries; lengths 1, 7, 9 and 2053 run the lane tails.
   const simd::Kernels* ref = simd::detail::scalar_kernels();
-  for (u64 q : {test_prime(), small_prime()}) {
+  for (u64 q : ntt_test_primes()) {
     const Modulus m(q);
-    for (std::size_t count : {1, 2, 11, 19, 21}) {
+    for (std::size_t count : {1, 2, 11, 19, 21, 4095, 4096}) {
       for (std::size_t n : {1, 7, 8, 9, 2053}) {
+        if (count > 21 && (n != 9 || q == test_prime())) continue;
         for (bool worst : {false, true}) {
           sp::Rng rng(q ^ (count << 24) ^ (n << 4) ^ (worst ? 1 : 0));
           const auto row = [&] {
