@@ -3,10 +3,13 @@
 //      elementwise GB/s and the key-switch inner product over 11 digits, at
 //      a 60-bit and at a 40-bit chain prime, for scalar vs AVX2 vs AVX-512
 //      vs AVX-512 IFMA, whose transforms, mul_mod, mul_shoup and key inner
-//      product differ from AVX-512's only below 2^50); each figure is the
+//      product differ from AVX-512's only below 2^50; the elementwise
+//      kernels write a separate destination, dst != a); each figure is the
 //      10th percentile of 41 samples, the tiers alternating sample by
-//      sample, each sample starting at the next tier, so a noise burst on a
-//      shared host hits every tier alike and no tier always runs first,
+//      sample, each sample starting at the next tier and odd samples running
+//      the tiers in reverse, so a noise burst on a shared host hits every
+//      tier alike, no tier always runs first and every tier follows every
+//      other,
 //   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (the sub-row
 //      split keeps short chains from capping usable threads at row count),
 //   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes): a
@@ -14,8 +17,10 @@
 //      and the hoisted-vs-naive rotation columns.
 // Writes bench_out/fhe_micro.json. If bench/baselines/fhe_micro.json exists
 // (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT,
-// inverse-NTT, mul_mod, mul_shoup or key-inner-product speedup over scalar
-// (at either prime) drops below the recorded minimum.
+// inverse-NTT or key-inner-product speedup over scalar drops below the
+// recorded minimum, or when the avx512ifma tier's 40-bit transforms,
+// mul_mod, mul_shoup or key inner product stop beating the same run's
+// avx512 row by their recorded ratio (a fallback to avx512 reads ~1x).
 //
 // Usage: bench_fhe_micro [quick]   ("quick" restricts ring sizes / grid)
 #include <algorithm>
@@ -99,6 +104,14 @@ struct TierRow {
   double kswitch_speedup = 1.0; // vs the scalar row
   double kswitch40_ms = 0.0;    // the same at the 40-bit prime
   double kswitch40_speedup = 1.0;
+  // avx512ifma over the same run's avx512 row at the 40-bit prime (1 on
+  // every other row): a fallback to the avx512 bodies reads ~1x whatever
+  // the scalar row's timing.
+  double fwd40_vs_avx512 = 1.0;
+  double inv40_vs_avx512 = 1.0;
+  double mul_mod40_vs_avx512 = 1.0;
+  double mul_shoup40_vs_avx512 = 1.0;
+  double kswitch40_vs_avx512 = 1.0;
 };
 
 struct ChainRow {
@@ -144,8 +157,8 @@ std::vector<TierRow> run_tier_sweep() {
   // Key switch at the top of paf_relu's chain: 11 digit rows against two key
   // parts, 64-byte aligned like RnsPoly rows, at each prime.
   constexpr std::size_t kDigits = 11;
-  std::vector<sp::AlignedVec<u64>> ks_rows(3 * kDigits, sp::AlignedVec<u64>(kN));
-  std::vector<sp::AlignedVec<u64>> ks_rows40(3 * kDigits, sp::AlignedVec<u64>(kN));
+  std::vector<sp::AlignedVec<u64>> ks_rows(3 * kDigits, sp::AlignedVec<u64>(kN, 0));
+  std::vector<sp::AlignedVec<u64>> ks_rows40(3 * kDigits, sp::AlignedVec<u64>(kN, 0));
   std::vector<const u64*> ks_ptrs, ks_ptrs40;
   for (auto& r : ks_rows) {
     for (auto& x : r) x = rng.next_u64() % q;
@@ -155,7 +168,7 @@ std::vector<TierRow> run_tier_sweep() {
     for (auto& x : r) x = rng.next_u64() % q40;
     ks_ptrs40.push_back(r.data());
   }
-  std::vector<u64> ks_out0(kN), ks_out1(kN);
+  std::vector<u64> ks_out0(kN), ks_out1(kN), dst(kN);
   const int iters = 8;     // calls per timed sample, so samples are well above 0.1 ms
   const int samples = 41;  // per kernel and tier
 
@@ -163,8 +176,9 @@ std::vector<TierRow> run_tier_sweep() {
   for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512,
                        simd::Tier::kAvx512Ifma})
     if (simd::tier_supported(t)) tiers.push_back(t);
-  // Transform outputs and elementwise results stay < q, so every kernel
-  // iterates in place on one buffer without re-initialisation.
+  // Transform outputs stay < q, so the transforms iterate in place on one
+  // buffer without re-initialisation; the elementwise kernels read it and
+  // write `dst`.
   std::vector<u64> a = base;
   enum {
     kFwd, kInv, kFwd40, kInv40, kMulMod, kAddMod, kMulShoup, kKeyInner, kMulMod40,
@@ -177,17 +191,18 @@ std::vector<TierRow> run_tier_sweep() {
       case kFwd40: return tables40.forward(row40.data());
       case kInv40: return tables40.inverse(row40.data());
       case kMulMod:
-        return k.mul_mod(a.data(), other.data(), kN, q, mod.ratio_hi(), mod.ratio_lo());
-      case kAddMod: return k.add_mod(a.data(), other.data(), kN, q);
-      case kMulShoup: return k.mul_shoup(a.data(), kN, w, ws, q);
+        return k.mul_mod(dst.data(), a.data(), other.data(), kN, q, mod.ratio_hi(),
+                         mod.ratio_lo());
+      case kAddMod: return k.add_mod(dst.data(), a.data(), other.data(), kN, q);
+      case kMulShoup: return k.mul_shoup(dst.data(), a.data(), kN, w, ws, q);
       case kKeyInner:
         return k.key_inner_product(ks_out0.data(), ks_out1.data(), ks_ptrs.data(),
                                    ks_ptrs.data() + kDigits, ks_ptrs.data() + 2 * kDigits,
                                    kDigits, kN, q, mod.ratio_hi(), mod.ratio_lo());
       case kMulMod40:
-        return k.mul_mod(a40.data(), other40.data(), kN, q40, mod40.ratio_hi(),
+        return k.mul_mod(dst.data(), a40.data(), other40.data(), kN, q40, mod40.ratio_hi(),
                          mod40.ratio_lo());
-      case kMulShoup40: return k.mul_shoup(a40.data(), kN, w40, ws40, q40);
+      case kMulShoup40: return k.mul_shoup(dst.data(), a40.data(), kN, w40, ws40, q40);
       default:
         return k.key_inner_product(ks_out0.data(), ks_out1.data(), ks_ptrs40.data(),
                                    ks_ptrs40.data() + kDigits, ks_ptrs40.data() + 2 * kDigits,
@@ -198,11 +213,15 @@ std::vector<TierRow> run_tier_sweep() {
   std::vector<std::vector<std::vector<double>>> ms(
       tiers.size(), std::vector<std::vector<double>>(kKernelCount));
   const simd::Tier saved = simd::active_tier();
+  const std::size_t tier_count = tiers.size();
   for (int s = 0; s < samples; ++s) {
     // Sample s starts at tier s mod T, so each tier runs first in as many
-    // samples as any other.
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-      const std::size_t t = (static_cast<std::size_t>(s) + i) % tiers.size();
+    // samples as any other; odd samples step backwards, so each tier also
+    // follows each other one (a tier's first kernel may pay for the
+    // preceding tier's instruction mix).
+    for (std::size_t i = 0; i < tier_count; ++i) {
+      const std::size_t step = s % 2 == 0 ? i : tier_count - i;
+      const std::size_t t = (static_cast<std::size_t>(s) + step) % tier_count;
       simd::set_tier(tiers[t]);
       const simd::Kernels& k = simd::kernels();
       for (int kernel = 0; kernel < kKernelCount; ++kernel) {
@@ -246,6 +265,17 @@ std::vector<TierRow> run_tier_sweep() {
     r.mul_shoup40_speedup = r.mul_shoup40_gbs / std::max(rows.front().mul_shoup40_gbs, 1e-9);
     r.kswitch_speedup = rows.front().kswitch_ms / std::max(r.kswitch_ms, 1e-9);
     r.kswitch40_speedup = rows.front().kswitch40_ms / std::max(r.kswitch40_ms, 1e-9);
+  }
+  const auto avx512 = std::find_if(rows.begin(), rows.end(), [](const TierRow& r) {
+    return r.tier == simd::Tier::kAvx512;
+  });
+  for (TierRow& r : rows) {
+    if (r.tier != simd::Tier::kAvx512Ifma || avx512 == rows.end()) continue;
+    r.fwd40_vs_avx512 = avx512->fwd_ntt40_ms / std::max(r.fwd_ntt40_ms, 1e-9);
+    r.inv40_vs_avx512 = avx512->inv_ntt40_ms / std::max(r.inv_ntt40_ms, 1e-9);
+    r.mul_mod40_vs_avx512 = r.mul_mod40_gbs / std::max(avx512->mul_mod40_gbs, 1e-9);
+    r.mul_shoup40_vs_avx512 = r.mul_shoup40_gbs / std::max(avx512->mul_shoup40_gbs, 1e-9);
+    r.kswitch40_vs_avx512 = avx512->kswitch40_ms / std::max(r.kswitch40_ms, 1e-9);
   }
   return rows;
 }
@@ -304,7 +334,9 @@ int main(int argc, char** argv) {
                     "fwd40_speedup", "inv40_speedup", "mul_mod_GB_s", "add_mod_GB_s",
                     "mul_shoup_GB_s", "kswitch_ms", "kswitch_speedup", "mul_mod40_GB_s",
                     "mul_shoup40_GB_s", "mul_mod40_speedup", "mul_shoup40_speedup",
-                    "kswitch40_ms", "kswitch40_speedup"});
+                    "kswitch40_ms", "kswitch40_speedup", "fwd40_vs_avx512",
+                    "inv40_vs_avx512", "mul_mod40_vs_avx512", "mul_shoup40_vs_avx512",
+                    "kswitch40_vs_avx512"});
   for (const TierRow& r : tier_rows)
     tier_table.add_row({simd::tier_name(r.tier), Table::num(r.fwd_ntt_ms, 4),
                         Table::num(r.inv_ntt_ms, 4), Table::num(r.fwd_ns_per_bfly, 2),
@@ -316,10 +348,25 @@ int main(int argc, char** argv) {
                         Table::num(r.kswitch_ms, 4), Table::num(r.kswitch_speedup, 2),
                         Table::num(r.mul_mod40_gbs, 2), Table::num(r.mul_shoup40_gbs, 2),
                         Table::num(r.mul_mod40_speedup, 2), Table::num(r.mul_shoup40_speedup, 2),
-                        Table::num(r.kswitch40_ms, 4), Table::num(r.kswitch40_speedup, 2)});
+                        Table::num(r.kswitch40_ms, 4), Table::num(r.kswitch40_speedup, 2),
+                        Table::num(r.fwd40_vs_avx512, 2), Table::num(r.inv40_vs_avx512, 2),
+                        Table::num(r.mul_mod40_vs_avx512, 2),
+                        Table::num(r.mul_shoup40_vs_avx512, 2),
+                        Table::num(r.kswitch40_vs_avx512, 2)});
   std::printf("[bench] kernel tiers at N=8192 (active default: %s)\n",
               simd::tier_name(simd::active_tier()));
   tier_table.print(std::cout);
+  // At the 60-bit prime the avx512ifma transforms are the avx512 code, so
+  // the two rows should read alike; a steady gap is an ordering artefact.
+  const auto row_of = [&](simd::Tier t) {
+    return std::find_if(tier_rows.begin(), tier_rows.end(),
+                        [t](const TierRow& r) { return r.tier == t; });
+  };
+  if (row_of(simd::Tier::kAvx512) != tier_rows.end() &&
+      row_of(simd::Tier::kAvx512Ifma) != tier_rows.end())
+    std::printf("[bench] 60-bit fwd-NTT, delegated: avx512ifma %.4f ms vs avx512 %.4f ms\n",
+                row_of(simd::Tier::kAvx512Ifma)->fwd_ntt_ms,
+                row_of(simd::Tier::kAvx512)->fwd_ntt_ms);
 
   // --- Section 2: batched-NTT thread scaling at short chains ---
   const std::vector<ChainRow> chain_rows = run_chain_scaling(quick);
@@ -414,14 +461,18 @@ int main(int argc, char** argv) {
                    "\"kswitch_speedup\": %.3f, \"mul_mod40_gbs\": %.3f, "
                    "\"mul_shoup40_gbs\": %.3f, \"mul_mod40_speedup\": %.3f, "
                    "\"mul_shoup40_speedup\": %.3f, \"kswitch40_ms\": %.5f, "
-                   "\"kswitch40_speedup\": %.3f}%s\n",
+                   "\"kswitch40_speedup\": %.3f, \"fwd40_vs_avx512\": %.3f, "
+                   "\"inv40_vs_avx512\": %.3f, \"mul_mod40_vs_avx512\": %.3f, "
+                   "\"mul_shoup40_vs_avx512\": %.3f, \"kswitch40_vs_avx512\": %.3f}%s\n",
                    simd::tier_name(r.tier), r.fwd_ntt_ms, r.inv_ntt_ms,
                    r.fwd_ns_per_bfly, r.fwd_speedup, r.inv_speedup, r.fwd_ntt40_ms,
                    r.inv_ntt40_ms, r.fwd40_speedup, r.inv40_speedup, r.mul_mod_gbs,
                    r.add_mod_gbs,
                    r.mul_shoup_gbs, r.kswitch_ms, r.kswitch_speedup, r.mul_mod40_gbs,
                    r.mul_shoup40_gbs, r.mul_mod40_speedup, r.mul_shoup40_speedup,
-                   r.kswitch40_ms, r.kswitch40_speedup, i + 1 < tier_rows.size() ? "," : "");
+                   r.kswitch40_ms, r.kswitch40_speedup, r.fwd40_vs_avx512, r.inv40_vs_avx512,
+                   r.mul_mod40_vs_avx512, r.mul_shoup40_vs_avx512, r.kswitch40_vs_avx512,
+                   i + 1 < tier_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"chain_scaling\": [\n");
     for (std::size_t i = 0; i < chain_rows.size(); ++i) {
@@ -456,9 +507,10 @@ int main(int argc, char** argv) {
     }
 
   // Regression gate against the recorded baseline, when present: each vector
-  // tier the binary+CPU support must keep its forward-NTT, inverse-NTT,
-  // mul_mod, mul_shoup and key-inner-product speedups over the scalar tier
-  // above the recorded floors (a missing floor is no gate).
+  // tier the binary+CPU support must keep its forward-NTT, inverse-NTT and
+  // key-inner-product speedups over the scalar tier, and the avx512ifma
+  // tier its 40-bit ratios over the avx512 row, above the recorded floors
+  // (a missing floor is no gate).
   for (const char* path :
        {"bench/baselines/fhe_micro.json", "../bench/baselines/fhe_micro.json"}) {
     std::ifstream in(path);
@@ -471,23 +523,26 @@ int main(int argc, char** argv) {
         const char* key;
         const char* label;
         double speedup;
-      } gates[] = {{"min_fwd_ntt_speedup_", "fwd-NTT", r.fwd_speedup},
-                   {"min_inv_ntt_speedup_", "inv-NTT", r.inv_speedup},
-                   {"min_fwd_ntt40_speedup_", "40-bit fwd-NTT", r.fwd40_speedup},
-                   {"min_inv_ntt40_speedup_", "40-bit inv-NTT", r.inv40_speedup},
-                   {"min_kswitch_speedup_", "key-inner-product", r.kswitch_speedup},
-                   {"min_mul_mod40_speedup_", "40-bit mul_mod", r.mul_mod40_speedup},
-                   {"min_mul_shoup40_speedup_", "40-bit mul_shoup", r.mul_shoup40_speedup},
-                   {"min_kswitch40_speedup_", "40-bit key-inner-product", r.kswitch40_speedup}};
+      } gates[] = {{"min_fwd_ntt_speedup_", "fwd-NTT speedup", r.fwd_speedup},
+                   {"min_inv_ntt_speedup_", "inv-NTT speedup", r.inv_speedup},
+                   {"min_kswitch_speedup_", "key-inner-product speedup", r.kswitch_speedup},
+                   {"min_fwd_ntt40_vs_avx512_", "40-bit fwd-NTT over avx512", r.fwd40_vs_avx512},
+                   {"min_inv_ntt40_vs_avx512_", "40-bit inv-NTT over avx512", r.inv40_vs_avx512},
+                   {"min_mul_mod40_vs_avx512_", "40-bit mul_mod over avx512",
+                    r.mul_mod40_vs_avx512},
+                   {"min_mul_shoup40_vs_avx512_", "40-bit mul_shoup over avx512",
+                    r.mul_shoup40_vs_avx512},
+                   {"min_kswitch40_vs_avx512_", "40-bit key-inner-product over avx512",
+                    r.kswitch40_vs_avx512}};
       for (const auto& g : gates) {
         const double floor = json_number(ss.str(), g.key + std::string(simd::tier_name(r.tier)));
         if (std::isnan(floor)) continue;
         if (g.speedup < floor) {
-          std::printf("[bench] FAIL: %s %s speedup %.2fx below baseline %.2fx (%s)\n",
+          std::printf("[bench] FAIL: %s %s %.2fx below baseline %.2fx (%s)\n",
                       simd::tier_name(r.tier), g.label, g.speedup, floor, path);
           ok = false;
         } else {
-          std::printf("[bench] %s %s speedup %.2fx within baseline >= %.2fx (%s)\n",
+          std::printf("[bench] %s %s %.2fx within baseline >= %.2fx (%s)\n",
                       simd::tier_name(r.tier), g.label, g.speedup, floor, path);
         }
       }

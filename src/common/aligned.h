@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace sp {
@@ -10,6 +11,10 @@ namespace sp {
 /// backend stores all residue rows of a polynomial in one buffer allocated
 /// through this so SIMD kernels see 64-byte (cache-line / AVX-512 register)
 /// aligned row starts whenever the row stride is a multiple of 8 elements.
+///
+/// Elements are default-initialized: for u64, `AlignedVec<u64>(n)` and
+/// `resize(n)` leave the new words unwritten, so a buffer that is written
+/// next costs no zero-fill pass. Ask for zeros explicitly (`assign(n, 0)`).
 template <typename T, std::size_t Align = 64>
 struct AlignedAlloc {
   static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0,
@@ -25,6 +30,15 @@ struct AlignedAlloc {
   }
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t(Align));
+  }
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <typename U>

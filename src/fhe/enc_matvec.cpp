@@ -36,7 +36,7 @@ Ciphertext EncDiagMatVec::apply(Evaluator& ev, const Ciphertext& v, const Galois
   LinearTransform lt(1, 1, schedule_.n1);
   lt.schedule = schedule_;
   for (const Ciphertext& d : diags_) lt.masks.emplace_back(&d);
-  return std::move(lt.apply(ev, {x}, gk, /*hoist=*/true, nullptr, 0.0, &relin)[0]);
+  return std::move(lt.apply(ev, &x, 1, gk, /*hoist=*/true, nullptr, 0.0, &relin)[0]);
 }
 
 }  // namespace sp::fhe

@@ -21,14 +21,14 @@ void check_scale_close(double a, double b) {
 }
 
 /// Per-thread blocks of scratch rows, reused across calls and only grown.
-/// A fresh AlignedVec per call would zero-fill every row before it was
-/// overwritten, and the heap churn of such temporaries made glibc give
-/// pages back and fault them in again on every call. They are per thread
-/// because the pool's lanes fill their primes at once and the evaluator's
-/// const methods may run on several caller threads.
+/// The heap churn of a fresh buffer per call made glibc give pages back and
+/// fault them in again on every call. They are per thread because the
+/// pool's lanes fill their primes at once and the evaluator's const methods
+/// may run on several caller threads.
 ///  - kLane: one output prime's digit rows in a key switch's lane (the
 ///    inner-product kernel reads them back while they are in cache), an
-///    exact division's lift rows, and one tile of a product's a1·b0.
+///    exact division's lift rows, and one tile of a product's a1·b0 or of
+///    a masked term added into an accumulator.
 ///  - kSwitch: a key switch's coefficient-form input and, in
 ///    relinearize_rescale_inplace, its two outputs. These stay live while
 ///    the calling thread, as one of the pool's lanes, fills its kLane rows.
@@ -76,8 +76,8 @@ void subtract_and_scale(const std::vector<RnsPoly*>& polys, std::size_t rows, co
     const std::size_t j = u % rows;
     const u64 q = p.row_mod(static_cast<int>(j)).value();
     u64* r = p.row(static_cast<int>(j)) + off;
-    k.sub_mod(r, lift + u * n + off, len, q);
-    k.mul_shoup(r, len, inv[j], inv_shoup[j], q);
+    k.sub_mod(r, r, lift + u * n + off, len, q);
+    k.mul_shoup(r, r, len, inv[j], inv_shoup[j], q);
   });
 }
 
@@ -146,8 +146,9 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
     const std::size_t j = u % chain;
     const u64 q = ctx.q(static_cast<int>(j)).value();
     u64* rj = r_row(u / chain, static_cast<int>(j)) + off;
-    k.mul_shoup(rj, len, p_inv[j], p_inv_shoup[j], q);
-    k.add_mod(e[u / chain]->row(static_cast<int>(j)) + off, rj, len, q);
+    u64* ej = e[u / chain]->row(static_cast<int>(j)) + off;
+    k.mul_shoup(rj, rj, len, p_inv[j], p_inv_shoup[j], q);
+    k.add_mod(ej, ej, rj, len, q);
   });
   // a = r's P row and e's row l to coefficient form: 2 inverse NTTs a part.
   std::vector<NttJob> jobs;
@@ -162,9 +163,9 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
   for_each_row_tile(parts, n, [&](std::size_t i, std::size_t off, std::size_t len) {
     u64* lift = r_row(i, l) + off;
     k.lift_centered(lift, r_row(i, c) + off, len, p, q_l);
-    k.mul_shoup(lift, len, p_inv[static_cast<std::size_t>(l)],
+    k.mul_shoup(lift, lift, len, p_inv[static_cast<std::size_t>(l)],
                 p_inv_shoup[static_cast<std::size_t>(l)], q_l);
-    k.sub_mod(e[i]->row(l) + off, lift, len, q_l);
+    k.sub_mod(e[i]->row(l) + off, e[i]->row(l) + off, lift, len, q_l);
   });
   // Rows j < l: one forward NTT of lift_P(a) * P^-1 + lift_{q_l}(b), with
   // r's row j holding the second lift.
@@ -174,10 +175,10 @@ void divide_by_special_and_last(const std::vector<RnsPoly*>& e, const std::vecto
         const u64 q = ctx.q(j).value();
         const auto jj = static_cast<std::size_t>(j);
         k.lift_centered(dst, r_row(i, c) + off, len, p, q);
-        k.mul_shoup(dst, len, p_inv[jj], p_inv_shoup[jj], q);
+        k.mul_shoup(dst, dst, len, p_inv[jj], p_inv_shoup[jj], q);
         u64* lift_b = r_row(i, j) + off;
         k.lift_centered(lift_b, e[i]->row(l) + off, len, q_l, q);
-        k.add_mod(dst, lift_b, len, q);
+        k.add_mod(dst, dst, lift_b, len, q);
       },
       counters);
   std::vector<u64> q_l_inv(static_cast<std::size_t>(l));
@@ -200,11 +201,12 @@ void coefficient_rows(const RnsPoly& d, u64* out, OpCounters& counters) {
   counters.ntts_inverse += jobs.size();
 }
 
-/// Writes every digit's NTT-form row in output prime t (one of the c chain
-/// primes, or P at t = c), digit i's at rows + i·n. Digit i is the centered
-/// lift of d's residue row i, so its row in q_i is d's own NTT row, copied;
-/// the other c - 1 lifts of d's coefficient rows (`d_coeff`, laid out like
-/// `rows`) are transformed in one batch. Returns the number of NTTs run.
+/// Writes the digits' NTT-form rows in output prime t (one of the c chain
+/// primes, or P at t = c), digit i's at rows + i·n: the lifts of d's
+/// coefficient rows (`d_coeff`, laid out like `rows`), transformed in one
+/// batch. Digit i is the centered lift of d's residue row i, so its row in
+/// q_i is d's own NTT row; that slot (rows + t·n for t < c) is left for the
+/// caller, which reads d.row(t) instead. Returns the number of NTTs run.
 std::size_t decompose_prime(const RnsPoly& d, const u64* d_coeff, int t, u64* rows) {
   const CkksContext& ctx = *d.context();
   const int c = d.q_count();
@@ -216,13 +218,10 @@ std::size_t decompose_prime(const RnsPoly& d, const u64* d_coeff, int t, u64* ro
   std::vector<NttJob> jobs;
   jobs.reserve(static_cast<std::size_t>(c));
   for (int i = 0; i < c; ++i) {
+    if (i == t) continue;
     u64* row = rows + static_cast<std::size_t>(i) * n;
-    if (i == t) {
-      std::memcpy(row, d.row(i), n * sizeof(u64));
-    } else {
-      k.lift_centered(row, d_coeff + static_cast<std::size_t>(i) * n, n, ctx.q(i).value(), q_t);
-      jobs.push_back({row, &tables});
-    }
+    k.lift_centered(row, d_coeff + static_cast<std::size_t>(i) * n, n, ctx.q(i).value(), q_t);
+    jobs.push_back({row, &tables});
   }
   ntt_forward_batch(jobs);
   return jobs.size();
@@ -232,11 +231,12 @@ std::size_t decompose_prime(const RnsPoly& d, const u64* d_coeff, int t, u64* ro
 /// then P. Output prime t (one parallel unit each) gets its c digit rows in
 /// NTT form from fill(t, rows), row i at rows + i·n in the lane's scratch
 /// block, and key_inner_product sums them against key row t into out0 and
-/// out1 + t·n. The special prime is key row ctx.q_count(), since keys span
-/// the whole chain.
+/// out1 + t·n. With `own` set, digit t's row in its own prime t < c is
+/// own->row(t) and fill leaves that slot alone. The special prime is key
+/// row ctx.q_count(), since keys span the whole chain.
 template <typename Fill>
 void key_inner_products(const CkksContext& ctx, const KSwitchKey& key, int c, const Fill& fill,
-                        u64* out0, u64* out1) {
+                        const RnsPoly* own, u64* out0, u64* out1) {
   const std::size_t n = ctx.n();
   const std::size_t count = static_cast<std::size_t>(c);
   const simd::Kernels& k = simd::kernels();
@@ -247,7 +247,7 @@ void key_inner_products(const CkksContext& ctx, const KSwitchKey& key, int c, co
     fill(t, rows);
     std::vector<const u64*> ptrs(3 * count);  // digit rows, then k0 rows, then k1 rows
     for (std::size_t i = 0; i < count; ++i) {
-      ptrs[i] = rows + i * n;
+      ptrs[i] = own != nullptr && i == tt ? own->row(t) : rows + i * n;
       ptrs[count + i] = key.digits[i][0].row(key_row);
       ptrs[2 * count + i] = key.digits[i][1].row(key_row);
     }
@@ -267,6 +267,109 @@ const KSwitchKey& galois_key(const GaloisKeys& gk, int steps, u64 g) {
   return it->second;
 }
 
+/// Throws sp::Error, naming both levels, unless `ct` can be read at `level`.
+void check_read_level(const char* op, const Ciphertext& ct, int level) {
+  sp::check_fmt(level >= 0 && level <= ct.level(), op, ": cannot read level ", level,
+                " of an operand at level ", ct.level());
+}
+
+/// `parts` parts in `like`'s form over the first `q_count` chain primes,
+/// rows unwritten: every caller writes each row next.
+Ciphertext unwritten_like(const Ciphertext& like, std::size_t parts, int q_count, double scale) {
+  const RnsPoly& p = like.parts.front();
+  Ciphertext out;
+  out.scale = scale;
+  out.parts.reserve(parts);
+  for (std::size_t i = 0; i < parts; ++i)
+    out.parts.emplace_back(p.context(), q_count, /*with_special=*/false, p.is_ntt(),
+                           RnsPoly::kUnwritten);
+  return out;
+}
+
+/// One tile loop over ct's parts and out's rows: mul(dst, src, row, off,
+/// len) writes a tile of src · mask. Without `accumulate` the tile lands in
+/// out's part (fresh, or ct's own for an in-place product); with it, the
+/// tile is formed in the lane's scratch and added into out's part in the
+/// same pass.
+template <typename Mul>
+void mask_tiles(const Ciphertext& ct, Ciphertext& out, bool accumulate, const Mul& mul) {
+  const auto rows = static_cast<std::size_t>(out.q_count());
+  const simd::Kernels& k = simd::kernels();
+  for_each_row_tile(ct.parts.size() * rows, ct.parts[0].n(),
+                    [&](std::size_t u, std::size_t off, std::size_t len) {
+                      const int r = static_cast<int>(u % rows);
+                      const u64* src = ct.parts[u / rows].row(r) + off;
+                      u64* dst = out.parts[u / rows].row(r) + off;
+                      if (!accumulate) return mul(dst, src, r, off, len);
+                      u64* term = scratch_rows(kLane, len);
+                      mul(term, src, r, off, len);
+                      k.add_mod(dst, dst, term, len, ct.parts[0].row_mod(r).value());
+                    });
+}
+
+/// The row tiles of a scalar product: ct's first out.q_count() rows times
+/// each prime's residue of scalar_coefficient(value, scale), by Shoup.
+void scalar_tiles(const Ciphertext& ct, double value, double scale, Ciphertext& out,
+                  bool accumulate) {
+  const std::int64_t v = scalar_coefficient(value, scale);
+  const auto rows = static_cast<std::size_t>(out.q_count());
+  std::vector<u64> q(rows), w(rows), w_shoup(rows);
+  for (std::size_t j = 0; j < rows; ++j) {
+    const Modulus& m = ct.parts[0].row_mod(static_cast<int>(j));
+    q[j] = m.value();
+    w[j] = m.from_signed(v);
+    w_shoup[j] = shoup_precompute(w[j], q[j]);
+  }
+  const simd::Kernels& k = simd::kernels();
+  mask_tiles(ct, out, accumulate,
+             [&](u64* dst, const u64* src, int r, std::size_t, std::size_t len) {
+               const auto j = static_cast<std::size_t>(r);
+               k.mul_shoup(dst, src, len, w[j], w_shoup[j], q[j]);
+             });
+}
+
+/// The row tiles of a plaintext product ct · pt.
+void plain_tiles(const Ciphertext& ct, const Plaintext& pt, Ciphertext& out, bool accumulate) {
+  sp::check(ct.q_count() == pt.q_count(), "multiply_plain: level mismatch");
+  sp::check(ct.parts[0].is_ntt() && pt.poly.is_ntt(), "multiply_plain: requires NTT form");
+  const simd::Kernels& k = simd::kernels();
+  mask_tiles(ct, out, accumulate,
+             [&](u64* dst, const u64* src, int r, std::size_t off, std::size_t len) {
+               const Modulus& m = pt.poly.row_mod(r);
+               k.mul_mod(dst, src, pt.poly.row(r) + off, len, m.value(), m.ratio_hi(),
+                         m.ratio_lo());
+             });
+}
+
+/// dst = kernel(a, b) over the first level + 1 rows of every part into a
+/// fresh ciphertext: the body of add() and sub().
+Ciphertext elementwise(const CkksContext* ctx, const char* op, const Ciphertext& a,
+                       const Ciphertext& b, int level,
+                       void (*kernel)(u64*, const u64*, const u64*, std::size_t, u64)) {
+  check_read_level(op, a, level);
+  check_read_level(op, b, level);
+  sp::check_fmt(a.size() == b.size(), op, ": size mismatch");
+  check_scale_close(a.scale, b.scale);
+  sp::check_fmt(a.parts[0].is_ntt() == b.parts[0].is_ntt(), op, ": form mismatch");
+  Ciphertext out = unwritten_like(a, a.parts.size(), level + 1, a.scale);
+  const auto rows = static_cast<std::size_t>(level + 1);
+  for_each_row_tile(out.parts.size() * rows, ctx->n(),
+                    [&](std::size_t u, std::size_t off, std::size_t len) {
+                      const std::size_t p = u / rows;
+                      const int r = static_cast<int>(u % rows);
+                      kernel(out.parts[p].row(r) + off, a.parts[p].row(r) + off,
+                             b.parts[p].row(r) + off, len, ctx->q(r).value());
+                    });
+  return out;
+}
+
+/// Checks an accumulator for acc += (term of ct's shape at `term_scale`).
+void check_accumulator(const Ciphertext& acc, const Ciphertext& ct, double term_scale) {
+  sp::check(acc.q_count() == ct.q_count(), "add_inplace: level mismatch");
+  sp::check(acc.size() >= ct.size(), "add_inplace: the accumulator has fewer parts");
+  check_scale_close(acc.scale, term_scale);
+}
+
 }  // namespace
 
 void Evaluator::drop_to_level(Ciphertext& ct, int level) const {
@@ -275,31 +378,26 @@ void Evaluator::drop_to_level(Ciphertext& ct, int level) const {
     for (auto& part : ct.parts) part.drop_last_q();
 }
 
-void Evaluator::match_levels(Ciphertext& a, Ciphertext& b) const {
-  if (a.level() > b.level())
-    drop_to_level(a, b.level());
-  else if (b.level() > a.level())
-    drop_to_level(b, a.level());
+Ciphertext Evaluator::add(const Ciphertext& a, const Ciphertext& b, int level) const {
+  Ciphertext out = elementwise(ctx_, "add", a, b, level, simd::kernels().add_mod);
+  ++counters.adds;
+  return out;
 }
 
 Ciphertext Evaluator::add(const Ciphertext& a, const Ciphertext& b) const {
   sp::check(a.q_count() == b.q_count(), "add: level mismatch");
-  sp::check(a.size() == b.size(), "add: size mismatch");
-  check_scale_close(a.scale, b.scale);
-  Ciphertext out = a;
-  for (int i = 0; i < out.size(); ++i) out.parts[static_cast<std::size_t>(i)].add_inplace(b.parts[static_cast<std::size_t>(i)]);
+  return add(a, b, a.level());
+}
+
+Ciphertext Evaluator::sub(const Ciphertext& a, const Ciphertext& b, int level) const {
+  Ciphertext out = elementwise(ctx_, "sub", a, b, level, simd::kernels().sub_mod);
   ++counters.adds;
   return out;
 }
 
 Ciphertext Evaluator::sub(const Ciphertext& a, const Ciphertext& b) const {
   sp::check(a.q_count() == b.q_count(), "sub: level mismatch");
-  sp::check(a.size() == b.size(), "sub: size mismatch");
-  check_scale_close(a.scale, b.scale);
-  Ciphertext out = a;
-  for (int i = 0; i < out.size(); ++i) out.parts[static_cast<std::size_t>(i)].sub_inplace(b.parts[static_cast<std::size_t>(i)]);
-  ++counters.adds;
-  return out;
+  return sub(a, b, a.level());
 }
 
 void Evaluator::negate_inplace(Ciphertext& ct) const {
@@ -326,85 +424,102 @@ void Evaluator::add_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
 }
 
 void Evaluator::multiply_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
-  sp::check(ct.q_count() == pt.q_count(), "multiply_plain: level mismatch");
-  for (auto& part : ct.parts) part.mul_inplace(pt.poly);
+  plain_tiles(ct, pt, ct, /*accumulate=*/false);
   ct.scale *= pt.scale;
   ++counters.plain_mults;
 }
 
+Ciphertext Evaluator::multiply_plain(const Ciphertext& ct, const Plaintext& pt) const {
+  Ciphertext out = unwritten_like(ct, ct.parts.size(), ct.q_count(), ct.scale * pt.scale);
+  plain_tiles(ct, pt, out, /*accumulate=*/false);
+  ++counters.plain_mults;
+  return out;
+}
+
+void Evaluator::multiply_plain_add_inplace(Ciphertext& acc, const Ciphertext& ct,
+                                           const Plaintext& pt) const {
+  check_accumulator(acc, ct, ct.scale * pt.scale);
+  plain_tiles(ct, pt, acc, /*accumulate=*/true);
+  ++counters.plain_mults;
+  ++counters.adds;
+}
+
 void Evaluator::multiply_scalar_inplace(Ciphertext& ct, double value, double scale) const {
-  const std::int64_t v = scalar_coefficient(value, scale);
-  const auto rows = static_cast<std::size_t>(ct.q_count());
-  std::vector<u64> q(rows), w(rows), w_shoup(rows);
-  for (std::size_t j = 0; j < rows; ++j) {
-    const Modulus& m = ctx_->q(static_cast<int>(j));
-    q[j] = m.value();
-    w[j] = m.from_signed(v);
-    w_shoup[j] = shoup_precompute(w[j], q[j]);
-  }
-  const simd::Kernels& k = simd::kernels();
-  const auto tile = [&](std::size_t u, std::size_t off, std::size_t len) {
-    const std::size_t j = u % rows;
-    k.mul_shoup(ct.parts[u / rows].row(static_cast<int>(j)) + off, len, w[j], w_shoup[j], q[j]);
-  };
-  for_each_row_tile(ct.parts.size() * rows, ctx_->n(), tile);
+  scalar_tiles(ct, value, scale, ct, /*accumulate=*/false);
   ct.scale *= scale;
   ++counters.plain_mults;
 }
 
-Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
-  sp::check(a.size() == 2 && b.size() == 2, "multiply: operands must have 2 parts");
-  sp::check(a.q_count() == b.q_count(), "multiply: level mismatch");
+Ciphertext Evaluator::multiply_scalar(const Ciphertext& ct, double value, double scale,
+                                      int level) const {
+  check_read_level("multiply_scalar", ct, level);
+  Ciphertext out = unwritten_like(ct, ct.parts.size(), level + 1, ct.scale * scale);
+  scalar_tiles(ct, value, scale, out, /*accumulate=*/false);
+  ++counters.plain_mults;
+  return out;
+}
 
+void Evaluator::multiply_scalar_add_inplace(Ciphertext& acc, const Ciphertext& ct, double value,
+                                            double scale) const {
+  check_accumulator(acc, ct, ct.scale * scale);
+  scalar_tiles(ct, value, scale, acc, /*accumulate=*/true);
+  ++counters.plain_mults;
+  ++counters.adds;
+}
+
+Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b, int level) const {
+  sp::check(a.size() == 2 && b.size() == 2, "multiply: operands must have 2 parts");
+  check_read_level("multiply", a, level);
+  check_read_level("multiply", b, level);
   sp::check(a.parts[0].is_ntt() && b.parts[0].is_ntt(), "multiply: requires NTT form");
 
-  Ciphertext out;
-  out.scale = a.scale * b.scale;
-  RnsPoly p0 = a.parts[0];
-  RnsPoly cross = a.parts[0];
-  RnsPoly p2 = a.parts[1];
-  // p0 = a0·b0, cross = a0·b1 + a1·b0 and p2 = a1·b1. Dispatching the three
+  Ciphertext out = unwritten_like(a, 3, level + 1, a.scale * b.scale);
+  // p0 = a0·b0, p1 = a0·b1 + a1·b0 and p2 = a1·b1. Dispatching the three
   // terms' (term x row x tile) units in one parallel region keeps the pool
   // fed even at short chain lengths, where per-row parallelism alone stalls.
   // a1·b0 is formed one tile at a time in the lane's scratch and added into
   // the cross term in the same pass.
-  const std::size_t rows = static_cast<std::size_t>(p0.row_count());
+  const auto rows = static_cast<std::size_t>(level + 1);
   const simd::Kernels& k = simd::kernels();
-  for_each_row_tile(3 * rows, p0.n(), [&](std::size_t u, std::size_t off, std::size_t len) {
+  for_each_row_tile(3 * rows, ctx_->n(), [&](std::size_t u, std::size_t off, std::size_t len) {
     const int r = static_cast<int>(u % rows);
-    const Modulus& m = p0.row_mod(r);
-    const auto mul = [&](u64* dst, const RnsPoly& src) {
-      k.mul_mod(dst, src.row(r) + off, len, m.value(), m.ratio_hi(), m.ratio_lo());
+    const Modulus& m = ctx_->q(r);
+    const auto mul = [&](u64* dst, const RnsPoly& x, const RnsPoly& y) {
+      k.mul_mod(dst, x.row(r) + off, y.row(r) + off, len, m.value(), m.ratio_hi(),
+                m.ratio_lo());
     };
+    u64* dst = out.parts[u / rows].row(r) + off;
     switch (u / rows) {
       case 0:
-        return mul(p0.row(r) + off, b.parts[0]);
+        return mul(dst, a.parts[0], b.parts[0]);
       case 1: {
         u64* a1b0 = scratch_rows(kLane, len);
-        std::memcpy(a1b0, a.parts[1].row(r) + off, len * sizeof(u64));
-        mul(a1b0, b.parts[0]);
-        mul(cross.row(r) + off, b.parts[1]);
-        return k.add_mod(cross.row(r) + off, a1b0, len, m.value());
+        mul(a1b0, a.parts[1], b.parts[0]);
+        mul(dst, a.parts[0], b.parts[1]);
+        return k.add_mod(dst, dst, a1b0, len, m.value());
       }
       default:
-        return mul(p2.row(r) + off, b.parts[1]);
+        return mul(dst, a.parts[1], b.parts[1]);
     }
   });
-  out.parts.push_back(std::move(p0));
-  out.parts.push_back(std::move(cross));
-  out.parts.push_back(std::move(p2));
   ++counters.ct_mults;
   return out;
+}
+
+Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
+  sp::check(a.q_count() == b.q_count(), "multiply: level mismatch");
+  return multiply(a, b, a.level());
 }
 
 sp::AlignedVec<u64> Evaluator::decompose_digits(const RnsPoly& d) const {
   const std::size_t c = static_cast<std::size_t>(d.q_count()), n = ctx_->n();
   u64* d_coeff = scratch_rows(kSwitch, c * n);
   coefficient_rows(d, d_coeff, counters);
-  sp::AlignedVec<u64> rows(c * (c + 1) * n);
+  sp::AlignedVec<u64> rows(c * (c + 1) * n);  // unwritten: every row is written below
   sp::parallel_for(0, c + 1, [&](std::size_t t) {
-    counters.ntts_forward +=
-        decompose_prime(d, d_coeff, static_cast<int>(t), rows.data() + t * c * n);
+    u64* block = rows.data() + t * c * n;
+    counters.ntts_forward += decompose_prime(d, d_coeff, static_cast<int>(t), block);
+    if (t < c) std::memcpy(block + t * n, d.row(static_cast<int>(t)), n * sizeof(u64));
   });
   return rows;
 }
@@ -443,13 +558,13 @@ void Evaluator::apply_kswitch(const RnsPoly& d, const KSwitchKey& key, u64* d_co
   key_inner_products(
       *ctx_, key, d.q_count(),
       [&](int t, u64* rows) { counters.ntts_forward += decompose_prime(d, d_coeff, t, rows); },
-      out0, out1);
+      &d, out0, out1);
 }
 
 std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const RnsPoly& d,
                                                      const KSwitchKey& key) const {
-  RnsPoly r0(ctx_, d.q_count(), /*with_special=*/true, /*ntt_form=*/true);
-  RnsPoly r1(ctx_, d.q_count(), /*with_special=*/true, /*ntt_form=*/true);
+  RnsPoly r0(ctx_, d.q_count(), /*with_special=*/true, /*ntt_form=*/true, RnsPoly::kUnwritten);
+  RnsPoly r1(ctx_, d.q_count(), /*with_special=*/true, /*ntt_form=*/true, RnsPoly::kUnwritten);
   apply_kswitch(d, key, scratch_rows(kSwitch, static_cast<std::size_t>(d.q_count()) * ctx_->n()),
                 r0.row(0), r1.row(0));
   return {std::move(r0), std::move(r1)};
@@ -465,9 +580,9 @@ std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const sp::AlignedVec<u64>& 
     for (std::size_t r = 0; r < block; r += n)
       for (std::size_t j = 0; j < n; ++j) rows[r + j] = prime[r + perm[j]];
   };
-  RnsPoly r0(ctx_, c, /*with_special=*/true, /*ntt_form=*/true);
-  RnsPoly r1(ctx_, c, /*with_special=*/true, /*ntt_form=*/true);
-  key_inner_products(*ctx_, key, c, permute, r0.row(0), r1.row(0));
+  RnsPoly r0(ctx_, c, /*with_special=*/true, /*ntt_form=*/true, RnsPoly::kUnwritten);
+  RnsPoly r1(ctx_, c, /*with_special=*/true, /*ntt_form=*/true, RnsPoly::kUnwritten);
+  key_inner_products(*ctx_, key, c, permute, nullptr, r0.row(0), r1.row(0));
   return {std::move(r0), std::move(r1)};
 }
 

@@ -124,6 +124,14 @@ inline OpCountersPerInput per_input(const OpCounters& c, int batch_size) {
 /// counts remaining rescales; scales are tracked as exact doubles and
 /// addition requires operands within 1e-6 relative scale mismatch.
 ///
+/// Levels are explicit. Dropping a chain prime from an NTT-form part is
+/// exact truncation of its flat row array, so the binary ops and
+/// multiply_scalar take a `level` and read only the first level + 1 rows of
+/// each operand: bit for bit a copy dropped to that level, without the copy.
+/// A level above an operand's throws sp::Error, and the overloads without a
+/// level require equal levels; no op matches levels silently. Every op that
+/// returns a ciphertext writes each output row once, into fresh storage.
+///
 /// Hot loops (NTT batches, key switching one output prime per lane) run on
 /// the SMARTPAF_THREADS pool; results are bit-identical for every thread
 /// count.
@@ -138,22 +146,26 @@ class Evaluator {
   const CkksContext& context() const { return *ctx_; }
 
   /// @brief Drops chain primes (without scaling) until the ciphertext sits
-  /// at `level`; no-op if already there. Used to align operands.
+  /// at `level`; no-op if already there. For a ciphertext that is kept at
+  /// the lower level; an operand read once at a lower level goes to an op
+  /// that takes the level instead.
   /// @param ct     ciphertext to truncate in place
   /// @param level  target level, must be <= ct.level()
   void drop_to_level(Ciphertext& ct, int level) const;
 
-  /// @brief Drops the higher-level operand so both sit at the same level.
-  /// @param a  first operand (may be truncated in place)
-  /// @param b  second operand (may be truncated in place)
-  void match_levels(Ciphertext& a, Ciphertext& b) const;
-
-  /// @brief Slot-wise a + b. Operands must share level and (within 1e-6
-  /// relative) scale.
-  /// @return 2-part sum at the common level/scale
+  /// @brief Slot-wise a + b at `level`: reads the first level + 1 rows of
+  /// every part of both operands. Operands must have equal part counts and
+  /// (within 1e-6 relative) scales.
+  /// @param level  0 <= level <= min(a.level(), b.level()); otherwise
+  ///               sp::Error names the level and the operand's level
+  /// @return fresh sum at `level`, a's scale
+  Ciphertext add(const Ciphertext& a, const Ciphertext& b, int level) const;
+  /// @brief add() at the common level; the levels must be equal.
   Ciphertext add(const Ciphertext& a, const Ciphertext& b) const;
 
-  /// @brief Slot-wise a - b under the same preconditions as add().
+  /// @brief Slot-wise a - b at `level`, under the same preconditions as add().
+  Ciphertext sub(const Ciphertext& a, const Ciphertext& b, int level) const;
+  /// @brief sub() at the common level; the levels must be equal.
   Ciphertext sub(const Ciphertext& a, const Ciphertext& b) const;
 
   /// @brief Negates every slot in place (any part count, any level).
@@ -175,6 +187,18 @@ class Evaluator {
   /// return to ~Delta). Works for 2- and 3-part ciphertexts.
   void multiply_plain_inplace(Ciphertext& ct, const Plaintext& pt) const;
 
+  /// @brief ct * pt into a fresh ciphertext: bit for bit a copy of `ct`
+  /// given to multiply_plain_inplace(), tallied the same.
+  Ciphertext multiply_plain(const Ciphertext& ct, const Plaintext& pt) const;
+
+  /// @brief acc += ct * pt, the product formed one tile at a time in the
+  /// lane's scratch and added in the same pass: bit for bit
+  /// add_inplace(acc, multiply_plain(ct, pt)), tallied as one plain
+  /// multiplication and one add. `acc` has at least ct's part count, its
+  /// level and (within 1e-6 relative) the product's scale.
+  void multiply_plain_add_inplace(Ciphertext& acc, const Ciphertext& ct,
+                                  const Plaintext& pt) const;
+
   /// @brief ct *= value at `scale`: every row is multiplied by its prime's
   /// residue of scalar_coefficient(value, scale) with the Shoup kernel, and
   /// the scale multiplies. Bit for bit multiply_plain_inplace(ct,
@@ -183,12 +207,28 @@ class Evaluator {
   /// 3-part ciphertexts.
   void multiply_scalar_inplace(Ciphertext& ct, double value, double scale) const;
 
-  /// @brief Tensor product of two 2-part ciphertexts.
-  /// @param a  left factor
-  /// @param b  right factor at the same level (use match_levels)
-  /// @return 3-part product with scale = a.scale * b.scale; relinearize (or
-  ///         accumulate via add_inplace and relinearize once at the join)
-  ///         before any further multiplication
+  /// @brief multiply_scalar_inplace() out of place at `level`: reads the
+  /// first level + 1 rows of ct's parts into a fresh ciphertext, bit for bit
+  /// a copy dropped to `level` and multiplied in place; one plain
+  /// multiplication.
+  /// @param level  0 <= level <= ct.level(); otherwise sp::Error
+  Ciphertext multiply_scalar(const Ciphertext& ct, double value, double scale, int level) const;
+
+  /// @brief acc += ct * value at `scale`, formed and added one tile at a
+  /// time like multiply_plain_add_inplace(), tallied the same.
+  void multiply_scalar_add_inplace(Ciphertext& acc, const Ciphertext& ct, double value,
+                                   double scale) const;
+
+  /// @brief Tensor product of two 2-part ciphertexts at `level`: reads the
+  /// first level + 1 rows of both operands' parts and writes
+  /// p0 = a0·b0, p1 = a0·b1 + a1·b0 and p2 = a1·b1 once each.
+  /// @param level  0 <= level <= min(a.level(), b.level()); otherwise
+  ///               sp::Error names the level and the operand's level
+  /// @return 3-part product at `level` with scale = a.scale * b.scale;
+  ///         relinearize (or accumulate via add_inplace and relinearize once
+  ///         at the join) before any further multiplication
+  Ciphertext multiply(const Ciphertext& a, const Ciphertext& b, int level) const;
+  /// @brief multiply() at the common level; the levels must be equal.
   Ciphertext multiply(const Ciphertext& a, const Ciphertext& b) const;
 
   /// @brief Switches the quadratic part back to the canonical basis
@@ -262,8 +302,9 @@ class Evaluator {
   /// The hoistable half of hybrid key switching, used by the rotation fan
   /// only: digit i is the centered lift of `d`'s residue row i into the
   /// extended basis Q ∪ {P}, in NTT form. `d` is NTT form over c chain
-  /// rows; digit i's row i is copied from it, so the cost is c inverse and
-  /// c^2 forward NTTs. The c x (c + 1) rows are prime-major: digit i's row
+  /// rows; digit i's row i is copied from it (a fan permutes it with the
+  /// rest), so the cost is c inverse and c^2 forward NTTs. The c x (c + 1)
+  /// rows are prime-major: digit i's row
   /// in output prime t (the c chain primes, then P) starts at (t·c + i)·n,
   /// so one prime's c rows are one block, laid out like a switch's scratch.
   /// One allocation holds every row: as c separate polynomials, a fan at 19
@@ -279,12 +320,12 @@ class Evaluator {
   /// Single-use key switch of `d` (NTT form over c chain rows) over
   /// Q ∪ {P}, streamed: `d` is copied into `d_coeff` (c rows) and
   /// inverse-transformed there (c NTTs); then each output prime t — the c
-  /// chain primes, then P, one parallel unit each — lifts every coefficient
-  /// row into q_t in a per-thread scratch block, forward-transforms those
-  /// c - 1 lifts (row t is copied from `d`), and calls
-  /// simd::Kernels::key_inner_product against key row t, writing row t of
-  /// both outputs at out0 / out1 + t·n. The NTT counts equal those of a
-  /// full decomposition.
+  /// chain primes, then P, one parallel unit each — lifts every other
+  /// coefficient row into q_t in a per-thread scratch block,
+  /// forward-transforms those lifts (digit t's own row in q_t is read from
+  /// `d` itself), and calls simd::Kernels::key_inner_product against key
+  /// row t, writing row t of both outputs at out0 / out1 + t·n. The NTT
+  /// counts equal those of a full decomposition.
   void apply_kswitch(const RnsPoly& d, const KSwitchKey& key, u64* d_coeff, u64* out0,
                      u64* out1) const;
 

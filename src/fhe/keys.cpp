@@ -139,7 +139,7 @@ RnsPoly apply_galois_ntt(const RnsPoly& ntt_poly, u64 galois_elt) {
   const std::size_t n = ntt_poly.n();
   const std::vector<std::uint32_t>& table = galois_ntt_table(n, galois_elt);
   RnsPoly out(ntt_poly.context(), ntt_poly.q_count(), ntt_poly.has_special(),
-              /*ntt_form=*/true);
+              /*ntt_form=*/true, RnsPoly::kUnwritten);
   for (int r = 0; r < ntt_poly.row_count(); ++r) {
     const u64* src = ntt_poly.row(r);
     u64* dst = out.row(r);

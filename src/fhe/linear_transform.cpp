@@ -98,17 +98,16 @@ void LinearTransform::add(int in_block, int out_block, int giant, int baby, LtMa
   masks.push_back(std::move(mask));
 }
 
-std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
-                                               const std::vector<Ciphertext>& in,
-                                               const GaloisKeys& gk, bool hoist,
-                                               const Encoder* enc, double scale,
+std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev, const Ciphertext* in,
+                                               std::size_t blocks, const GaloisKeys& gk,
+                                               bool hoist, const Encoder* enc, double scale,
                                                const KSwitchKey* relin) const {
   const std::vector<Term>& terms = schedule.terms;
-  sp::check(static_cast<int>(in.size()) == schedule.blocks_in,
+  sp::check(static_cast<int>(blocks) == schedule.blocks_in,
             "LinearTransform::apply: wrong input block count");
-  for (const Ciphertext& x : in) {
-    sp::check(x.size() == 2, "LinearTransform::apply: inputs must be 2-part");
-    sp::check(x.level() >= 1, "LinearTransform::apply: no level left for the rescale");
+  for (std::size_t bi = 0; bi < blocks; ++bi) {
+    sp::check(in[bi].size() == 2, "LinearTransform::apply: inputs must be 2-part");
+    sp::check(in[bi].level() >= 1, "LinearTransform::apply: no level left for the rescale");
   }
 
   std::vector<std::optional<Ciphertext>> acc(static_cast<std::size_t>(schedule.blocks_out));
@@ -137,27 +136,29 @@ std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
       }
       // Every term of a group sits at one scale, so the sum is exact; one
       // relinearization (3-part sums only) and one giant rotation close it.
+      // The group's first plaintext or scalar term is written straight into
+      // it; a later one is formed tile by tile and added in the same pass.
       std::optional<Ciphertext> group;
       for (; i < terms.size() && same_group(terms[i], head); ++i) {
         const Ciphertext& b = baby(terms[i].baby);
-        Ciphertext t;
         if (const auto* ct = std::get_if<const Ciphertext*>(&masks[i])) {
-          // Encrypted mask, dropped to the baby's level: a 3-part product.
-          Ciphertext d = **ct;
-          ev.drop_to_level(d, b.level());
-          t = ev.multiply(d, b);
+          // Encrypted mask, read at the baby's level: a 3-part product.
+          Ciphertext t = ev.multiply(**ct, b, b.level());
+          if (!group)
+            group = std::move(t);
+          else
+            ev.add_inplace(*group, t);
         } else if (const auto* w = std::get_if<double>(&masks[i])) {
-          t = b;
-          ev.multiply_scalar_inplace(t, *w, scale);
+          if (!group)
+            group = ev.multiply_scalar(b, *w, scale, b.level());
+          else
+            ev.multiply_scalar_add_inplace(*group, b, *w, scale);
         } else {
-          t = b;
-          ev.multiply_plain_inplace(t, *encode(enc, masks[i], fnv_mix(key, i), scale,
-                                               t.q_count()));
-        }
-        if (!group) {
-          group = std::move(t);
-        } else {
-          ev.add_inplace(*group, t);
+          const auto pt = encode(enc, masks[i], fnv_mix(key, i), scale, b.q_count());
+          if (!group)
+            group = ev.multiply_plain(b, *pt);
+          else
+            ev.multiply_plain_add_inplace(*group, b, *pt);
         }
       }
       if (group->size() == 3) {
@@ -179,8 +180,7 @@ std::vector<Ciphertext> LinearTransform::apply(Evaluator& ev,
   for (std::size_t bo = 0; bo < acc.size(); ++bo) {
     if (!acc[bo]) {
       // No term feeds this block: a zero mask keeps the one-level shape.
-      acc[bo] = in[0];
-      ev.multiply_scalar_inplace(*acc[bo], 0.0, scale);
+      acc[bo] = ev.multiply_scalar(in[0], 0.0, scale, in[0].level());
     }
     Ciphertext& y = *acc[bo];
     ev.rescale_inplace(y);

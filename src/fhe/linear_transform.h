@@ -93,7 +93,10 @@ struct LinearTransform {
   void add(int in_block, int out_block, int giant, int baby, LtMask mask);
 
   /// @brief y = sum of masked rotations (+ bias), one level below `in`.
-  /// @param in     schedule.blocks_in 2-part ciphertexts at one level/scale
+  /// Each term's product is written into its group or added into it in
+  /// the same pass; no input or baby rotation is copied.
+  /// @param in     `blocks` (= schedule.blocks_in) consecutive 2-part
+  ///               ciphertexts at one level/scale, read only
   /// @param gk     rotation keys covering schedule.steps()
   /// @param hoist  route each input block's fan through one decomposition
   /// @param enc    encoder for slot masks and biases (may be null when every
@@ -101,7 +104,7 @@ struct LinearTransform {
   /// @param scale  encoding scale of scalar/slot masks (Delta)
   /// @param relin  relinearization key (ciphertext masks only; those must sit
   ///               at or above the inputs' level)
-  std::vector<Ciphertext> apply(Evaluator& ev, const std::vector<Ciphertext>& in,
+  std::vector<Ciphertext> apply(Evaluator& ev, const Ciphertext* in, std::size_t blocks,
                                 const GaloisKeys& gk, bool hoist, const Encoder* enc,
                                 double scale, const KSwitchKey* relin = nullptr) const;
 };

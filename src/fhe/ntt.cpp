@@ -104,7 +104,7 @@ void NttTables::inverse_stage_part(u64* a, int s, std::size_t b, std::size_t off
 }
 
 void NttTables::inverse_scale(u64* a, std::size_t len) const {
-  simd::kernels().mul_shoup(a, len, n_inv_, n_inv_shoup_, mod_.value());
+  simd::kernels().mul_shoup(a, a, len, n_inv_, n_inv_shoup_, mod_.value());
 }
 
 void NttTables::forward(u64* a) const {

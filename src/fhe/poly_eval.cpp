@@ -222,12 +222,12 @@ void add_pending(EvalCtx& ec, WindowSum& sum, Ciphertext&& ct) {
     sum.pending = std::move(ct);
 }
 
-/// term = xa * b into the sum: the raw 3-part product is parked in
-/// `pending` at `pre_scale` (= target_scale * q), relinearized and rescaled
-/// at the join.
+/// term = xa * b into the sum, with xa (a cached power) read at b's level:
+/// the raw 3-part product is parked in `pending` at `pre_scale`
+/// (= target_scale * q), relinearized and rescaled at the join.
 void add_product(EvalCtx& ec, WindowSum& sum, const Ciphertext& xa, const Ciphertext& b,
                  double pre_scale) {
-  Ciphertext term = ec.ev->multiply(xa, b);
+  Ciphertext term = ec.ev->multiply(xa, b, b.level());
   term.scale = pre_scale;  // exact by construction
   if (ec.stats) {
     ++ec.stats->ct_mults;
@@ -300,7 +300,7 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
       const Ciphertext& xi = ec.basis->power(*ec.ev, i, ec.stats);
       Ciphertext term = coeff_term(ec, xi, c, target_level, target_scale);
       if (acc)
-        acc = ec.ev->add(*acc, term);
+        ec.ev->add_inplace(*acc, term);
       else
         acc = std::move(term);
     }
@@ -329,9 +329,7 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
     if (!b) {
       add_done(ec, sum, coeff_term(ec, xg, b_const, target_level, target_scale));
     } else {
-      Ciphertext xa = xg;
-      ec.ev->drop_to_level(xa, target_level + 1);
-      add_product(ec, sum, xa, *b, target_scale * static_cast<double>(q));
+      add_product(ec, sum, xg, *b, target_scale * static_cast<double>(q));
     }
   }
 
@@ -387,9 +385,7 @@ WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
         ec, eval_window(ec, p, lo + h, lo + d, target_level + 1, b_scale), b_scale,
         &b_const);
     sp::check(b.has_value(), "eval_poly: non-constant block produced no ciphertext");
-    Ciphertext xa = xh;
-    ec.ev->drop_to_level(xa, target_level + 1);
-    add_product(ec, sum, xa, *b, target_scale * static_cast<double>(q));
+    add_product(ec, sum, xh, *b, target_scale * static_cast<double>(q));
   }
 
   // --- low block A at the same (level, scale) ------------------------------
@@ -421,17 +417,9 @@ const Ciphertext& PowerBasis::power(Evaluator& ev, int e, EvalStats* stats) {
 
   const auto [a, b] = split_exponent(e);
   const Ciphertext& pa = power(ev, a, stats);
-  Ciphertext prod;
-  if (a == b) {
-    prod = ev.multiply(pa, pa);
-  } else {
-    // std::map references are stable across the recursive insertions.
-    const Ciphertext& pb = power(ev, b, stats);
-    Ciphertext ca = pa;
-    Ciphertext cb = pb;
-    ev.match_levels(ca, cb);
-    prod = ev.multiply(ca, cb);
-  }
+  // std::map references are stable across the recursive insertions.
+  const Ciphertext& pb = a == b ? pa : power(ev, b, stats);
+  Ciphertext prod = ev.multiply(pa, pb, std::min(pa.level(), pb.level()));
   ev.relinearize_rescale_inplace(prod, *relin_);
   if (stats) {
     ++stats->ct_mults;
@@ -451,11 +439,9 @@ int PafEvaluator::mult_depth(const approx::Polynomial& p) {
 Ciphertext scaled_to(Evaluator& ev, const Ciphertext& ct, double factor, int target_level,
                      double target_scale) {
   sp::check(ct.level() >= target_level + 1, "scaled_to: out of levels");
-  Ciphertext out = ct;
-  ev.drop_to_level(out, target_level + 1);
   const u64 q = ev.context().q(target_level + 1).value();
-  const double cs = target_scale * static_cast<double>(q) / out.scale;
-  ev.multiply_scalar_inplace(out, factor, cs);
+  const double cs = target_scale * static_cast<double>(q) / ct.scale;
+  Ciphertext out = ev.multiply_scalar(ct, factor, cs, target_level + 1);
   ev.rescale_inplace(out);
   out.scale = target_scale;  // exact by construction
   return out;
@@ -538,10 +524,9 @@ Ciphertext PafEvaluator::max(Evaluator& ev, const Ciphertext& a, const Ciphertex
                              const approx::CompositePaf& paf, double input_scale,
                              EvalStats* stats, double pre_factor) const {
   sp::Timer timer;
-  Ciphertext a2 = a, b2 = b;
-  ev.match_levels(a2, b2);
-  Ciphertext d = ev.sub(a2, b2);
-  Ciphertext s = ev.add(a2, b2);
+  const int level = std::min(a.level(), b.level());
+  Ciphertext d = ev.sub(a, b, level);
+  Ciphertext s = ev.add(a, b, level);
 
   // With pre_factor f: max(fa, fb) = 0.5 f (a+b) + 0.5 f (a-b) p(f(a-b)/s).
   const Ciphertext p = sign(ev, d, paf, input_scale, pre_factor, stats);

@@ -1,5 +1,6 @@
 #include "fhe/rns_poly.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -10,10 +11,19 @@
 namespace sp::fhe {
 
 RnsPoly::RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form)
+    : RnsPoly(ctx, q_count, with_special, ntt_form, kUnwritten) {
+  std::fill(data_.begin(), data_.end(), 0);
+}
+
+RnsPoly::RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form,
+                 Unwritten)
     : ctx_(ctx), q_count_(q_count), with_special_(with_special), ntt_(ntt_form) {
   sp::check(ctx != nullptr, "RnsPoly: null context");
   sp::check(q_count >= 1 && q_count <= ctx->q_count(), "RnsPoly: bad q_count");
-  data_.assign(static_cast<std::size_t>(row_count()) * ctx->n(), 0);
+  data_.resize(static_cast<std::size_t>(row_count()) * ctx->n());
+#ifndef NDEBUG
+  std::fill(data_.begin(), data_.end(), ~u64{0});
+#endif
 }
 
 const Modulus& RnsPoly::row_mod(int i) const {
@@ -54,7 +64,7 @@ void RnsPoly::add_inplace(const RnsPoly& o) {
   check_compatible(*this, o);
   const simd::Kernels& k = simd::kernels();
   for_each_row_tile(row_count(), n(), [&](int i, std::size_t off, std::size_t len) {
-    k.add_mod(row(i) + off, o.row(i) + off, len, row_mod(i).value());
+    k.add_mod(row(i) + off, row(i) + off, o.row(i) + off, len, row_mod(i).value());
   });
 }
 
@@ -62,7 +72,7 @@ void RnsPoly::sub_inplace(const RnsPoly& o) {
   check_compatible(*this, o);
   const simd::Kernels& k = simd::kernels();
   for_each_row_tile(row_count(), n(), [&](int i, std::size_t off, std::size_t len) {
-    k.sub_mod(row(i) + off, o.row(i) + off, len, row_mod(i).value());
+    k.sub_mod(row(i) + off, row(i) + off, o.row(i) + off, len, row_mod(i).value());
   });
 }
 
@@ -79,7 +89,8 @@ void RnsPoly::mul_inplace(const RnsPoly& o) {
   const simd::Kernels& k = simd::kernels();
   for_each_row_tile(row_count(), n(), [&](int i, std::size_t off, std::size_t len) {
     const Modulus& m = row_mod(i);
-    k.mul_mod(row(i) + off, o.row(i) + off, len, m.value(), m.ratio_hi(), m.ratio_lo());
+    k.mul_mod(row(i) + off, row(i) + off, o.row(i) + off, len, m.value(), m.ratio_hi(),
+              m.ratio_lo());
   });
 }
 

@@ -35,8 +35,18 @@ void for_each_row_tile(std::size_t units, std::size_t n, const Body& body) {
 /// arithmetic helpers check form compatibility.
 class RnsPoly {
  public:
+  /// Tag of the write-once constructor.
+  struct Unwritten {};
+  static constexpr Unwritten kUnwritten{};
+
   RnsPoly() = default;
+  /// Zero polynomial.
   RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form);
+  /// Rows left unwritten, for a caller that writes every row next (a
+  /// product's parts, a key switch's outputs). Builds without
+  /// NDEBUG fill them with all-ones, which is no residue, so a row left
+  /// unwritten fails the wire decoder's residue check and every digest.
+  RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form, Unwritten);
 
   const CkksContext* context() const { return ctx_; }
   int q_count() const { return q_count_; }

@@ -19,13 +19,13 @@ void ntt_forward_by_stages(u64* a, std::size_t n, const u64* w, const u64* w_sho
 }
 
 /// Inverse stages (h blocks of 2t, t = n / 2h, twiddles w[h, 2h)), then
-/// `Scale` (a tier's mul_shoup) multiplies by 1/n into [0, q).
+/// `Scale` (a tier's mul_shoup, in place) multiplies by 1/n into [0, q).
 template <auto Stage, auto Scale>
 void ntt_inverse_by_stages(u64* a, std::size_t n, const u64* w, const u64* w_shoup,
                            u64 n_inv, u64 n_inv_shoup, u64 q) {
   std::size_t t = 1;
   for (std::size_t h = n >> 1; h >= 1; h >>= 1, t <<= 1) Stage(a, t, h, w + h, w_shoup + h, q);
-  Scale(a, n, n_inv, n_inv_shoup, q);
+  Scale(a, a, n, n_inv, n_inv_shoup, q);
 }
 
 }  // namespace sp::fhe::simd::detail

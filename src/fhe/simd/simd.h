@@ -36,21 +36,27 @@ enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kAvx512Ifma = 3 };
 /// Kernel table for one tier. All pointers are non-null in every published
 /// table. Ranges are contiguous; `n`/`len` may be any value: a vector tier
 /// runs whole vectors only, and the scalar tier computes every remainder.
+///
+/// The elementwise kernels write a destination: `dst` may be `a` itself (an
+/// in-place caller passes the same pointer twice) or `b`, and must not
+/// overlap an operand otherwise. Every tier writes all of dst[0, n), the
+/// remainder it hands to the scalar tier included, and nothing past it, so
+/// a caller may pass fresh, unwritten storage.
 struct Kernels {
   // --- Elementwise over n residues (inputs fully reduced unless noted) ---
-  /// a[i] = a[i] + b[i] mod q.
-  void (*add_mod)(u64* a, const u64* b, std::size_t n, u64 q);
-  /// a[i] = a[i] - b[i] mod q.
-  void (*sub_mod)(u64* a, const u64* b, std::size_t n, u64 q);
+  /// dst[i] = a[i] + b[i] mod q.
+  void (*add_mod)(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q);
+  /// dst[i] = a[i] - b[i] mod q.
+  void (*sub_mod)(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q);
   /// a[i] = -a[i] mod q.
   void (*neg_mod)(u64* a, std::size_t n, u64 q);
-  /// a[i] = a[i] * b[i] mod q, Barrett reduction of the 128-bit product with
-  /// the modulus' precomputed floor(2^128/q) = (ratio_hi, ratio_lo).
-  void (*mul_mod)(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
-                  u64 ratio_lo);
-  /// a[i] = a[i] * w mod q (fully reduced), Shoup constant-operand multiply.
-  /// a[i] may be any 64-bit value (lazy input allowed).
-  void (*mul_shoup)(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q);
+  /// dst[i] = a[i] * b[i] mod q, Barrett reduction of the 128-bit product
+  /// with the modulus' precomputed floor(2^128/q) = (ratio_hi, ratio_lo).
+  void (*mul_mod)(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q,
+                  u64 ratio_hi, u64 ratio_lo);
+  /// dst[i] = a[i] * w mod q (fully reduced), Shoup constant-operand
+  /// multiply. a[i] may be any 64-bit value (lazy input allowed).
+  void (*mul_shoup)(u64* dst, const u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q);
 
   // --- NTT butterflies (lazy Harvey / Gentleman-Sande) ---
   /// Forward (Cooley-Tukey) butterflies over one twiddle: for i in [0, len):

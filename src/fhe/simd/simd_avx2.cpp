@@ -156,25 +156,25 @@ inline void bfly_loop(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q
   }
 }
 
-void add_mod_avx2(u64* a, const u64* b, std::size_t n, u64 q) {
+void add_mod_avx2(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q) {
   const __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
-    store(a + j, csub(_mm256_add_epi64(load(a + j), load(b + j)), qv));
-  detail::scalar_kernels()->add_mod(a + j, b + j, n - j, q);
+    store(dst + j, csub(_mm256_add_epi64(load(a + j), load(b + j)), qv));
+  detail::scalar_kernels()->add_mod(dst + j, a + j, b + j, n - j, q);
 }
 
-void sub_mod_avx2(u64* a, const u64* b, std::size_t n, u64 q) {
+void sub_mod_avx2(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q) {
   const __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
     const __m256i av = load(a + j);
     const __m256i bv = load(b + j);
     const __m256i borrow = lt_u64(av, bv);  // a < b: add q back
-    store(a + j, _mm256_add_epi64(_mm256_sub_epi64(av, bv),
-                                  _mm256_and_si256(qv, borrow)));
+    store(dst + j, _mm256_add_epi64(_mm256_sub_epi64(av, bv),
+                                    _mm256_and_si256(qv, borrow)));
   }
-  detail::scalar_kernels()->sub_mod(a + j, b + j, n - j, q);
+  detail::scalar_kernels()->sub_mod(dst + j, a + j, b + j, n - j, q);
 }
 
 void neg_mod_avx2(u64* a, std::size_t n, u64 q) {
@@ -197,9 +197,9 @@ void neg_mod_avx2(u64* a, std::size_t n, u64 q) {
 /// surrounding lazy adds/subs amortize the emulation. Delegation keeps the
 /// tier table the best-known implementation per kernel; results are
 /// trivially bit-identical.
-void mul_mod_avx2(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
+void mul_mod_avx2(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
                   u64 ratio_lo) {
-  detail::scalar_kernels()->mul_mod(a, b, n, q, ratio_hi, ratio_lo);
+  detail::scalar_kernels()->mul_mod(dst, a, b, n, q, ratio_hi, ratio_lo);
 }
 
 /// The key inner product delegates too. A 4-lane body with the AVX-512
@@ -214,8 +214,8 @@ void key_inner_product_avx2(u64* out0, u64* out1, const u64* const* d,
                                               ratio_lo);
 }
 
-void mul_shoup_avx2(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
-  detail::scalar_kernels()->mul_shoup(a, n, w, w_shoup, q);
+void mul_shoup_avx2(u64* dst, const u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
+  detail::scalar_kernels()->mul_shoup(dst, a, n, w, w_shoup, q);
 }
 
 template <bool Fwd>

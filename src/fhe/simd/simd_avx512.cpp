@@ -70,15 +70,15 @@ inline void bfly_loop(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup, u64 q
   }
 }
 
-void add_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
+void add_mod_avx512(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q) {
   const __m512i qv = bcast(q);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
-    store(a + j, csub(_mm512_add_epi64(load(a + j), load(b + j)), qv));
-  detail::scalar_kernels()->add_mod(a + j, b + j, n - j, q);
+    store(dst + j, csub(_mm512_add_epi64(load(a + j), load(b + j)), qv));
+  detail::scalar_kernels()->add_mod(dst + j, a + j, b + j, n - j, q);
 }
 
-void sub_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
+void sub_mod_avx512(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q) {
   const __m512i qv = bcast(q);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
@@ -87,9 +87,9 @@ void sub_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q) {
     const __mmask8 borrow = _mm512_cmplt_epu64_mask(av, bv);
     __m512i r = _mm512_sub_epi64(av, bv);
     r = _mm512_mask_add_epi64(r, borrow, r, qv);
-    store(a + j, r);
+    store(dst + j, r);
   }
-  detail::scalar_kernels()->sub_mod(a + j, b + j, n - j, q);
+  detail::scalar_kernels()->sub_mod(dst + j, a + j, b + j, n - j, q);
 }
 
 void neg_mod_avx512(u64* a, std::size_t n, u64 q) {
@@ -104,24 +104,24 @@ void neg_mod_avx512(u64* a, std::size_t n, u64 q) {
   detail::scalar_kernels()->neg_mod(a + j, n - j, q);
 }
 
-void mul_mod_avx512(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
-                    u64 ratio_lo) {
+void mul_mod_avx512(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q,
+                    u64 ratio_hi, u64 ratio_lo) {
   const __m512i qv = bcast(q), rhi = bcast(ratio_hi), rlo = bcast(ratio_lo);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
     const __m512i av = load(a + j);
     const __m512i bv = load(b + j);
-    store(a + j, barrett128(mul64_lo(av, bv), mul64_hi(av, bv), qv, rhi, rlo));
+    store(dst + j, barrett128(mul64_lo(av, bv), mul64_hi(av, bv), qv, rhi, rlo));
   }
-  detail::scalar_kernels()->mul_mod(a + j, b + j, n - j, q, ratio_hi, ratio_lo);
+  detail::scalar_kernels()->mul_mod(dst + j, a + j, b + j, n - j, q, ratio_hi, ratio_lo);
 }
 
-void mul_shoup_avx512(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
+void mul_shoup_avx512(u64* dst, const u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
   const __m512i qv = bcast(q), wv = bcast(w), wsv = bcast(w_shoup);
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes)
-    store(a + j, csub(shoup_lazy(load(a + j), wv, wsv, qv), qv));
-  detail::scalar_kernels()->mul_shoup(a + j, n - j, w, w_shoup, q);
+    store(dst + j, csub(shoup_lazy(load(a + j), wv, wsv, qv), qv));
+  detail::scalar_kernels()->mul_shoup(dst + j, a + j, n - j, w, w_shoup, q);
 }
 
 template <bool Fwd>

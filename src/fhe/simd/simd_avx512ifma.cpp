@@ -204,9 +204,9 @@ void stage(u64* a, std::size_t t, std::size_t blocks, const u64* w, const u64* w
 }
 
 /// a[i] * b[i] mod q by Barrett-52 on the 104-bit product hi * 2^52 + lo.
-void mul_mod_ifma(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
+void mul_mod_ifma(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
                   u64 ratio_lo) {
-  if (q >= kQLimit) return avx512().mul_mod(a, b, n, q, ratio_hi, ratio_lo);
+  if (q >= kQLimit) return avx512().mul_mod(dst, a, b, n, q, ratio_hi, ratio_lo);
   const int bits = bit_width(q);
   const u128 ratio = (static_cast<u128>(ratio_hi) << 64) | ratio_lo;
   const Barrett52 br = make_barrett(q, static_cast<u64>(ratio >> (77 - bits)));
@@ -219,15 +219,15 @@ void mul_mod_ifma(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
     const __m512i hi = _mm512_madd52hi_epu64(zero, av, bv);
     const __m512i c1 =
         _mm512_or_si512(_mm512_sllv_epi64(hi, up), _mm512_srlv_epi64(lo, br.shift));
-    store(a + j, barrett52(lo, c1, br));
+    store(dst + j, barrett52(lo, c1, br));
   }
-  detail::scalar_kernels()->mul_mod(a + j, b + j, n - j, q, ratio_hi, ratio_lo);
+  detail::scalar_kernels()->mul_mod(dst + j, a + j, b + j, n - j, q, ratio_hi, ratio_lo);
 }
 
 /// a[i] * w mod q. The contract allows any 64-bit a[i]: a vector whose lanes
 /// are all below 2^52 takes shoup52, any other the 64-bit Shoup product.
-void mul_shoup_ifma(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
-  if (q >= kQLimit) return avx512().mul_shoup(a, n, w, w_shoup, q);
+void mul_shoup_ifma(u64* dst, const u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
+  if (q >= kQLimit) return avx512().mul_shoup(dst, a, n, w, w_shoup, q);
   const Mod52 m = make_mod(q);
   const __m512i wv = bcast(w), wsv = bcast(w_shoup);
   const Tw52 tw = make_tw52(wv, wsv);
@@ -238,9 +238,9 @@ void mul_shoup_ifma(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
     const __m512i x = load(a + j);
     const __m512i r = _mm512_test_epi64_mask(x, above52) == 0 ? shoup52(x, tw, m)
                                                               : shoup_lazy(x, tw64, m.q);
-    store(a + j, csub(r, m.q));
+    store(dst + j, csub(r, m.q));
   }
-  detail::scalar_kernels()->mul_shoup(a + j, n - j, w, w_shoup, q);
+  detail::scalar_kernels()->mul_shoup(dst + j, a + j, n - j, w, w_shoup, q);
 }
 
 /// The forward stages; the last one ends fully reduced.
@@ -261,7 +261,7 @@ void ntt_inverse_ifma(u64* a, std::size_t n, const u64* w, const u64* w_shoup, u
   std::size_t t = 1;
   for (std::size_t blocks = n >> 1; blocks >= 1; blocks >>= 1, t <<= 1)
     stage<false>(a, t, blocks, w + blocks, w_shoup + blocks, m);
-  mul_shoup_ifma(a, n, n_inv, n_inv_shoup, q);
+  mul_shoup_ifma(a, a, n, n_inv, n_inv_shoup, q);
 }
 
 /// The wide path (q_src/2 >= q, x < q_src < 2^(L+51)): x mod q by

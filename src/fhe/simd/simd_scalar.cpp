@@ -10,32 +10,32 @@
 namespace sp::fhe::simd {
 namespace {
 
-void add_mod_scalar(u64* a, const u64* b, std::size_t n, u64 q) {
+void add_mod_scalar(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q) {
   for (std::size_t j = 0; j < n; ++j) {
     const u64 r = a[j] + b[j];
-    a[j] = r >= q ? r - q : r;
+    dst[j] = r >= q ? r - q : r;
   }
 }
 
-void sub_mod_scalar(u64* a, const u64* b, std::size_t n, u64 q) {
-  for (std::size_t j = 0; j < n; ++j) a[j] = a[j] >= b[j] ? a[j] - b[j] : a[j] + q - b[j];
+void sub_mod_scalar(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q) {
+  for (std::size_t j = 0; j < n; ++j) dst[j] = a[j] >= b[j] ? a[j] - b[j] : a[j] + q - b[j];
 }
 
 void neg_mod_scalar(u64* a, std::size_t n, u64 q) {
   for (std::size_t j = 0; j < n; ++j) a[j] = a[j] == 0 ? 0 : q - a[j];
 }
 
-void mul_mod_scalar(u64* a, const u64* b, std::size_t n, u64 q, u64 ratio_hi,
-                    u64 ratio_lo) {
+void mul_mod_scalar(u64* dst, const u64* a, const u64* b, std::size_t n, u64 q,
+                    u64 ratio_hi, u64 ratio_lo) {
   for (std::size_t j = 0; j < n; ++j) {
     const u128 x = static_cast<u128>(a[j]) * b[j];
-    a[j] = barrett_reduce(static_cast<u64>(x), static_cast<u64>(x >> 64), q, ratio_hi,
-                          ratio_lo);
+    dst[j] = barrett_reduce(static_cast<u64>(x), static_cast<u64>(x >> 64), q, ratio_hi,
+                            ratio_lo);
   }
 }
 
-void mul_shoup_scalar(u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
-  for (std::size_t j = 0; j < n; ++j) a[j] = mul_shoup(a[j], w, w_shoup, q);
+void mul_shoup_scalar(u64* dst, const u64* a, std::size_t n, u64 w, u64 w_shoup, u64 q) {
+  for (std::size_t j = 0; j < n; ++j) dst[j] = mul_shoup(a[j], w, w_shoup, q);
 }
 
 void fwd_butterfly_scalar(u64* x, u64* y, std::size_t len, u64 w, u64 w_shoup,

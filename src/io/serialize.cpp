@@ -83,6 +83,8 @@ fhe::RnsPoly read_poly(WireReader& r, const fhe::CkksContext& ctx) {
                 q_count, " outside the context's chain of ", ctx.q_count());
   const bool with_special = r.boolean();
   const bool ntt = r.boolean();
+  // Zero-filled although every row is written next: decoding hundreds of MB
+  // of key material into unwritten pages measured slower than zeroing first.
   fhe::RnsPoly poly(&ctx, q_count, with_special, ntt);
   for (int i = 0; i < poly.row_count(); ++i) {
     r.u64_span(poly.row(i), poly.n());

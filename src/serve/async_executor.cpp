@@ -256,8 +256,7 @@ void AsyncExecutor::evaluate_group(std::vector<Pending> group, FlushReason reaso
     fhe::Ciphertext slice = std::move(out);
     for (std::size_t b = 0; b < k; ++b) {
       if (b > 0) slice = ev.rotate(slice, s, *gk);
-      fhe::Ciphertext resp = slice;
-      ev.multiply_plain_inplace(resp, *mask);
+      fhe::Ciphertext resp = ev.multiply_plain(slice, *mask);
       ev.rescale_inplace(resp);
       responses.push_back(std::move(resp));
     }

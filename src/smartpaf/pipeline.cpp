@@ -868,10 +868,43 @@ std::vector<double> FhePipeline::reference(const std::vector<double>& slots,
 
 // ---------------------------------------------------------------- Execution --
 
+namespace {
+
+/// The blocks between two stages: the caller's, read in place, until a
+/// stage writes its own.
+class StageBlocks {
+ public:
+  StageBlocks(const fhe::Ciphertext* in, std::size_t count) : view_(in), count_(count) {}
+
+  const fhe::Ciphertext* data() const { return view_; }
+  std::size_t size() const { return count_; }
+  const fhe::Ciphertext& operator[](std::size_t i) const { return view_[i]; }
+
+  /// For a stage that writes in place: a copy of the caller's blocks, taken
+  /// once; afterwards the blocks themselves.
+  std::vector<fhe::Ciphertext>& own() {
+    if (owned_.empty()) replace({view_, view_ + count_});
+    return owned_;
+  }
+  /// A stage's fresh outputs become the blocks.
+  void replace(std::vector<fhe::Ciphertext> next) {
+    owned_ = std::move(next);
+    view_ = owned_.data();
+    count_ = owned_.size();
+  }
+
+ private:
+  const fhe::Ciphertext* view_;
+  std::size_t count_;
+  std::vector<fhe::Ciphertext> owned_;
+};
+
+}  // namespace
+
 fhe::Ciphertext FhePipeline::run(FheRuntime& rt, const Plan& plan,
                                  const fhe::Ciphertext& in,
                                  fhe::EvalStats* stats) const {
-  std::vector<fhe::Ciphertext> out = run_blocks(rt, plan, {in}, stats);
+  std::vector<fhe::Ciphertext> out = run_stages(rt, plan, &in, 1, stats);
   sp::check_fmt(out.size() == 1, "FhePipeline::run: the pipeline output spans ",
                 out.size(), " ciphertext blocks; use run_blocks");
   return std::move(out[0]);
@@ -880,6 +913,13 @@ fhe::Ciphertext FhePipeline::run(FheRuntime& rt, const Plan& plan,
 std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
     FheRuntime& rt, const Plan& plan, const std::vector<fhe::Ciphertext>& in,
     fhe::EvalStats* stats) const {
+  return run_stages(rt, plan, in.data(), in.size(), stats);
+}
+
+std::vector<fhe::Ciphertext> FhePipeline::run_stages(FheRuntime& rt, const Plan& plan,
+                                                     const fhe::Ciphertext* in,
+                                                     std::size_t count,
+                                                     fhe::EvalStats* stats) const {
   sp::check(plan.stages.size() == stages_.size(),
             "FhePipeline::run: plan does not match this pipeline");
   const std::size_t slots = rt.ctx().slot_count();
@@ -895,11 +935,10 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
                       plan.stages[i].layout_out == layouts[i].second,
                   "FhePipeline::run: stage ", i, " ('", stages_[i].label,
                   "') layout does not match this pipeline at a ", tile, "-slot tile");
-  sp::check(!in.empty(), "FhePipeline::run: no input ciphertexts");
-  sp::check_fmt(in.size() == static_cast<std::size_t>(plan.stages.front().layout_in.blocks),
+  sp::check(count != 0, "FhePipeline::run: no input ciphertexts");
+  sp::check_fmt(count == static_cast<std::size_t>(plan.stages.front().layout_in.blocks),
                 "FhePipeline::run: the plan's input layout spans ",
-                plan.stages.front().layout_in.blocks, " ciphertext blocks, got ",
-                in.size());
+                plan.stages.front().layout_in.blocks, " ciphertext blocks, got ", count);
   sp::check_fmt(in[0].level() >= plan.levels_used, "FhePipeline::run: input has ",
                 in[0].level(), " levels but the plan needs ", plan.levels_used);
 
@@ -907,7 +946,7 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
   fhe::Encoder& enc = rt.encoder();
   const double delta = rt.ctx().scale();
 
-  std::vector<fhe::Ciphertext> blocks = in;
+  StageBlocks blocks(in, count);
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const Stage& st = stages_[i];
     const StagePlan& sp_ = plan.stages[i];
@@ -919,7 +958,8 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
       // affine stages apply to every block alike (per-slot coefficient
       // vectors are single-block by layout validation).
       const LinearStage& eff = sp_.merged_linear ? *sp_.merged_linear : *lin;
-      for (fhe::Ciphertext& cur : blocks) {
+      if (linear_scale_is_identity(eff) && !linear_has_bias(eff)) continue;
+      for (fhe::Ciphertext& cur : blocks.own()) {
         if (!linear_scale_is_identity(eff)) {
           // A scalar scale multiplies each row by its residue; per-slot
           // vectors pay an encode FFT, so those route through the encoder's
@@ -951,17 +991,19 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
                                         slots)) {
       std::vector<int> steps = sp_.rotation_steps;
       steps.insert(steps.end(), sp_.giant_steps.begin(), sp_.giant_steps.end());
-      blocks = lt->apply(ev, blocks, *rt.rotation_keys(steps), sp_.hoist_fan, &enc, delta);
+      blocks.replace(lt->apply(ev, blocks.data(), blocks.size(), *rt.rotation_keys(steps),
+                               sp_.hoist_fan, &enc, delta));
       continue;
     }
 
     const auto& paf = std::get<PafStage>(st.op);
     const fhe::PafEvaluator pe(rt.ctx(), enc, rt.relin_key(), sp_.strategy);
+    std::vector<fhe::Ciphertext> next;
     if (paf.kind == SiteKind::ReLU) {
       // Slot-wise, so every block passes through the same envelope (the
       // zero padding slots of partial blocks stay zero: relu(0) == 0).
-      for (fhe::Ciphertext& blk : blocks)
-        blk = pe.relu(ev, blk, paf.paf, paf.input_scale, stats, sp_.pre_factor);
+      for (std::size_t b = 0; b < blocks.size(); ++b)
+        next.push_back(pe.relu(ev, blocks[b], paf.paf, paf.input_scale, stats, sp_.pre_factor));
     } else {
       // Cyclic pairwise tournament over one ciphertext (layout validation):
       // the fan rotates the STAGE INPUT once (hoisted when the plan says so),
@@ -969,31 +1011,33 @@ std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
       // and reference(). After the first fold the running max sits
       // depth + 2 levels lower at scale ~Delta^2/q, so every later tap first
       // lands on it, spending one of the tap's own spare levels.
-      fhe::Ciphertext& cur = blocks[0];
+      const fhe::Ciphertext& x = blocks[0];
       const auto gk = rt.rotation_keys(sp_.rotation_steps);
       std::vector<fhe::Ciphertext> rotated;
       if (sp_.hoist_fan) {
-        rotated = ev.rotate_hoisted(cur, sp_.rotation_steps, *gk);
+        rotated = ev.rotate_hoisted(x, sp_.rotation_steps, *gk);
       } else {
-        for (int step : sp_.rotation_steps) rotated.push_back(ev.rotate(cur, step, *gk));
+        for (int step : sp_.rotation_steps) rotated.push_back(ev.rotate(x, step, *gk));
       }
-      fhe::Ciphertext m = cur;
+      std::optional<fhe::Ciphertext> m;
       for (std::size_t t = 0; t < rotated.size(); ++t) {
-        if (t > 0) {
-          rotated[t] = fhe::scaled_to(ev, rotated[t], 1.0, m.level(), m.scale);
+        if (m) {
+          rotated[t] = fhe::scaled_to(ev, rotated[t], 1.0, m->level(), m->scale);
           if (stats) ++stats->plain_mults;
         }
-        m = pe.max(ev, m, rotated[t], paf.paf, paf.input_scale, stats, sp_.pre_factor);
+        m = pe.max(ev, m ? *m : x, rotated[t], paf.paf, paf.input_scale, stats, sp_.pre_factor);
       }
-      cur = std::move(m);
+      if (!m) continue;
+      next.push_back(std::move(*m));
     }
+    blocks.replace(std::move(next));
   }
 
   sp::check_fmt(in[0].level() - blocks[0].level() == plan.levels_used,
                 "FhePipeline::run: executed pipeline consumed ",
                 in[0].level() - blocks[0].level(), " levels but the plan predicted ",
                 plan.levels_used);
-  return blocks;
+  return std::move(blocks.own());
 }
 
 }  // namespace sp::smartpaf

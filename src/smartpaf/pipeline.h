@@ -325,6 +325,13 @@ class FhePipeline {
                                           fhe::EvalStats* stats = nullptr) const;
 
  private:
+  /// The stage loop of run() and run_blocks() over `count` consecutive
+  /// input blocks at `in`: stages read the caller's blocks until one writes
+  /// its own, and none writes into them.
+  std::vector<fhe::Ciphertext> run_stages(FheRuntime& rt, const Plan& plan,
+                                          const fhe::Ciphertext* in, std::size_t count,
+                                          fhe::EvalStats* stats) const;
+
   std::vector<Stage> stages_;
   std::size_t input_width_ = 0;
   GridShape input_grid_;

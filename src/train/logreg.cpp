@@ -75,10 +75,8 @@ void EncryptedLogReg::step(const EncryptedBatch& batch) {
   // p/B = sigma(z)/B — the 1/B of the mean gradient rides the coefficients.
   fhe::Ciphertext p = rt_->paf_evaluator().eval_poly(ev, z, sigmoid_over_b_);
   // err = (p - y)/B; labels were packed as y/B at the same encode scale the
-  // PAF emits (ctx.scale()), so the subtraction is exact after the drop.
-  fhe::Ciphertext y = batch.labels;
-  ev.drop_to_level(y, p.level());
-  fhe::Ciphertext err = ev.sub(p, y);
+  // PAF emits (ctx.scale()), so the subtraction at p's level is exact.
+  fhe::Ciphertext err = ev.sub(p, batch.labels, p.level());
   // (lr *) grad = (lr *) X^T err, one level.
   fhe::Ciphertext g = batch.gradient.apply(ev, err, *gk_, rt_->relin_key());
 
@@ -143,9 +141,7 @@ void EncryptedLogReg::step_adam(const EncryptedBatch&, const fhe::Ciphertext& g)
       rt_->paf_evaluator().eval_poly(ev, v_new, approx::Polynomial(std::move(c)));
 
   // Update product (one level), then w -= lr * mhat * invsqrt(vhat).
-  fhe::Ciphertext mm = m_new;
-  ev.drop_to_level(mm, denom.level());
-  fhe::Ciphertext upd = ev.multiply(mm, denom);
+  fhe::Ciphertext upd = ev.multiply(m_new, denom, denom.level());
   ev.relinearize_rescale_inplace(upd, rt_->relin_key());
   fhe::Ciphertext w = fhe::scaled_to(ev, state_.weights, 1.0, upd.level(), upd.scale);
   state_.weights = ev.sub(w, upd);

@@ -5,6 +5,7 @@
 // counts for the key-switch and rescale paths at several chain lengths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -262,6 +263,83 @@ TEST_F(EvaluatorOpsTest, ThreePartAwareAddInplace) {
   EXPECT_LT(rel_error(rt_->decrypt(acc), ref), 1e-4);
 }
 
+TEST_F(EvaluatorOpsTest, LevelAboveAnOperandThrowsNamingBothLevels) {
+  Evaluator& ev = rt_->evaluator();
+  const Ciphertext top = rt_->encrypt(random_vec(21));  // level 6
+  Ciphertext low = top;
+  ev.drop_to_level(low, 3);
+  const auto expect_error = [](const auto& body, const std::string& op, int level, int at) {
+    std::string what;
+    try {
+      body();
+    } catch (const sp::Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(op + ": cannot read level " + std::to_string(level) +
+                        " of an operand at level " + std::to_string(at)),
+              std::string::npos)
+        << "message was: '" << what << "'";
+  };
+  expect_error([&] { ev.multiply(top, low, 4); }, "multiply", 4, 3);
+  expect_error([&] { ev.multiply(low, top, 5); }, "multiply", 5, 3);
+  expect_error([&] { ev.add(top, low, 4); }, "add", 4, 3);
+  expect_error([&] { ev.sub(low, top, 6); }, "sub", 6, 3);
+  expect_error([&] { ev.multiply_scalar(low, 0.5, rt_->ctx().scale(), 4); }, "multiply_scalar",
+               4, 3);
+  expect_error([&] { ev.multiply(top, top, 7); }, "multiply", 7, 6);
+  expect_error([&] { ev.add(top, top, -1); }, "add", -1, 6);
+  // Without a level the operands must sit at one level: nothing is matched.
+  EXPECT_THROW(ev.multiply(top, low), sp::Error);
+  EXPECT_THROW(ev.add(top, low), sp::Error);
+  EXPECT_THROW(ev.sub(low, top), sp::Error);
+}
+
+TEST_F(EvaluatorOpsTest, MaskProductsMatchCopyThenInPlace) {
+  Evaluator& ev = rt_->evaluator();
+  const double delta = rt_->ctx().scale();
+  const Ciphertext x = rt_->encrypt(random_vec(22));
+  const Plaintext pt = rt_->encoder().encode(random_vec(23), delta, x.q_count());
+  const auto plain_in_place = [&](const Ciphertext& ct) {
+    Ciphertext t = ct;
+    ev.multiply_plain_inplace(t, pt);
+    return t;
+  };
+  const auto scalar_in_place = [&](const Ciphertext& ct) {
+    Ciphertext t = ct;
+    ev.multiply_scalar_inplace(t, 0.625, delta);
+    return t;
+  };
+  EXPECT_TRUE(bit_identical(ev.multiply_plain(x, pt), plain_in_place(x)));
+
+  // Accumulating forms: into a 2-part sum and into a 3-part product, each
+  // one plain multiplication and one add.
+  const Ciphertext y = rt_->encrypt(random_vec(24));
+  for (const Ciphertext& start : {plain_in_place(y), ev.multiply(y, y)}) {
+    Ciphertext want = start;
+    ev.add_inplace(want, plain_in_place(x));
+    Ciphertext got = start;
+    const OpCounters before = ev.counters;
+    ev.multiply_plain_add_inplace(got, x, pt);
+    const OpCounters d = ev.counters.delta_since(before);
+    EXPECT_EQ(d.plain_mults.load(), 1u);
+    EXPECT_EQ(d.adds.load(), 1u);
+    EXPECT_TRUE(bit_identical(got, want)) << start.size() << "-part accumulator";
+  }
+  Ciphertext want = scalar_in_place(y);
+  ev.add_inplace(want, scalar_in_place(x));
+  Ciphertext got = scalar_in_place(y);
+  ev.multiply_scalar_add_inplace(got, x, 0.625, delta);
+  EXPECT_TRUE(bit_identical(got, want));
+
+  // An accumulator with fewer parts, another level or another scale is refused.
+  Ciphertext two = scalar_in_place(y);
+  EXPECT_THROW(ev.multiply_plain_add_inplace(two, ev.multiply(x, x), pt), sp::Error);
+  Ciphertext low = two;
+  ev.drop_to_level(low, 2);
+  EXPECT_THROW(ev.multiply_scalar_add_inplace(low, x, 0.625, delta), sp::Error);
+  EXPECT_THROW(ev.multiply_scalar_add_inplace(two, x, 0.625, 2 * delta), sp::Error);
+}
+
 /// Lazy-relin BSGS against the bound of one relinearization per ct-ct mult:
 /// plaintext parity, the predicted schedule, never more relinearizations
 /// than multiplications and strictly fewer for dense degrees >= 9.
@@ -434,8 +512,54 @@ void expect_op_pin(const std::string& name, const std::vector<Ciphertext>& out,
   EXPECT_EQ(d.ntts_inverse.load(), want.inv) << name << " inverse NTTs";
 }
 
+/// The level-read ops against copy, drop_to_level, then the op: for every
+/// pair of chain lengths (ca, cb) in `q_counts` and every listed length c at
+/// or below both, multiply, add, sub and multiply_scalar read at level c - 1
+/// must give the digest, and the tallies, of the copies dropped there.
+void expect_level_reads(Evaluator& ev, const Ciphertext& top_a, const Ciphertext& top_b,
+                        const std::string& tag, const std::vector<int>& q_counts) {
+  const auto at = [&](const Ciphertext& ct, int c) {
+    Ciphertext x = ct;
+    ev.drop_to_level(x, c - 1);
+    return x;
+  };
+  const double scale = top_a.scale;
+  for (int ca : q_counts)
+    for (int cb : q_counts)
+      for (int c : q_counts) {
+        if (c > std::min(ca, cb)) continue;
+        const Ciphertext a = at(top_a, ca), b = at(top_b, cb);
+        const Ciphertext a_c = at(a, c), b_c = at(b, c);
+        const int level = c - 1;
+        const std::string where = tag + " a.c" + std::to_string(ca) + " b.c" +
+                                  std::to_string(cb) + " at c" + std::to_string(c);
+        const auto same = [&](const char* op, const auto& read, const auto& dropped) {
+          const OpCounters before = ev.counters;
+          const std::uint64_t got = ct_digest({read()});
+          const OpCounters read_ops = ev.counters.delta_since(before);
+          const OpCounters mid = ev.counters;
+          EXPECT_EQ(got, ct_digest({dropped()})) << op << " " << where;
+          const OpCounters drop_ops = ev.counters.delta_since(mid);
+          EXPECT_EQ(read_ops.ct_mults.load(), drop_ops.ct_mults.load()) << op << " " << where;
+          EXPECT_EQ(read_ops.plain_mults.load(), drop_ops.plain_mults.load()) << op << " " << where;
+          EXPECT_EQ(read_ops.adds.load(), drop_ops.adds.load()) << op << " " << where;
+        };
+        same("multiply", [&] { return ev.multiply(a, b, level); },
+             [&] { return ev.multiply(a_c, b_c); });
+        same("add", [&] { return ev.add(a, b, level); }, [&] { return ev.add(a_c, b_c); });
+        same("sub", [&] { return ev.sub(a, b, level); }, [&] { return ev.sub(a_c, b_c); });
+        same("multiply_scalar", [&] { return ev.multiply_scalar(a, -0.375, scale, level); },
+             [&] {
+               Ciphertext x = a_c;
+               ev.multiply_scalar_inplace(x, -0.375, scale);
+               return x;
+             });
+      }
+}
+
 /// Runs every pinned op on fresh deterministic inputs dropped to each chain
-/// length in `q_counts`. Rescale needs c >= 2.
+/// length in `q_counts`, then the level-read ops at every pair of those
+/// lengths. Rescale needs c >= 2.
 void run_op_pins(const std::string& tag, const CkksParams& params,
                  const std::vector<int>& q_counts) {
   smartpaf::FheRuntime rt(params, /*seed=*/515);
@@ -492,6 +616,8 @@ void run_op_pins(const std::string& tag, const CkksParams& params,
         [&] { return std::vector<Ciphertext>{ev.rotate(a, fan.back(), *gk)}; });
     pin("fan3", fan_ntts(cc, fan.size()), [&] { return ev.rotate_hoisted(a, fan, *gk); });
   }
+  const Ciphertext top_a = fresh(), top_b = fresh();
+  expect_level_reads(ev, top_a, top_b, tag, q_counts);
 }
 
 TEST(EvaluatorOpPins, ShortChainsAtN2048) {

@@ -6,6 +6,7 @@
 // tournament and golden digests and op ledgers of PAF-stage runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -327,6 +328,46 @@ TEST_F(PipelineFheTest, ForcedStrategiesAgreeWithPlannedResult) {
     int predicted_mults = 0;
     for (const auto& s : plan.stages) predicted_mults += s.ops.ct_mults;
     EXPECT_EQ(stats.ct_mults, predicted_mults);
+  }
+}
+
+// run() and run_blocks() read the caller's ciphertexts in place and never
+// write them: a served input is reused across requests. Pipelines opening
+// with an in-place linear stage, a rotation sum, a PAF-ReLU and a MaxPool
+// fan each leave their input byte-identical, and two runs agree.
+TEST_F(PipelineFheTest, RunLeavesItsInputUntouched) {
+  const auto identical = [](const Ciphertext& a, const Ciphertext& b) {
+    if (a.scale != b.scale || a.size() != b.size()) return false;
+    for (std::size_t p = 0; p < a.parts.size(); ++p) {
+      const RnsPoly& x = a.parts[p];
+      const RnsPoly& y = b.parts[p];
+      if (x.row_count() != y.row_count() || x.is_ntt() != y.is_ntt()) return false;
+      if (!std::equal(x.row(0), x.row(0) + x.row_count() * x.n(), y.row(0))) return false;
+    }
+    return true;
+  };
+  sp::Rng rng(17);
+  std::vector<double> slots(rt_->ctx().slot_count());
+  for (auto& v : slots) v = rng.uniform(-1.0, 1.0);
+  const Ciphertext in = rt_->encrypt(slots);
+  const Ciphertext before = in;
+  const smartpaf::FhePipeline pipes[] = {
+      smartpaf::FhePipeline::builder().linear(0.5, 0.25).paf_relu(test_paf(), 2.0).build(),
+      two_activation_pipeline(),
+      smartpaf::FhePipeline::builder().paf_relu(test_paf(), 2.0).build(),
+      smartpaf::FhePipeline::builder().paf_maxpool(test_paf(43), 2.0, 2).build(),
+  };
+  for (const auto& pipe : pipes) {
+    const auto plan =
+        smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
+    const Ciphertext first = pipe.run(*rt_, plan, in);
+    EXPECT_TRUE(identical(in, before)) << plan.describe();
+    EXPECT_TRUE(identical(pipe.run(*rt_, plan, in), first)) << plan.describe();
+    const std::vector<Ciphertext> blocks = {in};
+    const std::vector<Ciphertext> out = pipe.run_blocks(*rt_, plan, blocks);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(identical(out[0], first)) << plan.describe();
+    EXPECT_TRUE(identical(blocks[0], before)) << plan.describe();
   }
 }
 

@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -127,14 +130,40 @@ struct Twiddles {
   }
 };
 
+/// Runs op(dst, a) on a copy of `a` in both destination forms: dst != a
+/// (dst prefilled with all-ones, which is no residue, so an element a tier
+/// skips shows) and dst == a. Each buffer carries a canary at [n] that must
+/// survive, and the dst != a input must not change. Returns {dst != a,
+/// dst == a} with the canaries stripped.
+template <typename Op>
+std::pair<std::vector<u64>, std::vector<u64>> both_forms(const std::vector<u64>& a, const Op& op,
+                                                         const std::string& what) {
+  constexpr u64 kCanary = 0x5eed5eed5eed5eedULL;
+  const std::size_t n = a.size();
+  std::vector<u64> src(a), out(n + 1, ~u64{0}), in_place(a);
+  out[n] = kCanary;
+  in_place.push_back(kCanary);
+  op(out.data(), src.data());
+  op(in_place.data(), in_place.data());
+  EXPECT_EQ(out[n], kCanary) << what << ": dst != a wrote past n";
+  EXPECT_EQ(in_place[n], kCanary) << what << ": dst == a wrote past n";
+  EXPECT_EQ(src, a) << what << ": dst != a changed its input";
+  out.pop_back();
+  in_place.pop_back();
+  return {out, in_place};
+}
+
 TEST(SimdKernels, ElementwiseTiersMatchScalar) {
   // Every prime on both sides of the IFMA tier's 2^50 bound, random rows and
-  // rows of all q - 1 (with w = q - 1 and every mul_shoup row at its edge).
+  // rows of all q - 1 (with w = q - 1 and every mul_shoup row at its edge),
+  // at lengths around a vector and a row tile (kSizes plus 9 and 4095).
+  // Every kernel runs with dst != a and dst == a; both must equal the
+  // scalar tier's dst != a output, element for element.
   const simd::Kernels* ref = simd::detail::scalar_kernels();
   ASSERT_NE(ref, nullptr);
   constexpr u64 k2p52 = u64{1} << 52;
   for (u64 q : ntt_test_primes()) {
-    for (std::size_t n : kSizes) {
+    for (std::size_t n : {1, 2, 3, 7, 8, 9, 31, 1023, 1024, 4095, 4096, 8192}) {
       for (bool worst : {false, true}) {
         sp::Rng rng(n * 31 + (q & 0xffff) + (worst ? 7 : 0));
         const std::vector<u64> a0 = worst ? std::vector<u64>(n, q - 1) : random_below(rng, n, q);
@@ -162,38 +191,52 @@ TEST(SimdKernels, ElementwiseTiersMatchScalar) {
         const std::string tag = " q=" + std::to_string(q) + " n=" + std::to_string(n) +
                                 (worst ? " all q-1" : " random");
 
-        std::vector<u64> r_add(a0), r_sub(a0), r_neg(a0), r_mul(a0), r_mul_inv(a0),
-            r_shoup(lazy), r_shoup4q(below_4q), r_shoup_wide(wide_lane);
-        ref->add_mod(r_add.data(), b.data(), n, q);
-        ref->sub_mod(r_sub.data(), b.data(), n, q);
+        // Each case: its name, its input row and the kernel call on a table.
+        using Call = std::function<void(const simd::Kernels*, u64*, const u64*)>;
+        const std::vector<std::tuple<std::string, const std::vector<u64>*, Call>> cases = {
+            {"add", &a0, [&](const simd::Kernels* k, u64* d, const u64* a) {
+               k->add_mod(d, a, b.data(), n, q);
+             }},
+            {"sub", &a0, [&](const simd::Kernels* k, u64* d, const u64* a) {
+               k->sub_mod(d, a, b.data(), n, q);
+             }},
+            {"mul", &a0, [&](const simd::Kernels* k, u64* d, const u64* a) {
+               k->mul_mod(d, a, b.data(), n, q, m.ratio_hi(), m.ratio_lo());
+             }},
+            {"mul by inverse", &a0, [&](const simd::Kernels* k, u64* d, const u64* a) {
+               k->mul_mod(d, a, inverses.data(), n, q, m.ratio_hi(), m.ratio_lo());
+             }},
+            {"shoup", &lazy, [&](const simd::Kernels* k, u64* d, const u64* a) {
+               k->mul_shoup(d, a, n, w, ws, q);
+             }},
+            {"shoup < 4q", &below_4q, [&](const simd::Kernels* k, u64* d, const u64* a) {
+               k->mul_shoup(d, a, n, w, ws, q);
+             }},
+            {"shoup >= 2^52", &wide_lane, [&](const simd::Kernels* k, u64* d, const u64* a) {
+               k->mul_shoup(d, a, n, w, ws, q);
+             }},
+        };
+        std::vector<u64> r_neg(a0);
         ref->neg_mod(r_neg.data(), n, q);
-        ref->mul_mod(r_mul.data(), b.data(), n, q, m.ratio_hi(), m.ratio_lo());
-        ref->mul_mod(r_mul_inv.data(), inverses.data(), n, q, m.ratio_hi(), m.ratio_lo());
-        ref->mul_shoup(r_shoup.data(), n, w, ws, q);
-        ref->mul_shoup(r_shoup4q.data(), n, w, ws, q);
-        ref->mul_shoup(r_shoup_wide.data(), n, w, ws, q);
-
+        for (const auto& [name, input, call] : cases) {
+          const auto reference =
+              both_forms(*input, [&](u64* d, const u64* a) { call(ref, d, a); },
+                         "scalar " + name + tag);
+          EXPECT_EQ(reference.second, reference.first) << "scalar " << name << tag;
+          for (simd::Tier t : supported_tiers()) {
+            const simd::Kernels* k = table_for(t);
+            ASSERT_NE(k, nullptr);
+            const std::string what = simd::tier_name(t) + (" " + name) + tag;
+            const auto [out, in_place] =
+                both_forms(*input, [&](u64* d, const u64* a) { call(k, d, a); }, what);
+            EXPECT_EQ(out, reference.first) << what << " dst != a";
+            EXPECT_EQ(in_place, reference.first) << what << " dst == a";
+          }
+        }
         for (simd::Tier t : supported_tiers()) {
-          const simd::Kernels* k = table_for(t);
-          ASSERT_NE(k, nullptr);
-          std::vector<u64> v_add(a0), v_sub(a0), v_neg(a0), v_mul(a0), v_mul_inv(a0),
-              v_shoup(lazy), v_shoup4q(below_4q), v_shoup_wide(wide_lane);
-          k->add_mod(v_add.data(), b.data(), n, q);
-          k->sub_mod(v_sub.data(), b.data(), n, q);
-          k->neg_mod(v_neg.data(), n, q);
-          k->mul_mod(v_mul.data(), b.data(), n, q, m.ratio_hi(), m.ratio_lo());
-          k->mul_mod(v_mul_inv.data(), inverses.data(), n, q, m.ratio_hi(), m.ratio_lo());
-          k->mul_shoup(v_shoup.data(), n, w, ws, q);
-          k->mul_shoup(v_shoup4q.data(), n, w, ws, q);
-          k->mul_shoup(v_shoup_wide.data(), n, w, ws, q);
-          EXPECT_EQ(v_add, r_add) << simd::tier_name(t) << " add" << tag;
-          EXPECT_EQ(v_sub, r_sub) << simd::tier_name(t) << " sub" << tag;
+          std::vector<u64> v_neg(a0);
+          table_for(t)->neg_mod(v_neg.data(), n, q);
           EXPECT_EQ(v_neg, r_neg) << simd::tier_name(t) << " neg" << tag;
-          EXPECT_EQ(v_mul, r_mul) << simd::tier_name(t) << " mul" << tag;
-          EXPECT_EQ(v_mul_inv, r_mul_inv) << simd::tier_name(t) << " mul by inverse" << tag;
-          EXPECT_EQ(v_shoup, r_shoup) << simd::tier_name(t) << " shoup" << tag;
-          EXPECT_EQ(v_shoup4q, r_shoup4q) << simd::tier_name(t) << " shoup < 4q" << tag;
-          EXPECT_EQ(v_shoup_wide, r_shoup_wide) << simd::tier_name(t) << " shoup >= 2^52" << tag;
         }
       }
     }

@@ -284,6 +284,20 @@ TEST(WireGolden, PolyCiphertextAndKeyBlobsAreByteStable) {
   EXPECT_EQ(io::serialize(io::deserialize_galois_keys(gk_blob, ctx)), gk_blob);
 }
 
+#ifndef NDEBUG
+// Builds without NDEBUG fill a write-once polynomial with all-ones, which is
+// no residue: a row its caller forgot to write cannot decode.
+TEST(WireWriteOnce, UnwrittenRowFailsDecoding) {
+  const CkksContext& ctx = small_ctx();
+  RnsPoly p(&ctx, ctx.q_count(), /*with_special=*/false, /*ntt_form=*/true, RnsPoly::kUnwritten);
+  const RnsPoly written = formula_poly(ctx, false, true, 3);
+  for (int i = 0; i + 1 < p.row_count(); ++i)
+    std::copy(written.row(i), written.row(i) + p.n(), p.row(i));
+  expect_error_containing([&] { io::deserialize_poly(io::serialize(p), ctx); },
+                          "residue out of range at row 2, index 0");
+}
+#endif
+
 // --------------------------------------------------------------- primitives --
 
 TEST(WirePrimitives, ScalarsRoundTripLittleEndian) {
