@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "approx/composite.h"
 #include "approx/distribution.h"
 #include "approx/fit.h"
 #include "approx/polynomial.h"
+#include "approx/presets.h"
 #include "approx/remez.h"
+#include "common/check.h"
+#include "common/hash.h"
 
 namespace {
 
@@ -218,6 +224,96 @@ TEST(Remez, HigherDegreeIsMoreAccurate) {
   const auto r5 = sp::approx::remez_sign(5, 0.05);
   const auto r13 = sp::approx::remez_sign(13, 0.05);
   EXPECT_LT(r13.minimax_error, r5.minimax_error);
+}
+
+// Bit pins of every Remez fit the library builds: the FNV digest of the
+// coefficients, the exact minimax_error bits and the exchange count. A change
+// to the exchange loop must keep all three.
+struct FitPin {
+  std::uint64_t coeffs, error;
+  int iterations;  // -1: the entry point does not report it
+};
+
+std::uint64_t double_bits(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+void expect_fit_pin(const std::string& what, const std::vector<double>& coeffs,
+                    double error, int iterations, const FitPin& pin) {
+  const std::uint64_t digest = sp::fnv_doubles(sp::kFnvOffset, coeffs);
+  EXPECT_EQ(digest, pin.coeffs) << what << ": coeffs 0x" << std::hex << digest;
+  EXPECT_EQ(double_bits(error), pin.error)
+      << what << ": error 0x" << std::hex << double_bits(error);
+  if (pin.iterations >= 0) {
+    EXPECT_EQ(iterations, pin.iterations) << what;
+  }
+}
+
+TEST(RemezPins, SignFits) {
+  const struct {
+    int degree;
+    FitPin pin;
+  } pins[] = {
+      {3, {0xa769abbea5152cedULL, 0x3fe36e6de0199901ULL, 3}},
+      {5, {0x83d4ac90e93f0222ULL, 0x3fdd04c84f1be706ULL, 4}},
+      {7, {0x26c927e1cbcf6fbcULL, 0x3fd5e801fc3a22b2ULL, 4}},
+      {9, {0x1109f8d6795792a9ULL, 0x3fd0b2bd8ce99897ULL, 6}},
+      {13, {0x9465ec59a260937aULL, 0x3fc3d9f5176ac21cULL, 6}},
+      {27, {0xa770ea9eeeb5c9a9ULL, 0x3f9d836e9b19076dULL, 7}},
+  };
+  for (const auto& p : pins) {
+    const auto r = sp::approx::remez_sign(p.degree, 0.1);
+    expect_fit_pin("remez_sign degree " + std::to_string(p.degree), r.poly.coeffs(),
+                   r.minimax_error, r.iterations, p.pin);
+  }
+}
+
+TEST(RemezPins, Alpha10D27Composite) {
+  const auto paf = sp::approx::make_paf(sp::approx::PafForm::ALPHA10_D27);
+  const std::uint64_t digest = sp::fnv_doubles(sp::kFnvOffset, paf.flatten_coeffs());
+  EXPECT_EQ(digest, 0x617880a232db1df4ULL) << "0x" << std::hex << digest;
+}
+
+TEST(RemezPins, SigmoidAndInvSqrtFits) {
+  const struct {
+    int degree;
+    double range;
+    FitPin pin;
+  } sigmoid[] = {
+      {3, 8.0, {0x05e84cbee35d2c19ULL, 0x3fb6e6e004dcbd7fULL, -1}},
+      {5, 8.0, {0xd6e7eccb50cb7e65ULL, 0x3fa4eab9bad78537ULL, -1}},
+      {7, 8.0, {0x51aa2470ad27e7a9ULL, 0x3f9358812dc57b23ULL, -1}},
+      {3, 4.0, {0xe4db066466b1e67aULL, 0x3f974e85a4ea6e4cULL, -1}},
+  };
+  for (const auto& p : sigmoid) {
+    const auto s = sp::approx::sigmoid_paf(p.degree, p.range);
+    expect_fit_pin("sigmoid_paf degree " + std::to_string(p.degree) + " range " +
+                       std::to_string(p.range),
+                   s.poly.coeffs(), s.max_error, -1, p.pin);
+  }
+  const struct {
+    int degree;
+    FitPin pin;
+  } invsqrt[] = {
+      {3, {0x6ea7b9ddf6d035bcULL, 0x3fb9f9e20d7f3541ULL, -1}},
+      {5, {0x47d87222f4a2dcd4ULL, 0x3f9940301d350eb1ULL, -1}},
+  };
+  for (const auto& p : invsqrt) {
+    const auto s = sp::approx::invsqrt_paf(p.degree, 1.0, 0.1);
+    expect_fit_pin("invsqrt_paf degree " + std::to_string(p.degree), s.poly.coeffs(),
+                   s.max_error, -1, p.pin);
+  }
+}
+
+TEST(RemezPins, FullAndOddBasisFits) {
+  const auto full = sp::approx::remez_fit([](double x) { return std::exp(x); }, -1.0, 1.0, 6);
+  expect_fit_pin("remez_fit exp", full.poly.coeffs(), full.minimax_error, full.iterations,
+                 {0x3963d571585e267dULL, 0x3ecaef4de5f2cef4ULL, 4});
+  const auto odd = sp::approx::remez_fit_odd([](double x) { return std::atan(2.0 * x); }, 1.0, 7);
+  expect_fit_pin("remez_fit_odd atan", odd.poly.coeffs(), odd.minimax_error, odd.iterations,
+                 {0x23d32a3ba0466b64ULL, 0x3f6a92b1c9e1cbe5ULL, 5});
 }
 
 TEST(Distribution, RunningStatsAndReservoir) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "common/hash.h"
 #include "data/synthetic.h"
 #include "models/zoo.h"
 #include "nn/layers.h"
@@ -165,6 +169,134 @@ TEST(PafMaxPool, GradCheck) {
     xp[i] += static_cast<float>(h);
     xm[i] -= static_cast<float>(h);
     EXPECT_NEAR(gx[i], (loss(xp) - loss(xm)) / (2 * h), 3e-2) << i;
+  }
+}
+
+TEST(PafMaxPool1d, GradCheck) {
+  // Window 3 at stride 2 over 8 slots: the last window wraps to slot 0.
+  PafMaxPool1d layer(approx::make_paf(PafForm::F1_G2), 3, 2, "pmax1d");
+  layer.set_static_scale(3.0f);
+  Tensor x = random_tensor({2, 8}, 37);
+  Tensor y = layer.forward(x, true);
+  Tensor gy(y.shape());
+  sp::Rng rng(7);
+  for (std::size_t i = 0; i < gy.numel(); ++i)
+    gy[i] = static_cast<float>(rng.uniform(-1, 1));
+  std::vector<nn::Param*> ps;
+  layer.collect_params(ps);
+  ps[0]->grad.fill(0.0f);
+  const Tensor gx = layer.backward(gy);
+
+  auto loss = [&](const Tensor& xx) {
+    const Tensor yy = layer.forward(xx, true);
+    double acc = 0;
+    for (std::size_t i = 0; i < yy.numel(); ++i) acc += gy[i] * yy[i];
+    return acc;
+  };
+  const double h = 1e-3;
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    Tensor xp = x, xm = x;
+    xp[i] += static_cast<float>(h);
+    xm[i] -= static_cast<float>(h);
+    EXPECT_NEAR(gx[i], (loss(xp) - loss(xm)) / (2 * h), 3e-2) << i;
+  }
+  for (std::size_t k = 1; k < ps[0]->value.numel(); k += 2) {
+    const float orig = ps[0]->value[k];
+    ps[0]->value[k] = orig + static_cast<float>(h);
+    const double lp = loss(x);
+    ps[0]->value[k] = orig - static_cast<float>(h);
+    const double lm = loss(x);
+    ps[0]->value[k] = orig;
+    EXPECT_NEAR(ps[0]->grad[k], (lp - lm) / (2 * h), 3e-2) << "coeff " << k;
+  }
+}
+
+// Bit pins of the PAF-max tournament: FNV digests of the output, the input
+// gradient and the coefficient gradient of one training step, for each pool
+// geometry in both scale modes.
+struct PoolPin {
+  std::uint64_t y, gx, gcoeff;
+};
+
+std::uint64_t tensor_digest(const Tensor& t) {
+  std::uint64_t h = sp::kFnvOffset;
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    const float v = t[i];
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    h = sp::fnv_mix(h, bits);
+  }
+  return h;
+}
+
+void expect_pool_pin(PafLayerBase& layer, const Tensor& x, const PoolPin& pin) {
+  const Tensor y = layer.forward(x, true);
+  Tensor gy(y.shape());
+  for (std::size_t i = 0; i < gy.numel(); ++i)
+    gy[i] = static_cast<float>(std::cos(0.7 * static_cast<double>(i)));
+  const Tensor gx = layer.backward(gy);
+  std::vector<nn::Param*> ps;
+  layer.collect_params(ps);
+  const std::uint64_t got[] = {tensor_digest(y), tensor_digest(gx),
+                               tensor_digest(ps[0]->grad)};
+  const std::uint64_t want[] = {pin.y, pin.gx, pin.gcoeff};
+  const char* what[] = {"output", "input gradient", "coefficient gradient"};
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(got[i], want[i]) << layer.name() << " " << what[i] << ": 0x" << std::hex
+                               << got[i];
+}
+
+TEST(TournamentPins, PafMaxPool1d) {
+  const Tensor x = random_tensor({3, 12}, 41);
+  const struct {
+    int window, stride;
+    PoolPin dynamic, fixed;
+  } pins[] = {
+      {2, 1, {0xaeedf971f9511647ULL, 0x4c6312f29d1787eaULL, 0xdd8d75f56ee3d01bULL},
+       {0x5f4f1dfb19eb0b2dULL, 0x4143b2b6beaa9214ULL, 0x91fed8c0a9ad7f42ULL}},
+      {3, 1, {0x27f8222dd47917a3ULL, 0xb45bcb3f4593cf43ULL, 0xc449a9bc2317a13eULL},
+       {0xc4f117c599cabb2eULL, 0x3da0ea7556a75cdbULL, 0x12fe14d818071683ULL}},
+      {2, 2, {0x771f2cf679beec88ULL, 0xd9e435770e826babULL, 0x7aee73ec24380ab1ULL},
+       {0xc2b89782fd112207ULL, 0x9400c2e8221201d5ULL, 0x438254ba59e6a05aULL}},
+      {4, 2, {0x52b6f83f3ddaa8c8ULL, 0x025c9cb00fa58254ULL, 0x3823e50f83bfc11aULL},
+       {0x081fd59b4c87de25ULL, 0x1e735b49be502610ULL, 0x552d762b41aa4b05ULL}},
+  };
+  for (const auto& p : pins) {
+    const std::string geometry =
+        "w" + std::to_string(p.window) + "s" + std::to_string(p.stride);
+    PafMaxPool1d dynamic(approx::make_paf(PafForm::F1_G2), p.window, p.stride,
+                         geometry + ".dynamic");
+    expect_pool_pin(dynamic, x, p.dynamic);
+    PafMaxPool1d fixed(approx::make_paf(PafForm::F1_G2), p.window, p.stride,
+                       geometry + ".static");
+    fixed.set_static_scale(6.0f);
+    expect_pool_pin(fixed, x, p.fixed);
+  }
+}
+
+TEST(TournamentPins, PafMaxPool) {
+  const Tensor x = random_tensor({2, 3, 6, 7}, 43);
+  const struct {
+    int kernel, stride, pad;
+    PoolPin dynamic, fixed;
+  } pins[] = {
+      {2, 2, 0, {0x804082e169e7c964ULL, 0xacd7c345dc98fc6cULL, 0x9b6f7eda88eabb0bULL},
+       {0x9840560a96dd7d69ULL, 0x393d2d8ad8d76c81ULL, 0x74ce1620cfa3356fULL}},
+      {3, 2, 1, {0x9c88a8a969a490f2ULL, 0x20c2422950436d73ULL, 0xa34e79ac462211a3ULL},
+       {0x8a1c87aff0d70b88ULL, 0x5794c2cf066b8d62ULL, 0x6c81b1ad0f2dcaa4ULL}},
+      {3, 1, 1, {0x9a6f8529414a6349ULL, 0x2d9f9d7bb04b2fb2ULL, 0xa296fe2e0183fbb4ULL},
+       {0x70921129ced6b649ULL, 0xa8bf8d328c481e9cULL, 0x69c286bf0db86912ULL}},
+  };
+  for (const auto& p : pins) {
+    const std::string geometry = "k" + std::to_string(p.kernel) + "s" +
+                                 std::to_string(p.stride) + "p" + std::to_string(p.pad);
+    PafMaxPool dynamic(approx::make_paf(PafForm::F1_G2), p.kernel, p.stride, p.pad,
+                       geometry + ".dynamic");
+    expect_pool_pin(dynamic, x, p.dynamic);
+    PafMaxPool fixed(approx::make_paf(PafForm::F1_G2), p.kernel, p.stride, p.pad,
+                     geometry + ".static");
+    fixed.set_static_scale(6.0f);
+    expect_pool_pin(fixed, x, p.fixed);
   }
 }
 
