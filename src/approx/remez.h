@@ -9,7 +9,9 @@
 
 namespace sp::approx {
 
-/// Result of a Remez exchange run.
+/// Result of a Remez exchange run. The three fits below share one exchange
+/// loop; each throws sp::Error, naming itself, when max_iters < 1 or when
+/// grid < 4 (m + 1) for its m + 1 reference points.
 struct RemezResult {
   Polynomial poly;          ///< minimax polynomial (odd for remez_sign)
   double minimax_error = 0; ///< achieved equioscillating error magnitude

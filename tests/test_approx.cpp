@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "approx/composite.h"
@@ -224,6 +225,37 @@ TEST(Remez, HigherDegreeIsMoreAccurate) {
   const auto r5 = sp::approx::remez_sign(5, 0.05);
   const auto r13 = sp::approx::remez_sign(13, 0.05);
   EXPECT_LT(r13.minimax_error, r5.minimax_error);
+}
+
+TEST(Remez, EntryPointsRejectCoarseGridAndZeroIterations) {
+  using sp::approx::RemezResult;
+  const auto expect_error = [](const std::string& entry, const char* field,
+                               const std::function<RemezResult()>& fit) {
+    std::string msg;
+    try {
+      fit();
+    } catch (const sp::Error& e) {
+      msg = e.what();
+    }
+    EXPECT_EQ(msg.rfind(entry + ": " + field, 0), 0u) << entry << ": '" << msg << "'";
+  };
+  const auto smooth = [](double x) { return std::atan(2.0 * x); };
+  const struct {
+    int max_iters, grid;
+    const char* field;
+  } bad[] = {{50, 2, "grid"}, {0, 8192, "max_iters"}};
+  for (const auto& b : bad) {
+    expect_error("remez_fit", b.field, [&] {
+      return sp::approx::remez_fit(smooth, -1.0, 1.0, 6, b.max_iters, b.grid);
+    });
+    expect_error("remez_fit_odd", b.field, [&] {
+      return sp::approx::remez_fit_odd(smooth, 1.0, 7, b.max_iters, b.grid);
+    });
+    expect_error("remez_sign", b.field,
+                 [&] { return sp::approx::remez_sign(7, 0.1, b.max_iters, b.grid); });
+  }
+  // The bound is 4 grid points per reference point: 20 at degree 7.
+  EXPECT_NO_THROW(sp::approx::remez_sign(7, 0.1, 50, 20));
 }
 
 // Bit pins of every Remez fit the library builds: the FNV digest of the
