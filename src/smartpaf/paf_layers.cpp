@@ -105,232 +105,149 @@ nn::Tensor PafActivation::backward(const nn::Tensor& gy) {
   return gx;
 }
 
+// -------------------------------------------------------- PafMaxTournament --
+
+nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
+  sync_coeffs();
+  if (x.shape() != folds_shape_) {
+    folds_ = folds(x);
+    folds_shape_ = x.shape();
+  }
+  const std::vector<std::size_t>& start = folds_.start;
+  const std::vector<std::size_t>& idx = folds_.idx;
+
+  float spread = 0.0f;
+  for (std::size_t o = 0; o + 1 < start.size(); ++o) {
+    float lo = x[idx[start[o]]], hi = lo;
+    for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
+      lo = std::min(lo, x[idx[k]]);
+      hi = std::max(hi, x[idx[k]]);
+    }
+    spread = std::max(spread, hi - lo);
+  }
+  scale_used_ = resolve_scale(spread, train);
+  const double s = scale_used_;
+
+  nn::Tensor y(folds_.out_shape);
+  for (std::size_t o = 0; o + 1 < start.size(); ++o) {
+    double m = x[idx[start[o]]];
+    for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
+      const double v = x[idx[k]];
+      const double d = m - v;
+      m = 0.5 * ((m + v) + d * paf_(d / s));
+    }
+    y[o] = static_cast<float>(m);
+  }
+  if (train) x_cache_ = x;
+  return y;
+}
+
+nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
+  const nn::Tensor& x = x_cache_;
+  sp::check(x.shape() == folds_shape_ && gy.shape() == folds_.out_shape,
+            name_ + ": backward needs a training forward of the same shape");
+  nn::Tensor gx(x.shape());
+  const double s = scale_used_;
+  const auto n_coeff = static_cast<std::size_t>(paf_.num_coeffs());
+  std::vector<double> cg(n_coeff, 0.0);
+  std::vector<double> cg_local(n_coeff);
+  approx::CompositePaf::Tape tape;
+  // Per-step partials of one fold, reused across outputs.
+  std::vector<double> dprev, dv, dc;
+
+  for (std::size_t o = 0; o + 1 < folds_.start.size(); ++o) {
+    const std::size_t* in = folds_.idx.data() + folds_.start[o];
+    const std::size_t count = folds_.start[o + 1] - folds_.start[o];
+    dprev.resize(count);
+    dv.resize(count);
+    dc.resize(count * n_coeff);
+    // Re-run the fold, keeping each step's partials.
+    double m = x[in[0]];
+    for (std::size_t i = 1; i < count; ++i) {
+      const double b = x[in[i]];
+      const double d = m - b;
+      const double t = d / s;
+      const double p = paf_.forward(t, tape);
+      std::fill(cg_local.begin(), cg_local.end(), 0.0);
+      const double dp_dt = paf_.backward(tape, 1.0, cg_local);
+      m = 0.5 * ((m + b) + d * p);
+      dprev[i] = 0.5 * (1.0 + p + t * dp_dt);
+      dv[i] = 0.5 * (1.0 - p - t * dp_dt);
+      for (std::size_t k = 0; k < n_coeff; ++k) dc[i * n_coeff + k] = 0.5 * d * cg_local[k];
+    }
+    // Backward through the fold.
+    double g = gy[o];
+    for (std::size_t i = count; i-- > 1;) {
+      gx[in[i]] += static_cast<float>(g * dv[i]);
+      for (std::size_t k = 0; k < n_coeff; ++k) cg[k] += g * dc[i * n_coeff + k];
+      g *= dprev[i];
+    }
+    gx[in[0]] += static_cast<float>(g);
+  }
+  for (std::size_t k = 0; k < n_coeff; ++k) coeff_.grad[k] += static_cast<float>(cg[k]);
+  mask_even_grads();
+  return gx;
+}
+
 // ------------------------------------------------------------ PafMaxPool1d --
 
 PafMaxPool1d::PafMaxPool1d(approx::CompositePaf paf, int window, std::string name,
                            ScaleMode mode, bool odd_only)
-    : PafLayerBase(std::move(paf), std::move(name), mode, odd_only), window_(window) {
-  sp::check(window_ >= 2, "PafMaxPool1d: window must be >= 2");
-}
+    : PafMaxPool1d(std::move(paf), window, 1, std::move(name), mode, odd_only) {}
 
 PafMaxPool1d::PafMaxPool1d(approx::CompositePaf paf, int window, int stride,
                            std::string name, ScaleMode mode, bool odd_only)
-    : PafLayerBase(std::move(paf), std::move(name), mode, odd_only),
+    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only),
       window_(window),
       stride_(stride) {
   sp::check(window_ >= 2, "PafMaxPool1d: window must be >= 2");
   sp::check(stride_ >= 1, "PafMaxPool1d: stride must be >= 1");
 }
 
-nn::Tensor PafMaxPool1d::forward(const nn::Tensor& x, bool train) {
-  sync_coeffs();
+PafMaxTournament::Folds PafMaxPool1d::folds(const nn::Tensor& x) const {
   sp::check(x.ndim() == 2, "PafMaxPool1d: expects [B, W], got " + x.shape_str());
   const int batch = x.dim(0), w = x.dim(1);
   sp::check(window_ <= w, "PafMaxPool1d: window wider than the slot count");
   sp::check(w % stride_ == 0, "PafMaxPool1d: stride must divide the width");
-  const int ow = w / stride_;
-
-  // Scale = batch max per-window spread, an upper bound on every pairwise
-  // difference the tournament feeds to the PAF.
-  float spread = 0.0f;
+  Folds f;
+  f.out_shape = {batch, w / stride_};
   for (int n = 0; n < batch; ++n)
-    for (int j = 0; j < ow; ++j) {
-      const int base = j * stride_;
-      float lo = x.at(n, base), hi = lo;
-      for (int t = 1; t < window_; ++t) {
-        const float v = x.at(n, (base + t) % w);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-      spread = std::max(spread, hi - lo);
+    for (int j = 0; j < w; j += stride_) {
+      for (int t = 0; t < window_; ++t)
+        f.idx.push_back(static_cast<std::size_t>(n) * w + (j + t) % w);
+      f.start.push_back(f.idx.size());
     }
-  scale_used_ = resolve_scale(spread, train);
-  const double s = scale_used_;
-
-  nn::Tensor y({batch, ow});
-  for (int n = 0; n < batch; ++n)
-    for (int j = 0; j < ow; ++j) {
-      // The fold runs in double and rounds once on store, matching the
-      // encrypted tournament's step order exactly.
-      const int base = j * stride_;
-      double m = x.at(n, base);
-      for (int t = 1; t < window_; ++t) {
-        const double v = x.at(n, (base + t) % w);
-        const double d = m - v;
-        m = 0.5 * ((m + v) + d * paf_(d / s));
-      }
-      y.at(n, j) = static_cast<float>(m);
-    }
-  if (train) x_cache_ = x;
-  return y;
-}
-
-nn::Tensor PafMaxPool1d::backward(const nn::Tensor& gy) {
-  const nn::Tensor& x = x_cache_;
-  const int batch = x.dim(0), w = x.dim(1);
-  const int ow = w / stride_;
-  nn::Tensor gx({batch, w});
-  const double s = scale_used_;
-  const auto n_coeff = static_cast<std::size_t>(paf_.num_coeffs());
-  std::vector<double> cg(n_coeff, 0.0);
-  std::vector<double> cg_local(n_coeff);
-  approx::CompositePaf::Tape tape;
-  const auto count = static_cast<std::size_t>(window_);
-  fold_m_.resize(count);
-  fold_dprev_.resize(count);
-  fold_dv_.resize(count);
-  fold_dc_.resize(count * n_coeff);
-
-  for (int n = 0; n < batch; ++n)
-    for (int jo = 0; jo < ow; ++jo) {
-      const int j = jo * stride_;
-      fold_m_[0] = x.at(n, j);
-      for (std::size_t i = 1; i < count; ++i) {
-        const double a = fold_m_[i - 1];
-        const double b = x.at(n, (j + static_cast<int>(i)) % w);
-        const double d = a - b;
-        const double t = d / s;
-        const double p = paf_.forward(t, tape);
-        std::fill(cg_local.begin(), cg_local.end(), 0.0);
-        const double dp_dt = paf_.backward(tape, 1.0, cg_local);
-        fold_m_[i] = 0.5 * ((a + b) + d * p);
-        fold_dprev_[i] = 0.5 * (1.0 + p + t * dp_dt);
-        fold_dv_[i] = 0.5 * (1.0 - p - t * dp_dt);
-        for (std::size_t k = 0; k < n_coeff; ++k)
-          fold_dc_[i * n_coeff + k] = 0.5 * d * cg_local[k];
-      }
-      double g = gy.at(n, jo);
-      for (std::size_t i = count; i-- > 1;) {
-        gx.at(n, (j + static_cast<int>(i)) % w) += static_cast<float>(g * fold_dv_[i]);
-        for (std::size_t k = 0; k < n_coeff; ++k) cg[k] += g * fold_dc_[i * n_coeff + k];
-        g *= fold_dprev_[i];
-      }
-      gx.at(n, j) += static_cast<float>(g);
-    }
-  for (std::size_t k = 0; k < n_coeff; ++k) coeff_.grad[k] += static_cast<float>(cg[k]);
-  mask_even_grads();
-  return gx;
+  return f;
 }
 
 // -------------------------------------------------------------- PafMaxPool --
 
-namespace {
-int pool_out(int in, int k, int stride, int pad) { return (in + 2 * pad - k) / stride + 1; }
-}  // namespace
-
 PafMaxPool::PafMaxPool(approx::CompositePaf paf, int kernel, int stride, int pad,
                        std::string name, ScaleMode mode, bool odd_only)
-    : PafLayerBase(std::move(paf), std::move(name), mode, odd_only), k_(kernel),
-      stride_(stride), pad_(pad) {}
-
-void PafMaxPool::window_values(const nn::Tensor& x, int n, int c, int oy, int ox,
-                               std::vector<float>& vals,
-                               std::vector<std::size_t>& idx) const {
-  vals.clear();
-  idx.clear();
-  const int h = x.dim(2), w = x.dim(3);
-  for (int dy = 0; dy < k_; ++dy)
-    for (int dx = 0; dx < k_; ++dx) {
-      const int iy = oy * stride_ + dy - pad_;
-      const int ix = ox * stride_ + dx - pad_;
-      if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
-      vals.push_back(x.at(n, c, iy, ix));
-      idx.push_back(((static_cast<std::size_t>(n) * x.dim(1) + c) * h + iy) * w + ix);
-    }
+    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only), k_(kernel),
+      stride_(stride), pad_(pad) {
+  sp::check(k_ >= 1 && stride_ >= 1 && pad_ >= 0 && pad_ < k_,
+            "PafMaxPool: needs kernel >= 1, stride >= 1 and 0 <= pad < kernel");
 }
 
-nn::Tensor PafMaxPool::forward(const nn::Tensor& x, bool train) {
-  sync_coeffs();
-  const int batch = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  oh_ = pool_out(h, k_, stride_, pad_);
-  ow_ = pool_out(w, k_, stride_, pad_);
-
-  // Scale = batch max of per-window value spread (an upper bound on every
-  // pairwise difference fed to the PAF, computable without the PAF itself).
-  std::vector<float> vals;
-  std::vector<std::size_t> idx;
-  float spread = 0.0f;
-  for (int n = 0; n < batch; ++n)
-    for (int cc = 0; cc < c; ++cc)
-      for (int oy = 0; oy < oh_; ++oy)
-        for (int ox = 0; ox < ow_; ++ox) {
-          window_values(x, n, cc, oy, ox, vals, idx);
-          float lo = vals[0], hi = vals[0];
-          for (float v : vals) {
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-          }
-          spread = std::max(spread, hi - lo);
-        }
-  scale_used_ = resolve_scale(spread, train);
-  const double s = scale_used_;
-
-  nn::Tensor y({batch, c, oh_, ow_});
-  for (int n = 0; n < batch; ++n)
-    for (int cc = 0; cc < c; ++cc)
-      for (int oy = 0; oy < oh_; ++oy)
-        for (int ox = 0; ox < ow_; ++ox) {
-          window_values(x, n, cc, oy, ox, vals, idx);
-          double m = vals[0];
-          for (std::size_t i = 1; i < vals.size(); ++i) {
-            const double d = m - vals[i];
-            m = 0.5 * ((m + vals[i]) + d * paf_(d / s));
-          }
-          y.at(n, cc, oy, ox) = static_cast<float>(m);
-        }
-  if (train) x_cache_ = x;
-  return y;
-}
-
-nn::Tensor PafMaxPool::backward(const nn::Tensor& gy) {
-  const nn::Tensor& x = x_cache_;
-  nn::Tensor gx(x.shape());
-  const double s = scale_used_;
-  const auto n_coeff = static_cast<std::size_t>(paf_.num_coeffs());
-  std::vector<double> cg(n_coeff, 0.0);
-  std::vector<double> cg_local(n_coeff);
-  std::vector<float> vals;
-  std::vector<std::size_t> idx;
-  approx::CompositePaf::Tape tape;
-
-  for (int n = 0; n < gy.dim(0); ++n)
-    for (int cc = 0; cc < gy.dim(1); ++cc)
-      for (int oy = 0; oy < oh_; ++oy)
-        for (int ox = 0; ox < ow_; ++ox) {
-          window_values(x, n, cc, oy, ox, vals, idx);
-          const std::size_t count = vals.size();
-          // Re-run the fold, keeping per-step partials in flat scratch
-          // buffers (window size <= 16; no per-pixel allocation).
-          fold_m_.resize(count);
-          fold_dprev_.resize(count);
-          fold_dv_.resize(count);
-          fold_dc_.resize(count * n_coeff);
-          fold_m_[0] = vals[0];
-          for (std::size_t i = 1; i < count; ++i) {
-            const double a = fold_m_[i - 1], b = vals[i];
-            const double d = a - b;
-            const double t = d / s;
-            const double p = paf_.forward(t, tape);
-            std::fill(cg_local.begin(), cg_local.end(), 0.0);
-            const double dp_dt = paf_.backward(tape, 1.0, cg_local);
-            fold_m_[i] = 0.5 * ((a + b) + d * p);
-            fold_dprev_[i] = 0.5 * (1.0 + p + t * dp_dt);
-            fold_dv_[i] = 0.5 * (1.0 - p - t * dp_dt);
-            for (std::size_t k = 0; k < n_coeff; ++k)
-              fold_dc_[i * n_coeff + k] = 0.5 * d * cg_local[k];
-          }
-          // Backward through the fold.
-          double g = gy.at(n, cc, oy, ox);
-          for (std::size_t i = count; i-- > 1;) {
-            gx[idx[i]] += static_cast<float>(g * fold_dv_[i]);
-            for (std::size_t k = 0; k < n_coeff; ++k) cg[k] += g * fold_dc_[i * n_coeff + k];
-            g *= fold_dprev_[i];
-          }
-          gx[idx[0]] += static_cast<float>(g);
-        }
-  for (std::size_t k = 0; k < n_coeff; ++k) coeff_.grad[k] += static_cast<float>(cg[k]);
-  mask_even_grads();
-  return gx;
+PafMaxTournament::Folds PafMaxPool::folds(const nn::Tensor& x) const {
+  sp::check(x.ndim() == 4, "PafMaxPool: expects [N, C, H, W], got " + x.shape_str());
+  const int planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+  sp::check(h + 2 * pad_ >= k_ && w + 2 * pad_ >= k_,
+            "PafMaxPool: kernel larger than the padded input");
+  const int oh = (h + 2 * pad_ - k_) / stride_ + 1, ow = (w + 2 * pad_ - k_) / stride_ + 1;
+  Folds f;
+  f.out_shape = {x.dim(0), x.dim(1), oh, ow};
+  for (int plane = 0; plane < planes; ++plane)
+    for (int oy = 0; oy < oh; ++oy)
+      for (int ox = 0; ox < ow; ++ox) {
+        for (int iy = oy * stride_ - pad_; iy < oy * stride_ - pad_ + k_; ++iy)
+          for (int ix = ox * stride_ - pad_; ix < ox * stride_ - pad_ + k_; ++ix)
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              f.idx.push_back((static_cast<std::size_t>(plane) * h + iy) * w + ix);
+        f.start.push_back(f.idx.size());
+      }
+  return f;
 }
 
 }  // namespace sp::smartpaf

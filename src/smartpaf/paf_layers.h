@@ -71,61 +71,74 @@ class PafActivation final : public PafLayerBase {
   float scale_used_ = 1.0f;
 };
 
-/// nn::MaxPool1d replaced by the cyclic pairwise PAF-max tournament over a
-/// [B, W] tensor: y[b, j] folds max over x[b, j*stride..j*stride+window-1]
-/// (cyclic) as m <- 0.5 ((m + v) + (m - v) · paf((m - v)/s)), one output per
-/// stride (output width W / stride). The fold order matches the encrypted
-/// MaxPool stage of smartpaf::FhePipeline step for step — a stride > 1 pool
-/// lowers to the stride-1 tournament stage plus a CompactStage — so a
-/// lowered network's plaintext forward and its FHE evaluation agree to
-/// ciphertext noise.
-class PafMaxPool1d final : public PafLayerBase {
+/// The pairwise PAF-max tournament both pool layers run: output o folds its
+/// inputs v_0, v_1, ... in order as m <- 0.5 ((m + v) + (m - v) · paf((m - v)/s)),
+/// starting from m = v_0, in double, rounding once on store. Dynamic Scaling
+/// sets s to the batch max per-window spread, an upper bound on every
+/// pairwise difference fed to the PAF. A pool layer supplies only its fold
+/// table: which inputs each output folds, in order.
+class PafMaxTournament : public PafLayerBase {
+ public:
+  using PafLayerBase::PafLayerBase;
+
+  nn::Tensor forward(const nn::Tensor& x, bool train) override;
+  nn::Tensor backward(const nn::Tensor& gy) override;
+
+ protected:
+  /// Output o folds the flat inputs idx[start[o]], ..., idx[start[o + 1] - 1].
+  struct Folds {
+    std::vector<int> out_shape;
+    std::vector<std::size_t> start{0}, idx;
+  };
+  /// Checks the input's shape and builds its fold table (built once per shape).
+  virtual Folds folds(const nn::Tensor& x) const = 0;
+
+ private:
+  std::vector<int> folds_shape_;  // input shape folds_ was built for
+  Folds folds_;
+  nn::Tensor x_cache_;
+  float scale_used_ = 1.0f;
+};
+
+/// nn::MaxPool1d replaced by the cyclic PAF-max tournament over a [B, W]
+/// tensor: y[b, j] folds x[b, j*stride], ..., x[b, j*stride + window - 1]
+/// (cyclic), one output per stride (output width W / stride). The fold order
+/// matches the encrypted MaxPool stage of smartpaf::FhePipeline step for
+/// step — a stride > 1 pool lowers to the stride-1 tournament stage plus a
+/// CompactStage — so a lowered network's plaintext forward and its FHE
+/// evaluation agree to ciphertext noise.
+class PafMaxPool1d final : public PafMaxTournament {
  public:
   PafMaxPool1d(approx::CompositePaf paf, int window, std::string name,
                ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
   PafMaxPool1d(approx::CompositePaf paf, int window, int stride, std::string name,
                ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
 
-  nn::Tensor forward(const nn::Tensor& x, bool train) override;
-  nn::Tensor backward(const nn::Tensor& gy) override;
-
   int window() const { return window_; }
   int stride() const { return stride_; }
 
  private:
+  Folds folds(const nn::Tensor& x) const override;
+
   int window_;
-  int stride_ = 1;
-  nn::Tensor x_cache_;
-  float scale_used_ = 1.0f;
-  // Backward scratch (reused across slots to avoid per-slot allocation).
-  std::vector<double> fold_m_, fold_dprev_, fold_dv_, fold_dc_;
+  int stride_;
 };
 
-/// MaxPool replaced by a pairwise PAF-max tournament:
-/// max(a,b) ≈ 0.5 ((a+b) + (a-b) · paf((a-b)/s)). Nested calls accumulate
-/// approximation error — the reason the paper finds MaxPool harder to
-/// approximate than ReLU (§5.4.3).
-class PafMaxPool final : public PafLayerBase {
+/// MaxPool replaced by the PAF-max tournament over each k x k window, in
+/// row-major order, padding skipped. Nested calls accumulate approximation
+/// error — the reason the paper finds MaxPool harder to approximate than
+/// ReLU (§5.4.3).
+class PafMaxPool final : public PafMaxTournament {
  public:
   PafMaxPool(approx::CompositePaf paf, int kernel, int stride, int pad, std::string name,
              ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
 
-  nn::Tensor forward(const nn::Tensor& x, bool train) override;
-  nn::Tensor backward(const nn::Tensor& gy) override;
-
   int kernel() const { return k_; }
 
  private:
-  /// Collects the values of one pooling window.
-  void window_values(const nn::Tensor& x, int n, int c, int oy, int ox,
-                     std::vector<float>& vals, std::vector<std::size_t>& idx) const;
+  Folds folds(const nn::Tensor& x) const override;
 
   int k_, stride_, pad_;
-  nn::Tensor x_cache_;
-  float scale_used_ = 1.0f;
-  int oh_ = 0, ow_ = 0;
-  // Backward scratch (reused across pixels to avoid per-pixel allocation).
-  std::vector<double> fold_m_, fold_dprev_, fold_dv_, fold_dc_;
 };
 
 }  // namespace sp::smartpaf
