@@ -1,12 +1,30 @@
 #include "smartpaf/coefficient_tuning.h"
 
 #include <cmath>
+#include <functional>
 
 #include "common/check.h"
 #include "nn/layers.h"
 #include "smartpaf/replace.h"
 
 namespace sp::smartpaf {
+namespace {
+
+/// Sets the profiling hook of a ReLU, MaxPool1d or MaxPool2d site; nullptr
+/// detaches it.
+void set_site_profile(const NonPolySite& site, std::function<void(float)> hook) {
+  nn::Layer* layer = site.slot->get();
+  if (auto* relu = dynamic_cast<nn::ReLU*>(layer))
+    relu->set_profile(std::move(hook));
+  else if (auto* pool1d = dynamic_cast<nn::MaxPool1d*>(layer))
+    pool1d->set_profile(std::move(hook));
+  else if (auto* pool = dynamic_cast<nn::MaxPool2d*>(layer))
+    pool->set_profile(std::move(hook));
+  else
+    throw sp::Error("coefficient_tuning: site " + site.path + " is not a ReLU or MaxPool");
+}
+
+}  // namespace
 
 std::vector<double> fit_paf_to_profile(const approx::CompositePaf& init,
                                        const std::vector<double>& samples, double scale,
@@ -102,34 +120,14 @@ CtResult coefficient_tuning(nn::Model& model, const nn::Dataset& calib,
   profiles.reserve(sites.size());
   for (std::size_t i = 0; i < sites.size(); ++i)
     profiles.emplace_back(16384, cfg.seed + i);
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    auto* prof = &profiles[i];
-    if (sites[i].kind == SiteKind::ReLU) {
-      auto* relu = dynamic_cast<nn::ReLU*>(sites[i].slot->get());
-      sp::check(relu != nullptr, "coefficient_tuning: ReLU site mismatch");
-      relu->set_profile([prof](float x) { prof->record(static_cast<double>(x)); });
-    } else if (auto* pool1d = dynamic_cast<nn::MaxPool1d*>(sites[i].slot->get())) {
-      pool1d->set_profile([prof](float d) { prof->record(static_cast<double>(d)); });
-    } else {
-      auto* pool = dynamic_cast<nn::MaxPool2d*>(sites[i].slot->get());
-      sp::check(pool != nullptr, "coefficient_tuning: MaxPool site mismatch");
-      pool->set_profile([prof](float d) { prof->record(static_cast<double>(d)); });
-    }
-  }
+  for (std::size_t i = 0; i < sites.size(); ++i)
+    set_site_profile(sites[i], [prof = &profiles[i]](float x) { prof->record(x); });
   sp::Rng rng(cfg.seed);
   nn::BatchIterator it(calib, cfg.batch_size, rng, /*shuffle=*/true);
   nn::Batch b;
   for (int k = 0; k < cfg.calib_batches && it.next(b); ++k)
     model.forward(b.x, /*train=*/false);
-  // Detach hooks.
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (sites[i].kind == SiteKind::ReLU)
-      dynamic_cast<nn::ReLU*>(sites[i].slot->get())->set_profile(nullptr);
-    else if (auto* pool1d = dynamic_cast<nn::MaxPool1d*>(sites[i].slot->get()))
-      pool1d->set_profile(nullptr);
-    else
-      dynamic_cast<nn::MaxPool2d*>(sites[i].slot->get())->set_profile(nullptr);
-  }
+  for (const NonPolySite& site : sites) set_site_profile(site, nullptr);
 
   // Steps 1+3: per-site refit from the form's initial coefficients.
   const approx::CompositePaf init = approx::make_paf(form);
