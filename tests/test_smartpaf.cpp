@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "data/synthetic.h"
 #include "models/zoo.h"
@@ -209,6 +210,23 @@ TEST(PafMaxPool1d, GradCheck) {
     ps[0]->value[k] = orig;
     EXPECT_NEAR(ps[0]->grad[k], (lp - lm) / (2 * h), 3e-2) << "coeff " << k;
   }
+}
+
+TEST(PafMaxPool1d, BackwardNeedsATrainingForwardOfTheSameShape) {
+  PafMaxPool1d layer(approx::make_paf(PafForm::F1_G2), 2, "pmax1d");
+  const Tensor y = layer.forward(random_tensor({2, 8}, 3), true);
+  // An inference forward of another shape replaces the fold table but not
+  // the cached training input.
+  layer.forward(random_tensor({2, 4}, 5), false);
+  EXPECT_THROW(layer.backward(Tensor(y.shape())), sp::Error);
+}
+
+TEST(PafMaxPool, RejectsWindowsOutsideTheInput) {
+  const auto paf = approx::make_paf(PafForm::F1_G2);
+  // pad >= kernel leaves the first window entirely in the padding.
+  EXPECT_THROW(PafMaxPool(paf, 2, 2, 2, "pmax"), sp::Error);
+  PafMaxPool wide(paf, 5, 1, 1, "pmax");
+  EXPECT_THROW(wide.forward(random_tensor({1, 1, 2, 2}, 3), false), sp::Error);
 }
 
 // Bit pins of the PAF-max tournament: FNV digests of the output, the input
