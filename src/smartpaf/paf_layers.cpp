@@ -44,11 +44,7 @@ void PafLayerBase::convert_to_static() {
 
 void PafLayerBase::collect_params(std::vector<nn::Param*>& out) { out.push_back(&coeff_); }
 
-void PafLayerBase::sync_coeffs() {
-  std::vector<double> flat(coeff_.value.numel());
-  for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = coeff_.value[i];
-  paf_.load_coeffs(flat);
-}
+void PafLayerBase::sync_coeffs() { paf_.load_coeffs(coeffs()); }
 
 float PafLayerBase::resolve_scale(float batch_max, bool train) {
   if (train) running_max_ = std::max(running_max_, batch_max);
