@@ -122,12 +122,20 @@ CtResult coefficient_tuning(nn::Model& model, const nn::Dataset& calib,
     profiles.emplace_back(16384, cfg.seed + i);
   for (std::size_t i = 0; i < sites.size(); ++i)
     set_site_profile(sites[i], [prof = &profiles[i]](float x) { prof->record(x); });
-  sp::Rng rng(cfg.seed);
-  nn::BatchIterator it(calib, cfg.batch_size, rng, /*shuffle=*/true);
-  nn::Batch b;
-  for (int k = 0; k < cfg.calib_batches && it.next(b); ++k)
-    model.forward(b.x, /*train=*/false);
-  for (const NonPolySite& site : sites) set_site_profile(site, nullptr);
+  {
+    // The hooks point into `profiles`: detach them however calibration ends.
+    struct Detach {
+      const std::vector<NonPolySite>& sites;
+      ~Detach() {
+        for (const NonPolySite& site : sites) set_site_profile(site, nullptr);
+      }
+    } detach{sites};
+    sp::Rng rng(cfg.seed);
+    nn::BatchIterator it(calib, cfg.batch_size, rng, /*shuffle=*/true);
+    nn::Batch b;
+    for (int k = 0; k < cfg.calib_batches && it.next(b); ++k)
+      model.forward(b.x, /*train=*/false);
+  }
 
   // Steps 1+3: per-site refit from the form's initial coefficients.
   const approx::CompositePaf init = approx::make_paf(form);

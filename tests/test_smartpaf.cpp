@@ -488,6 +488,26 @@ TEST(CoefficientTuning, ProducesPerSiteCoeffsAndScales) {
   model.forward(ds.val.batch({0}).x, false);
 }
 
+TEST(CoefficientTuning, DetachesHooksWhenCalibrationThrows) {
+  models::ModelConfig mc;
+  mc.width = 4;
+  mc.num_classes = 4;
+  auto model = models::cnn7(mc);
+  data::SyntheticSpec spec = data::SyntheticSpec::cifar_like(8);
+  spec.num_classes = 4;
+  spec.train_count = 16;
+  spec.val_count = 8;
+  const auto ds = data::make_synthetic(spec);
+  spec.channels = 1;  // cnn7 takes 3 channels, so the calibration forward throws
+  const auto bad = data::make_synthetic(spec);
+  CtConfig cfg;
+  cfg.calib_batches = 1;
+  EXPECT_THROW(coefficient_tuning(model, bad.train, PafForm::F1_G2, cfg), sp::Error);
+  // A hook left attached would record into the destroyed profiles, a use
+  // after free that the sanitizer builds report.
+  model.forward(ds.val.batch({0}).x, false);
+}
+
 TEST(Scheduler, SmokeRunOnTinyModel) {
   models::ModelConfig mc;
   mc.width = 4;
