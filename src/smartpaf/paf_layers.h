@@ -74,9 +74,10 @@ class PafActivation final : public PafLayerBase {
 /// The pairwise PAF-max tournament both pool layers run: output o folds its
 /// inputs v_0, v_1, ... in order as m <- 0.5 ((m + v) + (m - v) · paf((m - v)/s)),
 /// starting from m = v_0, in double, rounding once on store. Dynamic Scaling
-/// sets s to the batch max per-window spread, an upper bound on every
-/// pairwise difference fed to the PAF. A pool layer supplies only its fold
-/// table: which inputs each output folds, in order.
+/// sets s to the batch max per-window spread, which bounds every pairwise
+/// difference fed to the PAF up to the running max's own PAF error. A pool
+/// layer supplies only its fold table: which inputs each output folds, in
+/// order.
 class PafMaxTournament : public PafLayerBase {
  public:
   using PafLayerBase::PafLayerBase;
