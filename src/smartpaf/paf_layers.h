@@ -54,6 +54,8 @@ class PafLayerBase : public nn::Layer {
   float static_scale_ = 1.0f;
   float running_max_ = 0.0f;
   std::vector<bool> even_mask_;  // true at even-degree flat positions
+  nn::Tensor x_cache_;           // input of the last training forward
+  float scale_used_ = 1.0f;      // scale of the last forward
 };
 
 /// ReLU replaced by relu(x) ≈ 0.5 (x + x · paf(x / s)) with trainable
@@ -65,10 +67,6 @@ class PafActivation final : public PafLayerBase {
 
   nn::Tensor forward(const nn::Tensor& x, bool train) override;
   nn::Tensor backward(const nn::Tensor& gy) override;
-
- private:
-  nn::Tensor x_cache_;
-  float scale_used_ = 1.0f;
 };
 
 /// The pairwise PAF-max tournament both pool layers run: output o folds its
@@ -97,8 +95,6 @@ class PafMaxTournament : public PafLayerBase {
  private:
   std::vector<int> folds_shape_;  // input shape folds_ was built for
   Folds folds_;
-  nn::Tensor x_cache_;
-  float scale_used_ = 1.0f;
 };
 
 /// nn::MaxPool1d replaced by the cyclic PAF-max tournament over a [B, W]
