@@ -124,6 +124,7 @@ CtResult coefficient_tuning(nn::Model& model, const nn::Dataset& calib,
     set_site_profile(sites[i], [prof = &profiles[i]](float x) { prof->record(x); });
   {
     // The hooks point into `profiles`: detach them however calibration ends.
+    // Every site took a hook above, so detaching cannot throw.
     struct Detach {
       const std::vector<NonPolySite>& sites;
       ~Detach() {

@@ -1,5 +1,6 @@
 #include "smartpaf/paf_layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
