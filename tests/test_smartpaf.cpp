@@ -318,6 +318,91 @@ TEST(TournamentPins, PafMaxPool) {
   }
 }
 
+// Bit pins of the exact pools: FNV digests of the output and the input
+// gradient of one training step and, for the max pools, of the pairwise
+// differences the profiling hook feeds Coefficient Tuning.
+struct ExactPoolPin {
+  std::uint64_t y, gx, profiled;
+};
+
+/// `profiled` collects the layer's hooked samples; nullptr for AvgPool2d,
+/// which has no hook.
+void expect_exact_pool_pin(nn::Layer& layer, const Tensor& x,
+                           const std::vector<float>* profiled, const ExactPoolPin& pin) {
+  const Tensor y = layer.forward(x, true);
+  Tensor gy(y.shape());
+  for (std::size_t i = 0; i < gy.numel(); ++i)
+    gy[i] = static_cast<float>(std::cos(0.7 * static_cast<double>(i)));
+  const Tensor gx = layer.backward(gy);
+  std::uint64_t got[] = {tensor_digest(y), tensor_digest(gx), 0};
+  if (profiled != nullptr) {
+    Tensor samples({static_cast<int>(profiled->size())});
+    for (std::size_t i = 0; i < profiled->size(); ++i) samples[i] = (*profiled)[i];
+    got[2] = tensor_digest(samples);
+  }
+  const std::uint64_t want[] = {pin.y, pin.gx, pin.profiled};
+  const char* what[] = {"output", "input gradient", "profiled differences"};
+  for (int i = 0; i < (profiled != nullptr ? 3 : 2); ++i)
+    EXPECT_EQ(got[i], want[i]) << layer.name() << " " << what[i] << ": 0x" << std::hex
+                               << got[i];
+}
+
+TEST(PoolPins, MaxPool1d) {
+  const Tensor x = random_tensor({3, 12}, 41);
+  const struct {
+    int window, stride;
+    ExactPoolPin pin;
+  } pins[] = {
+      {2, 1, {0x905be882e3ff832cULL, 0xb8269c2f017a11fdULL, 0x6970488596185026ULL}},
+      {3, 1, {0x9b5eba6ad9b9fa99ULL, 0x3760c0b01d23b737ULL, 0xe885268912d74f82ULL}},
+      {2, 2, {0xc3ece5e0c6469c1dULL, 0xaa4f0a480304644fULL, 0xe574aa0944c0cb94ULL}},
+      {4, 2, {0xc738fb2ab402fa88ULL, 0xc78035fc6eb83b72ULL, 0xdde2f38b22b6dd93ULL}},
+  };
+  for (const auto& p : pins) {
+    nn::MaxPool1d pool(p.window, p.stride,
+                       "w" + std::to_string(p.window) + "s" + std::to_string(p.stride));
+    std::vector<float> profiled;
+    pool.set_profile([&profiled](float d) { profiled.push_back(d); });
+    expect_exact_pool_pin(pool, x, &profiled, p.pin);
+  }
+}
+
+TEST(PoolPins, MaxPool2d) {
+  const Tensor x = random_tensor({2, 3, 6, 7}, 43);
+  const struct {
+    int kernel, stride, pad;
+    ExactPoolPin pin;
+  } pins[] = {
+      {2, 2, 0, {0xa3fe10c30759e2edULL, 0x306eb39cad5710f7ULL, 0x2b7bdce99e27fba7ULL}},
+      {3, 2, 1, {0x763457c6463eb9baULL, 0xadd713dd9806ce8aULL, 0x727b04b4b937530eULL}},
+      {3, 1, 1, {0xfc0afc1e536ea849ULL, 0x1707234881070b04ULL, 0xeafcf448334da39dULL}},
+  };
+  for (const auto& p : pins) {
+    nn::MaxPool2d pool(p.kernel, p.stride, p.pad,
+                       "k" + std::to_string(p.kernel) + "s" + std::to_string(p.stride) +
+                           "p" + std::to_string(p.pad));
+    std::vector<float> profiled;
+    pool.set_profile([&profiled](float d) { profiled.push_back(d); });
+    expect_exact_pool_pin(pool, x, &profiled, p.pin);
+  }
+}
+
+TEST(PoolPins, AvgPool2d) {
+  const Tensor x = random_tensor({2, 3, 6, 7}, 43);
+  const struct {
+    int kernel, stride;
+    ExactPoolPin pin;
+  } pins[] = {
+      {2, 2, {0xce3f4ff7b85e03e2ULL, 0x5e3c75a8d3975365ULL, 0}},
+      {3, 1, {0x8ec9cc9a33bb84dbULL, 0x803984d836c4c6e4ULL, 0}},
+  };
+  for (const auto& p : pins) {
+    nn::AvgPool2d pool(p.kernel, p.stride,
+                       "k" + std::to_string(p.kernel) + "s" + std::to_string(p.stride));
+    expect_exact_pool_pin(pool, x, nullptr, p.pin);
+  }
+}
+
 TEST(Replace, FindsAllSitesInOrder) {
   models::ModelConfig mc;
   mc.width = 4;
