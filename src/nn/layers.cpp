@@ -320,6 +320,61 @@ void BatchNorm2d::collect_params(std::vector<Param*>& out) {
   out.push_back(&beta_);
 }
 
+// ------------------------------------------------------------ PoolWindows --
+
+PoolWindows PoolWindows::cyclic(const char* who, int window, int stride) {
+  sp::check_fmt(window >= 2, who, ": window must be >= 2");
+  sp::check_fmt(stride >= 1, who, ": stride must be >= 1");
+  return PoolWindows(who, true, window, stride, 0);
+}
+
+PoolWindows PoolWindows::padded(const char* who, int window, int stride, int pad) {
+  sp::check_fmt(window >= 1 && stride >= 1 && pad >= 0 && pad < window, who,
+                ": needs kernel >= 1, stride >= 1 and 0 <= pad < kernel");
+  return PoolWindows(who, false, window, stride, pad);
+}
+
+void PoolWindows::tabulate(const Tensor& x) {
+  if (!in_shape_.empty() && x.shape() == in_shape_) return;
+  // Every check runs before the table changes, so a rejected input keeps the
+  // table of the last accepted one.
+  if (cyclic_) {
+    sp::check_fmt(x.ndim() == 2, who_, ": expects [B, W], got ", x.shape_str());
+    const int batch = x.dim(0), w = x.dim(1);
+    sp::check_fmt(window_ <= w, who_, ": window wider than the slot count");
+    sp::check_fmt(w % stride_ == 0, who_, ": stride must divide the width");
+    out_shape_ = {batch, w / stride_};
+    start_.assign(1, 0);
+    idx_.clear();
+    for (int n = 0; n < batch; ++n)
+      for (int j = 0; j < w; j += stride_) {
+        for (int t = 0; t < window_; ++t)
+          idx_.push_back(static_cast<std::size_t>(n) * w + (j + t) % w);
+        start_.push_back(idx_.size());
+      }
+  } else {
+    sp::check_fmt(x.ndim() == 4, who_, ": expects [N, C, H, W], got ", x.shape_str());
+    const int planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+    sp::check_fmt(h + 2 * pad_ >= window_ && w + 2 * pad_ >= window_, who_,
+                  ": kernel larger than the padded input");
+    const int oh = out_size(h, window_, stride_, pad_);
+    const int ow = out_size(w, window_, stride_, pad_);
+    out_shape_ = {x.dim(0), x.dim(1), oh, ow};
+    start_.assign(1, 0);
+    idx_.clear();
+    for (int plane = 0; plane < planes; ++plane)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox) {
+          for (int iy = oy * stride_ - pad_; iy < oy * stride_ - pad_ + window_; ++iy)
+            for (int ix = ox * stride_ - pad_; ix < ox * stride_ - pad_ + window_; ++ix)
+              if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                idx_.push_back((static_cast<std::size_t>(plane) * h + iy) * w + ix);
+          start_.push_back(idx_.size());
+        }
+  }
+  in_shape_ = x.shape();
+}
+
 // ------------------------------------------------------------------- ReLU --
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
@@ -340,56 +395,42 @@ Tensor ReLU::backward(const Tensor& gy) {
   return gx;
 }
 
-// -------------------------------------------------------------- MaxPool2d --
+// ------------------------------------------------------------ ExactMaxPool --
 
-MaxPool2d::MaxPool2d(int kernel, int stride, int pad, const std::string& name)
-    : k_(kernel), stride_(stride), pad_(pad), name_(name) {}
-
-Tensor MaxPool2d::forward(const Tensor& x, bool train) {
-  const int batch = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int oh = out_size(h, k_, stride_, pad_), ow = out_size(w, k_, stride_, pad_);
-  Tensor y({batch, c, oh, ow});
-  in_shape_ = x.shape();
-  if (train) argmax_.assign(y.numel(), -1);
-  std::size_t oidx = 0;
-  for (int n = 0; n < batch; ++n)
-    for (int cc = 0; cc < c; ++cc)
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox, ++oidx) {
-          float best = -1e30f;
-          int best_idx = -1;
-          float prev = 0.0f;
-          bool have_prev = false;
-          for (int dy = 0; dy < k_; ++dy)
-            for (int dx = 0; dx < k_; ++dx) {
-              const int iy = oy * stride_ + dy - pad_;
-              const int ix = ox * stride_ + dx - pad_;
-              if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
-              const float v = x.at(n, cc, iy, ix);
-              if (profile_) {
-                // Record pairwise tournament differences (the PAF-max
-                // operands): running-max vs next element.
-                if (have_prev) profile_(prev - v);
-                prev = std::max(have_prev ? prev : v, v);
-                have_prev = true;
-              }
-              if (v > best) {
-                best = v;
-                best_idx = ((n * c + cc) * h + iy) * w + ix;
-              }
-            }
-          y[oidx] = best;
-          if (train) argmax_[oidx] = best_idx;
-        }
+Tensor ExactMaxPool::forward(const Tensor& x, bool train) {
+  windows_.tabulate(x);
+  const std::size_t* start = windows_.start();
+  const std::size_t* idx = windows_.idx();
+  Tensor y(windows_.out_shape());
+  if (train) argmax_.resize(y.numel());
+  for (std::size_t o = 0; o < y.numel(); ++o) {
+    std::size_t arg = idx[start[o]];
+    float m = x[arg];
+    for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
+      const float v = x[idx[k]];
+      if (profile_) profile_(m - v);
+      if (v > m) {
+        m = v;
+        arg = idx[k];
+      }
+    }
+    y[o] = m;
+    if (train) argmax_[o] = arg;
+  }
+  trained_ = train;
   return y;
 }
 
-Tensor MaxPool2d::backward(const Tensor& gy) {
-  Tensor gx(in_shape_);
-  for (std::size_t i = 0; i < gy.numel(); ++i)
-    if (argmax_[i] >= 0) gx[static_cast<std::size_t>(argmax_[i])] += gy[i];
+Tensor ExactMaxPool::backward(const Tensor& gy) {
+  sp::check_fmt(trained_ && gy.shape() == windows_.out_shape(), name_,
+                ": backward needs a training forward of the same shape");
+  Tensor gx(windows_.in_shape());
+  for (std::size_t o = 0; o < gy.numel(); ++o) gx[argmax_[o]] += gy[o];
   return gx;
 }
+
+MaxPool2d::MaxPool2d(int kernel, int stride, int pad, const std::string& name)
+    : ExactMaxPool(PoolWindows::padded("MaxPool2d", kernel, stride, pad), name) {}
 
 // --------------------------------------------------------------- Window1d --
 
@@ -461,90 +502,41 @@ std::vector<double> Window1d::tap_values() const {
 
 // -------------------------------------------------------------- MaxPool1d --
 
-MaxPool1d::MaxPool1d(int window, const std::string& name) : window_(window), name_(name) {
-  sp::check(window_ >= 2, "MaxPool1d: window must be >= 2");
-}
+MaxPool1d::MaxPool1d(int window, const std::string& name) : MaxPool1d(window, 1, name) {}
 
 MaxPool1d::MaxPool1d(int window, int stride, const std::string& name)
-    : window_(window), stride_(stride), name_(name) {
-  sp::check(window_ >= 2, "MaxPool1d: window must be >= 2");
-  sp::check(stride_ >= 1, "MaxPool1d: stride must be >= 1");
-}
-
-Tensor MaxPool1d::forward(const Tensor& x, bool train) {
-  sp::check(x.ndim() == 2, "MaxPool1d: expects [B, W], got " + x.shape_str());
-  const int batch = x.dim(0), w = x.dim(1);
-  sp::check(window_ <= w, "MaxPool1d: window wider than the slot count");
-  sp::check(w % stride_ == 0, "MaxPool1d: stride must divide the width");
-  const int ow = w / stride_;
-  in_shape_ = x.shape();
-  Tensor y({batch, ow});
-  if (train) argmax_.assign(y.numel(), -1);
-  std::size_t oidx = 0;
-  for (int n = 0; n < batch; ++n)
-    for (int j = 0; j < ow; ++j, ++oidx) {
-      const int base = j * stride_;
-      float best = x.at(n, base);
-      int best_idx = n * w + base;
-      for (int t = 1; t < window_; ++t) {
-        const float v = x.at(n, (base + t) % w);
-        // Pairwise tournament differences (the PAF-max operands).
-        if (profile_) profile_(best - v);
-        if (v > best) {
-          best = v;
-          best_idx = n * w + (base + t) % w;
-        }
-      }
-      y[oidx] = best;
-      if (train) argmax_[oidx] = best_idx;
-    }
-  return y;
-}
-
-Tensor MaxPool1d::backward(const Tensor& gy) {
-  Tensor gx(in_shape_);
-  for (std::size_t i = 0; i < gy.numel(); ++i)
-    if (argmax_[i] >= 0) gx[static_cast<std::size_t>(argmax_[i])] += gy[i];
-  return gx;
-}
+    : ExactMaxPool(PoolWindows::cyclic("MaxPool1d", window, stride), name) {}
 
 // -------------------------------------------------------------- AvgPool2d --
 
 AvgPool2d::AvgPool2d(int kernel, int stride, const std::string& name)
-    : k_(kernel), stride_(stride), name_(name) {}
+    : windows_(PoolWindows::padded("AvgPool2d", kernel, stride, 0)), name_(name) {}
 
 Tensor AvgPool2d::forward(const Tensor& x, bool) {
-  const int batch = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int oh = out_size(h, k_, stride_, 0), ow = out_size(w, k_, stride_, 0);
-  in_shape_ = x.shape();
-  Tensor y({batch, c, oh, ow});
-  const float inv = 1.0f / static_cast<float>(k_ * k_);
-  for (int n = 0; n < batch; ++n)
-    for (int cc = 0; cc < c; ++cc)
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) {
-          float acc = 0.0f;
-          for (int dy = 0; dy < k_; ++dy)
-            for (int dx = 0; dx < k_; ++dx)
-              acc += x.at(n, cc, oy * stride_ + dy, ox * stride_ + dx);
-          y.at(n, cc, oy, ox) = acc * inv;
-        }
+  windows_.tabulate(x);
+  const std::size_t* start = windows_.start();
+  const std::size_t* idx = windows_.idx();
+  Tensor y(windows_.out_shape());
+  const float inv = 1.0f / static_cast<float>(windows_.window_inputs());
+  for (std::size_t o = 0; o < y.numel(); ++o) {
+    float acc = 0.0f;
+    for (std::size_t k = start[o]; k < start[o + 1]; ++k) acc += x[idx[k]];
+    y[o] = acc * inv;
+  }
   return y;
 }
 
 Tensor AvgPool2d::backward(const Tensor& gy) {
-  Tensor gx(in_shape_);
-  const int oh = gy.dim(2), ow = gy.dim(3);
-  const float inv = 1.0f / static_cast<float>(k_ * k_);
-  for (int n = 0; n < gy.dim(0); ++n)
-    for (int cc = 0; cc < gy.dim(1); ++cc)
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) {
-          const float g = gy.at(n, cc, oy, ox) * inv;
-          for (int dy = 0; dy < k_; ++dy)
-            for (int dx = 0; dx < k_; ++dx)
-              gx.at(n, cc, oy * stride_ + dy, ox * stride_ + dx) += g;
-        }
+  sp::check_fmt(gy.shape() == windows_.out_shape(), name_,
+                ": backward needs the output shape of the last forward");
+  const std::size_t* start = windows_.start();
+  const std::size_t* idx = windows_.idx();
+  Tensor gx(windows_.in_shape());
+  const float inv = 1.0f / static_cast<float>(windows_.window_inputs());
+  for (std::size_t o = 0; o < gy.numel(); ++o) {
+    const float g = gy[o] * inv;
+    for (std::size_t k = start[o]; k < start[o + 1]; ++k) gx[idx[k]] += g;
+  }
   return gx;
 }
 

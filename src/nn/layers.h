@@ -95,50 +95,108 @@ class BatchNorm2d final : public Layer {
   int count_per_ch_ = 0;
 };
 
-/// ReLU — a non-polynomial operator (replacement target).
-class ReLU final : public Layer {
+/// The windows a pooling layer reduces. The geometry is checked once, at
+/// construction; tabulate() lists, for one input shape, the flat inputs each
+/// output reads, in order: output o of out_shape() reads idx()[start()[o]],
+/// ..., idx()[start()[o + 1] - 1].
+class PoolWindows {
+ public:
+  /// Cyclic windows over the last axis of [B, W]: output j of row b reads
+  /// x[b, (j * stride + t) mod W] for t < window, one output per stride
+  /// (stride must divide W). Needs window >= 2 and stride >= 1.
+  static PoolWindows cyclic(const char* who, int window, int stride);
+  /// window x window windows over [N, C, H, W] at `stride`, padded by `pad`
+  /// on each side, each read row-major with the padding skipped. Needs
+  /// window >= 1, stride >= 1 and 0 <= pad < window, so no window is all
+  /// padding.
+  static PoolWindows padded(const char* who, int window, int stride, int pad);
+
+  /// Tables the windows of x's shape, checking it against the geometry;
+  /// keeps the table when the shape is that of the last call.
+  void tabulate(const Tensor& x);
+
+  int window() const { return window_; }
+  int stride() const { return stride_; }
+  int pad() const { return pad_; }
+  /// Inputs of a window clear of the padding: window, or window^2 in 2-D.
+  int window_inputs() const { return cyclic_ ? window_ : window_ * window_; }
+
+  const std::vector<int>& in_shape() const { return in_shape_; }
+  const std::vector<int>& out_shape() const { return out_shape_; }
+  const std::size_t* start() const { return start_.data(); }
+  const std::size_t* idx() const { return idx_.data(); }
+
+ private:
+  PoolWindows(const char* who, bool cyclic, int window, int stride, int pad)
+      : who_(who), cyclic_(cyclic), window_(window), stride_(stride), pad_(pad) {}
+
+  const char* who_;  // layer named in error messages
+  bool cyclic_;
+  int window_, stride_, pad_;
+  std::vector<int> in_shape_, out_shape_;
+  std::vector<std::size_t> start_{0}, idx_;
+};
+
+/// An operator CKKS cannot evaluate natively (ReLU, MaxPool): a replacement
+/// target. The optional profiling hook receives every value forward() feeds
+/// the operator's non-polynomial part (Coefficient Tuning step 2, §4.2).
+class NonPolyLayer : public Layer {
+ public:
+  bool is_nonpoly() const final { return true; }
+
+  using profile_fn = std::function<void(float)>;
+  void set_profile(profile_fn fn) { profile_ = std::move(fn); }
+
+ protected:
+  profile_fn profile_;
+};
+
+/// ReLU; the profiling hook records every input.
+class ReLU final : public NonPolyLayer {
  public:
   explicit ReLU(const std::string& name = "relu") : name_(name) {}
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& gy) override;
   std::string name() const override { return name_; }
-  bool is_nonpoly() const override { return true; }
-
-  /// Optional profiling hook: when set, forward() records every input value
-  /// (Coefficient Tuning step 2, paper §4.2).
-  using profile_fn = std::function<void(float)>;
-  void set_profile(profile_fn fn) { profile_ = std::move(fn); }
 
  private:
   std::string name_;
   Tensor mask_;
-  profile_fn profile_;
 };
 
-/// Max pooling — a non-polynomial operator (replacement target).
-class MaxPool2d final : public Layer {
+/// Exact max over each pooling window. Output o folds its window's inputs
+/// v_0, v_1, ... in order, m <- max(m, v) from m = v_0, and the profiling
+/// hook records m - v before each step: the pairwise differences the PAF-max
+/// tournament replacing this layer feeds its PAF. Backward routes each
+/// output's gradient to the first input holding its max, and needs the last
+/// forward to have been a training one.
+class ExactMaxPool : public NonPolyLayer {
  public:
-  MaxPool2d(int kernel, int stride, int pad = 0, const std::string& name = "maxpool");
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& gy) override;
   std::string name() const override { return name_; }
-  bool is_nonpoly() const override { return true; }
 
-  int kernel() const { return k_; }
-  int stride() const { return stride_; }
-  int pad() const { return pad_; }
+  const PoolWindows& windows() const { return windows_; }
 
-  /// Profiling hook recording pairwise tournament differences (the PAF-max
-  /// inputs), used by Coefficient Tuning for pool sites.
-  using profile_fn = std::function<void(float)>;
-  void set_profile(profile_fn fn) { profile_ = std::move(fn); }
+ protected:
+  ExactMaxPool(PoolWindows windows, const std::string& name)
+      : windows_(std::move(windows)), name_(name) {}
 
  private:
-  int k_, stride_, pad_;
+  PoolWindows windows_;
   std::string name_;
-  std::vector<int> argmax_;
-  std::vector<int> in_shape_;
-  profile_fn profile_;
+  std::vector<std::size_t> argmax_;  // flat input index of each output's max
+  bool trained_ = false;             // the last forward was a training one
+};
+
+/// Max pooling over padded k x k windows (PoolWindows::padded).
+class MaxPool2d final : public ExactMaxPool {
+ public:
+  MaxPool2d(int kernel, int stride, int pad = 0, const std::string& name = "maxpool");
+
+  int kernel() const { return windows().window(); }
+  int stride() const { return windows().stride(); }
+  int pad() const { return windows().pad(); }
 };
 
 /// Cyclic 1-D window (circular correlation) over the last axis of a [B, W]
@@ -179,34 +237,17 @@ class Window1d final : public Layer {
 /// lowering — stride 1 is the slot-identity layout, stride > 1 lowers to a
 /// stride-1 tournament stage plus a CompactStage. With window <= stride the
 /// pool never wraps at W, so plaintext/FHE parity holds at any width.
-class MaxPool1d final : public Layer {
+class MaxPool1d final : public ExactMaxPool {
  public:
   explicit MaxPool1d(int window, const std::string& name = "maxpool1d");
   MaxPool1d(int window, int stride, const std::string& name = "maxpool1d");
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& gy) override;
-  std::string name() const override { return name_; }
-  bool is_nonpoly() const override { return true; }
-
-  int window() const { return window_; }
-  int stride() const { return stride_; }
-
-  /// Profiling hook recording pairwise tournament differences (the PAF-max
-  /// inputs), used by Coefficient Tuning for pool sites.
-  using profile_fn = std::function<void(float)>;
-  void set_profile(profile_fn fn) { profile_ = std::move(fn); }
-
- private:
-  int window_;
-  int stride_ = 1;
-  std::string name_;
-  std::vector<int> argmax_;
-  std::vector<int> in_shape_;
-  profile_fn profile_;
+  int window() const { return windows().window(); }
+  int stride() const { return windows().stride(); }
 };
 
-/// Average pooling.
+/// Average pooling over k x k windows without padding: each output sums its
+/// window row-major in float and scales by 1/k^2.
 class AvgPool2d final : public Layer {
  public:
   AvgPool2d(int kernel, int stride, const std::string& name = "avgpool");
@@ -214,13 +255,12 @@ class AvgPool2d final : public Layer {
   Tensor backward(const Tensor& gy) override;
   std::string name() const override { return name_; }
 
-  int kernel() const { return k_; }
-  int stride() const { return stride_; }
+  int kernel() const { return windows_.window(); }
+  int stride() const { return windows_.stride(); }
 
  private:
-  int k_, stride_;
+  PoolWindows windows_;
   std::string name_;
-  std::vector<int> in_shape_;
 };
 
 /// Global average pooling to 1x1.

@@ -10,18 +10,13 @@
 namespace sp::smartpaf {
 namespace {
 
-/// Sets the profiling hook of a ReLU, MaxPool1d or MaxPool2d site; nullptr
+/// Sets the profiling hook of a ReLU or exact max pool site; nullptr
 /// detaches it.
 void set_site_profile(const NonPolySite& site, std::function<void(float)> hook) {
-  nn::Layer* layer = site.slot->get();
-  if (auto* relu = dynamic_cast<nn::ReLU*>(layer))
-    relu->set_profile(std::move(hook));
-  else if (auto* pool1d = dynamic_cast<nn::MaxPool1d*>(layer))
-    pool1d->set_profile(std::move(hook));
-  else if (auto* pool = dynamic_cast<nn::MaxPool2d*>(layer))
-    pool->set_profile(std::move(hook));
-  else
+  auto* layer = dynamic_cast<nn::NonPolyLayer*>(site.slot->get());
+  if (layer == nullptr)
     throw sp::Error("coefficient_tuning: site " + site.path + " is not a ReLU or MaxPool");
+  layer->set_profile(std::move(hook));
 }
 
 }  // namespace

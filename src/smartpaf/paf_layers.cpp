@@ -104,17 +104,20 @@ nn::Tensor PafActivation::backward(const nn::Tensor& gy) {
 
 // -------------------------------------------------------- PafMaxTournament --
 
+PafMaxTournament::PafMaxTournament(approx::CompositePaf paf, std::string name,
+                                   ScaleMode mode, bool odd_only, nn::PoolWindows windows)
+    : PafLayerBase(std::move(paf), std::move(name), mode, odd_only),
+      windows_(std::move(windows)) {}
+
 nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
   sync_coeffs();
-  if (x.shape() != folds_shape_) {
-    folds_ = folds(x);
-    folds_shape_ = x.shape();
-  }
-  const std::vector<std::size_t>& start = folds_.start;
-  const std::vector<std::size_t>& idx = folds_.idx;
+  windows_.tabulate(x);
+  const std::size_t* start = windows_.start();
+  const std::size_t* idx = windows_.idx();
+  nn::Tensor y(windows_.out_shape());
 
   float spread = 0.0f;
-  for (std::size_t o = 0; o + 1 < start.size(); ++o) {
+  for (std::size_t o = 0; o < y.numel(); ++o) {
     float lo = x[idx[start[o]]], hi = lo;
     for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
       lo = std::min(lo, x[idx[k]]);
@@ -125,8 +128,7 @@ nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
   scale_used_ = resolve_scale(spread, train);
   const double s = scale_used_;
 
-  nn::Tensor y(folds_.out_shape);
-  for (std::size_t o = 0; o + 1 < start.size(); ++o) {
+  for (std::size_t o = 0; o < y.numel(); ++o) {
     double m = x[idx[start[o]]];
     for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
       const double v = x[idx[k]];
@@ -135,14 +137,21 @@ nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
     }
     y[o] = static_cast<float>(m);
   }
-  if (train) x_cache_ = x;
+  // An inference forward drops the training input, so backward cannot pair
+  // it with this forward's scale.
+  if (train)
+    x_cache_ = x;
+  else
+    x_cache_ = nn::Tensor();
   return y;
 }
 
 nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
   const nn::Tensor& x = x_cache_;
-  sp::check(x.shape() == folds_shape_ && gy.shape() == folds_.out_shape,
-            name_ + ": backward needs a training forward of the same shape");
+  sp::check_fmt(x.shape() == windows_.in_shape() && gy.shape() == windows_.out_shape(),
+                name_, ": backward needs a training forward of the same shape");
+  const std::size_t* start = windows_.start();
+  const std::size_t* idx = windows_.idx();
   nn::Tensor gx(x.shape());
   const double s = scale_used_;
   const auto n_coeff = static_cast<std::size_t>(paf_.num_coeffs());
@@ -152,9 +161,9 @@ nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
   // Per-step partials of one fold, reused across outputs.
   std::vector<double> dprev, dv, dc;
 
-  for (std::size_t o = 0; o + 1 < folds_.start.size(); ++o) {
-    const std::size_t* in = folds_.idx.data() + folds_.start[o];
-    const std::size_t count = folds_.start[o + 1] - folds_.start[o];
+  for (std::size_t o = 0; o < gy.numel(); ++o) {
+    const std::size_t* in = idx + start[o];
+    const std::size_t count = start[o + 1] - start[o];
     dprev.resize(count);
     dv.resize(count);
     dc.resize(count * n_coeff);
@@ -194,57 +203,14 @@ PafMaxPool1d::PafMaxPool1d(approx::CompositePaf paf, int window, std::string nam
 
 PafMaxPool1d::PafMaxPool1d(approx::CompositePaf paf, int window, int stride,
                            std::string name, ScaleMode mode, bool odd_only)
-    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only),
-      window_(window),
-      stride_(stride) {
-  sp::check(window_ >= 2, "PafMaxPool1d: window must be >= 2");
-  sp::check(stride_ >= 1, "PafMaxPool1d: stride must be >= 1");
-}
-
-PafMaxTournament::Folds PafMaxPool1d::folds(const nn::Tensor& x) const {
-  sp::check(x.ndim() == 2, "PafMaxPool1d: expects [B, W], got " + x.shape_str());
-  const int batch = x.dim(0), w = x.dim(1);
-  sp::check(window_ <= w, "PafMaxPool1d: window wider than the slot count");
-  sp::check(w % stride_ == 0, "PafMaxPool1d: stride must divide the width");
-  Folds f;
-  f.out_shape = {batch, w / stride_};
-  for (int n = 0; n < batch; ++n)
-    for (int j = 0; j < w; j += stride_) {
-      for (int t = 0; t < window_; ++t)
-        f.idx.push_back(static_cast<std::size_t>(n) * w + (j + t) % w);
-      f.start.push_back(f.idx.size());
-    }
-  return f;
-}
+    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only,
+                       nn::PoolWindows::cyclic("PafMaxPool1d", window, stride)) {}
 
 // -------------------------------------------------------------- PafMaxPool --
 
 PafMaxPool::PafMaxPool(approx::CompositePaf paf, int kernel, int stride, int pad,
                        std::string name, ScaleMode mode, bool odd_only)
-    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only), k_(kernel),
-      stride_(stride), pad_(pad) {
-  sp::check(k_ >= 1 && stride_ >= 1 && pad_ >= 0 && pad_ < k_,
-            "PafMaxPool: needs kernel >= 1, stride >= 1 and 0 <= pad < kernel");
-}
-
-PafMaxTournament::Folds PafMaxPool::folds(const nn::Tensor& x) const {
-  sp::check(x.ndim() == 4, "PafMaxPool: expects [N, C, H, W], got " + x.shape_str());
-  const int planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
-  sp::check(h + 2 * pad_ >= k_ && w + 2 * pad_ >= k_,
-            "PafMaxPool: kernel larger than the padded input");
-  const int oh = (h + 2 * pad_ - k_) / stride_ + 1, ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  Folds f;
-  f.out_shape = {x.dim(0), x.dim(1), oh, ow};
-  for (int plane = 0; plane < planes; ++plane)
-    for (int oy = 0; oy < oh; ++oy)
-      for (int ox = 0; ox < ow; ++ox) {
-        for (int iy = oy * stride_ - pad_; iy < oy * stride_ - pad_ + k_; ++iy)
-          for (int ix = ox * stride_ - pad_; ix < ox * stride_ - pad_ + k_; ++ix)
-            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-              f.idx.push_back((static_cast<std::size_t>(plane) * h + iy) * w + ix);
-        f.start.push_back(f.idx.size());
-      }
-  return f;
-}
+    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only,
+                       nn::PoolWindows::padded("PafMaxPool", kernel, stride, pad)) {}
 
 }  // namespace sp::smartpaf

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "approx/composite.h"
-#include "nn/layer.h"
+#include "nn/layers.h"
 
 namespace sp::smartpaf {
 
@@ -74,27 +74,20 @@ class PafActivation final : public PafLayerBase {
 /// starting from m = v_0, in double, rounding once on store. Dynamic Scaling
 /// sets s to the batch max per-window spread, which bounds every pairwise
 /// difference fed to the PAF up to the running max's own PAF error. A pool
-/// layer supplies only its fold table: which inputs each output folds, in
-/// order.
+/// layer supplies only its window geometry (nn::PoolWindows).
 class PafMaxTournament : public PafLayerBase {
  public:
-  using PafLayerBase::PafLayerBase;
-
   nn::Tensor forward(const nn::Tensor& x, bool train) override;
   nn::Tensor backward(const nn::Tensor& gy) override;
 
+  const nn::PoolWindows& windows() const { return windows_; }
+
  protected:
-  /// Output o folds the flat inputs idx[start[o]], ..., idx[start[o + 1] - 1].
-  struct Folds {
-    std::vector<int> out_shape;
-    std::vector<std::size_t> start{0}, idx;
-  };
-  /// Checks the input's shape and builds its fold table (built once per shape).
-  virtual Folds folds(const nn::Tensor& x) const = 0;
+  PafMaxTournament(approx::CompositePaf paf, std::string name, ScaleMode mode,
+                   bool odd_only, nn::PoolWindows windows);
 
  private:
-  std::vector<int> folds_shape_;  // input shape folds_ was built for
-  Folds folds_;
+  nn::PoolWindows windows_;
 };
 
 /// nn::MaxPool1d replaced by the cyclic PAF-max tournament over a [B, W]
@@ -111,14 +104,8 @@ class PafMaxPool1d final : public PafMaxTournament {
   PafMaxPool1d(approx::CompositePaf paf, int window, int stride, std::string name,
                ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
 
-  int window() const { return window_; }
-  int stride() const { return stride_; }
-
- private:
-  Folds folds(const nn::Tensor& x) const override;
-
-  int window_;
-  int stride_;
+  int window() const { return windows().window(); }
+  int stride() const { return windows().stride(); }
 };
 
 /// MaxPool replaced by the PAF-max tournament over each k x k window, in
@@ -130,12 +117,7 @@ class PafMaxPool final : public PafMaxTournament {
   PafMaxPool(approx::CompositePaf paf, int kernel, int stride, int pad, std::string name,
              ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
 
-  int kernel() const { return k_; }
-
- private:
-  Folds folds(const nn::Tensor& x) const override;
-
-  int k_, stride_, pad_;
+  int kernel() const { return windows().window(); }
 };
 
 }  // namespace sp::smartpaf

@@ -23,8 +23,7 @@ std::vector<NonPolySite> find_nonpoly_sites(nn::Model& model) {
     if (!slot->is_nonpoly()) return;
     NonPolySite s;
     s.index = sites.size();
-    const bool is_pool = dynamic_cast<nn::MaxPool2d*>(slot.get()) != nullptr ||
-                         dynamic_cast<nn::MaxPool1d*>(slot.get()) != nullptr;
+    const bool is_pool = dynamic_cast<nn::ExactMaxPool*>(slot.get()) != nullptr;
     s.kind = is_pool ? SiteKind::MaxPool : SiteKind::ReLU;
     s.path = slot->name();
     s.slot = &slot;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "nn/container.h"
@@ -155,6 +156,17 @@ TEST(GradCheck, MaxPool) {
   gradcheck(layer, random_tensor({2, 2, 4, 4}, 26));
 }
 
+TEST(GradCheck, MaxPool2dPadded) {
+  nn::MaxPool2d layer(3, 2, 1);
+  gradcheck(layer, random_tensor({1, 2, 5, 6}, 32));
+}
+
+TEST(GradCheck, MaxPool1dAcrossTheWrap) {
+  // Window 3 at stride 2 over 8 slots: the last window wraps to slot 0.
+  nn::MaxPool1d layer(3, 2);
+  gradcheck(layer, random_tensor({2, 8}, 33));
+}
+
 TEST(GradCheck, AvgPool) {
   nn::AvgPool2d layer(2, 2);
   gradcheck(layer, random_tensor({2, 2, 4, 4}, 27));
@@ -193,6 +205,58 @@ TEST(Layers, MaxPoolPicksWindowMax) {
   const Tensor y = pool.forward(x, false);
   EXPECT_EQ(y.numel(), 1u);
   EXPECT_FLOAT_EQ(y[0], 5);
+}
+
+TEST(Pools, RejectGeometriesWithoutAWindow) {
+  // pad >= kernel leaves the corner windows entirely in the padding.
+  EXPECT_THROW(nn::MaxPool2d(2, 2, 2), sp::Error);
+  EXPECT_THROW(nn::MaxPool2d(2, 0), sp::Error);
+  EXPECT_THROW(nn::MaxPool2d(0, 1), sp::Error);
+  EXPECT_THROW(nn::MaxPool2d(2, 1, -1), sp::Error);
+  EXPECT_THROW(nn::AvgPool2d(2, 0), sp::Error);
+  EXPECT_THROW(nn::AvgPool2d(0, 1), sp::Error);
+  EXPECT_THROW(nn::MaxPool1d(1), sp::Error);
+  EXPECT_THROW(nn::MaxPool1d(2, 0), sp::Error);
+}
+
+TEST(Pools, RejectInputsTheirWindowsDoNotFit) {
+  nn::MaxPool2d wide(5, 1, 1);
+  EXPECT_THROW(wide.forward(random_tensor({1, 1, 2, 2}, 3), false), sp::Error);
+  nn::AvgPool2d avg(3, 1);
+  EXPECT_THROW(avg.forward(random_tensor({1, 1, 2, 4}, 3), false), sp::Error);
+  EXPECT_THROW(avg.forward(random_tensor({4, 4}, 3), false), sp::Error);
+  nn::MaxPool1d strided(2, 3);
+  EXPECT_THROW(strided.forward(random_tensor({1, 8}, 3), false), sp::Error);
+  nn::MaxPool1d long_window(5);
+  EXPECT_THROW(long_window.forward(random_tensor({1, 4}, 3), false), sp::Error);
+  EXPECT_THROW(long_window.forward(random_tensor({1, 1, 2, 4}, 3), false), sp::Error);
+}
+
+TEST(Pools, MaxPoolBackwardNeedsATrainingForwardOfTheSameShape) {
+  nn::MaxPool2d pool(2, 2);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1})), sp::Error);  // no forward yet
+  // A training forward, then an inference forward of a smaller input: the
+  // argmax of the first must not index the second's gradient.
+  pool.forward(random_tensor({1, 1, 4, 4}, 3), true);
+  pool.forward(random_tensor({1, 1, 2, 2}, 5), false);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1})), sp::Error);
+  pool.forward(random_tensor({1, 1, 4, 4}, 3), true);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 2})), sp::Error);
+  EXPECT_EQ(pool.backward(Tensor({1, 1, 2, 2})).shape(), (std::vector<int>{1, 1, 4, 4}));
+
+  nn::MaxPool1d pool1d(2);
+  EXPECT_THROW(pool1d.backward(Tensor({1, 4})), sp::Error);
+  pool1d.forward(random_tensor({1, 8}, 3), true);
+  pool1d.forward(random_tensor({1, 8}, 5), false);
+  EXPECT_THROW(pool1d.backward(Tensor({1, 8})), sp::Error);
+}
+
+TEST(Pools, AvgPoolBackwardNeedsTheShapeOfTheLastForward) {
+  nn::AvgPool2d pool(2, 2);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 2, 2})), sp::Error);  // no forward yet
+  pool.forward(random_tensor({1, 1, 4, 4}, 3), false);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1})), sp::Error);
+  EXPECT_EQ(pool.backward(Tensor({1, 1, 2, 2})).shape(), (std::vector<int>{1, 1, 4, 4}));
 }
 
 TEST(Layers, DropoutDisabledIsIdentity) {

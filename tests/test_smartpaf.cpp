@@ -215,10 +215,22 @@ TEST(PafMaxPool1d, GradCheck) {
 TEST(PafMaxPool1d, BackwardNeedsATrainingForwardOfTheSameShape) {
   PafMaxPool1d layer(approx::make_paf(PafForm::F1_G2), 2, "pmax1d");
   const Tensor y = layer.forward(random_tensor({2, 8}, 3), true);
-  // An inference forward of another shape replaces the fold table but not
-  // the cached training input.
+  // An inference forward of another shape replaces the window table.
   layer.forward(random_tensor({2, 4}, 5), false);
   EXPECT_THROW(layer.backward(Tensor(y.shape())), sp::Error);
+}
+
+TEST(PafMaxPool, BackwardNeedsTheLastForwardToTrain) {
+  // An inference forward of the same shape keeps the table but changes the
+  // Dynamic scale, so the earlier training input no longer pairs with it.
+  PafMaxPool pool(approx::make_paf(PafForm::F1_G2), 2, 2, 0, "pmax");
+  const Tensor y = pool.forward(random_tensor({1, 1, 4, 4}, 3), true);
+  pool.forward(random_tensor({1, 1, 4, 4}, 5), false);
+  EXPECT_THROW(pool.backward(Tensor(y.shape())), sp::Error);
+  PafMaxPool1d pool1d(approx::make_paf(PafForm::F1_G2), 3, "pmax1d");
+  const Tensor y1 = pool1d.forward(random_tensor({2, 8}, 3), true);
+  pool1d.forward(random_tensor({2, 8}, 5), false);
+  EXPECT_THROW(pool1d.backward(Tensor(y1.shape())), sp::Error);
 }
 
 TEST(PafMaxPool, RejectsWindowsOutsideTheInput) {
