@@ -138,11 +138,9 @@ std::vector<DeployRow> deployment_report(nn::Model& model, FheRuntime& rt, int r
     row.static_scale = layer->static_scale();
     const double scale = std::max<double>(layer->static_scale(), 1e-3);
     const PafLatencyResult r = measure_paf_relu(rt, layer->paf(), scale, repeats);
-    row.ms = r.ms_median;
-    if (auto* pool = dynamic_cast<PafMaxPool*>(layer)) {
-      // A k x k window folds k^2 - 1 pairwise maxes, each one PAF call.
-      row.ms *= pool->kernel() * pool->kernel() - 1;
-    }
+    if (auto* pool = dynamic_cast<PafMaxTournament*>(layer))
+      row.paf_calls = pool->windows().window_inputs() - 1;
+    row.ms = r.ms_median * row.paf_calls;
     rows.push_back(row);
   }
   return rows;

@@ -139,7 +139,10 @@ struct DeployRow {
   std::string path;
   int depth = 0;
   double static_scale = 0.0;
-  double ms = 0.0;
+  /// PAF calls per output: 1 for a ReLU; a max pool's tournament folds a
+  /// full window's inputs with one call fewer.
+  int paf_calls = 1;
+  double ms = 0.0;  ///< one measured PAF-ReLU call times paf_calls
 };
 
 /// @brief Measures every PAF layer of a Static-Scaling model on the runtime

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "nn/layers.h"
 #include "smartpaf/fhe_deploy.h"
 
 namespace {
@@ -125,6 +126,27 @@ TEST_F(DeployTest, EncryptedMaxMatchesPlaintext) {
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::abs(got[i] - std::max(a[i], b[i])));
   EXPECT_LT(worst, 0.05);
+}
+
+TEST_F(DeployTest, ReportCountsPafCallsPerOutput) {
+  // One ReLU, a window-3 1-D pool (2 pairwise maxes per output) and a 2 x 2
+  // pool (3 per output). The model is never run; only its sites matter.
+  auto seq = std::make_unique<nn::Sequential>();
+  seq->add(std::make_unique<nn::ReLU>("relu"));
+  seq->add(std::make_unique<nn::MaxPool1d>(3, "pool1d"));
+  seq->add(std::make_unique<nn::MaxPool2d>(2, 2, 0, "pool2d"));
+  nn::Model model(std::move(seq), "sites");
+  smartpaf::ReplaceOptions opts;
+  opts.form = PafForm::F1_G2;
+  opts.mode = smartpaf::ScaleMode::Static;
+  smartpaf::replace_all(model, opts);
+  const auto rows = smartpaf::deployment_report(model, *rt_);
+  ASSERT_EQ(rows.size(), 3u);
+  const int calls[] = {1, 2, 3};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].paf_calls, calls[i]) << rows[i].path;
+    EXPECT_GT(rows[i].ms, 0.0) << rows[i].path;
+  }
 }
 
 TEST_F(DeployTest, DeeperPafsCostMoreMults) {
