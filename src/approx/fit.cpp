@@ -38,37 +38,4 @@ std::vector<double> solve_linear(std::vector<long double> a,
   return x;
 }
 
-Polynomial lsq_fit(const std::vector<Sample>& samples, int degree, bool odd_only,
-                   double ridge) {
-  check(degree >= 1, "lsq_fit: degree must be >= 1");
-  check(!samples.empty(), "lsq_fit: no samples");
-  // Basis exponents.
-  std::vector<int> expo;
-  for (int e = odd_only ? 1 : 0; e <= degree; e += odd_only ? 2 : 1)
-    expo.push_back(e);
-  const std::size_t m = expo.size();
-
-  std::vector<long double> ata(m * m, 0.0L), atb(m, 0.0L);
-  std::vector<long double> powers(static_cast<std::size_t>(degree) + 1);
-  for (const auto& s : samples) {
-    powers[0] = 1.0L;
-    for (int e = 1; e <= degree; ++e) powers[static_cast<std::size_t>(e)] = powers[static_cast<std::size_t>(e - 1)] * s.x;
-    for (std::size_t i = 0; i < m; ++i) {
-      const long double bi = powers[static_cast<std::size_t>(expo[i])];
-      atb[i] += s.w * bi * s.y;
-      for (std::size_t j = i; j < m; ++j)
-        ata[i * m + j] += s.w * bi * powers[static_cast<std::size_t>(expo[j])];
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    ata[i * m + i] += ridge;
-    for (std::size_t j = 0; j < i; ++j) ata[i * m + j] = ata[j * m + i];
-  }
-  const std::vector<double> sol = solve_linear(std::move(ata), std::move(atb));
-
-  std::vector<double> coeffs(static_cast<std::size_t>(degree) + 1, 0.0);
-  for (std::size_t i = 0; i < m; ++i) coeffs[static_cast<std::size_t>(expo[i])] = sol[i];
-  return Polynomial(std::move(coeffs));
-}
-
 }  // namespace sp::approx

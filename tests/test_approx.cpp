@@ -19,7 +19,6 @@ namespace {
 
 using sp::approx::CompositePaf;
 using sp::approx::Polynomial;
-using sp::approx::Sample;
 
 TEST(Polynomial, HornerMatchesDirectEvaluation) {
   const Polynomial p({1.0, -2.0, 0.5, 3.0});
@@ -150,45 +149,6 @@ TEST(Composite, PafMaxIsSymmetricallyWrong) {
   // Exact when |a-b| = 1 (sign(±1) exact for f1).
   EXPECT_NEAR(sp::approx::paf_max(c, 1.0, 0.0), 1.0, 1e-9);
   EXPECT_NEAR(sp::approx::paf_max(c, 0.0, 1.0), 1.0, 1e-9);
-}
-
-TEST(Fit, ExactRecoveryOfPolynomialData) {
-  const Polynomial truth({0.5, -1.0, 0.0, 2.0});
-  std::vector<Sample> s;
-  for (int i = 0; i < 60; ++i) {
-    const double x = -1.0 + 2.0 * i / 59.0;
-    s.push_back({x, truth(x), 1.0});
-  }
-  const Polynomial fit = sp::approx::lsq_fit(s, 3, /*odd_only=*/false);
-  for (int k = 0; k <= 3; ++k) EXPECT_NEAR(fit.coeff(k), truth.coeff(k), 1e-8);
-}
-
-TEST(Fit, OddOnlyBasisStaysOdd) {
-  std::vector<Sample> s;
-  for (int i = 0; i < 200; ++i) {
-    const double x = -1.0 + 2.0 * i / 199.0;
-    s.push_back({x, std::tanh(4 * x), 1.0});
-  }
-  const Polynomial fit = sp::approx::lsq_fit(s, 7, /*odd_only=*/true);
-  EXPECT_TRUE(fit.is_odd(1e-9));
-}
-
-TEST(Fit, WeightsBiasTheFit) {
-  // Heavily weight the right half; a general (non-odd) fit must be better
-  // there. (An odd fit has symmetric error magnitude by construction.)
-  std::vector<Sample> s;
-  for (int i = 0; i < 400; ++i) {
-    const double x = -1.0 + 2.0 * i / 399.0;
-    s.push_back({x, x > 0 ? 1.0 : -1.0, x > 0 ? 100.0 : 1.0});
-  }
-  const Polynomial fit = sp::approx::lsq_fit(s, 5, /*odd_only=*/false);
-  double err_pos = 0, err_neg = 0;
-  for (int i = 1; i <= 50; ++i) {
-    const double t = 0.3 + 0.7 * i / 50.0;
-    err_pos += std::abs(fit(t) - 1.0);
-    err_neg += std::abs(fit(-t) + 1.0);
-  }
-  EXPECT_LT(err_pos, err_neg);
 }
 
 TEST(Fit, SolveLinearSolvesRandomSystem) {
