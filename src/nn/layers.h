@@ -176,11 +176,11 @@ class ExactMaxPool : public NonPolyLayer {
   Tensor backward(const Tensor& gy) override;
   std::string name() const override { return name_; }
 
-  const PoolWindows& windows() const { return windows_; }
-
  protected:
   ExactMaxPool(PoolWindows windows, const std::string& name)
       : windows_(std::move(windows)), name_(name) {}
+
+  const PoolWindows& windows() const { return windows_; }
 
  private:
   PoolWindows windows_;
