@@ -422,7 +422,7 @@ Tensor ExactMaxPool::forward(const Tensor& x, bool train) {
 }
 
 Tensor ExactMaxPool::backward(const Tensor& gy) {
-  sp::check_fmt(trained_ && gy.shape() == windows_.out_shape(), name_,
+  sp::check_fmt(trained_ && windows_.fits_output(gy), name_,
                 ": backward needs a training forward of the same shape");
   Tensor gx(windows_.in_shape());
   for (std::size_t o = 0; o < gy.numel(); ++o) gx[argmax_[o]] += gy[o];
@@ -527,7 +527,7 @@ Tensor AvgPool2d::forward(const Tensor& x, bool) {
 }
 
 Tensor AvgPool2d::backward(const Tensor& gy) {
-  sp::check_fmt(gy.shape() == windows_.out_shape(), name_,
+  sp::check_fmt(windows_.fits_output(gy), name_,
                 ": backward needs the output shape of the last forward");
   const std::size_t* start = windows_.start();
   const std::size_t* idx = windows_.idx();

@@ -123,6 +123,11 @@ class PoolWindows {
 
   const std::vector<int>& in_shape() const { return in_shape_; }
   const std::vector<int>& out_shape() const { return out_shape_; }
+  /// Whether t has the output shape of the last tabled input; false before
+  /// the first tabulate(), when there is no table to index.
+  bool fits_output(const Tensor& t) const {
+    return !in_shape_.empty() && t.shape() == out_shape_;
+  }
   const std::size_t* start() const { return start_.data(); }
   const std::size_t* idx() const { return idx_.data(); }
 

@@ -148,7 +148,7 @@ nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
 
 nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
   const nn::Tensor& x = x_cache_;
-  sp::check_fmt(x.shape() == windows_.in_shape() && gy.shape() == windows_.out_shape(),
+  sp::check_fmt(x.shape() == windows_.in_shape() && windows_.fits_output(gy),
                 name_, ": backward needs a training forward of the same shape");
   const std::size_t* start = windows_.start();
   const std::size_t* idx = windows_.idx();

@@ -254,6 +254,7 @@ TEST(Pools, MaxPoolBackwardNeedsATrainingForwardOfTheSameShape) {
 TEST(Pools, AvgPoolBackwardNeedsTheShapeOfTheLastForward) {
   nn::AvgPool2d pool(2, 2);
   EXPECT_THROW(pool.backward(Tensor({1, 1, 2, 2})), sp::Error);  // no forward yet
+  EXPECT_THROW(pool.backward(Tensor(std::vector<int>{})), sp::Error);
   pool.forward(random_tensor({1, 1, 4, 4}, 3), false);
   EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1})), sp::Error);
   EXPECT_EQ(pool.backward(Tensor({1, 1, 2, 2})).shape(), (std::vector<int>{1, 1, 4, 4}));

@@ -224,6 +224,8 @@ TEST(PafMaxPool, BackwardNeedsTheLastForwardToTrain) {
   // An inference forward of the same shape keeps the table but changes the
   // Dynamic scale, so the earlier training input no longer pairs with it.
   PafMaxPool pool(approx::make_paf(PafForm::F1_G2), 2, 2, 0, "pmax");
+  // Before any forward there is no window table, not even for a 0-d gradient.
+  EXPECT_THROW(pool.backward(Tensor(std::vector<int>{})), sp::Error);
   const Tensor y = pool.forward(random_tensor({1, 1, 4, 4}, 3), true);
   pool.forward(random_tensor({1, 1, 4, 4}, 5), false);
   EXPECT_THROW(pool.backward(Tensor(y.shape())), sp::Error);
