@@ -135,7 +135,7 @@ class PoolWindows {
   PoolWindows(const char* who, bool cyclic, int window, int stride, int pad)
       : who_(who), cyclic_(cyclic), window_(window), stride_(stride), pad_(pad) {}
 
-  const char* who_;  // layer named in error messages
+  const char* who_;  // layer named in error messages (a string literal)
   bool cyclic_;
   int window_, stride_, pad_;
   std::vector<int> in_shape_, out_shape_;
