@@ -340,37 +340,39 @@ void PoolWindows::tabulate(const Tensor& x) {
   // table of the last accepted one.
   if (cyclic_) {
     sp::check_fmt(x.ndim() == 2, who_, ": expects [B, W], got ", x.shape_str());
-    const int batch = x.dim(0), w = x.dim(1);
+    const int w = x.dim(1);
     sp::check_fmt(window_ <= w, who_, ": window wider than the slot count");
     sp::check_fmt(w % stride_ == 0, who_, ": stride must divide the width");
-    out_shape_ = {batch, w / stride_};
     start_.assign(1, 0);
-    idx_.clear();
-    for (int n = 0; n < batch; ++n)
-      for (int j = 0; j < w; j += stride_) {
-        for (int t = 0; t < window_; ++t)
-          idx_.push_back(static_cast<std::size_t>(n) * w + (j + t) % w);
-        start_.push_back(idx_.size());
-      }
+    off_.clear();
+    for (int j = 0; j < w; j += stride_) {
+      for (int t = 0; t < window_; ++t) off_.push_back(static_cast<std::size_t>((j + t) % w));
+      start_.push_back(off_.size());
+    }
+    out_shape_ = {x.dim(0), w / stride_};
+    planes_ = static_cast<std::size_t>(x.dim(0));
+    plane_inputs_ = static_cast<std::size_t>(w);
   } else {
     sp::check_fmt(x.ndim() == 4, who_, ": expects [N, C, H, W], got ", x.shape_str());
-    const int planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
-    sp::check_fmt(h + 2 * pad_ >= window_ && w + 2 * pad_ >= window_, who_,
-                  ": kernel larger than the padded input");
+    const int h = x.dim(2), w = x.dim(3);
+    // A plane of at least one input leaves every window one (pad < kernel).
+    sp::check_fmt(h >= 1 && w >= 1 && h + 2 * pad_ >= window_ && w + 2 * pad_ >= window_,
+                  who_, ": kernel larger than the padded input");
     const int oh = out_size(h, window_, stride_, pad_);
     const int ow = out_size(w, window_, stride_, pad_);
-    out_shape_ = {x.dim(0), x.dim(1), oh, ow};
     start_.assign(1, 0);
-    idx_.clear();
-    for (int plane = 0; plane < planes; ++plane)
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) {
-          for (int iy = oy * stride_ - pad_; iy < oy * stride_ - pad_ + window_; ++iy)
-            for (int ix = ox * stride_ - pad_; ix < ox * stride_ - pad_ + window_; ++ix)
-              if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                idx_.push_back((static_cast<std::size_t>(plane) * h + iy) * w + ix);
-          start_.push_back(idx_.size());
-        }
+    off_.clear();
+    for (int oy = 0; oy < oh; ++oy)
+      for (int ox = 0; ox < ow; ++ox) {
+        for (int iy = oy * stride_ - pad_; iy < oy * stride_ - pad_ + window_; ++iy)
+          for (int ix = ox * stride_ - pad_; ix < ox * stride_ - pad_ + window_; ++ix)
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              off_.push_back(static_cast<std::size_t>(iy) * w + ix);
+        start_.push_back(off_.size());
+      }
+    out_shape_ = {x.dim(0), x.dim(1), oh, ow};
+    planes_ = static_cast<std::size_t>(x.dim(0)) * x.dim(1);
+    plane_inputs_ = static_cast<std::size_t>(h) * w;
   }
   in_shape_ = x.shape();
 }
@@ -399,24 +401,22 @@ Tensor ReLU::backward(const Tensor& gy) {
 
 Tensor ExactMaxPool::forward(const Tensor& x, bool train) {
   windows_.tabulate(x);
-  const std::size_t* start = windows_.start();
-  const std::size_t* idx = windows_.idx();
   Tensor y(windows_.out_shape());
   if (train) argmax_.resize(y.numel());
-  for (std::size_t o = 0; o < y.numel(); ++o) {
-    std::size_t arg = idx[start[o]];
+  windows_.for_each([&](std::size_t o, PoolWindows::Window w) {
+    std::size_t arg = w[0];
     float m = x[arg];
-    for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
-      const float v = x[idx[k]];
+    for (std::size_t k = 1; k < w.size; ++k) {
+      const float v = x[w[k]];
       if (profile_) profile_(m - v);
       if (v > m) {
         m = v;
-        arg = idx[k];
+        arg = w[k];
       }
     }
     y[o] = m;
     if (train) argmax_[o] = arg;
-  }
+  });
   trained_ = train;
   return y;
 }
@@ -514,29 +514,25 @@ AvgPool2d::AvgPool2d(int kernel, int stride, const std::string& name)
 
 Tensor AvgPool2d::forward(const Tensor& x, bool) {
   windows_.tabulate(x);
-  const std::size_t* start = windows_.start();
-  const std::size_t* idx = windows_.idx();
   Tensor y(windows_.out_shape());
   const float inv = 1.0f / static_cast<float>(windows_.window_inputs());
-  for (std::size_t o = 0; o < y.numel(); ++o) {
+  windows_.for_each([&](std::size_t o, PoolWindows::Window w) {
     float acc = 0.0f;
-    for (std::size_t k = start[o]; k < start[o + 1]; ++k) acc += x[idx[k]];
+    for (std::size_t k = 0; k < w.size; ++k) acc += x[w[k]];
     y[o] = acc * inv;
-  }
+  });
   return y;
 }
 
 Tensor AvgPool2d::backward(const Tensor& gy) {
   sp::check_fmt(windows_.fits_output(gy), name_,
                 ": backward needs the output shape of the last forward");
-  const std::size_t* start = windows_.start();
-  const std::size_t* idx = windows_.idx();
   Tensor gx(windows_.in_shape());
   const float inv = 1.0f / static_cast<float>(windows_.window_inputs());
-  for (std::size_t o = 0; o < gy.numel(); ++o) {
+  windows_.for_each([&](std::size_t o, PoolWindows::Window w) {
     const float g = gy[o] * inv;
-    for (std::size_t k = start[o]; k < start[o + 1]; ++k) gx[idx[k]] += g;
-  }
+    for (std::size_t k = 0; k < w.size; ++k) gx[w[k]] += g;
+  });
   return gx;
 }
 

@@ -96,11 +96,20 @@ class BatchNorm2d final : public Layer {
 };
 
 /// The windows a pooling layer reduces. The geometry is checked once, at
-/// construction; tabulate() lists, for one input shape, the flat inputs each
-/// output reads, in order: output o of out_shape() reads idx()[start()[o]],
-/// ..., idx()[start()[o + 1] - 1].
+/// construction. Every plane of the input (a row of [B, W], a channel of
+/// [N, C, H, W]) has the same windows, so tabulate() lists, for one input
+/// shape, the inputs each output of one plane reads, in order, as offsets
+/// into that plane; for_each() walks every output of the tensor.
 class PoolWindows {
  public:
+  /// One output's window: its k-th input is x[base + off[k]], k < size.
+  struct Window {
+    std::size_t base;
+    const std::size_t* off;
+    std::size_t size;
+    std::size_t operator[](std::size_t k) const { return base + off[k]; }
+  };
+
   /// Cyclic windows over the last axis of [B, W]: output j of row b reads
   /// x[b, (j * stride + t) mod W] for t < window, one output per stride
   /// (stride must divide W). Needs window >= 2 and stride >= 1.
@@ -128,8 +137,20 @@ class PoolWindows {
   bool fits_output(const Tensor& t) const {
     return !in_shape_.empty() && t.shape() == out_shape_;
   }
-  const std::size_t* start() const { return start_.data(); }
-  const std::size_t* idx() const { return idx_.data(); }
+
+  /// Calls f(o, window) for every output o of the last tabled shape, in
+  /// order.
+  template <class F>
+  void for_each(F&& f) const {
+    const std::size_t* start = start_.data();
+    const std::size_t* off = off_.data();
+    const std::size_t outputs = start_.size() - 1;  // per plane
+    for (std::size_t plane = 0, o = 0; plane < planes_; ++plane) {
+      const std::size_t base = plane * plane_inputs_;
+      for (std::size_t p = 0; p < outputs; ++p, ++o)
+        f(o, Window{base, off + start[p], start[p + 1] - start[p]});
+    }
+  }
 
  private:
   PoolWindows(const char* who, bool cyclic, int window, int stride, int pad)
@@ -139,7 +160,10 @@ class PoolWindows {
   bool cyclic_;
   int window_, stride_, pad_;
   std::vector<int> in_shape_, out_shape_;
-  std::vector<std::size_t> start_{0}, idx_;
+  std::size_t planes_ = 0, plane_inputs_ = 0;
+  // Output p of a plane reads the plane's inputs at offsets off_[start_[p]],
+  // ..., off_[start_[p + 1] - 1].
+  std::vector<std::size_t> start_{0}, off_;
 };
 
 /// An operator CKKS cannot evaluate natively (ReLU, MaxPool): a replacement

@@ -112,31 +112,29 @@ PafMaxTournament::PafMaxTournament(approx::CompositePaf paf, std::string name,
 nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
   sync_coeffs();
   windows_.tabulate(x);
-  const std::size_t* start = windows_.start();
-  const std::size_t* idx = windows_.idx();
   nn::Tensor y(windows_.out_shape());
 
   float spread = 0.0f;
-  for (std::size_t o = 0; o < y.numel(); ++o) {
-    float lo = x[idx[start[o]]], hi = lo;
-    for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
-      lo = std::min(lo, x[idx[k]]);
-      hi = std::max(hi, x[idx[k]]);
+  windows_.for_each([&](std::size_t, nn::PoolWindows::Window w) {
+    float lo = x[w[0]], hi = lo;
+    for (std::size_t k = 1; k < w.size; ++k) {
+      lo = std::min(lo, x[w[k]]);
+      hi = std::max(hi, x[w[k]]);
     }
     spread = std::max(spread, hi - lo);
-  }
+  });
   scale_used_ = resolve_scale(spread, train);
   const double s = scale_used_;
 
-  for (std::size_t o = 0; o < y.numel(); ++o) {
-    double m = x[idx[start[o]]];
-    for (std::size_t k = start[o] + 1; k < start[o + 1]; ++k) {
-      const double v = x[idx[k]];
+  windows_.for_each([&](std::size_t o, nn::PoolWindows::Window w) {
+    double m = x[w[0]];
+    for (std::size_t k = 1; k < w.size; ++k) {
+      const double v = x[w[k]];
       const double d = m - v;
       m = 0.5 * ((m + v) + d * paf_(d / s));
     }
     y[o] = static_cast<float>(m);
-  }
+  });
   // An inference forward drops the training input, so backward cannot pair
   // it with this forward's scale.
   if (train)
@@ -150,8 +148,6 @@ nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
   const nn::Tensor& x = x_cache_;
   sp::check_fmt(x.shape() == windows_.in_shape() && windows_.fits_output(gy),
                 name_, ": backward needs a training forward of the same shape");
-  const std::size_t* start = windows_.start();
-  const std::size_t* idx = windows_.idx();
   nn::Tensor gx(x.shape());
   const double s = scale_used_;
   const auto n_coeff = static_cast<std::size_t>(paf_.num_coeffs());
@@ -161,9 +157,8 @@ nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
   // Per-step partials of one fold, reused across outputs.
   std::vector<double> dprev, dv, dc;
 
-  for (std::size_t o = 0; o < gy.numel(); ++o) {
-    const std::size_t* in = idx + start[o];
-    const std::size_t count = start[o + 1] - start[o];
+  windows_.for_each([&](std::size_t o, nn::PoolWindows::Window in) {
+    const std::size_t count = in.size;
     dprev.resize(count);
     dv.resize(count);
     dc.resize(count * n_coeff);
@@ -189,7 +184,7 @@ nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
       g *= dprev[i];
     }
     gx[in[0]] += static_cast<float>(g);
-  }
+  });
   for (std::size_t k = 0; k < n_coeff; ++k) coeff_.grad[k] += static_cast<float>(cg[k]);
   mask_even_grads();
   return gx;

@@ -222,6 +222,9 @@ TEST(Pools, RejectGeometriesWithoutAWindow) {
 TEST(Pools, RejectInputsTheirWindowsDoNotFit) {
   nn::MaxPool2d wide(5, 1, 1);
   EXPECT_THROW(wide.forward(random_tensor({1, 1, 2, 2}, 3), false), sp::Error);
+  // An empty plane would leave windows of padding only.
+  nn::MaxPool2d padded(3, 1, 1);
+  EXPECT_THROW(padded.forward(random_tensor({1, 1, 0, 4}, 3), false), sp::Error);
   nn::AvgPool2d avg(3, 1);
   EXPECT_THROW(avg.forward(random_tensor({1, 1, 2, 4}, 3), false), sp::Error);
   EXPECT_THROW(avg.forward(random_tensor({4, 4}, 3), false), sp::Error);
