@@ -405,10 +405,12 @@ TEST_F(PipelineFheTest, PredictPolyMatchesExecutedCounts) {
 // outputs: a one-stage PAF-ReLU pipeline under each forced schedule, the
 // 2-activation pipeline (window -> ReLU -> folded scalar -> pairwise
 // MaxPool, so a hoisted window fan and the MaxPool fan) and one direct
-// max(). The runtime has PipelineFheTest's parameters but its own seed, and
-// every key is minted up front, so a digest depends only on the schedule
-// and the arithmetic, not on test order. A missing pin prints the observed
-// row.
+// max(); and of the linear stages that run rather than fold: a PAF-ReLU
+// followed by a scaled, biased linear stage (serve_open's tail) and a
+// bias-only one. Each test's runtime has PipelineFheTest's parameters but
+// its own seed, and every key is minted up front, so a digest depends only
+// on the schedule and the arithmetic, not on test order. A missing pin
+// prints the observed row.
 
 /// The OpCounters delta of one pinned call: every evaluator op it issued,
 /// NTTs included.
@@ -434,6 +436,10 @@ const PafPin kPafPins[] = {
      {12, 10, 24, 16, 12, 3, 3, 1171, 165}},
     {"max", 0xcd71a8c96f48377dULL, 6, 5, 7, 3,
      {6, 5, 12, 7, 6, 0, 0, 801, 87}},
+    {"relu_then_linear", 0xd0edabc3e1177610ULL, 6, 5, 6, 3,
+     {6, 5, 12, 7, 5, 0, 0, 799, 87}},
+    {"bias_only_linear", 0x31a656fbbb61b759ULL, 0, 0, 0, 0,
+     {0, 0, 0, 0, 1, 0, 0, 0, 0}},
 };
 // clang-format on
 
@@ -523,6 +529,30 @@ TEST(PafPins, ReluSchedulesTwoActivationAndMax) {
   const OpCounters max_before = ev.counters;
   const Ciphertext max_out = rt.paf_evaluator().max(ev, a, b, test_paf(43), 4.0, &max_stats);
   expect_paf_pin("max", max_out, max_stats, ev.counters.delta_since(max_before));
+}
+
+TEST(PafPins, LinearStagesThatRun) {
+  smartpaf::FheRuntime rt(CkksParams::for_depth(2048, 12, 40), /*seed=*/520);
+  Evaluator& ev = rt.evaluator();
+  const auto run_pinned = [&](const char* name, const smartpaf::FhePipeline& pipe,
+                              std::uint64_t seed) {
+    const auto plan = smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
+    sp::Rng rng(seed);
+    std::vector<double> v(rt.ctx().slot_count());
+    for (auto& x : v) x = rng.uniform(-2.0, 2.0);
+    const Ciphertext in = rt.encrypt(v);
+    EvalStats stats;
+    const OpCounters before = ev.counters;
+    const Ciphertext out = pipe.run(rt, plan, in, &stats);
+    expect_paf_pin(name, out, stats, ev.counters.delta_since(before));
+  };
+  // A linear stage after a PAF-ReLU does not fold: its scale multiplies and
+  // rescales, then its bias adds.
+  run_pinned("relu_then_linear",
+             smartpaf::FhePipeline::builder().paf_relu(test_paf(), 2.0).linear(1.1, -0.02).build(),
+             1);
+  // A scale of exactly 1 takes no level: only the bias adds.
+  run_pinned("bias_only_linear", smartpaf::FhePipeline::builder().linear(1.0, 0.25).build(), 2);
 }
 
 TEST(PipelineTournament, WindowThreeLandsEachTapOnTheRunningMax) {
