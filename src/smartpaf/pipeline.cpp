@@ -20,17 +20,6 @@ bool any_nonzero(const std::vector<double>& v) {
   return std::any_of(v.begin(), v.end(), [](double x) { return x != 0.0; });
 }
 
-}  // namespace
-
-bool linear_scale_is_identity(const LinearStage& lin) {
-  return std::all_of(lin.scale.begin(), lin.scale.end(),
-                     [](double s) { return s == 1.0; });
-}
-
-bool linear_has_bias(const LinearStage& lin) { return any_nonzero(lin.bias); }
-
-namespace {
-
 std::string paf_label(const char* kind, const PafStage& paf) {
   std::ostringstream os;
   os << kind << "[";
@@ -38,14 +27,6 @@ std::string paf_label(const char* kind, const PafStage& paf) {
   if (!paf.paf.name().empty()) os << paf.paf.name() << " ";
   os << "d" << paf.paf.mult_depth() << "]";
   return os.str();
-}
-
-/// Content key for a per-slot linear coefficient vector: the stage executes
-/// every run with identical values, so repeat runs hit the encoder's cache
-/// instead of paying the encode FFT again.
-std::uint64_t linear_vec_key(const std::vector<double>& values, std::uint64_t tag) {
-  return sp::fnv_doubles(sp::fnv_mix(sp::kFnvOffset, 0x6c696e65617221ULL ^ tag),
-                         values);  // "linear!"
 }
 
 }  // namespace
@@ -375,21 +356,11 @@ std::optional<fhe::LinearTransform> stage_transform(const Stage& stage,
 
 // ------------------------------------------------------------------ Builder --
 
-FhePipeline::Builder& FhePipeline::Builder::linear(std::vector<double> scale,
-                                                   std::vector<double> bias) {
-  sp::check(!scale.empty(), "FhePipeline: linear stage needs a scale");
-  std::ostringstream os;
-  if (scale.size() == 1)
-    os << "linear(x" << scale[0] << (bias.empty() ? "" : " +b") << ")";
-  else
-    os << "linear[" << scale.size() << " slots]";
-  stages_.push_back(Stage{LinearStage{std::move(scale), std::move(bias)}, os.str()});
-  return *this;
-}
-
 FhePipeline::Builder& FhePipeline::Builder::linear(double scale, double bias) {
-  return linear(std::vector<double>{scale},
-                bias == 0.0 ? std::vector<double>{} : std::vector<double>{bias});
+  std::ostringstream os;
+  os << "linear(x" << scale << (bias == 0.0 ? "" : " +b") << ")";
+  stages_.push_back(Stage{LinearStage{scale, bias}, os.str()});
+  return *this;
 }
 
 FhePipeline::Builder& FhePipeline::Builder::window(std::vector<double> taps,
@@ -557,8 +528,7 @@ void lower_layer(const nn::Layer& layer, FhePipeline::Builder& b, GridShape* gri
     const double bias = win->bias_value();
     if (taps.size() == 1) {
       // A 1-tap window is a scalar affine stage — the foldable case.
-      b.linear(std::vector<double>{taps[0]},
-               bias == 0.0 ? std::vector<double>{} : std::vector<double>{bias});
+      b.linear(taps[0], bias);
     } else {
       b.window(taps, bias);
     }
@@ -635,8 +605,7 @@ FhePipeline FhePipeline::lower(const nn::Model& model, const GridShape& input) {
 // ------------------------------------------------------------------ Queries --
 
 int stage_levels(const Stage& stage) {
-  if (const auto* lin = std::get_if<LinearStage>(&stage.op))
-    return linear_scale_is_identity(*lin) ? 0 : 1;
+  if (const auto* lin = std::get_if<LinearStage>(&stage.op)) return lin->scale == 1.0 ? 0 : 1;
   const auto* paf = std::get_if<PafStage>(&stage.op);
   if (paf == nullptr) return 1;  // a rotation-sum stage: one rescale
   const int per_act = paf->paf.mult_depth() + 2;
@@ -681,9 +650,8 @@ std::vector<std::pair<StageLayout, StageLayout>> FhePipeline::stage_layouts(
   out.reserve(stages_.size());
   for (const Stage& st : stages_) {
     const StageLayout in = cur;
-    if (const auto* lin = std::get_if<LinearStage>(&st.op)) {
-      if (lin->scale.size() > 1 || lin->bias.size() > 1)
-        require_single_dense(st, "applies per-slot coefficients");
+    if (std::holds_alternative<LinearStage>(st.op)) {
+      // Scalar and slot-wise: applies to every block of any layout.
     } else if (std::get_if<WindowStage>(&st.op) != nullptr) {
       require_single_dense(st, "is cyclic over one ciphertext");
     } else if (const auto* paf = std::get_if<PafStage>(&st.op)) {
@@ -828,12 +796,7 @@ std::vector<double> FhePipeline::reference(const std::vector<double>& slots,
       continue;
     }
     if (const auto* lin = std::get_if<LinearStage>(&st.op)) {
-      for (std::size_t j = 0; j < w; ++j) {
-        const double s = lin->scale[lin->scale.size() == 1 ? 0 : j];
-        const double bias =
-            lin->bias.empty() ? 0.0 : lin->bias[lin->bias.size() == 1 ? 0 : j];
-        v[j] = s * v[j] + bias;
-      }
+      for (double& x : v) x = lin->scale * x + lin->bias;
     } else if (const auto* win = std::get_if<WindowStage>(&st.op)) {
       std::vector<double> y(w);
       for (std::size_t j = 0; j < w; ++j) {
@@ -953,36 +916,16 @@ std::vector<fhe::Ciphertext> FhePipeline::run_stages(FheRuntime& rt, const Plan&
     if (sp_.folded) continue;  // absorbed into a later PAF stage's envelope
 
     if (const auto* lin = std::get_if<LinearStage>(&st.op)) {
-      // A merge pass may have combined a run of adjacent linear stages into
-      // this one; the plan then carries the combined coefficients. Scalar
-      // affine stages apply to every block alike (per-slot coefficient
-      // vectors are single-block by layout validation).
-      const LinearStage& eff = sp_.merged_linear ? *sp_.merged_linear : *lin;
-      if (linear_scale_is_identity(eff) && !linear_has_bias(eff)) continue;
+      // Slot-wise, so every block takes the same ops: the scale multiplies
+      // each row by its residue, the bias adds one scalar plaintext.
+      if (lin->scale == 1.0 && lin->bias == 0.0) continue;
       for (fhe::Ciphertext& cur : blocks.own()) {
-        if (!linear_scale_is_identity(eff)) {
-          // A scalar scale multiplies each row by its residue; per-slot
-          // vectors pay an encode FFT, so those route through the encoder's
-          // cache.
-          if (eff.scale.size() == 1) {
-            ev.multiply_scalar_inplace(cur, eff.scale[0], delta);
-          } else {
-            ev.multiply_plain_inplace(
-                cur, *enc.encode_cached(linear_vec_key(eff.scale, 1), delta,
-                                        cur.q_count(), [&] { return eff.scale; }));
-          }
+        if (lin->scale != 1.0) {
+          ev.multiply_scalar_inplace(cur, lin->scale, delta);
           ev.rescale_inplace(cur);
         }
-        if (linear_has_bias(eff)) {
-          if (eff.bias.size() == 1) {
-            ev.add_plain_inplace(
-                cur, enc.encode_scalar(eff.bias[0], cur.scale, cur.q_count()));
-          } else {
-            ev.add_plain_inplace(
-                cur, *enc.encode_cached(linear_vec_key(eff.bias, 2), cur.scale,
-                                        cur.q_count(), [&] { return eff.bias; }));
-          }
-        }
+        if (lin->bias != 0.0)
+          ev.add_plain_inplace(cur, enc.encode_scalar(lin->bias, cur.scale, cur.q_count()));
       }
       continue;
     }

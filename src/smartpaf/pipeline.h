@@ -15,14 +15,12 @@ namespace sp::smartpaf {
 class FheRuntime;  // smartpaf/fhe_deploy.h
 struct Plan;       // smartpaf/pipeline_planner.h
 
-/// Slot-wise affine stage: y[j] = scale[j] * x[j] + bias[j]. `scale` of
-/// size 1 broadcasts (the foldable scalar case); size slot_count applies
-/// per-slot plaintext weights (a diagonal linear layer). `bias` may be
-/// empty, size 1 or per-slot. Consumes one level unless the scale is
-/// identically 1 (bias-only: zero levels) or the planner folds it.
+/// Scalar affine stage: y[j] = scale * x[j] + bias in every slot. Consumes
+/// one level unless the scale is 1 (bias-only: zero levels) or the planner
+/// folds it into the next PAF stage's envelope (bias 0).
 struct LinearStage {
-  std::vector<double> scale;
-  std::vector<double> bias;
+  double scale = 1.0;
+  double bias = 0.0;
 };
 
 /// Rotation-fan stage: y[j] = bias + sum_t taps[t] * x[j + t] (cyclic over
@@ -191,9 +189,7 @@ class FhePipeline {
   /// Fluent construction: stages are appended in execution order.
   class Builder {
    public:
-    /// @brief Slot-wise affine stage (scale size 1 = broadcast scalar).
-    Builder& linear(std::vector<double> scale, std::vector<double> bias = {});
-    /// @brief Scalar affine convenience overload.
+    /// @brief Scalar affine stage: y = scale * x + bias in every slot.
     Builder& linear(double scale, double bias = 0.0);
     /// @brief Cyclic rotation-fan window stage.
     Builder& window(std::vector<double> taps, double bias = 0.0);
@@ -278,8 +274,8 @@ class FhePipeline {
   /// batches): resolves grid strides and ciphertext block counts, and
   /// rejects every stage/layout mismatch with a diagnostic — conv on a
   /// non-grid or wrong-shape layout, matmul width or channel-layout
-  /// mismatches, cyclic stages (window/maxpool/compact/per-slot linear) on
-  /// multi-ciphertext or grid layouts. The Planner calls this before
+  /// mismatches, cyclic stages (window/maxpool/compact) on multi-ciphertext
+  /// or grid layouts. The Planner calls this before
   /// anything executes (each StagePlan carries its pair, so the last
   /// layout_out.width is the per-request output slice of a packed batch);
   /// tests pin the messages.
@@ -287,7 +283,7 @@ class FhePipeline {
       std::size_t extent) const;
 
   /// @brief Levels the pipeline consumes when executed literally (no
-  /// merging or folding); the plan may use fewer.
+  /// folding); the plan may use fewer.
   int mult_depth() const;
 
   /// @brief Plaintext mirror of the pipeline over a full slot vector
@@ -337,18 +333,10 @@ class FhePipeline {
   GridShape input_grid_;
 };
 
-/// @brief True when the linear stage's scale is identically 1 (bias-only
-/// stages consume no level). Shared by the planner's level accounting and
-/// run()'s execution so the two can never disagree.
-bool linear_scale_is_identity(const LinearStage& lin);
-
-/// @brief True when the linear stage carries any nonzero bias entry.
-bool linear_has_bias(const LinearStage& lin);
-
 /// @brief Levels `stage` consumes when executed literally (no folding):
-/// linear 1 (0 when the scale is identically 1), window 1, matmul 1,
-/// compact 1, conv 1, PAF-ReLU depth + 2, PAF-MaxPool
-/// (pool_window - 1) * (depth + 2).
+/// linear 1 (0 when the scale is 1), window 1, matmul 1, compact 1, conv 1,
+/// PAF-ReLU depth + 2, PAF-MaxPool (pool_window - 1) * (depth + 2). The
+/// planner takes every unfolded stage's levels from it.
 int stage_levels(const Stage& stage);
 
 /// @brief Scatters a MatMulStage's columns into one dense (rows x

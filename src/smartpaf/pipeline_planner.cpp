@@ -33,8 +33,7 @@ std::string Plan::describe() const {
     const StagePlan& s = stages[i];
     os << "  [" << i << "] " << std::left << std::setw(26) << s.label << std::right;
     if (s.folded) {
-      os << (s.merged_into_next ? "merged into the next linear stage\n"
-                                : "folded into the next PAF stage\n");
+      os << "folded into the next PAF stage\n";
       continue;
     }
     os << "L" << s.level_in << "->L" << s.level_out;
@@ -61,7 +60,6 @@ std::string Plan::describe() const {
     }
     if (s.n1 > 0) os << "  bsgs n1=" << s.n1 << " giants=" << s.giant_steps.size();
     if (s.n1 >= 0) os << "  masks=" << s.ops.plain_mults;
-    if (s.merged_linear) os << "  (executes a merged linear run)";
     if (s.ops.ct_mults > 0) {
       os << "  " << (s.strategy == fhe::PafEvaluator::Strategy::BSGS ? "BSGS" : "Ladder")
          << " lazy-relin  " << s.ops.ct_mults
@@ -85,32 +83,6 @@ std::vector<int> Plan::rotation_steps() const {
 // ------------------------------------------------------------------ Planner --
 
 namespace {
-
-/// y = s2 * (s1 * x + b1) + b2 collapsed into one affine stage (broadcast
-/// rules: size-1 vectors apply to every slot; empty bias = 0).
-LinearStage compose_linear(const LinearStage& first, const LinearStage& second) {
-  const auto at = [](const std::vector<double>& v, std::size_t j, double dflt) {
-    if (v.empty()) return dflt;
-    return v[v.size() == 1 ? 0 : j];
-  };
-  const std::size_t n =
-      std::max({first.scale.size(), first.bias.size(), second.scale.size(),
-                second.bias.size(), std::size_t{1}});
-  LinearStage out;
-  out.scale.resize(n);
-  out.bias.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double s1 = at(first.scale, j, 1.0);
-    const double b1 = at(first.bias, j, 0.0);
-    const double s2 = at(second.scale, j, 1.0);
-    const double b2 = at(second.bias, j, 0.0);
-    out.scale[j] = s2 * s1;
-    out.bias[j] = s2 * b1 + b2;
-  }
-  if (std::all_of(out.bias.begin(), out.bias.end(), [](double b) { return b == 0.0; }))
-    out.bias.clear();  // keeps the merged stage foldable into a PAF envelope
-  return out;
-}
 
 /// Split candidates of one rotation-sum stage: matmul 1..n1_max (split on
 /// the diagonal step, unit 1), conv 0..n1_max (0 = the im2col fan; split on
@@ -173,7 +145,6 @@ void price_schedule(const fhe::LtSchedule& s, const CostModel& cost,
   sp_.ops = fhe::SchedulePrediction{};
   sp_.ops.plain_mults = s.mask_mults();
   sp_.ops.rescales = s.blocks_out;
-  sp_.ops.levels = 1;
   sp_.predicted_cost = cost.eval_cost(sp_.ops) + rot_cost;
 }
 
@@ -199,15 +170,7 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       pipe.stage_layouts(extent);
   for (std::size_t i = 0; i < stages.size(); ++i) {
     const Stage& st = stages[i];
-    if (const auto* lin = std::get_if<LinearStage>(&st.op)) {
-      sp::check_fmt(lin->scale.size() == 1 || lin->scale.size() == slots,
-                    "Planner: linear scale must have 1 or ", slots,
-                    " entries, got ", lin->scale.size());
-      sp::check_fmt(lin->bias.empty() || lin->bias.size() == 1 ||
-                        lin->bias.size() == slots,
-                    "Planner: linear bias must have 0, 1 or ", slots,
-                    " entries, got ", lin->bias.size());
-    } else if (const auto* win = std::get_if<WindowStage>(&st.op)) {
+    if (const auto* win = std::get_if<WindowStage>(&st.op)) {
       sp::check_fmt(win->taps.size() <= slots, "Planner: window of ",
                     win->taps.size(), " taps exceeds the ", slots, " slots");
     } else if (const auto* paf = std::get_if<PafStage>(&st.op)) {
@@ -232,42 +195,14 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
   plan.pack_stride = opts.pack_stride;
   plan.stages.resize(stages.size());
 
-  // Merge pass (plan-level rescale placement): a run of back-to-back linear
-  // stages collapses into its LAST stage — one plaintext multiplication and
-  // ONE rescale instead of one per stage, saving a level for every extra
-  // non-identity stage in the run.
-  std::vector<bool> absorbed(stages.size(), false);
-  std::vector<std::optional<LinearStage>> merged(stages.size());
-  for (std::size_t i = 0; i < stages.size();) {
-    if (!std::holds_alternative<LinearStage>(stages[i].op)) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j + 1 < stages.size() && std::holds_alternative<LinearStage>(stages[j + 1].op))
-      ++j;
-    if (j > i) {
-      LinearStage combined = std::get<LinearStage>(stages[i].op);
-      for (std::size_t k = i + 1; k <= j; ++k) {
-        absorbed[k - 1] = true;
-        combined = compose_linear(combined, std::get<LinearStage>(stages[k].op));
-      }
-      merged[j] = std::move(combined);
-    }
-    i = j + 1;
-  }
-
-  // Fold pass: scalar-only linear stages (one broadcast scale, no bias)
-  // directly preceding a PAF-ReLU fold into that activation's Static-Scaling
-  // envelope — the scalar rides the plaintext multiplications the envelope
-  // pays anyway, so each folded stage saves one level, one plaintext mult
-  // and one rescale. ReLU always absorbs a fold; a MaxPool only at
-  // pool_window == 2, where both tournament operands are raw and the factor
-  // rides max()'s envelope plaintexts (a longer tournament's running operand
-  // already carries the factor after the first fold). Runs on the
-  // post-merge view: a merged survivor folds with its combined scalar, and
-  // the scan stops at absorbed stages (their effect is already inside the
-  // survivor).
+  // Fold pass: the run of bias-free linear stages directly preceding a
+  // PAF-ReLU folds into that activation's Static-Scaling envelope — the
+  // scalars ride the plaintext multiplications the envelope pays anyway, so
+  // each folded stage saves one level, one plaintext mult and one rescale.
+  // ReLU always absorbs a fold; a MaxPool only at pool_window == 2, where
+  // both tournament operands are raw and the factor rides max()'s envelope
+  // plaintexts (a longer tournament's running operand already carries the
+  // factor after the first fold).
   std::vector<double> pre_factor(stages.size(), 1.0);
   std::vector<bool> folded(stages.size(), false);
   for (std::size_t i = 0; i < stages.size(); ++i) {
@@ -277,12 +212,9 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
                          (paf->kind == SiteKind::MaxPool && paf->pool_window == 2);
     if (!absorbs) continue;
     for (std::size_t j = i; j-- > 0;) {
-      if (absorbed[j]) break;
-      const auto* lin = merged[j] ? &*merged[j] : std::get_if<LinearStage>(&stages[j].op);
-      if (lin == nullptr || folded[j] || lin->scale.size() != 1 || linear_has_bias(*lin) ||
-          lin->scale[0] == 0.0)
-        break;
-      pre_factor[i] *= lin->scale[0];
+      const auto* lin = std::get_if<LinearStage>(&stages[j].op);
+      if (lin == nullptr || lin->bias != 0.0 || lin->scale == 0.0) break;
+      pre_factor[i] *= lin->scale;
       folded[j] = true;
     }
   }
@@ -295,12 +227,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
     sp_.level_in = level;
     sp_.layout_in = layouts[i].first;
     sp_.layout_out = layouts[i].second;
-    if (absorbed[i]) {
-      sp_.folded = true;
-      sp_.merged_into_next = true;
-      sp_.level_out = level;
-      continue;
-    }
     if (folded[i]) {
       sp_.folded = true;
       sp_.level_out = level;
@@ -308,12 +234,9 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
     }
 
     if (const auto* lin = std::get_if<LinearStage>(&st.op)) {
-      if (merged[i]) sp_.merged_linear = merged[i];
-      const LinearStage& eff = sp_.merged_linear ? *sp_.merged_linear : *lin;
-      if (!linear_scale_is_identity(eff)) {
+      if (lin->scale != 1.0) {
         sp_.ops.plain_mults = 1;
         sp_.ops.rescales = 1;
-        sp_.ops.levels = 1;
       }
       sp_.predicted_cost = cost.eval_cost(sp_.ops);
     } else if (!std::holds_alternative<PafStage>(st.op)) {
@@ -337,7 +260,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       sp_ = std::move(best);
     } else {
       const auto& paf = std::get<PafStage>(st.op);
-      const int per_act_levels = paf.paf.mult_depth() + 2;
       const int acts = paf.kind == SiteKind::MaxPool ? paf.pool_window - 1 : 1;
       // A MaxPool tournament fans the stage input out over the window taps.
       if (paf.kind == SiteKind::MaxPool)
@@ -357,7 +279,6 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       one.relins += 1;
       one.rescales += 1;
       one.plain_mults += paf.kind == SiteKind::MaxPool ? 3 : 2;
-      one.levels = per_act_levels;
       sp_.ops = one;
       for (int a = 1; a < acts; ++a) sp_.ops += one;
       // Every tournament fold after the first lands its tap on the running max.
@@ -366,6 +287,7 @@ Plan Planner::plan(const FhePipeline& pipe, const fhe::CkksContext& ctx,
       sp_.pre_factor = pre_factor[i];
     }
 
+    sp_.ops.levels = stage_levels(st);
     level -= sp_.ops.levels;
     sp_.level_out = level;
   }

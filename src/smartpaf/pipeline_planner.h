@@ -39,13 +39,7 @@ struct StagePlan {
   std::string label;
   int level_in = 0;   ///< levels remaining when the stage starts
   int level_out = 0;  ///< levels remaining after the stage
-  bool folded = false;       ///< stage absorbed into a later stage
-  /// Folded by the adjacent-linear merge pass (into the next linear stage)
-  /// rather than into a PAF envelope.
-  bool merged_into_next = false;
-  /// Set on the survivor of an adjacent-linear merge run: the combined
-  /// scale/bias the stage executes instead of its own coefficients.
-  std::optional<LinearStage> merged_linear;
+  bool folded = false;       ///< linear stage folded into the next PAF stage
   double pre_factor = 1.0;   ///< PAF-ReLU: scalar folded into the envelope
   /// PAF stages: the schedule run_blocks builds the stage's evaluator with.
   fhe::PafEvaluator::Strategy strategy = fhe::PafEvaluator::Strategy::BSGS;
@@ -112,12 +106,11 @@ class Planner {
  public:
   /// @brief Plans `pipe` for the chain described by `ctx`.
   ///
-  /// Validation: stage shapes (per-slot vectors vs slot count, pool
-  /// windows, matmul/compact slot-layout widths) and the end-to-end level
-  /// budget — a pipeline deeper than the chain is rejected with a per-stage
-  /// level breakdown in the error message.
-  /// Decisions: adjacent-linear merging (one rescale per run),
-  /// scalar-linear folding into PAF envelopes, the n1 split of every
+  /// Validation: stage shapes (window taps and pool windows vs slot count,
+  /// matmul/compact slot-layout widths) and the end-to-end level budget — a
+  /// pipeline deeper than the chain is rejected with a per-stage level
+  /// breakdown in the error message.
+  /// Decisions: scalar-linear folding into PAF envelopes, the n1 split of every
   /// matmul/conv rotation-sum and hoisted-vs-naive rotation fans — all by
   /// `cost.eval_cost`/`fan_cost`. PAF stages run BSGS with lazy-relin joins
   /// unless `force_strategy` pins Ladder. Planning is deterministic: the

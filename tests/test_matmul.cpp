@@ -2,10 +2,9 @@
 // nn::Linear::forward for square/non-square shapes (dimensions that do not
 // divide the slot count included), BSGS
 // rotation counts pinned against the plan the CostModel chose,
-// hoisted-vs-naive bit identity, CompactStage parity, the adjacent-linear
-// merge pass (saved level pinned), slot-width tracking through the layers,
-// and the zoo MLP head lowering end to end (plain and stride-2 pooled
-// variants) at < 2^-20 FHE-vs-plaintext parity.
+// hoisted-vs-naive bit identity, CompactStage parity, slot-width tracking
+// through the layers, and the zoo MLP head lowering end to end (plain and
+// stride-2 pooled variants) at < 2^-20 FHE-vs-plaintext parity.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -225,46 +224,6 @@ TEST_F(MatMulFheTest, CompactStageParityAndWidths) {
   }
   for (std::size_t i = width / stride; i < width / stride + 8; ++i)
     EXPECT_NEAR(got[i], 0.0, kParityTol);
-}
-
-TEST_F(MatMulFheTest, AdjacentLinearStagesMergeIntoOneRescale) {
-  const auto slots_n = rt_->ctx().slot_count();
-  sp::Rng rng(31);
-  std::vector<double> a(slots_n), ba(slots_n), b(slots_n), bb(slots_n);
-  for (auto* v : {&a, &ba, &b, &bb})
-    for (auto& x : *v) x = rng.uniform(-1.0, 1.0);
-
-  const auto pipe = smartpaf::FhePipeline::builder()
-                        .linear(a, ba)
-                        .linear(b, bb)
-                        .paf_relu(test_paf(7, 41), 2.0)
-                        .build();
-
-  // Plan-level rescale placement: the two per-slot linears (unfoldable into
-  // the PAF envelope) merge into ONE plaintext mult + rescale — 6 levels
-  // instead of the literal 7.
-  const auto merged =
-      smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic());
-  EXPECT_EQ(merged.levels_used, 6);
-  EXPECT_TRUE(merged.stages[0].folded);
-  EXPECT_TRUE(merged.stages[0].merged_into_next);
-  ASSERT_TRUE(merged.stages[1].merged_linear.has_value());
-  const auto& eff = *merged.stages[1].merged_linear;
-  for (std::size_t j : {std::size_t{0}, std::size_t{5}, slots_n - 1}) {
-    EXPECT_DOUBLE_EQ(eff.scale[j], b[j] * a[j]);
-    EXPECT_DOUBLE_EQ(eff.bias[j], b[j] * ba[j] + bb[j]);
-  }
-
-  EXPECT_EQ(pipe.mult_depth(), 7);
-
-  // The merged plan executes to the plaintext values (double-rounding
-  // differences stay far inside the parity budget).
-  const std::vector<double> slots = random_slots(37);
-  const std::vector<double> ref = pipe.reference(slots);
-  const std::vector<double> got = rt_->decrypt(pipe.run(*rt_, merged, rt_->encrypt(slots)));
-  double worst = 0.0;
-  for (std::size_t j = 0; j < ref.size(); ++j) worst = std::max(worst, std::abs(got[j] - ref[j]));
-  EXPECT_LT(worst, kParityTol);
 }
 
 TEST_F(MatMulFheTest, PackedMatMulComputesEveryRequestsProduct) {
