@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "nn/tensor.h"
 
 namespace sp::nn {
@@ -21,6 +22,27 @@ struct Param {
   Tensor grad;
   ParamGroup group = ParamGroup::Other;
   bool frozen = false;
+};
+
+/// What backward() checks before it reads a layer's forward cache: the last
+/// forward must have been a training one, and the gradient must have that
+/// forward's output shape. Otherwise the cache belongs to another input.
+class BackwardGuard {
+ public:
+  /// Called by forward() with its output.
+  void record(const Tensor& y, bool train) {
+    out_shape_ = y.shape();
+    trained_ = train;
+  }
+  /// Throws sp::Error naming `layer` unless `gy` fits the last forward.
+  void check(const std::string& layer, const Tensor& gy) const {
+    sp::check_fmt(trained_ && gy.shape() == out_shape_, layer,
+                  ": backward needs a training forward of the same shape");
+  }
+
+ private:
+  bool trained_ = false;
+  std::vector<int> out_shape_;
 };
 
 /// Base class of every network component. Layers own their activations

@@ -99,10 +99,12 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     }
   }
   if (train) x_cache_ = x;
+  guard_.record(y, train);
   return y;
 }
 
 Tensor Conv2d::backward(const Tensor& gy) {
+  guard_.check(name_, gy);
   const Tensor& x = x_cache_;
   const int batch = x.dim(0);
   const int cols = oh_ * ow_;
@@ -182,10 +184,12 @@ Tensor Linear::forward(const Tensor& x, bool train) {
       y.at(n, o) = static_cast<float>(acc);
     }
   if (train) x_cache_ = x;
+  guard_.record(y, train);
   return y;
 }
 
 Tensor Linear::backward(const Tensor& gy) {
+  guard_.check(name_, gy);
   const int batch = x_cache_.dim(0);
   // dW += gy^T * x
   matmul_tn(gy.data(), x_cache_.data(), w_.grad.data(), out_, batch, in_, true);
@@ -285,10 +289,12 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
           y.at(n, c, i, j) = g * xh + b;
         }
   }
+  guard_.record(y, train);
   return y;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& gy) {
+  guard_.check(name_, gy);
   const int batch = gy.dim(0), h = gy.dim(2), w = gy.dim(3);
   const float cnt = static_cast<float>(count_per_ch_);
   Tensor gx(gy.shape());
@@ -388,10 +394,12 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
     y[i] = pos ? x[i] : 0.0f;
     if (train) mask_[i] = pos ? 1.0f : 0.0f;
   }
+  guard_.record(y, train);
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& gy) {
+  guard_.check(name_, gy);
   Tensor gx(gy.shape());
   for (std::size_t i = 0; i < gy.numel(); ++i) gx[i] = gy[i] * mask_[i];
   return gx;
@@ -417,13 +425,12 @@ Tensor ExactMaxPool::forward(const Tensor& x, bool train) {
     y[o] = m;
     if (train) argmax_[o] = arg;
   });
-  trained_ = train;
+  guard_.record(y, train);
   return y;
 }
 
 Tensor ExactMaxPool::backward(const Tensor& gy) {
-  sp::check_fmt(trained_ && windows_.fits_output(gy), name_,
-                ": backward needs a training forward of the same shape");
+  guard_.check(name_, gy);
   Tensor gx(windows_.in_shape());
   for (std::size_t o = 0; o < gy.numel(); ++o) gx[argmax_[o]] += gy[o];
   return gx;
@@ -464,10 +471,12 @@ Tensor Window1d::forward(const Tensor& x, bool train) {
       y.at(n, j) = static_cast<float>(acc);
     }
   if (train) x_cache_ = x;
+  guard_.record(y, train);
   return y;
 }
 
 Tensor Window1d::backward(const Tensor& gy) {
+  guard_.check(name_, gy);
   const Tensor& x = x_cache_;
   const int batch = x.dim(0), w = x.dim(1);
   Tensor gx({batch, w});
@@ -538,7 +547,7 @@ Tensor AvgPool2d::backward(const Tensor& gy) {
 
 // ----------------------------------------------------------- GlobalAvgPool --
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool) {
+Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   const int batch = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   in_shape_ = x.shape();
   Tensor y({batch, c, 1, 1});
@@ -550,10 +559,12 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool) {
         for (int j = 0; j < w; ++j) acc += x.at(n, cc, i, j);
       y.at(n, cc, 0, 0) = acc * inv;
     }
+  guard_.record(y, train);
   return y;
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& gy) {
+  guard_.check(name_, gy);
   Tensor gx(in_shape_);
   const int h = in_shape_[2], w = in_shape_[3];
   const float inv = 1.0f / static_cast<float>(h * w);
@@ -578,6 +589,7 @@ Tensor Flatten::backward(const Tensor& gy) { return gy.reshaped(in_shape_); }
 // ---------------------------------------------------------------- Dropout --
 
 Tensor Dropout::forward(const Tensor& x, bool train) {
+  guard_.record(x, train);  // the output has the input's shape
   if (!train || !enabled_ || p_ <= 0.0) {
     mask_ = Tensor();
     return x;
@@ -594,6 +606,7 @@ Tensor Dropout::forward(const Tensor& x, bool train) {
 }
 
 Tensor Dropout::backward(const Tensor& gy) {
+  guard_.check(name_, gy);
   if (mask_.numel() == 0) return gy;
   Tensor gx(gy.shape());
   for (std::size_t i = 0; i < gy.numel(); ++i) gx[i] = gy[i] * mask_[i];

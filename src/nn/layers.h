@@ -39,6 +39,7 @@ class Conv2d final : public Layer {
   Param w_, b_;
   Tensor x_cache_;
   int oh_ = 0, ow_ = 0;
+  BackwardGuard guard_;
 };
 
 /// Fully-connected layer. forward() accumulates each output in double and
@@ -68,6 +69,7 @@ class Linear final : public Layer {
   std::string name_;
   Param w_, b_;
   Tensor x_cache_;
+  BackwardGuard guard_;
 };
 
 /// Per-channel batch normalization. With `track_running_stats=false` (the
@@ -93,6 +95,7 @@ class BatchNorm2d final : public Layer {
   Tensor xhat_;
   std::vector<float> invstd_, mean_;
   int count_per_ch_ = 0;
+  BackwardGuard guard_;
 };
 
 /// The windows a pooling layer reduces. The geometry is checked once, at
@@ -191,14 +194,14 @@ class ReLU final : public NonPolyLayer {
  private:
   std::string name_;
   Tensor mask_;
+  BackwardGuard guard_;
 };
 
 /// Exact max over each pooling window. Output o folds its window's inputs
 /// v_0, v_1, ... in order, m <- max(m, v) from m = v_0, and the profiling
 /// hook records m - v before each step: the pairwise differences the PAF-max
 /// tournament replacing this layer feeds its PAF. Backward routes each
-/// output's gradient to the first input holding its max, and needs the last
-/// forward to have been a training one.
+/// output's gradient to the first input holding its max.
 class ExactMaxPool : public NonPolyLayer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
@@ -215,7 +218,7 @@ class ExactMaxPool : public NonPolyLayer {
   PoolWindows windows_;
   std::string name_;
   std::vector<std::size_t> argmax_;  // flat input index of each output's max
-  bool trained_ = false;             // the last forward was a training one
+  BackwardGuard guard_;
 };
 
 /// Max pooling over padded k x k windows (PoolWindows::padded).
@@ -256,6 +259,7 @@ class Window1d final : public Layer {
   std::string name_;
   Param w_, b_;
   Tensor x_cache_;
+  BackwardGuard guard_;
 };
 
 /// Cyclic 1-D max window over the last axis of [B, W]:
@@ -303,6 +307,7 @@ class GlobalAvgPool final : public Layer {
  private:
   std::string name_;
   std::vector<int> in_shape_;
+  BackwardGuard guard_;
 };
 
 /// [B,C,H,W] -> [B, C*H*W].
@@ -339,6 +344,7 @@ class Dropout final : public Layer {
   sp::Rng rng_;
   std::string name_;
   Tensor mask_;
+  BackwardGuard guard_;
 };
 
 }  // namespace sp::nn

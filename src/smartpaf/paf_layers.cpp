@@ -75,10 +75,12 @@ nn::Tensor PafActivation::forward(const nn::Tensor& x, bool train) {
     y[i] = static_cast<float>(0.5 * (xi + xi * paf_(xi / s)));
   }
   if (train) x_cache_ = x;
+  guard_.record(y, train);
   return y;
 }
 
 nn::Tensor PafActivation::backward(const nn::Tensor& gy) {
+  guard_.check(name_, gy);
   const nn::Tensor& x = x_cache_;
   nn::Tensor gx(gy.shape());
   const double s = scale_used_;
@@ -135,19 +137,14 @@ nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
     }
     y[o] = static_cast<float>(m);
   });
-  // An inference forward drops the training input, so backward cannot pair
-  // it with this forward's scale.
-  if (train)
-    x_cache_ = x;
-  else
-    x_cache_ = nn::Tensor();
+  if (train) x_cache_ = x;
+  guard_.record(y, train);
   return y;
 }
 
 nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
+  guard_.check(name_, gy);
   const nn::Tensor& x = x_cache_;
-  sp::check_fmt(x.shape() == windows_.in_shape() && windows_.fits_output(gy),
-                name_, ": backward needs a training forward of the same shape");
   nn::Tensor gx(x.shape());
   const double s = scale_used_;
   const auto n_coeff = static_cast<std::size_t>(paf_.num_coeffs());

@@ -56,6 +56,7 @@ class PafLayerBase : public nn::Layer {
   std::vector<bool> even_mask_;  // true at even-degree flat positions
   nn::Tensor x_cache_;           // input of the last training forward
   float scale_used_ = 1.0f;      // scale of the last forward
+  nn::BackwardGuard guard_;
 };
 
 /// ReLU replaced by relu(x) ≈ 0.5 (x + x · paf(x / s)) with trainable

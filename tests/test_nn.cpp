@@ -263,6 +263,67 @@ TEST(Pools, AvgPoolBackwardNeedsTheShapeOfTheLastForward) {
   EXPECT_EQ(pool.backward(Tensor({1, 1, 2, 2})).shape(), (std::vector<int>{1, 1, 4, 4}));
 }
 
+/// The backward contract of a layer that caches its forward, the pools'
+/// contract: backward needs the last forward to have been a training one
+/// and a gradient of that forward's output shape. One forward maps `in` to
+/// `out`, another `other_in` to `other_out`.
+void expect_backward_needs_a_training_forward(nn::Layer& layer, const std::vector<int>& in,
+                                              const std::vector<int>& out,
+                                              const std::vector<int>& other_in,
+                                              const std::vector<int>& other_out) {
+  EXPECT_THROW(layer.backward(Tensor(out)), sp::Error);  // no forward yet
+  // A training forward, then an inference forward of another shape: the
+  // first's cache must not meet a gradient of either.
+  layer.forward(random_tensor(in, 3), true);
+  layer.forward(random_tensor(other_in, 5), false);
+  EXPECT_THROW(layer.backward(Tensor(other_out)), sp::Error);
+  EXPECT_THROW(layer.backward(Tensor(out)), sp::Error);
+  layer.forward(random_tensor(in, 3), true);
+  EXPECT_THROW(layer.backward(Tensor(other_out)), sp::Error);
+  EXPECT_EQ(layer.backward(Tensor(out)).shape(), in);
+}
+
+TEST(Backward, ReLUNeedsATrainingForwardOfTheSameShape) {
+  nn::ReLU relu;
+  expect_backward_needs_a_training_forward(relu, {1, 4}, {1, 4}, {1, 8}, {1, 8});
+}
+
+TEST(Backward, LinearNeedsATrainingForwardOfTheSameShape) {
+  sp::Rng rng(1);
+  nn::Linear lin(4, 3, rng);
+  expect_backward_needs_a_training_forward(lin, {2, 4}, {2, 3}, {5, 4}, {5, 3});
+}
+
+TEST(Backward, GlobalAvgPoolNeedsATrainingForwardOfTheSameShape) {
+  nn::GlobalAvgPool gap;
+  expect_backward_needs_a_training_forward(gap, {1, 1, 2, 2}, {1, 1, 1, 1}, {2, 3, 2, 2},
+                                           {2, 3, 1, 1});
+}
+
+TEST(Backward, Conv2dNeedsATrainingForwardOfTheSameShape) {
+  sp::Rng rng(2);
+  nn::Conv2d conv(1, 2, 3, 1, 0, rng);
+  expect_backward_needs_a_training_forward(conv, {1, 1, 5, 5}, {1, 2, 3, 3}, {2, 1, 4, 4},
+                                           {2, 2, 2, 2});
+}
+
+TEST(Backward, Window1dNeedsATrainingForwardOfTheSameShape) {
+  nn::Window1d win({0.5f, 0.3f, 0.2f});
+  expect_backward_needs_a_training_forward(win, {1, 8}, {1, 8}, {2, 6}, {2, 6});
+}
+
+TEST(Backward, BatchNorm2dNeedsATrainingForwardOfTheSameShape) {
+  nn::BatchNorm2d bn(2);
+  expect_backward_needs_a_training_forward(bn, {2, 2, 3, 3}, {2, 2, 3, 3}, {1, 2, 2, 2},
+                                           {1, 2, 2, 2});
+}
+
+TEST(Backward, DropoutNeedsATrainingForwardOfTheSameShape) {
+  nn::Dropout drop(0.5);
+  drop.set_enabled(true);
+  expect_backward_needs_a_training_forward(drop, {2, 10}, {2, 10}, {1, 4}, {1, 4});
+}
+
 TEST(Layers, DropoutDisabledIsIdentity) {
   nn::Dropout d(0.5);
   const Tensor x = random_tensor({2, 10}, 31);

@@ -104,6 +104,20 @@ TEST(PafActivation, GradCheckInputAndCoeffs) {
   }
 }
 
+TEST(PafActivation, BackwardNeedsATrainingForwardOfTheSameShape) {
+  PafActivation layer(approx::make_paf(PafForm::F1_G2), "paf");
+  EXPECT_THROW(layer.backward(Tensor({2, 8})), sp::Error);  // no forward yet
+  // An inference forward of another shape changes the Dynamic scale, so
+  // the training input no longer pairs with either gradient.
+  layer.forward(random_tensor({2, 8}, 3), true);
+  layer.forward(random_tensor({1, 4}, 5), false);
+  EXPECT_THROW(layer.backward(Tensor({1, 4})), sp::Error);
+  EXPECT_THROW(layer.backward(Tensor({2, 8})), sp::Error);
+  layer.forward(random_tensor({2, 8}, 3), true);
+  EXPECT_THROW(layer.backward(Tensor({1, 4})), sp::Error);
+  EXPECT_EQ(layer.backward(Tensor({2, 8})).shape(), (std::vector<int>{2, 8}));
+}
+
 TEST(PafActivation, EvenCoeffGradsMasked) {
   PafActivation layer(approx::make_paf(PafForm::F1_G2), "paf");
   Tensor x = random_tensor({8}, 19);
