@@ -33,7 +33,7 @@ int main() {
     auto layers = smartpaf::replace_all(m, opts);
     if (p.fixed_scale > 0)
       for (auto* l : layers) l->set_static_scale(static_cast<float>(p.fixed_scale));
-    const double acc0 = smartpaf::evaluate_accuracy(m, ft_val);
+    const double acc0 = nn::evaluate_accuracy(m, ft_val);
     nn::TrainConfig tc = bench::base_train_cfg();
     tc.paf_hp = {1e-3, 0.01, 0.9, 0.999, 1e-8};
     tc.other_hp = {1e-4, 0.1, 0.9, 0.999, 1e-8};

@@ -5,7 +5,6 @@
 
 #include "common/table.h"
 #include "common/timer.h"
-#include "smartpaf/techniques.h"
 
 namespace sp::bench {
 
@@ -97,7 +96,7 @@ nn::Model trained_base(const char* tag, nn::Model model, const data::SyntheticDa
     static bool announced = false;
     if (!announced) {
       std::printf("[bench] loaded cached base model %s (val acc %.1f%%)\n", path.c_str(),
-                  100.0 * smartpaf::evaluate_accuracy(model, ds.val));
+                  100.0 * nn::evaluate_accuracy(model, ds.val));
       announced = true;
     }
     return model;

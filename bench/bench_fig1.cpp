@@ -83,7 +83,7 @@ int main() {
       opts.form = form;
       smartpaf::replace_all(m, opts);
       smartpaf::convert_to_static_scaling(m);
-      prior_acc[approx::form_name(form)] = smartpaf::evaluate_accuracy(m, ds.val);
+      prior_acc[approx::form_name(form)] = nn::evaluate_accuracy(m, ds.val);
       smart_acc[approx::form_name(form)] = prior_acc[approx::form_name(form)];
     }
   }

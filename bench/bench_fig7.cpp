@@ -7,7 +7,6 @@
 #include "bench_common.h"
 #include "common/table.h"
 #include "smartpaf/coefficient_tuning.h"
-#include "smartpaf/techniques.h"
 
 int main() {
   using namespace sp;
@@ -16,7 +15,7 @@ int main() {
   const auto& ds = bench::imagenet_mini();
   const nn::Dataset& val = bench::ft_val_imagenet();
   nn::Model base = bench::trained_resnet();
-  const double base_acc = smartpaf::evaluate_accuracy(base, val);
+  const double base_acc = nn::evaluate_accuracy(base, val);
   std::printf("=== Fig. 7: CT vs baseline, no fine-tuning (ResNet-18-mini) ===\n");
   std::printf("original model accuracy: %s\n\n", bench::pct(base_acc).c_str());
 
@@ -37,7 +36,7 @@ int main() {
         opts.replace_maxpool = replace_maxpool;
         if (use_ct) opts.per_site_coeffs = ct.coeffs;
         smartpaf::replace_all(m, opts);
-        accs[use_ct ? 1 : 0] = smartpaf::evaluate_accuracy(m, val);
+        accs[use_ct ? 1 : 0] = nn::evaluate_accuracy(m, val);
       }
       const double gain = accs[0] > 0 ? accs[1] / accs[0] : 0.0;
       table.add_row({approx::form_name(form),

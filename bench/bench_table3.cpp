@@ -37,7 +37,7 @@ NoFtResult no_finetune_row(const std::function<nn::Model()>& base,
     opts.form = form;
     opts.replace_maxpool = replace_maxpool;
     smartpaf::replace_all(m, opts);
-    out.baseline = smartpaf::evaluate_accuracy(m, val);
+    out.baseline = nn::evaluate_accuracy(m, val);
   }
   {
     nn::Model m = base();
@@ -48,7 +48,7 @@ NoFtResult no_finetune_row(const std::function<nn::Model()>& base,
     opts.replace_maxpool = replace_maxpool;
     opts.per_site_coeffs = ct.coeffs;
     smartpaf::replace_all(m, opts);
-    out.with_ct = smartpaf::evaluate_accuracy(m, val);
+    out.with_ct = nn::evaluate_accuracy(m, val);
   }
   return out;
 }
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   {
     sp::nn::Model m = resnet_base();
     std::printf("ResNet-18-mini original accuracy: %s\n",
-                sp::bench::pct(sp::smartpaf::evaluate_accuracy(
+                sp::bench::pct(sp::nn::evaluate_accuracy(
                     m, sp::bench::ft_val_imagenet())).c_str());
   }
   const std::vector<PafForm> forms =

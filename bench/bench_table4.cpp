@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   {
     nn::Model m = bench::trained_vgg();
     std::printf("\n[accuracy] VGG-19-mini original accuracy: %s\n",
-                bench::pct(smartpaf::evaluate_accuracy(m, ft_val)).c_str());
+                bench::pct(nn::evaluate_accuracy(m, ft_val)).c_str());
   }
   std::vector<PafForm> forms =
       full ? approx::trainable_forms()

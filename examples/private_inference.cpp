@@ -71,7 +71,7 @@ int main() {
     for (int e = 0; e < 10; ++e) trainer.run_epoch();
   }
   std::printf("plaintext model:  val acc %.1f%%\n",
-              100.0 * smartpaf::evaluate_accuracy(model, ds.val));
+              100.0 * nn::evaluate_accuracy(model, ds.val));
 
   // --- 2. SMART-PAF conversion ------------------------------------------------
   smartpaf::SchedulerConfig cfg;

@@ -35,7 +35,7 @@ int main() {
     for (int e = 0; e < 6; ++e) trainer.run_epoch();
   }
   std::printf("base model:            val acc %.1f%%  (%zu non-poly sites)\n",
-              100.0 * smartpaf::evaluate_accuracy(model, ds.val),
+              100.0 * nn::evaluate_accuracy(model, ds.val),
               smartpaf::find_nonpoly_sites(model).size());
 
   // --- the SMART-PAF framework ------------------------------------------------

@@ -31,20 +31,20 @@ EpochResult Trainer::run_epoch() {
   }
   res.train_loss = batches ? loss_sum / batches : 0.0;
   res.train_acc = seen ? static_cast<double>(correct) / seen : 0.0;
-  res.val_acc = evaluate(*val_);
+  res.val_acc = evaluate_accuracy(*model_, *val_, cfg_.batch_size);
   if (cfg_.verbose)
     std::printf("  epoch: loss %.4f train %.3f val %.3f\n", res.train_loss, res.train_acc,
                 res.val_acc);
   return res;
 }
 
-double Trainer::evaluate(const Dataset& ds) {
+double evaluate_accuracy(Model& model, const Dataset& ds, int batch_size) {
   sp::Rng eval_rng(1);  // unused (no shuffle)
-  BatchIterator it(ds, cfg_.batch_size, eval_rng, /*shuffle=*/false);
+  BatchIterator it(ds, batch_size, eval_rng, /*shuffle=*/false);
   Batch b;
   int correct = 0, seen = 0;
   while (it.next(b)) {
-    const Tensor logits = model_->forward(b.x, /*train=*/false);
+    const Tensor logits = model.forward(b.x, /*train=*/false);
     for (int n = 0; n < logits.dim(0); ++n) {
       int argmax = 0;
       for (int c = 1; c < logits.dim(1); ++c)

@@ -23,6 +23,11 @@ struct EpochResult {
   double val_acc = 0.0;
 };
 
+/// Top-1 accuracy of `model` on `ds` in eval mode, `batch_size` samples per
+/// forward: untracked batch normalization and Dynamic-Scaling PAF layers
+/// read the batch, so the accuracy depends on it.
+double evaluate_accuracy(Model& model, const Dataset& ds, int batch_size = 64);
+
 /// Minimal supervised trainer: mini-batch Adam over a Model.
 class Trainer {
  public:
@@ -30,9 +35,6 @@ class Trainer {
 
   /// One full pass over the training set followed by validation.
   EpochResult run_epoch();
-
-  /// Top-1 accuracy on `ds` (eval mode).
-  double evaluate(const Dataset& ds);
 
   Adam& optimizer() { return opt_; }
   /// Re-collects parameters after the model structure changed.

@@ -55,7 +55,7 @@ double Scheduler::run_group(long site_limit, TrainTarget target, SchedulerResult
   // Branch pick: SWA-averaged weights vs best epoch weights (Fig. 6).
   if (cfg_.use_swa && swa.count() > 0) {
     swa.apply();
-    const double swa_acc = evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
+    const double swa_acc = nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
     result.trace.push_back({result.epochs_run, swa_acc, "swa"});
     if (swa_acc >= best_acc) {
       best_acc = swa_acc;
@@ -67,7 +67,7 @@ double Scheduler::run_group(long site_limit, TrainTarget target, SchedulerResult
 }
 
 void Scheduler::run_step(long site_limit, SchedulerResult& result) {
-  double step_best = evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
+  double step_best = nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
   std::vector<nn::Tensor> step_best_state = model_->state();
   bool dropout_applied = false;
   bool at_swapped = false;
@@ -91,7 +91,7 @@ void Scheduler::run_step(long site_limit, SchedulerResult& result) {
       enable_dropout();
       dropout_applied = true;
       result.trace.push_back({result.epochs_run,
-                              evaluate_accuracy(*model_, *val_, cfg_.train.batch_size),
+                              nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size),
                               "dropout"});
       continue;
     }
@@ -125,7 +125,7 @@ SchedulerResult Scheduler::run() {
   if (!cfg_.progressive_replace) {
     // Direct replacement: everything at once.
     replace_all(*model_, opts);
-    result.initial_acc = evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
+    result.initial_acc = nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
     result.trace.push_back({0, result.initial_acc, "replace:all"});
     result.best_acc_ds = result.initial_acc;
     const long limit = cfg_.progressive_train
@@ -160,7 +160,7 @@ SchedulerResult Scheduler::run() {
       approx::CompositePaf paf = approx::make_paf(cfg_.form);
       if (t < ct.coeffs.size() && !ct.coeffs[t].empty()) paf.load_coeffs(ct.coeffs[t]);
       replace_site(*model_, *site, paf, ScaleMode::Dynamic);
-      const double acc = evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
+      const double acc = nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
       result.trace.push_back({result.epochs_run, acc, "replace:" + all_sites[t].path});
       if (first) {
         result.initial_acc = acc;
@@ -188,9 +188,9 @@ SchedulerResult Scheduler::run() {
 
   // Report DS accuracy, then convert to the FHE-deployable Static Scaling.
   result.best_acc_ds =
-      std::max(result.best_acc_ds, evaluate_accuracy(*model_, *val_, cfg_.train.batch_size));
+      std::max(result.best_acc_ds, nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size));
   convert_to_static_scaling(*model_);
-  result.acc_ss = evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
+  result.acc_ss = nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
   for (PafLayerBase* p : find_paf_layers(*model_)) result.final_coeffs.push_back(p->coeffs());
   unfreeze_all(*model_);
   return result;

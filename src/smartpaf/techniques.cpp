@@ -12,22 +12,4 @@ void apply_train_target(nn::Model& model, TrainTarget target) {
   }
 }
 
-double evaluate_accuracy(nn::Model& model, const nn::Dataset& ds, int batch_size) {
-  sp::Rng rng(1);
-  nn::BatchIterator it(ds, batch_size, rng, /*shuffle=*/false);
-  nn::Batch b;
-  int correct = 0, seen = 0;
-  while (it.next(b)) {
-    const nn::Tensor logits = model.forward(b.x, /*train=*/false);
-    for (int n = 0; n < logits.dim(0); ++n) {
-      int argmax = 0;
-      for (int c = 1; c < logits.dim(1); ++c)
-        if (logits.at(n, c) > logits.at(n, argmax)) argmax = c;
-      if (argmax == b.y[static_cast<std::size_t>(n)]) ++correct;
-      ++seen;
-    }
-  }
-  return seen ? static_cast<double>(correct) / seen : 0.0;
-}
-
 }  // namespace sp::smartpaf

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "nn/container.h"
-#include "nn/dataset.h"
 #include "smartpaf/replace.h"
 
 namespace sp::smartpaf {
@@ -15,8 +14,5 @@ enum class TrainTarget { Both, PafOnly, OtherOnly };
 /// Applies group-level freezing for a target (positional freezing composes
 /// on top via freeze_after_site).
 void apply_train_target(nn::Model& model, TrainTarget target);
-
-/// Top-1 accuracy of `model` on `ds` in eval mode.
-double evaluate_accuracy(nn::Model& model, const nn::Dataset& ds, int batch_size = 64);
 
 }  // namespace sp::smartpaf
