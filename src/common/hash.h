@@ -7,8 +7,8 @@
 namespace sp {
 
 /// FNV-1a mixing, shared by every content-fingerprint producer (diagonal
-/// matmul plaintext keys, compaction masks, per-slot linear coefficients) so
-/// the constants live in exactly one place.
+/// matmul plaintext keys, compaction masks, conv weight masks) so the
+/// constants live in exactly one place.
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 

@@ -52,8 +52,7 @@ class Encoder {
   Plaintext encode_scalar(double value, double scale, int q_count) const;
 
   /// @brief Content-addressed encode cache for plaintexts that recur across
-  /// evaluations — matrix diagonals, compaction masks, per-slot linear
-  /// coefficients.
+  /// evaluations — matrix diagonals, compaction masks, conv weight masks.
   ///
   /// The first call for a (key, scale, q_count) triple runs `make`, encodes
   /// the slot vector it returns and caches the plaintext; later calls return
