@@ -916,8 +916,7 @@ std::vector<fhe::Ciphertext> FhePipeline::run_stages(FheRuntime& rt, const Plan&
     if (sp_.folded) continue;  // absorbed into a later PAF stage's envelope
 
     if (const auto* lin = std::get_if<LinearStage>(&st.op)) {
-      // Slot-wise, so every block takes the same ops: the scale multiplies
-      // each row by its residue, the bias adds one scalar plaintext.
+      // Slot-wise, so every block takes the same ops.
       if (lin->scale == 1.0 && lin->bias == 0.0) continue;
       for (fhe::Ciphertext& cur : blocks.own()) {
         if (lin->scale != 1.0) {
