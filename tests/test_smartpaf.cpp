@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "common/check.h"
@@ -659,6 +660,71 @@ TEST(Scheduler, SmokeRunOnTinyModel) {
   // Model is left FHE-deployable (Static Scaling everywhere).
   for (PafLayerBase* p : find_paf_layers(model))
     EXPECT_EQ(p->mode(), ScaleMode::Static);
+}
+
+// Bit pins of one scheduler run that takes every branch run_step and
+// run_group have: seven ReLU and MaxPool sites replaced one by one, an SWA
+// pick after every group, an AT swap in every step, one dropout switch-on
+// past the overfit gap, and the final network-wide group. Each
+// trace event pins its epoch, tag and validation accuracy; every accuracy is
+// a count of correct samples over the 48 validation samples, compared bit
+// for bit.
+TEST(SchedulerPins, FullRunTraceAndCoefficients) {
+  models::ModelConfig mc;
+  mc.width = 4;
+  mc.num_classes = 4;
+  auto model = models::cnn7(mc);
+  data::SyntheticSpec spec = data::SyntheticSpec::cifar_like(8);
+  spec.num_classes = 4;
+  spec.train_count = 32;
+  spec.val_count = 48;
+  const auto ds = data::make_synthetic(spec);
+
+  SchedulerConfig cfg;
+  cfg.form = PafForm::F1_G2;
+  cfg.group_epochs = 2;
+  cfg.max_groups_per_step = 3;
+  cfg.final_network_train = true;
+  cfg.ct.calib_batches = 1;
+  cfg.ct.fit_iters = 15;
+  cfg.train.batch_size = 32;
+  Scheduler sched(model, ds.train, ds.val, cfg);
+  const SchedulerResult res = sched.run();
+
+  const struct {
+    int epoch;
+    const char* tag;
+    int correct;
+  } trace[] = {
+      {0, "replace:conv0.relu", 16}, {1, "", 16}, {2, "", 16}, {2, "swa", 16},
+      {2, "at", 16}, {3, "", 16}, {4, "", 16}, {4, "swa", 16},
+      {4, "replace:conv0.pool", 18}, {5, "", 18}, {6, "", 18}, {6, "swa", 18},
+      {6, "at", 18}, {7, "", 18}, {8, "", 18}, {8, "swa", 18},
+      {8, "replace:conv1.relu", 17}, {9, "", 17}, {10, "", 17}, {10, "swa", 17},
+      {10, "at", 17}, {11, "", 17}, {12, "", 17}, {12, "swa", 17},
+      {12, "replace:conv1.pool", 15}, {13, "", 15}, {14, "", 15}, {14, "swa", 15},
+      {14, "at", 15}, {15, "", 15}, {16, "", 15}, {16, "swa", 15},
+      {16, "replace:conv2.relu", 13}, {17, "", 13}, {18, "", 13}, {18, "swa", 13},
+      {18, "at", 13}, {19, "", 13}, {20, "", 13}, {20, "swa", 13},
+      {20, "replace:conv2.pool", 16}, {21, "", 16}, {22, "", 16}, {22, "swa", 16},
+      {22, "dropout", 16}, {23, "", 16}, {24, "", 16}, {24, "swa", 16},
+      {24, "at", 16}, {25, "", 16}, {26, "", 16}, {26, "swa", 16},
+      {26, "replace:fc0.relu", 15}, {27, "", 15}, {28, "", 15}, {28, "swa", 15},
+      {28, "at", 15}, {29, "", 15}, {30, "", 15}, {30, "swa", 15},
+      {31, "", 15}, {32, "", 15}, {32, "swa", 15}, {32, "final", 15},
+  };
+  ASSERT_EQ(res.trace.size(), std::size(trace));
+  for (std::size_t i = 0; i < res.trace.size(); ++i) {
+    EXPECT_EQ(res.trace[i].epoch, trace[i].epoch) << "event " << i;
+    EXPECT_EQ(res.trace[i].tag, trace[i].tag) << "event " << i;
+    EXPECT_EQ(res.trace[i].val_acc, trace[i].correct / 48.0) << "event " << i;
+  }
+  EXPECT_EQ(res.epochs_run, 32);
+  EXPECT_EQ(res.acc_ss, 19 / 48.0);
+  std::uint64_t h = sp::kFnvOffset;
+  for (const auto& c : res.final_coeffs) h = sp::fnv_doubles(h, c);
+  EXPECT_EQ(res.final_coeffs.size(), 7U);
+  EXPECT_EQ(h, 0xb82569494e786e3dULL) << "final coefficients: 0x" << std::hex << h;
 }
 
 TEST(Scheduler, BaselineModeKeepsPafCoeffsUntouched) {
