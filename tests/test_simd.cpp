@@ -5,8 +5,8 @@
 // inputs, the centered-lift kernel against Modulus::from_signed on every
 // prime pair, the key-switch inner product against a direct u128 sum, the
 // whole-row NTTs on all tiers at 40- to 60-bit primes (both sides of the
-// IFMA tier's 2^50 bound), the batched (sub-row split) NTT entry points
-// across thread counts, the flat RnsPoly row-drop layout, and an end-to-end
+// IFMA tier's 2^50 bound), the batched NTT entry points across thread
+// counts, the flat RnsPoly row-drop layout, and an end-to-end
 // FhePipeline::run identity sweep over (tier x thread count).
 #include <gtest/gtest.h>
 
@@ -455,10 +455,10 @@ TEST(SimdNtt, ForwardInverseTiersMatchScalarAndRoundTrip) {
   }
 }
 
-TEST(SimdNtt, BatchedSubRowSplitMatchesPerRow) {
-  // The batch entry points pick a sub-row split from rows vs threads; every
-  // (prime, tier, thread count, row count) combination must reproduce the
-  // plain per-row transforms bit for bit.
+TEST(SimdNtt, BatchedTransformsMatchPerRow) {
+  // The batch entry points run one whole-row transform per job on the pool;
+  // every (prime, tier, thread count, row count) combination must reproduce
+  // the plain per-row transforms bit for bit.
   const std::size_t n = 4096;
   for (u64 q : ntt_test_primes()) {
     const NttTables tables(n, Modulus(q));
