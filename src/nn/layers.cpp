@@ -548,6 +548,7 @@ Tensor AvgPool2d::backward(const Tensor& gy) {
 // ----------------------------------------------------------- GlobalAvgPool --
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
+  sp::check(x.ndim() == 4, "GlobalAvgPool: bad input " + x.shape_str());
   const int batch = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   in_shape_ = x.shape();
   Tensor y({batch, c, 1, 1});
@@ -580,6 +581,7 @@ Tensor GlobalAvgPool::backward(const Tensor& gy) {
 // ---------------------------------------------------------------- Flatten --
 
 Tensor Flatten::forward(const Tensor& x, bool) {
+  sp::check(x.ndim() >= 1, "Flatten: bad input " + x.shape_str());
   in_shape_ = x.shape();
   return x.reshaped({x.dim(0), static_cast<int>(x.numel()) / x.dim(0)});
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -322,6 +323,36 @@ TEST(Backward, DropoutNeedsATrainingForwardOfTheSameShape) {
   nn::Dropout drop(0.5);
   drop.set_enabled(true);
   expect_backward_needs_a_training_forward(drop, {2, 10}, {2, 10}, {1, 4}, {1, 4});
+}
+
+/// Expects `layer.forward(x)` to throw an sp::Error that names `layer_name`
+/// and the input's shape.
+void expect_bad_input(nn::Layer& layer, const Tensor& x, const std::string& layer_name) {
+  try {
+    layer.forward(x, false);
+    ADD_FAILURE() << layer_name << " accepted " << x.shape_str();
+  } catch (const sp::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(layer_name), std::string::npos) << what;
+    EXPECT_NE(what.find(x.shape_str()), std::string::npos) << what;
+  }
+}
+
+TEST(Layers, GlobalAvgPoolNeedsAFourDimensionalInput) {
+  nn::GlobalAvgPool gap;
+  expect_bad_input(gap, Tensor({2, 3}), "GlobalAvgPool");
+  expect_bad_input(gap, Tensor({1, 2, 3}), "GlobalAvgPool");
+  expect_bad_input(gap, Tensor(), "GlobalAvgPool");
+  EXPECT_EQ(gap.forward(random_tensor({2, 3, 2, 2}, 3), false).shape(),
+            (std::vector<int>{2, 3, 1, 1}));
+}
+
+TEST(Layers, FlattenNeedsAtLeastOneDimension) {
+  nn::Flatten flat;
+  expect_bad_input(flat, Tensor(), "Flatten");
+  EXPECT_EQ(flat.forward(random_tensor({4}, 3), false).shape(), (std::vector<int>{4, 1}));
+  EXPECT_EQ(flat.forward(random_tensor({2, 3, 2, 2}, 3), false).shape(),
+            (std::vector<int>{2, 12}));
 }
 
 TEST(Layers, DropoutDisabledIsIdentity) {
