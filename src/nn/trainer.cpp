@@ -1,7 +1,5 @@
 #include "nn/trainer.h"
 
-#include <cstdio>
-
 #include "nn/loss.h"
 
 namespace sp::nn {
@@ -32,9 +30,6 @@ EpochResult Trainer::run_epoch() {
   res.train_loss = batches ? loss_sum / batches : 0.0;
   res.train_acc = seen ? static_cast<double>(correct) / seen : 0.0;
   res.val_acc = evaluate_accuracy(*model_, *val_, cfg_.batch_size);
-  if (cfg_.verbose)
-    std::printf("  epoch: loss %.4f train %.3f val %.3f\n", res.train_loss, res.train_acc,
-                res.val_acc);
   return res;
 }
 

@@ -13,7 +13,6 @@ struct TrainConfig {
   HyperParams paf_hp = HyperParams::paper_paf();
   HyperParams other_hp = HyperParams::paper_other();
   std::uint64_t seed = 123;
-  bool verbose = false;
 };
 
 /// Per-epoch metrics.

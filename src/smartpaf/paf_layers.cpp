@@ -9,9 +9,8 @@ namespace sp::smartpaf {
 
 // ------------------------------------------------------------ PafLayerBase --
 
-PafLayerBase::PafLayerBase(approx::CompositePaf paf, std::string name, ScaleMode mode,
-                           bool odd_only)
-    : paf_(std::move(paf)), name_(std::move(name)), mode_(mode), odd_only_(odd_only) {
+PafLayerBase::PafLayerBase(approx::CompositePaf paf, std::string name, ScaleMode mode)
+    : paf_(std::move(paf)), name_(std::move(name)), mode_(mode) {
   const auto flat = paf_.flatten_coeffs();
   coeff_.name = name_ + ".paf";
   coeff_.group = nn::ParamGroup::PafCoeff;
@@ -54,16 +53,14 @@ float PafLayerBase::resolve_scale(float batch_max, bool train) {
 }
 
 void PafLayerBase::mask_even_grads() {
-  if (!odd_only_) return;
   for (std::size_t i = 0; i < even_mask_.size(); ++i)
     if (even_mask_[i]) coeff_.grad[i] = 0.0f;
 }
 
 // ----------------------------------------------------------- PafActivation --
 
-PafActivation::PafActivation(approx::CompositePaf paf, std::string name, ScaleMode mode,
-                             bool odd_only)
-    : PafLayerBase(std::move(paf), std::move(name), mode, odd_only) {}
+PafActivation::PafActivation(approx::CompositePaf paf, std::string name, ScaleMode mode)
+    : PafLayerBase(std::move(paf), std::move(name), mode) {}
 
 nn::Tensor PafActivation::forward(const nn::Tensor& x, bool train) {
   sync_coeffs();
@@ -107,8 +104,8 @@ nn::Tensor PafActivation::backward(const nn::Tensor& gy) {
 // -------------------------------------------------------- PafMaxTournament --
 
 PafMaxTournament::PafMaxTournament(approx::CompositePaf paf, std::string name,
-                                   ScaleMode mode, bool odd_only, nn::PoolWindows windows)
-    : PafLayerBase(std::move(paf), std::move(name), mode, odd_only),
+                                   ScaleMode mode, nn::PoolWindows windows)
+    : PafLayerBase(std::move(paf), std::move(name), mode),
       windows_(std::move(windows)) {}
 
 nn::Tensor PafMaxTournament::forward(const nn::Tensor& x, bool train) {
@@ -190,19 +187,19 @@ nn::Tensor PafMaxTournament::backward(const nn::Tensor& gy) {
 // ------------------------------------------------------------ PafMaxPool1d --
 
 PafMaxPool1d::PafMaxPool1d(approx::CompositePaf paf, int window, std::string name,
-                           ScaleMode mode, bool odd_only)
-    : PafMaxPool1d(std::move(paf), window, 1, std::move(name), mode, odd_only) {}
+                           ScaleMode mode)
+    : PafMaxPool1d(std::move(paf), window, 1, std::move(name), mode) {}
 
 PafMaxPool1d::PafMaxPool1d(approx::CompositePaf paf, int window, int stride,
-                           std::string name, ScaleMode mode, bool odd_only)
-    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only,
+                           std::string name, ScaleMode mode)
+    : PafMaxTournament(std::move(paf), std::move(name), mode,
                        nn::PoolWindows::cyclic("PafMaxPool1d", window, stride)) {}
 
 // -------------------------------------------------------------- PafMaxPool --
 
 PafMaxPool::PafMaxPool(approx::CompositePaf paf, int kernel, int stride, int pad,
-                       std::string name, ScaleMode mode, bool odd_only)
-    : PafMaxTournament(std::move(paf), std::move(name), mode, odd_only,
+                       std::string name, ScaleMode mode)
+    : PafMaxTournament(std::move(paf), std::move(name), mode,
                        nn::PoolWindows::padded("PafMaxPool", kernel, stride, pad)) {}
 
 }  // namespace sp::smartpaf

@@ -17,7 +17,7 @@ enum class ScaleMode { Dynamic, Static };
 /// replacement pass, Coefficient Tuning, scaling conversion and deployment.
 class PafLayerBase : public nn::Layer {
  public:
-  PafLayerBase(approx::CompositePaf paf, std::string name, ScaleMode mode, bool odd_only);
+  PafLayerBase(approx::CompositePaf paf, std::string name, ScaleMode mode);
 
   /// The composite PAF with coefficients synced from the trainable param.
   const approx::CompositePaf& paf() const { return paf_; }
@@ -43,13 +43,12 @@ class PafLayerBase : public nn::Layer {
   /// Batch scale given the observed max magnitude (updates running max when
   /// training).
   float resolve_scale(float batch_max, bool train);
-  /// Zeroes gradient entries of even-degree coefficients (odd PAFs).
+  /// Zeroes gradient entries of even-degree coefficients (PAFs are odd).
   void mask_even_grads();
 
   approx::CompositePaf paf_;
   std::string name_;
   ScaleMode mode_;
-  bool odd_only_;
   nn::Param coeff_;
   float static_scale_ = 1.0f;
   float running_max_ = 0.0f;
@@ -64,7 +63,7 @@ class PafLayerBase : public nn::Layer {
 class PafActivation final : public PafLayerBase {
  public:
   PafActivation(approx::CompositePaf paf, std::string name,
-                ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
+                ScaleMode mode = ScaleMode::Dynamic);
 
   nn::Tensor forward(const nn::Tensor& x, bool train) override;
   nn::Tensor backward(const nn::Tensor& gy) override;
@@ -85,7 +84,7 @@ class PafMaxTournament : public PafLayerBase {
 
  protected:
   PafMaxTournament(approx::CompositePaf paf, std::string name, ScaleMode mode,
-                   bool odd_only, nn::PoolWindows windows);
+                   nn::PoolWindows windows);
 
  private:
   nn::PoolWindows windows_;
@@ -101,9 +100,9 @@ class PafMaxTournament : public PafLayerBase {
 class PafMaxPool1d final : public PafMaxTournament {
  public:
   PafMaxPool1d(approx::CompositePaf paf, int window, std::string name,
-               ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
+               ScaleMode mode = ScaleMode::Dynamic);
   PafMaxPool1d(approx::CompositePaf paf, int window, int stride, std::string name,
-               ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
+               ScaleMode mode = ScaleMode::Dynamic);
 
   int window() const { return windows().window(); }
   int stride() const { return windows().stride(); }
@@ -116,7 +115,7 @@ class PafMaxPool1d final : public PafMaxTournament {
 class PafMaxPool final : public PafMaxTournament {
  public:
   PafMaxPool(approx::CompositePaf paf, int kernel, int stride, int pad, std::string name,
-             ScaleMode mode = ScaleMode::Dynamic, bool odd_only = true);
+             ScaleMode mode = ScaleMode::Dynamic);
 
   int kernel() const { return windows().window(); }
 };

@@ -75,9 +75,7 @@ std::vector<PafLayerBase*> replace_all(nn::Model& model, const ReplaceOptions& o
   const auto sites = find_nonpoly_sites(model);
   std::vector<PafLayerBase*> created;
   for (const auto& site : sites) {
-    const bool want =
-        site.kind == SiteKind::MaxPool ? opts.replace_maxpool : opts.replace_relu;
-    if (!want) continue;
+    if (site.kind == SiteKind::MaxPool && !opts.replace_maxpool) continue;
     approx::CompositePaf paf = approx::make_paf(opts.form);
     // per_site_coeffs is indexed by the site's position among *all*
     // non-polynomial sites (the Coefficient Tuning enumeration).

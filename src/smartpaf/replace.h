@@ -37,7 +37,6 @@ PafLayerBase* replace_site(nn::Model& model, const NonPolySite& site,
 /// Options for whole-model replacement.
 struct ReplaceOptions {
   approx::PafForm form = approx::PafForm::F1SQ_G1SQ;
-  bool replace_relu = true;
   bool replace_maxpool = true;
   ScaleMode mode = ScaleMode::Dynamic;
   /// Optional per-site coefficient overrides (from Coefficient Tuning),

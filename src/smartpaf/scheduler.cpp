@@ -1,13 +1,15 @@
 #include "smartpaf/scheduler.h"
 
-#include <cstdio>
-
 #include "nn/layers.h"
 #include "nn/swa.h"
 #include "nn/trainer.h"
 
 namespace sp::smartpaf {
 namespace {
+
+/// Dropout switches on when a group's training accuracy exceeds the step's
+/// best validation accuracy by more than this ("train acc > val acc + 10%").
+constexpr double kOverfitGap = 0.10;
 
 /// Recursively switches on every Dropout layer.
 void enable_all_dropout(nn::Layer& layer) {
@@ -43,17 +45,14 @@ double Scheduler::run_group(long site_limit, TrainTarget target, SchedulerResult
     ++result.epochs_run;
     result.trace.push_back({result.epochs_run, er.val_acc, ""});
     if (last_train_acc) *last_train_acc = er.train_acc;
-    if (cfg_.use_swa) swa.update();
+    swa.update();
     if (er.val_acc > best_acc) {
       best_acc = er.val_acc;
       best_state = model_->state();
     }
-    if (cfg_.verbose)
-      std::printf("    epoch %d: train %.3f val %.3f\n", result.epochs_run, er.train_acc,
-                  er.val_acc);
   }
   // Branch pick: SWA-averaged weights vs best epoch weights (Fig. 6).
-  if (cfg_.use_swa && swa.count() > 0) {
+  if (swa.count() > 0) {
     swa.apply();
     const double swa_acc = nn::evaluate_accuracy(*model_, *val_, cfg_.train.batch_size);
     result.trace.push_back({result.epochs_run, swa_acc, "swa"});
@@ -86,8 +85,7 @@ void Scheduler::run_step(long site_limit, SchedulerResult& result) {
       continue;
     }
     // No improvement: try the Fig. 6 recovery branches.
-    if (cfg_.dropout_on_overfit && !dropout_applied &&
-        train_acc > step_best + cfg_.overfit_gap) {
+    if (!dropout_applied && train_acc > step_best + kOverfitGap) {
       enable_dropout();
       dropout_applied = true;
       result.trace.push_back({result.epochs_run,
@@ -117,7 +115,6 @@ SchedulerResult Scheduler::run() {
 
   ReplaceOptions opts;
   opts.form = cfg_.form;
-  opts.replace_relu = cfg_.replace_relu;
   opts.replace_maxpool = cfg_.replace_maxpool;
   opts.mode = ScaleMode::Dynamic;
   opts.per_site_coeffs = ct.coeffs;
@@ -143,9 +140,7 @@ SchedulerResult Scheduler::run() {
     const auto all_sites = find_nonpoly_sites(*model_);
     std::vector<std::size_t> targets;
     for (const auto& s : all_sites) {
-      const bool want =
-          s.kind == SiteKind::MaxPool ? cfg_.replace_maxpool : cfg_.replace_relu;
-      if (want) targets.push_back(s.index);
+      if (s.kind == SiteKind::ReLU || cfg_.replace_maxpool) targets.push_back(s.index);
     }
     long paf_count = 0;
     bool first = true;

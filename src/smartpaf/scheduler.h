@@ -25,17 +25,12 @@ struct SchedulerConfig {
   /// When false, PAF coefficients are excluded from fine-tuning (the
   /// prior-work baseline of §5.3).
   bool train_paf = true;
-  bool replace_relu = true;
   bool replace_maxpool = true;
   int group_epochs = 2;          ///< E — epochs per training group
   int max_groups_per_step = 3;   ///< safety cap on the Fig. 6 inner loop
-  bool use_swa = true;
-  bool dropout_on_overfit = true;
-  double overfit_gap = 0.10;     ///< "train acc > val acc + 10%"
   bool final_network_train = true;
   nn::TrainConfig train;
   CtConfig ct;
-  bool verbose = false;
 };
 
 /// One point of the training trace (drives the Fig. 9 reproduction).
