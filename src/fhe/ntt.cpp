@@ -80,12 +80,14 @@ void check_jobs(const std::vector<NttJob>& jobs) {
 
 void ntt_forward_batch(const std::vector<NttJob>& jobs) {
   check_jobs(jobs);
-  sp::parallel_for(0, jobs.size(), [&](std::size_t i) { jobs[i].tables->forward(jobs[i].data); });
+  sp::parallel_for(0, jobs.size(),
+                   [&](std::size_t i) { jobs[i].tables->forward(jobs[i].data); });
 }
 
 void ntt_inverse_batch(const std::vector<NttJob>& jobs) {
   check_jobs(jobs);
-  sp::parallel_for(0, jobs.size(), [&](std::size_t i) { jobs[i].tables->inverse(jobs[i].data); });
+  sp::parallel_for(0, jobs.size(),
+                   [&](std::size_t i) { jobs[i].tables->inverse(jobs[i].data); });
 }
 
 }  // namespace sp::fhe

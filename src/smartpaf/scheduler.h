@@ -15,7 +15,9 @@ namespace sp::smartpaf {
 ///  - "+ PA":                     progressive_replace = progressive_train = true
 ///  - "+ AT":                     use_at = true (phases alternate PAF/other)
 /// Dynamic Scaling is always on during fine-tuning; run() reports both the
-/// DS accuracy and the accuracy after the Static Scaling conversion.
+/// DS accuracy and the accuracy after the Static Scaling conversion. Every
+/// ReLU is replaced, every training group ends with the SWA branch pick, and
+/// a step whose training accuracy overfits switches dropout on.
 struct SchedulerConfig {
   approx::PafForm form = approx::PafForm::F1SQ_G1SQ;
   bool use_ct = true;
