@@ -10,8 +10,8 @@
 //      the tiers in reverse, so a noise burst on a shared host hits every
 //      tier alike, no tier always runs first and every tier follows every
 //      other,
-//   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (the sub-row
-//      split keeps short chains from capping usable threads at row count),
+//   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (a batch runs
+//      one whole row per lane, so a 3-prime chain uses at most 3 lanes),
 //   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes): a
 //      ct-ct multiply with relinearize_rescale_inplace and its forward NTTs,
 //      and the hoisted-vs-naive rotation columns.
@@ -281,9 +281,9 @@ std::vector<TierRow> run_tier_sweep() {
 }
 
 std::vector<ChainRow> run_chain_scaling(bool quick) {
-  // Chain-length thread scaling of the batched NTT: at a 3-prime chain the
-  // old per-row dispatch capped useful threads at 3; the sub-row split keeps
-  // feeding the pool.
+  // Chain-length thread scaling of the batched NTT: a batch runs one whole
+  // row per lane, so a 3-row batch uses at most 3 lanes, and its 4-lane row
+  // shows what the row count leaves of the pool.
   const std::size_t n = quick ? 4096 : 8192;
   const CkksContext ctx(CkksParams::for_depth(n, 12, 40));  // 13 chain primes
   const std::vector<int> chains = quick ? std::vector<int>{3, 8} : std::vector<int>{3, 8, 13};
