@@ -1,10 +1,12 @@
-// Ladder vs BSGS ciphertext polynomial evaluation: per-degree ct-ct mult /
-// relin / rescale counts, wall clock, and numerical agreement with the
-// plaintext Horner reference. This is the measurement behind the poly_eval
-// strategy switch: BSGS must never consume more levels than the ladder and
-// must strictly cut ct-ct mults wherever the level budget leaves slack
-// (every dense degree >= 8; degree 7 sits exactly on the 2^3 depth wall, so
-// there the schedules coincide).
+// Ladder vs BSGS ciphertext polynomial evaluation: per-degree ct-ct mult
+// counts, wall clock, and numerical agreement with the plaintext Horner
+// reference. This is the measurement behind the poly_eval strategy switch:
+// BSGS must never consume more levels than the ladder and must strictly cut
+// ct-ct mults wherever the level budget leaves slack (every dense degree
+// >= 8; degree 7 sits exactly on the 2^3 depth wall, so there the schedules
+// coincide). Exits 1 when a sweep's parity or savings line reads NO, or when
+// a stage of the 27-degree minimax PAF runs more ct-ct mults under BSGS
+// than under the ladder.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -31,7 +33,7 @@ approx::Polynomial random_poly(int degree, bool odd_only, std::uint64_t seed) {
 }
 
 struct Run {
-  EvalStats stats;
+  int ct_mults = 0;
   double ms = 0.0;
   std::vector<double> values;
   int levels = 0;
@@ -40,10 +42,13 @@ struct Run {
 Run eval_with(smartpaf::FheRuntime& rt, PafEvaluator::Strategy strategy,
               const approx::Polynomial& p, const Ciphertext& ct) {
   PafEvaluator pe(rt.ctx(), rt.encoder(), rt.relin_key(), strategy);
+  Evaluator& ev = rt.evaluator();
   Run r;
+  const OpCounters before = ev.counters;
   sp::Timer timer;
-  const Ciphertext out = pe.eval_poly(rt.evaluator(), ct, p, &r.stats);
+  const Ciphertext out = pe.eval_poly(ev, ct, p);
   r.ms = timer.ms();
+  r.ct_mults = static_cast<int>(ev.counters.delta_since(before).ct_mults.load());
   r.levels = ct.level() - out.level();
   r.values = rt.decrypt(out);
   return r;
@@ -67,7 +72,9 @@ double max_diff(const std::vector<double>& a, const std::vector<double>& b) {
   return worst;
 }
 
-void sweep(smartpaf::FheRuntime& rt, bool odd_only) {
+/// Prints the sweep's table and its two summary lines; true when both read
+/// yes.
+bool sweep(smartpaf::FheRuntime& rt, bool odd_only) {
   std::printf("\n== %s random polynomials, degrees 3..31 ==\n",
               odd_only ? "Odd" : "Dense");
   Table table({"deg", "levels", "ladder mults", "bsgs mults", "saved", "ladder ms",
@@ -92,14 +99,12 @@ void sweep(smartpaf::FheRuntime& rt, bool odd_only) {
                 rel_error(bsgs.values, inputs, p) < tol && ladder.levels == bsgs.levels;
     // Strict savings wherever the level budget has slack.
     const bool depth_wall = odd_only ? degree < 9 : degree < 8;
-    if (!depth_wall && bsgs.stats.ct_mults >= ladder.stats.ct_mults)
-      savings_hold = false;
-    if (bsgs.stats.ct_mults > ladder.stats.ct_mults) savings_hold = false;
+    if (!depth_wall && bsgs.ct_mults >= ladder.ct_mults) savings_hold = false;
+    if (bsgs.ct_mults > ladder.ct_mults) savings_hold = false;
 
     table.add_row({std::to_string(degree), std::to_string(ladder.levels),
-                   std::to_string(ladder.stats.ct_mults),
-                   std::to_string(bsgs.stats.ct_mults),
-                   std::to_string(ladder.stats.ct_mults - bsgs.stats.ct_mults),
+                   std::to_string(ladder.ct_mults), std::to_string(bsgs.ct_mults),
+                   std::to_string(ladder.ct_mults - bsgs.ct_mults),
                    Table::num(ladder.ms),
                    Table::num(bsgs.ms), Table::num(rel_error(ladder.values, inputs, p), 9),
                    Table::num(rel_error(bsgs.values, inputs, p), 9),
@@ -110,9 +115,12 @@ void sweep(smartpaf::FheRuntime& rt, bool odd_only) {
               all_match ? "yes" : "NO");
   std::printf("bsgs strictly fewer ct-ct mults wherever slack exists: %s\n",
               savings_hold ? "yes" : "NO");
+  return all_match && savings_hold;
 }
 
-void paf_stages(smartpaf::FheRuntime& rt) {
+/// Prints the 27-degree minimax PAF's stages; true when BSGS runs at most
+/// the ladder's ct-ct mults on every one.
+bool paf_stages(smartpaf::FheRuntime& rt) {
   std::printf("\n== Paper PAF stages (odd minimax polynomials) ==\n");
   Table table({"stage", "deg", "ladder mults", "bsgs mults", "saved", "agreement"});
   sp::Rng rng(11);
@@ -122,16 +130,21 @@ void paf_stages(smartpaf::FheRuntime& rt) {
 
   const auto alpha10 = approx::make_paf(approx::PafForm::ALPHA10_D27);
   int idx = 0;
+  bool at_most_ladder = true;
   for (const auto& stage : alpha10.stages()) {
     const Run ladder = eval_with(rt, PafEvaluator::Strategy::Ladder, stage, ct);
     const Run bsgs = eval_with(rt, PafEvaluator::Strategy::BSGS, stage, ct);
+    at_most_ladder = at_most_ladder && bsgs.ct_mults <= ladder.ct_mults;
     table.add_row({"alpha10[" + std::to_string(idx++) + "]",
-                   std::to_string(stage.degree()), std::to_string(ladder.stats.ct_mults),
-                   std::to_string(bsgs.stats.ct_mults),
-                   std::to_string(ladder.stats.ct_mults - bsgs.stats.ct_mults),
+                   std::to_string(stage.degree()), std::to_string(ladder.ct_mults),
+                   std::to_string(bsgs.ct_mults),
+                   std::to_string(ladder.ct_mults - bsgs.ct_mults),
                    Table::num(max_diff(ladder.values, bsgs.values), 9)});
   }
   table.print(std::cout);
+  std::printf("bsgs at most ladder ct-ct mults on every stage: %s\n",
+              at_most_ladder ? "yes" : "NO");
+  return at_most_ladder;
 }
 
 }  // namespace
@@ -140,8 +153,8 @@ int main() {
   std::printf("BSGS vs ladder ciphertext polynomial evaluation (N=4096, depth 6, "
               "Delta=2^40)\n");
   smartpaf::FheRuntime rt(CkksParams::for_depth(4096, 6, 40), /*seed=*/2025);
-  sweep(rt, /*odd_only=*/false);
-  sweep(rt, /*odd_only=*/true);
-  paf_stages(rt);
-  return 0;
+  const bool dense = sweep(rt, /*odd_only=*/false);
+  const bool odd = sweep(rt, /*odd_only=*/true);
+  const bool stages = paf_stages(rt);
+  return dense && odd && stages ? 0 : 1;
 }

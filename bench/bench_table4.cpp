@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
                                                 /*repeats=*/2);
     latency_ms[form] = res.ms_median;
     fhe_err[form] = res.max_error;
-    std::printf("[latency] %-14s %8.1f ms  (N=%zu, chain depth %2d, ct-mults %2d, "
+    std::printf("[latency] %-14s %8.1f ms  (N=%zu, chain depth %2d, ct-mults %2zu, "
                 "max err %.3g, setup %.0fs)\n",
                 approx::form_name(form).c_str(), res.ms_median, ring_n, depth,
-                res.stats.ct_mults, res.max_error, setup.seconds());
+                res.stats.ct_mults.load(), res.max_error, setup.seconds());
   }
 
   // ----- Accuracy column: VGG-19-mini, SMART-PAF with SS --------------------

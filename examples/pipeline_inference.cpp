@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "nn/container.h"
 #include "nn/layers.h"
 #include "smartpaf/fhe_deploy.h"
@@ -68,16 +69,20 @@ int main() {
   }
   const nn::Tensor expect = model.forward(x, /*train=*/false);
 
-  fhe::EvalStats stats;
-  const fhe::Ciphertext out = pipe.run(rt, plan, rt.encrypt(slots), &stats);
+  const fhe::Ciphertext in = rt.encrypt(slots);
+  (void)rt.rotation_keys(plan.rotation_steps());  // keygen stays off the clock
+  fhe::OpCounters paf_ops;
+  const sp::Timer timer;
+  const fhe::Ciphertext out = pipe.run(rt, plan, in, &paf_ops);
+  const double run_ms = timer.ms();
   const std::vector<double> got = rt.decrypt(out);
 
   double worst = 0.0;
   for (int j = 0; j < w; ++j)
     worst = std::max(worst, std::abs(got[static_cast<std::size_t>(j)] -
                                      static_cast<double>(expect.at(0, j))));
-  std::printf("encrypted forward: %.1f ms PAF evaluation, %d ct-mults, %zu rotation keys\n",
-              stats.wall_ms, stats.ct_mults, rt.rotation_key_count());
+  std::printf("encrypted forward: %.1f ms, %zu PAF ct-mults, %zu rotation keys\n", run_ms,
+              paf_ops.ct_mults.load(), rt.rotation_key_count());
   std::printf("max |encrypted - plaintext nn| over %d slots: %.2e (budget 2^-20 = %.2e)\n",
               w, worst, std::ldexp(1.0, -20));
   return worst < std::ldexp(1.0, -20) ? 0 : 1;

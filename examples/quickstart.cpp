@@ -12,6 +12,7 @@
 
 #include "approx/presets.h"
 #include "approx/remez.h"
+#include "common/timer.h"
 #include "smartpaf/fhe_deploy.h"
 
 int main() {
@@ -48,23 +49,26 @@ int main() {
   std::copy(inputs.begin(), inputs.end(), slots.begin());
 
   fhe::Ciphertext ct = rt.encrypt(slots);
-  fhe::EvalStats stats;
   const double input_scale = 2.0;
-  const fhe::Ciphertext out =
-      rt.paf_evaluator().relu(rt.evaluator(), ct, paf, input_scale, &stats);
+  const fhe::OpCounters before = rt.evaluator().counters;
+  const sp::Timer timer;
+  const fhe::Ciphertext out = rt.paf_evaluator().relu(rt.evaluator(), ct, paf, input_scale);
+  const double relu_ms = timer.ms();
+  const auto ct_mults =
+      static_cast<int>(rt.evaluator().counters.delta_since(before).ct_mults.load());
   const std::vector<double> got = rt.decrypt(out);
 
   std::printf("%8s %12s %12s\n", "x", "relu(x)", "enc-PAF-relu");
   for (std::size_t i = 0; i < inputs.size(); ++i)
     std::printf("%8.2f %12.4f %12.4f\n", inputs[i], std::max(inputs[i], 0.0), got[i]);
   std::printf("\none encrypted ReLU over %zu slots: %.1f ms, %d ct-mults, %d levels\n",
-              rt.ctx().slot_count(), stats.wall_ms, stats.ct_mults, ct.level() - out.level());
+              rt.ctx().slot_count(), relu_ms, ct_mults, ct.level() - out.level());
   // The executed schedule is BSGS; the ladder's count is its exact
   // prediction plus the envelope's one ct-mult.
   const int ladder =
       fhe::PafEvaluator::predict_composite(paf, fhe::PafEvaluator::Strategy::Ladder).ct_mults + 1;
   std::printf("BSGS schedule vs pure ladder: %d vs %d ct-mults (%d saved at equal depth)\n",
-              stats.ct_mults, ladder, ladder - stats.ct_mults);
+              ct_mults, ladder, ladder - ct_mults);
 
   // Gate: every slot against the plaintext PAF-ReLU (zero-padded slots too).
   double worst = 0.0;

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "common/check.h"
-#include "common/timer.h"
 
 namespace sp::fhe {
 namespace {
@@ -188,7 +187,6 @@ struct EvalCtx {
   const Encoder* encoder;
   const KSwitchKey* relin;
   const CkksContext* ctx;
-  EvalStats* stats;
   PowerBasis* basis;
   bool use_bsgs;
 };
@@ -229,18 +227,7 @@ void add_product(EvalCtx& ec, WindowSum& sum, const Ciphertext& xa, const Cipher
                  double pre_scale) {
   Ciphertext term = ec.ev->multiply(xa, b, b.level());
   term.scale = pre_scale;  // exact by construction
-  if (ec.stats) {
-    ++ec.stats->ct_mults;
-    ++ec.stats->relins_deferred;
-  }
   add_pending(ec, sum, std::move(term));
-}
-
-/// Coefficient term c * ct delivered at (target_level, target_scale).
-Ciphertext coeff_term(EvalCtx& ec, const Ciphertext& ct, double c, int target_level,
-                      double target_scale) {
-  if (ec.stats) ++ec.stats->plain_mults;
-  return scaled_to(*ec.ev, ct, c, target_level, target_scale);
 }
 
 void fold_constant(EvalCtx& ec, Ciphertext& ct, double c) {
@@ -258,7 +245,6 @@ std::optional<Ciphertext> resolve(EvalCtx& ec, WindowSum&& sum, double target_sc
   if (sum.pending) {
     ec.ev->relinearize_rescale_inplace(*sum.pending, *ec.relin);
     sum.pending->scale = target_scale;
-    if (ec.stats) ++ec.stats->relins;
     out = std::move(sum.pending);
     if (sum.done) ec.ev->add_inplace(*out, *sum.done);
   } else {
@@ -297,8 +283,8 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
     for (int i = 1; i < kk; ++i) {
       const double c = p.coeff(lo + blo * kk + i);
       if (c == 0.0) continue;
-      const Ciphertext& xi = ec.basis->power(*ec.ev, i, ec.stats);
-      Ciphertext term = coeff_term(ec, xi, c, target_level, target_scale);
+      const Ciphertext& xi = ec.basis->power(*ec.ev, i);
+      Ciphertext term = scaled_to(*ec.ev, xi, c, target_level, target_scale);
       if (acc)
         ec.ev->add_inplace(*acc, term);
       else
@@ -314,7 +300,7 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
 
   int t = 1;
   while (t * 2 <= d_blocks) t *= 2;
-  const Ciphertext& xg = ec.basis->power(*ec.ev, kk * t, ec.stats);
+  const Ciphertext& xg = ec.basis->power(*ec.ev, kk * t);
 
   // term = x^(kk*t) * (blocks blo+t .. blo+d_blocks), landing at target_scale.
   {
@@ -327,7 +313,7 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
                             b_scale),
                 b_scale, &b_const);
     if (!b) {
-      add_done(ec, sum, coeff_term(ec, xg, b_const, target_level, target_scale));
+      add_done(ec, sum, scaled_to(*ec.ev, xg, b_const, target_level, target_scale));
     } else {
       add_product(ec, sum, xg, *b, target_scale * static_cast<double>(q));
     }
@@ -355,7 +341,7 @@ WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
 
   const Ciphertext& x = ec.basis->x();
   if (d == 1) {
-    add_done(ec, sum, coeff_term(ec, x, p.coeff(lo + 1), target_level, target_scale));
+    add_done(ec, sum, scaled_to(*ec.ev, x, p.coeff(lo + 1), target_level, target_scale));
     return sum;
   }
 
@@ -370,13 +356,13 @@ WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
 
   int h = 1;
   while (h * 2 <= d) h *= 2;
-  const Ciphertext& xh = ec.basis->power(*ec.ev, h, ec.stats);
+  const Ciphertext& xh = ec.basis->power(*ec.ev, h);
 
   // --- term = x^h * B, landing at target_scale -----------------------------
   const int d_b = effective_degree(p, lo + h, lo + d);
   if (d_b == 0) {
     // B is the single constant coefficient c_{lo+h} (nonzero by choice of d).
-    add_done(ec, sum, coeff_term(ec, xh, p.coeff(lo + h), target_level, target_scale));
+    add_done(ec, sum, scaled_to(*ec.ev, xh, p.coeff(lo + h), target_level, target_scale));
   } else {
     const u64 q = ec.ctx->q(target_level + 1).value();
     const double b_scale = target_scale * static_cast<double>(q) / xh.scale;
@@ -410,21 +396,17 @@ std::vector<int> PowerBasis::cached_exponents() const {
   return out;
 }
 
-const Ciphertext& PowerBasis::power(Evaluator& ev, int e, EvalStats* stats) {
+const Ciphertext& PowerBasis::power(Evaluator& ev, int e) {
   sp::check(e >= 1, "PowerBasis: exponent must be >= 1");
   auto it = pow_.find(e);
   if (it != pow_.end()) return it->second;
 
   const auto [a, b] = split_exponent(e);
-  const Ciphertext& pa = power(ev, a, stats);
+  const Ciphertext& pa = power(ev, a);
   // std::map references are stable across the recursive insertions.
-  const Ciphertext& pb = a == b ? pa : power(ev, b, stats);
+  const Ciphertext& pb = a == b ? pa : power(ev, b);
   Ciphertext prod = ev.multiply(pa, pb, std::min(pa.level(), pb.level()));
   ev.relinearize_rescale_inplace(prod, *relin_);
-  if (stats) {
-    ++stats->ct_mults;
-    ++stats->relins;
-  }
   return pow_.emplace(e, std::move(prod)).first->second;
 }
 
@@ -448,13 +430,13 @@ Ciphertext scaled_to(Evaluator& ev, const Ciphertext& ct, double factor, int tar
 }
 
 Ciphertext PafEvaluator::eval_poly(Evaluator& ev, const Ciphertext& x,
-                                   const approx::Polynomial& p, EvalStats* stats) const {
+                                   const approx::Polynomial& p) const {
   PowerBasis basis(*relin_, x);
-  return eval_poly(ev, basis, p, stats);
+  return eval_poly(ev, basis, p);
 }
 
 Ciphertext PafEvaluator::eval_poly(Evaluator& ev, PowerBasis& basis,
-                                   const approx::Polynomial& p, EvalStats* stats) const {
+                                   const approx::Polynomial& p) const {
   sp::check(p.degree() >= 1, "eval_poly: degree >= 1 required");
   const int deg = effective_degree(p, 0, p.degree());
   sp::check(deg >= 1, "eval_poly: polynomial reduced to a constant");
@@ -462,7 +444,7 @@ Ciphertext PafEvaluator::eval_poly(Evaluator& ev, PowerBasis& basis,
   const int depth = ceil_log2(deg + 1);
   sp::check(x.level() >= depth, "eval_poly: not enough levels for this degree");
 
-  EvalCtx ec{&ev, encoder_, relin_, ctx_, stats, &basis, strategy_ == Strategy::BSGS};
+  EvalCtx ec{&ev, encoder_, relin_, ctx_, &basis, strategy_ == Strategy::BSGS};
   double constant = 0.0;
   // The final resolve is the last join: any lazily accumulated 3-part sum
   // pays its single relinearization + rescale here.
@@ -474,20 +456,19 @@ Ciphertext PafEvaluator::eval_poly(Evaluator& ev, PowerBasis& basis,
 }
 
 Ciphertext PafEvaluator::eval_composite(Evaluator& ev, Ciphertext x,
-                                        const approx::CompositePaf& paf,
-                                        EvalStats* stats) const {
+                                        const approx::CompositePaf& paf) const {
   sp::check(!paf.stages().empty(), "eval_composite: empty PAF");
   // Each stage's input moves into its basis, which dies with the stage.
   for (const approx::Polynomial& stage : paf.stages()) {
     PowerBasis basis(*relin_, std::move(x));
-    x = eval_poly(ev, basis, stage, stats);
+    x = eval_poly(ev, basis, stage);
   }
   return x;
 }
 
 Ciphertext PafEvaluator::sign(Evaluator& ev, const Ciphertext& d,
                               const approx::CompositePaf& paf, double input_scale,
-                              double pre_factor, EvalStats* stats) const {
+                              double pre_factor) const {
   sp::check_fmt(input_scale > 0, "PafEvaluator: input_scale must be positive, got ",
                 input_scale);
   sp::check(pre_factor != 0.0, "PafEvaluator: pre_factor must be nonzero");
@@ -495,15 +476,13 @@ Ciphertext PafEvaluator::sign(Evaluator& ev, const Ciphertext& d,
   // plaintext multiplication the envelope pays anyway, so a folded scalar
   // stage is free.
   Ciphertext t = scaled_to(ev, d, pre_factor / input_scale, d.level() - 1, ctx_->scale());
-  if (stats) ++stats->plain_mults;
-  return eval_composite(ev, std::move(t), paf, stats);
+  return eval_composite(ev, std::move(t), paf);
 }
 
 Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
                               const approx::CompositePaf& paf, double input_scale,
-                              EvalStats* stats, double pre_factor) const {
-  sp::Timer timer;
-  Ciphertext p = sign(ev, x, paf, input_scale, pre_factor, stats);
+                              double pre_factor) const {
+  Ciphertext p = sign(ev, x, paf, input_scale, pre_factor);
 
   // y = (0.5 pre_factor x) * (1 + p): one extra ct-ct multiplication.
   Ciphertext xh = scaled_to(ev, x, 0.5 * pre_factor, p.level(), p.scale);
@@ -511,38 +490,24 @@ Ciphertext PafEvaluator::relu(Evaluator& ev, const Ciphertext& x,
   ev.add_plain_inplace(p, one);
   Ciphertext y = ev.multiply(xh, p);
   ev.relinearize_rescale_inplace(y, *relin_);
-  if (stats) {
-    ++stats->ct_mults;
-    ++stats->relins;
-    ++stats->plain_mults;
-    stats->wall_ms += timer.ms();
-  }
   return y;
 }
 
 Ciphertext PafEvaluator::max(Evaluator& ev, const Ciphertext& a, const Ciphertext& b,
                              const approx::CompositePaf& paf, double input_scale,
-                             EvalStats* stats, double pre_factor) const {
-  sp::Timer timer;
+                             double pre_factor) const {
   const int level = std::min(a.level(), b.level());
   Ciphertext d = ev.sub(a, b, level);
   Ciphertext s = ev.add(a, b, level);
 
   // With pre_factor f: max(fa, fb) = 0.5 f (a+b) + 0.5 f (a-b) p(f(a-b)/s).
-  const Ciphertext p = sign(ev, d, paf, input_scale, pre_factor, stats);
+  const Ciphertext p = sign(ev, d, paf, input_scale, pre_factor);
   Ciphertext dh = scaled_to(ev, d, 0.5 * pre_factor, p.level(), p.scale);
   Ciphertext dp = ev.multiply(dh, p);
   ev.relinearize_rescale_inplace(dp, *relin_);
 
   Ciphertext sh = scaled_to(ev, s, 0.5 * pre_factor, dp.level(), dp.scale);
-  Ciphertext y = ev.add(dp, sh);
-  if (stats) {
-    ++stats->ct_mults;
-    ++stats->relins;
-    stats->plain_mults += 2;
-    stats->wall_ms += timer.ms();
-  }
-  return y;
+  return ev.add(dp, sh);
 }
 
 SchedulePrediction PafEvaluator::predict_poly(const approx::Polynomial& p, Strategy s) {

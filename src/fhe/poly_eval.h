@@ -8,24 +8,10 @@
 
 namespace sp::fhe {
 
-/// Per-evaluation statistics: the paper's latency model is
-/// "ct-ct multiplications (with relinearization + rescale) dominate", so the
-/// counters here drive wall-clock measurement. Depth is read off the
-/// ciphertexts: every one carries its own level, and rescales are counted
-/// by the evaluator's `OpCounters`. A schedule's saving over the pure
-/// ladder is the difference of two runs' (or two predict_poly())
-/// `ct_mults`.
-struct EvalStats {
-  int ct_mults = 0;
-  int relins = 0;
-  int plain_mults = 0;
-  double wall_ms = 0.0;
-  /// Multiplications whose relinearization was deferred to a join (3-part
-  /// accumulation, one relin per join): `relins` counts only the
-  /// relinearizations actually performed, so
-  /// relins <= ct_mults <= relins + relins_deferred.
-  int relins_deferred = 0;
-};
+/// A PAF evaluation's op counts are the evaluator's own `OpCounters`, scoped
+/// with `delta_since`. The old name stays as an alias only because perfbench
+/// declares `FhePipeline::run`'s out-parameter with it.
+using EvalStats = OpCounters;
 
 /// Planner-side prediction of one evaluation schedule, produced without
 /// touching any ciphertext. `ct_mults` and `levels` are exact — they come
@@ -82,11 +68,10 @@ class PowerBasis {
   const Ciphertext& x() const { return pow_.at(1); }
 
   /// @brief x^e, computing and caching any missing intermediate powers.
-  /// @param ev     evaluator to run the multiplications on
-  /// @param e      exponent (>= 1)
-  /// @param stats  optional tally for the ct-ct mults/relins/rescales spent
+  /// @param ev  evaluator to run the multiplications on
+  /// @param e   exponent (>= 1)
   /// @return cached ciphertext at level x.level() - ceil(log2 e)
-  const Ciphertext& power(Evaluator& ev, int e, EvalStats* stats = nullptr);
+  const Ciphertext& power(Evaluator& ev, int e);
 
   /// @brief Exponents currently cached (always includes 1). Used by the
   /// evaluation planner so already-paid-for powers count as free.
@@ -132,23 +117,19 @@ class PafEvaluator {
       : ctx_(&ctx), encoder_(&encoder), relin_(&relin_key), strategy_(strategy) {}
 
   /// @brief p(x) for a general dense polynomial (degree >= 1).
-  /// @param ev     evaluator to run on
-  /// @param x      input ciphertext
-  /// @param p      dense coefficient polynomial
-  /// @param stats  optional op/level/latency tally for this evaluation
+  /// @param ev  evaluator to run on
+  /// @param x   input ciphertext
+  /// @param p   dense coefficient polynomial
   /// @return p(x) at level x.level() - mult_depth(p), scale ~Delta
-  Ciphertext eval_poly(Evaluator& ev, const Ciphertext& x, const approx::Polynomial& p,
-                       EvalStats* stats = nullptr) const;
+  Ciphertext eval_poly(Evaluator& ev, const Ciphertext& x, const approx::Polynomial& p) const;
 
   /// @brief Composite PAF evaluation, stage by stage; each stage builds the
   /// power basis of its own input.
-  /// @param ev     evaluator to run on
-  /// @param x      input ciphertext (taken by value: pass an rvalue to move
-  ///               it into the first stage's basis)
-  /// @param paf    stage chain, applied left-to-right
-  /// @param stats  optional tally accumulated across all stages
-  Ciphertext eval_composite(Evaluator& ev, Ciphertext x, const approx::CompositePaf& paf,
-                            EvalStats* stats = nullptr) const;
+  /// @param ev   evaluator to run on
+  /// @param x    input ciphertext (taken by value: pass an rvalue to move
+  ///             it into the first stage's basis)
+  /// @param paf  stage chain, applied left-to-right
+  Ciphertext eval_composite(Evaluator& ev, Ciphertext x, const approx::CompositePaf& paf) const;
 
   /// @brief relu(x) ≈ 0.5 x (1 + paf(x / input_scale)) — the Static-Scaling
   /// deployment form (paper §4.5).
@@ -158,7 +139,6 @@ class PafEvaluator {
   /// @param paf          sign-approximating composite PAF
   /// @param input_scale  the frozen running max (> 0); x is divided by it so
   ///                     the PAF sees values in its accurate range
-  /// @param stats        optional op/level/latency tally
   /// @param pre_factor  scalar folded into the activation input: evaluates
   ///     the PAF-ReLU of (pre_factor * x) at zero extra cost (the factor
   ///     rides the two plaintext multiplications the envelope already pays).
@@ -166,8 +146,7 @@ class PafEvaluator {
   ///     stages into the activation.
   /// @return the PAF-ReLU of every slot, paf.mult_depth() + 2 levels below x
   Ciphertext relu(Evaluator& ev, const Ciphertext& x, const approx::CompositePaf& paf,
-                  double input_scale, EvalStats* stats = nullptr,
-                  double pre_factor = 1.0) const;
+                  double input_scale, double pre_factor = 1.0) const;
 
   /// @brief max(a,b) ≈ 0.5 (a + b) + 0.5 (a-b) paf((a-b)/input_scale).
   /// @param a            first operand
@@ -175,7 +154,6 @@ class PafEvaluator {
   ///                     matched)
   /// @param paf          sign-approximating composite PAF
   /// @param input_scale  frozen bound on |a-b| (> 0)
-  /// @param stats        optional op/level/latency tally
   /// @param pre_factor  scalar folded into BOTH operands: computes
   ///                     max(pre_factor * a, pre_factor * b) at zero extra
   ///                     cost. Only meaningful when a and b are both raw
@@ -185,7 +163,7 @@ class PafEvaluator {
   ///                     carries the factor.
   Ciphertext max(Evaluator& ev, const Ciphertext& a, const Ciphertext& b,
                  const approx::CompositePaf& paf, double input_scale,
-                 EvalStats* stats = nullptr, double pre_factor = 1.0) const;
+                 double pre_factor = 1.0) const;
 
   /// @brief Multiplication depth eval_poly consumes for `p` (both
   /// strategies consume exactly the ladder bound ceil(log2(deg+1))).
@@ -206,13 +184,12 @@ class PafEvaluator {
                                               Strategy s);
 
  private:
-  Ciphertext eval_poly(Evaluator& ev, PowerBasis& basis, const approx::Polynomial& p,
-                       EvalStats* stats) const;
+  Ciphertext eval_poly(Evaluator& ev, PowerBasis& basis, const approx::Polynomial& p) const;
 
   /// The sign half both envelopes share: paf(pre_factor * d / input_scale),
   /// one level for the input scaling plus paf.mult_depth() below d.
   Ciphertext sign(Evaluator& ev, const Ciphertext& d, const approx::CompositePaf& paf,
-                  double input_scale, double pre_factor, EvalStats* stats) const;
+                  double input_scale, double pre_factor) const;
 
   const CkksContext* ctx_;
   const Encoder* encoder_;

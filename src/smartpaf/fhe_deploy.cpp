@@ -7,6 +7,9 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
+#include "smartpaf/pipeline.h"
+#include "smartpaf/pipeline_planner.h"
 
 namespace sp::smartpaf {
 
@@ -105,6 +108,8 @@ std::vector<double> FheRuntime::decrypt(const fhe::Ciphertext& ct) {
 PafLatencyResult measure_paf_relu(FheRuntime& rt, const approx::CompositePaf& paf,
                                   double input_scale, int repeats, std::uint64_t seed) {
   sp::check_fmt(repeats >= 1, "measure_paf_relu: repeats must be >= 1, got ", repeats);
+  const FhePipeline pipe = FhePipeline::builder().paf_relu(paf, input_scale).build();
+  const Plan plan = Planner::plan(pipe, rt.ctx(), CostModel::heuristic());
   sp::Rng rng(seed);
   std::vector<double> values(rt.ctx().slot_count());
   for (auto& v : values) v = rng.uniform(-input_scale, input_scale);
@@ -114,18 +119,16 @@ PafLatencyResult measure_paf_relu(FheRuntime& rt, const approx::CompositePaf& pa
   std::vector<double> times;
   fhe::Ciphertext result;
   for (int r = 0; r < repeats; ++r) {
-    fhe::EvalStats stats;
-    result = rt.paf_evaluator().relu(rt.evaluator(), ct, paf, input_scale, &stats);
-    times.push_back(stats.wall_ms);
-    if (r == 0) out.stats = stats;
+    const sp::Timer timer;
+    result = pipe.run(rt, plan, ct, r == 0 ? &out.stats : nullptr);
+    times.push_back(timer.ms());
   }
   out.ms_median = sp::median(times);
 
   const std::vector<double> got = rt.decrypt(result);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double expect = approx::paf_relu(paf, values[i] / input_scale) * input_scale;
-    out.max_error = std::max(out.max_error, std::abs(got[i] - expect));
-  }
+  const std::vector<double> want = pipe.reference(values);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    out.max_error = std::max(out.max_error, std::abs(got[i] - want[i]));
   return out;
 }
 

@@ -115,14 +115,15 @@ class FheRuntime {
 /// Result of measuring one PAF-ReLU evaluation under CKKS.
 struct PafLatencyResult {
   double ms_median = 0.0;  ///< wall-clock per PAF-ReLU over all slots
-  fhe::EvalStats stats;    ///< op counts and levels consumed (first repeat)
+  fhe::OpCounters stats;   ///< the evaluator ops of the first repeat
   double max_error = 0.0;  ///< vs the plaintext PAF-ReLU reference
 };
 
 /// @brief Times the homomorphic PAF-ReLU (paper Table 4 / Fig. 1 latency
-/// column): encrypts a random batch spanning [-input_scale, input_scale],
-/// evaluates relu(x) ≈ 0.5 x (1 + paf(x/s)) `repeats` times and checks the
-/// result against the plaintext computation.
+/// column) on the served path: encrypts a random batch spanning
+/// [-input_scale, input_scale], plans a one-stage `paf_relu` FhePipeline,
+/// runs it `repeats` times and checks the result against the pipeline's
+/// `reference()`.
 /// @param rt           shared runtime (construction is the expensive part)
 /// @param paf          sign-approximating composite PAF
 /// @param input_scale  Static-Scaling running max (> 0)

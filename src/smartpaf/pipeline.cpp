@@ -866,7 +866,7 @@ class StageBlocks {
 
 fhe::Ciphertext FhePipeline::run(FheRuntime& rt, const Plan& plan,
                                  const fhe::Ciphertext& in,
-                                 fhe::EvalStats* stats) const {
+                                 fhe::OpCounters* stats) const {
   std::vector<fhe::Ciphertext> out = run_stages(rt, plan, &in, 1, stats);
   sp::check_fmt(out.size() == 1, "FhePipeline::run: the pipeline output spans ",
                 out.size(), " ciphertext blocks; use run_blocks");
@@ -875,14 +875,14 @@ fhe::Ciphertext FhePipeline::run(FheRuntime& rt, const Plan& plan,
 
 std::vector<fhe::Ciphertext> FhePipeline::run_blocks(
     FheRuntime& rt, const Plan& plan, const std::vector<fhe::Ciphertext>& in,
-    fhe::EvalStats* stats) const {
+    fhe::OpCounters* stats) const {
   return run_stages(rt, plan, in.data(), in.size(), stats);
 }
 
 std::vector<fhe::Ciphertext> FhePipeline::run_stages(FheRuntime& rt, const Plan& plan,
                                                      const fhe::Ciphertext* in,
                                                      std::size_t count,
-                                                     fhe::EvalStats* stats) const {
+                                                     fhe::OpCounters* stats) const {
   sp::check(plan.stages.size() == stages_.size(),
             "FhePipeline::run: plan does not match this pipeline");
   const std::size_t slots = rt.ctx().slot_count();
@@ -940,12 +940,13 @@ std::vector<fhe::Ciphertext> FhePipeline::run_stages(FheRuntime& rt, const Plan&
 
     const auto& paf = std::get<PafStage>(st.op);
     const fhe::PafEvaluator pe(rt.ctx(), enc, rt.relin_key(), sp_.strategy);
+    const fhe::OpCounters before = stats ? ev.counters : fhe::OpCounters();
     std::vector<fhe::Ciphertext> next;
     if (paf.kind == SiteKind::ReLU) {
       // Slot-wise, so every block passes through the same envelope (the
       // zero padding slots of partial blocks stay zero: relu(0) == 0).
       for (std::size_t b = 0; b < blocks.size(); ++b)
-        next.push_back(pe.relu(ev, blocks[b], paf.paf, paf.input_scale, stats, sp_.pre_factor));
+        next.push_back(pe.relu(ev, blocks[b], paf.paf, paf.input_scale, sp_.pre_factor));
     } else {
       // Cyclic pairwise tournament over one ciphertext (layout validation):
       // the fan rotates the STAGE INPUT once (hoisted when the plan says so),
@@ -963,16 +964,17 @@ std::vector<fhe::Ciphertext> FhePipeline::run_stages(FheRuntime& rt, const Plan&
       }
       std::optional<fhe::Ciphertext> m;
       for (std::size_t t = 0; t < rotated.size(); ++t) {
-        if (m) {
-          rotated[t] = fhe::scaled_to(ev, rotated[t], 1.0, m->level(), m->scale);
-          if (stats) ++stats->plain_mults;
-        }
-        m = pe.max(ev, m ? *m : x, rotated[t], paf.paf, paf.input_scale, stats, sp_.pre_factor);
+        if (m) rotated[t] = fhe::scaled_to(ev, rotated[t], 1.0, m->level(), m->scale);
+        m = pe.max(ev, m ? *m : x, rotated[t], paf.paf, paf.input_scale, sp_.pre_factor);
       }
       if (!m) continue;
       next.push_back(std::move(*m));
     }
     blocks.replace(std::move(next));
+    if (stats)
+      fhe::OpCounters::zip_fields(*stats, ev.counters.delta_since(before),
+                                  [](std::atomic<std::size_t>& d,
+                                     const std::atomic<std::size_t>& s) { d += s; });
   }
 
   sp::check_fmt(in[0].level() - blocks[0].level() == plan.levels_used,

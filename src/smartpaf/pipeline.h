@@ -305,10 +305,13 @@ class FhePipeline {
   /// @param rt     shared CKKS machinery
   /// @param plan   a Plan produced by Planner::plan for THIS pipeline
   /// @param in     input ciphertext with at least plan.levels_used levels
-  /// @param stats  optional tally accumulated across every PAF stage
+  /// @param stats  optional: each PAF stage adds to it the evaluator's
+  ///               OpCounters delta over that stage (the tournament's fan
+  ///               and tap landings included). Exact only when no other
+  ///               thread issues ops on rt's evaluator during the call.
   /// @return the pipeline output, exactly plan.levels_used levels below `in`
   fhe::Ciphertext run(FheRuntime& rt, const Plan& plan, const fhe::Ciphertext& in,
-                      fhe::EvalStats* stats = nullptr) const;
+                      fhe::OpCounters* stats = nullptr) const;
 
   /// @brief Multi-ciphertext run(): executes a planned pipeline over the
   /// input's column blocks (plan.stages.front().layout_in.blocks ciphertexts
@@ -318,7 +321,7 @@ class FhePipeline {
   /// single-block convenience wrapper.
   std::vector<fhe::Ciphertext> run_blocks(FheRuntime& rt, const Plan& plan,
                                           const std::vector<fhe::Ciphertext>& in,
-                                          fhe::EvalStats* stats = nullptr) const;
+                                          fhe::OpCounters* stats = nullptr) const;
 
  private:
   /// The stage loop of run() and run_blocks() over `count` consecutive
@@ -326,7 +329,7 @@ class FhePipeline {
   /// its own, and none writes into them.
   std::vector<fhe::Ciphertext> run_stages(FheRuntime& rt, const Plan& plan,
                                           const fhe::Ciphertext* in, std::size_t count,
-                                          fhe::EvalStats* stats) const;
+                                          fhe::OpCounters* stats) const;
 
   std::vector<Stage> stages_;
   std::size_t input_width_ = 0;

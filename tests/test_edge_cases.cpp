@@ -131,8 +131,7 @@ TEST_P(OddPolyDegree, HomomorphicMatchesPlaintext) {
   std::vector<double> v(rt_->ctx().slot_count());
   for (auto& x : v) x = rng.uniform(-1.0, 1.0);
   const Ciphertext ct = rt_->encrypt(v);
-  EvalStats stats;
-  const Ciphertext out = rt_->paf_evaluator().eval_poly(rt_->evaluator(), ct, p, &stats);
+  const Ciphertext out = rt_->paf_evaluator().eval_poly(rt_->evaluator(), ct, p);
   // Depth is exactly the power-ladder bound.
   EXPECT_EQ(ct.level() - out.level(),
             static_cast<int>(std::ceil(std::log2(degree + 1.0))));

@@ -290,7 +290,7 @@ TEST_F(PipelineFheTest, LoweredNetworkMatchesPlaintextForwardUnderFhe) {
   }
   const nn::Tensor expect = model.forward(x, /*train=*/false);
 
-  EvalStats stats;
+  OpCounters stats;
   const Ciphertext out = pipe.run(*rt_, plan, rt_->encrypt(slots), &stats);
   const std::vector<double> got = rt_->decrypt(out);
 
@@ -301,9 +301,9 @@ TEST_F(PipelineFheTest, LoweredNetworkMatchesPlaintextForwardUnderFhe) {
   EXPECT_LT(worst, kParityTol);
 
   // The executed PAF schedule matches the plan's exact ct-mult prediction.
-  int predicted_mults = 0;
+  std::size_t predicted_mults = 0;
   for (const auto& s : plan.stages) predicted_mults += s.ops.ct_mults;
-  EXPECT_EQ(stats.ct_mults, predicted_mults);
+  EXPECT_EQ(stats.ct_mults.load(), predicted_mults);
 }
 
 TEST_F(PipelineFheTest, ForcedStrategiesAgreeWithPlannedResult) {
@@ -319,15 +319,15 @@ TEST_F(PipelineFheTest, ForcedStrategiesAgreeWithPlannedResult) {
     opts.force_strategy = forced;
     const auto plan =
         smartpaf::Planner::plan(pipe, rt_->ctx(), smartpaf::CostModel::heuristic(), opts);
-    EvalStats stats;
+    OpCounters stats;
     const std::vector<double> got = rt_->decrypt(pipe.run(*rt_, plan, in, &stats));
     double worst = 0.0;
     for (std::size_t j = 0; j < slots.size(); ++j)
       worst = std::max(worst, std::abs(got[j] - ref[j]));
     EXPECT_LT(worst, kParityTol);
-    int predicted_mults = 0;
+    std::size_t predicted_mults = 0;
     for (const auto& s : plan.stages) predicted_mults += s.ops.ct_mults;
-    EXPECT_EQ(stats.ct_mults, predicted_mults);
+    EXPECT_EQ(stats.ct_mults.load(), predicted_mults);
   }
 }
 
@@ -381,33 +381,38 @@ TEST_F(PipelineFheTest, PredictPolyMatchesExecutedCounts) {
 
     std::vector<double> v(rt_->ctx().slot_count(), 0.25);
     const Ciphertext x = rt_->encrypt(v);
+    Evaluator& ev = rt_->evaluator();
     for (const auto strat : {PafEvaluator::Strategy::Ladder, PafEvaluator::Strategy::BSGS}) {
       const auto pred = PafEvaluator::predict_poly(p, strat);
       const PafEvaluator pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(), strat);
-      EvalStats stats;
-      const Ciphertext out = pe.eval_poly(rt_->evaluator(), x, p, &stats);
-      EXPECT_EQ(stats.ct_mults, pred.ct_mults) << "deg " << deg;
+      const OpCounters before = ev.counters;
+      const Ciphertext out = pe.eval_poly(ev, x, p);
+      EXPECT_EQ(ev.counters.delta_since(before).ct_mults.load(),
+                static_cast<std::size_t>(pred.ct_mults))
+          << "deg " << deg;
       EXPECT_EQ(x.level() - out.level(), pred.levels) << "deg " << deg;
     }
     // The runtime's shared evaluator runs the default schedule, BSGS.
-    EvalStats shared;
-    (void)rt_->paf_evaluator().eval_poly(rt_->evaluator(), x, p, &shared);
-    EXPECT_EQ(shared.ct_mults,
-              PafEvaluator::predict_poly(p, PafEvaluator::Strategy::BSGS).ct_mults)
+    const OpCounters before = ev.counters;
+    (void)rt_->paf_evaluator().eval_poly(ev, x, p);
+    EXPECT_EQ(ev.counters.delta_since(before).ct_mults.load(),
+              static_cast<std::size_t>(
+                  PafEvaluator::predict_poly(p, PafEvaluator::Strategy::BSGS).ct_mults))
         << "deg " << deg;
   }
 }
 
 // ------------------------------------------------------------ PAF pins ------
 // Golden FNV digests (the scale plus every residue of every part, as
-// tests/test_linear_transform.cpp computes them), EvalStats counts and the
-// evaluator's op ledger (OpCounters delta, NTTs included) of PafEvaluator
-// outputs: a one-stage PAF-ReLU pipeline under each forced schedule, the
-// 2-activation pipeline (window -> ReLU -> folded scalar -> pairwise
-// MaxPool, so a hoisted window fan and the MaxPool fan) and one direct
-// max(); and of the linear stages that run rather than fold: a PAF-ReLU
-// followed by a scaled, biased linear stage (serve_open's tail) and a
-// bias-only one. Each test's runtime has PipelineFheTest's parameters but
+// tests/test_linear_transform.cpp computes them), the PAF stages' ct-mult,
+// relin and plain-mult counts (run()'s out-parameter; the direct max()
+// reads its ledger) and the evaluator's op ledger (OpCounters delta, NTTs
+// included) of PafEvaluator outputs: a one-stage PAF-ReLU pipeline under
+// each forced schedule, the 2-activation pipeline (window -> ReLU ->
+// folded scalar -> pairwise MaxPool, so a hoisted window fan and the
+// MaxPool fan) and one direct max(); and of the linear stages that run
+// rather than fold: a PAF-ReLU followed by a scaled, biased linear stage
+// (serve_open's tail) and a bias-only one. Each test's runtime has PipelineFheTest's parameters but
 // its own seed, and every key is minted up front, so a digest depends only
 // on the schedule and the arithmetic, not on test order. A missing pin
 // prints the observed row.
@@ -422,23 +427,23 @@ struct PafLedger {
 struct PafPin {
   const char* name;
   std::uint64_t digest;
-  int ct_mults, relins, plain_mults, relins_deferred;
+  std::size_t ct_mults, relins, plain_mults;
   PafLedger ops;
 };
 
 // clang-format off
 const PafPin kPafPins[] = {
-    {"relu_bsgs", 0x0844d3935a871ed0ULL, 15, 12, 14, 8,
+    {"relu_bsgs", 0x0844d3935a871ed0ULL, 15, 12, 14,
      {15, 12, 26, 14, 11, 0, 0, 1312, 178}},
-    {"relu_ladder", 0x49ac85b3ef212e64ULL, 16, 12, 14, 10,
+    {"relu_ladder", 0x49ac85b3ef212e64ULL, 16, 12, 14,
      {16, 12, 26, 14, 11, 0, 0, 1299, 177}},
-    {"two_activation", 0xdb47efea4b613aacULL, 12, 10, 13, 6,
+    {"two_activation", 0xdb47efea4b613aacULL, 12, 10, 13,
      {12, 10, 24, 16, 12, 3, 3, 1171, 165}},
-    {"max", 0xcd71a8c96f48377dULL, 6, 5, 7, 3,
+    {"max", 0xcd71a8c96f48377dULL, 6, 5, 7,
      {6, 5, 12, 7, 6, 0, 0, 801, 87}},
-    {"relu_then_linear", 0xd0edabc3e1177610ULL, 6, 5, 6, 3,
+    {"relu_then_linear", 0xd0edabc3e1177610ULL, 6, 5, 6,
      {6, 5, 12, 7, 5, 0, 0, 799, 87}},
-    {"bias_only_linear", 0x31a656fbbb61b759ULL, 0, 0, 0, 0,
+    {"bias_only_linear", 0x31a656fbbb61b759ULL, 0, 0, 0,
      {0, 0, 0, 0, 1, 0, 0, 0, 0}},
 };
 // clang-format on
@@ -451,21 +456,20 @@ std::uint64_t ct_digest(const Ciphertext& ct) {
   return h;
 }
 
-void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s,
+/// `s` holds the PAF-stage counts, `d` the whole call's ledger.
+void expect_paf_pin(const char* name, const Ciphertext& out, const OpCounters& s,
                     const OpCounters& d) {
   const PafLedger ops{d.ct_mults,          d.relins,       d.rescales,
                       d.plain_mults,       d.adds,         d.rotations,
                       d.hoisted_rotations, d.ntts_forward, d.ntts_inverse};
-  const PafPin got{name,          ct_digest(out),    s.ct_mults, s.relins,
-                   s.plain_mults, s.relins_deferred, ops};
+  const PafPin got{name, ct_digest(out), s.ct_mults, s.relins, s.plain_mults, ops};
   char row[384];
   std::snprintf(row, sizeof(row),
-                "    {\"%s\", 0x%016" PRIx64 "ULL, %d, %d, %d, %d,\n"
+                "    {\"%s\", 0x%016" PRIx64 "ULL, %zu, %zu, %zu,\n"
                 "     {%zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu}},",
                 got.name, got.digest, got.ct_mults, got.relins, got.plain_mults,
-                got.relins_deferred, ops.ct_mults, ops.relins, ops.rescales, ops.plain_mults,
-                ops.adds, ops.rotations, ops.hoisted_rotations, ops.ntts_forward,
-                ops.ntts_inverse);
+                ops.ct_mults, ops.relins, ops.rescales, ops.plain_mults, ops.adds,
+                ops.rotations, ops.hoisted_rotations, ops.ntts_forward, ops.ntts_inverse);
   const PafPin* want = nullptr;
   for (const PafPin& p : kPafPins)
     if (std::string(p.name) == name) want = &p;
@@ -474,7 +478,6 @@ void expect_paf_pin(const char* name, const Ciphertext& out, const EvalStats& s,
   EXPECT_EQ(got.ct_mults, want->ct_mults) << name;
   EXPECT_EQ(got.relins, want->relins) << name;
   EXPECT_EQ(got.plain_mults, want->plain_mults) << name;
-  EXPECT_EQ(got.relins_deferred, want->relins_deferred) << name;
   const auto fields = [](const PafLedger& l) {
     return std::tie(l.ct_mults, l.relins, l.rescales, l.plain_mults, l.adds, l.rotations,
                     l.hoisted_rotations, l.ntts_forward, l.ntts_inverse);
@@ -507,7 +510,7 @@ TEST(PafPins, ReluSchedulesTwoActivationAndMax) {
     opts.force_strategy = forced;
     const auto plan =
         smartpaf::Planner::plan(relu, rt.ctx(), smartpaf::CostModel::heuristic(), opts);
-    EvalStats stats;
+    OpCounters stats;
     const OpCounters before = ev.counters;
     const Ciphertext out = relu.run(rt, plan, x, &stats);
     expect_paf_pin(forced == PafEvaluator::Strategy::BSGS ? "relu_bsgs" : "relu_ladder", out,
@@ -518,17 +521,17 @@ TEST(PafPins, ReluSchedulesTwoActivationAndMax) {
   const auto plan = smartpaf::Planner::plan(pipe, rt.ctx(), smartpaf::CostModel::heuristic());
   (void)rt.rotation_keys(plan.rotation_steps());
   const Ciphertext pipe_in = rt.encrypt(values(2));
-  EvalStats pipe_stats;
+  OpCounters pipe_stats;
   const OpCounters pipe_before = ev.counters;
   const Ciphertext pipe_out = pipe.run(rt, plan, pipe_in, &pipe_stats);
   expect_paf_pin("two_activation", pipe_out, pipe_stats, ev.counters.delta_since(pipe_before));
 
   const Ciphertext a = rt.encrypt(values(3));
   const Ciphertext b = rt.encrypt(values(4));
-  EvalStats max_stats;
   const OpCounters max_before = ev.counters;
-  const Ciphertext max_out = rt.paf_evaluator().max(ev, a, b, test_paf(43), 4.0, &max_stats);
-  expect_paf_pin("max", max_out, max_stats, ev.counters.delta_since(max_before));
+  const Ciphertext max_out = rt.paf_evaluator().max(ev, a, b, test_paf(43), 4.0);
+  const OpCounters max_ops = ev.counters.delta_since(max_before);
+  expect_paf_pin("max", max_out, max_ops, max_ops);
 }
 
 TEST(PafPins, LinearStagesThatRun) {
@@ -541,7 +544,7 @@ TEST(PafPins, LinearStagesThatRun) {
     std::vector<double> v(rt.ctx().slot_count());
     for (auto& x : v) x = rng.uniform(-2.0, 2.0);
     const Ciphertext in = rt.encrypt(v);
-    EvalStats stats;
+    OpCounters stats;
     const OpCounters before = ev.counters;
     const Ciphertext out = pipe.run(rt, plan, in, &stats);
     expect_paf_pin(name, out, stats, ev.counters.delta_since(before));

@@ -56,17 +56,25 @@ class PolyEvalTest : public ::testing::Test {
     return v;
   }
 
+  /// Decoded output, levels consumed and the evaluator's ct-mult and relin
+  /// counts over one eval_poly call.
   struct Run {
     std::vector<double> values;
-    EvalStats stats;
+    int ct_mults = 0;
+    int relins = 0;
     int levels = 0;
   };
 
   static Run eval_with(PafEvaluator::Strategy strategy, const approx::Polynomial& p,
                        const Ciphertext& ct) {
     PafEvaluator pe(rt_->ctx(), rt_->encoder(), rt_->relin_key(), strategy);
+    Evaluator& ev = rt_->evaluator();
     Run r;
-    const Ciphertext out = pe.eval_poly(rt_->evaluator(), ct, p, &r.stats);
+    const OpCounters before = ev.counters;
+    const Ciphertext out = pe.eval_poly(ev, ct, p);
+    const OpCounters ops = ev.counters.delta_since(before);
+    r.ct_mults = static_cast<int>(ops.ct_mults.load());
+    r.relins = static_cast<int>(ops.relins.load());
     r.levels = ct.level() - out.level();
     r.values = rt_->decrypt(out);
     return r;
@@ -114,22 +122,20 @@ TEST_P(DensePolyDegree, BsgsAndLadderAgreeWithHorner) {
   // is the one depth wall (7 + 1 = 2^3 leaves zero level slack, and any
   // depth-3 schedule for a dense degree-7 polynomial needs the full ladder's
   // 5 multiplications), so there BSGS falls back to the identical schedule.
-  EXPECT_LE(bsgs.stats.ct_mults, ladder.stats.ct_mults) << "degree " << degree;
+  EXPECT_LE(bsgs.ct_mults, ladder.ct_mults) << "degree " << degree;
   if (degree >= 8) {
-    EXPECT_LT(bsgs.stats.ct_mults, ladder.stats.ct_mults) << "degree " << degree;
+    EXPECT_LT(bsgs.ct_mults, ladder.ct_mults) << "degree " << degree;
   }
 
   // The pure planner predicts each executed schedule exactly, so a saving
   // read off predict_poly() is the saving the evaluator delivers.
   EXPECT_EQ(PafEvaluator::predict_poly(p, PafEvaluator::Strategy::Ladder).ct_mults,
-            ladder.stats.ct_mults);
+            ladder.ct_mults);
   EXPECT_EQ(PafEvaluator::predict_poly(p, PafEvaluator::Strategy::BSGS).ct_mults,
-            bsgs.stats.ct_mults);
-  // Lazy relinearization (the default) defers window-product relins to the
-  // joins: never more relins than mults, and every mult either relinearized
-  // eagerly or was deferred (deferred ones resolve at join/final relins).
-  EXPECT_LE(bsgs.stats.relins, bsgs.stats.ct_mults);
-  EXPECT_GE(bsgs.stats.relins + bsgs.stats.relins_deferred, bsgs.stats.ct_mults);
+            bsgs.ct_mults);
+  // Lazy relinearization defers window-product relins to the joins: never
+  // more relins than mults.
+  EXPECT_LE(bsgs.relins, bsgs.ct_mults);
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, DensePolyDegree,
@@ -152,9 +158,9 @@ TEST_P(OddPolyDegree, BsgsAndLadderAgreeWithHorner) {
   EXPECT_LT(relative_error(ladder.values, inputs, p), kParityTol) << "degree " << degree;
   EXPECT_LT(relative_error(bsgs.values, inputs, p), kParityTol) << "degree " << degree;
   EXPECT_EQ(bsgs.levels, ladder.levels);
-  EXPECT_LE(bsgs.stats.ct_mults, ladder.stats.ct_mults) << "degree " << degree;
+  EXPECT_LE(bsgs.ct_mults, ladder.ct_mults) << "degree " << degree;
   if (degree >= 9) {
-    EXPECT_LT(bsgs.stats.ct_mults, ladder.stats.ct_mults) << "degree " << degree;
+    EXPECT_LT(bsgs.ct_mults, ladder.ct_mults) << "degree " << degree;
   }
 }
 
