@@ -3,8 +3,8 @@
 // control and backpressure, per-request outcome accounting on evaluation
 // failure (a failed group loses only its own tickets), re-planning when a
 // tenant reopens under other parameters, packed parity + response masking,
-// the thread-safe rotation-key store (exercised under TSan in CI), and the
-// seedless Encryptor's entropy seeding.
+// the thread-safe rotation-key store (exercised under TSan in CI), the
+// seedless Encryptor's entropy seeding, and the protocol frame decoder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,8 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "common/rng.h"
 #include "io/serialize.h"
 #include "serve/async_executor.h"
+#include "serve/protocol.h"
 #include "serve/session_registry.h"
 #include "smartpaf/fhe_deploy.h"
 #include "smartpaf/pipeline.h"
@@ -570,6 +573,102 @@ TEST_F(ServeTest, SeedlessEncryptorsDrawDistinctRandomness) {
   // Both still decrypt to the same values, of course.
   const std::vector<double> da = client_->decrypt(ca);
   EXPECT_NEAR(da[0], 0.5, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol frame decoder
+// ---------------------------------------------------------------------------
+
+/// unpack_msg and read_msg decode what a peer sends: every kind round-trips,
+/// a cut inside the envelope or an out-of-range field throws naming its
+/// cause, and a frame over the cap is refused before its payload is read.
+TEST(ServeProtocol, FrameDecoderRejectsMalformedEnvelopes) {
+  // The decoder's error message, or "(decoded)" when it returns.
+  const auto error_of = [](const std::vector<std::uint8_t>& bytes) {
+    std::string what = "(decoded)";
+    try {
+      serve::unpack_msg(bytes);
+    } catch (const sp::Error& e) {
+      what = e.what();
+    }
+    return what;
+  };
+
+  serve::Msg msg;
+  msg.id = 0x0123456789abcdefULL;
+  msg.status = serve::ResponseStatus::Failed;
+  msg.error = "boom";
+  msg.payload = {0xa1, 0xa2, 0xa3, 0xa4};
+  for (const serve::MsgKind kind :
+       {serve::MsgKind::Hello, serve::MsgKind::SessionReady, serve::MsgKind::GaloisUpload,
+        serve::MsgKind::Request, serve::MsgKind::Response}) {
+    msg.kind = kind;
+    const serve::Msg back = serve::unpack_msg(serve::pack_msg(msg));
+    EXPECT_EQ(static_cast<int>(back.kind), static_cast<int>(kind));
+    EXPECT_EQ(back.id, msg.id);
+    EXPECT_EQ(static_cast<int>(back.status), static_cast<int>(msg.status));
+    EXPECT_EQ(back.error, msg.error);
+    EXPECT_EQ(back.payload, msg.payload);
+  }
+
+  // A Response's envelope: kind (1) | id (8) | status (1) | error length
+  // (8) | "boom" (4), then the payload.
+  const std::vector<std::uint8_t> bytes = serve::pack_msg(msg);
+  const std::size_t envelope = 22;
+  ASSERT_EQ(bytes.size(), envelope + msg.payload.size());
+  for (std::size_t cut = 0; cut < envelope; ++cut) {
+    const std::string what = error_of({bytes.begin(), bytes.begin() + cut});
+    EXPECT_NE(what.find("wire: "), std::string::npos) << "cut at " << cut << ": " << what;
+  }
+  for (std::size_t cut = envelope; cut <= bytes.size(); ++cut) {
+    const serve::Msg back = serve::unpack_msg({bytes.begin(), bytes.begin() + cut});
+    EXPECT_EQ(back.error, "boom") << "cut at " << cut;
+    EXPECT_EQ(back.payload, std::vector<std::uint8_t>(msg.payload.begin(),
+                                                      msg.payload.begin() + (cut - envelope)))
+        << "cut at " << cut;
+  }
+
+  const auto with_byte = [&](std::size_t at, std::uint8_t value) {
+    std::vector<std::uint8_t> bad = bytes;
+    bad[at] = value;
+    return bad;
+  };
+  EXPECT_NE(error_of(with_byte(0, 0)).find("unknown message kind 0"), std::string::npos);
+  EXPECT_NE(error_of(with_byte(0, 6)).find("unknown message kind 6"), std::string::npos);
+  EXPECT_NE(error_of(with_byte(9, 3)).find("unknown response status 3"), std::string::npos);
+
+  // Without a payload the error string ends the frame, so a length prefix
+  // one too large overruns it; 2^62 overruns any frame.
+  serve::Msg bare = msg;
+  bare.payload.clear();
+  std::vector<std::uint8_t> longer = serve::pack_msg(bare);
+  ++longer[10];
+  EXPECT_NE(error_of(longer).find("length prefix 5"), std::string::npos) << error_of(longer);
+  std::vector<std::uint8_t> huge = serve::pack_msg(bare);
+  for (int k = 0; k < 8; ++k) huge[10 + k] = static_cast<std::uint8_t>((1ULL << 62) >> (8 * k));
+  EXPECT_NE(error_of(huge).find("length prefix"), std::string::npos) << error_of(huge);
+
+  // read_msg: a frame of exactly max_bytes reads, one byte more is refused
+  // by its length prefix alone and leaves the message untouched.
+  std::ostringstream frame;
+  serve::write_msg(frame, msg);
+  serve::Msg got;
+  std::istringstream at_cap(frame.str());
+  ASSERT_TRUE(serve::read_msg(at_cap, got, static_cast<std::uint32_t>(bytes.size())));
+  EXPECT_EQ(got.payload, msg.payload);
+  got = serve::Msg();
+  std::istringstream over_cap(frame.str());
+  std::string what = "(read)";
+  try {
+    serve::read_msg(over_cap, got, static_cast<std::uint32_t>(bytes.size() - 1));
+  } catch (const sp::Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("frame of 26 bytes exceeds the 25-byte cap"), std::string::npos) << what;
+  EXPECT_EQ(got.id, 0u);
+  EXPECT_EQ(static_cast<std::streamoff>(over_cap.tellg()), 4);
+  std::istringstream empty;
+  EXPECT_FALSE(serve::read_msg(empty, got));
 }
 
 }  // namespace
