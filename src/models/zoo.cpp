@@ -21,7 +21,7 @@ nn::Model resnet18(const ModelConfig& cfg) {
   auto net = std::make_unique<Sequential>("resnet18");
   const int w = cfg.width;
   net->add(std::make_unique<Conv2d>(cfg.in_channels, w, 3, 1, 1, rng, false, "stem.conv"));
-  net->add(std::make_unique<BatchNorm2d>(w, false, 0.1, "stem.bn"));
+  net->add(std::make_unique<BatchNorm2d>(w, "stem.bn"));
   net->add(std::make_unique<ReLU>("stem.relu"));
   net->add(std::make_unique<MaxPool2d>(2, 2, 0, "stem.maxpool"));
 
@@ -58,7 +58,7 @@ nn::Model vgg19(const ModelConfig& cfg) {
     const int out_ch = p * cfg.width;
     const std::string name = "conv" + std::to_string(conv_id++);
     net->add(std::make_unique<Conv2d>(in_ch, out_ch, 3, 1, 1, rng, false, name));
-    net->add(std::make_unique<BatchNorm2d>(out_ch, false, 0.1, name + ".bn"));
+    net->add(std::make_unique<BatchNorm2d>(out_ch, name + ".bn"));
     net->add(std::make_unique<ReLU>(name + ".relu"));
     in_ch = out_ch;
   }

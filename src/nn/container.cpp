@@ -40,16 +40,16 @@ BasicBlock::BasicBlock(int in_ch, int out_ch, int stride, sp::Rng& rng,
                        const std::string& name)
     : name_(name) {
   conv1_ = std::make_unique<Conv2d>(in_ch, out_ch, 3, stride, 1, rng, false, name + ".conv1");
-  bn1_ = std::make_unique<BatchNorm2d>(out_ch, false, 0.1, name + ".bn1");
+  bn1_ = std::make_unique<BatchNorm2d>(out_ch, name + ".bn1");
   act1_ = std::make_unique<ReLU>(name + ".relu1");
   conv2_ = std::make_unique<Conv2d>(out_ch, out_ch, 3, 1, 1, rng, false, name + ".conv2");
-  bn2_ = std::make_unique<BatchNorm2d>(out_ch, false, 0.1, name + ".bn2");
+  bn2_ = std::make_unique<BatchNorm2d>(out_ch, name + ".bn2");
   act2_ = std::make_unique<ReLU>(name + ".relu2");
   if (stride != 1 || in_ch != out_ch) {
     auto down = std::make_unique<Sequential>(name + ".down");
     down->add(std::make_unique<Conv2d>(in_ch, out_ch, 1, stride, 0, rng, false,
                                        name + ".down.conv"));
-    down->add(std::make_unique<BatchNorm2d>(out_ch, false, 0.1, name + ".down.bn"));
+    down->add(std::make_unique<BatchNorm2d>(out_ch, name + ".down.bn"));
     down_ = std::move(down);
     used_downsample_ = true;
   }

@@ -223,9 +223,8 @@ std::vector<double> Linear::bias_values() const {
 
 // ------------------------------------------------------------ BatchNorm2d --
 
-BatchNorm2d::BatchNorm2d(int channels, bool track_running_stats, double momentum,
-                         const std::string& name)
-    : ch_(channels), track_(track_running_stats), momentum_(momentum), name_(name) {
+BatchNorm2d::BatchNorm2d(int channels, const std::string& name)
+    : ch_(channels), name_(name) {
   gamma_.name = name + ".gamma";
   gamma_.value = Tensor({channels});
   gamma_.value.fill(1.0f);
@@ -233,9 +232,6 @@ BatchNorm2d::BatchNorm2d(int channels, bool track_running_stats, double momentum
   beta_.name = name + ".beta";
   beta_.value = Tensor({channels});
   beta_.grad = Tensor({channels});
-  running_mean_ = Tensor({channels});
-  running_var_ = Tensor({channels});
-  running_var_.fill(1.0f);
 }
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
@@ -243,33 +239,20 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int cnt = batch * h * w;
   count_per_ch_ = cnt;
-  const bool use_batch_stats = train || !track_;
 
   mean_.assign(static_cast<std::size_t>(ch_), 0.0f);
   invstd_.assign(static_cast<std::size_t>(ch_), 0.0f);
   for (int c = 0; c < ch_; ++c) {
-    double mean, var;
-    if (use_batch_stats) {
-      double s = 0.0, s2 = 0.0;
-      for (int n = 0; n < batch; ++n)
-        for (int i = 0; i < h; ++i)
-          for (int j = 0; j < w; ++j) {
-            const double v = x.at(n, c, i, j);
-            s += v;
-            s2 += v * v;
-          }
-      mean = s / cnt;
-      var = s2 / cnt - mean * mean;
-      if (train && track_) {
-        running_mean_[static_cast<std::size_t>(c)] = static_cast<float>(
-            (1 - momentum_) * running_mean_[static_cast<std::size_t>(c)] + momentum_ * mean);
-        running_var_[static_cast<std::size_t>(c)] = static_cast<float>(
-            (1 - momentum_) * running_var_[static_cast<std::size_t>(c)] + momentum_ * var);
-      }
-    } else {
-      mean = running_mean_[static_cast<std::size_t>(c)];
-      var = running_var_[static_cast<std::size_t>(c)];
-    }
+    double s = 0.0, s2 = 0.0;
+    for (int n = 0; n < batch; ++n)
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j) {
+          const double v = x.at(n, c, i, j);
+          s += v;
+          s2 += v * v;
+        }
+    const double mean = s / cnt;
+    const double var = s2 / cnt - mean * mean;
     mean_[static_cast<std::size_t>(c)] = static_cast<float>(mean);
     invstd_[static_cast<std::size_t>(c)] = static_cast<float>(1.0 / std::sqrt(var + 1e-5));
   }

@@ -72,12 +72,12 @@ class Linear final : public Layer {
   BackwardGuard guard_;
 };
 
-/// Per-channel batch normalization. With `track_running_stats=false` (the
-/// paper's Table-5 setting) batch statistics are used in both modes.
+/// Per-channel batch normalization over the batch's own statistics, in
+/// training and evaluation alike: no running statistics are kept (the
+/// paper's Table-5 setting).
 class BatchNorm2d final : public Layer {
  public:
-  explicit BatchNorm2d(int channels, bool track_running_stats = false,
-                       double momentum = 0.1, const std::string& name = "bn");
+  explicit BatchNorm2d(int channels, const std::string& name = "bn");
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& gy) override;
@@ -86,11 +86,8 @@ class BatchNorm2d final : public Layer {
 
  private:
   int ch_;
-  bool track_;
-  double momentum_;
   std::string name_;
   Param gamma_, beta_;
-  Tensor running_mean_, running_var_;
   // backward cache
   Tensor xhat_;
   std::vector<float> invstd_, mean_;

@@ -10,6 +10,10 @@
 namespace sp::smartpaf {
 namespace {
 
+constexpr int kCalibBatchSize = 32;     ///< samples per calibration forward pass
+constexpr double kLearningRate = 0.02;  ///< Adam step on the PAF coefficients
+constexpr std::uint64_t kSeed = 99;     ///< calibration shuffle and profile reservoirs
+
 /// Sets the profiling hook of a ReLU or exact max pool site; nullptr
 /// detaches it.
 void set_site_profile(const NonPolySite& site, std::function<void(float)> hook) {
@@ -96,7 +100,7 @@ std::vector<double> fit_paf_to_profile(const approx::CompositePaf& init,
       v[k] = b2 * v[k] + (1 - b2) * g * g;
       const double mh = m[k] / (1 - std::pow(b1, it));
       const double vh = v[k] / (1 - std::pow(b2, it));
-      flat[k] -= cfg.lr * mh / (std::sqrt(vh) + eps);
+      flat[k] -= kLearningRate * mh / (std::sqrt(vh) + eps);
     }
   }
   return best;
@@ -114,7 +118,7 @@ CtResult coefficient_tuning(nn::Model& model, const nn::Dataset& calib,
   std::vector<approx::DistributionProfile> profiles;
   profiles.reserve(sites.size());
   for (std::size_t i = 0; i < sites.size(); ++i)
-    profiles.emplace_back(16384, cfg.seed + i);
+    profiles.emplace_back(16384, kSeed + i);
   for (std::size_t i = 0; i < sites.size(); ++i)
     set_site_profile(sites[i], [prof = &profiles[i]](float x) { prof->record(x); });
   {
@@ -126,8 +130,8 @@ CtResult coefficient_tuning(nn::Model& model, const nn::Dataset& calib,
         for (const NonPolySite& site : sites) set_site_profile(site, nullptr);
       }
     } detach{sites};
-    sp::Rng rng(cfg.seed);
-    nn::BatchIterator it(calib, cfg.batch_size, rng, /*shuffle=*/true);
+    sp::Rng rng(kSeed);
+    nn::BatchIterator it(calib, kCalibBatchSize, rng, /*shuffle=*/true);
     nn::Batch b;
     for (int k = 0; k < cfg.calib_batches && it.next(b); ++k)
       model.forward(b.x, /*train=*/false);

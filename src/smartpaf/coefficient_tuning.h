@@ -10,11 +10,8 @@ namespace sp::smartpaf {
 /// Coefficient Tuning configuration (paper §4.2).
 struct CtConfig {
   int calib_batches = 3;    ///< calibration forward passes
-  int batch_size = 32;
   int fit_samples = 2048;   ///< reservoir samples used in the refit
   int fit_iters = 300;      ///< Adam iterations on the PAF coefficients
-  double lr = 0.02;
-  std::uint64_t seed = 99;
 };
 
 /// Result of Coefficient Tuning: per-site tuned coefficients (indexed by
