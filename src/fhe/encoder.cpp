@@ -132,7 +132,7 @@ std::shared_ptr<const Plaintext> Encoder::encode_cached(
     if (pt_cache_.size() >= 8192) pt_cache_.clear();
   }
   // Encode outside the lock: the FFT is the expensive part, and holding the
-  // mutex across it would serialize the overlap helper against evaluation.
+  // mutex across it would stall every other thread's lookups in this cache.
   // Two threads racing the same cold key both encode; the loser's (equal)
   // entry is dropped when the winner's insertion is found below.
   auto pt = std::make_shared<const Plaintext>(encode(make(), scale, q_count));

@@ -35,9 +35,11 @@ struct OpCounters {
   std::atomic<std::size_t> ntts_forward{0};
   std::atomic<std::size_t> ntts_inverse{0};
 
-  /// The one authoritative field list: every helper that walks the tallies
-  /// (assignment, delta, per-input division) goes through here, so a new
-  /// counter added to the struct and to this list is picked up everywhere.
+  /// The one authoritative field list: assignment, `delta_since` and the
+  /// sums of several ledgers go through here, so a new counter added to the
+  /// struct and to this list is picked up by each of them. `per_input()`
+  /// does not: `OpCountersPerInput` is a separate struct that perfbench
+  /// reads by field name, so a new counter needs a line there too.
   /// `fn` receives (destination atomic of `dst`, same field of `src`).
   template <typename Fn>
   static void zip_fields(OpCounters& dst, const OpCounters& src, const Fn& fn) {
