@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -211,6 +212,90 @@ TEST(PredictComposite, BsgsNeverExceedsLadderOnAnyPreset) {
     EXPECT_LE(bsgs.rescales, ladder.rescales) << name;
     EXPECT_LE(bsgs.plain_mults, ladder.plain_mults) << name;
     EXPECT_EQ(bsgs.levels, ladder.levels) << name;
+  }
+}
+
+/// A prediction depends only on which coefficients are nonzero: the dense
+/// pattern sets every coefficient, the odd pattern every odd one.
+approx::Polynomial pattern_poly(int degree, bool odd) {
+  std::vector<double> c(static_cast<std::size_t>(degree) + 1, 0.0);
+  for (int k = odd ? 1 : 0; k <= degree; k += odd ? 2 : 1) c[static_cast<std::size_t>(k)] = 1.0;
+  return approx::Polynomial(c);
+}
+
+struct PolyPin {
+  int degree;
+  int ladder_mults, ladder_levels;
+  int bsgs_mults, bsgs_levels;
+};
+
+void expect_poly_pins(bool odd, const std::vector<PolyPin>& pins) {
+  for (const PolyPin& pin : pins) {
+    const approx::Polynomial p = pattern_poly(pin.degree, odd);
+    const std::string name = std::string(odd ? "odd" : "dense") + " degree " +
+                             std::to_string(pin.degree);
+    const SchedulePrediction ladder =
+        PafEvaluator::predict_poly(p, PafEvaluator::Strategy::Ladder);
+    const SchedulePrediction bsgs = PafEvaluator::predict_poly(p, PafEvaluator::Strategy::BSGS);
+    EXPECT_EQ(ladder.ct_mults, pin.ladder_mults) << name;
+    EXPECT_EQ(ladder.levels, pin.ladder_levels) << name;
+    EXPECT_EQ(bsgs.ct_mults, pin.bsgs_mults) << name;
+    EXPECT_EQ(bsgs.levels, pin.bsgs_levels) << name;
+  }
+}
+
+// The ladder/BSGS schedule as the planner prices it: {degree, ladder
+// ct-mults, ladder levels, BSGS ct-mults, BSGS levels}. bench_bsgs prints
+// the same counts for its random polynomials of each pattern.
+TEST(PolyEvalPins, PredictPolyDensePattern) {
+  expect_poly_pins(false, {{3, 2, 2, 2, 2},    {4, 3, 3, 3, 3},    {5, 4, 3, 4, 3},
+                           {6, 4, 3, 4, 3},    {7, 5, 3, 5, 3},    {8, 6, 4, 5, 4},
+                           {9, 7, 4, 6, 4},    {10, 7, 4, 6, 4},   {11, 8, 4, 6, 4},
+                           {12, 8, 4, 6, 4},   {13, 9, 4, 7, 4},   {14, 9, 4, 7, 4},
+                           {15, 10, 4, 9, 4},  {16, 11, 5, 8, 5},  {17, 12, 5, 9, 5},
+                           {18, 12, 5, 9, 5},  {19, 13, 5, 9, 5},  {20, 13, 5, 9, 5},
+                           {21, 14, 5, 10, 5}, {22, 14, 5, 10, 5}, {23, 15, 5, 10, 5},
+                           {24, 15, 5, 10, 5}, {25, 16, 5, 11, 5}, {26, 16, 5, 11, 5},
+                           {27, 17, 5, 11, 5}, {28, 17, 5, 11, 5}, {29, 18, 5, 12, 5},
+                           {30, 18, 5, 12, 5}, {31, 19, 5, 14, 5}});
+}
+
+TEST(PolyEvalPins, PredictPolyOddPattern) {
+  expect_poly_pins(true, {{3, 2, 2, 2, 2},    {5, 4, 3, 4, 3},    {7, 5, 3, 5, 3},
+                          {9, 7, 4, 6, 4},    {11, 8, 4, 6, 4},   {13, 9, 4, 7, 4},
+                          {15, 10, 4, 9, 4},  {17, 12, 5, 9, 5},  {19, 13, 5, 9, 5},
+                          {21, 14, 5, 9, 5},  {23, 15, 5, 9, 5},  {25, 16, 5, 10, 5},
+                          {27, 17, 5, 10, 5}, {29, 18, 5, 12, 5}, {31, 19, 5, 14, 5}});
+}
+
+// Every field the planner weighs, for each preset under both schedules:
+// {ct-mults, relins, rescales, plain mults, levels}.
+TEST(PolyEvalPins, PredictCompositeEveryPreset) {
+  const struct {
+    approx::PafForm form;
+    SchedulePrediction ladder, bsgs;
+  } pins[] = {
+      {approx::PafForm::ALPHA10_D27, {19, 19, 19, 15, 10}, {17, 17, 17, 15, 10}},
+      {approx::PafForm::F1SQ_G1SQ, {8, 8, 8, 8, 8}, {8, 8, 8, 8, 8}},
+      {approx::PafForm::ALPHA7, {10, 10, 10, 8, 6}, {10, 10, 10, 8, 6}},
+      {approx::PafForm::F2_G3, {9, 9, 9, 7, 6}, {9, 9, 9, 7, 6}},
+      {approx::PafForm::F2_G2, {8, 8, 8, 6, 6}, {8, 8, 8, 6, 6}},
+      {approx::PafForm::F1_G2, {6, 6, 6, 5, 5}, {6, 6, 6, 5, 5}},
+  };
+  EXPECT_EQ(std::size(pins), approx::all_forms().size());
+  for (const auto& pin : pins) {
+    const approx::CompositePaf paf = approx::make_paf(pin.form);
+    for (const auto s : {PafEvaluator::Strategy::Ladder, PafEvaluator::Strategy::BSGS}) {
+      const SchedulePrediction got = PafEvaluator::predict_composite(paf, s);
+      const SchedulePrediction& want = s == PafEvaluator::Strategy::BSGS ? pin.bsgs : pin.ladder;
+      const std::string name = approx::form_name(pin.form) +
+                               (s == PafEvaluator::Strategy::BSGS ? " bsgs" : " ladder");
+      EXPECT_EQ(got.ct_mults, want.ct_mults) << name;
+      EXPECT_EQ(got.relins, want.relins) << name;
+      EXPECT_EQ(got.rescales, want.rescales) << name;
+      EXPECT_EQ(got.plain_mults, want.plain_mults) << name;
+      EXPECT_EQ(got.levels, want.levels) << name;
+    }
   }
 }
 
