@@ -4,7 +4,6 @@
 #include <climits>
 #include <cmath>
 #include <optional>
-#include <set>
 
 #include "common/check.h"
 
@@ -44,234 +43,97 @@ bool block_has_nonzero(const approx::Polynomial& p, int lo, int kk, int j) {
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Planning: pure cost models that mirror the executors below operation for
-// operation, so the strategy choice and predict_poly() are exact rather than
-// asymptotic.
-// ---------------------------------------------------------------------------
-
-/// Simulates PowerBasis: counts the ct-ct mults needed to extend the cached
-/// exponent set by the requested powers (same split rule as the executor).
-struct PowerSim {
-  std::set<int> have;
-  int mults = 0;
-  void need(int e) {
-    if (have.count(e)) return;
-    auto [a, b] = split_exponent(e);
-    need(a);
-    if (b != a) need(b);
-    have.insert(e);
-    ++mults;
-  }
+/// Partial window sum. `done` holds the 2-part contributions already
+/// delivered at (target_level, target_scale); `pending` holds lazily
+/// accumulated 3-part tensor products one level up (scale target_scale * q),
+/// all sharing one relinearization + one rescale at the join. Deferring the
+/// rescale together with the relin matters for precision: rescaling a 3-part
+/// ciphertext would inject tau * s^2 rounding noise per product, while the
+/// joined sum is relinearized first and then rescaled once — never noisier
+/// than one relinearization and rescale per product.
+template <class B>
+struct WindowSum {
+  std::optional<typename B::Ct> done;
+  std::optional<typename B::Ct> pending;
+  double constant = 0.0;
 };
 
-/// Plan node for a BSGS block range: whether it reduces to a scalar constant
-/// and, if not, the minimum depth (levels below the basis input) at which it
-/// can be delivered.
-struct BlockPlan {
-  bool is_const;
-  int depth;
-};
-
-/// Mirrors eval_blocks: block range [blo, bhi] of window `lo` with baby
-/// window kk.
-BlockPlan plan_blocks(const approx::Polynomial& p, int lo, int kk, int blo, int bhi,
-                      PowerSim& ps, int& joins) {
-  int d_blocks = 0;
-  for (int j = blo + 1; j <= bhi; ++j)
-    if (block_has_nonzero(p, lo, kk, j)) d_blocks = j - blo;
-
-  if (d_blocks == 0) {
-    int depth = 0;
-    bool any = false;
-    for (int i = 1; i < kk; ++i) {
-      if (p.coeff(lo + blo * kk + i) == 0.0) continue;
-      ps.need(i);
-      depth = std::max(depth, ceil_log2(i) + 1);
-      any = true;
-    }
-    if (!any) return {true, 0};
-    return {false, depth};
-  }
-
-  int t = 1;
-  while (t * 2 <= d_blocks) t *= 2;
-  const int g = kk * t;
-  ps.need(g);
-  const BlockPlan b = plan_blocks(p, lo, kk, blo + t, blo + d_blocks, ps, joins);
-  int term_depth;
-  if (b.is_const) {
-    term_depth = ceil_log2(g) + 1;
-  } else {
-    term_depth = std::max(ceil_log2(g), b.depth) + 1;
-    ++joins;
-  }
-  const BlockPlan a = plan_blocks(p, lo, kk, blo, blo + t - 1, ps, joins);
-  int depth = term_depth;
-  if (!a.is_const) depth = std::max(depth, a.depth);
-  return {false, depth};
-}
-
-PowerSim sim_from_basis(const PowerBasis& basis) {
-  PowerSim ps;
-  for (int e : basis.cached_exponents()) ps.have.insert(e);
-  return ps;
-}
-
-void sim_window(const approx::Polynomial& p, int lo, int hi, int budget, bool use_bsgs,
-                PowerSim& ps, int& joins);
-
-/// Cheapest pure-ladder cost for the window, given already-cached powers.
-int ladder_cost(const approx::Polynomial& p, int lo, int d, PowerSim seed) {
-  int joins = 0;
-  sim_window(p, lo, lo + d, /*budget=*/0, /*use_bsgs=*/false, seed, joins);
-  return seed.mults + joins;
-}
+// ---------------------------------------------------------------------------
+// The schedule, written once over a backend B: `Run` executes it on
+// ciphertexts, `Count` counts it without one. A backend provides
+//   Ct               its ciphertext type (level(), scale)
+//   use_bsgs         whether ladder nodes consult choose_bsgs
+//   x(), power(e)    the basis input and its memoized powers
+//   cached_exponents()  the powers built so far
+//   prime(level)     the prime a rescale from `level` divides out
+//   scaled(ct, factor, level, scale)   fhe::scaled_to
+//   product(xa, b, scale)  xa * b read at b's level, left 3-part at `scale`
+//   add(acc, ct), join(ct, scale), add_constant(ct, c)
+// ---------------------------------------------------------------------------
 
 /// Picks the BSGS baby window kk for window [lo, lo+d] that fits the level
 /// `budget` with the fewest ct-ct mults, or nullopt when no BSGS plan
 /// strictly beats the pure ladder (the caller then runs the ladder node).
+/// `cached` are the powers already built, which cost nothing.
 std::optional<int> choose_bsgs(const approx::Polynomial& p, int lo, int d, int budget,
-                               const PowerSim& seed) {
-  const int ladder_mults = ladder_cost(p, lo, d, seed);
-  int best_k = 0;
-  int best_mults = INT_MAX;
-  for (int kk = 2; kk <= 2 * d; kk *= 2) {
-    PowerSim ps = seed;
-    int joins = 0;
-    const BlockPlan plan = plan_blocks(p, lo, kk, 0, d / kk, ps, joins);
-    if (plan.is_const || plan.depth > budget) continue;
-    const int total = ps.mults + joins;
-    if (total < best_mults) {
-      best_mults = total;
-      best_k = kk;
-    }
-  }
-  if (best_k != 0 && best_mults < ladder_mults) return best_k;
-  return std::nullopt;
-}
+                               const std::vector<int>& cached);
 
-/// Mirrors eval_window's full decision recursion for predict_poly (and, with
-/// use_bsgs off, the pure ladder): every ladder node re-consults the BSGS
-/// planner against the live power set (just like the executor), so the
-/// predicted ct-mult count is exact. `budget` is the node's remaining level
-/// slack (depth at the root, one less for each high-half recursion).
-void sim_window(const approx::Polynomial& p, int lo, int hi, int budget, bool use_bsgs,
-                PowerSim& ps, int& joins) {
-  const int d = effective_degree(p, lo, hi);
-  if (d <= 1) return;  // constant, or a single coefficient rescale
-  if (use_bsgs) {
-    if (auto kk = choose_bsgs(p, lo, d, budget, ps)) {
-      plan_blocks(p, lo, *kk, 0, d / *kk, ps, joins);
-      return;
-    }
-  }
-  int h = 1;
-  while (h * 2 <= d) h *= 2;
-  ps.need(h);
-  const int d_b = effective_degree(p, lo + h, lo + d);
-  if (d_b > 0) {
-    sim_window(p, lo + h, lo + d, budget - 1, use_bsgs, ps, joins);
-    ++joins;
-  }
-  sim_window(p, lo, lo + h - 1, budget, use_bsgs, ps, joins);
-}
-
-// ---------------------------------------------------------------------------
-// Execution.
-// ---------------------------------------------------------------------------
-
-/// Shared state of one eval_poly call.
-struct EvalCtx {
-  Evaluator* ev;
-  const Encoder* encoder;
-  const KSwitchKey* relin;
-  const CkksContext* ctx;
-  PowerBasis* basis;
-  bool use_bsgs;
-};
-
-/// Partial window sum during execution. `done` holds the 2-part
-/// contributions already delivered at (target_level, target_scale);
-/// `pending` holds lazily accumulated 3-part tensor products one level up
-/// (scale target_scale * q), all sharing one relinearization + one rescale
-/// at the join. Deferring the rescale together with the relin matters for
-/// precision: rescaling a 3-part ciphertext would inject tau * s^2 rounding
-/// noise per product, while the joined sum is relinearized first and then
-/// rescaled once — never noisier than one relinearization and rescale per
-/// product.
-struct WindowSum {
-  std::optional<Ciphertext> done;
-  std::optional<Ciphertext> pending;
-  double constant = 0.0;
-};
-
-void add_done(EvalCtx& ec, WindowSum& sum, Ciphertext&& ct) {
-  if (sum.done)
-    ec.ev->add_inplace(*sum.done, ct);
+template <class B, class Ct>
+void accumulate(B& be, std::optional<Ct>& acc, Ct&& ct) {
+  if (acc)
+    be.add(*acc, ct);
   else
-    sum.done = std::move(ct);
-}
-
-void add_pending(EvalCtx& ec, WindowSum& sum, Ciphertext&& ct) {
-  if (sum.pending)
-    ec.ev->add_inplace(*sum.pending, ct);
-  else
-    sum.pending = std::move(ct);
+    acc = std::move(ct);
 }
 
 /// term = xa * b into the sum, with xa (a cached power) read at b's level:
 /// the raw 3-part product is parked in `pending` at `pre_scale`
 /// (= target_scale * q), relinearized and rescaled at the join.
-void add_product(EvalCtx& ec, WindowSum& sum, const Ciphertext& xa, const Ciphertext& b,
-                 double pre_scale) {
-  Ciphertext term = ec.ev->multiply(xa, b, b.level());
-  term.scale = pre_scale;  // exact by construction
-  add_pending(ec, sum, std::move(term));
-}
-
-void fold_constant(EvalCtx& ec, Ciphertext& ct, double c) {
-  if (c == 0.0) return;
-  ec.ev->add_plain_inplace(ct, ec.encoder->encode_scalar(c, ct.scale, ct.q_count()));
+template <class B>
+void add_product(B& be, WindowSum<B>& sum, const typename B::Ct& xa,
+                 const typename B::Ct& b, double pre_scale) {
+  accumulate(be, sum.pending, be.product(xa, b, pre_scale));
 }
 
 /// Joins a window sum into one ciphertext at (target_level, target_scale):
 /// the pending products share a single relinearization + rescale. Returns
 /// nullopt (leaving *constant_out) when the sum is a bare constant.
-std::optional<Ciphertext> resolve(EvalCtx& ec, WindowSum&& sum, double target_scale,
-                                  double* constant_out) {
+template <class B>
+std::optional<typename B::Ct> resolve(B& be, WindowSum<B>&& sum, double target_scale,
+                                      double* constant_out) {
   *constant_out = sum.constant;
-  std::optional<Ciphertext> out;
+  std::optional<typename B::Ct> out;
   if (sum.pending) {
-    ec.ev->relinearize_rescale_inplace(*sum.pending, *ec.relin);
-    sum.pending->scale = target_scale;
+    be.join(*sum.pending, target_scale);
     out = std::move(sum.pending);
-    if (sum.done) ec.ev->add_inplace(*out, *sum.done);
+    if (sum.done) be.add(*out, *sum.done);
   } else {
     out = std::move(sum.done);
   }
   if (out) {
-    fold_constant(ec, *out, *constant_out);
+    be.add_constant(*out, *constant_out);
     *constant_out = 0.0;
   }
   return out;
 }
 
 /// Merges a sibling sum delivered at the same (level, scale) pair.
-void merge(EvalCtx& ec, WindowSum& sum, WindowSum&& other) {
-  if (other.done) add_done(ec, sum, std::move(*other.done));
-  if (other.pending) add_pending(ec, sum, std::move(*other.pending));
+template <class B>
+void merge(B& be, WindowSum<B>& sum, WindowSum<B>&& other) {
+  if (other.done) accumulate(be, sum.done, std::move(*other.done));
+  if (other.pending) accumulate(be, sum.pending, std::move(*other.pending));
   sum.constant += other.constant;
 }
 
-/// BSGS executor: sum_{j=blo..bhi} B_j(x) x^{(j-blo)*kk} delivered at exactly
+/// BSGS: sum_{j=blo..bhi} B_j(x) x^{(j-blo)*kk} delivered at exactly
 /// (target_level, target_scale), where B_j is block j of the window at `lo`.
 /// Baby blocks combine cached powers with fused coefficient rescales (no
 /// ct-ct mults); giant steps x^(kk*t) join block ranges with one ct-ct mult
-/// per non-constant range, mirroring plan_blocks.
-WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, int blo,
-                      int bhi, int target_level, double target_scale) {
-  WindowSum sum;
+/// per non-constant range.
+template <class B>
+WindowSum<B> eval_blocks(B& be, const approx::Polynomial& p, int lo, int kk, int blo,
+                         int bhi, int target_level, double target_scale) {
+  WindowSum<B> sum;
   int d_blocks = 0;
   for (int j = blo + 1; j <= bhi; ++j)
     if (block_has_nonzero(p, lo, kk, j)) d_blocks = j - blo;
@@ -279,104 +141,199 @@ WindowSum eval_blocks(EvalCtx& ec, const approx::Polynomial& p, int lo, int kk, 
   if (d_blocks == 0) {
     // Single baby block: a linear combination of cached powers x^1..x^{kk-1}.
     sum.constant = p.coeff(lo + blo * kk);
-    std::optional<Ciphertext> acc;
     for (int i = 1; i < kk; ++i) {
       const double c = p.coeff(lo + blo * kk + i);
       if (c == 0.0) continue;
-      const Ciphertext& xi = ec.basis->power(*ec.ev, i);
-      Ciphertext term = scaled_to(*ec.ev, xi, c, target_level, target_scale);
-      if (acc)
-        ec.ev->add_inplace(*acc, term);
-      else
-        acc = std::move(term);
+      accumulate(be, sum.done, be.scaled(be.power(i), c, target_level, target_scale));
     }
-    if (acc) {
-      fold_constant(ec, *acc, sum.constant);
+    if (sum.done) {
+      be.add_constant(*sum.done, sum.constant);
       sum.constant = 0.0;
-      sum.done = std::move(acc);
     }
     return sum;
   }
 
   int t = 1;
   while (t * 2 <= d_blocks) t *= 2;
-  const Ciphertext& xg = ec.basis->power(*ec.ev, kk * t);
+  const auto& xg = be.power(kk * t);
 
   // term = x^(kk*t) * (blocks blo+t .. blo+d_blocks), landing at target_scale.
   {
-    const u64 q = ec.ctx->q(target_level + 1).value();
-    const double b_scale = target_scale * static_cast<double>(q) / xg.scale;
+    const double q = be.prime(target_level + 1);
+    const double b_scale = target_scale * q / xg.scale;
     double b_const = 0.0;
-    std::optional<Ciphertext> b =
-        resolve(ec,
-                eval_blocks(ec, p, lo, kk, blo + t, blo + d_blocks, target_level + 1,
-                            b_scale),
-                b_scale, &b_const);
+    auto b = resolve(be,
+                     eval_blocks(be, p, lo, kk, blo + t, blo + d_blocks, target_level + 1,
+                                 b_scale),
+                     b_scale, &b_const);
     if (!b) {
-      add_done(ec, sum, scaled_to(*ec.ev, xg, b_const, target_level, target_scale));
+      accumulate(be, sum.done, be.scaled(xg, b_const, target_level, target_scale));
     } else {
-      add_product(ec, sum, xg, *b, target_scale * static_cast<double>(q));
+      add_product(be, sum, xg, *b, target_scale * q);
     }
   }
 
-  merge(ec, sum,
-        eval_blocks(ec, p, lo, kk, blo, blo + t - 1, target_level, target_scale));
+  merge(be, sum, eval_blocks(be, p, lo, kk, blo, blo + t - 1, target_level, target_scale));
   return sum;
 }
 
 /// Evaluates the window sum_{k=lo..hi} c_k x^(k-lo), delivered at exactly
 /// (target_level, target_scale) once the caller resolves the returned sum.
 ///
-/// Each node first asks the planner whether a BSGS decomposition fits the
-/// remaining level budget with strictly fewer ct-ct mults; otherwise it runs
-/// one step of the balanced ladder split p = A + x^h * B and recurses — so
-/// the schedule never consumes more levels or more multiplications than the
-/// pure ladder (Appendix-C) baseline.
-WindowSum eval_window(EvalCtx& ec, const approx::Polynomial& p, int lo, int hi,
-                      int target_level, double target_scale) {
-  WindowSum sum;
+/// Under BSGS each node first asks choose_bsgs whether a block decomposition
+/// fits the remaining level budget with strictly fewer ct-ct mults; otherwise
+/// it runs one step of the balanced ladder split p = A + x^h * B and recurses
+/// — so the schedule never consumes more levels or more multiplications than
+/// the pure ladder (Appendix-C) baseline.
+template <class B>
+WindowSum<B> eval_window(B& be, const approx::Polynomial& p, int lo, int hi, int target_level,
+                         double target_scale) {
+  WindowSum<B> sum;
   sum.constant = p.coeff(lo);
   const int d = effective_degree(p, lo, hi);
   if (d == 0) return sum;
 
-  const Ciphertext& x = ec.basis->x();
+  const auto& x = be.x();
   if (d == 1) {
-    add_done(ec, sum, scaled_to(*ec.ev, x, p.coeff(lo + 1), target_level, target_scale));
+    accumulate(be, sum.done, be.scaled(x, p.coeff(lo + 1), target_level, target_scale));
     return sum;
   }
 
-  if (ec.use_bsgs) {
+  if (be.use_bsgs) {
     const int budget = x.level() - target_level;
-    if (auto kk = choose_bsgs(p, lo, d, budget, sim_from_basis(*ec.basis))) {
+    if (auto kk = choose_bsgs(p, lo, d, budget, be.cached_exponents())) {
       // Block 0 of the decomposition covers the window constant p.coeff(lo).
-      return eval_blocks(ec, p, lo, *kk, 0, d / *kk, target_level, target_scale);
+      return eval_blocks(be, p, lo, *kk, 0, d / *kk, target_level, target_scale);
     }
   }
   sum.constant = 0.0;  // the low-half recursion below carries p.coeff(lo)
 
   int h = 1;
   while (h * 2 <= d) h *= 2;
-  const Ciphertext& xh = ec.basis->power(*ec.ev, h);
+  const auto& xh = be.power(h);
 
   // --- term = x^h * B, landing at target_scale -----------------------------
   const int d_b = effective_degree(p, lo + h, lo + d);
   if (d_b == 0) {
     // B is the single constant coefficient c_{lo+h} (nonzero by choice of d).
-    add_done(ec, sum, scaled_to(*ec.ev, xh, p.coeff(lo + h), target_level, target_scale));
+    accumulate(be, sum.done, be.scaled(xh, p.coeff(lo + h), target_level, target_scale));
   } else {
-    const u64 q = ec.ctx->q(target_level + 1).value();
-    const double b_scale = target_scale * static_cast<double>(q) / xh.scale;
+    const double q = be.prime(target_level + 1);
+    const double b_scale = target_scale * q / xh.scale;
     double b_const = 0.0;
-    std::optional<Ciphertext> b = resolve(
-        ec, eval_window(ec, p, lo + h, lo + d, target_level + 1, b_scale), b_scale,
-        &b_const);
+    auto b = resolve(be, eval_window(be, p, lo + h, lo + d, target_level + 1, b_scale),
+                     b_scale, &b_const);
     sp::check(b.has_value(), "eval_poly: non-constant block produced no ciphertext");
-    add_product(ec, sum, xh, *b, target_scale * static_cast<double>(q));
+    add_product(be, sum, xh, *b, target_scale * q);
   }
 
   // --- low block A at the same (level, scale) ------------------------------
-  merge(ec, sum, eval_window(ec, p, lo, lo + h - 1, target_level, target_scale));
+  merge(be, sum, eval_window(be, p, lo, lo + h - 1, target_level, target_scale));
   return sum;
+}
+
+/// Executes the schedule on ciphertexts: the evaluator, encoder, relin key
+/// and power basis of one eval_poly call.
+struct Run {
+  using Ct = Ciphertext;
+
+  Evaluator& ev;
+  const Encoder& encoder;
+  const KSwitchKey& relin;
+  PowerBasis& basis;
+  bool use_bsgs;
+
+  const Ct& x() const { return basis.x(); }
+  const Ct& power(int e) { return basis.power(ev, e); }
+  std::vector<int> cached_exponents() const { return basis.cached_exponents(); }
+  double prime(int level) const { return static_cast<double>(ev.context().q(level).value()); }
+  Ct scaled(const Ct& ct, double factor, int level, double scale) {
+    return scaled_to(ev, ct, factor, level, scale);
+  }
+  Ct product(const Ct& xa, const Ct& b, double scale) {
+    Ct term = ev.multiply(xa, b, b.level());
+    term.scale = scale;  // exact by construction
+    return term;
+  }
+  void add(Ct& acc, const Ct& ct) { ev.add_inplace(acc, ct); }
+  void join(Ct& ct, double scale) {
+    ev.relinearize_rescale_inplace(ct, relin);
+    ct.scale = scale;
+  }
+  void add_constant(Ct& ct, double c) {
+    if (c == 0.0) return;
+    ev.add_plain_inplace(ct, encoder.encode_scalar(c, ct.scale, ct.q_count()));
+  }
+};
+
+/// Counts the schedule without a ciphertext: each Ct is reduced to its
+/// level (the node's target sits at level 0) and scale (every prime reads 1).
+/// Each new power and each product counts one ct-ct mult; `fits` stays true
+/// while every operand of scaled() and product() could be read at the level
+/// it is read at.
+struct Count {
+  struct Ct {
+    int at;
+    double scale;
+    int level() const { return at; }
+  };
+
+  bool use_bsgs;
+  std::map<int, Ct> pow;
+  int ct_mults = 0;
+  bool fits = true;
+
+  /// x at `x_level`; every cached power x^e at x_level - ceil(log2 e), where
+  /// PowerBasis builds it.
+  Count(const std::vector<int>& cached, int x_level, bool bsgs) : use_bsgs(bsgs) {
+    for (int e : cached) pow.emplace(e, Ct{x_level - ceil_log2(e), 1.0});
+  }
+
+  const Ct& x() const { return pow.at(1); }
+  const Ct& power(int e) {
+    auto it = pow.find(e);
+    if (it != pow.end()) return it->second;
+    const auto [a, b] = split_exponent(e);
+    const int level = std::min(power(a).level(), power(b).level()) - 1;
+    ++ct_mults;
+    return pow.emplace(e, Ct{level, 1.0}).first->second;
+  }
+  std::vector<int> cached_exponents() const {
+    std::vector<int> out;
+    for (const auto& [e, ct] : pow) out.push_back(e);
+    return out;
+  }
+  double prime(int) const { return 1.0; }
+  Ct scaled(const Ct& ct, double, int level, double scale) {
+    fits = fits && ct.level() >= level + 1;
+    return {level, scale};
+  }
+  Ct product(const Ct& xa, const Ct& b, double scale) {
+    ++ct_mults;
+    fits = fits && xa.level() >= b.level();
+    return {b.level(), scale};
+  }
+  void add(Ct&, const Ct&) {}
+  void join(Ct& ct, double scale) { ct = {ct.level() - 1, scale}; }
+  void add_constant(Ct&, double) {}
+};
+
+std::optional<int> choose_bsgs(const approx::Polynomial& p, int lo, int d, int budget,
+                               const std::vector<int>& cached) {
+  Count ladder(cached, budget, /*bsgs=*/false);
+  eval_window(ladder, p, lo, lo + d, 0, 1.0);
+  int best_k = 0;
+  int best_mults = INT_MAX;
+  for (int kk = 2; kk <= 2 * d; kk *= 2) {
+    Count blocks(cached, budget, /*bsgs=*/false);
+    eval_blocks(blocks, p, lo, kk, 0, d / kk, 0, 1.0);
+    if (blocks.fits && blocks.ct_mults < best_mults) {
+      best_mults = blocks.ct_mults;
+      best_k = kk;
+    }
+  }
+  if (best_k != 0 && best_mults < ladder.ct_mults) return best_k;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -444,12 +401,12 @@ Ciphertext PafEvaluator::eval_poly(Evaluator& ev, PowerBasis& basis,
   const int depth = ceil_log2(deg + 1);
   sp::check(x.level() >= depth, "eval_poly: not enough levels for this degree");
 
-  EvalCtx ec{&ev, encoder_, relin_, ctx_, &basis, strategy_ == Strategy::BSGS};
+  Run run{ev, *encoder_, *relin_, basis, strategy_ == Strategy::BSGS};
   double constant = 0.0;
   // The final resolve is the last join: any lazily accumulated 3-part sum
   // pays its single relinearization + rescale here.
   std::optional<Ciphertext> out =
-      resolve(ec, eval_window(ec, p, 0, deg, x.level() - depth, ctx_->scale()),
+      resolve(run, eval_window(run, p, 0, deg, x.level() - depth, ctx_->scale()),
               ctx_->scale(), &constant);
   sp::check(out.has_value(), "eval_poly: polynomial reduced to a constant");
   return std::move(*out);
@@ -516,11 +473,9 @@ SchedulePrediction PafEvaluator::predict_poly(const approx::Polynomial& p, Strat
   sp::check(deg >= 1, "predict_poly: polynomial reduced to a constant");
   out.levels = ceil_log2(deg + 1);
 
-  PowerSim ps;
-  ps.have.insert(1);
-  int joins = 0;
-  sim_window(p, 0, deg, out.levels, s == Strategy::BSGS, ps, joins);
-  out.ct_mults = ps.mults + joins;
+  Count count({1}, out.levels, s == Strategy::BSGS);
+  eval_window(count, p, 0, deg, 0, 1.0);
+  out.ct_mults = count.ct_mults;
   out.relins = out.ct_mults;
   out.rescales = out.ct_mults;
   for (int k = 1; k <= deg; ++k)

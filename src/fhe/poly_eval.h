@@ -14,13 +14,14 @@ namespace sp::fhe {
 using EvalStats = OpCounters;
 
 /// Planner-side prediction of one evaluation schedule, produced without
-/// touching any ciphertext. `ct_mults` and `levels` are exact — they come
-/// from the same pure cost model the executor mirrors operation for
-/// operation (the planner==measured cross-check in tests/test_poly_eval.cpp
-/// pins this). `relins`/`rescales` are the upper bound of one per ct-ct
-/// mult (lazy relinearization executes fewer); `plain_mults` counts the
-/// coefficient folds (one per nonzero non-constant coefficient), a close
-/// estimate. `smartpaf::Planner` weighs these counts with a `CostModel`.
+/// touching any ciphertext. `ct_mults` and `levels` are exact by
+/// construction: the prediction runs eval_poly's own ladder/BSGS recursion
+/// on a backend that counts instead of computing (`PolyEvalPins` in
+/// tests/test_poly_eval.cpp pins the counts). `relins`/`rescales` are the
+/// upper bound of one per ct-ct mult (lazy relinearization executes fewer);
+/// `plain_mults` counts the coefficient folds (one per nonzero non-constant
+/// coefficient), a close estimate. `smartpaf::Planner` weighs these counts
+/// with a `CostModel`.
 struct SchedulePrediction {
   int ct_mults = 0;
   int relins = 0;      ///< one per ct-ct mult; executed <= this
@@ -73,8 +74,9 @@ class PowerBasis {
   /// @return cached ciphertext at level x.level() - ceil(log2 e)
   const Ciphertext& power(Evaluator& ev, int e);
 
-  /// @brief Exponents currently cached (always includes 1). Used by the
-  /// evaluation planner so already-paid-for powers count as free.
+  /// @brief Exponents currently cached (always includes 1). The BSGS choice
+  /// at each ladder node seeds its counts with them, so already-paid-for
+  /// powers count as free.
   std::vector<int> cached_exponents() const;
 
  private:
@@ -171,11 +173,11 @@ class PafEvaluator {
 
   /// @brief Predicts the schedule eval_poly would execute for `p` under
   /// strategy `s`, without touching ciphertexts.
-  /// `ct_mults` and `levels` are exact (the prediction runs the same pure
-  /// planner the executor mirrors op-for-op); relins/rescales are the upper
-  /// bound of one per ct-ct mult. The BSGS prediction uses the depth budget
-  /// eval_poly grants itself (the ladder depth), so it is parameter-set
-  /// independent.
+  /// `ct_mults` and `levels` are exact: eval_poly's recursion runs on
+  /// ciphertexts reduced to their level, counting one ct-ct mult per new
+  /// power and per product; relins/rescales are the upper bound of one per
+  /// ct-ct mult. The BSGS prediction uses the depth budget eval_poly grants
+  /// itself (the ladder depth), so it is parameter-set independent.
   static SchedulePrediction predict_poly(const approx::Polynomial& p, Strategy s);
 
   /// @brief Stage-summed prediction for a composite PAF (each stage gets a
