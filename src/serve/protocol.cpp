@@ -10,9 +10,8 @@ std::vector<std::uint8_t> pack_msg(const Msg& msg) {
   w.u64(msg.id);
   w.u8(static_cast<std::uint8_t>(msg.status));
   w.str(msg.error);
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), msg.payload.begin(), msg.payload.end());
-  return out;
+  w.blob(msg.payload);
+  return w.take();
 }
 
 Msg unpack_msg(const std::vector<std::uint8_t>& bytes) {
@@ -26,8 +25,8 @@ Msg unpack_msg(const std::vector<std::uint8_t>& bytes) {
   sp::check_fmt(status <= 2, "protocol: unknown response status ", int(status));
   msg.status = static_cast<ResponseStatus>(status);
   msg.error = r.str();
-  msg.payload.assign(bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()),
-                     bytes.end());
+  msg.payload = r.blob();
+  r.expect_done();
   return msg;
 }
 

@@ -13,10 +13,11 @@ namespace sp::serve {
 /// Frame-level message envelope of the serving protocol. Every frame (see
 /// io::write_frame / io::read_frame) carries exactly one Msg:
 ///
-///   kind (u8) | id (u64) | status (u8) | error (len-prefixed str) | payload
+///   kind (u8) | id (u64) | status (u8) | error (len-prefixed str) |
+///   payload (len-prefixed bytes)
 ///
-/// where `payload` is a standard sp::io blob (its own header names its
-/// BlobKind and params fingerprint). The handshake is:
+/// and nothing after it, where `payload` is a standard sp::io blob (its own
+/// header names its BlobKind and params fingerprint). The handshake is:
 ///
 ///   client -> Hello x3         params, public key, relin key blobs
 ///   server -> SessionReady     rotation-steps blob (id = assigned client
@@ -58,7 +59,8 @@ struct Msg {
 /// Serializes `msg` into one frame payload.
 std::vector<std::uint8_t> pack_msg(const Msg& msg);
 
-/// Parses a frame payload; throws sp::Error on malformed envelopes.
+/// Parses a frame payload; throws sp::Error on malformed envelopes, a cut
+/// anywhere (payload included) and trailing bytes.
 Msg unpack_msg(const std::vector<std::uint8_t>& bytes);
 
 /// write_frame(pack_msg(msg)) — one call per protocol message.

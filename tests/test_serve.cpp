@@ -580,7 +580,7 @@ TEST_F(ServeTest, SeedlessEncryptorsDrawDistinctRandomness) {
 // ---------------------------------------------------------------------------
 
 /// unpack_msg and read_msg decode what a peer sends: every kind round-trips,
-/// a cut inside the envelope or an out-of-range field throws naming its
+/// a cut anywhere in the frame or an out-of-range field throws naming its
 /// cause, and a frame over the cap is refused before its payload is read.
 TEST(ServeProtocol, FrameDecoderRejectsMalformedEnvelopes) {
   // The decoder's error message, or "(decoded)" when it returns.
@@ -612,21 +612,19 @@ TEST(ServeProtocol, FrameDecoderRejectsMalformedEnvelopes) {
   }
 
   // A Response's envelope: kind (1) | id (8) | status (1) | error length
-  // (8) | "boom" (4), then the payload.
+  // (8) | "boom" (4) | payload length (8), then the payload. Every cut short
+  // of the whole frame throws, inside the payload too.
   const std::vector<std::uint8_t> bytes = serve::pack_msg(msg);
-  const std::size_t envelope = 22;
+  const std::size_t envelope = 30;
   ASSERT_EQ(bytes.size(), envelope + msg.payload.size());
-  for (std::size_t cut = 0; cut < envelope; ++cut) {
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::string what = error_of({bytes.begin(), bytes.begin() + cut});
     EXPECT_NE(what.find("wire: "), std::string::npos) << "cut at " << cut << ": " << what;
   }
-  for (std::size_t cut = envelope; cut <= bytes.size(); ++cut) {
-    const serve::Msg back = serve::unpack_msg({bytes.begin(), bytes.begin() + cut});
-    EXPECT_EQ(back.error, "boom") << "cut at " << cut;
-    EXPECT_EQ(back.payload, std::vector<std::uint8_t>(msg.payload.begin(),
-                                                      msg.payload.begin() + (cut - envelope)))
-        << "cut at " << cut;
-  }
+  std::vector<std::uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_NE(error_of(trailing).find("1 trailing bytes"), std::string::npos)
+      << error_of(trailing);
 
   const auto with_byte = [&](std::size_t at, std::uint8_t value) {
     std::vector<std::uint8_t> bad = bytes;
@@ -637,13 +635,21 @@ TEST(ServeProtocol, FrameDecoderRejectsMalformedEnvelopes) {
   EXPECT_NE(error_of(with_byte(0, 6)).find("unknown message kind 6"), std::string::npos);
   EXPECT_NE(error_of(with_byte(9, 3)).find("unknown response status 3"), std::string::npos);
 
-  // Without a payload the error string ends the frame, so a length prefix
-  // one too large overruns it; 2^62 overruns any frame.
+  // An error-length prefix one too large swallows the first byte of the
+  // payload's length prefix: with a payload following, the rest of that
+  // prefix reads as a length far past the frame's last 3 bytes; without
+  // one, the payload prefix is cut short. 2^62 overruns any frame.
+  std::vector<std::uint8_t> longer = bytes;
+  ++longer[10];
+  EXPECT_NE(error_of(longer).find("exceeds the remaining 3 bytes"), std::string::npos)
+      << error_of(longer);
   serve::Msg bare = msg;
   bare.payload.clear();
-  std::vector<std::uint8_t> longer = serve::pack_msg(bare);
-  ++longer[10];
-  EXPECT_NE(error_of(longer).find("length prefix 5"), std::string::npos) << error_of(longer);
+  std::vector<std::uint8_t> longer_bare = serve::pack_msg(bare);
+  ++longer_bare[10];
+  EXPECT_NE(error_of(longer_bare).find("truncated stream (need 8 bytes, have 7)"),
+            std::string::npos)
+      << error_of(longer_bare);
   std::vector<std::uint8_t> huge = serve::pack_msg(bare);
   for (int k = 0; k < 8; ++k) huge[10 + k] = static_cast<std::uint8_t>((1ULL << 62) >> (8 * k));
   EXPECT_NE(error_of(huge).find("length prefix"), std::string::npos) << error_of(huge);
@@ -664,7 +670,7 @@ TEST(ServeProtocol, FrameDecoderRejectsMalformedEnvelopes) {
   } catch (const sp::Error& e) {
     what = e.what();
   }
-  EXPECT_NE(what.find("frame of 26 bytes exceeds the 25-byte cap"), std::string::npos) << what;
+  EXPECT_NE(what.find("frame of 34 bytes exceeds the 33-byte cap"), std::string::npos) << what;
   EXPECT_EQ(got.id, 0u);
   EXPECT_EQ(static_cast<std::streamoff>(over_cap.tellg()), 4);
   std::istringstream empty;
