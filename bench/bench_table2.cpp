@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "approx/presets.h"
+#include "bench_common.h"
 #include "common/table.h"
 
 int main(int argc, char** argv) {
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
                    Table::num(paf.sign_error_max(0.15), 4)});
   }
   table.print(std::cout);
-  table.write_csv("bench_out/table2.csv");
+  table.write_csv(bench::out_dir() + "/table2.csv");
 
   bool ok = true;
   for (PafForm form : all_forms()) {
