@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <optional>
+#include <set>
 
 #include "common/check.h"
 
@@ -278,31 +279,29 @@ struct Count {
     int level() const { return at; }
   };
 
+  std::set<int> have;
+  int x_level;
   bool use_bsgs;
-  std::map<int, Ct> pow;
   int ct_mults = 0;
   bool fits = true;
 
-  /// x at `x_level`; every cached power x^e at x_level - ceil(log2 e), where
-  /// PowerBasis builds it.
-  Count(const std::vector<int>& cached, int x_level, bool bsgs) : use_bsgs(bsgs) {
-    for (int e : cached) pow.emplace(e, Ct{x_level - ceil_log2(e), 1.0});
-  }
+  /// x at `x_level`, with the powers `cached` already built.
+  Count(const std::vector<int>& cached, int x_level, bool bsgs)
+      : have(cached.begin(), cached.end()), x_level(x_level), use_bsgs(bsgs) {}
 
-  const Ct& x() const { return pow.at(1); }
-  const Ct& power(int e) {
-    auto it = pow.find(e);
-    if (it != pow.end()) return it->second;
-    const auto [a, b] = split_exponent(e);
-    const int level = std::min(power(a).level(), power(b).level()) - 1;
-    ++ct_mults;
-    return pow.emplace(e, Ct{level, 1.0}).first->second;
+  Ct x() const { return {x_level, 1.0}; }
+  /// x^e, built by PowerBasis's split, lands at x_level - ceil(log2 e).
+  Ct power(int e) {
+    if (!have.count(e)) {
+      const auto [a, b] = split_exponent(e);
+      power(a);
+      power(b);
+      have.insert(e);
+      ++ct_mults;
+    }
+    return {x_level - ceil_log2(e), 1.0};
   }
-  std::vector<int> cached_exponents() const {
-    std::vector<int> out;
-    for (const auto& [e, ct] : pow) out.push_back(e);
-    return out;
-  }
+  std::vector<int> cached_exponents() const { return {have.begin(), have.end()}; }
   double prime(int) const { return 1.0; }
   Ct scaled(const Ct& ct, double, int level, double scale) {
     fits = fits && ct.level() >= level + 1;
@@ -320,8 +319,6 @@ struct Count {
 
 std::optional<int> choose_bsgs(const approx::Polynomial& p, int lo, int d, int budget,
                                const std::vector<int>& cached) {
-  Count ladder(cached, budget, /*bsgs=*/false);
-  eval_window(ladder, p, lo, lo + d, 0, 1.0);
   int best_k = 0;
   int best_mults = INT_MAX;
   for (int kk = 2; kk <= 2 * d; kk *= 2) {
@@ -332,7 +329,10 @@ std::optional<int> choose_bsgs(const approx::Polynomial& p, int lo, int d, int b
       best_k = kk;
     }
   }
-  if (best_k != 0 && best_mults < ladder.ct_mults) return best_k;
+  if (best_k == 0) return std::nullopt;
+  Count ladder(cached, budget, /*bsgs=*/false);
+  eval_window(ladder, p, lo, lo + d, 0, 1.0);
+  if (best_mults < ladder.ct_mults) return best_k;
   return std::nullopt;
 }
 
